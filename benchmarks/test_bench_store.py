@@ -79,7 +79,7 @@ def _run_columnar(base, snapshots):
         )
         applied = store.apply_rows(rows, positions, new_flags)
         tracker.mark_batch(applied, was_relevant=applied.was_flagged)
-        tracker.finish_tick(store.index)
+        tracker.finish_tick(store)
         store.advance_tick()
     return time.perf_counter() - start, store
 
@@ -104,7 +104,7 @@ def _run_per_device(base, snapshots):
                 update.device, update.position, update.flagged
             )
             tracker.mark(applied, was_relevant=applied.flag_changed)
-        tracker.finish_tick(store.index)
+        tracker.finish_tick(store)
         store.advance_tick()
         previous = snapshot
     return time.perf_counter() - start, store

@@ -18,7 +18,7 @@ as well as in information.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,8 @@ __all__ = [
     "points_within",
     "validate_radius",
     "validate_unit_cube",
+    "cells_within_rings",
+    "unique_cells",
     "GridIndex",
 ]
 
@@ -144,6 +146,107 @@ def validate_unit_cube(points: np.ndarray, *, atol: float = 1e-9) -> np.ndarray:
     return pts
 
 
+#: Largest cell-code range the linearized paths use; beyond it (a tiny
+#: cell in high dimension) codes could overflow int64.
+_CODE_LIMIT = 1 << 62
+
+#: Element budget of one chunk of a broadcast comparison, so memory stays
+#: bounded however many probes or cells a call gets.
+_CHUNK_ELEMENTS = 1 << 20
+
+
+def _row_major_strides(span: np.ndarray) -> Optional[np.ndarray]:
+    """Strides linearizing the integer box of extent ``span``, or ``None``.
+
+    ``None`` means the box has ``2**62`` cells or more, so its codes could
+    overflow int64 and callers must fall back to a coordinate-wise test.
+    """
+    total = 1
+    for extent in span.tolist():
+        total *= int(extent)
+    if total >= _CODE_LIMIT:
+        return None
+    strides = np.ones(span.shape[0], dtype=np.int64)
+    for d in range(span.shape[0] - 2, -1, -1):
+        strides[d] = strides[d + 1] * span[d + 1]
+    return strides
+
+
+def unique_cells(keys: np.ndarray) -> np.ndarray:
+    """Sorted (lexicographic), de-duplicated rows of ``(k, d)`` cell keys.
+
+    ``np.unique(keys, axis=0)`` over linearized codes: row-major codes
+    over the keys' bounding box sort exactly like the key rows, so one
+    flat integer ``np.unique`` plus a decode replaces the much slower
+    row-wise unique (kept as the fallback where codes could overflow).
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.shape[0] == 0:
+        return keys
+    lo = keys.min(axis=0)
+    span = keys.max(axis=0) - lo + 1
+    strides = _row_major_strides(span)
+    if strides is None:
+        return np.unique(keys, axis=0)
+    codes = np.unique((keys - lo) @ strides)
+    return codes[:, None] // strides % span + lo
+
+
+def cells_within_rings(
+    probes: np.ndarray, cells: np.ndarray, rings: int
+) -> np.ndarray:
+    """Which probe cells lie within ``rings`` (Chebyshev) of any listed cell.
+
+    ``probes`` and ``cells`` are ``(p, d)`` / ``(c, d)`` integer cell keys;
+    the result is a ``(p,)`` boolean mask.  Each probe is expanded by the
+    precomputed ``(2 rings + 1)^d`` stencil of linearized cell-code
+    offsets and the expansion is located in the sorted codes of ``cells``
+    with ``searchsorted``, so the cost is ``O(p (2 rings + 1)^d log c)`` —
+    independent of how many devices share the grid.  Codes linearize the
+    smallest integer box holding both sets and every stencil cell, a
+    bijection on that box; where its cell count would overflow int64 the
+    test falls back to a direct coordinate-wise Chebyshev comparison.
+    """
+    if rings < 0:
+        raise ConfigurationError(f"rings must be >= 0, got {rings!r}")
+    probes = np.asarray(probes, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    p = probes.shape[0]
+    out = np.zeros(p, dtype=bool)
+    if p == 0 or cells.size == 0:
+        return out
+    if probes.ndim != 2 or cells.ndim != 2 or probes.shape[1] != cells.shape[1]:
+        raise DimensionMismatchError(
+            f"probe keys {probes.shape} and cell keys {cells.shape} disagree"
+        )
+    dim = probes.shape[1]
+    lo = np.minimum(cells.min(axis=0), probes.min(axis=0) - rings)
+    hi = np.maximum(cells.max(axis=0), probes.max(axis=0) + rings)
+    strides = _row_major_strides(hi - lo + 1)
+    if strides is None:
+        chunk = max(1, _CHUNK_ELEMENTS // (cells.shape[0] * dim))
+        for start in range(0, p, chunk):
+            block = probes[start : start + chunk]
+            dist = np.abs(block[:, None, :] - cells[None, :, :]).max(axis=2)
+            out[start : start + chunk] = (dist <= rings).any(axis=1)
+        return out
+    side = np.arange(-rings, rings + 1, dtype=np.int64)
+    stencil = (
+        np.stack(np.meshgrid(*([side] * dim), indexing="ij"), axis=-1)
+        .reshape(-1, dim)
+        @ strides
+    )
+    sorted_codes = np.sort((cells - lo) @ strides)
+    last = sorted_codes.shape[0] - 1
+    base = (probes - lo) @ strides
+    chunk = max(1, _CHUNK_ELEMENTS // stencil.shape[0])
+    for start in range(0, p, chunk):
+        expanded = base[start : start + chunk, None] + stencil[None, :]
+        pos = np.minimum(np.searchsorted(sorted_codes, expanded), last)
+        out[start : start + chunk] = (sorted_codes[pos] == expanded).any(axis=1)
+    return out
+
+
 class GridIndex:
     """Uniform-grid spatial index over points in ``[0, 1]^d``.
 
@@ -152,6 +255,10 @@ class GridIndex:
     paper's regime (``n = 1000``, ``r = 0.03``) neighbourhood queries touch
     a handful of cells, so building the index once per snapshot makes the
     whole characterization pass near-linear in ``n``.
+
+    Points are kept sorted by a linearized cell code (built on the first
+    query), so every range query — single or batched — reduces to
+    ``searchsorted`` plus fancy indexing; there is no per-cell dictionary.
     """
 
     def __init__(self, points: np.ndarray, cell: float) -> None:
@@ -162,14 +269,7 @@ class GridIndex:
             raise DimensionMismatchError("points must be an (m, d) array")
         self._cell = float(cell)
         self._dim = self._points.shape[1]
-        self._cells: Dict[Tuple[int, ...], List[int]] = {}
-        keys = np.floor(self._points / self._cell).astype(int)
-        for idx, key in enumerate(map(tuple, keys)):
-            self._cells.setdefault(key, []).append(idx)
-        # Batch-query structures (built lazily on first query_batch): points
-        # sorted by a linearized cell code so a whole batch of range queries
-        # reduces to searchsorted + fancy indexing, no per-point dict walks.
-        self._keys = keys
+        self._keys = np.floor(self._points / self._cell).astype(np.int64)
         self._sorted_codes: Optional[np.ndarray] = None
         self._order: Optional[np.ndarray] = None
         self._key_lo: Optional[np.ndarray] = None
@@ -203,28 +303,18 @@ class GridIndex:
     def query(self, center: Sequence[float], rho: float) -> List[int]:
         """Return indices of points within uniform distance ``rho``.
 
-        The returned list is sorted for determinism.
+        The returned list is sorted for determinism.  A one-center
+        :meth:`query_batch_flat`.
         """
         ctr = np.asarray(center, dtype=float)
         if ctr.shape != (self._dim,):
             raise DimensionMismatchError(
                 f"center shape {ctr.shape} incompatible with dim {self._dim}"
             )
-        lo = np.floor((ctr - rho) / self._cell).astype(int)
-        hi = np.floor((ctr + rho) / self._cell).astype(int)
-        out: List[int] = []
-        for key in _iter_cells(lo, hi):
-            bucket = self._cells.get(key)
-            if not bucket:
-                continue
-            pts = self._points[bucket]
-            mask = np.all(np.abs(pts - ctr) <= rho + 1e-12, axis=1)
-            out.extend(bucket[i] for i in np.nonzero(mask)[0])
-        out.sort()
-        return out
+        return self.query_batch_flat(ctr[None, :], rho)[1].tolist()
 
     def _ensure_batch_structures(self) -> None:
-        """Build the sorted-cell-code arrays backing :meth:`query_batch`."""
+        """Build the sorted-cell-code arrays backing every query."""
         if self._sorted_codes is not None:
             return
         m = self._points.shape[0]
@@ -235,21 +325,17 @@ class GridIndex:
             self._sorted_codes = np.empty(0, dtype=np.int64)
             self._order = np.empty(0, dtype=np.int64)
             return
-        keys = self._keys.astype(np.int64)
+        keys = self._keys
         self._key_lo = keys.min(axis=0)
         self._key_span = keys.max(axis=0) - self._key_lo + 1
         # Row-major strides over the occupied key box: code is a bijection
         # from in-box cell keys to [0, prod(span)).  Degenerate cells (r
         # near 0 in high dimension) can make that range overflow int64;
-        # query_batch then falls back to scalar queries.
-        span_product = 1
-        for span in self._key_span.tolist():
-            span_product *= int(span)
-        self._linearizable = span_product < (1 << 62)
-        strides = np.ones(self._dim, dtype=np.int64)
-        if self._linearizable:
-            for d in range(self._dim - 2, -1, -1):
-                strides[d] = strides[d + 1] * self._key_span[d + 1]
+        # queries then fall back to a direct distance scan.
+        strides = _row_major_strides(self._key_span)
+        self._linearizable = strides is not None
+        if strides is None:
+            strides = np.ones(self._dim, dtype=np.int64)
         self._strides = strides
         codes = (keys - self._key_lo) @ strides
         order = np.argsort(codes, kind="stable")
@@ -299,12 +385,21 @@ class GridIndex:
             return empty
         self._ensure_batch_structures()
         if not self._linearizable:
+            # Brute-force scan, chunked over queries; nonzero order is
+            # already (query_of, rows).
+            chunk = max(1, _CHUNK_ELEMENTS // (len(self) * self._dim))
             query_of_parts: List[np.ndarray] = []
             row_parts: List[np.ndarray] = []
-            for i in range(q):
-                hits = np.asarray(self.query(ctrs[i], rho), dtype=np.int64)
-                query_of_parts.append(np.full(hits.shape, i, dtype=np.int64))
-                row_parts.append(hits)
+            for start in range(0, q, chunk):
+                block = ctrs[start : start + chunk]
+                within = np.all(
+                    np.abs(self._points[None, :, :] - block[:, None, :])
+                    <= rho + atol,
+                    axis=2,
+                )
+                query_of, rows = np.nonzero(within)
+                query_of_parts.append(query_of.astype(np.int64) + start)
+                row_parts.append(rows.astype(np.int64))
             return np.concatenate(query_of_parts), np.concatenate(row_parts)
         assert (
             self._sorted_codes is not None
@@ -357,26 +452,6 @@ class GridIndex:
 
         Useful for building neighbourhood graphs in analysis code and tests.
         """
-        pairs: List[Tuple[int, int]] = []
-        for i in range(len(self)):
-            for j in self.query(self._points[i], rho):
-                if j > i:
-                    pairs.append((i, j))
-        return pairs
-
-
-def _iter_cells(lo: np.ndarray, hi: np.ndarray) -> Iterable[Tuple[int, ...]]:
-    """Yield every integer lattice point of the box ``[lo, hi]``."""
-    if lo.shape != hi.shape:
-        raise DimensionMismatchError("lo and hi must share a shape")
-    ranges = [range(int(a), int(b) + 1) for a, b in zip(lo, hi)]
-
-    def rec(prefix: Tuple[int, ...], rest: List[range]) -> Iterable[Tuple[int, ...]]:
-        if not rest:
-            yield prefix
-            return
-        head, tail = rest[0], rest[1:]
-        for v in head:
-            yield from rec(prefix + (v,), tail)
-
-    yield from rec((), ranges)
+        query_of, rows = self.query_batch_flat(self._points, rho)
+        keep = rows > query_of
+        return list(zip(query_of[keep].tolist(), rows[keep].tolist()))

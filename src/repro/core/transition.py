@@ -312,7 +312,7 @@ class Transition:
         Semantically identical to calling :meth:`neighborhood` per device,
         but the range queries of the whole batch run through
         :meth:`GridIndex.query_batch` (sorted cell codes + ``searchsorted``)
-        instead of one dict-walk per device.  Results land in the same memo
+        instead of one query per device.  Results land in the same memo
         :meth:`neighborhood` uses, so a batch pass warms the per-device
         path for free.  ``devices`` defaults to all of ``A_k``.
         """

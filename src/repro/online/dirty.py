@@ -11,7 +11,8 @@ moved during the *previous* one (its ``prev`` endpoint shifted under it),
 or toggled its flag.  Moves of devices that are unflagged on both sides
 of the toggle are invisible to every verdict and tracked for free.
 
-:class:`DirtyRegionTracker` accumulates those changes as grid-cell keys:
+:class:`DirtyRegionTracker` accumulates those changes as integer grid-cell
+keys — ``(k, d)`` int64 arrays, never per-cell Python tuples:
 
 * a relevant update marks the device's old and new current cells
   (``old`` doubles as the device's ``prev`` endpoint — the store rolled
@@ -22,7 +23,10 @@ of the toggle are invisible to every verdict and tracked for free.
 * at tick end, every flagged device within ``rings`` cells (Chebyshev)
   of a dirty cell is reported as *affected* — a conservative superset of
   the devices whose verdicts can have changed, with ``rings`` sized so
-  that anything farther is provably more than ``4r`` away.
+  that anything farther is provably more than ``4r`` away.  Only the
+  flagged rows are tested (unflagged devices are never verdict targets),
+  so the fan-out costs ``O(flagged)``, not ``O(devices near the dirty
+  cells)``.
 
 The complement of the affected set is sound for more than verdict-cache
 reuse: a device's *motion family* (``M(j)`` / ``Wbar_k(j)``) is a
@@ -41,15 +45,30 @@ that moved in tick ``k`` re-dirties its cells in tick ``k+1`` (its
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.online.grid import CellKey, MutableGridIndex
-from repro.online.store import AppliedBatch, AppliedUpdate
+from repro.core.geometry import unique_cells
+from repro.online.store import AppliedBatch, AppliedUpdate, DeviceStateStore
 
-__all__ = ["DirtyRegionTracker"]
+__all__ = ["DirtyRegionTracker", "union_cells"]
+
+#: The empty cell set (its width is unknown until a cell is seen).
+_NO_CELLS = np.empty((0, 0), dtype=np.int64)
+
+
+def union_cells(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Sorted, de-duplicated union of ``(k, d)`` integer cell-key arrays.
+
+    Empty parts (of any width) are ignored; the union of nothing is a
+    ``(0, 0)`` array.
+    """
+    live = [part for part in parts if len(part)]
+    if not live:
+        return _NO_CELLS
+    return unique_cells(np.concatenate(live))
 
 
 class DirtyRegionTracker:
@@ -99,9 +118,9 @@ class DirtyRegionTracker:
         self._family_rings = int(
             math.floor(family_radius / self._cell + 1e-9)
         ) + 1
-        self._pending: Set[CellKey] = set()
-        self._carry: Set[CellKey] = set()
-        self._carry_next: Set[CellKey] = set()
+        self._pending: List[np.ndarray] = []
+        self._carry: np.ndarray = _NO_CELLS
+        self._carry_next: List[np.ndarray] = []
 
     @property
     def rings(self) -> int:
@@ -114,9 +133,9 @@ class DirtyRegionTracker:
         return self._family_rings
 
     @property
-    def pending_cells(self) -> Tuple[CellKey, ...]:
+    def pending_cells(self) -> np.ndarray:
         """Cells dirtied so far this tick (including last tick's carry)."""
-        return tuple(sorted(self._pending | self._carry))
+        return union_cells([*self._pending, self._carry])
 
     def mark(self, applied: AppliedUpdate, *, was_relevant: bool) -> bool:
         """Record one applied update; returns whether it dirtied anything.
@@ -130,12 +149,11 @@ class DirtyRegionTracker:
         )
         if not relevant:
             return False
-        self._pending.add(applied.old_cell)
-        self._pending.add(applied.new_cell)
+        cells = np.array([applied.old_cell, applied.new_cell], dtype=np.int64)
+        self._pending.append(cells)
         if applied.moved:
             # prev_{k+1} = cur_k: this trajectory shifts again next tick.
-            self._carry_next.add(applied.old_cell)
-            self._carry_next.add(applied.new_cell)
+            self._carry_next.append(cells)
         return True
 
     def mark_batch(
@@ -143,8 +161,8 @@ class DirtyRegionTracker:
     ) -> int:
         """Vectorized :meth:`mark` over one applied row batch.
 
-        Computes the relevance mask in one pass and materializes cell
-        tuples *only* for the relevant rows — the irrelevant bulk of a
+        Computes the relevance mask in one pass and keeps the old/new
+        keys of the relevant rows as arrays — the irrelevant bulk of a
         steady-state tick allocates nothing per device.  Returns the
         number of relevant updates.
         """
@@ -154,20 +172,16 @@ class DirtyRegionTracker:
         count = int(np.count_nonzero(relevant))
         if not count:
             return 0
-        idx = np.nonzero(relevant)[0]
-        old_cells = [tuple(key) for key in batch.old_keys[idx].tolist()]
-        new_cells = [tuple(key) for key in batch.new_keys[idx].tolist()]
-        self._pending.update(old_cells)
-        self._pending.update(new_cells)
-        moved = batch.moved[idx]
+        self._pending.append(batch.old_keys[relevant])
+        self._pending.append(batch.new_keys[relevant])
+        moved = relevant & batch.moved
         if moved.any():
             # prev_{k+1} = cur_k: these trajectories shift again next tick.
-            for i in np.nonzero(moved)[0]:
-                self._carry_next.add(old_cells[i])
-                self._carry_next.add(new_cells[i])
+            self._carry_next.append(batch.old_keys[moved])
+            self._carry_next.append(batch.new_keys[moved])
         return count
 
-    def invalidate_cells(self, keys) -> None:
+    def invalidate_cells(self, keys: np.ndarray) -> None:
         """Force ``keys`` dirty this tick *and* carry them into the next.
 
         Recovery hook: after a shard process is respawned from its
@@ -177,75 +191,70 @@ class DirtyRegionTracker:
         the move carry as well covers trajectories whose ``prev``
         endpoint shifted in the lost tick.
         """
-        cells = {tuple(key) for key in keys}
-        self._pending.update(cells)
-        self._carry_next.update(cells)
+        cells = np.asarray(keys, dtype=np.int64)
+        self._pending.append(cells)
+        self._carry_next.append(cells)
 
-    def finish_cells(self) -> Tuple[CellKey, ...]:
+    def finish_cells(self, store: DeviceStateStore) -> np.ndarray:
         """Close the tick's *cell* bookkeeping: return the dirty cells.
 
+        The result is a sorted ``(k, d)`` int64 array of unique cell
+        keys: the marked cells, last tick's move carry, and the cells of
+        ``store``'s flagged joins / leaves since the last tick
+        (:meth:`~repro.online.store.DeviceStateStore.take_membership_cells`).
         Resets per-tick state; the carry of this tick's moves seeds the
         next tick's dirty set.  The sharded topology uses this half of
-        :meth:`finish_tick` on its own: each shard closes its cells,
-        the front door unions them, and every shard then derives its
-        affected set from the *global* union — a change near a shard
-        boundary must invalidate verdicts on both sides.
+        :meth:`finish_tick` on its own: each shard closes its cells, the
+        front door unions them, and every shard then tests its flagged
+        rows against the *global* union — a change near a shard boundary
+        must invalidate verdicts on both sides.
         """
-        dirty = self._pending | self._carry
-        self._pending = set()
-        self._carry = self._carry_next
-        self._carry_next = set()
-        return tuple(sorted(dirty))
+        dirty = union_cells(
+            [*self._pending, self._carry, *store.take_membership_cells()]
+        )
+        self._pending = []
+        self._carry = union_cells(self._carry_next)
+        self._carry_next = []
+        return dirty
 
     def finish_tick(
-        self, index: MutableGridIndex
-    ) -> Tuple[Tuple[CellKey, ...], Set[int]]:
-        """Close the tick: return ``(dirty_cells, affected_devices)``.
+        self, store: DeviceStateStore
+    ) -> Tuple[np.ndarray, Set[int]]:
+        """Close the tick: return ``(dirty_cells, affected_rows)``.
 
-        ``affected_devices`` is every indexed device within ``rings``
-        cells of a dirty cell — callers intersect with the flagged set.
-        Resets per-tick state; the carry of this tick's moves seeds the
-        next tick's dirty set.  The devices whose motion *families* are
+        ``affected_rows`` is every *flagged* row of ``store`` within
+        ``rings`` cells of a dirty cell — the flagged devices are the
+        only possible verdict targets, so the fan-out never visits the
+        unflagged bulk.  The rows whose motion *families* are
         invalidated (the tighter ``family_rings`` band) can be recovered
-        from the returned cells via
-        ``index.devices_near_cells(dirty_cells, tracker.family_rings)``.
+        from the returned cells via ``store.index.rows_near_cells(rows,
+        dirty_cells, tracker.family_rings)``.
         """
-        dirty = self.finish_cells()
-        affected = index.devices_near_cells(dirty, self._rings) if dirty else set()
-        return dirty, affected
+        dirty = self.finish_cells(store)
+        affected = store.index.rows_near_cells(
+            store.flagged_rows(), dirty, self._rings
+        )
+        return dirty, set(affected.tolist())
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, np.ndarray]:
         """The three cell sets as ``(k, d)`` integer arrays (sorted)."""
-
-        def pack(cells: Set[CellKey]) -> np.ndarray:
-            if not cells:
-                return np.empty((0, 0), dtype=np.int64)
-            return np.array(sorted(cells), dtype=np.int64)
-
         return {
-            "pending": pack(self._pending),
-            "carry": pack(self._carry),
-            "carry_next": pack(self._carry_next),
+            "pending": union_cells(self._pending),
+            "carry": self._carry,
+            "carry_next": union_cells(self._carry_next),
         }
 
     def restore_state(self, state: Dict[str, np.ndarray]) -> None:
         """Restore the cell sets from :meth:`state` output."""
-
-        def unpack(arr: np.ndarray) -> Set[CellKey]:
-            arr = np.asarray(arr, dtype=np.int64)
-            if arr.size == 0:
-                return set()
-            return {tuple(key) for key in arr.tolist()}
-
-        self._pending = unpack(state["pending"])
-        self._carry = unpack(state["carry"])
-        self._carry_next = unpack(state["carry_next"])
+        self._pending = [union_cells([state["pending"]])]
+        self._carry = union_cells([state["carry"]])
+        self._carry_next = [union_cells([state["carry_next"]])]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DirtyRegionTracker(rings={self._rings}, "
-            f"pending={len(self._pending)}, carry={len(self._carry)})"
+            f"pending={len(self.pending_cells)}, carry={len(self._carry)})"
         )

@@ -6,17 +6,24 @@ drivers, which see each snapshot exactly once — and the wrong shape for
 an online service, where a tick that moves ``k`` devices out of ``n``
 would pay an O(n) rebuild for O(k) change.  :class:`MutableGridIndex`
 keeps the same cell decomposition (side ``cell``, keys
-``floor(p / cell)``) with O(1) ``insert`` / ``remove`` / ``move``
-dictionary work per mutation, and range queries walk exactly the cells
-:meth:`GridIndex.query` walks.
-
-Since the structure-of-arrays refactor the index is *columnar*: device
-positions live in one ``(capacity, d)`` array and cell keys in one
-``(capacity, d)`` int array — there is no per-device numpy object, and
-the position plane can be *adopted zero-copy* from a
+``floor(p / cell)``) as *columns*: device positions live in one
+``(capacity, d)`` array, integer cell keys in one ``(capacity, d)``
+array and liveness in one boolean vector — there is no per-cell
+container and no per-device Python object, so ``insert`` / ``remove`` /
+``move`` / :meth:`~MutableGridIndex.move_rows` are array writes.  The
+position plane can be *adopted zero-copy* from a
 :class:`~repro.online.store.DeviceStateStore` via :meth:`from_array`, in
-which case the store writes positions and the index only maintains cell
-membership (:meth:`move_rows` is the vectorized tick path).
+which case the store writes positions and the index only maintains the
+key column (:meth:`move_rows` is the vectorized tick path).
+
+Cell keys are the index's only spatial representation.  The tick's
+dirty-region fan-out is :meth:`~MutableGridIndex.rows_near_cells`: the
+keys of a few probe rows (the flagged devices) are tested against the
+dirty cells with :func:`~repro.core.geometry.cells_within_rings`, whose
+cost depends on the probe and dirty-cell counts, not on the population.
+Range queries (:meth:`query`, :meth:`query_batch`, off the tick path)
+build a :class:`GridIndex` over the live rows — one grid implementation,
+answered by sorted cell codes.
 
 Equivalence is part of the contract, not an accident: after *any*
 interleaving of mutations, :meth:`query` and :meth:`query_batch` must
@@ -27,7 +34,7 @@ Device identifiers take the place of row indices.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from repro.core.errors import (
     DimensionMismatchError,
     UnknownDeviceError,
 )
-from repro.core.geometry import _iter_cells
+from repro.core.geometry import GridIndex, cells_within_rings
 
 __all__ = ["MutableGridIndex"]
 
@@ -70,7 +77,6 @@ class MutableGridIndex:
         self._alive = np.empty(0, dtype=bool)
         self._count = 0
         self._external = False
-        self._cells: Dict[CellKey, Set[int]] = {}
 
     @classmethod
     def from_points(cls, points: np.ndarray, cell: float) -> "MutableGridIndex":
@@ -88,34 +94,49 @@ class MutableGridIndex:
 
     @classmethod
     def from_array(
-        cls, points: np.ndarray, cell: float
+        cls,
+        points: np.ndarray,
+        cell: float,
+        *,
+        alive: Optional[np.ndarray] = None,
     ) -> "MutableGridIndex":
         """Adopt an ``(n, d)`` positions plane *zero-copy*.
 
         The caller (a :class:`~repro.online.store.DeviceStateStore`)
         owns position writes; the index reads them in place and only
-        maintains cell membership.  After the owner rewrites rows it
-        must call :meth:`move_rows` with those rows so the cell sets
-        catch up.  Growing the owner's plane requires :meth:`rebind`.
+        maintains the key column.  After the owner rewrites rows it must
+        call :meth:`move_rows` with those rows so the keys catch up.
+        Growing the owner's plane requires :meth:`rebind`.  ``alive``
+        (default: every row) marks which rows hold a device.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise DimensionMismatchError("points must be an (n, d) array")
         index = cls(cell, pts.shape[1])
-        index._adopt(pts, external=True)
+        index._adopt(pts, external=True, alive=alive)
         return index
 
-    def _adopt(self, pts: np.ndarray, *, external: bool) -> None:
+    def _adopt(
+        self,
+        pts: np.ndarray,
+        *,
+        external: bool,
+        alive: Optional[np.ndarray] = None,
+    ) -> None:
         n = pts.shape[0]
         self._pts = pts
         self._external = external
         self._keys = np.floor(pts / self._cell).astype(np.int64)
-        self._alive = np.ones(n, dtype=bool)
-        self._count = n
-        cells: Dict[CellKey, Set[int]] = {}
-        for device, key in enumerate(map(tuple, self._keys.tolist())):
-            cells.setdefault(key, set()).add(device)
-        self._cells = cells
+        if alive is None:
+            self._alive = np.ones(n, dtype=bool)
+        else:
+            self._alive = np.array(alive, dtype=bool)
+            if self._alive.shape != (n,):
+                raise DimensionMismatchError(
+                    f"alive mask shape {self._alive.shape} incompatible "
+                    f"with {n} rows"
+                )
+        self._count = int(np.count_nonzero(self._alive))
 
     def rebind(self, points: np.ndarray) -> None:
         """Swap the adopted positions plane for a grown replacement.
@@ -168,9 +189,12 @@ class MutableGridIndex:
     def __contains__(self, device: int) -> bool:
         return 0 <= device < self._alive.shape[0] and bool(self._alive[device])
 
+    def _live_rows(self) -> np.ndarray:
+        return np.nonzero(self._alive)[0]
+
     def devices(self) -> Tuple[int, ...]:
         """All indexed device ids, sorted."""
-        return tuple(int(j) for j in np.nonzero(self._alive)[0])
+        return tuple(self._live_rows().tolist())
 
     def position(self, device: int) -> np.ndarray:
         """Current position of ``device`` (a copy)."""
@@ -195,7 +219,9 @@ class MutableGridIndex:
 
     def devices_in_cell(self, key: CellKey) -> FrozenSet[int]:
         """Devices currently stored in one cell."""
-        return frozenset(self._cells.get(key, ()))
+        key_arr = np.asarray(key, dtype=np.int64)
+        hit = self._alive & np.all(self._keys == key_arr, axis=1)
+        return frozenset(np.nonzero(hit)[0].tolist())
 
     # ------------------------------------------------------------------
     # Mutation
@@ -225,34 +251,25 @@ class MutableGridIndex:
             self._grow_rows(max(device + 1, 2 * self._alive.shape[0], 4))
         if not self._external:
             self._pts[device] = pos
-        key_arr = np.floor(self._pts[device] / self._cell).astype(np.int64)
-        self._keys[device] = key_arr
-        key = tuple(key_arr.tolist())
+        self._keys[device] = np.floor(self._pts[device] / self._cell)
         self._alive[device] = True
         self._count += 1
-        self._cells.setdefault(key, set()).add(device)
-        return key
+        return tuple(self._keys[device].tolist())
 
     def remove(self, device: int) -> CellKey:
         """Drop a device; returns the cell it vacated."""
         if device not in self:
             raise UnknownDeviceError(f"device {device} is not indexed")
-        key = tuple(self._keys[device].tolist())
         self._alive[device] = False
         self._count -= 1
-        bucket = self._cells[key]
-        bucket.discard(device)
-        if not bucket:
-            del self._cells[key]
-        return key
+        return tuple(self._keys[device].tolist())
 
     def move(self, device: int, position: Sequence[float]) -> Tuple[CellKey, CellKey]:
         """Relocate a device; returns ``(old_cell, new_cell)``.
 
-        The common case — a small QoS drift that stays inside the same
-        ``2r`` cell — touches no cell sets at all.  In adopted mode the
-        owner has already written the position; ``position`` must match
-        the plane's row (the store guarantees it by writing first).
+        In adopted mode the owner has already written the position;
+        ``position`` must match the plane's row (the store guarantees it
+        by writing first).
         """
         if device not in self:
             raise UnknownDeviceError(f"device {device} is not indexed")
@@ -260,52 +277,35 @@ class MutableGridIndex:
         if not self._external:
             self._pts[device] = pos
         old_key = tuple(self._keys[device].tolist())
-        new_arr = np.floor(pos / self._cell).astype(np.int64)
-        new_key = tuple(new_arr.tolist())
-        if new_key != old_key:
-            bucket = self._cells[old_key]
-            bucket.discard(device)
-            if not bucket:
-                del self._cells[old_key]
-            self._cells.setdefault(new_key, set()).add(device)
-            self._keys[device] = new_arr
-        return old_key, new_key
+        self._keys[device] = np.floor(pos / self._cell)
+        return old_key, tuple(self._keys[device].tolist())
 
     def move_rows(
         self, rows: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`move` for rows whose positions were rewritten.
 
-        Reads the (already updated) positions plane for ``rows``,
-        recomputes their keys in one pass and touches cell sets only for
-        the rows that actually crossed a cell boundary.  Returns
-        ``(old_keys, new_keys, cell_changed)`` — two ``(k, d)`` int
-        arrays plus a boolean mask — the row-vector form the
-        dirty-region tracker consumes.
+        Reads the (already updated) positions plane for ``rows`` and
+        recomputes their keys in one pass.  Returns ``(old_keys,
+        new_keys, cell_changed)`` — two ``(k, d)`` int arrays plus a
+        boolean mask — the row-vector form the dirty-region tracker
+        consumes.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        old_keys = self._keys[rows].copy()
+        old_keys = self._keys[rows]
         new_keys = np.floor(self._pts[rows] / self._cell).astype(np.int64)
         cell_changed = np.any(new_keys != old_keys, axis=1)
-        if cell_changed.any():
-            changed_idx = np.nonzero(cell_changed)[0]
-            old_list = old_keys[changed_idx].tolist()
-            new_list = new_keys[changed_idx].tolist()
-            for i, pos in enumerate(changed_idx):
-                device = int(rows[pos])
-                old_key = tuple(old_list[i])
-                new_key = tuple(new_list[i])
-                bucket = self._cells[old_key]
-                bucket.discard(device)
-                if not bucket:
-                    del self._cells[old_key]
-                self._cells.setdefault(new_key, set()).add(device)
-            self._keys[rows[changed_idx]] = new_keys[changed_idx]
+        self._keys[rows] = new_keys
         return old_keys, new_keys, cell_changed
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _grid(self) -> Tuple[GridIndex, np.ndarray]:
+        """A batch index over the live rows, plus the row of each point."""
+        rows = self._live_rows()
+        return GridIndex(self._pts[rows], self._cell), rows
+
     def query(self, center: Sequence[float], rho: float) -> List[int]:
         """Device ids within uniform distance ``rho`` of ``center``, sorted.
 
@@ -313,20 +313,8 @@ class MutableGridIndex:
         :meth:`~repro.core.geometry.GridIndex.query`.
         """
         ctr = self._validate(center)
-        lo = np.floor((ctr - rho) / self._cell).astype(int)
-        hi = np.floor((ctr + rho) / self._cell).astype(int)
-        candidates: List[int] = []
-        for key in _iter_cells(lo, hi):
-            bucket = self._cells.get(key)
-            if bucket:
-                candidates.extend(bucket)
-        if not candidates:
-            return []
-        pts = self._pts[candidates]
-        mask = np.all(np.abs(pts - ctr) <= rho + 1e-12, axis=1)
-        hits = [candidates[i] for i in np.nonzero(mask)[0]]
-        hits.sort()
-        return hits
+        grid, rows = self._grid()
+        return rows[grid.query_batch_flat(ctr[None, :], rho)[1]].tolist()
 
     def query_batch(self, centers: np.ndarray, rho: float) -> List[List[int]]:
         """Answer many range queries (one sorted id list per center)."""
@@ -335,36 +323,51 @@ class MutableGridIndex:
             raise DimensionMismatchError(
                 f"centers shape {ctrs.shape} incompatible with dim {self._dim}"
             )
-        return [self.query(ctr, rho) for ctr in ctrs]
+        grid, rows = self._grid()
+        query_of, hits = grid.query_batch_flat(ctrs, rho)
+        splits = np.cumsum(np.bincount(query_of, minlength=ctrs.shape[0]))
+        return [chunk.tolist() for chunk in np.split(rows[hits], splits[:-1])]
+
+    def _cells_array(self, keys) -> np.ndarray:
+        if isinstance(keys, np.ndarray):
+            arr = keys.astype(np.int64, copy=False)
+        else:
+            arr = np.asarray(list(keys), dtype=np.int64)
+        return arr.reshape(-1, self._dim)
+
+    def rows_near_cells(
+        self, rows: np.ndarray, keys, rings: int
+    ) -> np.ndarray:
+        """The subset of ``rows`` within ``rings`` cells of any listed cell.
+
+        This is the dirty-region fan-out of the online tick: ``rows`` are
+        the devices that can be verdict targets (the flagged rows),
+        ``keys`` the tick's dirty cells as a ``(k, d)`` integer array.
+        Cost is ``O(|rows| (2 rings + 1)^d log |keys|)`` — independent of
+        the population size.  Returned rows keep their input order.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        mask = cells_within_rings(
+            self._keys[rows], self._cells_array(keys), rings
+        )
+        return rows[mask]
 
     def devices_near_cells(
         self, keys: Iterable[CellKey], rings: int
     ) -> Set[int]:
         """Devices within ``rings`` cells (Chebyshev) of any listed cell.
 
-        This is the dirty-region fan-out: given the cells touched by a
-        tick's updates, find every device whose neighbourhood could have
-        changed.  Cost is O(|keys| * (2 rings + 1)^d) dictionary lookups —
-        independent of the population size.
+        :meth:`rows_near_cells` over every indexed device — a full-fleet
+        probe, kept for analysis and tests; the tick probes only the
+        rows that can be verdict targets.
         """
         if rings < 0:
             raise ConfigurationError(f"rings must be >= 0, got {rings!r}")
-        out: Set[int] = set()
-        seen: Set[CellKey] = set()
-        for key in keys:
-            lo = np.asarray(key, dtype=int) - rings
-            hi = np.asarray(key, dtype=int) + rings
-            for probe in _iter_cells(lo, hi):
-                if probe in seen:
-                    continue
-                seen.add(probe)
-                bucket = self._cells.get(probe)
-                if bucket:
-                    out.update(bucket)
-        return out
+        return set(
+            self.rows_near_cells(self._live_rows(), keys, rings).tolist()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"MutableGridIndex(devices={len(self)}, cells={len(self._cells)}, "
-            f"cell={self._cell})"
+            f"MutableGridIndex(devices={len(self)}, cell={self._cell})"
         )

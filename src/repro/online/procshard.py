@@ -162,10 +162,7 @@ def _mark_recovered(worker) -> None:
         prev_keys = np.floor(prev_plane[alive] / store.index.cell).astype(
             np.int64
         )
-        keys = np.concatenate([cur_keys, prev_keys])
-        worker.tracker.invalidate_cells(
-            map(tuple, np.unique(keys, axis=0).tolist())
-        )
+        worker.tracker.invalidate_cells(np.concatenate([cur_keys, prev_keys]))
 
 
 def _read_halo_sources(
@@ -372,7 +369,7 @@ def handle_command(
             store.leave(int(payload["device"]))
         return None
     if op == "halo":
-        cells = worker.tracker.finish_cells()
+        cells = worker.tracker.finish_cells(store)
         worker.publish_halo(shard_map, seq=tick)
         return (cells, worker.channel.meta(worker.shard))
     if op == "verdict":
@@ -382,7 +379,7 @@ def handle_command(
         worker.transition_stage.stage_halo(halo_ids, halo_prev, halo_cur)
         ctx = TickContext(
             tick=tick,
-            dirty_cells=tuple(map(tuple, payload["dirty"])),
+            dirty_cells=payload["dirty"],
         )
         worker.run_tick(ctx)
         return _ctx_result(worker, ctx)

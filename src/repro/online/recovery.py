@@ -239,18 +239,14 @@ def restore_service(
         else load_checkpoint(source)
     )
     cfg = config or ckpt.config
-    store = DeviceStateStore.from_state(ckpt.store_state)
-    # The constructor wants initial positions; hand it the restored
-    # current plane (scrubbed free rows are 0.0, safely in-cube) and
-    # then swap the real store in underneath.
-    service = OnlineCharacterizationService(
-        store.current_positions(copy=True),
+    service = OnlineCharacterizationService._from_store(
+        DeviceStateStore.from_state(ckpt.store_state),
         cfg,
         engine=engine,
         sinks=sinks,
         tracer=tracer,
     )
-    service._store = store
+    store = service.store
     service._tracker.restore_state(ckpt.tracker_state)
     service._bank = ckpt.bank
     service._last_detection = ckpt.last_detection
@@ -266,11 +262,8 @@ def restore_service(
     # Perf caches start cold on purpose: they reference arrays and
     # transitions of the dead process and only ever accelerate, never
     # decide, the next tick.
-    service._last_transition = None
-    service._last_flagged = None
-    service._last_cache = None
-    service._chain_cur = None
-    service._chain_serial = -1
+    service._transition_stage.reset()
+    service._verdict_stage.reset()
     return service
 
 

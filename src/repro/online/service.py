@@ -50,7 +50,6 @@ from repro.core.errors import (
     DimensionMismatchError,
     QueueFullError,
 )
-from repro.core.neighborhood import MotionCache
 from repro.core.transition import Transition
 from repro.core.types import AnomalyType, Characterization
 from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
@@ -509,7 +508,58 @@ class OnlineCharacterizationService:
         detection: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self._config = config or ServiceConfig()
+        cfg = config or ServiceConfig()
+        self._setup(
+            DeviceStateStore(initial_positions, cell=cfg.cell, shards=cfg.shards),
+            cfg,
+            engine=engine,
+            sinks=sinks,
+            tracer=tracer,
+        )
+        if detector is not None:
+            self._bank = as_bank(
+                detector, self._store.n, self._store.dim, plane=detection
+            )
+            # Warm-up step 0: the initial snapshot is the bank's first
+            # observation, exactly like the trace replayers' step 0.
+            self._last_detection = self._bank.observe_batch(
+                np.asarray(initial_positions, dtype=float)
+            )
+        elif detection is not None:
+            raise ConfigurationError(
+                "detection plane given without a detector spec or bank"
+            )
+
+    @classmethod
+    def _from_store(
+        cls,
+        store: DeviceStateStore,
+        config: ServiceConfig,
+        *,
+        engine: Optional[CharacterizationEngine] = None,
+        sinks: Iterable[Callable[[OnlineTick], None]] = (),
+        tracer: Optional[Tracer] = None,
+    ) -> "OnlineCharacterizationService":
+        """A detector-less service over an already built store.
+
+        The checkpoint restore path: the store comes back from its saved
+        columns once, instead of a throwaway store being built from
+        initial positions and swapped out.
+        """
+        service = cls.__new__(cls)
+        service._setup(store, config, engine=engine, sinks=sinks, tracer=tracer)
+        return service
+
+    def _setup(
+        self,
+        store: DeviceStateStore,
+        config: ServiceConfig,
+        *,
+        engine: Optional[CharacterizationEngine],
+        sinks: Iterable[Callable[[OnlineTick], None]],
+        tracer: Optional[Tracer],
+    ) -> None:
+        self._config = config
         self._tracer = tracer if tracer is not None else Tracer()
         registry = self._tracer.registry
         self._gauge_queue_depth = registry.gauge(
@@ -524,9 +574,7 @@ class OnlineCharacterizationService:
             "Devices flagged at the latest tick",
         )
         cfg = self._config
-        self._store = DeviceStateStore(
-            initial_positions, cell=cfg.cell, shards=cfg.shards
-        )
+        self._store = store
         self._tracker = DirtyRegionTracker(
             cell=cfg.cell,
             influence_radius=4.0 * cfg.r,
@@ -543,19 +591,6 @@ class OnlineCharacterizationService:
         )
         self._bank: Optional[DetectorBank] = None
         self._last_detection: Optional[BankDetection] = None
-        if detector is not None:
-            self._bank = as_bank(
-                detector, self._store.n, self._store.dim, plane=detection
-            )
-            # Warm-up step 0: the initial snapshot is the bank's first
-            # observation, exactly like the trace replayers' step 0.
-            self._last_detection = self._bank.observe_batch(
-                np.asarray(initial_positions, dtype=float)
-            )
-        elif detection is not None:
-            raise ConfigurationError(
-                "detection plane given without a detector spec or bank"
-            )
         self._queue: Deque[QosUpdate] = deque()
         # Updates applied since the last end_tick — includes inline
         # drains forced by "block" backpressure, so per-tick accounting
@@ -645,8 +680,8 @@ class OnlineCharacterizationService:
         return self._pipeline
 
     # ------------------------------------------------------------------
-    # Cross-tick stage state, re-exposed under the historical attribute
-    # names (recovery and the perf tests reach for these).
+    # The verdict cache, re-exposed under its historical attribute name
+    # (recovery and the tests reach for it).
     # ------------------------------------------------------------------
     @property
     def _verdicts(self) -> Dict[int, Characterization]:
@@ -655,46 +690,6 @@ class OnlineCharacterizationService:
     @_verdicts.setter
     def _verdicts(self, value: Dict[int, Characterization]) -> None:
         self._verdict_stage.cache = value
-
-    @property
-    def _last_cache(self) -> Optional[MotionCache]:
-        return self._verdict_stage.last_cache
-
-    @_last_cache.setter
-    def _last_cache(self, value: Optional[MotionCache]) -> None:
-        self._verdict_stage.last_cache = value
-
-    @property
-    def _last_transition(self) -> Optional[Transition]:
-        return self._transition_stage.last_transition
-
-    @_last_transition.setter
-    def _last_transition(self, value: Optional[Transition]) -> None:
-        self._transition_stage.last_transition = value
-
-    @property
-    def _last_flagged(self) -> Optional[Tuple[int, ...]]:
-        return self._transition_stage.last_flagged
-
-    @_last_flagged.setter
-    def _last_flagged(self, value: Optional[Tuple[int, ...]]) -> None:
-        self._transition_stage.last_flagged = value
-
-    @property
-    def _chain_cur(self) -> Optional[np.ndarray]:
-        return self._transition_stage.chain_cur
-
-    @_chain_cur.setter
-    def _chain_cur(self, value: Optional[np.ndarray]) -> None:
-        self._transition_stage.chain_cur = value
-
-    @property
-    def _chain_serial(self) -> int:
-        return self._transition_stage.chain_serial
-
-    @_chain_serial.setter
-    def _chain_serial(self, value: int) -> None:
-        self._transition_stage.chain_serial = value
 
     @property
     def current_tick(self) -> int:

@@ -26,8 +26,8 @@ devices just across its borders — the **halo**.  Per tick:
 2. **dirty union** — every shard closes its tracker's cell bookkeeping
    (:meth:`~repro.online.dirty.DirtyRegionTracker.finish_cells`) and the
    front door unions the cells: an update near a boundary must
-   invalidate verdicts on *both* sides, so each shard derives its
-   affected set from the global union against its own index;
+   invalidate verdicts on *both* sides, so each shard tests its own
+   flagged rows against the global union (an int64 cell-key array);
 3. **halo exchange** — each shard publishes the ``(prev, cur)`` rows of
    its flagged devices within ``halo_rings`` cells of its box boundary
    through a :class:`~repro.engine.backends._SnapshotRing` (the same
@@ -106,8 +106,7 @@ from repro.ipc import (
     unlink_by_name,
 )
 from repro.obs.trace import Tracer
-from repro.online.dirty import DirtyRegionTracker
-from repro.online.grid import CellKey
+from repro.online.dirty import DirtyRegionTracker, union_cells
 from repro.online.procshard import (
     _CHILD_ERRORS,
     _FrameBoard,
@@ -506,12 +505,8 @@ class HaloTransitionBuildStage:
             ctx.verdict_targets = ()
             return
         with tracer.span("dirty-region"):
-            affected_rows = (
-                store.index.devices_near_cells(
-                    ctx.dirty_cells, self._owner.tracker.rings
-                )
-                if ctx.dirty_cells
-                else set()
+            affected_rows = store.index.rows_near_cells(
+                flagged_rows, ctx.dirty_cells, self._owner.tracker.rings
             )
         with tracer.span(self.name):
             pre = self._prestaged
@@ -566,11 +561,7 @@ class HaloTransitionBuildStage:
             ctx.key_of = key_of
             ctx.verdict_targets = targets
             ctx.flagged = tuple(flagged_local)
-            ctx.affected = {
-                int(rank_by_row[row])
-                for row in affected_rows
-                if rank_by_row[row] >= 0
-            }
+            ctx.affected = set(rank_by_row[affected_rows].tolist())
             ctx.transition = Transition.from_views(
                 prev_arr, cur_arr, ctx.flagged, self._r, self._tau
             )
@@ -891,9 +882,9 @@ class ShardedService:
         self._board: Optional[_FrameBoard] = None
         self._orphans: List[str] = []
         self._respawned_since_dirty = False
-        self._prev_dirty: Tuple[CellKey, ...] = ()
-        self._mover_cells: Set[CellKey] = set()
-        self._mover_carry: Set[CellKey] = set()
+        self._prev_dirty: np.ndarray = union_cells(())
+        self._mover_cells: List[np.ndarray] = []
+        self._mover_carry: List[np.ndarray] = []
         self._shard_flagged: List[int] = [0] * self._map.n_shards
         if self._process:
             self._board = _FrameBoard()
@@ -1629,11 +1620,8 @@ class ShardedService:
                     (device, prev, cur, bool(flagged), int(code))
                 )
                 self._owner[device] = dest
-                for point in (prev, cur):
-                    key = np.floor(
-                        np.asarray(point, dtype=float) / cell
-                    ).astype(np.int64)
-                    self._mover_cells.add(tuple(key.tolist()))
+                ends = np.floor(np.asarray([prev, cur], dtype=float) / cell)
+                self._mover_cells.append(ends.astype(np.int64))
                 moves += 1
         if not moves:
             return 0
@@ -1862,14 +1850,16 @@ class ShardedService:
 
     def _tick_threads(
         self, tracer: Tracer
-    ) -> Tuple[List[Dict[str, Any]], Tuple[CellKey, ...], int]:
+    ) -> Tuple[List[Dict[str, Any]], np.ndarray, int]:
         """Thread-topology tick: shared-memory in the literal sense."""
         tick = self._tick
         with tracer.span("dirty-region"):
-            union: Set[CellKey] = set()
-            for worker in self._workers:
-                union.update(worker.tracker.finish_cells())
-            dirty_cells: Tuple[CellKey, ...] = tuple(sorted(union))
+            dirty_cells = union_cells(
+                [
+                    worker.tracker.finish_cells(worker.store)
+                    for worker in self._workers
+                ]
+            )
 
         halo_bytes = 0
         with tracer.span("halo-exchange"):
@@ -1936,7 +1926,7 @@ class ShardedService:
 
     def _tick_process(
         self, tracer: Tracer
-    ) -> Tuple[List[Dict[str, Any]], Tuple[CellKey, ...], int]:
+    ) -> Tuple[List[Dict[str, Any]], np.ndarray, int]:
         """Process-topology tick: overlapped halo barrier over shm rings.
 
         The ``halo`` phase makes every child publish its boundary band
@@ -1976,21 +1966,21 @@ class ShardedService:
                         payload["_hang"] = stall
                 halo_msgs.append(("halo", tick, payload))
             replies = self._phase(halo_msgs)
-            union: Set[CellKey] = set()
+            parts: List[np.ndarray] = []
             metas: List[Dict[str, Any]] = []
             for shard, (cells, meta) in enumerate(replies):
-                union.update(map(tuple, cells))
+                parts.append(cells)
                 metas.append(meta)
                 self._handles[shard].ring_names = tuple(meta["live"])
-            union.update(self._mover_cells)
-            union.update(self._mover_carry)
+            parts.extend(self._mover_cells)
+            parts.extend(self._mover_carry)
             if self._respawned_since_dirty:
-                union.update(self._prev_dirty)
+                parts.append(self._prev_dirty)
                 self._respawned_since_dirty = False
-            dirty_cells: Tuple[CellKey, ...] = tuple(sorted(union))
+            dirty_cells = union_cells(parts)
             self._prev_dirty = dirty_cells
             self._mover_carry = self._mover_cells
-            self._mover_cells = set()
+            self._mover_cells = []
 
             halo_rings = self._map.halo_rings
             halo_bytes = 0

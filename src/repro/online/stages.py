@@ -50,7 +50,6 @@ from repro.core.transition import Transition
 from repro.core.types import Characterization
 from repro.detection.banks import BankDetection, DetectorBank
 from repro.obs.trace import Tracer
-from repro.online.grid import CellKey
 
 __all__ = [
     "DetectStage",
@@ -72,10 +71,12 @@ class TickContext:
 
     ``flagged``, ``affected``, ``recompute`` and ``reused`` are in
     *transition id space*: for the single service that is the global
-    device id, for a shard pipeline it is the local row of the shard's
+    device id (its transition is row-indexed, so ids are store rows),
+    for a shard pipeline it is the local row of the shard's
     transition arrays and ``key_of`` carries the local→global id map
     (``None`` means identity).  ``verdicts`` is always keyed by the
-    *cache key* (global id).
+    *cache key* (global id).  ``dirty_cells`` is a sorted ``(k, d)``
+    int64 array of cell keys.
 
     The context itself never crosses a process boundary: a process-shard
     child builds it from the ``verdict`` command's payload (tick plus
@@ -88,7 +89,9 @@ class TickContext:
     tick: int
     applied: int = 0
     flagged: Tuple[int, ...] = ()
-    dirty_cells: Tuple[CellKey, ...] = ()
+    dirty_cells: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), dtype=np.int64)
+    )
     affected: Set[int] = field(default_factory=set)
     transition: Optional[Transition] = None
     chain_next: Optional[np.ndarray] = None
@@ -213,6 +216,9 @@ class IndexUpdateStage:
 class DirtyRegionStage:
     """``dirty-region``: close the tracker and fan out to affected rows.
 
+    Only the flagged rows — the verdict targets — are tested against
+    the dirty cells; the unflagged bulk near them is never visited.
+
     ``owner`` is any object with ``store`` / ``tracker`` properties (a
     service or a shard worker); stages read through it so a checkpoint
     restore that swaps the owner's store is seen by every stage.
@@ -227,9 +233,7 @@ class DirtyRegionStage:
         store = self._owner.store
         ctx.flagged = store.flagged_devices()
         with tracer.span(self.name):
-            ctx.dirty_cells, ctx.affected = self._owner.tracker.finish_tick(
-                store.index
-            )
+            ctx.dirty_cells, ctx.affected = self._owner.tracker.finish_tick(store)
 
 
 class TransitionBuildStage:
@@ -253,14 +257,14 @@ class TransitionBuildStage:
         self.last_transition: Optional[Transition] = None
         self.last_flagged: Optional[Tuple[int, ...]] = None
         self.chain_cur: Optional[np.ndarray] = None
-        self.chain_serial: int = -1
+        self.chain_serial: Optional[Tuple[int, int]] = None
 
     def reset(self) -> None:
         """Drop all cross-tick perf state (checkpoint restore path)."""
         self.last_transition = None
         self.last_flagged = None
         self.chain_cur = None
-        self.chain_serial = -1
+        self.chain_serial = None
 
     def run(self, ctx: TickContext, tracer: Tracer) -> None:
         if not ctx.flagged:
@@ -273,22 +277,28 @@ class TransitionBuildStage:
             # be corrupted by the next update).  The prev side chains
             # the previous tick's frozen cur — same content as the
             # store's prev plane, zero extra copy — unless the store
-            # rolled an unexpected number of times in between.
+            # rolled an unexpected number of times in between, or a
+            # join/leave vacated or recycled a row since the copy.
             cur_arr = cur_view.copy()
             cur_arr.flags.writeable = False
-            if (
+            chained = (
                 self.chain_cur is not None
-                and store.tick_serial == self.chain_serial
+                and (store.tick_serial, store.membership_serial)
+                == self.chain_serial
                 and self.chain_cur.shape == prev_view.shape
-            ):
+            )
+            if chained:
                 prev_arr = self.chain_cur
             else:
                 prev_arr = prev_view.copy()
                 prev_arr.flags.writeable = False
             ctx.chain_next = cur_arr
             index_prev = None
+            # The previous transition's current-side index is this
+            # tick's prev-side index only under the same conditions.
             if (
-                self._reuse_indexes
+                chained
+                and self._reuse_indexes
                 and self.last_transition is not None
                 and self.last_flagged == ctx.flagged
             ):
@@ -308,7 +318,7 @@ class TransitionBuildStage:
         store = self._owner.store
         store.advance_tick()
         self.chain_cur = ctx.chain_next
-        self.chain_serial = store.tick_serial
+        self.chain_serial = (store.tick_serial, store.membership_serial)
         self.last_transition = ctx.transition
         self.last_flagged = ctx.flagged if ctx.transition is not None else None
 
@@ -385,12 +395,15 @@ class VerdictStage:
         carry: Optional[MotionCache] = None
         carry_clean: Optional[List[int]] = None
         if reuse_effective and self._transitions.last_transition is not None:
-            family_dirty = (
-                self._owner.store.index.devices_near_cells(
-                    ctx.dirty_cells, self._owner.tracker.family_rings
-                )
-                if ctx.dirty_cells
-                else set()
+            # Only the targets are probed against the family band; their
+            # transition ids are store rows (the carry runs on the
+            # single service only — shard pipelines gate it off).
+            family_dirty = set(
+                self._owner.store.index.rows_near_cells(
+                    np.asarray(targets, dtype=np.int64),
+                    ctx.dirty_cells,
+                    self._owner.tracker.family_rings,
+                ).tolist()
             )
             carry_clean = [j for j in targets if j not in family_dirty]
             if self.last_cache is not None:

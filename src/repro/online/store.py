@@ -48,7 +48,6 @@ __all__ = [
     "AppliedBatch",
     "AppliedUpdate",
     "DeviceStateStore",
-    "SHARD_HASHES",
     "attach_store_planes",
     "shm_planes_factory",
     "stable_cell_hash",
@@ -57,14 +56,6 @@ __all__ = [
 
 #: Verdict-code column value meaning "no verdict recorded".
 NO_VERDICT = np.int8(-1)
-
-#: Accepted ``DeviceStateStore`` shard-hash modes.  ``"splitmix64"`` is
-#: the default: an explicit integer mix over zig-zag-packed cell
-#: coordinates, identical across Python versions, processes and
-#: checkpoint restores.  ``"legacy"`` keeps the historical
-#: ``hash(cell_tuple) % shards`` placement (stable only within one
-#: Python version's tuple-hash algorithm) for one release.
-SHARD_HASHES = ("splitmix64", "legacy")
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -206,13 +197,11 @@ class DeviceStateStore:
         Grid-cell side for the spatial index and shard assignment
         (``max(2r, 1e-6)`` to match the transition indexes).
     shards:
-        Number of shards; a device's shard is a stable hash of its
-        current grid cell, so spatial neighbours co-locate.
-    shard_hash:
-        ``"splitmix64"`` (default) hashes cells with
-        :func:`stable_cell_hash`, identical across Python versions and
-        checkpoint restores; ``"legacy"`` keeps the historical
-        ``hash(cell) % shards`` placement for one release.
+        Number of shards; a device's shard is :func:`stable_cell_hash`
+        of its current grid cell modulo ``shards`` — spatial neighbours
+        co-locate, and placement is identical across Python versions,
+        processes and checkpoint restores.  Placement only labels
+        devices; no verdict depends on it.
     ids:
         Optional explicit device ids for the initial rows (defaults to
         ``0..n-1``).  A sharded topology builds each partition store
@@ -226,7 +215,6 @@ class DeviceStateStore:
         *,
         cell: float,
         shards: int = 8,
-        shard_hash: str = "splitmix64",
         ids: Optional[np.ndarray] = None,
         planes_factory=None,
     ) -> None:
@@ -239,13 +227,8 @@ class DeviceStateStore:
             raise ConfigurationError(
                 f"store shards must be >= 1, got {shards!r}"
             )
-        if shard_hash not in SHARD_HASHES:
-            raise ConfigurationError(
-                f"shard_hash must be one of {SHARD_HASHES}, got {shard_hash!r}"
-            )
         n = pts.shape[0]
         self._cell = float(cell)
-        self._shard_hash = shard_hash
         self._planes_factory = planes_factory
         self._planes: Optional[ShmPlanes] = None
         self.retired_planes: List[ShmPlanes] = []
@@ -276,18 +259,10 @@ class DeviceStateStore:
             if len(self._row_of) != n:
                 raise ConfigurationError("device ids must be unique")
         self._tick_serial = 0
+        self._membership_serial = 0
+        self._membership_cells: List[np.ndarray] = []
         self._n_shards = int(shards)
-        self._shard_members: List[set] = [set() for _ in range(self._n_shards)]
-        # One hash per *occupied cell*, not per device — cells are the
-        # sharding unit, and there are far fewer of them.
-        shard_of_key: Dict[CellKey, int] = {}
-        keys = np.floor(pts / self._cell).astype(np.int64)
-        for device, key in enumerate(map(tuple, keys.tolist())):
-            shard = shard_of_key.get(key)
-            if shard is None:
-                shard = shard_of_key[key] = self._shard_for(key)
-            self._shard[device] = shard
-            self._shard_members[shard].add(device)
+        self._place(np.arange(n, dtype=np.int64))
         self._sync_header()
 
     def _materialize(self, capacity: int, dim: int) -> None:
@@ -366,17 +341,17 @@ class DeviceStateStore:
         else:
             planes.close()
 
-    def _shard_for(self, key: CellKey) -> int:
-        if self._shard_hash == "legacy":
-            # Tuples of ints hash deterministically across processes of
-            # one Python version, but the tuple-hash algorithm itself
-            # has changed between versions — kept under the compat flag
-            # only.
-            return hash(key) % self._n_shards
-        return int(
-            stable_cell_hash(np.asarray(key, dtype=np.int64))[0]
-            % np.uint64(self._n_shards)
-        )
+    def _place(self, rows: np.ndarray) -> None:
+        """Write the store shard of ``rows`` from their current cells.
+
+        One vectorized :func:`stable_cell_hash` over the rows' keys,
+        written into the bound ``shard`` column (shared memory under a
+        ``planes_factory``).
+        """
+        keys = self._index.keys_of_rows(rows)
+        self._shard[rows] = (
+            stable_cell_hash(keys) % np.uint64(self._n_shards)
+        ).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -397,11 +372,6 @@ class DeviceStateStore:
         return self._n_shards
 
     @property
-    def shard_hash(self) -> str:
-        """The cell→shard hash mode (``"splitmix64"`` or ``"legacy"``)."""
-        return self._shard_hash
-
-    @property
     def index(self) -> MutableGridIndex:
         """The incrementally maintained index over *current* positions."""
         return self._index
@@ -415,6 +385,16 @@ class DeviceStateStore:
         doubled roll and fall back to a fresh copy.
         """
         return self._tick_serial
+
+    @property
+    def membership_serial(self) -> int:
+        """Counter bumped by every :meth:`join` / :meth:`leave`.
+
+        A consumer holding a copy of last tick's positions (the
+        service's chained ``prev`` plane) compares it to detect rows
+        that were vacated or recycled since the copy was taken.
+        """
+        return self._membership_serial
 
     @property
     def nbytes(self) -> int:
@@ -455,19 +435,24 @@ class DeviceStateStore:
         """The shard currently holding ``device``."""
         return int(self._shard[self.row_of(device)])
 
+    def _live_shards(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, shard)`` of every occupied row."""
+        rows = np.nonzero(self._id_of[: self._used] >= 0)[0]
+        return rows, self._shard[rows]
+
     def shard_members(self, shard: int) -> Tuple[int, ...]:
         """Devices of one shard, sorted."""
         if not 0 <= shard < self._n_shards:
             raise ConfigurationError(
                 f"shard {shard} not in [0, {self._n_shards})"
             )
-        return tuple(
-            sorted(int(self._id_of[row]) for row in self._shard_members[shard])
-        )
+        rows, shards = self._live_shards()
+        return tuple(np.sort(self._id_of[rows[shards == shard]]).tolist())
 
     def shard_sizes(self) -> Tuple[int, ...]:
         """Device count per shard."""
-        return tuple(len(members) for members in self._shard_members)
+        _, shards = self._live_shards()
+        return tuple(np.bincount(shards, minlength=self._n_shards).tolist())
 
     def is_flagged(self, device: int) -> bool:
         """Current flag bit ``a_k(j)``."""
@@ -600,10 +585,11 @@ class DeviceStateStore:
         self._alive[row] = True
         self._id_of[row] = device
         self._row_of[device] = row
-        key = self._index.insert(row, pos)
-        shard = self._shard_for(key)
-        self._shard[row] = shard
-        self._shard_members[shard].add(row)
+        self._membership_serial += 1
+        self._index.insert(row, pos)
+        self._place(np.array([row], dtype=np.int64))
+        if flagged:
+            self._membership_cells.append(self._cells_of(pos))
         self._sync_header()
         return row
 
@@ -631,6 +617,8 @@ class DeviceStateStore:
             )
         self._prev[row] = prev_pos
         self._verdict[row] = np.int8(verdict_code)
+        if flagged:
+            self._membership_cells.append(self._cells_of(prev_pos))
         return row
 
     def leave(self, device: int) -> int:
@@ -641,8 +629,11 @@ class DeviceStateStore:
         departed device's state.  Returns the freed row.
         """
         row = self.row_of(device)
+        if self._flags[row]:
+            self._membership_cells.append(
+                self._cells_of(np.stack([self._prev[row], self._cur[row]]))
+            )
         self._index.remove(row)
-        self._shard_members[int(self._shard[row])].discard(row)
         self._prev[row] = 0.0
         self._cur[row] = 0.0
         self._flags[row] = False
@@ -650,8 +641,25 @@ class DeviceStateStore:
         self._alive[row] = False
         self._id_of[row] = -1
         del self._row_of[device]
+        self._membership_serial += 1
         self._free.append(row)
         return row
+
+    def _cells_of(self, positions: np.ndarray) -> np.ndarray:
+        """``(k, d)`` cell keys of ``(k, d)`` (or one ``(d,)``) positions."""
+        return np.floor(np.atleast_2d(positions) / self._cell).astype(np.int64)
+
+    def take_membership_cells(self) -> List[np.ndarray]:
+        """Cells of flagged joins / leaves since the last call (cleared).
+
+        A flagged device that joins or leaves changes the transition of
+        every verdict near its trajectory endpoints without any update
+        being applied, so the dirty-region tracker folds these cells
+        into the tick's dirty set (unflagged churn is invisible to every
+        verdict and is not recorded).
+        """
+        cells, self._membership_cells = self._membership_cells, []
+        return cells
 
     def _grow(self, capacity: int) -> None:
         """Reallocate all columns to ``capacity`` rows and rebind the index."""
@@ -730,7 +738,7 @@ class DeviceStateStore:
             new_keys[moved] = moved_new
             cell_changed[moved] = moved_changed
             if moved_changed.any():
-                self._reshard(moved_rows[moved_changed], moved_new[moved_changed])
+                self._place(moved_rows[moved_changed])
         self._flags[rows] = flags
         return AppliedBatch(
             rows=rows,
@@ -743,21 +751,6 @@ class DeviceStateStore:
             old_keys=old_keys,
             new_keys=new_keys,
         )
-
-    def _reshard(self, rows: np.ndarray, keys: np.ndarray) -> None:
-        """Re-bucket the rows whose grid cell changed this batch.
-
-        A small Python loop on purpose: sharding is one stable cell hash
-        (splitmix64 by default, asserted stable by the tests) and only
-        the handful of cell-crossing movers per tick pay it.
-        """
-        for row, key in zip(rows.tolist(), map(tuple, keys.tolist())):
-            new_shard = self._shard_for(key)
-            old_shard = int(self._shard[row])
-            if new_shard != old_shard:
-                self._shard_members[old_shard].discard(row)
-                self._shard_members[new_shard].add(row)
-                self._shard[row] = new_shard
 
     def apply(
         self, device: int, position: Sequence[float], flagged: bool
@@ -800,7 +793,8 @@ class DeviceStateStore:
 
         Everything derived — the grid index, the shard assignment, the
         id→row map — is rebuilt by :meth:`from_state`, so only the
-        columns, the free-list and the scalars travel.
+        columns, the free-list, the scalars and the not yet taken
+        membership cells (:meth:`take_membership_cells`) travel.
         """
         return {
             "prev": self._prev[: self._used].copy(),
@@ -812,7 +806,11 @@ class DeviceStateStore:
             "free": np.asarray(self._free, dtype=np.int64),
             "cell": np.float64(self._cell),
             "n_shards": np.int64(self._n_shards),
-            "shard_hash": np.str_(self._shard_hash),
+            "membership": (
+                np.concatenate(self._membership_cells)
+                if self._membership_cells
+                else np.empty((0, self.dim), dtype=np.int64)
+            ),
             "tick_serial": np.int64(self._tick_serial),
         }
 
@@ -827,11 +825,6 @@ class DeviceStateStore:
         """
         store = cls.__new__(cls)
         store._cell = float(state["cell"])
-        # Checkpoints written before the stable-hash migration carry no
-        # mode marker; they were placed with the legacy tuple hash.
-        store._shard_hash = (
-            str(state["shard_hash"]) if "shard_hash" in state else "legacy"
-        )
         store._planes_factory = planes_factory
         store._planes = None
         store.retired_planes = []
@@ -846,30 +839,36 @@ class DeviceStateStore:
         store._free = [int(r) for r in np.asarray(state["free"]).tolist()]
         store._used = store._cur.shape[0]
         store._tick_serial = int(state["tick_serial"])
-        store._sync_header()
-        store._row_of = {
-            int(device): row
-            for row, device in enumerate(store._id_of.tolist())
-            if device >= 0
-        }
-        # The index adopts every row 0..used-1; scrubbed free rows must
-        # not haunt cell (0, ..., 0), so they are removed explicitly.
-        store._index = MutableGridIndex.from_array(store._cur, store._cell)
-        for row in store._free:
-            store._index.remove(row)
+        store._membership_serial = 0
+        membership = np.asarray(
+            state.get("membership", np.empty((0, cur.shape[1]))), dtype=np.int64
+        )
+        store._membership_cells = [membership] if len(membership) else []
         store._n_shards = int(state["n_shards"])
-        store._shard_members = [set() for _ in range(store._n_shards)]
-        store._shard = np.zeros(store._used, dtype=np.int64)
-        alive_rows = np.nonzero(store._alive)[0]
-        keys = np.floor(store._cur[alive_rows] / store._cell).astype(np.int64)
-        shard_of_key: Dict[CellKey, int] = {}
-        for row, key in zip(alive_rows.tolist(), map(tuple, keys.tolist())):
-            shard = shard_of_key.get(key)
-            if shard is None:
-                shard = shard_of_key[key] = store._shard_for(key)
-            store._shard[row] = shard
-            store._shard_members[shard].add(row)
+        store._sync_header()
+        store._rebuild_derived()
         return store
+
+    def _rebuild_derived(self) -> None:
+        """Rebuild the id→row map, grid index and shards from the columns.
+
+        The index adopts the full-capacity plane with only the occupied
+        rows (``id_of >= 0``) alive, so scrubbed free rows never haunt
+        cell ``(0, ..., 0)``; placement is one vectorized hash over the
+        occupied rows, written into the bound ``shard`` column.
+        """
+        used = self._used
+        occupied = np.nonzero(self._id_of[:used] >= 0)[0]
+        self._row_of = dict(
+            zip(self._id_of[occupied].tolist(), occupied.tolist())
+        )
+        alive = np.zeros(self._cur.shape[0], dtype=bool)
+        alive[occupied] = True
+        self._index = MutableGridIndex.from_array(
+            self._cur, self._cell, alive=alive
+        )
+        self._shard[:used] = 0
+        self._place(occupied)
 
     @classmethod
     def adopt_planes(
@@ -878,7 +877,6 @@ class DeviceStateStore:
         *,
         cell: float,
         shards: int = 8,
-        shard_hash: str = "splitmix64",
         planes_factory=None,
     ) -> "DeviceStateStore":
         """Rebind a store onto existing shm planes without copying rows.
@@ -887,7 +885,7 @@ class DeviceStateStore:
         worker adopts the partition its killed predecessor left in
         shared memory.  Row data, the used high-water mark, and the tick
         serial come straight from the segment; everything derived — the
-        id→row map, the free-list, the grid index, the shard buckets —
+        id→row map, the free-list, the grid index, the shard column —
         is rebuilt.  The free-list's LIFO *order* does not survive (only
         its membership); the sharded topology never observes it because
         participants rank by global id, and callers that do need the
@@ -895,40 +893,23 @@ class DeviceStateStore:
         """
         store = cls.__new__(cls)
         store._cell = float(cell)
-        store._shard_hash = shard_hash
         store._planes_factory = planes_factory
         store._planes = planes
         store.retired_planes = []
         store._bind_planes(planes)
         store._used = int(planes.header[_HDR_USED])
         store._tick_serial = int(planes.header[_HDR_SERIAL])
-        id_list = store._id_of[: store._used].tolist()
-        store._row_of = {
-            int(device): row for row, device in enumerate(id_list) if device >= 0
-        }
-        store._free = [row for row, device in enumerate(id_list) if device < 0]
+        store._membership_serial = 0
+        store._membership_cells = []
+        store._n_shards = int(shards)
+        store._free = np.nonzero(store._id_of[: store._used] < 0)[0].tolist()
         # The index adopts the *full-capacity* plane — not just the
         # used-rows view — because a later ``join`` may claim row
         # ``_used`` without triggering a plane grow (capacity > used),
         # and an external index refuses inserts beyond its bound extent.
-        # Rows that never held a device are de-indexed exactly like
+        # Rows that never held a device are not alive, exactly like
         # freed rows; a genuine grow rebinds as usual.
-        store._index = MutableGridIndex.from_array(store._cur, store._cell)
-        for row in store._free:
-            store._index.remove(row)
-        for row in range(store._used, store._cur.shape[0]):
-            store._index.remove(row)
-        store._n_shards = int(shards)
-        store._shard_members = [set() for _ in range(store._n_shards)]
-        alive_rows = np.nonzero(store._alive[: store._used])[0]
-        keys = np.floor(store._cur[alive_rows] / store._cell).astype(np.int64)
-        shard_of_key: Dict[CellKey, int] = {}
-        for row, key in zip(alive_rows.tolist(), map(tuple, keys.tolist())):
-            shard = shard_of_key.get(key)
-            if shard is None:
-                shard = shard_of_key[key] = store._shard_for(key)
-            store._shard[row] = shard
-            store._shard_members[shard].add(row)
+        store._rebuild_derived()
         return store
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -14,6 +14,11 @@ from repro.online import DeviceStateStore, DirtyRegionTracker
 from repro.online.store import stable_cell_hash
 
 
+def cell_set(cells):
+    """A ``(k, d)`` cell-key array as a set of tuples."""
+    return {tuple(key) for key in np.asarray(cells).tolist()}
+
+
 def make_store(n=20, d=2, seed=0, shards=4, cell=0.06):
     pts = np.random.default_rng(seed).random((n, d))
     return DeviceStateStore(pts, cell=cell, shards=shards), pts
@@ -71,17 +76,6 @@ class TestSharding:
             key = np.asarray(store.index.key_of(0), dtype=np.int64)
             expect = int(stable_cell_hash(key)[0] % np.uint64(store.n_shards))
             assert store.shard_of(0) == expect
-
-    def test_legacy_hash_mode_matches_tuple_hash(self):
-        pts = np.random.default_rng(5).random((10, 2))
-        store = DeviceStateStore(
-            pts, cell=0.05, shards=7, shard_hash="legacy"
-        )
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            store.apply(0, rng.random(2), False)
-            key = store.index.key_of(0)
-            assert store.shard_of(0) == hash(key) % store.n_shards
 
     def test_bad_shard_lookup_rejected(self):
         store, _ = make_store(shards=3)
@@ -141,16 +135,16 @@ class TestDirtyRegionTracker:
         store, pts = make_store(cell=0.06)
         applied = store.apply(0, np.clip(pts[0] + 0.01, 0, 1), False)
         assert tracker.mark(applied, was_relevant=False) is False
-        dirty, affected = tracker.finish_tick(store.index)
-        assert dirty == () and affected == set()
+        dirty, affected = tracker.finish_tick(store)
+        assert len(dirty) == 0 and affected == set()
 
     def test_flagged_move_dirties_both_cells(self):
         tracker, _ = self.make()
         store, _ = make_store(cell=0.06)
         applied = store.apply(0, [0.9, 0.9], True)
         assert tracker.mark(applied, was_relevant=False) is True
-        dirty, affected = tracker.finish_tick(store.index)
-        assert applied.old_cell in dirty and applied.new_cell in dirty
+        dirty, affected = tracker.finish_tick(store)
+        assert {applied.old_cell, applied.new_cell} <= cell_set(dirty)
         assert 0 in affected
 
     def test_flag_toggle_without_motion_is_relevant(self):
@@ -164,24 +158,24 @@ class TestDirtyRegionTracker:
         store, _ = make_store(cell=0.06)
         applied = store.apply(0, [0.9, 0.9], True)
         tracker.mark(applied, was_relevant=False)
-        dirty_now, _ = tracker.finish_tick(store.index)
+        dirty_now, _ = tracker.finish_tick(store)
         # No new marks: the carry from the move must still dirty the
         # trajectory's cells one tick later (prev endpoint shifted).
-        dirty_next, affected = tracker.finish_tick(store.index)
-        assert set(dirty_next) == {applied.old_cell, applied.new_cell}
+        dirty_next, affected = tracker.finish_tick(store)
+        assert cell_set(dirty_next) == {applied.old_cell, applied.new_cell}
         assert 0 in affected
         # ... and be fully consumed after that.
-        dirty_after, _ = tracker.finish_tick(store.index)
-        assert dirty_after == ()
+        dirty_after, _ = tracker.finish_tick(store)
+        assert len(dirty_after) == 0
 
     def test_flag_only_change_does_not_carry(self):
         tracker, _ = self.make()
         store, _ = make_store(cell=0.06)
         applied = store.apply(3, store.position(3), True)
         tracker.mark(applied, was_relevant=False)
-        tracker.finish_tick(store.index)
-        dirty_next, _ = tracker.finish_tick(store.index)
-        assert dirty_next == ()
+        tracker.finish_tick(store)
+        dirty_next, _ = tracker.finish_tick(store)
+        assert len(dirty_next) == 0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
