@@ -14,7 +14,7 @@ Asserted claims, at ``n = 10k`` with ~1% flagged churn per tick:
 
 Wall-clock per configuration is *recorded* in the summary rows (CI
 plots the scaling trajectory) but only asserted where it can be real:
-``scaling_efficiency`` rows compare thread vs process topologies per
+``scaling_efficiency`` rows compare inline vs process topologies per
 shard count, and the >=2x-at-4-process-shards gate arms only when
 ``os.cpu_count() >= 4`` — on a one- or two-core runner a process
 speedup is physically impossible and the row records that honestly
@@ -80,7 +80,7 @@ def _drive(service, frames):
     """Feed the stream; returns (seconds, per-tick busiest-shard load,
     total halo bytes).  Shard load comes from the front door's per-shard
     flagged counters, which work under both worker topologies (the
-    thread workers' stores are in-process, the process workers' are
+    inline workers' stores are in-process, the process workers' are
     not)."""
     peak_targets = []
     halo_bytes = 0
@@ -99,7 +99,7 @@ def _drive(service, frames):
 def test_sharded_tick_scaling(shards):
     frames = _stream(N, TICKS, seed=0)
     with ShardedService(
-        frames[0][0], CFG, topology_shards=shards, parallel=True
+        frames[0][0], CFG, topology_shards=shards
     ) as service:
         sizes = service.shard_sizes()
         assert sum(sizes) == N
@@ -129,7 +129,7 @@ def test_busiest_shard_load_shrinks_with_shard_count():
     loads = {}
     for shards in (1, 4):
         with ShardedService(
-            frames[0][0], CFG, topology_shards=shards, parallel=False
+            frames[0][0], CFG, topology_shards=shards
         ) as service:
             _, peaks, _ = _drive(service, frames)
             loads[shards] = max(peaks)
@@ -151,7 +151,7 @@ def _scaling_rows(n, ticks, seed, topology, shard_counts, churn=100):
 
     Speedup and parallel efficiency are relative to the 1-shard run of
     the *same* topology, so process-spawn overhead never flatters the
-    thread numbers (or vice versa).
+    inline numbers (or vice versa).
     """
     frames = _stream(n, ticks, seed)
     rows = []
@@ -161,7 +161,6 @@ def _scaling_rows(n, ticks, seed, topology, shard_counts, churn=100):
             frames[0][0],
             CFG,
             topology_shards=shards,
-            parallel=True,
             topology_workers=topology,
         ) as service:
             seconds, _, halo_bytes = _drive(service, frames)
@@ -187,7 +186,7 @@ def _scaling_rows(n, ticks, seed, topology, shard_counts, churn=100):
     return rows
 
 
-@pytest.mark.parametrize("topology", ["thread", "process"])
+@pytest.mark.parametrize("topology", ["inline", "process"])
 def test_scaling_efficiency(topology):
     """Record speedup + parallel efficiency per shard count and topology.
 
@@ -208,7 +207,7 @@ def test_scaling_efficiency(topology):
     not os.environ.get("REPRO_BENCH_SHARD_100K"),
     reason="100k scaling lane: set REPRO_BENCH_SHARD_100K=1 to run",
 )
-@pytest.mark.parametrize("topology", ["thread", "process"])
+@pytest.mark.parametrize("topology", ["inline", "process"])
 def test_scaling_efficiency_100k(topology):
     rows = _scaling_rows(
         100_000, ticks=2, seed=5, topology=topology, shard_counts=(1, 4)
@@ -224,7 +223,7 @@ def test_sharded_matches_single_at_bench_scale():
     frames = _stream(n, ticks, seed=3)
     with OnlineCharacterizationService(frames[0][0].copy(), CFG) as single:
         with ShardedService(
-            frames[0][0].copy(), CFG, topology_shards=4, parallel=True
+            frames[0][0].copy(), CFG, topology_shards=4
         ) as sharded:
             for positions, flags in frames:
                 want = single.feed_snapshot(positions, flags)
@@ -242,7 +241,7 @@ def test_sharded_matches_single_at_bench_scale():
     not os.environ.get("REPRO_BENCH_SHARD_1M"),
     reason="1M-device scale smoke: set REPRO_BENCH_SHARD_1M=1 to run",
 )
-@pytest.mark.parametrize("topology", ["thread", "process"])
+@pytest.mark.parametrize("topology", ["inline", "process"])
 def test_million_device_tick(topology):
     n = 1_000_000
     rng = np.random.default_rng(7)
@@ -252,7 +251,6 @@ def test_million_device_tick(topology):
         positions,
         cfg,
         topology_shards=8,
-        parallel=True,
         topology_workers=topology,
     ) as service:
         assert sum(service.shard_sizes()) == n

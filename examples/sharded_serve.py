@@ -10,7 +10,8 @@ Everything the sharded-topology PR adds, in one script:
 2. pump :class:`LoadGenerator` traffic through it: events fan out to
    their owning shards, movers migrate between shards mid-stream, and
    each tick the shards exchange a halo band of boundary rows over
-   shared memory before characterizing in parallel;
+   shared memory before characterizing (one process per shard under
+   ``--topology-workers process``);
 3. snapshot the per-shard metrics plane
    (``repro_shard_devices{shard=...}``, per-shard stage latencies)
    plus the merged tick stage breakdown;
@@ -19,6 +20,7 @@ Everything the sharded-topology PR adds, in one script:
 
 Run:  python examples/sharded_serve.py
       python examples/sharded_serve.py --devices 5000 --ticks 20
+      python examples/sharded_serve.py --topology-workers process
 """
 
 import argparse
@@ -59,7 +61,7 @@ def main() -> None:
     parser.add_argument("--ticks", type=int, default=12)
     parser.add_argument("--topology-shards", type=int, default=4)
     parser.add_argument(
-        "--topology-workers", choices=("thread", "process"), default="thread"
+        "--topology-workers", choices=("inline", "process"), default="inline"
     )
     parser.add_argument("--seed", type=int, default=17)
     args = parser.parse_args()
@@ -73,7 +75,6 @@ def main() -> None:
         cfg,
         topology_shards=args.topology_shards,
         topology_workers=args.topology_workers,
-        parallel=True,
         sinks=(metrics,),
     ) as service:
         topology = service.topology

@@ -167,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="spatial shards with halo exchange (0 = single service)",
         )
         sub_parser.add_argument(
-            "--topology-workers", choices=("thread", "process"),
-            default="thread",
-            help="where shard pipelines run: in-parent threads or "
+            "--topology-workers", choices=("inline", "process"),
+            default="inline",
+            help="where shard pipelines run: in this process or in "
             "per-shard processes over shared-memory partitions",
         )
         sub_parser.add_argument(

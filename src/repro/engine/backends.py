@@ -11,7 +11,8 @@ need no worker coordination:
 * ``process`` (:class:`WorkerPoolBackend`) keeps a **persistent** pool of
   worker processes alive across :meth:`~ExecutionBackend.run` calls.
   Snapshot arrays are published through a double-buffered
-  :mod:`multiprocessing.shared_memory` ring (:class:`_SnapshotRing`): two
+  :mod:`multiprocessing.shared_memory` ring
+  (:class:`~repro.ipc.SnapshotRing`): two
   *current*-snapshot slots written alternately plus a *previous*-snapshot
   fallback, so a steady-state tick — whose ``prev`` side is, by object
   identity, the array published as ``cur`` one run earlier — writes
@@ -66,11 +67,9 @@ from repro.engine.config import EngineConfig
 from repro.ipc import (
     SnapshotRing,
     WorkerHandle,
-    reap_worker,
     shm_unregister,
     shutdown_worker,
     shutdown_workers,
-    signal_worker_shutdown,
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -251,13 +250,9 @@ class SpawnProcessBackend(ExecutionBackend):
 # ----------------------------------------------------------------------
 # Persistent worker pool.
 #
-# The shared-memory ring and the worker supervision helpers were born
-# here as private names and grew cross-module importers (the sharded
-# topology's halo exchange).  They now live in :mod:`repro.ipc` under
-# public names; the ``_``-prefixed bindings below are deprecated aliases
-# kept so existing importers keep working.
+# The shared-memory ring and the worker supervision helpers live in
+# :mod:`repro.ipc`, shared with the process topology's shard children.
 # ----------------------------------------------------------------------
-_shm_unregister = shm_unregister
 
 
 def _pool_worker(conn, kwargs: Dict[str, object], unregister_shm: bool) -> None:
@@ -342,7 +337,7 @@ def _pool_worker(conn, kwargs: Dict[str, object], unregister_shm: bool) -> None:
                     if seg is None:
                         seg = shared_memory.SharedMemory(name=name)
                         if unregister_shm:
-                            _shm_unregister(name)
+                            shm_unregister(name)
                         segments[name] = seg
                     # Zero-copy, read-only: the transition reads the ring
                     # slot in place.  The flagged-subset indexes and every
@@ -446,18 +441,6 @@ class _DeadlineExpired(Exception):
     """A worker missed its dispatch deadline (internal control flow)."""
 
 
-# Deprecated aliases for the supervision primitives now in repro.ipc.
-_PoolWorker = WorkerHandle
-_signal_worker_shutdown = signal_worker_shutdown
-_reap_worker = reap_worker
-_shutdown_worker = shutdown_worker
-_shutdown_workers = shutdown_workers
-
-
-_SnapshotRing = SnapshotRing
-
-
-
 @dataclass
 class _PoolState:
     """Everything :class:`WorkerPoolBackend` must tear down at close.
@@ -466,11 +449,11 @@ class _PoolState:
     clean up without keeping the backend itself alive.
     """
 
-    workers: List[_PoolWorker] = field(default_factory=list)
-    ring: _SnapshotRing = field(default_factory=_SnapshotRing)
+    workers: List[WorkerHandle] = field(default_factory=list)
+    ring: SnapshotRing = field(default_factory=SnapshotRing)
 
     def close(self) -> None:
-        _shutdown_workers(self.workers)
+        shutdown_workers(self.workers)
         self.workers = []
         self.ring.drop_segments()
 
@@ -696,7 +679,7 @@ class WorkerPoolBackend(ExecutionBackend):
     def _config_key(self, workers: int, config: EngineConfig) -> Tuple:
         return (workers, tuple(sorted(config.characterizer_kwargs().items())))
 
-    def _spawn_worker(self, config: EngineConfig) -> _PoolWorker:
+    def _spawn_worker(self, config: EngineConfig) -> WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_pool_worker,
@@ -709,16 +692,16 @@ class WorkerPoolBackend(ExecutionBackend):
         )
         process.start()
         child_conn.close()
-        return _PoolWorker(process=process, conn=parent_conn)
+        return WorkerHandle(process=process, conn=parent_conn)
 
-    def _retire_worker(self, worker: _PoolWorker) -> None:
-        _shutdown_worker(worker)
+    def _retire_worker(self, worker: WorkerHandle) -> None:
+        shutdown_worker(worker)
 
     def _ensure_workers(self, workers: int, config: EngineConfig) -> None:
         key = self._config_key(workers, config)
         if self._started_config != key:
             # Config changed (or first run): restart the pool wholesale.
-            _shutdown_workers(self._state.workers)
+            shutdown_workers(self._state.workers)
             self._state.workers = []
             self._started_config = key
             self._last_pool_meta = None
@@ -899,7 +882,7 @@ class WorkerPoolBackend(ExecutionBackend):
 
     def _respawn(
         self, index: int, config: EngineConfig, reason: str
-    ) -> _PoolWorker:
+    ) -> WorkerHandle:
         if not config.worker_respawn:
             raise PoolError(
                 f"pool worker {index} {reason} and worker_respawn is off",
@@ -957,7 +940,7 @@ class WorkerPoolBackend(ExecutionBackend):
             worker.process.kill()
 
     @staticmethod
-    def _await_reply(worker: _PoolWorker, deadline: Optional[float]):
+    def _await_reply(worker: WorkerHandle, deadline: Optional[float]):
         """Receive one reply, bounded by the dispatch deadline."""
         if deadline is not None and not worker.conn.poll(deadline):
             raise _DeadlineExpired()
@@ -1059,7 +1042,7 @@ class WorkerPoolBackend(ExecutionBackend):
 
     def _reset_pool(self) -> None:
         """Retire every worker; the next run rebuilds from scratch."""
-        _shutdown_workers(self._state.workers)
+        shutdown_workers(self._state.workers)
         self._state.workers = []
         self._started_config = None
         self._last_pool_meta = None

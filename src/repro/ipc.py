@@ -1,10 +1,10 @@
 """Shared inter-process primitives: shm rings, planes, worker handles.
 
-Before the process topology, the shared-memory snapshot ring and the
-worker supervision helpers lived as private names inside
-:mod:`repro.engine.backends` and were imported cross-module from there
-(the sharded topology's halo exchange reached into ``_SnapshotRing``).
-This module promotes them to public, engine-independent primitives:
+The shared-memory snapshot ring and the worker supervision helpers
+serve both process-parallel layers — the engine's worker pool
+(:mod:`repro.engine.backends`) and the process topology's shard
+children (:mod:`repro.online.procshard`) — so they live here as public,
+engine-independent primitives:
 
 * :class:`SnapshotRing` — the double-buffered shared-memory publication
   ring (two alternating *cur* slots plus a *prev* fallback; one
@@ -22,10 +22,6 @@ This module promotes them to public, engine-independent primitives:
 * :class:`SegmentReader` — a cached attach-by-name reader with the
   stale-segment eviction / zombie-retry discipline the pool workers
   pioneered.
-
-:mod:`repro.engine.backends` re-exports the old private names
-(``_SnapshotRing``, ``_PoolWorker``, ``_shm_unregister``,
-``_shutdown_worker``, ``_shutdown_workers``) as deprecated aliases.
 """
 
 from __future__ import annotations

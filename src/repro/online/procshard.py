@@ -1,14 +1,21 @@
-"""Process topology: shard workers as supervised daemonic processes.
+"""The shard command protocol and its two hosts: in-parent and process.
 
-The thread topology (:mod:`repro.online.sharded`) anti-scales: every
-``_ShardWorker`` pipeline shares the GIL, so four shards cost *more*
-wall-clock than one.  This module moves whole shard workers out of the
-GIL.  Each spatial shard becomes one long-lived **fork-context daemonic
-process** hosting an ordinary ``_ShardWorker`` whose store partition
-lives in shared-memory columnar planes
-(:func:`repro.online.store.shm_planes_factory`); the front door ships
-*commands* — global device ids, tick numbers, segment names — over a
-duplex pipe, never pickled stores.
+:class:`~repro.online.sharded.ShardedService` drives every shard —
+ingest, migration, halo exchange, verdicts, membership, queries,
+checkpoints — through one function, :func:`handle_command`, which runs
+against an ordinary ``_ShardWorker``.  Where it runs is the only thing
+the topology chooses:
+
+* :class:`_InlineShardHandle` runs it inside the front door's process
+  (``topology_workers="inline"``, and the degraded fallback of a process
+  shard whose supervision ran out of retries);
+* :class:`_ProcessShardHandle` runs it in one long-lived **fork-context
+  daemonic process** per shard, whose store partition lives in
+  shared-memory columnar planes
+  (:func:`repro.online.store.shm_planes_factory`); the front door ships
+  *commands* — global device ids, tick numbers, segment names — over a
+  duplex pipe, never pickled stores.  This host takes the shard
+  pipelines out of the parent's GIL.
 
 Protocol
 --------
@@ -17,7 +24,7 @@ roundtrip per shard: ``events``/``frame`` (ingest), ``movers`` →
 ``migrate_out`` → ``migrate_in`` (parent-mediated migration), ``halo``
 (close dirty cells, publish the boundary band, reply segment names),
 ``verdict`` (read peer bands seq-gated, run the local pipeline, reply a
-result dict).  Every mutating command carries its tick and the child
+result dict).  Every mutating command carries its tick and the worker
 rolls the deferred snapshot (``advance_tick``) lazily at the *first*
 command of the next tick — deferring the roll past the verdict is what
 makes a kill-and-respawn recoverable: the shared-memory planes always
@@ -44,7 +51,11 @@ degraded, never divergent.
 Why ``fork``: children inherit the parent's modules, chaos plan and
 resource tracker, so shared-memory create/attach/unlink registrations
 pair up without manual tracking, and spawning costs one page-table
-copy, not an interpreter boot.
+copy, not an interpreter boot.  The tracker is only inherited if it is
+already running at fork time — :meth:`_ProcessShardHandle._spawn`
+starts it first; otherwise every child would start its own, and a
+killed child's tracker would unlink every segment the child had merely
+attached: its peers' halo bands and the front door's frame board.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import replace
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,6 +79,7 @@ from repro.ipc import (
     SegmentReader,
     ShardDeadError,
     ShardTimeoutError,
+    ShmPlanes,
     StaleHaloError,
     WorkerHandle,
     reap_worker,
@@ -80,7 +92,9 @@ from repro.online.store import (
     DeviceStateStore,
     attach_store_planes,
     shm_planes_factory,
+    store_plane_fields,
 )
+from repro.robust.chaos import get_injector
 
 __all__ = [
     "handle_command",
@@ -224,6 +238,35 @@ def _read_halo_sources(
     )
 
 
+def _ctx_result(worker, ctx) -> Dict[str, Any]:
+    """One shard's tick outcome as a plain, picklable result dict.
+
+    The merge currency of the ``verdict`` command: the front door's
+    merge loop reads the same dict from either host.  Verdict maps are
+    already keyed by global ids; local ranks are translated through
+    ``ctx.key_of`` here, before the context dies.
+    """
+    key_of = ctx.key_of
+    targets = ctx.verdict_targets or ()
+    if key_of is not None:
+        flagged = [int(key_of[l]) for l in targets]
+        recomputed = [int(key_of[l]) for l in ctx.recompute]
+        reused = [int(key_of[l]) for l in ctx.reused]
+    else:
+        flagged, recomputed, reused = [], [], []
+    return {
+        "verdicts": dict(ctx.verdicts),
+        "flagged": flagged,
+        "recomputed": recomputed,
+        "reused": reused,
+        "families_recomputed": int(ctx.families_recomputed),
+        "families_reused": int(ctx.families_reused),
+        "n_targets": len(targets),
+        "stage_seconds": worker.tracer.drain_stages(),
+        "n": worker.store.n,
+    }
+
+
 def handle_command(
     worker,
     op: str,
@@ -235,21 +278,20 @@ def handle_command(
     board_reader: SegmentReader,
     planes_factory,
 ):
-    """Execute one front-door command against a deferred-advance worker.
+    """Execute one front-door command against a shard worker.
 
-    The single implementation both the child main loop and the degraded
-    in-parent fallback (:class:`_InlineShardHandle`) run — supervision
-    must never change *what* a shard computes, only where.  Every
-    handler is idempotent under re-execution on partially-applied
-    planes (the respawn-retry contract).
+    The single implementation both hosts run — the child main loop and
+    :class:`_InlineShardHandle` — so the topology never changes *what* a
+    shard computes, only where.  Every handler is idempotent under
+    re-execution on partially-applied planes (the respawn-retry
+    contract).
     """
     from repro.online.stages import TickContext
-    from repro.online.sharded import _ctx_result
 
     store = worker.store
     if op == "state":
         # Checkpoints capture *completed* ticks: roll the deferred
-        # advance so the cut is bit-identical to the thread topology's.
+        # advance so the cut never depends on where the shard ran.
         if store.tick_serial < tick:
             store.advance_tick()
         return (
@@ -365,9 +407,15 @@ def handle_command(
             )
         return None
     if op == "leave":
-        if store.row_if_present(int(payload["device"])) is not None:
-            store.leave(int(payload["device"]))
-        return None
+        # A flagged departure replies its (prev, cur) endpoints: the
+        # store's record of them lives in worker memory until the halo
+        # phase, and a respawned worker has no trace of the row.
+        row = store.row_if_present(int(payload["device"]))
+        if row is None:
+            return None
+        _, prev, cur, flagged, _ = store.row_state(row)
+        store.leave(int(payload["device"]))
+        return np.stack([prev, cur]) if flagged else None
     if op == "halo":
         cells = worker.tracker.finish_cells(store)
         worker.publish_halo(shard_map, seq=tick)
@@ -434,7 +482,6 @@ def _shard_child_main(
             cfg,
             tracer,
             planes_factory=factory,
-            defer_advance=True,
         )
     else:
         _, plane_name, capacity = init
@@ -446,14 +493,7 @@ def _shard_child_main(
             planes_factory=factory,
         )
         worker = _ShardWorker(
-            shard,
-            None,
-            None,
-            dim,
-            cfg,
-            tracer,
-            store=store,
-            defer_advance=True,
+            shard, None, None, dim, cfg, tracer, store=store
         )
         _mark_recovered(worker)
     halo_reader = SegmentReader()
@@ -551,7 +591,16 @@ class _ProcessShardHandle:
             )
         )
 
+    @property
+    def nbytes(self) -> int:
+        """The shard's shm plane segment size, from the last reply header."""
+        return ShmPlanes.required_bytes(
+            self.plane_capacity, store_plane_fields(self._dim)
+        )
+
     def _spawn(self, init) -> None:
+        # The children must inherit one tracker (see the module notes).
+        resource_tracker.ensure_running()
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_child_main,
@@ -593,6 +642,42 @@ class _ProcessShardHandle:
         except (BrokenPipeError, OSError):
             pass
 
+    def send_with_chaos(self, msg: tuple) -> None:
+        """Ship one verdict command through the chaos injector.
+
+        Reuses the pool-dispatch fault vocabulary keyed on (tick,
+        shard): ``kill`` strikes before the send (dispatch meets a dead
+        child), ``kill_after`` right after (EOF mid-task); drop/hang
+        decorate the payload with flags only the child's *pipe loop*
+        honors — the canonical, undecorated command is what supervision
+        remembers and resends, so a retry replays the intended work.
+        """
+        injector = get_injector()
+        action = (
+            injector.pool_dispatch(int(msg[1]), self.shard)
+            if injector.active
+            else None
+        )
+        if action is None:
+            self.send(msg)
+            return
+        if action.delay:
+            time.sleep(action.delay)
+        if action.kill:
+            self.terminate_child()
+        decorated = msg
+        if action.drop_reply or action.hang:
+            op, tick, payload = msg
+            payload = dict(payload)
+            if action.drop_reply:
+                payload["_drop_reply"] = True
+            if action.hang:
+                payload["_hang"] = action.hang
+            decorated = (op, tick, payload)
+        self.send(decorated, canonical=msg)
+        if action.kill_after:
+            self.terminate_child()
+
     def resend_last(self) -> None:
         try:
             self.worker.conn.send(self.last_msg)
@@ -633,6 +718,39 @@ class _ProcessShardHandle:
         self._spawn(("adopt", self.plane_name, self.plane_capacity))
         return orphans
 
+    def degrade(self, tracer: Tracer) -> "_InlineShardHandle":
+        """Host the (killed) child's shard in-parent, serially.
+
+        The dead child's shm planes are adopted, copied onto the heap
+        (releasing the segments), and wrapped in a fresh worker with
+        conservatively invalidated caches; the in-flight command is
+        re-queued on the returned handle.
+        """
+        from repro.online.sharded import _ShardWorker
+
+        cfg = _serial_config(self._config)
+        planes = attach_store_planes(
+            self.plane_name, self.plane_capacity, self._dim
+        )
+        adopted = DeviceStateStore.adopt_planes(
+            planes, cell=cfg.cell, shards=cfg.shards
+        )
+        state = adopted.state()
+        adopted.release_planes(unlink=True)
+        worker = _ShardWorker(
+            self.shard,
+            None,
+            None,
+            self._dim,
+            cfg,
+            tracer,
+            store=DeviceStateStore.from_state(state),
+        )
+        _mark_recovered(worker)
+        inline = _InlineShardHandle(worker, self._map)
+        inline.send(self.last_msg)
+        return inline
+
     def shutdown(self) -> None:
         """Sentinel → join → close, then unlink any leftover segments."""
         shutdown_worker(self.worker)
@@ -643,14 +761,17 @@ class _ProcessShardHandle:
 
 
 class _InlineShardHandle:
-    """Degraded mode: the shard runs serially inside the front door.
+    """A shard hosted inside the front door's process.
 
-    Swapped in when supervision exhausts its retries.  Speaks the same
-    send/recv surface as :class:`_ProcessShardHandle` (so the phase
+    The ``"inline"`` topology's handle, and the degraded mode a process
+    shard falls back to when supervision exhausts its retries.  Speaks
+    the send/recv surface of :class:`_ProcessShardHandle` (so the phase
     loops don't branch) but executes :func:`handle_command` directly on
-    an in-parent ``_ShardWorker`` at ``recv`` time; peer halo bands are
-    still read from shared memory by name.  Chaos kill decorations are
-    no-ops here — there is no process left to kill.
+    an in-parent ``_ShardWorker`` at ``recv`` time; peer halo bands and
+    the frame board are still read from shared memory by name.  Pool
+    dispatch faults are never drawn here — there is no child to kill —
+    while a payload's ``_hang`` (a delayed halo publish) stalls the
+    reply the way the child loop does.
     """
 
     def __init__(self, worker, shard_map) -> None:
@@ -660,19 +781,20 @@ class _InlineShardHandle:
         self._halo_reader = SegmentReader()
         self._board_reader = SegmentReader()
         self._pending: Optional[tuple] = None
-        self.last_msg: Optional[tuple] = None
-        self.plane_name: Optional[str] = None
-        self.plane_capacity = 0
         self.ring_names: Tuple[str, ...] = ()
-        self.respawns = 0
 
     @property
     def n(self) -> int:
         return self.inner.store.n
 
-    def send(self, msg, *, canonical: Optional[tuple] = None) -> None:
-        self._pending = canonical if canonical is not None else msg
-        self.last_msg = self._pending
+    @property
+    def nbytes(self) -> int:
+        return self.inner.store.nbytes
+
+    def send(self, msg: tuple) -> None:
+        self._pending = msg
+
+    send_with_chaos = send
 
     def recv(self, deadline: Optional[float] = None):
         op, tick, payload = self._pending
@@ -687,10 +809,9 @@ class _InlineShardHandle:
             board_reader=self._board_reader,
             planes_factory=None,
         )
+        if payload.get("_hang"):
+            time.sleep(float(payload["_hang"]))
         return (True, None, 0, self.inner.store.n, result)
-
-    def terminate_child(self) -> None:
-        pass
 
     def shutdown(self) -> None:
         self.inner.close()

@@ -594,8 +594,7 @@ def restore_sharded_service(
     config: Optional[ServiceConfig] = None,
     sinks: Iterable[Callable[[OnlineTick], None]] = (),
     tracer=None,
-    parallel: bool = True,
-    topology_workers: str = "thread",
+    topology_workers: str = "inline",
 ):
     """Rebuild a :class:`ShardedService` from a consistent cut.
 
@@ -620,7 +619,6 @@ def restore_sharded_service(
         np.zeros((1, dim)),
         cfg,
         topology_shards=ckpt.topology_shards,
-        parallel=parallel,
         sinks=sinks,
         tracer=tracer,
         topology_workers=topology_workers,

@@ -30,18 +30,23 @@ devices just across its borders — the **halo**.  Per tick:
    flagged rows against the global union (an int64 cell-key array);
 3. **halo exchange** — each shard publishes the ``(prev, cur)`` rows of
    its flagged devices within ``halo_rings`` cells of its box boundary
-   through a :class:`~repro.engine.backends._SnapshotRing` (the same
-   double-buffered shared-memory publication path the worker pool uses);
-   consumers take the bands whose cells lie within ``halo_rings``
-   *outside* their own box;
+   through a :class:`~repro.ipc.SnapshotRing` (the same double-buffered
+   shared-memory publication path the worker pool uses); consumers take
+   the bands whose cells lie within ``halo_rings`` *outside* their own
+   box, read seq-gated by segment name;
 4. **local pipelines** — each shard runs a
    :class:`~repro.online.stages.TickPipeline` of a halo-aware
    transition-build stage plus the standard
-   :class:`~repro.online.stages.VerdictStage`, optionally across a
-   thread pool;
+   :class:`~repro.online.stages.VerdictStage`;
 5. **merge** — verdicts (already remapped to global ids), flagged sets,
    stats and stage timings are merged into one ordinary
    :class:`~repro.online.service.OnlineTick` for the sinks.
+
+Every step is a command of one protocol
+(:func:`repro.online.procshard.handle_command`) sent through one handle
+per shard; ``topology_workers`` only picks where the handler runs — in
+the front door's process (``"inline"``) or in one supervised child
+process per shard (``"process"``).
 
 Why the halo band is sufficient: a local verdict for owned device ``j``
 is exact iff the local transition contains every flagged device ``i``
@@ -69,9 +74,7 @@ churn and shard-crossing movers included.
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from multiprocessing import shared_memory
 from typing import (
@@ -100,7 +103,6 @@ from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_
 from repro.engine import CharacterizationEngine, EngineConfig
 from repro.ipc import (
     ShardRoundtripError,
-    ShmPlanes,
     SnapshotRing,
     StaleHaloError,
     unlink_by_name,
@@ -112,9 +114,6 @@ from repro.online.procshard import (
     _FrameBoard,
     _InlineShardHandle,
     _ProcessShardHandle,
-    _mark_recovered,
-    _serial_config,
-    handle_command,
 )
 from repro.online.service import (
     _VERDICT_CODE,
@@ -131,12 +130,7 @@ from repro.online.stages import (
     TickPipeline,
     VerdictStage,
 )
-from repro.online.store import (
-    NO_VERDICT,
-    DeviceStateStore,
-    attach_store_planes,
-    store_plane_fields,
-)
+from repro.online.store import DeviceStateStore
 from repro.robust.chaos import get_injector
 
 __all__ = [
@@ -315,16 +309,14 @@ class _HaloChannel:
     The position payload rides the same double-buffered shared-memory
     segments the process pool publishes transitions through
     (:meth:`~repro.ipc.SnapshotRing.publish_pair`); the global ids and
-    cell keys of the published rows stay in process memory alongside
-    (they are small, and in the process topology they travel up the
-    pipe inside :meth:`meta`).  A 16-byte header segment carries
-    ``(seq, rows)``; the sequence slot is written strictly *after* the
-    payload, so a cross-process consumer that observes the expected
-    sequence before copying knows the band is complete, and one that
-    re-observes it after copying knows the band was not overwritten
-    mid-read.  In-process readers resolve the segment names against the
-    ring's own handles — same process, no re-attach — and gate on the
-    remembered sequence instead.
+    cell keys of the published rows stay in worker memory alongside
+    (they are small, and travel to the front door inside :meth:`meta`).
+    A 16-byte header segment carries ``(seq, rows)``; the sequence slot
+    is written strictly *after* the payload, so a consumer that observes
+    the expected sequence before copying knows the band is complete, and
+    one that re-observes it after copying knows the band was not
+    overwritten mid-read
+    (:func:`~repro.online.procshard._read_halo_sources`).
     """
 
     def __init__(self) -> None:
@@ -386,37 +378,6 @@ class _HaloChannel:
             "keys": self.keys,
             "live": live,
         }
-
-    def _segment(self, name: str):
-        for seg in (*self._ring.slots, self._ring.prev_seg):
-            if seg is not None and seg.name == name:
-                return seg
-        raise ConfigurationError(
-            f"halo segment {name!r} is not live on this ring"
-        )  # pragma: no cover - protocol violation
-
-    def read(
-        self, *, expected_seq: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The published ``(prev, cur)`` band, copied out of the ring."""
-        if expected_seq is not None and self._seq != int(expected_seq):
-            raise StaleHaloError(
-                f"halo band holds seq {self._seq}, expected {expected_seq}"
-            )
-        rows, dim = self._shape
-        if self._names is None or rows == 0:
-            empty = np.empty((0, dim), dtype=np.float64)
-            return empty, empty
-        count = rows * dim
-        out = []
-        for name in self._names:
-            seg = self._segment(name)
-            out.append(
-                np.frombuffer(seg.buf, dtype=np.float64, count=count)
-                .reshape(rows, dim)
-                .copy()
-            )
-        return out[0], out[1]
 
     def close(self) -> None:
         self._ring.drop_segments()
@@ -573,10 +534,10 @@ class _ShardWorker:
     ``planes_factory`` backs the store with shared-memory planes (the
     process topology's kill-survivable partition); ``store`` hands in a
     pre-built store (a respawned child adopting its predecessor's
-    planes, or a degraded inline fallback); ``defer_advance`` makes
-    :meth:`run_tick` leave the snapshot roll to the *next* tick's first
-    mutating command, so a mid-verdict kill always leaves the planes
-    holding a consistent ``(S_{k-1}, S_k)`` pair.
+    planes, or a degraded inline fallback).  :meth:`run_tick` leaves the
+    snapshot roll to the *next* tick's first mutating command, so a
+    mid-verdict kill always leaves the planes holding a consistent
+    ``(S_{k-1}, S_k)`` pair.
     """
 
     def __init__(
@@ -589,11 +550,9 @@ class _ShardWorker:
         tracer: Tracer,
         *,
         planes_factory=None,
-        defer_advance: bool = False,
         store: Optional[DeviceStateStore] = None,
     ) -> None:
         self.shard = int(shard)
-        self._defer_advance = bool(defer_advance)
         cfg = config
         if store is not None:
             self.store = store
@@ -647,15 +606,8 @@ class _ShardWorker:
     def publish_halo(self, boundary: "ShardMap", *, seq: int = 0) -> None:
         """Publish this shard's boundary band of flagged rows.
 
-        ``seq`` (the tick number) gates the consumers' reads; the chaos
-        injector can stall the publish here, which must delay only the
-        consumers' seq-gated barrier, never hand them a stale band.
+        ``seq`` (the tick number) gates the consumers' reads.
         """
-        injector = get_injector()
-        if injector.active:
-            stall = injector.halo_publish(int(seq), self.shard)
-            if stall:
-                time.sleep(stall)
         store = self.store
         rows = store.flagged_rows()
         if rows.size:
@@ -672,11 +624,9 @@ class _ShardWorker:
         )
 
     def run_tick(self, ctx: TickContext) -> TickContext:
-        """Run the local pipeline, record codes, roll the snapshots."""
+        """Run the local pipeline and record the verdict codes."""
         self.pipeline.run(ctx, self.tracer)
         self._record_verdict_codes(ctx)
-        if not self._defer_advance:
-            self.store.advance_tick()
         return ctx
 
     def _record_verdict_codes(self, ctx: TickContext) -> None:
@@ -712,37 +662,6 @@ class _ShardWorker:
         self.engine.close()
 
 
-def _ctx_result(worker: _ShardWorker, ctx: TickContext) -> Dict[str, Any]:
-    """One shard's tick outcome as a plain, picklable result dict.
-
-    The single merge currency of both topologies: thread-mode workers
-    produce it in the parent, process-mode children produce it in
-    :func:`repro.online.procshard.handle_command` and ship it up the
-    pipe — so the front door's merge loop cannot diverge between modes.
-    Verdict maps are already keyed by global ids; local ranks are
-    translated through ``ctx.key_of`` here, before the context dies.
-    """
-    key_of = ctx.key_of
-    targets = ctx.verdict_targets or ()
-    if key_of is not None:
-        flagged = [int(key_of[l]) for l in targets]
-        recomputed = [int(key_of[l]) for l in ctx.recompute]
-        reused = [int(key_of[l]) for l in ctx.reused]
-    else:
-        flagged, recomputed, reused = [], [], []
-    return {
-        "verdicts": dict(ctx.verdicts),
-        "flagged": flagged,
-        "recomputed": recomputed,
-        "reused": reused,
-        "families_recomputed": int(ctx.families_recomputed),
-        "families_reused": int(ctx.families_reused),
-        "n_targets": len(targets),
-        "stage_seconds": worker.tracer.drain_stages(),
-        "n": worker.store.n,
-    }
-
-
 class ShardedService:
     """Front door over ``topology_shards`` spatial shard workers.
 
@@ -768,20 +687,16 @@ class ShardedService:
     topology_shards:
         Number of spatial shards tiling the unit cube.
     topology_workers:
-        ``"thread"`` (default) runs shard pipelines on an in-process
-        thread pool; ``"process"`` hosts each shard in a supervised
-        long-lived daemonic process whose store partition lives in
-        shared-memory planes — the wall-clock-scaling topology (thread
-        shards share the GIL and anti-scale).
+        Where each shard's command handler runs: ``"inline"`` (default)
+        in this process, one shard after another (per-shard engines may
+        themselves be process pools); ``"process"`` in one supervised
+        long-lived daemonic process per shard whose store partition
+        lives in shared-memory planes — the wall-clock-scaling topology.
     min_shard_devices:
         When positive, collapse the topology so every shard starts with
         at least this many devices (a shard below it pays more in halo
         exchange and fixed per-tick overhead than it wins back); emits a
         :class:`RuntimeWarning` naming the collapsed shard count.
-    parallel:
-        Run the per-shard pipelines on a thread pool (per-shard engines
-        may themselves be process pools for multi-core scaling).
-        Ignored under the process topology, which is always parallel.
     """
 
     def __init__(
@@ -790,9 +705,8 @@ class ShardedService:
         config: Optional[ServiceConfig] = None,
         *,
         topology_shards: int = 4,
-        topology_workers: str = "thread",
+        topology_workers: str = "inline",
         min_shard_devices: int = 0,
-        parallel: bool = True,
         sinks: Iterable[Callable[[OnlineTick], None]] = (),
         detector: Optional[DetectorLike] = None,
         detection: Optional[str] = None,
@@ -800,9 +714,9 @@ class ShardedService:
     ) -> None:
         self._config = config or ServiceConfig()
         cfg = self._config
-        if topology_workers not in ("thread", "process"):
+        if topology_workers not in ("inline", "process"):
             raise ConfigurationError(
-                f"topology_workers must be 'thread' or 'process', "
+                f"topology_workers must be 'inline' or 'process', "
                 f"got {topology_workers!r}"
             )
         pts = np.asarray(initial_positions, dtype=float)
@@ -811,7 +725,7 @@ class ShardedService:
                 "initial_positions must be a non-empty (n, d) array"
             )
         self._dim = int(pts.shape[1])
-        self._process = topology_workers == "process"
+        self._topology_workers = topology_workers
         if min_shard_devices and topology_shards > 1:
             cap = max(1, pts.shape[0] // int(min_shard_devices))
             if cap < topology_shards:
@@ -860,6 +774,9 @@ class ShardedService:
             "repro_topology_degraded_shards",
             "Shards degraded to the in-parent serial fallback",
         )
+        # Only supervision degrades a shard; inline-hosted ones never count.
+        self._degraded = 0
+        self._gauge_degraded.set(0)
         self._counter_halo_bytes = registry.counter(
             "repro_halo_bytes_total",
             "Halo band bytes shipped between shards, both endpoints",
@@ -877,45 +794,38 @@ class ShardedService:
         )
         keys = np.floor(pts / cfg.cell).astype(np.int64)
         owners = self._map.shard_of_keys(keys)
-        self._workers: List[_ShardWorker] = []
         self._handles: List[Any] = []
-        self._board: Optional[_FrameBoard] = None
+        self._board = _FrameBoard()
         self._orphans: List[str] = []
         self._respawned_since_dirty = False
         self._prev_dirty: np.ndarray = union_cells(())
         self._mover_cells: List[np.ndarray] = []
         self._mover_carry: List[np.ndarray] = []
         self._shard_flagged: List[int] = [0] * self._map.n_shards
-        if self._process:
-            self._board = _FrameBoard()
-            for shard in range(self._map.n_shards):
-                mask = owners == shard
-                ids = np.nonzero(mask)[0].astype(np.int64)
-                self._handles.append(
-                    _ProcessShardHandle(
-                        shard,
-                        cfg,
-                        self._dim,
-                        self._map,
-                        pts[mask],
-                        ids,
-                        self._tracer.enabled,
-                    )
+        for shard in range(self._map.n_shards):
+            mask = owners == shard
+            ids = np.nonzero(mask)[0].astype(np.int64)
+            if topology_workers == "process":
+                handle: Any = _ProcessShardHandle(
+                    shard,
+                    cfg,
+                    self._dim,
+                    self._map,
+                    pts[mask],
+                    ids,
+                    self._tracer.enabled,
                 )
-        else:
-            for shard in range(self._map.n_shards):
-                mask = owners == shard
-                ids = np.nonzero(mask)[0].astype(np.int64)
-                self._workers.append(
-                    _ShardWorker(
-                        shard,
-                        pts[mask],
-                        ids,
-                        self._dim,
-                        cfg,
-                        Tracer(registry, enabled=self._tracer.enabled),
-                    )
+            else:
+                worker = _ShardWorker(
+                    shard,
+                    pts[mask],
+                    ids,
+                    self._dim,
+                    cfg,
+                    Tracer(registry, enabled=self._tracer.enabled),
                 )
+                handle = _InlineShardHandle(worker, self._map)
+            self._handles.append(handle)
         self._owner: Dict[int, int] = {
             int(device): int(shard)
             for device, shard in enumerate(owners.tolist())
@@ -939,17 +849,6 @@ class ShardedService:
             lambda: len(self._queue),
         )
         self._sink_stage = SinkStage(self._sinks)
-        self._parallel = (
-            bool(parallel) and self._map.n_shards > 1 and not self._process
-        )
-        self._executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=self._map.n_shards,
-                thread_name_prefix="repro-shard",
-            )
-            if self._parallel
-            else None
-        )
         self._tick = 0
         self._closed = False
         self.stats = ServiceStats()
@@ -980,25 +879,18 @@ class ShardedService:
 
     @property
     def topology_workers(self) -> str:
-        """``"thread"`` or ``"process"`` — where shard pipelines run."""
-        return "process" if self._process else "thread"
-
-    @property
-    def workers(self) -> Tuple[_ShardWorker, ...]:
-        """The per-shard workers (thread topology; empty under process)."""
-        return tuple(self._workers)
+        """``"inline"`` or ``"process"`` — where shard pipelines run."""
+        return self._topology_workers
 
     @property
     def handles(self) -> Tuple[Any, ...]:
-        """The per-shard process handles (process topology; else empty)."""
+        """The per-shard handles; an in-parent shard's worker is ``.inner``."""
         return tuple(self._handles)
 
     @property
     def n(self) -> int:
         """Number of live devices across every shard."""
-        if self._process:
-            return sum(handle.n for handle in self._handles)
-        return sum(worker.store.n for worker in self._workers)
+        return sum(handle.n for handle in self._handles)
 
     @property
     def dim(self) -> int:
@@ -1013,18 +905,7 @@ class ShardedService:
         from the capacity echoed in every reply header), so no
         roundtrip is needed.
         """
-        if self._process:
-            fields = store_plane_fields(self._dim)
-            total = 0
-            for handle in self._handles:
-                if isinstance(handle, _InlineShardHandle):
-                    total += handle.inner.store.nbytes
-                else:
-                    total += ShmPlanes.required_bytes(
-                        handle.plane_capacity, fields
-                    )
-            return total
-        return sum(worker.store.nbytes for worker in self._workers)
+        return sum(handle.nbytes for handle in self._handles)
 
     @property
     def bytes_per_device(self) -> float:
@@ -1060,27 +941,19 @@ class ShardedService:
     def verdicts(self) -> Dict[int, Characterization]:
         """The merged verdict map across shards (a copy)."""
         merged: Dict[int, Characterization] = {}
-        if self._process:
-            for cache in self._query("verdicts"):
-                merged.update(cache)
-            return merged
-        for worker in self._workers:
-            merged.update(worker.verdict_stage.cache)
+        for cache in self._query("verdicts"):
+            merged.update(cache)
         return merged
 
     def flagged_devices(self) -> Tuple[int, ...]:
         """Currently flagged devices across every shard, sorted."""
         out: List[int] = []
-        if self._process:
-            for part in self._query("flagged"):
-                out.extend(part)
-        else:
-            for worker in self._workers:
-                out.extend(worker.store.flagged_devices())
+        for part in self._query("flagged"):
+            out.extend(part)
         return tuple(sorted(out))
 
     def shard_flagged_counts(self) -> Tuple[int, ...]:
-        """Verdict targets per shard at the latest tick (both modes)."""
+        """Verdict targets per shard at the latest tick."""
         return tuple(self._shard_flagged)
 
     def shard_of(self, device: int) -> int:
@@ -1092,9 +965,7 @@ class ShardedService:
 
     def shard_sizes(self) -> Tuple[int, ...]:
         """Resident device count per spatial shard."""
-        if self._process:
-            return tuple(handle.n for handle in self._handles)
-        return tuple(worker.store.n for worker in self._workers)
+        return tuple(handle.n for handle in self._handles)
 
     def add_sink(self, sink: Callable[[OnlineTick], None]) -> None:
         """Attach a sink called with every finished :class:`OnlineTick`."""
@@ -1104,22 +975,17 @@ class ShardedService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release every shard's engine, halo ring and the thread pool."""
+        """Release every shard (engine, halo ring, child) and the board."""
         if self._closed:
             return
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-        for worker in self._workers:
-            worker.close()
         for handle in self._handles:
             handle.shutdown()
-        if self._board is not None:
-            self._board.close()
+        self._board.close()
         self._drain_orphans()
 
     # ------------------------------------------------------------------
-    # Process-topology supervision
+    # Command phases and supervision
     # ------------------------------------------------------------------
     def _phase(
         self, msgs: List[Optional[tuple]], *, chaos: bool = False
@@ -1127,17 +993,19 @@ class ShardedService:
         """One scatter/collect roundtrip; ``None`` skips that shard.
 
         All commands go down every pipe before any reply is awaited —
-        the shards run the phase concurrently and the parent blocks on
-        the slowest.  A child-side error is re-raised only after *every*
-        outstanding reply is drained, so one failing shard never leaves
-        another's reply stranded in a pipe to desynchronize the next
-        phase.
+        process shards run the phase concurrently and the parent blocks
+        on the slowest; in-parent shards execute at collect time, one
+        after another.  A shard-side error is re-raised only after
+        *every* outstanding reply is drained, so one failing shard never
+        leaves another's reply stranded in a pipe to desynchronize the
+        next phase.  ``chaos`` routes the sends through the handles'
+        pool-dispatch fault hook (the verdict phase).
         """
         for handle, msg in zip(self._handles, msgs):
             if msg is None:
                 continue
             if chaos:
-                self._send_with_chaos(handle, msg)
+                handle.send_with_chaos(msg)
             else:
                 handle.send(msg)
         results: List[Any] = [None] * len(msgs)
@@ -1199,42 +1067,6 @@ class ShardedService:
             exc_cls = _CHILD_ERRORS.get(exc_name, RuntimeError)
             raise exc_cls(f"shard {shard} worker command failed:\n{tb}")
 
-    def _send_with_chaos(self, handle: Any, msg: tuple) -> None:
-        """Ship one verdict command through the chaos injector.
-
-        Reuses the pool-dispatch fault vocabulary keyed on (tick,
-        shard): ``kill`` strikes before the send (dispatch meets a dead
-        worker), ``kill_after`` right after (EOF mid-task); drop/hang
-        decorate the payload with flags only the child's *pipe loop*
-        honors — the canonical, undecorated command is what supervision
-        remembers and resends, so a retry replays the intended work.
-        """
-        injector = get_injector()
-        action = (
-            injector.pool_dispatch(int(msg[1]), handle.shard)
-            if injector.active
-            else None
-        )
-        if action is None:
-            handle.send(msg)
-            return
-        if action.delay:
-            time.sleep(action.delay)
-        if action.kill:
-            handle.terminate_child()
-        decorated = msg
-        if action.drop_reply or action.hang:
-            op, tick, payload = msg
-            payload = dict(payload)
-            if action.drop_reply:
-                payload["_drop_reply"] = True
-            if action.hang:
-                payload["_hang"] = action.hang
-            decorated = (op, tick, payload)
-        handle.send(decorated, canonical=msg)
-        if action.kill_after:
-            handle.terminate_child()
-
     def _note_respawn(self, shard: int, orphans: Iterable[str]) -> None:
         self._orphans.extend(orphans)
         self._respawned_since_dirty = True
@@ -1243,46 +1075,19 @@ class ShardedService:
     def _fallback_inline(self, shard: int) -> None:
         """Degrade ``shard`` to an in-parent serial worker.
 
-        The dead child's shm planes are adopted, copied onto the heap
-        (releasing the segments), and wrapped in a fresh deferred-advance
-        worker with conservatively invalidated caches; the in-flight
-        command is re-queued on the inline handle so the caller's
-        ``recv`` loop re-executes it locally.
+        The child is killed and its planes are hosted in-parent
+        (:meth:`~repro.online.procshard._ProcessShardHandle.degrade`),
+        with the in-flight command re-queued so the caller's ``recv``
+        loop re-executes it locally.
         """
         handle = self._handles[shard]
-        msg = handle.last_msg
         self._orphans.extend(handle.kill())
         self._respawned_since_dirty = True
-        cfg = self._config
-        planes = attach_store_planes(
-            handle.plane_name, handle.plane_capacity, self._dim
+        self._handles[shard] = handle.degrade(
+            Tracer(self._tracer.registry, enabled=self._tracer.enabled)
         )
-        adopted = DeviceStateStore.adopt_planes(
-            planes, cell=cfg.cell, shards=cfg.shards
-        )
-        state = adopted.state()
-        adopted.release_planes(unlink=True)
-        worker = _ShardWorker(
-            shard,
-            None,
-            None,
-            self._dim,
-            _serial_config(cfg),
-            Tracer(self._tracer.registry, enabled=self._tracer.enabled),
-            store=DeviceStateStore.from_state(state),
-            defer_advance=True,
-        )
-        _mark_recovered(worker)
-        inline = _InlineShardHandle(worker, self._map)
-        inline.send(msg)
-        self._handles[shard] = inline
-        self._gauge_degraded.set(
-            sum(
-                1
-                for h in self._handles
-                if isinstance(h, _InlineShardHandle)
-            )
-        )
+        self._degraded += 1
+        self._gauge_degraded.set(self._degraded)
 
     def _drain_orphans(self) -> None:
         """Unlink segments orphaned by kills — only after the tick's
@@ -1313,23 +1118,13 @@ class ShardedService:
     def shard_states(self) -> List[Tuple[Dict, Dict, Dict]]:
         """Per-shard ``(store_state, tracker_state, verdict_cache)``.
 
-        The sharded checkpoint's consistent cut, topology-agnostic:
-        under the process topology the ``state`` command first rolls any
-        deferred tick advance, so the captured states are bit-identical
-        to what the thread topology would hand over between ticks.
+        The sharded checkpoint's consistent cut, topology-agnostic: the
+        ``state`` command first rolls any deferred tick advance, so the
+        captured states are those of completed ticks.
         """
-        if self._process:
-            return self._phase(
-                [("state", self._tick, {}) for _ in range(self._map.n_shards)]
-            )
-        return [
-            (
-                worker.store.state(),
-                worker.tracker.state(),
-                dict(worker.verdict_stage.cache),
-            )
-            for worker in self._workers
-        ]
+        return self._phase(
+            [("state", self._tick, {}) for _ in range(self._map.n_shards)]
+        )
 
     def load_shard_states(self, parts) -> None:
         """Reinstate per-shard states from checkpoint parts, in shard order.
@@ -1338,7 +1133,7 @@ class ShardedService:
         cross-tick perf caches start cold.  The device→shard owner map
         is rebuilt from the parts' id columns at the front door —
         placement is part of the stores' state, never recomputed from
-        positions — so neither topology needs a post-restore roundtrip.
+        positions — so the map needs no roundtrip of its own.
         """
         owner: Dict[int, int] = {}
         for shard, part in enumerate(parts):
@@ -1350,31 +1145,20 @@ class ShardedService:
             ids = np.asarray(part.store_state["id_of"])
             for device in ids[ids >= 0].tolist():
                 owner[int(device)] = shard
-        if self._process:
-            self._phase(
-                [
-                    (
-                        "restore",
-                        0,
-                        {
-                            "store": part.store_state,
-                            "tracker": part.tracker_state,
-                            "verdicts": part.verdicts,
-                        },
-                    )
-                    for part in parts
-                ]
-            )
-        else:
-            for worker, part in zip(self._workers, parts):
-                store = DeviceStateStore.from_state(part.store_state)
-                worker.store = store
-                worker.tracker.restore_state(part.tracker_state)
-                worker.verdict_stage.cache = dict(part.verdicts)
-                worker.verdict_stage.last_cache = None
-                worker.transition_stage.last_transition = None
-                rows = np.nonzero(store.verdict_codes() != NO_VERDICT)[0]
-                worker._verdict_rows = rows if rows.size else None
+        self._phase(
+            [
+                (
+                    "restore",
+                    0,
+                    {
+                        "store": part.store_state,
+                        "tracker": part.tracker_state,
+                        "verdicts": part.verdicts,
+                    },
+                )
+                for part in parts
+            ]
+        )
         self._owner = owner
 
     # ------------------------------------------------------------------
@@ -1383,40 +1167,46 @@ class ShardedService:
     def join(
         self, device: int, position: Sequence[float], flagged: bool = False
     ) -> int:
-        """Admit a device on the shard owning its cell; returns the shard."""
+        """Admit a device on the shard owning its cell; returns the shard.
+
+        A flagged join's cell is folded into the front door's dirty
+        insurance (see :meth:`_migrate`) as well as the shard's own.
+        """
         device = int(device)
         if device in self._owner:
             raise ConfigurationError(f"device {device} is already stored")
         pos = np.asarray(position, dtype=float)
         key = np.floor(pos / self._config.cell).astype(np.int64)
         shard = int(self._map.shard_of_keys(key[None, :])[0])
-        if self._process:
-            self._phase_one(
-                shard,
-                (
-                    "join",
-                    self._tick + 1,
-                    {
-                        "device": device,
-                        "position": pos,
-                        "flagged": bool(flagged),
-                    },
-                ),
-            )
-        else:
-            self._workers[shard].store.join(device, pos, flagged)
+        self._phase_one(
+            shard,
+            (
+                "join",
+                self._tick + 1,
+                {"device": device, "position": pos, "flagged": bool(flagged)},
+            ),
+        )
+        if flagged:
+            self._mover_cells.append(key[None, :])
         self._owner[device] = shard
         return shard
 
     def leave(self, device: int) -> int:
-        """Evict a device from its owning shard; returns the shard."""
+        """Evict a device from its owning shard; returns the shard.
+
+        A flagged device's reply carries its ``(prev, cur)`` endpoints,
+        folded into the front door's dirty insurance: if the shard's
+        worker dies before the next halo phase, the store's own record
+        of those cells dies with it.
+        """
         shard = self.shard_of(device)
-        if self._process:
-            self._phase_one(
-                shard, ("leave", self._tick + 1, {"device": int(device)})
+        ends = self._phase_one(
+            shard, ("leave", self._tick + 1, {"device": int(device)})
+        )
+        if ends is not None:
+            self._mover_cells.append(
+                np.floor(ends / self._config.cell).astype(np.int64)
             )
-        else:
-            self._workers[shard].store.leave(int(device))
         del self._owner[int(device)]
         return shard
 
@@ -1483,11 +1273,9 @@ class ShardedService:
     def _apply_segment(self, segment: List[QosUpdate]) -> int:
         """Apply one duplicate-free run, one row batch per owning shard.
 
-        Routing and input validation happen here at the front door in
-        both topologies (identical rejection counters); the thread path
-        then applies rows directly, while the process path ships
-        *global device ids* down the pipes — row numbers are a private
-        concern of whichever child currently hosts the partition.
+        Routing and input validation happen here at the front door; the
+        ``events`` commands carry *global device ids* — row numbers are
+        a private concern of whichever worker hosts the partition.
         """
         dim = self._dim
         by_shard: Dict[int, List[QosUpdate]] = {}
@@ -1532,25 +1320,13 @@ class ShardedService:
                 dtype=np.int64,
                 count=len(kept),
             )
-            if self._process:
-                msgs[shard] = (
-                    "events",
-                    self._tick + 1,
-                    {"ids": ids, "positions": positions, "flags": flags},
-                )
-            else:
-                worker = self._workers[shard]
-                rows = np.fromiter(
-                    (worker.store.row_of(int(j)) for j in ids.tolist()),
-                    dtype=np.int64,
-                    count=ids.shape[0],
-                )
-                applied = worker.store.apply_rows(rows, positions, flags)
-                worker.tracker.mark_batch(
-                    applied, was_relevant=applied.was_flagged
-                )
+            msgs[shard] = (
+                "events",
+                self._tick + 1,
+                {"ids": ids, "positions": positions, "flags": flags},
+            )
             total += len(kept)
-        if self._process and any(msg is not None for msg in msgs):
+        if any(msg is not None for msg in msgs):
             self._phase(msgs)
         return total
 
@@ -1567,43 +1343,19 @@ class ShardedService:
         handover uses :meth:`DeviceStateStore.admit` — a plain ``join``
         would restart the trajectory as stationary and erase the very
         move that crossed the border.
-        """
-        if self._process:
-            return self._migrate_process()
-        moves: List[Tuple[int, int, int]] = []
-        for shard, worker in enumerate(self._workers):
-            store = worker.store
-            ids = np.asarray(store.row_ids())
-            alive_rows = np.nonzero(ids >= 0)[0]
-            if alive_rows.size == 0:
-                continue
-            keys = store.index.keys_of_rows(alive_rows)
-            dest = self._map.shard_of_keys(keys)
-            off = np.nonzero(dest != shard)[0]
-            for i in off.tolist():
-                moves.append((shard, int(dest[i]), int(alive_rows[i])))
-        for src, dst, row in moves:
-            device, prev, cur, flagged, code = self._workers[
-                src
-            ].store.row_state(row)
-            self._workers[src].store.leave(device)
-            self._workers[dst].store.admit(device, prev, cur, flagged, code)
-            self._owner[device] = dst
-        return len(moves)
 
-    def _migrate_process(self) -> int:
-        """Cross-shard handover over the pipes, in three idempotent phases.
-
-        ``movers`` is scan-only, so the parent holds the full handover
-        records before any store mutates; ``migrate_out`` then evicts
-        (leave-if-present) and ``migrate_in`` admits (admit-if-absent) —
-        each phase replays safely after a kill+respawn at any point.
-        The parent also folds every mover's trajectory-endpoint cells
-        into this tick's and the next tick's dirty union
-        (``_mover_cells`` / ``_mover_carry``): if the *source* shard is
-        respawned later this tick, the departed device exists in neither
-        of its recovered planes, so conservative plane-scan invalidation
-        alone would miss the cells its move touched.
+        Three idempotent phases: ``movers`` is scan-only, so the parent
+        holds the full handover records before any store mutates;
+        ``migrate_out`` then evicts (leave-if-present) and
+        ``migrate_in`` admits (admit-if-absent) — each phase replays
+        safely after a kill+respawn at any point.  The parent also folds
+        every mover's trajectory-endpoint cells into this tick's and the
+        next tick's dirty union (``_mover_cells`` / ``_mover_carry``):
+        if the *source* shard is respawned later this tick, the departed
+        device exists in neither of its recovered planes, so
+        conservative plane-scan invalidation alone would miss the cells
+        its move touched.  Flagged joins and leaves ride the same
+        insurance.
         """
         tick = self._tick + 1
         n_shards = self._map.n_shards
@@ -1641,17 +1393,9 @@ class ShardedService:
     def _gather_current(self) -> np.ndarray:
         """Current positions gathered into one global-id-indexed frame."""
         frame = np.zeros((self.n, self._dim), dtype=float)
-        if self._process:
-            for ids, positions in self._query("frame"):
-                if ids.size:
-                    frame[ids] = positions
-            return frame
-        for worker in self._workers:
-            store = worker.store
-            ids = np.asarray(store.row_ids())
-            alive_rows = np.nonzero(ids >= 0)[0]
-            if alive_rows.size:
-                frame[ids[alive_rows]] = store.current_positions()[alive_rows]
+        for ids, positions in self._query("frame"):
+            if ids.size:
+                frame[ids] = positions
         return frame
 
     def feed_snapshot(
@@ -1678,46 +1422,22 @@ class ShardedService:
                 f"flags incompatible with dim {self._dim}"
             )
         self._ingest_stage.run(self._tracer)
-        applied_rows = 0
-        if self._process:
-            name, rows, _ = self._board.publish(current, flags_arr)
-            try:
-                counts = self._phase(
-                    [
-                        (
-                            "frame",
-                            self._tick + 1,
-                            {"board": name, "rows": rows, "live": [name]},
-                        )
-                        for _ in range(self._map.n_shards)
-                    ]
-                )
-            except DimensionMismatchError:
-                self._reject("dimension-mismatch")
-                raise
-            applied_rows = sum(int(count) for count in counts)
-        else:
-            for worker in self._workers:
-                store = worker.store
-                ids = np.asarray(store.row_ids())
-                alive_rows = np.nonzero(ids >= 0)[0]
-                if alive_rows.size == 0:
-                    continue
-                alive_ids = ids[alive_rows]
-                if int(alive_ids.max()) >= current.shape[0]:
-                    self._reject("dimension-mismatch")
-                    raise DimensionMismatchError(
-                        "snapshot frame rows do not cover the fleet's "
-                        "global id range; feed churned populations "
-                        "through ingest/join/leave"
+        name, rows, _ = self._board.publish(current, flags_arr)
+        try:
+            counts = self._phase(
+                [
+                    (
+                        "frame",
+                        self._tick + 1,
+                        {"board": name, "rows": rows, "live": [name]},
                     )
-                sub_cur = store.current_positions().copy()
-                sub_flags = store.flag_vector().copy()
-                sub_cur[alive_rows] = current[alive_ids]
-                sub_flags[alive_rows] = flags_arr[alive_ids]
-                applied_rows += worker.index_stage.apply_diff(
-                    sub_cur, sub_flags, worker.tracer
-                )
+                    for _ in range(self._map.n_shards)
+                ]
+            )
+        except DimensionMismatchError:
+            self._reject("dimension-mismatch")
+            raise
+        applied_rows = sum(int(count) for count in counts)
         if applied_rows:
             self.stats.updates_applied += applied_rows
             self._applied_since_tick += applied_rows
@@ -1783,10 +1503,7 @@ class ShardedService:
         self._applied_since_tick = 0
         self._tick += 1
 
-        if self._process:
-            results, dirty_cells, halo_bytes = self._tick_process(tracer)
-        else:
-            results, dirty_cells, halo_bytes = self._tick_threads(tracer)
+        results, dirty_cells, halo_bytes = self._tick_shards(tracer)
 
         verdicts: Dict[int, Characterization] = {}
         flagged: List[int] = []
@@ -1848,111 +1565,35 @@ class ShardedService:
             )
         return result
 
-    def _tick_threads(
+    def _tick_shards(
         self, tracer: Tracer
     ) -> Tuple[List[Dict[str, Any]], np.ndarray, int]:
-        """Thread-topology tick: shared-memory in the literal sense."""
-        tick = self._tick
-        with tracer.span("dirty-region"):
-            dirty_cells = union_cells(
-                [
-                    worker.tracker.finish_cells(worker.store)
-                    for worker in self._workers
-                ]
-            )
+        """The tick's halo barrier and verdicts over shm rings.
 
-        halo_bytes = 0
-        with tracer.span("halo-exchange"):
-            for worker in self._workers:
-                worker.publish_halo(self._map, seq=tick)
-            halo_rings = self._map.halo_rings
-            halos: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-            for consumer in self._workers:
-                ids_parts: List[np.ndarray] = []
-                prev_parts: List[np.ndarray] = []
-                cur_parts: List[np.ndarray] = []
-                for producer in self._workers:
-                    if producer.shard == consumer.shard:
-                        continue
-                    channel = producer.channel
-                    if channel.ids.size == 0:
-                        continue
-                    dist = self._map.box_distance(
-                        channel.keys, consumer.shard
-                    )
-                    mask = (dist > 0) & (dist <= halo_rings)
-                    if not mask.any():
-                        continue
-                    prev_band, cur_band = channel.read(expected_seq=tick)
-                    ids_parts.append(channel.ids[mask])
-                    prev_parts.append(prev_band[mask])
-                    cur_parts.append(cur_band[mask])
-                    halo_bytes += int(mask.sum()) * self._dim * 16
-                if ids_parts:
-                    halos.append(
-                        (
-                            np.concatenate(ids_parts),
-                            np.concatenate(prev_parts),
-                            np.concatenate(cur_parts),
-                        )
-                    )
-                else:
-                    halos.append(
-                        (
-                            np.empty(0, dtype=np.int64),
-                            np.empty((0, self._dim), dtype=np.float64),
-                            np.empty((0, self._dim), dtype=np.float64),
-                        )
-                    )
-
-        def run_one(shard: int) -> TickContext:
-            worker = self._workers[shard]
-            ids, prev_band, cur_band = halos[shard]
-            worker.transition_stage.stage_halo(ids, prev_band, cur_band)
-            ctx = TickContext(tick=tick, dirty_cells=dirty_cells)
-            return worker.run_tick(ctx)
-
-        if self._executor is not None:
-            contexts = list(
-                self._executor.map(run_one, range(self._map.n_shards))
-            )
-        else:
-            contexts = [run_one(s) for s in range(self._map.n_shards)]
-        results = [
-            _ctx_result(worker, ctx)
-            for worker, ctx in zip(self._workers, contexts)
-        ]
-        return results, dirty_cells, halo_bytes
-
-    def _tick_process(
-        self, tracer: Tracer
-    ) -> Tuple[List[Dict[str, Any]], np.ndarray, int]:
-        """Process-topology tick: overlapped halo barrier over shm rings.
-
-        The ``halo`` phase makes every child publish its boundary band
+        The ``halo`` phase makes every shard publish its boundary band
         (seq-stamped with the tick) and reply with its dirty cells and
         ring metadata; while the parent unions the dirty sets and
-        computes per-consumer halo masks, the children overlap by
+        computes per-consumer halo masks, process children overlap by
         pre-gathering their owned-row planes (:meth:`prestage`).  The
-        ``verdict`` phase then ships segment *names* — each child gates
+        ``verdict`` phase then ships segment *names* — each shard gates
         on the publisher's sequence header before copying its band, so a
         slow publisher delays only its consumers' barrier and can never
         hand them a stale band.
 
         Three parent-side insurances widen the dirty union beyond the
-        children's reports: mover endpoint cells for this tick and the
-        next (a respawned source shard has no trace of departed
-        devices), and — after any respawn or degrade since the last
-        union — the previous tick's whole dirty union, which is a
+        shards' reports: mover and flagged-membership endpoint cells for
+        this tick and the next (a respawned shard has no trace of
+        departed devices), and — after any respawn or degrade since the
+        last union — the previous tick's whole dirty union, which is a
         superset of the carry set the dead child's tracker lost.
         """
         tick = self._tick
         n_shards = self._map.n_shards
         dim = self._dim
         with tracer.span("halo-exchange"):
-            # The halo-delay fault is consulted here, in the parent (a
-            # forked child's injector counts would be invisible), and
-            # shipped as a reply stall: the child publishes its band
+            # The halo-delay fault is consulted here, once, in the parent
+            # (a forked child's injector counts would be invisible), and
+            # shipped as a reply stall: the shard publishes its band
             # first and sleeps before replying, so the fault delays only
             # the barrier — the seq gate proves consumers still read a
             # whole, current band.

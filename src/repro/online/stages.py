@@ -78,10 +78,10 @@ class TickContext:
     *cache key* (global id).  ``dirty_cells`` is a sorted ``(k, d)``
     int64 array of cell keys.
 
-    The context itself never crosses a process boundary: a process-shard
-    child builds it from the ``verdict`` command's payload (tick plus
-    the global dirty-cell union) and ships back only the plain result
-    dict distilled by :func:`repro.online.sharded._ctx_result`, so every
+    The context itself never crosses a process boundary: a shard worker
+    builds it from the ``verdict`` command's payload (tick plus the
+    global dirty-cell union) and replies only the plain result dict
+    distilled by :func:`repro.online.procshard._ctx_result`, so every
     field here may hold arbitrarily large arrays without ever being
     pickled down a pipe.
     """

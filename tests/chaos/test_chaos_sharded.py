@@ -64,10 +64,8 @@ class TestShardWorkerKill:
         with OnlineCharacterizationService(base.copy(), CFG) as single:
             clean = _history(single, base, ticks=5, seed=77)
 
-        sharded = ShardedService(
-            base.copy(), CFG, topology_shards=2, parallel=False
-        )
-        victim = sharded.workers[0]
+        sharded = ShardedService(base.copy(), CFG, topology_shards=2)
+        victim = sharded.handles[0].inner
         victim.engine.close()
         victim.engine = CharacterizationEngine(
             EngineConfig(
@@ -151,12 +149,19 @@ class TestProcessShardKill:
             ]
             assert len(degraded) == 1
             assert degraded[0].shard == 1
+            gauge = sharded.tracer.registry.gauge(
+                "repro_topology_degraded_shards"
+            )
+            assert gauge.value == 1
             assert chaotic == clean
         finally:
             sharded.close()
 
 
 class TestShardedFrameCorruption:
+    #: Where the shards run; the process twin below reruns every test.
+    WORKERS = "inline"
+
     def _raw(self, validation, n=24, seed=0):
         rng = np.random.default_rng(seed)
         base = rng.random((n, 2))
@@ -164,7 +169,7 @@ class TestShardedFrameCorruption:
             base,
             ServiceConfig(r=0.05, tau=2, validation=validation),
             topology_shards=4,
-            parallel=False,
+            topology_workers=self.WORKERS,
             detector=DetectorSpec("step", {"max_step": 0.2}),
             detection="bank",
         )
@@ -200,9 +205,13 @@ class TestShardedFrameCorruption:
                 tick = service.feed_measurements(drift)
             assert tick.tick == 2
             assert service.rejected == {"nan": 1, "out-of-range": 1}
-            for worker in service.workers:
-                positions = worker.store.current_positions()
+            for store_state, _, _ in service.shard_states():
+                positions = np.asarray(store_state["cur"])
                 assert np.isfinite(positions).all()
                 assert ((positions >= 0) & (positions <= 1)).all()
         finally:
             service.close()
+
+
+class TestShardedFrameCorruptionProcess(TestShardedFrameCorruption):
+    WORKERS = "process"

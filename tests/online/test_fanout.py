@@ -11,7 +11,7 @@ here compares against a test-local brute-force reference:
   random key sets in dims 1-3 with rings 0-4,
   empty probe/cell sets, keys at cell 0 and at the cube's top cell, and
   both fallback routes (forced, and a genuinely tiny cell in d=3);
-* the single service and the thread-sharded service on randomized
+* the single service and the inline-sharded service on randomized
   streams with churn and LIFO-recycled ids: on every tick the affected
   set must equal "devices within ``rings`` cells of a dirty cell"
   intersected with the verdict targets (and the two topologies must
@@ -336,7 +336,7 @@ class TestMembershipInvalidation:
         assert self.survivors(tick) == {0: "isolated", 1: "isolated"}
         assert set(tick.recomputed) == {0, 1}
 
-    @pytest.mark.parametrize("workers", ["thread", "process"])
+    @pytest.mark.parametrize("workers", ["inline", "process"])
     def test_sharded_leave_and_join(self, workers):
         svc = massive_group_service(
             lambda pts: ShardedService(
@@ -353,6 +353,37 @@ class TestMembershipInvalidation:
             svc.join(2, (0.2021, 0.2013), True)
             tick = svc.end_tick()
             assert self.survivors(tick) == dict.fromkeys((0, 1, 2), "massive")
+        finally:
+            svc.close()
+
+    @pytest.mark.parametrize("workers", ["inline", "process"])
+    def test_flagged_leave_survives_a_shard_kill(self, workers):
+        """A flagged leave still dirties its cells if the departed
+        device's shard dies before the next tick.
+
+        Devices 2 and 3 (shard 0) and 0 and 1 (shard 1) straddle the
+        shard seam; 2 and 3 leave, then shard 0's child is killed.  Its
+        respawn has no trace of the departed rows, so only the leave
+        replies, folded in at the front door, dirty the seam."""
+
+        def build(pts):
+            pts[:4] = [(0.545, 0.2), (0.547, 0.201),
+                       (0.535, 0.2), (0.533, 0.202)]
+            return ShardedService(
+                pts, self.CFG, topology_shards=2, topology_workers=workers
+            )
+
+        svc = massive_group_service(build)
+        try:
+            assert [svc.shard_of(j) for j in range(4)] == [1, 1, 0, 0]
+            svc.leave(3)
+            svc.leave(2)
+            if workers == "process":
+                svc.handles[0].terminate_child()
+            assert self.survivors(svc.end_tick()) == {
+                0: "isolated",
+                1: "isolated",
+            }
         finally:
             svc.close()
 
