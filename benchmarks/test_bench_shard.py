@@ -150,7 +150,7 @@ def _scaling_rows(n, ticks, seed, topology, shard_counts, churn=100):
     """Drive the identical stream per shard count; emit efficiency rows.
 
     Speedup and parallel efficiency are relative to the 1-shard run of
-    the *same* topology, so process-spawn overhead never flatters the
+    the *same* topology, so process startup overhead never flatters the
     inline numbers (or vice versa).
     """
     frames = _stream(n, ticks, seed)

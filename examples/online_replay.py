@@ -5,7 +5,7 @@ Part 1 — replay: the same two-day, 120-gateway trace as
 ``trace_replay.py`` (diurnal cycles, one massive outage, one flaky
 gateway), but driven through the *online* pipeline: detectors turn
 consecutive snapshots into report-on-change events, the service applies
-them to its sharded store, invalidates only the verdicts whose ``4r``
+them to its columnar store, invalidates only the verdicts whose ``4r``
 neighbourhoods the events touched, and serves the rest from cache —
 while staying verdict-identical to batch recharacterization.
 
@@ -59,7 +59,7 @@ def replay_part() -> None:
     metrics = MetricsSink()
     service = OnlineCharacterizationService(
         trace[0].qos,
-        ServiceConfig(r=0.03, tau=3, shards=8),
+        ServiceConfig(r=0.03, tau=3),
         sinks=(reports, metrics),
     )
     result = replay_trace_online(
@@ -95,7 +95,7 @@ def load_part() -> None:
     generator = LoadGenerator(profile)
     service = OnlineCharacterizationService(
         generator.initial_positions(),
-        ServiceConfig(r=0.02, tau=3, shards=16, max_batch=512),
+        ServiceConfig(r=0.02, tau=3, max_batch=512),
     )
     result = drive_load(service, generator, ticks=20)
     stats = service.stats

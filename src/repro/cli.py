@@ -9,7 +9,7 @@ Usage::
     python -m repro.cli run all --steps 2 --seeds 0
     python -m repro.cli serve --devices 10000 --ticks 20 --churn 0.01
     python -m repro.cli serve --metrics-port 9100 --log-json
-    python -m repro.cli replay --trace trace.jsonl --store-shards 8
+    python -m repro.cli replay --trace trace.jsonl --batch 512
     python -m repro.cli serve --devices 100000 --topology-shards 4
     python -m repro.cli metrics --url http://127.0.0.1:9100
 
@@ -25,9 +25,8 @@ optional coordinated bursts) through the online characterization service
 and prints per-tick and aggregate figures; ``replay`` runs a detector
 bank over a recorded JSON-lines QoS trace (or a generated synthetic one)
 and feeds the resulting event stream through the same service.  Both
-accept ``--store-shards`` / ``--batch`` / ``--backend`` to exercise the
-service's sharding, batching and execution knobs (``--shards`` survives
-as a deprecated alias), ``--topology-shards N`` to scale out across N
+accept ``--batch`` / ``--backend`` to exercise the service's batching
+and execution knobs, ``--topology-shards N`` to scale out across N
 spatial shards with halo exchange, plus ``--detector`` /
 ``--detection`` and per-family knobs selecting the error detection
 function ``a_k(j)`` (step, band, ewma, shewhart, cusum, holt-winters,
@@ -139,29 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --backend process",
     )
 
-    class _DeprecatedStoreShards(argparse.Action):
-        """``--shards`` alias for ``--store-shards``, with a warning."""
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            print(
-                "warning: --shards is deprecated; use --store-shards "
-                "(store-internal hash shards) or --topology-shards "
-                "(spatial shards)",
-                file=sys.stderr,
-            )
-            setattr(namespace, self.dest, values)
-
     def add_service_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument("--r", type=float, default=0.03, help="impact radius")
         sub_parser.add_argument("--tau", type=int, default=3, help="density threshold")
-        sub_parser.add_argument(
-            "--store-shards", dest="store_shards", type=int, default=8,
-            help="hash shards inside each device-state store",
-        )
-        sub_parser.add_argument(
-            "--shards", dest="store_shards", type=int,
-            action=_DeprecatedStoreShards, help=argparse.SUPPRESS,
-        )
         sub_parser.add_argument(
             "--topology-shards", type=int, default=0,
             help="spatial shards with halo exchange (0 = single service)",
@@ -428,7 +407,6 @@ def _service_config(args: argparse.Namespace):
     return ServiceConfig(
         r=args.r,
         tau=args.tau,
-        shards=args.store_shards,
         queue_capacity=args.queue,
         max_batch=args.batch,
         incremental=not args.full,
@@ -552,12 +530,10 @@ def _run_serve(args: argparse.Namespace) -> int:
         LoadProfile,
         MetricsSink,
         OnlineCharacterizationService,
-        ShardedCheckpointWriter,
         ShardedService,
         drive_load,
         drive_load_measurements,
         latest_checkpoint,
-        latest_sharded_checkpoint,
         restore_service,
         restore_sharded_service,
     )
@@ -585,17 +561,11 @@ def _run_serve(args: argparse.Namespace) -> int:
         args,
         command="serve",
         devices=args.devices,
-        shards=args.store_shards,
         topology_shards=args.topology_shards,
     )
-    if args.checkpoint_dir:
-        resume = (
-            latest_sharded_checkpoint(args.checkpoint_dir)
-            if sharded
-            else latest_checkpoint(args.checkpoint_dir)
-        )
-    else:
-        resume = None
+    resume = (
+        latest_checkpoint(args.checkpoint_dir) if args.checkpoint_dir else None
+    )
     try:
         if resume is not None:
             # A previous run left a checkpoint behind: rebuild the
@@ -639,11 +609,8 @@ def _run_serve(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             if args.checkpoint_dir:
-                writer_cls = (
-                    ShardedCheckpointWriter if sharded else CheckpointWriter
-                )
                 service.add_sink(
-                    writer_cls(
+                    CheckpointWriter(
                         service,
                         args.checkpoint_dir,
                         every=args.checkpoint_every,
@@ -676,9 +643,8 @@ def _run_serve(args: argparse.Namespace) -> int:
                 )
                 print(
                     f"serve: n={args.devices} ticks={args.ticks} "
-                    f"churn={args.churn:.2%} store-shards={args.store_shards}"
-                    f"{topo} backend={args.backend} mode={mode} "
-                    f"flags={flag_source}"
+                    f"churn={args.churn:.2%}{topo} backend={args.backend} "
+                    f"mode={mode} flags={flag_source}"
                 )
             ticks_left = max(0, args.ticks - start_tick)
             if args.raw:
@@ -722,12 +688,9 @@ def _run_replay(args: argparse.Namespace) -> int:
     from repro.online import (
         CheckpointWriter,
         OnlineCharacterizationService,
-        ShardedCheckpointWriter,
         ShardedService,
         latest_checkpoint,
-        latest_sharded_checkpoint,
         load_checkpoint,
-        load_sharded_checkpoint,
         replay_trace_online,
         restore_service,
         restore_sharded_service,
@@ -774,7 +737,6 @@ def _run_replay(args: argparse.Namespace) -> int:
     logger = _json_logger(
         args,
         command="replay",
-        shards=args.store_shards,
         topology_shards=args.topology_shards,
     )
     if logger is not None:
@@ -789,7 +751,7 @@ def _run_replay(args: argparse.Namespace) -> int:
             f" topology-shards={args.topology_shards}" if sharded else ""
         )
         print(
-            f"replay: {source} store-shards={args.store_shards}{topo} "
+            f"replay: {source}{topo} "
             f"mode={mode} detector={args.detector}/{args.detection}"
         )
     result = None
@@ -799,19 +761,14 @@ def _run_replay(args: argparse.Namespace) -> int:
             # Checkpointed replay: the external detector bank rides in
             # the checkpoint's extra blob so a resumed run flags exactly
             # what the uninterrupted one would have.
-            resume = (
-                latest_sharded_checkpoint(args.checkpoint_dir)
-                if sharded
-                else latest_checkpoint(args.checkpoint_dir)
-            )
+            resume = latest_checkpoint(args.checkpoint_dir)
             if resume is not None:
+                ckpt = load_checkpoint(resume)
                 if sharded:
-                    ckpt = load_sharded_checkpoint(resume)
                     service = restore_sharded_service(
                         ckpt, topology_workers=args.topology_workers
                     )
                 else:
-                    ckpt = load_checkpoint(resume)
                     service = restore_service(ckpt)
                 bank = ckpt.extra.get("replay_bank")
                 skip = min(service.current_tick, len(trace) - 1)
@@ -841,11 +798,8 @@ def _run_replay(args: argparse.Namespace) -> int:
                     r=service.config.r,
                 )
                 skip = 0
-            writer_cls = (
-                ShardedCheckpointWriter if sharded else CheckpointWriter
-            )
             service.add_sink(
-                writer_cls(
+                CheckpointWriter(
                     service,
                     args.checkpoint_dir,
                     every=args.checkpoint_every,

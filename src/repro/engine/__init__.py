@@ -4,16 +4,14 @@ One :class:`CharacterizationEngine` serves every driver loop in the
 repository (simulator, experiment runner, network monitor, streaming
 pipeline): vectorized batch neighbourhood computation, a motion cache
 shared across devices and across repeated calls on a transition, and a
-choice of ``serial``, persistent-pool ``process`` or per-call
-``process-spawn`` execution.  See DESIGN.md, sections "Engine
-architecture" and "Persistent worker pool".
+choice of ``serial`` or persistent-pool ``process`` execution.  See
+DESIGN.md, sections "Engine architecture" and "Persistent worker pool".
 """
 
 from repro.engine.backends import (
     BackendRun,
     ExecutionBackend,
     SerialBackend,
-    SpawnProcessBackend,
     WorkerPoolBackend,
     make_backend,
 )
@@ -29,7 +27,6 @@ __all__ = [
     "EngineStats",
     "ExecutionBackend",
     "SerialBackend",
-    "SpawnProcessBackend",
     "WorkerPoolBackend",
     "make_backend",
 ]

@@ -5,8 +5,8 @@ devices, produce the verdict of every device.  The *serial* backend is the
 seed behaviour — one :class:`~repro.core.characterize.Characterizer`, one
 pass.  Characterization is embarrassingly parallel across devices (the
 paper's locality result is precisely that device ``j``'s verdict depends
-only on trajectories within ``4r`` of ``j``), so the parallel backends
-need no worker coordination:
+only on trajectories within ``4r`` of ``j``), so the parallel backend
+needs no worker coordination:
 
 * ``process`` (:class:`WorkerPoolBackend`) keeps a **persistent** pool of
   worker processes alive across :meth:`~ExecutionBackend.run` calls.
@@ -29,9 +29,6 @@ need no worker coordination:
   re-seeded per tick via :meth:`MotionCache.carry_from` with the caller's
   clean set (devices outside the dirty cell-rings), which extends the
   online service's cross-tick motion-family reuse to multi-core runs.
-* ``process-spawn`` (:class:`SpawnProcessBackend`) is the old
-  spawn-a-``multiprocessing.Pool``-per-call strategy, kept as the
-  benchmark baseline the persistent pool is measured against.
 
 Verdicts are deterministic functions of the transition, so every backend
 returns bit-identical results — the engine equivalence tests enforce it.
@@ -79,7 +76,6 @@ __all__ = [
     "BackendRun",
     "ExecutionBackend",
     "SerialBackend",
-    "SpawnProcessBackend",
     "WorkerPoolBackend",
     "make_backend",
 ]
@@ -171,80 +167,6 @@ class SerialBackend(ExecutionBackend):
             transition, cache=cache, **config.characterizer_kwargs()
         )
         return BackendRun(verdicts=characterizer.characterize_many(devices))
-
-
-# ----------------------------------------------------------------------
-# Spawn-per-call process backend (benchmark baseline).  Workers are
-# initialized once per *call* with the (pickled) transition and
-# characterizer kwargs; each then serves chunks with a private motion
-# cache that dies with the pool at the end of the call.
-# ----------------------------------------------------------------------
-_WORKER_CHARACTERIZER: Optional[Characterizer] = None
-
-
-def _init_worker(transition: Transition, kwargs: Dict[str, object]) -> None:
-    global _WORKER_CHARACTERIZER
-    _WORKER_CHARACTERIZER = Characterizer(transition, **kwargs)
-
-
-def _characterize_chunk(
-    devices: Sequence[int],
-) -> Tuple[List[Characterization], int]:
-    assert _WORKER_CHARACTERIZER is not None, "worker not initialized"
-    before = _WORKER_CHARACTERIZER.cache.expansions
-    verdicts = [_WORKER_CHARACTERIZER.characterize(device) for device in devices]
-    return verdicts, _WORKER_CHARACTERIZER.cache.expansions - before
-
-
-class SpawnProcessBackend(ExecutionBackend):
-    """Fan chunks out to a *fresh* ``multiprocessing.Pool`` per call.
-
-    This is the pre-pool strategy, kept selectable (``process-spawn``) as
-    the baseline ``benchmarks/test_bench_pool.py`` measures the
-    persistent :class:`WorkerPoolBackend` against: every call pays pool
-    startup plus a pickle of the full transition, and worker motion
-    caches never survive the call, so cross-tick reuse is impossible.
-    """
-
-    name = "process-spawn"
-
-    def run(
-        self,
-        transition: Transition,
-        devices: Sequence[int],
-        config: EngineConfig,
-        cache: Optional[MotionCache] = None,
-        *,
-        carry_clean: Optional[Sequence[int]] = None,
-    ) -> BackendRun:
-        devices = list(devices)
-        workers = config.workers or os.cpu_count() or 1
-        workers = min(workers, max(1, len(devices)))
-        if workers <= 1 or len(devices) < config.min_process_devices:
-            return SerialBackend().run(transition, devices, config, cache)
-        chunk = config.chunk_size or max(1, math.ceil(len(devices) / (4 * workers)))
-        chunks = [devices[i : i + chunk] for i in range(0, len(devices), chunk)]
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(transition, config.characterizer_kwargs()),
-        ) as pool:
-            chunk_results = pool.map(_characterize_chunk, chunks)
-        out: Dict[int, Characterization] = {}
-        expansions = 0
-        for verdicts, chunk_expansions in chunk_results:
-            expansions += chunk_expansions
-            for verdict in verdicts:
-                out[verdict.device] = verdict
-        return BackendRun(verdicts=out, expansions=expansions)
-
-    def plans_fanout(
-        self, devices: Sequence[int], config: EngineConfig
-    ) -> bool:
-        # The spawn backend ships the parent transition (with its warmed
-        # neighbourhood memo) to the workers, so the parent-side warm-up
-        # still pays off; never skip it.
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -1054,6 +976,4 @@ def make_backend(name: str) -> ExecutionBackend:
         return SerialBackend()
     if name == "process":
         return WorkerPoolBackend()
-    if name == "process-spawn":
-        return SpawnProcessBackend()
     raise ValueError(f"unknown backend {name!r}")  # pragma: no cover - guarded

@@ -26,9 +26,8 @@ from repro.core.errors import ConfigurationError
 __all__ = ["EngineConfig", "BACKENDS"]
 
 #: Names of the available execution backends.  ``process`` is the
-#: persistent shared-memory worker pool; ``process-spawn`` is the old
-#: spawn-a-pool-per-call strategy, kept as the benchmark baseline.
-BACKENDS = ("serial", "process", "process-spawn")
+#: persistent shared-memory worker pool.
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -41,24 +40,20 @@ class EngineConfig:
         ``"serial"`` (default) characterizes in-process; ``"process"``
         routes devices to a *persistent* shared-memory worker pool
         (:class:`~repro.engine.backends.WorkerPoolBackend`) that lives
-        until the engine is closed; ``"process-spawn"`` spawns a fresh
-        ``multiprocessing.Pool`` per call (the pre-pool baseline the
-        benchmarks compare against).
+        until the engine is closed.
     workers:
-        Worker-process count for the process backends; ``None`` lets
+        Worker-process count for the process backend; ``None`` lets
         the pool size itself to the machine (``os.cpu_count()``).
     chunk_size:
-        Devices per work unit.  For ``process-spawn``, ``None`` picks
-        ``ceil(|devices| / (4 * workers))`` so the pool load-balances
-        without drowning in pickling overhead.  For the persistent
-        ``process`` pool this is the *target devices per engaged worker*
-        (default 8): small ticks wake only as many workers as they can
-        feed (each engaged worker pays a per-tick transition rebuild),
+        The ``process`` pool's *target devices per engaged worker*
+        (``None`` means 8): small ticks wake only as many workers as
+        they can feed (each engaged worker pays a per-tick transition
+        rebuild),
         while large batches engage the whole pool with stable
         ``device % workers`` routing so each device keeps hitting the
         same worker's motion cache.
     min_process_devices:
-        Below this many devices the process backends silently degrade
+        Below this many devices the process backend silently degrades
         to serial execution — dispatch overhead would dominate the work.
         The serial fallback still consults the engine's shared motion
         cache, so cross-tick family reuse keeps working on small ticks.

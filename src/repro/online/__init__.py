@@ -8,7 +8,7 @@ This package keeps a live population warm instead:
   :class:`~repro.core.geometry.GridIndex`: insert / remove / move in
   O(1), query-identical by contract;
 * :class:`~repro.online.store.DeviceStateStore` — last two QoS snapshots
-  and flag state per device, sharded by grid cell;
+  and flag state per device, as columns;
 * :class:`~repro.online.dirty.DirtyRegionTracker` — maps a tick's
   updated cells to the flagged devices whose ``4r`` neighbourhoods could
   have changed (the paper's locality result read as an invalidation
@@ -40,22 +40,14 @@ from repro.online.recovery import (
     CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointWriter,
-    ShardedCheckpoint,
-    ShardedCheckpointWriter,
     checkpoint_path,
     latest_checkpoint,
-    latest_sharded_checkpoint,
     list_checkpoints,
-    list_sharded_checkpoints,
     load_checkpoint,
-    load_sharded_checkpoint,
     prune_checkpoints,
-    prune_sharded_checkpoints,
     restore_service,
     restore_sharded_service,
     save_checkpoint,
-    save_sharded_checkpoint,
-    sharded_manifest_path,
 )
 from repro.online.replay import (
     LoadGenerator,
@@ -95,6 +87,10 @@ from repro.online.stages import (
 )
 from repro.online.store import AppliedUpdate, DeviceStateStore
 
+# ``perfbench/run.py`` imports this name; the benchmark's own files are
+# only edited by benchmark changes, so the alias stays until one drops it.
+load_sharded_checkpoint = load_checkpoint
+
 __all__ = [
     "AppliedUpdate",
     "BACKPRESSURE_POLICIES",
@@ -120,8 +116,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "ShardMap",
-    "ShardedCheckpoint",
-    "ShardedCheckpointWriter",
     "ShardedService",
     "SinkStage",
     "TickContext",
@@ -134,17 +128,11 @@ __all__ = [
     "drive_load",
     "drive_load_measurements",
     "latest_checkpoint",
-    "latest_sharded_checkpoint",
     "list_checkpoints",
-    "list_sharded_checkpoints",
     "load_checkpoint",
-    "load_sharded_checkpoint",
     "prune_checkpoints",
-    "prune_sharded_checkpoints",
     "replay_trace_online",
     "restore_service",
     "restore_sharded_service",
     "save_checkpoint",
-    "save_sharded_checkpoint",
-    "sharded_manifest_path",
 ]

@@ -489,7 +489,6 @@ def _shard_child_main(
         store = DeviceStateStore.adopt_planes(
             planes,
             cell=cfg.cell,
-            shards=cfg.shards,
             planes_factory=factory,
         )
         worker = _ShardWorker(
@@ -733,7 +732,7 @@ class _ProcessShardHandle:
             self.plane_name, self.plane_capacity, self._dim
         )
         adopted = DeviceStateStore.adopt_planes(
-            planes, cell=cfg.cell, shards=cfg.shards
+            planes, cell=cfg.cell
         )
         state = adopted.state()
         adopted.release_planes(unlink=True)

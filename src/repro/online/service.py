@@ -119,10 +119,6 @@ class ServiceConfig:
     r, tau:
         Characterization parameters of every transition the service
         builds.
-    shards:
-        *Store* shard count — the hash-shard fan-out inside each
-        :class:`~repro.online.store.DeviceStateStore`, not the spatial
-        topology (that is ``ShardedService``'s ``topology_shards``).
     queue_capacity:
         Bound on the ingest queue.
     max_batch:
@@ -154,10 +150,7 @@ class ServiceConfig:
         tick and carry their private caches).  The decision is per
         *run*, not per backend name — any tick that degrades to the
         serial path (fewer devices than ``min_process_devices``) still
-        reuses through the shared cache, including under
-        ``process-spawn``, whose per-call workers are otherwise
-        unreachable by the carry (it is the benchmark baseline for
-        exactly that reason).
+        reuses through the shared cache.
     backend, workers, max_worker_tasks:
         Engine execution knobs (ignored when a shared engine is passed
         to the service directly); ``max_worker_tasks`` bounds a
@@ -186,7 +179,6 @@ class ServiceConfig:
 
     r: float = 0.03
     tau: int = 3
-    shards: int = 8
     queue_capacity: int = 65_536
     max_batch: Optional[int] = None
     backpressure: str = "block"
@@ -201,10 +193,6 @@ class ServiceConfig:
     validation: str = "strict"
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"store shards must be >= 1, got {self.shards!r}"
-            )
         if self.queue_capacity < 1:
             raise ConfigurationError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity!r}"
@@ -510,7 +498,7 @@ class OnlineCharacterizationService:
     ) -> None:
         cfg = config or ServiceConfig()
         self._setup(
-            DeviceStateStore(initial_positions, cell=cfg.cell, shards=cfg.shards),
+            DeviceStateStore(initial_positions, cell=cfg.cell),
             cfg,
             engine=engine,
             sinks=sinks,
@@ -650,7 +638,7 @@ class OnlineCharacterizationService:
 
     @property
     def store(self) -> DeviceStateStore:
-        """The sharded device-state store."""
+        """The columnar device-state store."""
         return self._store
 
     @property

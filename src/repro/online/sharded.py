@@ -560,7 +560,6 @@ class _ShardWorker:
             self.store = DeviceStateStore(
                 positions,
                 cell=cfg.cell,
-                shards=cfg.shards,
                 ids=ids,
                 planes_factory=planes_factory,
             )
@@ -571,7 +570,6 @@ class _ShardWorker:
             self.store = DeviceStateStore(
                 np.zeros((1, dim)),
                 cell=cfg.cell,
-                shards=cfg.shards,
                 planes_factory=planes_factory,
             )
             self.store.leave(0)
@@ -1102,15 +1100,20 @@ class ShardedService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def checkpoint(self, directory, *, extra=None):
-        """Write one consistent-cut sharded checkpoint under ``directory``."""
-        from repro.online.recovery import save_sharded_checkpoint
+    def checkpoint(self, path, *, extra=None):
+        """Write an atomic checkpoint of this service to ``path``.
 
-        return save_sharded_checkpoint(self, directory, extra=extra)
+        See :mod:`repro.online.recovery` for the format; returns the
+        published path.
+        """
+        from repro.online.recovery import save_checkpoint
+
+        return save_checkpoint(self, path, extra=extra)
 
     @classmethod
     def restore(cls, source, **kwargs) -> "ShardedService":
-        """Rebuild a sharded service from a checkpoint manifest."""
+        """Rebuild a sharded service from a checkpoint path (or loaded
+        object); see :func:`repro.online.recovery.restore_sharded_service`."""
         from repro.online.recovery import restore_sharded_service
 
         return restore_sharded_service(source, **kwargs)
@@ -1118,9 +1121,9 @@ class ShardedService:
     def shard_states(self) -> List[Tuple[Dict, Dict, Dict]]:
         """Per-shard ``(store_state, tracker_state, verdict_cache)``.
 
-        The sharded checkpoint's consistent cut, topology-agnostic: the
-        ``state`` command first rolls any deferred tick advance, so the
-        captured states are those of completed ticks.
+        The checkpoint's parts, wherever the shards run: the ``state``
+        command first rolls any deferred tick advance, so the captured
+        states are those of completed ticks.
         """
         return self._phase(
             [("state", self._tick, {}) for _ in range(self._map.n_shards)]
@@ -1137,11 +1140,6 @@ class ShardedService:
         """
         owner: Dict[int, int] = {}
         for shard, part in enumerate(parts):
-            if int(part.shard) != shard:
-                raise ConfigurationError(
-                    f"shard part order mismatch: slot {shard} got part "
-                    f"{part.shard}"
-                )
             ids = np.asarray(part.store_state["id_of"])
             for device in ids[ids >= 0].tolist():
                 owner[int(device)] = shard

@@ -3,8 +3,7 @@
 :class:`DeviceStateStore` is the service's system-state mirror: the last
 two QoS snapshots (the ``S_{k-1}`` / ``S_k`` pair a
 :class:`~repro.core.transition.Transition` needs), the flag bit
-``a_k(j)``, the last verdict code, and a spatial shard — for every
-device, as *columns*: two ``(capacity, d)`` position planes and a handful
+``a_k(j)`` and the last verdict code — for every device, as *columns*: two ``(capacity, d)`` position planes and a handful
 of ``(capacity,)`` vectors.  There is no per-device Python object
 anywhere in the store; a device is a row index.
 
@@ -50,47 +49,11 @@ __all__ = [
     "DeviceStateStore",
     "attach_store_planes",
     "shm_planes_factory",
-    "stable_cell_hash",
     "store_plane_fields",
 ]
 
 #: Verdict-code column value meaning "no verdict recorded".
 NO_VERDICT = np.int8(-1)
-
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer over a uint64 array (vectorized)."""
-    x = (x + _SPLITMIX_GAMMA).astype(np.uint64)
-    x ^= x >> np.uint64(30)
-    x *= _SPLITMIX_M1
-    x ^= x >> np.uint64(27)
-    x *= _SPLITMIX_M2
-    x ^= x >> np.uint64(31)
-    return x
-
-
-def stable_cell_hash(keys: np.ndarray) -> np.ndarray:
-    """Stable 64-bit hash of ``(k, d)`` integer cell keys.
-
-    Each signed coordinate is zig-zag packed into uint64 and folded
-    through the splitmix64 finalizer, one round per dimension.  The
-    result depends only on the key values — never on Python's tuple
-    hashing, which changed across interpreter versions and would move
-    shard placement under a restored checkpoint.
-    """
-    arr = np.atleast_2d(np.asarray(keys, dtype=np.int64))
-    # Zig-zag: map ..., -2, -1, 0, 1, 2, ... to 3, 1, 0, 2, 4, ...
-    packed = ((arr << 1) ^ (arr >> 63)).astype(np.uint64)
-    acc = np.full(packed.shape[0], np.uint64(0x8C2F9D3A6B41E875), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for axis in range(packed.shape[1]):
-            acc = _splitmix64(acc ^ packed[:, axis])
-    return acc
-
 
 # ----------------------------------------------------------------------
 # Shared-memory plane layout.
@@ -115,7 +78,6 @@ def store_plane_fields(dim: int):
         ("alive", np.bool_, ()),
         ("verdict", np.int8, ()),
         ("id_of", np.int64, ()),
-        ("shard", np.int64, ()),
     )
 
 
@@ -185,7 +147,7 @@ class AppliedBatch:
 
 
 class DeviceStateStore:
-    """Last two snapshots + flag state for ``n`` devices, grid-sharded.
+    """Last two snapshots + flag state for ``n`` devices.
 
     Parameters
     ----------
@@ -194,14 +156,8 @@ class DeviceStateStore:
         (every trajectory starts stationary).  Devices get ids (= rows)
         ``0..n-1``.
     cell:
-        Grid-cell side for the spatial index and shard assignment
-        (``max(2r, 1e-6)`` to match the transition indexes).
-    shards:
-        Number of shards; a device's shard is :func:`stable_cell_hash`
-        of its current grid cell modulo ``shards`` — spatial neighbours
-        co-locate, and placement is identical across Python versions,
-        processes and checkpoint restores.  Placement only labels
-        devices; no verdict depends on it.
+        Grid-cell side for the spatial index (``max(2r, 1e-6)`` to
+        match the transition indexes).
     ids:
         Optional explicit device ids for the initial rows (defaults to
         ``0..n-1``).  A sharded topology builds each partition store
@@ -214,7 +170,6 @@ class DeviceStateStore:
         initial_positions: np.ndarray,
         *,
         cell: float,
-        shards: int = 8,
         ids: Optional[np.ndarray] = None,
         planes_factory=None,
     ) -> None:
@@ -222,10 +177,6 @@ class DeviceStateStore:
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise DimensionMismatchError(
                 "initial_positions must be a non-empty (n, d) array"
-            )
-        if shards < 1:
-            raise ConfigurationError(
-                f"store shards must be >= 1, got {shards!r}"
             )
         n = pts.shape[0]
         self._cell = float(cell)
@@ -261,8 +212,6 @@ class DeviceStateStore:
         self._tick_serial = 0
         self._membership_serial = 0
         self._membership_cells: List[np.ndarray] = []
-        self._n_shards = int(shards)
-        self._place(np.arange(n, dtype=np.int64))
         self._sync_header()
 
     def _materialize(self, capacity: int, dim: int) -> None:
@@ -283,7 +232,6 @@ class DeviceStateStore:
             self._alive = np.zeros(capacity, dtype=bool)
             self._verdict = np.full(capacity, NO_VERDICT, dtype=np.int8)
             self._id_of = np.full(capacity, -1, dtype=np.int64)
-            self._shard = np.zeros(capacity, dtype=np.int64)
             return
         planes = self._planes_factory(capacity, dim)
         if self._planes is not None:
@@ -301,7 +249,6 @@ class DeviceStateStore:
         self._alive = arrs["alive"]
         self._verdict = arrs["verdict"]
         self._id_of = arrs["id_of"]
-        self._shard = arrs["shard"]
 
     def _sync_header(self) -> None:
         """Write-through the mutable scalars into the shm plane header."""
@@ -332,7 +279,7 @@ class DeviceStateStore:
         planes, self._planes = self._planes, None
         self._prev = self._cur = None
         self._flags = self._alive = self._verdict = None
-        self._id_of = self._shard = None
+        self._id_of = None
         self._index = None
         self._row_of = {}
         self.drop_retired_planes()
@@ -340,18 +287,6 @@ class DeviceStateStore:
             planes.unlink()
         else:
             planes.close()
-
-    def _place(self, rows: np.ndarray) -> None:
-        """Write the store shard of ``rows`` from their current cells.
-
-        One vectorized :func:`stable_cell_hash` over the rows' keys,
-        written into the bound ``shard`` column (shared memory under a
-        ``planes_factory``).
-        """
-        keys = self._index.keys_of_rows(rows)
-        self._shard[rows] = (
-            stable_cell_hash(keys) % np.uint64(self._n_shards)
-        ).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -365,11 +300,6 @@ class DeviceStateStore:
     def dim(self) -> int:
         """Number of services per device."""
         return self._cur.shape[1]
-
-    @property
-    def n_shards(self) -> int:
-        """Number of shards."""
-        return self._n_shards
 
     @property
     def index(self) -> MutableGridIndex:
@@ -406,7 +336,6 @@ class DeviceStateStore:
             + self._alive.nbytes
             + self._verdict.nbytes
             + self._id_of.nbytes
-            + self._shard.nbytes
         )
 
     @property
@@ -430,29 +359,6 @@ class DeviceStateStore:
         if not 0 <= row < self._used or self._id_of[row] < 0:
             raise UnknownDeviceError(f"row {row} is not occupied")
         return int(self._id_of[row])
-
-    def shard_of(self, device: int) -> int:
-        """The shard currently holding ``device``."""
-        return int(self._shard[self.row_of(device)])
-
-    def _live_shards(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, shard)`` of every occupied row."""
-        rows = np.nonzero(self._id_of[: self._used] >= 0)[0]
-        return rows, self._shard[rows]
-
-    def shard_members(self, shard: int) -> Tuple[int, ...]:
-        """Devices of one shard, sorted."""
-        if not 0 <= shard < self._n_shards:
-            raise ConfigurationError(
-                f"shard {shard} not in [0, {self._n_shards})"
-            )
-        rows, shards = self._live_shards()
-        return tuple(np.sort(self._id_of[rows[shards == shard]]).tolist())
-
-    def shard_sizes(self) -> Tuple[int, ...]:
-        """Device count per shard."""
-        _, shards = self._live_shards()
-        return tuple(np.bincount(shards, minlength=self._n_shards).tolist())
 
     def is_flagged(self, device: int) -> bool:
         """Current flag bit ``a_k(j)``."""
@@ -587,7 +493,6 @@ class DeviceStateStore:
         self._row_of[device] = row
         self._membership_serial += 1
         self._index.insert(row, pos)
-        self._place(np.array([row], dtype=np.int64))
         if flagged:
             self._membership_cells.append(self._cells_of(pos))
         self._sync_header()
@@ -672,7 +577,6 @@ class DeviceStateStore:
             self._alive,
             self._verdict,
             self._id_of,
-            self._shard,
         )
         self._materialize(capacity, d)
         news = (
@@ -682,7 +586,6 @@ class DeviceStateStore:
             self._alive,
             self._verdict,
             self._id_of,
-            self._shard,
         )
         for new, prev in zip(news, olds):
             new[:old] = prev
@@ -700,9 +603,8 @@ class DeviceStateStore:
         ``rows`` must be unique, occupied row indices; ``positions`` is
         the matching ``(k, d)`` new state and ``flags`` the matching flag
         bits.  Gathers old state, scatters new state, re-keys movers in
-        the index, and reassigns shards only for the (few) devices that
-        crossed a cell boundary.  No per-device Python objects are
-        created on this path.
+        and re-keys movers in the index.  No per-device Python objects
+        are created on this path.
         """
         rows = np.asarray(rows, dtype=np.int64)
         k = rows.shape[0]
@@ -737,8 +639,6 @@ class DeviceStateStore:
             new_keys = old_keys.copy()
             new_keys[moved] = moved_new
             cell_changed[moved] = moved_changed
-            if moved_changed.any():
-                self._place(moved_rows[moved_changed])
         self._flags[rows] = flags
         return AppliedBatch(
             rows=rows,
@@ -791,8 +691,8 @@ class DeviceStateStore:
     def state(self) -> Dict[str, np.ndarray]:
         """The store's full state as plain arrays (trimmed to used rows).
 
-        Everything derived — the grid index, the shard assignment, the
-        id→row map — is rebuilt by :meth:`from_state`, so only the
+        Everything derived — the grid index and the id→row map — is
+        rebuilt by :meth:`from_state`, so only the
         columns, the free-list, the scalars and the not yet taken
         membership cells (:meth:`take_membership_cells`) travel.
         """
@@ -805,7 +705,6 @@ class DeviceStateStore:
             "id_of": self._id_of[: self._used].copy(),
             "free": np.asarray(self._free, dtype=np.int64),
             "cell": np.float64(self._cell),
-            "n_shards": np.int64(self._n_shards),
             "membership": (
                 np.concatenate(self._membership_cells)
                 if self._membership_cells
@@ -844,21 +743,18 @@ class DeviceStateStore:
             state.get("membership", np.empty((0, cur.shape[1]))), dtype=np.int64
         )
         store._membership_cells = [membership] if len(membership) else []
-        store._n_shards = int(state["n_shards"])
         store._sync_header()
         store._rebuild_derived()
         return store
 
     def _rebuild_derived(self) -> None:
-        """Rebuild the id→row map, grid index and shards from the columns.
+        """Rebuild the id→row map and grid index from the columns.
 
         The index adopts the full-capacity plane with only the occupied
         rows (``id_of >= 0``) alive, so scrubbed free rows never haunt
-        cell ``(0, ..., 0)``; placement is one vectorized hash over the
-        occupied rows, written into the bound ``shard`` column.
+        cell ``(0, ..., 0)``.
         """
-        used = self._used
-        occupied = np.nonzero(self._id_of[:used] >= 0)[0]
+        occupied = np.nonzero(self._id_of[: self._used] >= 0)[0]
         self._row_of = dict(
             zip(self._id_of[occupied].tolist(), occupied.tolist())
         )
@@ -867,8 +763,6 @@ class DeviceStateStore:
         self._index = MutableGridIndex.from_array(
             self._cur, self._cell, alive=alive
         )
-        self._shard[:used] = 0
-        self._place(occupied)
 
     @classmethod
     def adopt_planes(
@@ -876,7 +770,6 @@ class DeviceStateStore:
         planes: ShmPlanes,
         *,
         cell: float,
-        shards: int = 8,
         planes_factory=None,
     ) -> "DeviceStateStore":
         """Rebind a store onto existing shm planes without copying rows.
@@ -885,8 +778,7 @@ class DeviceStateStore:
         worker adopts the partition its killed predecessor left in
         shared memory.  Row data, the used high-water mark, and the tick
         serial come straight from the segment; everything derived — the
-        id→row map, the free-list, the grid index, the shard column —
-        is rebuilt.  The free-list's LIFO *order* does not survive (only
+        id→row map, the free-list, the grid index — is rebuilt.  The free-list's LIFO *order* does not survive (only
         its membership); the sharded topology never observes it because
         participants rank by global id, and callers that do need the
         exact recycling order restore from a checkpoint instead.
@@ -901,7 +793,6 @@ class DeviceStateStore:
         store._tick_serial = int(planes.header[_HDR_SERIAL])
         store._membership_serial = 0
         store._membership_cells = []
-        store._n_shards = int(shards)
         store._free = np.nonzero(store._id_of[: store._used] < 0)[0].tolist()
         # The index adopts the *full-capacity* plane — not just the
         # used-rows view — because a later ``join`` may claim row
@@ -915,6 +806,5 @@ class DeviceStateStore:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DeviceStateStore(n={self.n}, d={self.dim}, "
-            f"shards={self._n_shards}, "
             f"flagged={int(self._flags[: self._used].sum())})"
         )

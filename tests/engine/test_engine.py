@@ -16,7 +16,6 @@ from repro.engine import (
     CharacterizationEngine,
     EngineConfig,
     SerialBackend,
-    SpawnProcessBackend,
     WorkerPoolBackend,
     make_backend,
 )
@@ -72,8 +71,7 @@ class TestEngineConfig:
     def test_make_backend_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("process"), WorkerPoolBackend)
-        assert isinstance(make_backend("process-spawn"), SpawnProcessBackend)
-        assert set(BACKENDS) == {"serial", "process", "process-spawn"}
+        assert set(BACKENDS) == {"serial", "process"}
 
     def test_engine_rejects_config_plus_overrides(self):
         with pytest.raises(TypeError):

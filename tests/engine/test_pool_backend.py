@@ -24,7 +24,6 @@ from repro.engine import (
     BackendRun,
     CharacterizationEngine,
     EngineConfig,
-    SpawnProcessBackend,
     WorkerPoolBackend,
 )
 
@@ -147,7 +146,7 @@ class TestPoolEquivalenceAndCarry:
     def test_verdicts_identical_across_backends(self):
         t = _transition(6, n=120)
         expected = Characterizer(t).characterize_all()
-        for backend_name in ("serial", "process", "process-spawn"):
+        for backend_name in ("serial", "process"):
             with CharacterizationEngine(
                 EngineConfig(
                     backend=backend_name, workers=3, min_process_devices=1
@@ -249,15 +248,15 @@ class TestBackendRunResults:
     def test_run_results_not_stored_on_backend(self, pool_config):
         # Work counters travel in the BackendRun value; a backend holds
         # no per-run mutable result state two engines could trample.
-        for backend in (WorkerPoolBackend(), SpawnProcessBackend()):
-            try:
-                assert not hasattr(backend, "last_expansions")
-                t = _transition(10, n=40)
-                run = backend.run(t, t.flagged_sorted, pool_config)
-                assert isinstance(run, BackendRun)
-                assert run.expansions is not None and run.expansions > 0
-            finally:
-                backend.close()
+        backend = WorkerPoolBackend()
+        try:
+            assert not hasattr(backend, "last_expansions")
+            t = _transition(10, n=40)
+            run = backend.run(t, t.flagged_sorted, pool_config)
+            assert isinstance(run, BackendRun)
+            assert run.expansions is not None and run.expansions > 0
+        finally:
+            backend.close()
 
     def test_shared_backend_instance_keeps_engines_truthful(
         self, pool_config

@@ -20,8 +20,7 @@ here compares against a test-local brute-force reference:
 Store fixes ride along: a ``join`` / ``leave`` between ticks must drop
 the service's chained ``prev`` copy, a flagged join / leave must dirty
 its cells even when nothing else moves (checkpoints included), and a
-store restored into shared memory must write its placement into the
-shm ``shard`` column.
+store restored into shared memory must land its rows in the shm planes.
 """
 
 from __future__ import annotations
@@ -400,10 +399,10 @@ class TestMembershipInvalidation:
         assert self.survivors(tick) == {0: "isolated", 1: "isolated"}
 
 
-class TestShmPlacement:
-    def test_from_state_places_into_the_shm_shard_column(self):
+class TestShmRestore:
+    def test_from_state_restores_into_shm_planes(self):
         pts = np.random.default_rng(4).random((40, 2))
-        store = DeviceStateStore(pts, cell=0.06, shards=5)
+        store = DeviceStateStore(pts, cell=0.06)
         store.leave(7)
         store.leave(3)
         restored = DeviceStateStore.from_state(
@@ -412,11 +411,14 @@ class TestShmPlacement:
         try:
             # Copies only: a live view would pin the segment at release.
             ids = np.array(restored.row_ids())
-            rows = np.nonzero(ids >= 0)[0]
-            want = [store.shard_of(int(d)) for d in ids[rows]]
-            assert len(set(want)) > 1
-            assert [restored.shard_of(int(d)) for d in ids[rows]] == want
-            assert restored.planes.arrays["shard"][rows].tolist() == want
-            assert restored.shard_sizes() == store.shard_sizes()
+            assert ids.tolist() == np.array(store.row_ids()).tolist()
+            assert restored.planes.arrays["id_of"][: ids.size].tolist() == (
+                ids.tolist()
+            )
+            for device in ids[ids >= 0].tolist():
+                assert restored.row_of(device) == store.row_of(device)
+                assert np.array_equal(
+                    restored.position(device), store.position(device)
+                )
         finally:
             restored.release_planes(unlink=True)

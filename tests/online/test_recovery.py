@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from repro.online import (
     LoadProfile,
     OnlineCharacterizationService,
     ServiceConfig,
+    ShardedService,
     checkpoint_path,
     drive_load,
     drive_load_measurements,
@@ -34,6 +36,7 @@ from repro.online import (
     load_checkpoint,
     prune_checkpoints,
     restore_service,
+    restore_sharded_service,
     save_checkpoint,
 )
 
@@ -65,6 +68,20 @@ def _fresh_service(config=None, **kwargs):
         generator.initial_positions(),
         config or ServiceConfig(r=0.05, tau=2),
         **kwargs,
+    )
+    return service, generator
+
+
+def _service_of_kind(kind):
+    """A fresh ``single`` service, or a 2-shard ``inline``/``process`` one."""
+    if kind == "single":
+        return _fresh_service()
+    generator = LoadGenerator(PROFILE)
+    service = ShardedService(
+        generator.initial_positions(),
+        ServiceConfig(r=0.05, tau=2),
+        topology_shards=2,
+        topology_workers=kind,
     )
     return service, generator
 
@@ -270,6 +287,39 @@ class TestFormat:
         leftovers = [p.name for p in tmp_path.iterdir()]
         assert leftovers == ["ck.npz"]
 
+    def test_publish_fsyncs_the_directory(self, tmp_path, monkeypatch):
+        # Without the directory fsync a power loss can drop the rename
+        # even though the file's data was fsynced.
+        real_fsync = os.fsync
+        synced_dirs = []
+
+        def recording_fsync(fd):
+            synced_dirs.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        service, _ = _fresh_service()
+        with service:
+            monkeypatch.setattr(os, "fsync", recording_fsync)
+            save_checkpoint(service, tmp_path / "a.npz")
+            save_checkpoint(service, tmp_path / "b.npz")
+        assert synced_dirs == [False, True, False, True]
+
+    def test_restore_service_rejects_a_sharded_checkpoint(self, tmp_path):
+        service, _ = _service_of_kind("inline")
+        with service:
+            path = service.checkpoint(tmp_path / "ck.npz")
+        with pytest.raises(CheckpointError, match="sharded"):
+            restore_service(path)
+
+    def test_restore_sharded_service_rejects_a_single_checkpoint(
+        self, tmp_path
+    ):
+        service, _ = _fresh_service()
+        with service:
+            path = service.checkpoint(tmp_path / "ck.npz")
+        with pytest.raises(CheckpointError, match="single"):
+            restore_sharded_service(path)
+
 
 class TestWriterAndRetention:
     def test_writer_cadence_and_pruning(self, tmp_path):
@@ -295,6 +345,20 @@ class TestWriterAndRetention:
                 CheckpointWriter(service, tmp_path, keep=0)
         with pytest.raises(ConfigurationError):
             prune_checkpoints(tmp_path, keep=0)
+
+    @pytest.mark.parametrize("kind", ["single", "inline", "process"])
+    def test_stale_tmp_is_swept(self, tmp_path, kind):
+        # A writer killed mid-write leaves its temp file behind; the next
+        # completed write's pruning removes it.  (Not tick 1's name: the
+        # write of tick 1 would replace that file itself.)
+        stale = tmp_path / "checkpoint-00000007.npz.tmp"
+        stale.write_bytes(b"torn")
+        service, generator = _service_of_kind(kind)
+        with service:
+            service.add_sink(CheckpointWriter(service, tmp_path))
+            drive_load(service, generator, 1)
+        assert not stale.exists()
+        assert load_checkpoint(latest_checkpoint(tmp_path)).tick == 1
 
     def test_latest_checkpoint_on_missing_dir(self, tmp_path):
         assert latest_checkpoint(tmp_path / "never-made") is None

@@ -232,12 +232,12 @@ class TestMonitorIncrementalMode:
 
     def test_service_config_inherits_monitor_parameters(self):
         monitor = make_monitor(
-            incremental=True, service_config=ServiceConfig(r=0.2, tau=50, shards=3)
+            incremental=True, service_config=ServiceConfig(r=0.2, tau=50, max_batch=3)
         )
         monitor.tick()
         assert monitor.service.config.r == monitor._r  # noqa: SLF001
         assert monitor.service.config.tau == monitor._tau  # noqa: SLF001
-        assert monitor.service.config.shards == 3
+        assert monitor.service.config.max_batch == 3
 
     def test_batch_mode_reuses_indexes_across_stable_ticks(self):
         # A band (SLA) detector keeps the fault footprint flagged for

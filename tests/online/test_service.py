@@ -79,7 +79,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"shards": 0},
+            {"dispatch_retries": -1},
             {"queue_capacity": 0},
             {"max_batch": 0},
             {"backpressure": "spill"},
@@ -102,7 +102,7 @@ class TestVerdictEquivalence:
         rng = np.random.default_rng(seed)
         n, d = 150, 2
         service = OnlineCharacterizationService(
-            rng.random((n, d)), ServiceConfig(r=0.05, tau=2, shards=4)
+            rng.random((n, d)), ServiceConfig(r=0.05, tau=2)
         )
         random_drive(
             service, rng, n, d, ticks=10, churn=0.12, flag_p=0.5, jump_p=0.3
@@ -116,7 +116,7 @@ class TestVerdictEquivalence:
         rng = np.random.default_rng(seed)
         n, d = 150, 2
         service = OnlineCharacterizationService(
-            rng.random((n, d)), ServiceConfig(r=0.02, tau=2, shards=4)
+            rng.random((n, d)), ServiceConfig(r=0.02, tau=2)
         )
         random_drive(
             service, rng, n, d, ticks=12, churn=0.03, flag_p=0.5, jump_p=0.1

@@ -9,7 +9,7 @@ witnesses.  The suites below check that contract on adversarial
 streams (boundary-ring clusters, corner cells shared by four shards,
 movers crossing shards mid-tick, churn with id recycling) plus the
 :class:`~repro.online.sharded.ShardMap` tiling algebra and the
-per-shard consistent-cut checkpoint round trip.
+sharded checkpoint round trip.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import (
-    CheckpointError,
     ConfigurationError,
     DimensionMismatchError,
 )
@@ -34,15 +33,15 @@ from repro.online import (
     QosUpdate,
     ServiceConfig,
     ShardMap,
-    ShardedCheckpointWriter,
+    CheckpointWriter,
     ShardedService,
-    latest_sharded_checkpoint,
-    list_sharded_checkpoints,
-    load_sharded_checkpoint,
-    prune_sharded_checkpoints,
+    checkpoint_path,
+    latest_checkpoint,
+    list_checkpoints,
+    load_checkpoint,
+    prune_checkpoints,
     restore_sharded_service,
-    save_sharded_checkpoint,
-    sharded_manifest_path,
+    save_checkpoint,
 )
 
 CFG = ServiceConfig(r=0.05, tau=2)
@@ -528,7 +527,7 @@ class TestShardedRecovery:
         # Interrupted run: checkpoint every 2 ticks, "crash" after 5.
         pos, flags = base.copy(), flags0.copy()
         svc = self._service(pos.copy(), 4)
-        writer = ShardedCheckpointWriter(svc, tmp_path, every=2, keep=3)
+        writer = CheckpointWriter(svc, tmp_path, every=2, keep=3)
         svc.add_sink(writer)
         r = np.random.default_rng(99)
         first = self._run_stream(svc, r, pos, flags, 5)
@@ -536,10 +535,10 @@ class TestShardedRecovery:
         for want, got in zip(ref_out[:5], first):
             assert_same_tick(want, got)
 
-        manifest = latest_sharded_checkpoint(tmp_path)
-        assert manifest is not None
+        latest = latest_checkpoint(tmp_path)
+        assert latest is not None
         restored = restore_sharded_service(
-            manifest, topology_workers=self.WORKERS
+            latest, topology_workers=self.WORKERS
         )
         try:
             assert restored.current_tick == 4
@@ -568,12 +567,13 @@ class TestShardedRecovery:
         flags = np.zeros(24, dtype=bool)
         with self._service(positions.copy(), 4) as svc:
             self._run_stream(svc, rng, positions, flags, 3)
-            path = svc.checkpoint(tmp_path)
+            path = svc.checkpoint(tmp_path / "ck.npz")
             want_verdicts = svc.verdicts
             want_sizes = svc.shard_sizes()
-        ckpt = load_sharded_checkpoint(path)
+        ckpt = load_checkpoint(path)
         assert ckpt.tick == 3
-        assert ckpt.topology_shards == 4
+        assert ckpt.topology == "sharded"
+        assert len(ckpt.parts) == 4
         restored = restore_sharded_service(
             ckpt, topology_workers=self.WORKERS
         )
@@ -588,19 +588,6 @@ class TestShardedRecovery:
         finally:
             restored.close()
 
-    def test_torn_cut_is_rejected(self, tmp_path):
-        rng = np.random.default_rng(41)
-        positions = rng.random((16, 2))
-        with self._service(positions.copy(), 2) as svc:
-            svc.feed_snapshot(positions, np.zeros(16, dtype=bool))
-            path = svc.checkpoint(tmp_path)
-        # A missing shard part means the cut is incomplete.
-        parts = sorted(tmp_path.glob("shard-*/part-*.npz"))
-        assert parts
-        parts[0].unlink()
-        with pytest.raises(CheckpointError):
-            load_sharded_checkpoint(path)
-
     def test_list_latest_and_prune(self, tmp_path):
         rng = np.random.default_rng(51)
         positions = rng.random((12, 2))
@@ -608,22 +595,17 @@ class TestShardedRecovery:
             flags = np.zeros(12, dtype=bool)
             for _ in range(4):
                 svc.feed_snapshot(positions, flags)
-                save_sharded_checkpoint(svc, tmp_path)
-        manifests = list_sharded_checkpoints(tmp_path)
-        assert len(manifests) == 4
-        assert latest_sharded_checkpoint(tmp_path) == manifests[-1]
-        assert (
-            latest_sharded_checkpoint(tmp_path)
-            == sharded_manifest_path(tmp_path, 4)
-        )
-        removed = prune_sharded_checkpoints(tmp_path, keep=2)
+                save_checkpoint(
+                    svc, checkpoint_path(tmp_path, svc.current_tick)
+                )
+        found = list_checkpoints(tmp_path)
+        assert len(found) == 4
+        assert latest_checkpoint(tmp_path) == found[-1]
+        assert latest_checkpoint(tmp_path) == checkpoint_path(tmp_path, 4)
+        removed = prune_checkpoints(tmp_path, keep=2)
         assert removed == 2
-        left = list_sharded_checkpoints(tmp_path)
-        assert len(left) == 2
-        # Pruning removes the shard parts too, not just manifests.
-        ticks_left = {int(p.stem.split("-")[1]) for p in left}
-        for part in tmp_path.glob("shard-*/part-*.npz"):
-            assert int(part.stem.split("-")[1]) in ticks_left
+        # One file per checkpoint: nothing else is left behind.
+        assert sorted(tmp_path.iterdir()) == found[2:]
 
 
 class TestShardedRecoveryProcess(TestShardedRecovery):
@@ -825,7 +807,7 @@ print("identical")
                 )
                 flags[movers] = rng.random(10) < 0.5
                 history.append(svc.feed_snapshot(pos, flags))
-            path = svc.checkpoint(tmp_path)
+            path = svc.checkpoint(tmp_path / "ck.npz")
             want = svc.verdicts
             sizes = svc.shard_sizes()
         finally:

@@ -1,4 +1,4 @@
-"""DeviceStateStore sharding/rolling semantics and dirty-region tracking."""
+"""DeviceStateStore rolling semantics and dirty-region tracking."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.core.errors import (
     UnknownDeviceError,
 )
 from repro.online import DeviceStateStore, DirtyRegionTracker
-from repro.online.store import stable_cell_hash
 
 
 def cell_set(cells):
@@ -19,9 +18,9 @@ def cell_set(cells):
     return {tuple(key) for key in np.asarray(cells).tolist()}
 
 
-def make_store(n=20, d=2, seed=0, shards=4, cell=0.06):
+def make_store(n=20, d=2, seed=0, cell=0.06):
     pts = np.random.default_rng(seed).random((n, d))
-    return DeviceStateStore(pts, cell=cell, shards=shards), pts
+    return DeviceStateStore(pts, cell=cell), pts
 
 
 class TestStoreBasics:
@@ -36,10 +35,6 @@ class TestStoreBasics:
         with pytest.raises(DimensionMismatchError):
             DeviceStateStore(np.zeros((0, 2)), cell=0.1)
 
-    def test_rejects_bad_shards(self):
-        with pytest.raises(ConfigurationError):
-            DeviceStateStore(np.zeros((3, 2)), cell=0.1, shards=0)
-
     def test_rejects_out_of_cube_positions(self):
         with pytest.raises(ConfigurationError):
             DeviceStateStore(np.full((3, 2), 1.5), cell=0.1)
@@ -48,39 +43,6 @@ class TestStoreBasics:
         store, _ = make_store()
         with pytest.raises(UnknownDeviceError):
             store.apply(99, [0.5, 0.5], False)
-
-
-class TestSharding:
-    def test_every_device_has_a_shard(self):
-        store, _ = make_store(n=50, shards=5)
-        assert sum(store.shard_sizes()) == 50
-        for device in range(50):
-            assert device in store.shard_members(store.shard_of(device))
-
-    def test_same_cell_same_shard(self):
-        store, _ = make_store(n=50, shards=5)
-        for device in range(50):
-            key = store.index.key_of(device)
-            peers = store.index.devices_in_cell(key)
-            shards = {store.shard_of(int(p)) for p in peers}
-            assert len(shards) == 1
-
-    def test_cross_cell_move_can_reassign_shard(self):
-        store, _ = make_store(n=10, shards=7, cell=0.05)
-        # Drive one device through many cells; its shard must always
-        # match its cell's hash bucket.
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            pos = rng.random(2)
-            store.apply(0, pos, False)
-            key = np.asarray(store.index.key_of(0), dtype=np.int64)
-            expect = int(stable_cell_hash(key)[0] % np.uint64(store.n_shards))
-            assert store.shard_of(0) == expect
-
-    def test_bad_shard_lookup_rejected(self):
-        store, _ = make_store(shards=3)
-        with pytest.raises(ConfigurationError):
-            store.shard_members(3)
 
 
 class TestApplyAndRoll:

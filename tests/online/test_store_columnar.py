@@ -39,9 +39,9 @@ from repro.online import (
 )
 
 
-def make_store(n=6, d=2, seed=0, cell=0.06, shards=4):
+def make_store(n=6, d=2, seed=0, cell=0.06):
     pts = np.random.default_rng(seed).random((n, d))
-    return DeviceStateStore(pts, cell=cell, shards=shards)
+    return DeviceStateStore(pts, cell=cell)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +176,6 @@ class TestFreeListProperties:
             sorted(j for j, (_, flag) in mirror.items() if flag)
         )
         assert len(store.index) == len(mirror)
-        assert sum(store.shard_sizes()) == len(mirror)
 
     def test_rejoined_row_starts_clean(self):
         store = make_store(n=3)
@@ -263,7 +262,7 @@ class TestPathIdentity:
         rng = np.random.default_rng(seed)
         n, d = 120, 2
         base = rng.random((n, d))
-        cfg = ServiceConfig(r=0.05, tau=2, shards=4)
+        cfg = ServiceConfig(r=0.05, tau=2)
         vec = OnlineCharacterizationService(base.copy(), cfg)
         shim = OnlineCharacterizationService(base.copy(), cfg)
         positions = base.copy()

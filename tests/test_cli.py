@@ -96,17 +96,9 @@ class TestOnlineCommands:
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert args.devices == 10_000
-        assert args.store_shards == 8
         assert args.topology_shards == 0
         assert args.batch is None
         assert not args.full
-
-    def test_store_shards_flag_and_deprecated_alias(self, capsys):
-        args = build_parser().parse_args(["serve", "--store-shards", "4"])
-        assert args.store_shards == 4
-        args = build_parser().parse_args(["serve", "--shards", "5"])
-        assert args.store_shards == 5
-        assert "deprecated" in capsys.readouterr().err
 
     def test_replay_parser_defaults(self):
         args = build_parser().parse_args(["replay"])
@@ -122,7 +114,7 @@ class TestOnlineCommands:
             main(
                 ["serve", "--devices", "120", "--ticks", "3", "--churn",
                  "0.05", "--burst-every", "2", "--burst-size", "5",
-                 "--shards", "4", "--seed", "1"]
+                 "--seed", "1"]
             )
             == 0
         )
@@ -154,7 +146,7 @@ class TestOnlineCommands:
     def test_replay_synthetic_runs(self, capsys):
         assert (
             main(
-                ["replay", "--devices", "40", "--steps", "8", "--shards", "2"]
+                ["replay", "--devices", "40", "--steps", "8"]
             )
             == 0
         )
@@ -393,3 +385,75 @@ class TestDetectorFlags:
                 tick.pop("stage_seconds", None)  # wall-clock, run-varying
             rows[plane] = ticks
         assert rows["bank"] == rows["scalar"]
+
+
+class TestCheckpointResume:
+    """``serve --checkpoint-dir``: a rerun resumes where the last one
+    stopped and ends with the verdicts of an uninterrupted run."""
+
+    BASE = ["serve", "--devices", "300", "--seed", "7"]
+    #: Two real shards: the default minimum would collapse 300 devices to one.
+    SHARDED = ["--topology-shards", "2", "--min-shard-devices", "100"]
+
+    @staticmethod
+    def _rows(out):
+        """The per-tick table rows, keyed by tick."""
+        rows = {}
+        for line in out.splitlines():
+            fields = line.split()
+            if len(fields) == 6 and all(f.isdigit() for f in fields):
+                rows[int(fields[0])] = fields
+        return rows
+
+    @staticmethod
+    def _final_verdicts(directory, sharded):
+        from repro.online import (
+            latest_checkpoint,
+            restore_service,
+            restore_sharded_service,
+        )
+
+        restore = restore_sharded_service if sharded else restore_service
+        with restore(latest_checkpoint(directory)) as service:
+            return {
+                device: (v.anomaly_type, v.rule, v.witness)
+                for device, v in service.verdicts.items()
+            }
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ([], []),
+            (SHARDED, SHARDED),
+            (
+                SHARDED + ["--topology-workers", "process"],
+                SHARDED + ["--topology-workers", "inline"],
+            ),
+        ],
+        ids=["single", "sharded", "process-to-inline"],
+    )
+    def test_rerun_resumes_verdict_identically(
+        self, tmp_path, capsys, first, second
+    ):
+        straight_dir, resumed_dir = tmp_path / "straight", tmp_path / "resumed"
+        argv = self.BASE + ["--ticks", "10", "--checkpoint-dir"]
+        assert main(argv + [str(straight_dir)] + second) == 0
+        want = self._rows(capsys.readouterr().out)
+
+        assert main(
+            self.BASE + ["--ticks", "4", "--checkpoint-dir", str(resumed_dir)]
+            + first
+        ) == 0
+        capsys.readouterr()
+        assert main(argv + [str(resumed_dir)] + second) == 0
+        captured = capsys.readouterr()
+        assert "resuming from " in captured.err
+        assert "(tick 4)" in captured.err
+        got = self._rows(captured.out)
+
+        assert sorted(got) == list(range(5, 11))
+        assert [got[t] for t in got] == [want[t] for t in got]
+        sharded = bool(second)
+        final = self._final_verdicts(straight_dir, sharded)
+        assert final
+        assert self._final_verdicts(resumed_dir, sharded) == final
