@@ -9,7 +9,7 @@ scale (n=10k, 1% churn):
   health machine is O(1) bookkeeping per run, so a fault-free stream
   pays nearly nothing for its crash insurance;
 * a full checkpoint (store planes + tracker + verdict map + stats) of
-  a 10k-device service writes in tens of milliseconds and restores
+  a 10k-device service writes in a few milliseconds and restores
   verdict-identically — cheap enough for an every-tick cadence.
 
 Every run appends rows to a ``BENCH_recovery.json`` summary written at

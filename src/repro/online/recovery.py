@@ -21,6 +21,11 @@ spatially sharded :class:`~repro.online.sharded.ShardedService`:
   and reuse verdicts it must recompute) and the verdict map.  The single
   service writes exactly one part; a sharded service one per shard.
 
+The archive is stored, not deflated: the float planes compress by only
+~6% and zlib would dominate the write (and the load).  The zip CRC-32 of
+every member is what catches a flipped or truncated byte on load.
+Archives written deflated (``np.savez_compressed``) still load.
+
 Writes are crash-safe: the archive is written to a ``.tmp`` sibling,
 fsynced, published with an atomic ``os.replace``, and the directory is
 fsynced so the rename itself survives a power loss.  A reader can never
@@ -88,7 +93,7 @@ def _pack(obj: object) -> np.ndarray:
 
 
 def _unpack(arr: np.ndarray) -> object:
-    return pickle.loads(np.asarray(arr, dtype=np.uint8).tobytes())
+    return pickle.loads(memoryview(np.ascontiguousarray(arr, dtype=np.uint8)))
 
 
 @dataclass
@@ -174,7 +179,7 @@ def save_checkpoint(
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+        np.savez(fh, **arrays)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

@@ -1141,8 +1141,7 @@ class ShardedService:
         owner: Dict[int, int] = {}
         for shard, part in enumerate(parts):
             ids = np.asarray(part.store_state["id_of"])
-            for device in ids[ids >= 0].tolist():
-                owner[int(device)] = shard
+            owner.update(dict.fromkeys(ids[ids >= 0].tolist(), shard))
         self._phase(
             [
                 (

@@ -14,6 +14,7 @@ import os
 import stat
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,25 @@ def _service_of_kind(kind):
         topology_workers=kind,
     )
     return service, generator
+
+
+def _restore_kind(kind, path):
+    if kind == "single":
+        return restore_service(path)
+    return restore_sharded_service(path, topology_workers=kind)
+
+
+def _member_data_span(path, name):
+    """``(offset, size)`` of one zip member's stored bytes inside ``path``."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(name)
+    with open(path, "rb") as fh:
+        fh.seek(info.header_offset)
+        header = fh.read(30)
+    # Local file header: 30 fixed bytes, then the name and extra field.
+    name_len = int.from_bytes(header[26:28], "little")
+    extra_len = int.from_bytes(header[28:30], "little")
+    return info.header_offset + 30 + name_len + extra_len, info.compress_size
 
 
 class TestRoundtrip:
@@ -278,6 +298,66 @@ class TestFormat:
         )
         np.savez_compressed(path, **arrays)
         with pytest.raises(CheckpointError, match="format version 999"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["single", "inline"])
+    def test_members_are_stored_uncompressed(self, tmp_path, kind):
+        service, generator = _service_of_kind(kind)
+        with service:
+            drive_load(service, generator, 2)
+            path = service.checkpoint(tmp_path / "ck.npz")
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert members
+        assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
+
+    @pytest.mark.parametrize("kind", ["single", "inline"])
+    def test_deflated_checkpoint_still_restores(self, tmp_path, kind):
+        # Version-2 checkpoints written before the archive went stored
+        # are deflated; they must keep auto-resuming verdict-identically.
+        service, generator = _service_of_kind(kind)
+        with service:
+            drive_load(service, generator, 4)
+            path = service.checkpoint(tmp_path / "ck.npz")
+            reference = _verdict_stream(drive_load(service, generator, 1).ticks)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        deflated = tmp_path / "deflated.npz"
+        np.savez_compressed(deflated, **arrays)
+        with zipfile.ZipFile(deflated) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        restored = _restore_kind(kind, deflated)
+        with restored:
+            assert restored.current_tick == 4
+            generator2 = LoadGenerator(PROFILE)
+            generator2.fast_forward(4)
+            tail = _verdict_stream(drive_load(restored, generator2, 1).ticks)
+        assert tail == reference
+
+    def test_flipped_byte_fails_the_crc(self, tmp_path):
+        # Stored members are not inflated on load, so the zip CRC-32 is
+        # the only check on the array bytes.
+        service, generator = _fresh_service()
+        with service:
+            drive_load(service, generator, 2)
+            path = save_checkpoint(service, tmp_path / "ck.npz")
+        offset, size = _member_data_span(path, "part0_store_cur.npy")
+        raw = bytearray(path.read_bytes())
+        raw[offset + size - 3] ^= 0xFF  # inside the float data, past the npy header
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unreadable.*CRC"):
+            load_checkpoint(path)
+
+    def test_truncated_file_raises(self, tmp_path):
+        service, generator = _fresh_service()
+        with service:
+            drive_load(service, generator, 2)
+            path = save_checkpoint(service, tmp_path / "ck.npz")
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
 
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
