@@ -6,7 +6,9 @@ Two asserted claims:
   faster than the frozenset baseline at ``n ∈ {1k, 10k}`` with ~5% of
   devices flagged (radii chosen to keep neighbourhood density — and
   hence per-device verdict work — comparable across scales), while
-  returning identical verdicts, witnesses and cost counters;
+  returning identical verdicts, witnesses and cost counters (a third
+  row times an all-flagged fleet whose one 2r-connected component is
+  above the motion-sharing bound, and asserts the same identity);
 * the online service with cross-tick motion-family reuse recomputes
   *strictly fewer* families than without, on identical 1%-churn update
   streams, while remaining verdict-identical tick by tick.
@@ -27,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core.characterize import Characterizer
+from repro.core.neighborhood import MotionCache
 from repro.core.transition import Snapshot, Transition
 from repro.online import OnlineCharacterizationService, QosUpdate, ServiceConfig
 
@@ -76,7 +79,8 @@ def _verdict_scenario(n, r, *, frac=0.05, tau=3, seed=0):
     return prev, cur, flagged
 
 
-def _time_kernel(prev, cur, flagged, r, tau, kernel, repeats):
+def _time_kernel(prev, cur, flagged, r, tau, kernel, repeats, targets=None):
+    targets = flagged if targets is None else targets
     best = float("inf")
     results = None
     for _ in range(repeats):
@@ -87,9 +91,19 @@ def _time_kernel(prev, cur, flagged, r, tau, kernel, repeats):
         transition.neighborhoods_batch(flagged, radius_factor=4.0)
         characterizer = Characterizer(transition, kernel=kernel)
         start = time.perf_counter()
-        results = characterizer.characterize_many(flagged)
+        results = characterizer.characterize_many(targets)
         best = min(best, time.perf_counter() - start)
     return best, results
+
+
+def _assert_kernels_identical(mask_results, set_results):
+    assert mask_results.keys() == set_results.keys()
+    for j in mask_results:
+        got, want = mask_results[j], set_results[j]
+        assert got.anomaly_type == want.anomaly_type, j
+        assert got.rule == want.rule, j
+        assert got.witness == want.witness, j
+        assert got.cost.as_dict() == want.cost.as_dict(), j
 
 
 @pytest.mark.parametrize("n,r", SCALES)
@@ -105,13 +119,7 @@ def test_bitset_kernel_beats_frozenset_baseline(n, r):
     )
 
     # Equivalence first: the speed means nothing if the answers drift.
-    assert mask_results.keys() == set_results.keys()
-    for j in mask_results:
-        got, want = mask_results[j], set_results[j]
-        assert got.anomaly_type == want.anomaly_type, j
-        assert got.rule == want.rule, j
-        assert got.witness == want.witness, j
-        assert got.cost.as_dict() == want.cost.as_dict(), j
+    _assert_kernels_identical(mask_results, set_results)
 
     # The acceptance assertion: ≥ 3x on the verdict hot path (measured
     # ~4.5x; the margin absorbs noisy CI boxes).
@@ -125,6 +133,40 @@ def test_bitset_kernel_beats_frozenset_baseline(n, r):
             "n": n,
             "r": r,
             "flagged": len(flagged),
+            "bitset_seconds": mask_time,
+            "frozenset_seconds": set_time,
+            "speedup": set_time / mask_time,
+        }
+    )
+
+
+def test_large_component_takes_the_per_device_path():
+    """All-flagged 1k fleet at r=0.03: one 2r-connected component far
+    above the sharing bound, so families and Theorem 7 pools take the
+    per-device path on both kernels.  Every 10th device is characterized
+    (the frozenset kernel needs ~20 s for all of them)."""
+    n, r, tau = 1_000, 0.03, 3
+    rng = np.random.default_rng(0)
+    prev = rng.random((n, 2))
+    cur = np.clip(prev + rng.normal(0, r / 3, (n, 2)), 0, 1)
+    flagged = list(range(n))
+    targets = flagged[::10]
+    mask_time, mask_results = _time_kernel(
+        prev, cur, flagged, r, tau, "bitset", 1, targets
+    )
+    set_time, set_results = _time_kernel(
+        prev, cur, flagged, r, tau, "frozenset", 1, targets
+    )
+    _assert_kernels_identical(mask_results, set_results)
+    transition = Transition(Snapshot(prev), Snapshot(cur), flagged, r, tau)
+    assert MotionCache(transition).component(0) is None
+    _SUMMARY_ROWS.append(
+        {
+            "claim": "characterize_many_large_component",
+            "n": n,
+            "r": r,
+            "flagged": n,
+            "characterized": len(targets),
             "bitset_seconds": mask_time,
             "frozenset_seconds": set_time,
             "speedup": set_time / mask_time,

@@ -48,13 +48,18 @@ implied: if every member of ``B & D_k(j)`` were in ``J_k(j)``, extending
 ``B`` to a maximal dense motion would capture ``j`` and make
 ``B | {j}`` consistent, contradicting the first filter.
 
+The bitset kernel reads the pool of a device in a shared 2r-connected
+component off one per-component table of dense motion subsets
+(:meth:`Characterizer._shared_pool`); the frozenset kernel and
+components above the sharing bound enumerate it per device.
+
 The search memoizes visited unions and counts every collection it
 examines, feeding the Table III cost columns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,6 +72,7 @@ from repro.core.errors import (
 from repro.core.motions import enumerate_maximal_motions
 from repro.core.neighborhood import (
     MotionCache,
+    MotionComponent,
     NeighborhoodSplit,
     split_masks,
     split_neighborhood,
@@ -291,31 +297,28 @@ def _count_collections(candidates: Sequence[Motion], cap: Optional[int] = None) 
 #: 2^22 subsets) a per-subset loop bounds memory at the cost of speed.
 _VEC_SUBSET_LIMIT = 17
 
-#: Per-size cache of (all local masks, their popcounts); keyed by member
-#: count so repeated motions of the same size pay the setup once.
-_SUBSET_TABLES: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+#: Per-(size, tau) cache of the local masks with more than ``tau`` bits
+#: and their popcounts; repeated motions of one size pay the setup once.
+_DENSE_LOCALS: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _subset_tables(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """All ``2^m`` local masks with popcounts (portable across NumPy)."""
-    cached = _SUBSET_TABLES.get(m)
+def _dense_locals(m: int, tau: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every local mask over ``m`` members with more than ``tau`` bits,
+    and its popcount (portable across NumPy versions)."""
+    cached = _DENSE_LOCALS.get((m, tau))
     if cached is None:
-        masks_idx = np.arange(1 << m, dtype=np.int64)
-        counts = np.zeros(1 << m, dtype=np.uint8)
+        locals_ = np.arange(1 << m, dtype=np.int64)
+        counts = np.zeros(1 << m, dtype=np.int64)
         for bit in range(m):
-            counts[(masks_idx >> bit) & 1 == 1] += 1
-        cached = _SUBSET_TABLES[m] = (masks_idx, counts)
+            counts += (locals_ >> bit) & 1
+        dense = counts > tau
+        cached = _DENSE_LOCALS[(m, tau)] = (locals_[dense], counts[dense])
     return cached
 
 
-def _qualifying_subsets_vectorized(
-    transition: Transition,
-    device: int,
-    members: Sequence[int],
-    member_bits: Sequence[int],
-    d_mask: int,
-) -> List[int]:
-    """All Theorem 7 candidate subsets of one maximal motion, as masks.
+def _qualifying_locals(tau: int, m: int, d_local: int, far_local: int) -> np.ndarray:
+    """All Theorem 7 candidate subsets of one maximal motion, as local
+    masks over its ``m`` members.
 
     Every subset ``B`` enumerated here sits inside one maximal motion,
     whose combined bounding box already fits a ``2r`` window (up to the
@@ -323,54 +326,94 @@ def _qualifying_subsets_vectorized(
     exceeds ``2r`` iff some *single member* of ``B`` is more than ``2r``
     away from ``j`` in some combined dimension — the box of ``B`` alone
     can never blow the budget.  Consistency-with-``j`` therefore
-    collapses from a per-subset bounding box to a per-*member* flag, and
-    the three pool filters become three vectorized mask tests over all
-    ``2^m`` local subset masks at once: popcount ``> tau`` (16-bit
-    lookup table), ``mask & D_local != 0`` and ``mask & bad_local != 0``.
+    collapses from a per-subset bounding box to the per-member flags
+    ``far_local``, and the three pool filters become vectorized mask
+    tests over the motion's dense local masks: popcount ``> tau`` (the
+    table), ``mask & d_local != 0`` and ``mask & far_local != 0``.
     """
-    tau = transition.tau
-    m = len(members)
-    masks_idx, counts = _subset_tables(m)
-    # Local image of D_k(j): which member indices lie in the dense
-    # neighbourhood (subset ∩ D ≠ ∅ is then a single AND).
-    d_local = 0
-    for i, bit in enumerate(member_bits):
-        if bit & d_mask:
-            d_local |= 1 << i
-    if not d_local:
-        return []
-    # Members whose combined Chebyshev distance to j exceeds the 2r
-    # window (with the same atol as ``is_consistent_motion``): any
-    # subset containing one is inconsistent with j, and only those.
-    pts = transition.combined_of(list(members))
-    jpt = transition.combined_of([device])[0]
-    bad = np.abs(pts - jpt).max(axis=1) > 2.0 * transition.r + 1e-12
-    bad_local = 0
-    for i in np.flatnonzero(bad):
-        bad_local |= 1 << int(i)
-    if not bad_local:
-        return []
-    keep = (counts > tau) & ((masks_idx & d_local) != 0)
-    keep &= (masks_idx & bad_local) != 0
-    survivors = np.flatnonzero(keep)
-    if len(survivors) == 0:
-        return []
-    if max(member_bits) <= 1 << 62:
-        # Universe bits fit a machine word: decode every survivor's
-        # universe mask in one matmul against the member-bit vector.
-        bits_arr = np.asarray(member_bits, dtype=np.int64)
-        sel = (survivors[:, None] >> np.arange(m, dtype=np.int64)) & 1
-        return (sel @ bits_arr).tolist()
-    out: List[int] = []
-    for local in survivors:
-        um = 0
-        rest = int(local)
-        while rest:
-            low = rest & -rest
-            um |= member_bits[low.bit_length() - 1]
-            rest ^= low
-        out.append(um)
+    dense, _ = _dense_locals(m, tau)
+    return dense[((dense & d_local) != 0) & ((dense & far_local) != 0)]
+
+
+def _local_of(positions: Sequence[int], mask: int) -> int:
+    """Compress ``mask`` onto ``positions`` (local bit k = bit positions[k])."""
+    local = 0
+    for k, i in enumerate(positions):
+        if mask >> i & 1:
+            local |= 1 << k
+    return local
+
+
+def _decode(
+    locals_: Sequence[int], positions: Sequence[int], width: int
+) -> Iterable[Tuple[int, int]]:
+    """Decode local masks over ``positions`` to ``(mask, reversed)``
+    pairs: the mask over ``width`` bits and its bit reversal.  When both
+    fit an ``int64`` one matmul decodes them together."""
+    if width <= 63:
+        local = np.asarray(locals_, dtype=np.int64)
+        sel = (local[:, None] >> np.arange(len(positions), dtype=np.int64)) & 1
+        bits = np.array(
+            [[1 << i, 1 << (width - 1 - i)] for i in positions], dtype=np.int64
+        )
+        return zip(*(sel @ bits).T.tolist())
+    out = []
+    for local in locals_:
+        mask = rev = 0
+        for k in iter_bits(int(local)):
+            mask |= 1 << positions[k]
+            rev |= 1 << (width - 1 - positions[k])
+        out.append((mask, rev))
     return out
+
+
+def _deposit(bits: np.ndarray) -> np.ndarray:
+    """Masks of all ``2^m`` subsets of each row of ``bits`` (``(G, m)``
+    ``uint64``), indexed by local mask: ``out[g, local]`` ORs
+    ``bits[g, k]`` over the set bits ``k`` of ``local``."""
+    out = np.zeros((bits.shape[0], 1), dtype=np.uint64)
+    for k in range(bits.shape[1]):
+        out = np.concatenate([out, out | bits[:, k : k + 1]], axis=1)
+    return out
+
+
+def _dense_subsets(component: MotionComponent, tau: int) -> np.ndarray:
+    """Every dense subset of a component's maximal motions, in canonical
+    order, as ``uint64`` masks over its rows.
+
+    Rows follow device ids, so the canonical order (larger first, ties
+    lexicographic on members) is descending popcount, then descending
+    bit-reversed mask: among equal popcounts the lowest differing bit
+    decides, and the reversal makes it the highest one.  The reversed
+    masks are deposited alongside the masks, all motions of one size at
+    once.
+    """
+    width = len(component.devices)
+    by_size: Dict[int, List[List[int]]] = {}
+    for motion_mask in component.masks:
+        rows = list(iter_bits(motion_mask))
+        if len(rows) > tau:
+            by_size.setdefault(len(rows), []).append(rows)
+    if not by_size:
+        return np.empty(0, dtype=np.uint64)
+    masks: List[np.ndarray] = []
+    reversed_masks: List[np.ndarray] = []
+    counts: List[np.ndarray] = []
+    for m, motions in by_size.items():
+        dense, count = _dense_locals(m, tau)
+        rows = np.array(motions, dtype=np.uint64)
+        one = np.uint64(1)
+        both = _deposit(
+            np.concatenate([one << rows, one << (np.uint64(width - 1) - rows)])
+        )[:, dense]
+        masks.append(both[: len(motions)].ravel())
+        reversed_masks.append(both[len(motions) :].ravel())
+        counts.append(np.tile(count, len(motions)))
+    unique, first = np.unique(np.concatenate(masks), return_index=True)
+    order = np.lexsort(
+        (~np.concatenate(reversed_masks)[first], -np.concatenate(counts)[first])
+    )
+    return unique[order]
 
 
 class Characterizer:
@@ -455,6 +498,7 @@ class Characterizer:
             if cache is not None
             else MotionCache(transition, kernel=self._kernel)
         )
+        self._subset_tables: Dict[MotionComponent, np.ndarray] = {}
 
     @property
     def transition(self) -> Transition:
@@ -546,18 +590,29 @@ class Characterizer:
     def _characterize_dense_masks(
         self, device: int, family, cost: CostCounters
     ) -> Characterization:
-        """Theorems 6/7 on bitmasks over the device's local universe."""
-        # Seed the universe with the sorted 4r knowledge ball: every set
-        # the verdict touches (D_k(j), neighbour families, pool motions)
-        # lives inside it, so bit rank order == device id order and
-        # canonical sort keys read straight off the bits.
-        universe = LocalUniverse(self._transition.knowledge_ball(device))
+        """Theorems 6/7 on bitmasks over a local universe."""
+        # Seed the universe with a sorted device set holding every set
+        # the verdict touches (D_k(j), neighbour families, pool motions):
+        # the device's component, shared by its members, else its 4r
+        # knowledge ball.  Bit rank order == device id order, so
+        # canonical sort keys read straight off the bits.  A component
+        # whose dense-subset table would outgrow one vectorized motion
+        # (2^_VEC_SUBSET_LIMIT subsets) takes the per-device pool.
+        tau = self._transition.tau
+        component = self._cache.component(device)
+        if component is not None and sum(
+            1 << len(motion) for motion in component.motions if len(motion) > tau
+        ) > 1 << _VEC_SUBSET_LIMIT:
+            component = None
+        if component is None:
+            universe = LocalUniverse(self._transition.knowledge_ball(device))
+        else:
+            universe = component.universe
         before = self._cache.expansions
         d_mask, j_mask, _ = split_masks(self._cache, device, universe)
         cost.neighbor_expansions = self._cache.expansions - before
 
         # --- Theorem 6: a dense motion inside J_k(j) => massive. ---
-        tau = self._transition.tau
         dense_masks = [universe.mask_of(motion) for motion in family.dense]
         for motion, mask in zip(family.dense, dense_masks):
             if popcount(mask & j_mask) > tau:
@@ -578,8 +633,12 @@ class Characterizer:
             )
 
         try:
+            if component is None:
+                candidates = self._candidate_pool_masks(device, d_mask, universe)
+            else:
+                candidates = self._shared_pool(device, d_mask, component)
             return self._characterize_full_masks(
-                device, dense_masks, d_mask, universe, cost
+                device, dense_masks, candidates, universe, cost
             )
         except SearchBudgetExceeded as exc:
             return self._fallback_or_raise(device, cost, exc)
@@ -621,12 +680,11 @@ class Characterizer:
         self,
         device: int,
         dense_masks: Sequence[int],
-        d_mask: int,
+        candidates: Sequence[int],
         universe: LocalUniverse,
         cost: CostCounters,
     ) -> Characterization:
         """Theorem 7 / Corollary 8 exact decision on bitmasks."""
-        candidates = self._candidate_pool_masks(device, d_mask, universe)
         if self._count_all:
             cost.total_collections = _count_collections(
                 [universe.devices_of(c) for c in candidates], cap=self._count_cap
@@ -651,106 +709,138 @@ class Characterizer:
             witness=tuple(universe.devices_of(c) for c in counterexample),
         )
 
+    def _shared_pool(
+        self, device: int, d_mask: int, component: MotionComponent
+    ) -> List[int]:
+        """:meth:`_candidate_pool` from the device's shared component, as
+        masks over the component's rows (its universe), same order.
+
+        The maximal motions of ``ball \\ {j}`` that meet the component
+        are the inclusion-maximal sets among ``M ∩ ball \\ {j}`` over the
+        component's maximal motions ``M``: a motion is 2r-connected, so
+        it lies in one component, and every consistent subset of the
+        component lies in some ``M``.  Motions of other components never
+        qualify — candidates must meet ``D_k(j)``, inside the component.
+        So the pool is the component's dense-subset table
+        (:func:`_dense_subsets`, built once per component) filtered by
+        three mask tests: inside ``ball \\ {j}``, meeting ``D_k(j)``,
+        and holding a member farther than ``2r`` from ``j`` (see
+        :func:`_qualifying_locals`; one distance matrix per component).
+        A filter keeps the table's canonical order.
+        """
+        transition = self._transition
+        tau = transition.tau
+        cap = self._pool_cap
+        rows = component.rows
+        inside = 0
+        for x in transition.knowledge_ball(device):
+            row = rows.get(x)
+            if row is not None:
+                inside |= 1 << row
+        inside &= ~(1 << rows[device])
+        # The largest cut M ∩ ball \ {j} is one of the pool's maximal
+        # motions, and the largest one: the per-motion 2^m guard.
+        largest = max(popcount(mask & inside) for mask in component.masks)
+        if cap is not None and largest > tau and (1 << largest) > cap:
+            raise SearchBudgetExceeded(
+                f"candidate pool for device {device} requires enumerating "
+                f"2^{largest} subsets of one maximal motion (cap {cap})"
+            )
+        table = self._subset_tables.get(component)
+        if table is None:
+            table = self._subset_tables[component] = _dense_subsets(component, tau)
+        # Inside the ball is implied by the next two tests up to float
+        # tolerance (a subset of one motion that meets D_k(j) lies
+        # within 4r of j); testing it keeps the pool exactly the ball's.
+        outside = ((1 << len(rows)) - 1) & ~inside
+        far = component.far_rows(transition, device)
+        keep = (table & np.uint64(outside)) == 0
+        keep &= (table & np.uint64(d_mask)) != 0
+        keep &= (table & np.uint64(far)) != 0
+        pool = table[keep].tolist()
+        if cap is not None and len(pool) > cap:
+            raise SearchBudgetExceeded(
+                f"candidate pool for device {device} exceeded {cap}"
+            )
+        return pool
+
     def _candidate_pool_masks(
         self, device: int, d_mask: int, universe: LocalUniverse
     ) -> List[int]:
         """Mask twin of :meth:`_candidate_pool`: same sets, same order.
 
-        Subsets of each maximal motion are enumerated as *local* masks
-        over the motion's member list; for motions of ≤ 17 members the
-        density, ``D_k(j)``-intersection and box-consistency filters run
-        vectorized over all ``2^m`` local masks at once (the consistency
-        of every ``B ∪ {j}`` via a subset min/max DP), and only the
-        survivors are converted to universe masks.
+        The per-device pool, for devices without a shareable component.
+        ``universe`` is seeded with the sorted ``4r`` ball, so bit ``i``
+        is ``ball[i]``.  Subsets of each maximal motion of the ball
+        without ``j`` are enumerated as local masks over its members —
+        vectorized up to ``_VEC_SUBSET_LIMIT`` members
+        (:func:`_qualifying_locals`), an exact per-subset loop above —
+        and the survivors are decoded to universe masks together with
+        their bit-reversed masks, the canonical sort key (see
+        :func:`_dense_subsets`).
         """
         transition = self._transition
         tau = transition.tau
-        region = [x for x in transition.knowledge_ball(device) if x != device]
+        cap = self._pool_cap
+        ball = transition.knowledge_ball(device)
+        region = [x for x in ball if x != device]
         if not region:
             return []
         maximal, _ = enumerate_maximal_motions(
             transition, region, kernel=self._kernel
         )
-        pool: Set[int] = set()
+        pts = transition.combined_of(ball)
+        far = np.flatnonzero(
+            np.abs(pts - transition.combined[device]).max(axis=1)
+            > 2.0 * transition.r + 1e-12
+        )
+        far_mask = sum(1 << int(i) for i in far)
+        width = len(ball)
+        pool: Dict[int, int] = {}  # universe mask -> bit-reversed mask
         for motion in maximal:
-            members = sorted(motion)
-            m = len(members)
+            m = len(motion)
             if m <= tau:
                 continue
-            if self._pool_cap is not None and (1 << m) > self._pool_cap:
+            if cap is not None and (1 << m) > cap:
                 raise SearchBudgetExceeded(
                     f"candidate pool for device {device} requires enumerating "
-                    f"2^{m} subsets of one maximal motion (cap {self._pool_cap})"
+                    f"2^{m} subsets of one maximal motion (cap {cap})"
                 )
-            member_bits = [universe.bit(x) for x in members]
+            positions = list(iter_bits(universe.mask_of(motion)))
+            d_local = _local_of(positions, d_mask)
+            far_local = _local_of(positions, far_mask)
+            if not (d_local and far_local):
+                continue
             if m <= _VEC_SUBSET_LIMIT:
-                survivors = _qualifying_subsets_vectorized(
-                    transition, device, members, member_bits, d_mask
-                )
+                survivors = _qualifying_locals(tau, m, d_local, far_local)
             else:  # pragma: no cover - adversarial sizes; guarded by pool_cap
-                survivors = self._qualifying_subsets_loop(
-                    device, members, member_bits, d_mask, universe
+                survivors = self._qualifying_locals_loop(
+                    device, [ball[i] for i in positions], d_local
                 )
-            pool.update(survivors)
-            if self._pool_cap is not None and len(pool) > self._pool_cap:
+            pool.update(_decode(survivors, positions, width))
+            if cap is not None and len(pool) > cap:
                 raise SearchBudgetExceeded(
-                    f"candidate pool for device {device} exceeded {self._pool_cap}"
+                    f"candidate pool for device {device} exceeded {cap}"
                 )
         # Deterministic order matching the frozenset kernel: larger
         # candidates first, ties broken lexicographically on members.
-        devs = universe.devices
-        if all(devs[i] < devs[i + 1] for i in range(len(devs) - 1)):
-            # Bit rank order == device id order (the seeded-ball common
-            # case), so lexicographic member order is exactly descending
-            # bit-reversed mask order: among equal-popcount masks the
-            # lowest differing bit decides, and fixed-width reversal
-            # turns that into plain integer comparison.
-            width = max(len(devs), 1)
-            return sorted(
-                pool,
-                key=lambda um: (
-                    -popcount(um),
-                    -int(f"{um:0{width}b}"[::-1], 2),
-                ),
-            )
-        return sorted(  # widened universe: fall back to explicit tuples
-            pool,
-            key=lambda um: (
-                -popcount(um),
-                tuple(sorted(devs[i] for i in iter_bits(um))),
-            ),
-        )
+        return sorted(pool, key=lambda um: (-popcount(um), -pool[um]))
 
-    def _qualifying_subsets_loop(
-        self,
-        device: int,
-        members: Sequence[int],
-        member_bits: Sequence[int],
-        d_mask: int,
-        universe: LocalUniverse,
+    def _qualifying_locals_loop(
+        self, device: int, members: Sequence[int], d_local: int
     ) -> List[int]:
-        """Per-subset fallback for motions too large to vectorize."""
+        """Per-subset twin of :func:`_qualifying_locals` for motions too
+        large to vectorize: the exact ``B ∪ {j}`` consistency check."""
         transition = self._transition
         tau = transition.tau
-        m = len(members)
         out: List[int] = []
-        for local in range(1, 1 << m):
-            if popcount(local) <= tau:
+        for local in range(1, 1 << len(members)):
+            if popcount(local) <= tau or not local & d_local:
                 continue
-            um = 0
             subset = [device]
-            rest = local
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                um |= member_bits[i]
-                subset.append(members[i])
-                rest ^= low
-            if not um & d_mask:
-                continue
-            if transition.is_consistent_motion(subset):
-                continue
-            out.append(um)
+            subset.extend(members[i] for i in iter_bits(local))
+            if not transition.is_consistent_motion(subset):
+                out.append(local)
         return out
 
     def _candidate_pool(self, device: int, split: NeighborhoodSplit) -> List[Motion]:

@@ -22,21 +22,133 @@ not change between two transitions has, a fortiori, unchanged ``2r``
 family inputs, so its family can be reused verbatim — the online
 service uses the dirty-region tracker's affected set as the (sound,
 conservative) invalidation set.
+
+Within one transition the cache shares motion work per *component*:
+every member of a motion through ``x`` lies in ``N(x)``, so the
+maximal motions through ``x`` all lie in the 2r-connected component of
+the flagged devices that contains ``x``.  The cache enumerates each
+component's maximal motions once (:class:`MotionComponent`) and derives
+a member's family as the sublist of motions containing it — exact on
+any transition, including shard transitions truncated at a halo edge.
+Lone devices and components above :data:`_COMPONENT_LIMIT` members keep
+the per-device anchored enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.bitset import LocalUniverse, resolve_kernel
-from repro.core.motions import motion_family
+import numpy as np
+
+from repro.core.bitset import LocalUniverse, iter_bits, resolve_kernel
+from repro.core.motions import enumerate_maximal_motions, motion_family
 from repro.core.transition import Transition
 from repro.core.types import MotionFamily
 
-__all__ = ["MotionCache", "NeighborhoodSplit", "split_neighborhood"]
+__all__ = [
+    "MotionCache",
+    "MotionComponent",
+    "NeighborhoodSplit",
+    "split_neighborhood",
+]
 
 Motion = FrozenSet[int]
+
+#: Largest 2r-connected component whose maximal motions are enumerated
+#: once and shared by its members.  Far above it the per-device anchored
+#: sweep wins — masks a thousand bits wide make every window placement of
+#: an unanchored sweep O(m) (DESIGN.md, "Component sharing") — and at or
+#: below it a member set fits one ``uint64`` row mask, which the shared
+#: Theorem 7 subset table relies on.
+_COMPONENT_LIMIT = 64
+
+
+class MotionComponent:
+    """One 2r-connected component of ``A_k`` with its maximal motions.
+
+    ``devices`` is the sorted member tuple and ``rows`` maps a member to
+    its index in it; ``motions`` are the component's maximal motions in
+    canonical order (decreasing size, then lexicographic members) and
+    ``masks`` the same motions as bitmasks over those row indices.
+    ``window_steps`` counts the placements of the one unanchored sweep
+    that produced them.  :attr:`universe` maps the members to those row
+    bits for the verdict's mask algebra.
+    """
+
+    __slots__ = (
+        "devices",
+        "rows",
+        "motions",
+        "masks",
+        "window_steps",
+        "_far",
+        "_universe",
+    )
+
+    def __init__(
+        self, transition: Transition, devices: Tuple[int, ...], kernel: str
+    ) -> None:
+        self.devices = devices
+        self.rows: Dict[int, int] = {x: i for i, x in enumerate(devices)}
+        motions, steps = enumerate_maximal_motions(
+            transition, devices, kernel=kernel
+        )
+        self.motions: List[Motion] = motions
+        rows = self.rows
+        self.masks: List[int] = [
+            sum(1 << rows[x] for x in motion) for motion in motions
+        ]
+        self.window_steps = steps
+        self._far: Optional[List[int]] = None
+        self._universe: Optional[LocalUniverse] = None
+
+    @property
+    def universe(self) -> LocalUniverse:
+        """The members as a sorted universe (bit rank order is device id
+        order), built on first use: only devices with a dense motion
+        reach the mask algebra."""
+        if self._universe is None:
+            self._universe = LocalUniverse(self.devices)
+        return self._universe
+
+    def family(self, device: int, tau: int) -> MotionFamily:
+        """The family of ``device``: the motions that contain it.
+
+        A sublist of a canonically ordered list is canonically ordered,
+        so this equals the anchored enumeration's family value.
+        """
+        bit = 1 << self.rows[device]
+        motions = tuple(
+            motion
+            for motion, mask in zip(self.motions, self.masks)
+            if mask & bit
+        )
+        return MotionFamily(
+            device=device,
+            motions=motions,
+            dense=tuple(m for m in motions if len(m) > tau),
+            window_steps=self.window_steps,
+        )
+
+    def far_rows(self, transition: Transition, device: int) -> int:
+        """Row mask of the members farther than ``2r`` from ``device``.
+
+        Far means a combined-coordinate Chebyshev distance above
+        ``2r + 1e-12`` (the tolerance of ``is_consistent_motion``), so
+        ``B | {device}`` is consistent iff ``B`` avoids this mask — for
+        any ``B`` inside one motion.  One distance matrix per component
+        serves every member.
+        """
+        if self._far is None:
+            pts = transition.combined_of(self.devices)
+            far = (
+                np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
+                > 2.0 * transition.r + 1e-12
+            )
+            packed = np.packbits(far, axis=1, bitorder="little")
+            self._far = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return self._far[self.rows[device]]
 
 
 class MotionCache:
@@ -61,6 +173,10 @@ class MotionCache:
     pre-seeded by :meth:`carry_from`; ``carried_used`` counts the
     distinct carried devices whose family was actually served, i.e.
     recomputations genuinely avoided.
+
+    A family that is neither memoized nor carried is derived from its
+    owner's :meth:`component` on request; a component is enumerated
+    once per transition, on its first member's request.
     """
 
     def __init__(
@@ -70,6 +186,7 @@ class MotionCache:
         self._kernel = resolve_kernel(kernel)
         self._families: Dict[int, MotionFamily] = {}
         self._carried_pending: Set[int] = set()
+        self._components: Dict[int, Optional[MotionComponent]] = {}
         self.expansions = 0
         self.carried = 0
         self.carried_used = 0
@@ -116,7 +233,13 @@ class MotionCache:
         """Return (and memoize) the motion family of ``device``."""
         fam = self._families.get(device)
         if fam is None:
-            fam = motion_family(self._transition, device, kernel=self._kernel)
+            component = self.component(device)
+            if component is None:
+                fam = motion_family(
+                    self._transition, device, kernel=self._kernel
+                )
+            else:
+                fam = component.family(device, self._transition.tau)
             self._families[device] = fam
             self.expansions += 1
         elif self._carried_pending:
@@ -124,6 +247,39 @@ class MotionCache:
                 self._carried_pending.discard(device)
                 self.carried_used += 1
         return fam
+
+    def component(self, device: int) -> Optional[MotionComponent]:
+        """The memoized 2r-connected component of ``device``.
+
+        Walks ``N(j)`` depth-first from ``device`` (served from the
+        transition's neighbourhood memo, which the engine warms for its
+        targets in one batch) and memoizes the result for every member.
+        Returns None — for every device the walk reached — once the
+        component exceeds :data:`_COMPONENT_LIMIT` members, and for a
+        lone device, which has nothing to share (its anchored sweep is
+        the component sweep); both keep the per-device path.
+        """
+        try:
+            return self._components[device]
+        except KeyError:
+            pass
+        neighborhood = self._transition.neighborhood
+        seen = {device}
+        stack = [device]
+        while stack and len(seen) <= _COMPONENT_LIMIT:
+            for other in neighborhood(stack.pop()):
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        # A non-empty stack means the walk stopped above the bound.
+        component = None
+        if not stack and len(seen) > 1:
+            component = MotionComponent(
+                self._transition, tuple(sorted(seen)), self._kernel
+            )
+        for member in seen:
+            self._components[member] = component
+        return component
 
     def dense_family(self, device: int) -> Tuple[Motion, ...]:
         """Return ``Wbar_k(device)``: its maximal tau-dense motions."""
@@ -168,19 +324,19 @@ def split_masks(
     d_mask = 0
     for motion in dense:
         d_mask |= universe.mask_of(motion)
+    devices = universe.devices
     j_mask = 0
     l_mask = 0
-    for member in sorted(universe.devices_of(d_mask)):
-        if member == device:
-            j_mask |= universe.bit(member)
-            continue
-        member_dense = cache.dense_family(member)
+    for i in iter_bits(d_mask):
+        member = devices[i]
         # ``member`` is in D_k(j) so it shares at least one maximal dense
         # motion with j; its own dense family is therefore non-empty.
-        if all(device in motion for motion in member_dense):
-            j_mask |= universe.bit(member)
+        if member == device or all(
+            device in motion for motion in cache.dense_family(member)
+        ):
+            j_mask |= 1 << i
         else:
-            l_mask |= universe.bit(member)
+            l_mask |= 1 << i
     return d_mask, j_mask, l_mask
 
 

@@ -86,7 +86,13 @@ class CostCounters:
         ``tested_collections``.
     window_steps:
         Sliding-window advances performed by the Algorithm 2 enumerator;
-        a machine-independent proxy for its running time.
+        a machine-independent proxy for its running time.  A device's
+        family is derived from its 2r-connected component of flagged
+        devices, so this counts the placements of that component's one
+        unanchored sweep — the same value for every member.  Devices in
+        a component above the sharing bound (64 members) count their
+        own anchored sweep of ``N(j)``.  A family carried across ticks
+        keeps the count of the tick that computed it.
     """
 
     maximal_motions: int = 0

@@ -39,7 +39,7 @@ randomized runs.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -51,7 +51,7 @@ from repro.core.errors import (
     QueueFullError,
 )
 from repro.core.transition import Transition
-from repro.core.types import AnomalyType, Characterization
+from repro.core.types import AnomalyType, Characterization, DecisionRule
 from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
 from repro.engine import CharacterizationEngine, EngineConfig
 from repro.engine.config import BACKENDS
@@ -337,10 +337,17 @@ class MetricsSink:
     The per-tick view is still available as ``verdict_tick_counts``
     (device-ticks spent in each verdict type).
 
+    ``decision_counts`` counts the verdicts *recomputed* each tick by
+    the :class:`~repro.core.types.DecisionRule` that produced them (the
+    rule mix: Theorem 5 / 6 / 7, Corollary 8, Algorithm 3 fallback);
+    reused verdicts are not re-counted.
+
     Like :class:`ServiceStats`, every increment is mirrored onto the
-    metric registry — ``repro_verdict_transitions_total{kind=...}`` and
-    ``repro_verdict_device_ticks_total{kind=...}`` — so verdict rates
-    by type are scrapeable without touching the sink object.
+    metric registry — ``repro_verdict_transitions_total{kind=...}``,
+    ``repro_verdict_device_ticks_total{kind=...}`` and
+    ``repro_verdict_decisions_total{rule=...}``, each incremented once
+    per label per tick — so verdict rates by type and rule are
+    scrapeable without touching the sink object.
     """
 
     def __init__(self, registry: Optional[Registry] = None) -> None:
@@ -357,7 +364,15 @@ class MetricsSink:
         self.verdict_tick_counts: Dict[str, int] = {
             kind.value: 0 for kind in AnomalyType
         }
+        self.decision_counts: Dict[str, int] = {
+            rule.value: 0 for rule in DecisionRule
+        }
         self._current_kinds: Dict[int, str] = {}
+        self._decisions_counter = reg.counter(
+            "repro_verdict_decisions_total",
+            "Recomputed verdicts by the decision rule that produced them",
+            labelnames=("rule",),
+        )
         self._transitions_counter = reg.counter(
             "repro_verdict_transitions_total",
             "Verdict events: a device entering a verdict type",
@@ -376,16 +391,27 @@ class MetricsSink:
         self.reused += len(tick.reused)
         self.families_recomputed += tick.families_recomputed
         self.families_reused += tick.families_reused
+        # One increment per label per tick, not one per device: the
+        # registry's label lookup costs more than the tally.
+        verdicts = tick.verdicts
+        rules = Counter([verdicts[device].rule for device in tick.recomputed])
+        for rule, count in rules.items():
+            self.decision_counts[rule.value] += count
+            self._decisions_counter.labels(rule=rule.value).inc(count)
         kinds = {
             device: verdict.anomaly_type.value
-            for device, verdict in tick.verdicts.items()
+            for device, verdict in verdicts.items()
         }
-        for device, kind in kinds.items():
-            self.verdict_tick_counts[kind] += 1
-            self._device_ticks_counter.labels(kind=kind).inc()
-            if self._current_kinds.get(device) != kind:
-                self.verdict_counts[kind] += 1
-                self._transitions_counter.labels(kind=kind).inc()
+        for kind, count in Counter(kinds.values()).items():
+            self.verdict_tick_counts[kind] += count
+            self._device_ticks_counter.labels(kind=kind).inc(count)
+        current = self._current_kinds
+        entered = Counter(
+            [kind for device, kind in kinds.items() if current.get(device) != kind]
+        )
+        for kind, count in entered.items():
+            self.verdict_counts[kind] += count
+            self._transitions_counter.labels(kind=kind).inc(count)
         # Devices absent from this tick's verdicts are no longer flagged;
         # forgetting them means a later re-flag counts as a new event.
         self._current_kinds = kinds
@@ -401,6 +427,7 @@ class MetricsSink:
             "families_reused": self.families_reused,
             "verdict_counts": dict(self.verdict_counts),
             "verdict_tick_counts": dict(self.verdict_tick_counts),
+            "decision_counts": dict(self.decision_counts),
         }
 
 

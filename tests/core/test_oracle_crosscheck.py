@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.characterize import Characterizer
 from repro.core.oracle import oracle_classify
 from repro.core.partition import enumerate_anomaly_partitions
+from repro.core.transition import Snapshot, Transition
 from repro.core.types import AnomalyType, DecisionRule
 from tests.conftest import make_transition_1d, random_clustered_pairs
 
@@ -69,6 +71,48 @@ class TestLocalEqualsOracle:
             # massive or truly unresolved.
             else:
                 assert oracle.type_of(device) is not AnomalyType.ISOLATED
+
+
+def _coordinated_transition(seed: int, sizes, loners: int, r=0.05, tau=2):
+    """The ``massive-10k`` shape at oracle scale: each group's homes fill
+    a ~2.4r box and shift by one common offset beyond ``4r`` per
+    coordinate (plus small noise); loners jump to uniform points."""
+    rng = np.random.default_rng(seed)
+    prev, cur = [], []
+    for size in sizes:
+        home = rng.uniform(0.2, 0.8, 2)
+        pts = home + rng.uniform(-1.2 * r, 1.2 * r, (size, 2))
+        shift = rng.uniform(4 * r, 6 * r, 2) * rng.choice([-1, 1], 2)
+        prev.append(pts)
+        cur.append(pts + shift + rng.normal(0, r / 4, (size, 2)))
+    prev.append(rng.random((loners, 2)))
+    cur.append(rng.random((loners, 2)))
+    prev = np.clip(np.vstack(prev), 0, 1)
+    cur = np.clip(np.vstack(cur), 0, 1)
+    return Transition(Snapshot(prev), Snapshot(cur), range(len(prev)), r, tau)
+
+
+class TestCoordinatedGroupsEqualOracle:
+    """One or two coordinated groups of 4-8: the verdicts come from each
+    group's shared component (one motion enumeration, one subset table)
+    and must still agree with the omniscient oracle device by device."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize(
+        "sizes,loners",
+        [((4,), 1), ((5,), 1), ((6,), 1), ((7,), 1), ((8,), 0), ((4, 4), 0), ((4, 5), 0)],
+    )
+    def test_classification_matches(self, sizes, loners, seed):
+        t = _coordinated_transition(seed, sizes, loners)
+        characterizer = Characterizer(t)
+        local = characterizer.characterize_all()
+        oracle = oracle_classify(t)
+        for device in t.flagged_sorted:
+            assert local[device].anomaly_type is oracle.type_of(device), (
+                f"sizes={sizes} seed={seed} device={device}"
+            )
+        cache = characterizer.cache
+        assert any(cache.component(j) is not None for j in range(sum(sizes)))
 
 
 class TestLemma2:

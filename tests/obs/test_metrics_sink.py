@@ -8,12 +8,20 @@ set must stop accruing device-ticks immediately.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.types import AnomalyType, Characterization, DecisionRule
 from repro.obs.metrics import Registry, get_registry
-from repro.online import MetricsSink, OnlineTick, ReportSink
+from repro.online import (
+    MetricsSink,
+    OnlineCharacterizationService,
+    OnlineTick,
+    QosUpdate,
+    ReportSink,
+    ServiceConfig,
+)
 
 
 def _tick(number: int, verdicts: dict) -> OnlineTick:
@@ -129,3 +137,90 @@ class TestReportSinkBounding:
         sink = ReportSink(kinds=(AnomalyType.MASSIVE,), max_rows=10)
         sink(_tick(1, {1: AnomalyType.ISOLATED, 2: AnomalyType.MASSIVE}))
         assert [row[1] for row in sink.rows] == [2]
+
+
+def _rule_value(registry, rule: str) -> float:
+    snap = registry.snapshot().get("repro_verdict_decisions_total")
+    if snap is None:
+        return 0.0
+    for sample in snap["samples"]:
+        if sample["labels"] == {"rule": rule}:
+            return sample["value"]
+    return 0.0
+
+
+class TestDecisionRuleCounting:
+    """``decision_counts`` is the rule mix of each tick's recomputed verdicts."""
+
+    def _stream_ticks(self, sink, ticks=8):
+        rng = np.random.default_rng(4)
+        home = rng.random((80, 2)) * 0.8 + 0.1
+        service = OnlineCharacterizationService(
+            home.copy(), ServiceConfig(r=0.03, tau=2), sinks=(sink,)
+        )
+        out = []
+        flagged = []
+        for _ in range(ticks):
+            for device in flagged:  # last tick's anomalies return home
+                service.ingest(QosUpdate(device, tuple(home[device]), False))
+            # Two coordinated groups (massive or unresolved) and two
+            # isolated jumps, drawn fresh every tick.
+            picks = rng.choice(80, 10, replace=False).tolist()
+            flagged = picks
+            for group in (picks[:4], picks[4:8]):
+                shift = rng.uniform(-0.15, 0.15, 2)
+                for device in group:
+                    pos = np.clip(home[group[0]] + shift + rng.normal(0, 0.004, 2), 0, 1)
+                    service.ingest(QosUpdate(device, tuple(pos), True))
+            for device in picks[8:]:
+                service.ingest(QosUpdate(device, tuple(rng.random(2)), True))
+            out.append(service.end_tick())
+        return out
+
+    def test_counts_match_recomputed_verdict_rules(self):
+        reg = Registry()
+        sink = MetricsSink(registry=reg)
+        ticks = self._stream_ticks(sink)
+        want = {rule.value: 0 for rule in DecisionRule}
+        for tick in ticks:
+            for device in tick.recomputed:
+                want[tick.verdicts[device].rule.value] += 1
+        assert sink.decision_counts == want
+        assert sum(want.values()) == sum(len(t.recomputed) for t in ticks) > 0
+        assert sum(1 for count in want.values() if count) >= 2  # a real mix
+        for rule, count in want.items():
+            assert _rule_value(reg, rule) == float(count)
+        assert sink.as_dict()["decision_counts"] == want
+        # The batched per-kind increments still mirror the sink's tallies.
+        for kind in AnomalyType:
+            assert _counter_value(
+                reg, "repro_verdict_device_ticks_total", kind.value
+            ) == float(sink.verdict_tick_counts[kind.value])
+            assert _counter_value(
+                reg, "repro_verdict_transitions_total", kind.value
+            ) == float(sink.verdict_counts[kind.value])
+
+    def test_reused_verdicts_are_not_recounted(self):
+        reg = Registry()
+        sink = MetricsSink(registry=reg)
+        built = {
+            device: Characterization(
+                device=device,
+                anomaly_type=AnomalyType.MASSIVE,
+                rule=DecisionRule.THEOREM_6,
+            )
+            for device in (1, 2, 3)
+        }
+        sink(
+            OnlineTick(
+                tick=1,
+                applied=0,
+                flagged=(1, 2, 3),
+                recomputed=(1, 2),
+                reused=(3,),
+                dirty_cells=0,
+                verdicts=built,
+            )
+        )
+        assert sink.decision_counts["theorem-6"] == 2
+        assert _rule_value(reg, "theorem-6") == 2.0
