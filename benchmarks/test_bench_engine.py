@@ -1,13 +1,12 @@
-"""Engine benchmarks: batch neighbourhoods and execution backends.
+"""Engine benchmarks: batch neighbourhoods and simulated-step verdicts.
 
 Quantifies the two tentpole claims of the engine layer:
 
 * ``Transition.neighborhoods_batch`` (vectorized cell-code queries) beats
   the per-device ``neighborhood()`` loop on flagged-heavy transitions at
   ``n ∈ {1k, 10k}`` — asserted, not just timed;
-* the ``serial`` and ``process`` backends both characterize simulated
-  steps correctly at ``n ∈ {1k, 10k}``, with timings reported for
-  comparison.
+* the engine characterizes every flagged device of a simulated step at
+  ``n ∈ {1k, 10k}``, with timings reported.
 
 Every timing uses fresh transitions (the neighbourhood memo would
 otherwise hand later rounds the answer for free).
@@ -102,16 +101,14 @@ def test_batch_results_match_loop_at_scale():
 
 
 # ----------------------------------------------------------------------
-# Serial vs process backends on simulated steps.
+# The engine on simulated steps.
 #
 # ``r`` is dimensioned with ``n`` so the *local* density (devices per
 # r-ball) stays at the paper's operating point as the system grows —
 # which is the paper's own Figure 6 dimensioning argument, and what
 # keeps per-device cost bounded at n = 10k.  The search budgets mirror
-# the experiment runner's.  Note the process backend's timing is
-# startup- and pickling-dominated on few-core machines (its win needs
-# real parallel hardware); the benchmark reports both so the overhead
-# is visible, while verdict identity is asserted in tests/engine/.
+# the experiment runner's.  Verdict identity is asserted in
+# tests/engine/.
 # ----------------------------------------------------------------------
 BACKEND_SCALES = {
     1_000: dict(n=1_000, r=0.03, errors_per_step=20),
@@ -127,12 +124,9 @@ def simulated_step(request):
     return Simulator(config).step()
 
 
-def _engine(backend: str) -> CharacterizationEngine:
+def _engine() -> CharacterizationEngine:
     return CharacterizationEngine(
         EngineConfig(
-            backend=backend,
-            workers=2,
-            min_process_devices=1,
             budget_fallback=True,
             collection_budget=200_000,
             pool_cap=50_000,
@@ -141,15 +135,7 @@ def _engine(backend: str) -> CharacterizationEngine:
 
 
 def test_bench_engine_serial(benchmark, simulated_step):
-    engine = _engine("serial")
-    results = benchmark.pedantic(
-        lambda: engine.characterize(simulated_step.transition), rounds=2
-    )
-    assert set(results) == set(simulated_step.transition.flagged_sorted)
-
-
-def test_bench_engine_process(benchmark, simulated_step):
-    engine = _engine("process")
+    engine = _engine()
     results = benchmark.pedantic(
         lambda: engine.characterize(simulated_step.transition), rounds=2
     )

@@ -3,15 +3,17 @@
 
 Everything the fault-tolerance PR adds, in one script:
 
-1. run an online stream over the supervised worker pool while a
-   :class:`FaultPlan` kills workers and drops replies at probability
-   0.2 per dispatch — the dispatch deadline catches every silent
-   worker, respawns it and retries, so the stream never stalls;
+1. run an online stream over a 2-shard process
+   :class:`ShardedService` while a :class:`FaultPlan` kills shard
+   children and drops their replies at probability 0.2 per dispatch —
+   the dispatch deadline catches every silent child, respawns it
+   against its shared-memory planes and retries, so the stream never
+   stalls;
 2. checkpoint every tick through :class:`CheckpointWriter` (atomic
    write-then-rename, newest few kept);
-3. "crash" mid-stream, then :func:`restore_service` from the newest
-   checkpoint into a fresh service, fast-forward the load generator
-   and finish the run;
+3. "crash" mid-stream, then :func:`restore_sharded_service` from the
+   newest checkpoint into a fresh sharded service, fast-forward the
+   load generator and finish the run;
 4. compare against an uninterrupted fault-free serial run: the verdict
    totals are identical — faults and restores are invisible in the
    output stream.
@@ -24,7 +26,6 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro.engine import CharacterizationEngine, EngineConfig
 from repro.online import (
     CheckpointWriter,
     LoadGenerator,
@@ -32,9 +33,10 @@ from repro.online import (
     MetricsSink,
     OnlineCharacterizationService,
     ServiceConfig,
+    ShardedService,
     drive_load,
     latest_checkpoint,
-    restore_service,
+    restore_sharded_service,
 )
 from repro.robust.chaos import FaultPlan, inject
 
@@ -58,24 +60,10 @@ def _verdict_totals(ticks):
     return totals
 
 
-def _pool_engine(args):
-    return CharacterizationEngine(
-        EngineConfig(
-            backend="process",
-            workers=args.workers,
-            min_process_devices=1,
-            dispatch_deadline=2.0,
-            retry_backoff=0.01,
-            serial_fallback_after=1_000,  # stay on the pool path
-        )
-    )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--devices", type=int, default=500)
     parser.add_argument("--ticks", type=int, default=12)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument(
         "--crash-after", type=int, default=None,
@@ -94,34 +82,33 @@ def main() -> None:
     print(f"  verdict totals: {_verdict_totals(reference)}")
 
     with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as ckpt_dir:
-        # Leg 1: pooled, under fire, checkpointing every tick — then
-        # the process "dies" (we simply abandon the service).
+        # Leg 1: two process shards under fire, checkpointing every
+        # tick — then the front door "dies" (the service is closed).
         plan = FaultPlan(
             seed=args.seed, kill_probability=0.1, drop_probability=0.1
         )
         generator = LoadGenerator(_profile(args))
-        engine = _pool_engine(args)
-        service = OnlineCharacterizationService(
+        service = ShardedService(
             generator.initial_positions(),
-            ServiceConfig(r=0.05, tau=2),
-            engine=engine,
+            ServiceConfig(r=0.05, tau=2, dispatch_deadline=2.0),
+            topology_shards=2,
+            topology_workers="process",
         )
         metrics = MetricsSink()
         service.add_sink(metrics)
         service.add_sink(CheckpointWriter(service, ckpt_dir, keep=3))
-        with engine:
+        with service:
             with inject(plan) as injector:
                 head = drive_load(service, generator, crash_after).ticks
         print(
-            f"\nleg 1 (chaos) : {crash_after} ticks on {args.workers} "
-            f"pooled workers, faults injected: {dict(injector.injected)}"
+            f"\nleg 1 (chaos) : {crash_after} ticks on 2 process shards, "
+            f"faults injected: {dict(injector.injected)}"
         )
-        print(f"  pool health at 'crash': {engine.backend.health}")
 
-        # Leg 2: a fresh service restores the newest checkpoint,
+        # Leg 2: a fresh sharded service restores the newest checkpoint,
         # fast-forwards the generator and finishes the stream.
         newest = latest_checkpoint(ckpt_dir)
-        restored = restore_service(newest)
+        restored = restore_sharded_service(newest, topology_workers="process")
         generator = LoadGenerator(_profile(args))
         generator.fast_forward(restored.current_tick)
         with restored:

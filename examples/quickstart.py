@@ -9,11 +9,11 @@ isolated.
 
 Characterization goes through :class:`repro.CharacterizationEngine`, the
 recommended entry point: it batch-computes every flagged device's
-neighbourhood in one vectorized pass and can fan the per-device work out
-to a process pool (``EngineConfig(backend="process", workers=4)``) for
-large fleets.  One engine instance is meant to be kept for a whole run —
-it shares motion caches across devices and aggregates statistics across
-transitions.
+neighbourhood in one vectorized pass.  One engine instance is meant to be
+kept for a whole run — it shares motion caches across devices and
+aggregates statistics across transitions.  For fleets too large for one
+process, the online ``ShardedService`` splits space into shards, each
+with its own engine (see ``examples/sharded_serve.py``).
 
 Run:  python examples/quickstart.py
 """
@@ -46,7 +46,7 @@ def main() -> None:
     flagged = network_victims + [local_victim]
 
     transition = Transition.from_arrays(previous, current, flagged, r=R, tau=TAU)
-    engine = CharacterizationEngine(EngineConfig(backend="serial"))
+    engine = CharacterizationEngine(EngineConfig())
     verdicts = engine.characterize(transition)
 
     print(f"{'device':>6}  {'verdict':<10}  {'decided by':<12}")

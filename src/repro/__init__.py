@@ -27,8 +27,8 @@ Subpackages
     The paper's contribution: motions, partitions, Theorems 5–7,
     Corollary 8, and the omniscient oracle.
 ``repro.engine``
-    Batch-first characterization engine: vectorized neighbourhoods,
-    shared motion cache, pluggable serial / process execution backends.
+    Batch-first characterization engine: vectorized neighbourhoods and
+    a motion cache shared across devices and transitions.
 ``repro.online``
     Event-driven characterization service: sharded device-state store,
     incremental grid indexes, dirty-region invalidation, and a

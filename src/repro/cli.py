@@ -5,7 +5,6 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run table2
     python -m repro.cli run figure7 --steps 2 --seeds 0,1 --json out.json
-    python -m repro.cli run table2 --backend process --workers 4
     python -m repro.cli run all --steps 2 --seeds 0
     python -m repro.cli serve --devices 10000 --ticks 20 --churn 0.01
     python -m repro.cli serve --metrics-port 9100 --log-json
@@ -16,17 +15,14 @@ Usage::
 ``run`` executes an experiment's ``run()`` with optional scale overrides
 and prints the rendered table (plus an ASCII chart for the figure sweeps);
 ``--json`` additionally writes the raw :class:`ExperimentResult`.
-``--backend`` / ``--workers`` select the characterization engine's
-execution backend for the experiments that simulate (``process`` chunks
-each interval's flagged devices over a worker pool).
 
 ``serve`` pumps a synthetic load (random drift + anomalous jumps +
 optional coordinated bursts) through the online characterization service
 and prints per-tick and aggregate figures; ``replay`` runs a detector
 bank over a recorded JSON-lines QoS trace (or a generated synthetic one)
 and feeds the resulting event stream through the same service.  Both
-accept ``--batch`` / ``--backend`` to exercise the service's batching
-and execution knobs, ``--topology-shards N`` to scale out across N
+accept ``--batch`` to exercise the service's batching knob,
+``--topology-shards N`` to scale out across N
 spatial shards with halo exchange, plus ``--detector`` /
 ``--detection`` and per-family knobs selecting the error detection
 function ``a_k(j)`` (step, band, ewma, shewhart, cusum, holt-winters,
@@ -44,13 +40,11 @@ endpoint.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from typing import Dict, Optional, Sequence
 
 from repro.detection.banks import FAMILIES, PLANES
-from repro.engine.config import BACKENDS
 from repro.online.service import VALIDATION_MODES
 
 from repro.experiments import (
@@ -125,18 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=_parse_seeds, default=None, help="comma-separated seeds"
     )
     run.add_argument("--json", default=None, help="also write the result JSON here")
-    run.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="characterization engine backend (experiments that simulate)",
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --backend process",
-    )
 
     def add_service_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument("--r", type=float, default=0.03, help="impact radius")
@@ -161,18 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub_parser.add_argument(
             "--queue", type=int, default=65_536, help="ingest queue capacity"
-        )
-        sub_parser.add_argument(
-            "--backend", choices=BACKENDS, default="serial",
-            help="characterization engine backend",
-        )
-        sub_parser.add_argument(
-            "--workers", type=int, default=None,
-            help="worker processes for --backend process",
-        )
-        sub_parser.add_argument(
-            "--max-worker-tasks", type=int, default=None,
-            help="retire a persistent-pool worker after this many tasks",
         )
         sub_parser.add_argument(
             "--full", action="store_true",
@@ -209,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         fault.add_argument(
             "--dispatch-deadline", type=float, default=None,
-            help="seconds a pool roundtrip may take before the worker "
-            "is declared hung, killed and the batch retried",
+            help="seconds a shard-process roundtrip may take before the "
+            "child is declared hung, killed and the command retried "
+            "(process topology only)",
         )
         fault.add_argument(
             "--validation", choices=VALIDATION_MODES, default="strict",
@@ -411,9 +382,6 @@ def _service_config(args: argparse.Namespace):
         max_batch=args.batch,
         incremental=not args.full,
         reuse_motions=args.reuse_motions,
-        backend=args.backend,
-        workers=args.workers,
-        max_worker_tasks=args.max_worker_tasks,
         dispatch_deadline=args.dispatch_deadline,
         validation=args.validation,
     )
@@ -599,7 +567,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 detection=args.detection if args.raw else None,
             )
         # The service is a context manager: leaving the block shuts down
-        # the persistent worker pool (no-op for the serial backend).
+        # any shard processes.
         with service_cm as service:
             start_tick = service.current_tick
             if start_tick:
@@ -631,7 +599,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                     "start",
                     ticks=args.ticks,
                     churn=args.churn,
-                    backend=args.backend,
                     mode=mode,
                     flags=flag_source,
                 )
@@ -643,7 +610,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 )
                 print(
                     f"serve: n={args.devices} ticks={args.ticks} "
-                    f"churn={args.churn:.2%}{topo} backend={args.backend} "
+                    f"churn={args.churn:.2%}{topo} "
                     f"mode={mode} flags={flag_source}"
                 )
             ticks_left = max(0, args.ticks - start_tick)
@@ -879,11 +846,7 @@ def _run_metrics(args: argparse.Namespace) -> int:
 
 
 def _run_one(
-    name: str,
-    steps: Optional[int],
-    seeds: Optional[tuple],
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
+    name: str, steps: Optional[int], seeds: Optional[tuple]
 ) -> ExperimentResult:
     module, _ = EXPERIMENTS[name]
     kwargs = {}
@@ -892,11 +855,6 @@ def _run_one(
             kwargs["steps"] = steps
         if seeds is not None:
             kwargs["seeds"] = seeds
-    accepted = inspect.signature(module.run).parameters
-    if backend is not None and "backend" in accepted:
-        kwargs["backend"] = backend
-    if workers is not None and "workers" in accepted:
-        kwargs["workers"] = workers
     return module.run(**kwargs)
 
 
@@ -917,7 +875,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        result = _run_one(name, args.steps, args.seeds, args.backend, args.workers)
+        result = _run_one(name, args.steps, args.seeds)
         print(render_table(result))
         _, chart = EXPERIMENTS[name]
         if chart is not None:

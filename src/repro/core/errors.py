@@ -58,19 +58,5 @@ class QueueFullError(ReproError):
     """
 
 
-class PoolError(ReproError, RuntimeError):
-    """A worker-pool dispatch failed permanently.
-
-    Subclasses :class:`RuntimeError` for compatibility with callers that
-    predate the supervised pool.  ``worker_traceback`` carries the last
-    traceback a worker reported before the failure, so pool teardown
-    (close, atexit sweep) can never mask the root cause.
-    """
-
-    def __init__(self, message: str, worker_traceback: "str | None" = None):
-        super().__init__(message)
-        self.worker_traceback = worker_traceback
-
-
 class CheckpointError(ReproError):
     """A service checkpoint is missing, corrupt, or version-incompatible."""

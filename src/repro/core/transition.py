@@ -69,9 +69,10 @@ class Snapshot:
         """Wrap an already-validated ``(n, d)`` float array without copying.
 
         Skips ``__post_init__`` — no dtype conversion, no unit-cube scan.
-        For hot paths (the online store's snapshot views, shared-memory
-        attaches in pool workers) where the producer has already enforced
-        the invariants and an O(n·d) revalidation per tick is pure waste.
+        For hot paths (the online store's snapshot views, the shard
+        pipelines' halo-extended planes) where the producer has already
+        enforced the invariants and an O(n·d) revalidation per tick is
+        pure waste.
         The caller promises: float dtype, 2-d shape, values in the unit
         cube, and no writes through ``positions`` for the snapshot's
         lifetime (pass a read-only view).
@@ -415,8 +416,8 @@ class Transition:
     ) -> "Transition":
         """Build a transition over *pre-validated* array views, zero-copy.
 
-        The columnar hot path: the online store (or a pool worker
-        attaching a shared-memory segment) already guarantees float
+        The columnar hot path: the online store (or a shard pipeline's
+        halo-extended planes) already guarantees float
         ``(n, d)`` unit-cube arrays, so the snapshots adopt the views via
         :meth:`Snapshot.trusted` — no copy, no revalidation scan.  The
         views should be read-only for the transition's lifetime; the

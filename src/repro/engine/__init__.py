@@ -1,32 +1,18 @@
-"""Batch-first characterization engine with pluggable execution backends.
+"""Batch-first characterization engine.
 
 One :class:`CharacterizationEngine` serves every driver loop in the
 repository (simulator, experiment runner, network monitor, streaming
-pipeline): vectorized batch neighbourhood computation, a motion cache
-shared across devices and across repeated calls on a transition, and a
-choice of ``serial`` or persistent-pool ``process`` execution.  See
-DESIGN.md, sections "Engine architecture" and "Persistent worker pool".
+pipeline): vectorized batch neighbourhood computation and a motion cache
+shared across devices and across repeated calls on a transition.  See
+DESIGN.md, section "Engine architecture".
 """
 
-from repro.engine.backends import (
-    BackendRun,
-    ExecutionBackend,
-    SerialBackend,
-    WorkerPoolBackend,
-    make_backend,
-)
-from repro.engine.config import BACKENDS, EngineConfig
+from repro.engine.config import EngineConfig
 from repro.engine.core import CharacterizationEngine, EngineRun, EngineStats
 
 __all__ = [
-    "BACKENDS",
-    "BackendRun",
     "CharacterizationEngine",
     "EngineConfig",
     "EngineRun",
     "EngineStats",
-    "ExecutionBackend",
-    "SerialBackend",
-    "WorkerPoolBackend",
-    "make_backend",
 ]

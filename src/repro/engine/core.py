@@ -19,14 +19,15 @@ shared service:
   (e.g. several subset passes over one interval pay each motion family
   once); run-level counters aggregate cache statistics across the
   consecutive transitions of a run.
-* **Pluggable execution.**  The per-device work is dispatched through an
-  :class:`~repro.engine.backends.ExecutionBackend` chosen by
-  :class:`~repro.engine.config.EngineConfig` — serial, or a
-  ``multiprocessing`` pool chunking the flagged set.
 
-The engine is verdict-identical to the per-device seed path by
-construction (the backends share the same decision code), which the
-engine test-suite enforces on seeded simulations.
+The per-device work is one serial
+:meth:`~repro.core.characterize.Characterizer.characterize_many` call;
+parallelism lives one layer up, in the process shards of
+:class:`~repro.online.sharded.ShardedService`, which split along the
+same spatial locality the verdicts obey.  The engine is
+verdict-identical to the per-device seed path by construction (it runs
+the same decision code), which the engine test-suite enforces on seeded
+simulations.
 """
 
 from __future__ import annotations
@@ -34,13 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-from repro.core.characterize import classify_sets
+from repro.core.characterize import Characterizer, classify_sets
 from repro.core.errors import ConfigurationError
 from repro.core.neighborhood import MotionCache
 from repro.core.transition import Transition
 from repro.core.types import Characterization
-
-from repro.engine.backends import ExecutionBackend, make_backend
 from repro.engine.config import EngineConfig
 
 __all__ = ["CharacterizationEngine", "EngineRun", "EngineStats"]
@@ -50,10 +49,8 @@ __all__ = ["CharacterizationEngine", "EngineRun", "EngineStats"]
 class EngineRun:
     """What one :meth:`CharacterizationEngine.characterize_run` produced.
 
-    ``families_recomputed`` / ``families_reused`` aggregate the motion
-    cache work of this call across *every* cache involved — the engine's
-    shared cache and any worker-process caches — so callers account work
-    identically under every backend.
+    ``families_recomputed`` / ``families_reused`` count the motion-cache
+    work of this call: families expanded, and carried families served.
     """
 
     verdicts: Dict[int, Characterization]
@@ -86,8 +83,8 @@ class CharacterizationEngine:
     Parameters
     ----------
     config:
-        Execution and algorithmic knobs; defaults to serial execution with
-        the characterizer defaults (the exact seed behaviour).
+        Batching and algorithmic knobs; defaults to the characterizer
+        defaults (the exact seed behaviour).
 
     One engine instance is meant to live for a whole run (a simulation, an
     experiment sweep, a monitoring session): it re-uses its motion cache
@@ -101,7 +98,6 @@ class CharacterizationEngine:
         elif overrides:
             raise TypeError("pass either a config or keyword overrides, not both")
         self._config = config
-        self._backend: ExecutionBackend = make_backend(config.backend)
         self._cache: Optional[MotionCache] = None
         self._folded_expansions = 0
         self.stats = EngineStats()
@@ -110,11 +106,6 @@ class CharacterizationEngine:
     def config(self) -> EngineConfig:
         """The engine configuration."""
         return self._config
-
-    @property
-    def backend(self) -> ExecutionBackend:
-        """The execution backend in use."""
-        return self._backend
 
     @property
     def motion_cache(self) -> Optional[MotionCache]:
@@ -166,18 +157,13 @@ class CharacterizationEngine:
         devices: Optional[Sequence[int]] = None,
         *,
         cache: Optional[MotionCache] = None,
-        carry_clean: Optional[Sequence[int]] = None,
     ) -> EngineRun:
         """Classify ``devices`` and report the run's cache work.
 
         ``cache`` optionally installs a pre-seeded motion cache (the
         online service passes a cross-tick carry built with
         :meth:`MotionCache.carry_from`); it must be bound to
-        ``transition``.  ``carry_clean`` names the devices whose motion
-        families provably did not change since the previous call on this
-        engine — backends with private worker caches reuse those
-        families; only pass it when that invariant holds (the online
-        service derives it from the dirty-region tracker).
+        ``transition``.
         """
         devs = (
             list(transition.flagged_sorted)
@@ -190,33 +176,21 @@ class CharacterizationEngine:
                     "adopted MotionCache is bound to a different transition"
                 )
             self.adopt_cache(cache)
-        if (
-            devs
-            and self._config.precompute_neighborhoods
-            and not self._backend.plans_fanout(devs, self._config)
-        ):
-            # Fanned-out work leaves the process; workers warm their own
-            # subsets, so a parent-side pass would be pure overhead.
+        if devs and self._config.precompute_neighborhoods:
             self._warm_neighborhoods(transition, devs)
         shared = self._cache_for(transition)
         expansions_before = shared.expansions
         reused_before = shared.carried_used
-        run = self._backend.run(
-            transition, devs, self._config, shared, carry_clean=carry_clean
-        )
-        if run.expansions is not None:
-            # Worker-process caches are invisible to `shared`; fold their
-            # expansion counts in so stats stay truthful per backend.
-            self._folded_expansions += run.expansions
+        verdicts = Characterizer(
+            transition, cache=shared, **self._config.characterizer_kwargs()
+        ).characterize_many(devs)
         self.stats.transitions += 1
-        self.stats.devices_characterized += len(run.verdicts)
+        self.stats.devices_characterized += len(verdicts)
         self.stats.cache_expansions = self._folded_expansions + shared.expansions
         return EngineRun(
-            verdicts=run.verdicts,
-            families_recomputed=(shared.expansions - expansions_before)
-            + (run.expansions or 0),
-            families_reused=(shared.carried_used - reused_before)
-            + run.families_reused,
+            verdicts=verdicts,
+            families_recomputed=shared.expansions - expansions_before,
+            families_reused=shared.carried_used - reused_before,
         )
 
     def characterize(
@@ -225,7 +199,6 @@ class CharacterizationEngine:
         devices: Optional[Sequence[int]] = None,
         *,
         cache: Optional[MotionCache] = None,
-        carry_clean: Optional[Sequence[int]] = None,
     ) -> Dict[int, Characterization]:
         """Classify ``devices`` (default: all of ``A_k``) of ``transition``.
 
@@ -234,9 +207,7 @@ class CharacterizationEngine:
         :meth:`characterize_run` for the variant that also reports the
         run's motion-family work.
         """
-        return self.characterize_run(
-            transition, devices, cache=cache, carry_clean=carry_clean
-        ).verdicts
+        return self.characterize_run(transition, devices, cache=cache).verdicts
 
     def classify(
         self, transition: Transition, devices: Optional[Sequence[int]] = None
@@ -246,14 +217,12 @@ class CharacterizationEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (persistent worker pools, shm).
+        """End the engine's lifetime (a no-op: it holds no resources).
 
-        Idempotent; a closed engine's pool restarts lazily if the engine
-        is used again.  Engines are context managers, and every driver
-        that owns one (service, monitor, stream, CLI) forwards its own
-        close here.
+        Engines are context managers, and every driver that owns one
+        (service, monitor, stream, CLI) forwards its own close here, so
+        an engine handed to a driver stays its caller's to close.
         """
-        self._backend.close()
 
     def __enter__(self) -> "CharacterizationEngine":
         return self
@@ -262,7 +231,4 @@ class CharacterizationEngine:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CharacterizationEngine(backend={self._backend.name!r}, "
-            f"transitions={self.stats.transitions})"
-        )
+        return f"CharacterizationEngine(transitions={self.stats.transitions})"

@@ -15,7 +15,7 @@ Figure 7 shows is unresolved-free).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.runner import simulate_and_accumulate
 from repro.io.records import ExperimentResult
@@ -35,8 +35,6 @@ def run(
     n: int = 1000,
     r: float = 0.03,
     tau: int = 3,
-    backend: str = "serial",
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Sweep the sampling multiplier at a fixed incident load."""
     result = ExperimentResult(
@@ -67,8 +65,6 @@ def run(
             steps=steps * k,  # same wall-clock load: k intervals per period
             seeds=seeds,
             with_truth=False,
-            backend=backend,
-            workers=workers,
         )
         result.add_row(
             multiplier=k,

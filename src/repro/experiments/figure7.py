@@ -11,7 +11,7 @@ Paper settings: ``n = 1000``, ``b = 0.005``, R3 holds; ``A`` swept over
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.runner import simulate_and_accumulate
 from repro.io.records import ExperimentResult
@@ -35,8 +35,6 @@ def run(
     tau: int = 3,
     enforce_r3: bool = True,
     experiment_id: str = "figure7",
-    backend: str = "serial",
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 7 (or Figure 9 when ``enforce_r3`` is false)."""
     result = ExperimentResult(
@@ -70,8 +68,6 @@ def run(
                 steps=steps,
                 seeds=seeds,
                 with_truth=False,
-                backend=backend,
-                workers=workers,
             )
             result.add_row(
                 G=g,

@@ -10,7 +10,7 @@ roughly flat in A**.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.figure7 import PAPER_A_VALUES, PAPER_G_VALUES
 from repro.experiments.runner import simulate_and_accumulate
@@ -31,8 +31,6 @@ def run(
     r: float = 0.03,
     tau: int = 3,
     correlated_error_probability: float = 0.15,
-    backend: str = "serial",
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 8 (missed-detection rate, R3 relaxed)."""
     result = ExperimentResult(
@@ -59,7 +57,7 @@ def run(
                 isolated_probability=g,
             ).relaxed_r3(correlated_error_probability)
             accumulator = simulate_and_accumulate(
-                config, steps=steps, seeds=seeds, backend=backend, workers=workers
+                config, steps=steps, seeds=seeds
             )
             result.add_row(
                 G=g,

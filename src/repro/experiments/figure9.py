@@ -9,7 +9,7 @@ superposition of massive errors, not by stray isolated ones.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.figure7 import PAPER_A_VALUES, PAPER_G_VALUES, run as _run_fig7
 from repro.io.records import ExperimentResult
@@ -27,8 +27,6 @@ def run(
     n: int = 1000,
     r: float = 0.03,
     tau: int = 3,
-    backend: str = "serial",
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 9 (Figure 7's sweep, R3 relaxed)."""
     return _run_fig7(
@@ -41,8 +39,6 @@ def run(
         tau=tau,
         enforce_r3=False,
         experiment_id="figure9",
-        backend=backend,
-        workers=workers,
     )
 
 

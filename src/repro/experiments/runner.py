@@ -8,10 +8,8 @@ the paper artifact from the command line while the benchmark suite calls
 
 All simulated experiments characterize through one shared
 :class:`~repro.engine.CharacterizationEngine` per accumulation run: the
-engine batch-computes neighbourhoods, keeps its motion cache alive across
-the consecutive transitions of the run, and — when the caller selects the
-``process`` backend — fans the flagged devices of each interval out to a
-worker pool.
+engine batch-computes neighbourhoods and keeps its motion cache alive
+across the consecutive transitions of the run.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ def simulate_and_accumulate(
     collection_budget: Optional[int] = 2_000_000,
     pool_cap: Optional[int] = 100_000,
     with_truth: bool = True,
-    backend: str = "serial",
-    workers: Optional[int] = None,
     engine: Optional[CharacterizationEngine] = None,
 ) -> MetricAccumulator:
     """Run ``len(seeds)`` independent simulations and fold their metrics.
@@ -55,8 +51,6 @@ def simulate_and_accumulate(
     if engine is None:
         engine = CharacterizationEngine(
             EngineConfig(
-                backend=backend,
-                workers=workers,
                 count_all_collections=count_all_collections,
                 collection_count_cap=collection_count_cap,
                 collection_budget=collection_budget,
@@ -66,8 +60,6 @@ def simulate_and_accumulate(
         )
     else:
         overridden = {
-            "backend": backend != "serial",
-            "workers": workers is not None,
             "count_all_collections": count_all_collections is not False,
             "collection_count_cap": collection_count_cap != 100_000,
             "collection_budget": collection_budget != 2_000_000,

@@ -17,7 +17,7 @@ fractions plus the mean ``|A_k|``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.runner import simulate_and_accumulate
 from repro.io.records import ExperimentResult
@@ -45,8 +45,6 @@ def run(
     n: int = 1000,
     r: float = 0.03,
     tau: int = 3,
-    backend: str = "serial",
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Reproduce Table II (fractions of ``A_k`` per decision rule)."""
     config = SimulationConfig(
@@ -57,7 +55,7 @@ def run(
         isolated_probability=isolated_probability,
     )
     accumulator = simulate_and_accumulate(
-        config, steps=steps, seeds=seeds, backend=backend, workers=workers
+        config, steps=steps, seeds=seeds
     )
     result = ExperimentResult(
         experiment_id="table2",

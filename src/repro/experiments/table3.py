@@ -47,8 +47,6 @@ def run(
     r: float = 0.03,
     tau: int = 3,
     collection_count_cap: Optional[int] = 100_000,
-    backend: str = "serial",
-    workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Reproduce Table III (per-set average operation counts)."""
     config = SimulationConfig(
@@ -64,8 +62,6 @@ def run(
         seeds=seeds,
         count_all_collections=True,
         collection_count_cap=collection_count_cap,
-        backend=backend,
-        workers=workers,
     )
     result = ExperimentResult(
         experiment_id="table3",

@@ -1,27 +1,23 @@
-"""Shared inter-process primitives: shm rings, planes, worker handles.
+"""Inter-process primitives of the process-sharded topology.
 
-The shared-memory snapshot ring and the worker supervision helpers
-serve both process-parallel layers — the engine's worker pool
-(:mod:`repro.engine.backends`) and the process topology's shard
-children (:mod:`repro.online.procshard`) — so they live here as public,
+The shared-memory layer and the worker supervision helpers the process
+topology's shard children (:mod:`repro.online.procshard`) and its halo
+exchange (:mod:`repro.online.sharded`) stand on, kept as public,
 engine-independent primitives:
 
 * :class:`SnapshotRing` — the double-buffered shared-memory publication
   ring (two alternating *cur* slots plus a *prev* fallback; one
-  ``(n, d)`` copy per steady-state publish);
-* :class:`WorkerHandle` plus :func:`shutdown_worker` /
-  :func:`shutdown_workers` — one long-lived worker process, its duplex
-  pipe, and the sentinel→join→close teardown protocol;
-* :func:`shm_unregister` — detach an attachment from the
-  ``multiprocessing`` resource tracker (spawn-context workers, and
-  child-created segments whose lifecycle the parent owns);
+  ``(n, d)`` copy per steady-state publish) that carries halo bands;
+* :class:`WorkerHandle` plus :func:`shutdown_worker` — one long-lived
+  worker process, its duplex pipe, and the sentinel→join→close teardown
+  protocol;
 * :class:`ShmPlanes` — one shared-memory segment laid out as named
   columnar arrays with a small int64 header, the backing the
   :class:`~repro.online.store.DeviceStateStore` uses to keep a shard
   partition alive across worker kills;
-* :class:`SegmentReader` — a cached attach-by-name reader with the
-  stale-segment eviction / zombie-retry discipline the pool workers
-  pioneered.
+* :class:`SegmentReader` — a cached attach-by-name reader with
+  stale-segment eviction and a zombie list for closes blocked by live
+  views.
 """
 
 from __future__ import annotations
@@ -43,9 +39,7 @@ __all__ = [
     "StaleHaloError",
     "WorkerHandle",
     "reap_worker",
-    "shm_unregister",
     "shutdown_worker",
-    "shutdown_workers",
     "signal_worker_shutdown",
     "unlink_by_name",
 ]
@@ -74,27 +68,6 @@ class StaleHaloError(RuntimeError):
     """
 
 
-def shm_unregister(name: str) -> None:
-    """Detach a shared-memory attachment from the resource tracker.
-
-    Two callers need this.  *Spawn*-context workers run their own
-    resource tracker: attaching registers the parent-owned segment
-    there, and the tracker would "clean up" (unlink!) the segment when
-    the worker exits.  And a *fork*-context child that **creates** a
-    segment whose lifecycle the parent owns (a shard worker's store
-    planes, which must survive the child being killed) registers it in
-    the shared tracker, which would warn about — and unlink — the
-    "leak" at interpreter exit even though the parent cleans up by
-    name.  Best-effort: tracker internals vary across Python versions.
-    """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:
-        pass
-
-
 def unlink_by_name(name: str) -> bool:
     """Best-effort attach-and-unlink of a segment only known by name.
 
@@ -117,17 +90,10 @@ def unlink_by_name(name: str) -> bool:
 
 @dataclass
 class WorkerHandle:
-    """One persistent worker process and its duplex pipe.
-
-    ``last_seq`` is the sequence number of the last task this worker
-    completed; pools whose carried state is only valid one step deep
-    (the engine pool's motion-cache carry) gate reuse on it.
-    """
+    """One persistent worker process and its duplex pipe."""
 
     process: multiprocessing.process.BaseProcess
     conn: object
-    tasks_done: int = 0
-    last_seq: Optional[int] = None
 
 
 def signal_worker_shutdown(worker: WorkerHandle) -> None:
@@ -156,15 +122,6 @@ def shutdown_worker(worker: WorkerHandle) -> None:
     reap_worker(worker)
 
 
-def shutdown_workers(workers: List[WorkerHandle]) -> None:
-    """Two-phase sweep: broadcast sentinels first so workers wind down
-    concurrently, then join/terminate each."""
-    for worker in workers:
-        signal_worker_shutdown(worker)
-    for worker in workers:
-        reap_worker(worker)
-
-
 @dataclass
 class SnapshotRing:
     """Double-buffered shared-memory ring for snapshot publication.
@@ -187,12 +144,6 @@ class SnapshotRing:
     lifetime.  ``last_cur`` is compared by ``is`` only, never
     dereferenced — holding the reference also keeps the object from
     being recycled at the same address.
-
-    ``auto_unregister`` makes every created segment deregister from the
-    resource tracker immediately — only for rings created under a
-    *spawn*-context tracker that must not auto-clean them.  Fork-context
-    children share the parent's tracker (registration is a set, unlink
-    unregisters), so the default is to leave tracking alone.
     """
 
     slots: List[Optional[shared_memory.SharedMemory]] = field(
@@ -202,7 +153,6 @@ class SnapshotRing:
     capacity: int = 0
     last_cur: Optional[np.ndarray] = None
     last_slot: int = 0
-    auto_unregister: bool = False
 
     def segment_names(self) -> Tuple[str, ...]:
         """Names of every live segment (shipped so readers evict strays)."""
@@ -212,35 +162,25 @@ class SnapshotRing:
             if seg is not None
         )
 
-    def _create(self, capacity: int) -> shared_memory.SharedMemory:
-        seg = shared_memory.SharedMemory(create=True, size=capacity)
-        if self.auto_unregister:
-            shm_unregister(seg.name)
-        return seg
-
     def reallocate(self, capacity: int) -> None:
         """Recreate all segments at ``capacity`` bytes; breaks the chain."""
         self.drop_segments()
-        self.slots = [self._create(capacity), self._create(capacity)]
-        self.prev_seg = self._create(capacity)
+        self.slots = [
+            shared_memory.SharedMemory(create=True, size=capacity)
+            for _ in range(2)
+        ]
+        self.prev_seg = shared_memory.SharedMemory(create=True, size=capacity)
         self.capacity = capacity
         self.last_cur = None
         self.last_slot = 0
 
-    def publish(self, transition) -> Tuple[str, str]:
-        """Write one transition's snapshots; return ``(prev, cur)`` names."""
-        return self.publish_pair(
-            transition.previous.positions, transition.current.positions
-        )
-
     def publish_pair(
         self, prev_pos: np.ndarray, cur_pos: np.ndarray
     ) -> Tuple[str, str]:
-        """Write one raw ``(prev, cur)`` snapshot pair; return segment names.
+        """Write one ``(prev, cur)`` snapshot pair; return segment names.
 
-        The transition-free entry point: the sharded topology's halo
-        exchange publishes boundary-ring rows through the same
-        double-buffered protocol without materializing a
+        The sharded topology's halo exchange publishes boundary-ring
+        rows through it without materializing a
         :class:`~repro.core.transition.Transition` first.  The hot path
         (one copy per steady-state publish) triggers whenever ``prev``
         is, by object identity, the frozen array published as the last
@@ -312,9 +252,7 @@ class ShmPlanes:
 
     Creator and attachers in a fork world share one resource tracker
     whose per-name registration is a set, so create/attach/unlink pair
-    up without manual tracking; ``unregister=True`` exists for
-    spawn-context processes whose private tracker would unlink the
-    segment at their exit.
+    up without manual tracking.
     """
 
     HEADER_SLOTS = 8
@@ -357,14 +295,10 @@ class ShmPlanes:
         cls,
         capacity: int,
         fields: Sequence[_Field],
-        *,
-        unregister: bool = False,
     ) -> "ShmPlanes":
         seg = shared_memory.SharedMemory(
             create=True, size=cls.required_bytes(capacity, fields)
         )
-        if unregister:
-            shm_unregister(seg.name)
         planes = cls(seg, capacity, fields, owner=True)
         planes.header[:] = 0
         return planes
@@ -375,12 +309,8 @@ class ShmPlanes:
         name: str,
         capacity: int,
         fields: Sequence[_Field],
-        *,
-        unregister: bool = False,
     ) -> "ShmPlanes":
         seg = shared_memory.SharedMemory(name=name)
-        if unregister:
-            shm_unregister(name)
         return cls(seg, capacity, fields, owner=False)
 
     @property
@@ -414,13 +344,12 @@ class SegmentReader:
     regrow under *new* names, so the caller passes the currently-live
     name set and everything else is evicted.  A close still blocked by
     an exported buffer parks the segment on a zombie list for a later
-    retry — the same discipline the engine pool workers use.
+    retry.
     """
 
-    def __init__(self, *, unregister: bool = False) -> None:
+    def __init__(self) -> None:
         self._segments: Dict[str, shared_memory.SharedMemory] = {}
         self._zombies: List[shared_memory.SharedMemory] = []
-        self._unregister = unregister
 
     def evict_except(self, keep: Sequence[str]) -> None:
         """Drop every cached segment not in ``keep``; retry zombies."""
@@ -456,8 +385,6 @@ class SegmentReader:
         seg = self._segments.get(name)
         if seg is None:
             seg = shared_memory.SharedMemory(name=name)
-            if self._unregister:
-                shm_unregister(name)
             self._segments[name] = seg
         arr = np.frombuffer(seg.buf, dtype=dtype, count=count, offset=offset)
         arr.flags.writeable = False

@@ -31,7 +31,7 @@ import dataclasses
 from repro.core.errors import ConfigurationError
 from repro.core.transition import Snapshot, Transition
 from repro.core.types import AnomalyType, Characterization
-from repro.engine import CharacterizationEngine, EngineConfig
+from repro.engine import CharacterizationEngine
 from repro.detection.banks import (
     BankDetection,
     DetectorBank,
@@ -132,16 +132,12 @@ class NetworkMonitor:
         RNG seed for measurement noise.
     engine:
         Optional shared :class:`~repro.engine.CharacterizationEngine`.
-        Defaults to a serial engine owned by the monitor; the tick loop
+        Defaults to an engine owned by the monitor; the tick loop
         characterizes through it, so one batch neighbourhood pass and one
-        motion cache serve each interval, and a ``process`` engine fans
-        large flagged sets out to a persistent worker pool.  The monitor
+        motion cache serve each interval.  The monitor
         closes an engine it built itself (:meth:`close`, or use the
         monitor as a context manager); a caller-provided engine stays
         the caller's to close.
-    backend, workers:
-        Convenience knobs building the default engine when ``engine`` is
-        not given.
     incremental:
         When true, the tick loop routes through an
         :class:`~repro.online.service.OnlineCharacterizationService`
@@ -169,8 +165,6 @@ class NetworkMonitor:
         noise_sigma: float = 0.002,
         seed: int = 0,
         engine: Optional[CharacterizationEngine] = None,
-        backend: str = "serial",
-        workers: Optional[int] = None,
         incremental: bool = False,
         service_config: Optional[ServiceConfig] = None,
     ) -> None:
@@ -197,9 +191,7 @@ class NetworkMonitor:
         self._tick = 0
         self._previous_qos: Optional[np.ndarray] = None
         self._owns_engine = engine is None
-        self._engine = engine or CharacterizationEngine(
-            EngineConfig(backend=backend, workers=workers)
-        )
+        self._engine = engine or CharacterizationEngine()
         self._incremental = incremental
         self._service_config = dataclasses.replace(
             service_config or ServiceConfig(), r=r, tau=tau
@@ -250,7 +242,7 @@ class NetworkMonitor:
         return self._service
 
     def close(self) -> None:
-        """Release the engine's worker pool, if the monitor owns it.
+        """Close the engine, if the monitor owns it.
 
         The incremental service shares the monitor's engine, so closing
         the monitor covers it too.  Idempotent.

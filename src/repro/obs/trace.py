@@ -146,8 +146,8 @@ class Tracer:
         return stages
 
 
-#: The process-global tracer shared instrumentation (worker pool,
-#: network monitor) defaults to.
+#: The process-global tracer shared instrumentation (network monitor)
+#: defaults to.
 _GLOBAL_TRACER: Optional[Tracer] = None
 
 

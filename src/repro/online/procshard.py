@@ -33,7 +33,7 @@ hold a consistent ``(S_{k-1}, partially-updated S_k)`` pair.
 Supervision
 -----------
 The parent (:class:`_ProcessShardHandle` driven by
-``ShardedService._collect_one``) reuses the engine pool's discipline:
+``ShardedService._collect_one``) supervises every roundtrip:
 a per-roundtrip ``dispatch_deadline`` catches hangs, EOF on the pipe
 catches kills fast, and a failed roundtrip is retried
 ``dispatch_retries`` times against a respawned child that *adopts* the
@@ -61,9 +61,9 @@ attached: its peers' halo bands and the front door's frame board.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 import traceback
-from dataclasses import replace
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -122,18 +122,6 @@ _CHILD_ERRORS = {
         StaleHaloError,
     )
 }
-
-
-def _serial_config(config):
-    """The per-shard config a child runs under: daemonic processes
-    cannot have children, so the local engine is forced serial."""
-    return replace(
-        config,
-        backend="serial",
-        workers=None,
-        max_worker_tasks=None,
-        dispatch_deadline=None,
-    )
 
 
 def _maybe_roll(store: DeviceStateStore, tick: int) -> None:
@@ -447,10 +435,6 @@ def _child_cleanup(worker, *, unlink: bool) -> None:
     except Exception:  # pragma: no cover - teardown best-effort
         pass
     try:
-        worker.engine.close()
-    except Exception:  # pragma: no cover
-        pass
-    try:
         if worker.store.planes is not None:
             worker.store.release_planes(unlink=unlink)
     except Exception:  # pragma: no cover
@@ -465,11 +449,13 @@ def _shard_child_main(
     ``init`` is ``("fresh", positions, ids)`` at service construction or
     ``("adopt", plane_name, capacity)`` on a supervised respawn.  The
     loop answers one command per message; a ``None`` sentinel (clean
-    shutdown) and parent death (EOF) both unlink the owned segments.
+    shutdown) and parent death both unlink the owned segments.  Parent
+    death is noticed by polling: the forked child inherits the parent's
+    end of its own pipe, so a dead parent never shows up as EOF, and the
+    loop instead watches for the child being re-parented.
     """
     from repro.online.sharded import _ShardWorker
 
-    cfg = _serial_config(config)
     factory = shm_planes_factory()
     tracer = Tracer(enabled=trace_enabled)
     if init[0] == "fresh":
@@ -479,7 +465,7 @@ def _shard_child_main(
             positions,
             ids,
             dim,
-            cfg,
+            config,
             tracer,
             planes_factory=factory,
         )
@@ -488,19 +474,23 @@ def _shard_child_main(
         planes = attach_store_planes(plane_name, capacity, dim)
         store = DeviceStateStore.adopt_planes(
             planes,
-            cell=cfg.cell,
+            cell=config.cell,
             planes_factory=factory,
         )
         worker = _ShardWorker(
-            shard, None, None, dim, cfg, tracer, store=store
+            shard, None, None, dim, config, tracer, store=store
         )
         _mark_recovered(worker)
     halo_reader = SegmentReader()
     board_reader = SegmentReader()
     try:
         conn.send(_reply_header(worker) + ("ready",))
+        parent = os.getppid()
         while True:
             try:
+                while not conn.poll(1.0):
+                    if os.getppid() != parent:
+                        raise EOFError
                 msg = conn.recv()
             except (EOFError, OSError):
                 # Parent died without a sentinel: nobody left to clean
@@ -644,16 +634,15 @@ class _ProcessShardHandle:
     def send_with_chaos(self, msg: tuple) -> None:
         """Ship one verdict command through the chaos injector.
 
-        Reuses the pool-dispatch fault vocabulary keyed on (tick,
-        shard): ``kill`` strikes before the send (dispatch meets a dead
-        child), ``kill_after`` right after (EOF mid-task); drop/hang
-        decorate the payload with flags only the child's *pipe loop*
-        honors — the canonical, undecorated command is what supervision
+        Faults are keyed on (tick, shard): ``kill`` strikes before the
+        send (dispatch meets a dead child), ``kill_after`` right after
+        (EOF mid-task); drop/hang decorate the payload with flags only
+        the child's *pipe loop* honors — the canonical, undecorated command is what supervision
         remembers and resends, so a retry replays the intended work.
         """
         injector = get_injector()
         action = (
-            injector.pool_dispatch(int(msg[1]), self.shard)
+            injector.dispatch(int(msg[1]), self.shard)
             if injector.active
             else None
         )
@@ -727,12 +716,11 @@ class _ProcessShardHandle:
         """
         from repro.online.sharded import _ShardWorker
 
-        cfg = _serial_config(self._config)
         planes = attach_store_planes(
             self.plane_name, self.plane_capacity, self._dim
         )
         adopted = DeviceStateStore.adopt_planes(
-            planes, cell=cfg.cell
+            planes, cell=self._config.cell
         )
         state = adopted.state()
         adopted.release_planes(unlink=True)
@@ -741,7 +729,7 @@ class _ProcessShardHandle:
             None,
             None,
             self._dim,
-            cfg,
+            self._config,
             tracer,
             store=DeviceStateStore.from_state(state),
         )
@@ -767,8 +755,8 @@ class _InlineShardHandle:
     the send/recv surface of :class:`_ProcessShardHandle` (so the phase
     loops don't branch) but executes :func:`handle_command` directly on
     an in-parent ``_ShardWorker`` at ``recv`` time; peer halo bands and
-    the frame board are still read from shared memory by name.  Pool
-    dispatch faults are never drawn here — there is no child to kill —
+    the frame board are still read from shared memory by name.
+    Dispatch faults are never drawn here — there is no child to kill —
     while a payload's ``_hang`` (a delayed halo publish) stalls the
     reply the way the child loop does.
     """

@@ -80,6 +80,10 @@ __all__ = [
 #: Format version written into (and required from) every checkpoint.
 CHECKPOINT_VERSION = 2
 
+#: ServiceConfig fields that older version-2 checkpoints carry but the
+#: service no longer has (the engine's execution knobs); dropped on load.
+_RETIRED_CONFIG_KEYS = ("backend", "workers", "max_worker_tasks")
+
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{8})\.npz$")
 
 _PathLike = Union[str, os.PathLike]
@@ -248,7 +252,13 @@ def load_checkpoint(path: _PathLike) -> Checkpoint:
         applied_since_tick=int(meta["applied_since_tick"]),
         stats={k: int(v) for k, v in meta["stats"].items()},
         rejected={k: int(v) for k, v in meta.get("rejected", {}).items()},
-        config=ServiceConfig(**meta["config"]),
+        config=ServiceConfig(
+            **{
+                k: v
+                for k, v in meta["config"].items()
+                if k not in _RETIRED_CONFIG_KEYS
+            }
+        ),
         queue=list(_unpack(arrays["queue_blob"])),
         bank=aux.get("bank"),
         last_detection=aux.get("last_detection"),
@@ -293,7 +303,7 @@ def restore_service(
     """Rebuild a single service from its checkpoint, verdict-identically.
 
     ``config`` overrides the checkpointed :class:`ServiceConfig` (e.g.
-    to resume on a different backend — verdicts are backend-invariant).
+    to resume with different service knobs).
     The restored service recomputes exactly what the uninterrupted one
     would have: store, tracker, verdict cache, queue and bank state are
     all reinstated; only the cross-tick perf caches start cold, so the

@@ -53,8 +53,7 @@ from repro.core.errors import (
 from repro.core.transition import Transition
 from repro.core.types import AnomalyType, Characterization, DecisionRule
 from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
-from repro.engine import CharacterizationEngine, EngineConfig
-from repro.engine.config import BACKENDS
+from repro.engine import CharacterizationEngine
 from repro.obs.metrics import Registry, get_registry
 from repro.obs.trace import Tracer
 from repro.online.dirty import DirtyRegionTracker
@@ -144,21 +143,13 @@ class ServiceConfig:
         families of their unaffected neighbours.  Sound for the same
         reason verdict reuse is: a family depends only on trajectories
         within ``2r`` of its owner, a subset of the ``4r`` influence
-        band the tracker invalidates.  Effective in incremental mode
-        under the ``serial`` backend (shared-cache carry) and the
-        persistent ``process`` pool (workers receive the clean set each
-        tick and carry their private caches).  The decision is per
-        *run*, not per backend name — any tick that degrades to the
-        serial path (fewer devices than ``min_process_devices``) still
-        reuses through the shared cache.
-    backend, workers, max_worker_tasks:
-        Engine execution knobs (ignored when a shared engine is passed
-        to the service directly); ``max_worker_tasks`` bounds a
-        persistent-pool worker's lifetime before it is respawned.
+        band the tracker invalidates.  Effective in incremental mode on
+        the single service (shard pipelines gate the carry off).
     dispatch_deadline:
-        Per-roundtrip deadline (seconds) for pool dispatches; hung
-        workers are killed and their task retried.  ``None`` (default)
-        waits forever.  Ignored when a shared engine is passed in.
+        Per-roundtrip deadline (seconds) for shard-process commands; a
+        child that has not replied by then is declared hung, killed and
+        respawned, and the command retried.  ``None`` (default) waits
+        forever.  Only the process topology consults it.
     dispatch_retries:
         How many times a failed shard-process roundtrip (dead or hung
         worker) is retried against a respawned process before the front
@@ -185,9 +176,6 @@ class ServiceConfig:
     incremental: bool = True
     reuse_indexes: bool = True
     reuse_motions: bool = True
-    backend: str = "serial"
-    workers: Optional[int] = None
-    max_worker_tasks: Optional[int] = None
     dispatch_deadline: Optional[float] = None
     dispatch_retries: int = 2
     validation: str = "strict"
@@ -205,10 +193,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
                 f"got {self.backpressure!r}"
-            )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
         if self.validation not in VALIDATION_MODES:
             raise ConfigurationError(
@@ -490,7 +474,7 @@ class OnlineCharacterizationService:
     engine:
         Optional shared :class:`CharacterizationEngine` (e.g. the one a
         :class:`~repro.network.monitor.NetworkMonitor` already owns);
-        defaults to one built from the config's backend knobs.
+        defaults to a fresh engine with the default configuration.
     sinks:
         Initial sink callables; more can be added with :meth:`add_sink`.
     detector:
@@ -596,14 +580,7 @@ class OnlineCharacterizationService:
             family_radius=2.0 * cfg.r,
         )
         self._owns_engine = engine is None
-        self._engine = engine or CharacterizationEngine(
-            EngineConfig(
-                backend=cfg.backend,
-                workers=cfg.workers,
-                max_worker_tasks=cfg.max_worker_tasks,
-                dispatch_deadline=cfg.dispatch_deadline,
-            )
-        )
+        self._engine = engine or CharacterizationEngine()
         self._bank: Optional[DetectorBank] = None
         self._last_detection: Optional[BankDetection] = None
         self._queue: Deque[QosUpdate] = deque()
@@ -748,12 +725,12 @@ class OnlineCharacterizationService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the engine's worker pool, if the service owns it.
+        """Close the engine, if the service owns it.
 
         A shared engine (passed at construction) belongs to its owner —
         e.g. a :class:`~repro.network.monitor.NetworkMonitor` — which is
-        responsible for closing it.  Idempotent: a double close (or a
-        close racing the pool's atexit sweep) is a clean no-op.
+        responsible for closing it.  Idempotent: a double close is a
+        clean no-op.
         """
         if self._closed:
             return

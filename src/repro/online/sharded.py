@@ -30,8 +30,8 @@ devices just across its borders — the **halo**.  Per tick:
    flagged rows against the global union (an int64 cell-key array);
 3. **halo exchange** — each shard publishes the ``(prev, cur)`` rows of
    its flagged devices within ``halo_rings`` cells of its box boundary
-   through a :class:`~repro.ipc.SnapshotRing` (the same double-buffered
-   shared-memory publication path the worker pool uses); consumers take
+   through a :class:`~repro.ipc.SnapshotRing` (a double-buffered
+   shared-memory publication ring); consumers take
    the bands whose cells lie within ``halo_rings`` *outside* their own
    box, read seq-gated by segment name;
 4. **local pipelines** — each shard runs a
@@ -100,7 +100,7 @@ from repro.core.errors import (
 from repro.core.transition import Transition
 from repro.core.types import Characterization
 from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
-from repro.engine import CharacterizationEngine, EngineConfig
+from repro.engine import CharacterizationEngine
 from repro.ipc import (
     ShardRoundtripError,
     SnapshotRing,
@@ -306,8 +306,7 @@ class ShardMap:
 class _HaloChannel:
     """One shard's halo publication over a snapshot ring, seq-gated.
 
-    The position payload rides the same double-buffered shared-memory
-    segments the process pool publishes transitions through
+    The position payload rides double-buffered shared-memory segments
     (:meth:`~repro.ipc.SnapshotRing.publish_pair`); the global ids and
     cell keys of the published rows stay in worker memory alongside
     (they are small, and travel to the front door inside :meth:`meta`).
@@ -578,14 +577,7 @@ class _ShardWorker:
             influence_radius=4.0 * cfg.r,
             family_radius=2.0 * cfg.r,
         )
-        self.engine = CharacterizationEngine(
-            EngineConfig(
-                backend=cfg.backend,
-                workers=cfg.workers,
-                max_worker_tasks=cfg.max_worker_tasks,
-                dispatch_deadline=cfg.dispatch_deadline,
-            )
-        )
+        self.engine = CharacterizationEngine()
         self.tracer = tracer
         self.channel = _HaloChannel()
         self.index_stage = IndexUpdateStage(self)
@@ -657,7 +649,6 @@ class _ShardWorker:
 
     def close(self) -> None:
         self.channel.close()
-        self.engine.close()
 
 
 class ShardedService:
@@ -686,10 +677,10 @@ class ShardedService:
         Number of spatial shards tiling the unit cube.
     topology_workers:
         Where each shard's command handler runs: ``"inline"`` (default)
-        in this process, one shard after another (per-shard engines may
-        themselves be process pools); ``"process"`` in one supervised
-        long-lived daemonic process per shard whose store partition
-        lives in shared-memory planes — the wall-clock-scaling topology.
+        in this process, one shard after another; ``"process"`` in one
+        supervised long-lived daemonic process per shard whose store
+        partition lives in shared-memory planes — the wall-clock-scaling
+        topology.
     min_shard_devices:
         When positive, collapse the topology so every shard starts with
         at least this many devices (a shard below it pays more in halo
@@ -997,7 +988,7 @@ class ShardedService:
         *every* outstanding reply is drained, so one failing shard never
         leaves another's reply stranded in a pipe to desynchronize the
         next phase.  ``chaos`` routes the sends through the handles'
-        pool-dispatch fault hook (the verdict phase).
+        dispatch fault hook (the verdict phase).
         """
         for handle, msg in zip(self._handles, msgs):
             if msg is None:

@@ -384,17 +384,16 @@ class VerdictStage:
         # half the verdicts' 4r reach, so the family-clean set (outside
         # the tighter family_rings band) is strictly larger than the
         # verdict-clean set — devices whose verdicts must be recomputed
-        # still reuse their own and their neighbours' families.  The
-        # decision is per *run*: the serial path (and any pool tick that
-        # degrades to it) carries the engine's shared cache, while the
-        # persistent pool receives the clean set so its workers carry
-        # their private caches.
+        # still reuse their own and their neighbours' families.
         reuse_effective = (
             self._incremental and self._reuse_motions and ctx.allow_carry
         )
         carry: Optional[MotionCache] = None
-        carry_clean: Optional[List[int]] = None
-        if reuse_effective and self._transitions.last_transition is not None:
+        if (
+            reuse_effective
+            and self.last_cache is not None
+            and self._transitions.last_transition is not None
+        ):
             # Only the targets are probed against the family band; their
             # transition ids are store rows (the carry runs on the
             # single service only — shard pipelines gate it off).
@@ -406,21 +405,14 @@ class VerdictStage:
                 ).tolist()
             )
             carry_clean = [j for j in targets if j not in family_dirty]
-            if self.last_cache is not None:
-                carry = MotionCache.carry_from(
-                    self.last_cache, transition, carry_clean
-                )
+            carry = MotionCache.carry_from(
+                self.last_cache, transition, carry_clean
+            )
         if ctx.recompute:
-            # The engine aggregates motion-family work across every
-            # cache the run touched — shared and worker-process — so the
-            # counters stay truthful under every backend.
             engine = self._owner.engine
             with tracer.span(self.name):
                 run = engine.characterize_run(
-                    transition,
-                    devices=ctx.recompute,
-                    cache=carry,
-                    carry_clean=carry_clean,
+                    transition, devices=ctx.recompute, cache=carry
                 )
             fresh = run.verdicts
             ctx.families_recomputed = run.families_recomputed

@@ -81,19 +81,15 @@ def store_plane_fields(dim: int):
     )
 
 
-def shm_planes_factory(*, unregister: bool = False):
+def shm_planes_factory():
     """A ``planes_factory`` allocating store columns in shared memory.
 
     Fork-context creators leave resource tracking alone (the shared
-    tracker pairs create/attach registrations with the eventual unlink);
-    ``unregister=True`` exists for spawn-context processes whose private
-    tracker would unlink the segment at their exit.
+    tracker pairs create/attach registrations with the eventual unlink).
     """
 
     def factory(capacity: int, dim: int) -> ShmPlanes:
-        planes = ShmPlanes.create(
-            capacity, store_plane_fields(dim), unregister=unregister
-        )
+        planes = ShmPlanes.create(capacity, store_plane_fields(dim))
         planes.header[_HDR_CAPACITY] = capacity
         planes.header[_HDR_DIM] = dim
         return planes

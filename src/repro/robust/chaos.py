@@ -1,34 +1,35 @@
-"""Deterministic fault injection for the pool and service planes.
+"""Deterministic fault injection for the shard and service planes.
 
 The chaos harness exists to make the fault-tolerance layer testable: a
-:class:`FaultPlan` declares *where* faults strike (scheduled by pool run
-sequence / service tick, or probabilistically with a seeded generator),
-a :class:`ChaosInjector` applies them, and the production code consults
+:class:`FaultPlan` declares *where* faults strike (scheduled by service
+tick and shard, or probabilistically with a seeded generator), a
+:class:`ChaosInjector` applies them, and the production code consults
 the process-global injector — a no-op singleton unless a test (or the
 example driver) installs a plan via :func:`inject`.
 
-Injection points mirror the real failure modes the supervised pool and
-the input-validation layer defend against:
+Injection points mirror the real failure modes the supervised process
+shards and the input-validation layer defend against:
 
-* **kill** — the worker process is killed before its task is sent
-  (dispatch finds a dead worker) or right after (``kill_after``: the
-  parent's collect sees EOF mid-task);
-* **drop reply** — the worker completes the task but swallows the
-  reply: indistinguishable from a hung worker to the parent, which must
+* **kill** — the shard process is killed before its verdict command is
+  sent (dispatch finds a dead child) or right after (``kill_after``:
+  the parent's collect sees EOF mid-command);
+* **drop reply** — the child completes the command but swallows the
+  reply: indistinguishable from a hung child to the parent, which must
   enforce its ``dispatch_deadline`` (a plan that drops replies against
-  a pool with no deadline deadlocks — deliberately);
-* **hang** — the worker sleeps before replying (exercises real
+  a service with no deadline deadlocks — deliberately);
+* **hang** — the child sleeps before replying (exercises real
   deadline overruns; prefer ``drop`` in tests, it costs no wall-clock);
 * **delay** — the parent sleeps before sending (latency, no fault);
-* **corrupt seq** — the task's ring sequence number is corrupted,
-  exercising the workers' consecutive-sequence carry gate;
+* **halo delay** — a shard's halo publish stalls (the consumers'
+  seq-gated barrier must wait, never read a stale band);
 * **frame faults** — a measurement frame is corrupted (NaN / inf /
   out-of-range cells) before the service validates it.
 
 Every injected fault is *recoverable by design*: a killed or silent
-worker loses only its private motion cache, and the respawned worker
-recomputes its slice without a carry — so verdicts stay bit-identical
-to a fault-free run.  The ``tests/chaos`` suite asserts exactly that.
+child is respawned against its surviving shared-memory planes (or, once
+retries are exhausted, its shard is hosted in the parent) and the
+command is replayed — so verdicts stay bit-identical to a fault-free
+run.  The ``tests/chaos`` suite asserts exactly that.
 
 The module imports nothing from the engine or online planes, so both
 can consult it without cycles.
@@ -54,35 +55,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FaultAction:
-    """What the injector wants done to one pool dispatch."""
+    """What the injector wants done to one shard dispatch."""
 
     kill: bool = False
     kill_after: bool = False
     drop_reply: bool = False
     hang: float = 0.0
     delay: float = 0.0
-    corrupt_seq: bool = False
 
 
 @dataclass(frozen=True)
 class FaultPlan:
     """Declarative fault schedule.
 
-    Scheduled faults key on the pool's run sequence number (``seq``,
-    1-based, one per :meth:`WorkerPoolBackend.run` that takes the pool
-    path) mapping to the *worker index* to strike; frame faults key on
-    the service tick being fed.  Probabilistic faults draw from a
-    seeded generator per dispatch, so a given plan replays identically.
+    Scheduled dispatch faults map a service tick to the *shard index*
+    whose verdict command they strike; frame faults key on the service
+    tick being fed.  Probabilistic faults draw from a seeded generator
+    per dispatch, so a given plan replays identically.
     """
 
     seed: int = 0
-    # seq -> worker index
+    # tick -> shard index
     kill_at: Mapping[int, int] = field(default_factory=dict)
     kill_after_at: Mapping[int, int] = field(default_factory=dict)
     drop_reply_at: Mapping[int, int] = field(default_factory=dict)
     hang_at: Mapping[int, int] = field(default_factory=dict)
     delay_at: Mapping[int, int] = field(default_factory=dict)
-    corrupt_seq_at: Sequence[int] = ()
     hang_seconds: float = 0.5
     delay_seconds: float = 0.01
     # Per-dispatch probabilities (kill beats drop when both fire).
@@ -114,17 +112,16 @@ class ChaosInjector:
         with self._lock:
             self.injected[kind] = self.injected.get(kind, 0) + 1
 
-    def pool_dispatch(self, seq: int, worker: int) -> Optional[FaultAction]:
-        """The fault (if any) to inject into dispatch ``seq``/``worker``."""
+    def dispatch(self, tick: int, shard: int) -> Optional[FaultAction]:
+        """The fault (if any) to inject into ``shard``'s ``tick`` dispatch."""
         plan = self.plan
         if plan is None:
             return None
-        kill = plan.kill_at.get(seq) == worker
-        kill_after = plan.kill_after_at.get(seq) == worker
-        drop = plan.drop_reply_at.get(seq) == worker
-        hang = plan.hang_seconds if plan.hang_at.get(seq) == worker else 0.0
-        delay = plan.delay_seconds if plan.delay_at.get(seq) == worker else 0.0
-        corrupt = seq in plan.corrupt_seq_at
+        kill = plan.kill_at.get(tick) == shard
+        kill_after = plan.kill_after_at.get(tick) == shard
+        drop = plan.drop_reply_at.get(tick) == shard
+        hang = plan.hang_seconds if plan.hang_at.get(tick) == shard else 0.0
+        delay = plan.delay_seconds if plan.delay_at.get(tick) == shard else 0.0
         if plan.kill_probability or plan.drop_probability:
             # One draw per dispatch keeps the schedule replayable.
             u = float(self._rng.random())
@@ -132,7 +129,7 @@ class ChaosInjector:
                 kill = True
             elif u < plan.kill_probability + plan.drop_probability:
                 drop = True
-        if not (kill or kill_after or drop or hang or delay or corrupt):
+        if not (kill or kill_after or drop or hang or delay):
             return None
         for kind, hit in (
             ("kill", kill),
@@ -140,7 +137,6 @@ class ChaosInjector:
             ("drop_reply", drop),
             ("hang", bool(hang)),
             ("delay", bool(delay)),
-            ("corrupt_seq", corrupt),
         ):
             if hit:
                 self._count(kind)
@@ -150,7 +146,6 @@ class ChaosInjector:
             drop_reply=drop,
             hang=hang,
             delay=delay,
-            corrupt_seq=corrupt,
         )
 
     def halo_publish(self, tick: int, shard: int) -> float:

@@ -163,7 +163,7 @@ class SampledCharacterizationStream:
     otherwise), and every tick only the flagged devices whose sampler is
     *due* are characterized — through one shared
     :class:`~repro.engine.CharacterizationEngine` (one batch
-    neighbourhood pass per tick, backend selection, run-level stats;
+    neighbourhood pass per tick, run-level stats;
     each tick forms a fresh transition, so motion families are computed
     per tick for the due subset only).  This realizes the Section VII-C
     policy end-to-end: anomalies speed a device up, so exactly the
@@ -248,7 +248,7 @@ class SampledCharacterizationStream:
         return self._engine
 
     def close(self) -> None:
-        """Release the engine's worker pool, if the stream owns it."""
+        """Close the engine, if the stream owns it."""
         if self._owns_engine:
             self._engine.close()
 

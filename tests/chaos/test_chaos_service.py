@@ -1,13 +1,10 @@
-"""Service-plane chaos: frame corruption and pooled streams under fire.
+"""Service-plane chaos: frame corruption.
 
-Two contracts:
-
-* corrupted measurement frames (NaN / inf / out-of-range cells) never
-  reach the detector bank: strict validation rejects the frame
-  atomically, sanitize repairs the bad rows — both count every reason;
-* an online stream over the pooled engine with dispatch faults at
-  probability 0.2 terminates and emits the exact verdict stream of a
-  fault-free serial service fed the same updates.
+Corrupted measurement frames (NaN / inf / out-of-range cells) never
+reach the detector bank: strict validation rejects the frame
+atomically, sanitize repairs the bad rows — both count every reason.
+Dispatch faults against shard processes live in
+``test_chaos_sharded.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +14,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.detection.banks import DetectorSpec
-from repro.engine import CharacterizationEngine, EngineConfig
-from repro.online import OnlineCharacterizationService, QosUpdate, ServiceConfig
+from repro.online import OnlineCharacterizationService, ServiceConfig
 from repro.robust.chaos import FaultPlan, inject
 
 
@@ -95,61 +91,3 @@ class TestFrameCorruption:
             assert service.rejected == {}
         finally:
             service.close()
-
-
-class TestPooledStreamUnderChaos:
-    def _drive(self, base, ticks, seed, *, chaos, validation="strict"):
-        """One randomized stream; returns the per-tick verdict history."""
-        if chaos:
-            engine = CharacterizationEngine(
-                EngineConfig(
-                    backend="process",
-                    workers=2,
-                    min_process_devices=1,
-                    dispatch_deadline=2.0,
-                    retry_backoff=0.01,
-                    serial_fallback_after=1_000,
-                )
-            )
-        else:
-            engine = CharacterizationEngine(EngineConfig(backend="serial"))
-        service = OnlineCharacterizationService(
-            base.copy(),
-            ServiceConfig(r=0.05, tau=2, validation=validation),
-            engine=engine,
-        )
-        n, d = base.shape
-        rng = np.random.default_rng(seed)
-        positions = base.copy()
-        history = []
-        with engine:
-            for _ in range(ticks):
-                movers = rng.choice(n, size=max(1, n // 10), replace=False)
-                for j in movers:
-                    j = int(j)
-                    sigma = 0.1 if rng.random() < 0.3 else 0.01
-                    positions[j] = np.clip(
-                        positions[j] + rng.normal(0, sigma, d), 0, 1
-                    )
-                    service.ingest(
-                        QosUpdate(
-                            j, tuple(positions[j]), bool(rng.random() < 0.5)
-                        )
-                    )
-                tick = service.end_tick()
-                history.append(
-                    {
-                        j: (v.anomaly_type, v.rule, v.witness)
-                        for j, v in tick.verdicts.items()
-                    }
-                )
-        return history
-
-    def test_stream_under_02_faults_matches_fault_free_serial(self):
-        base = np.random.default_rng(10).random((120, 2))
-        clean = self._drive(base, ticks=6, seed=99, chaos=False)
-        plan = FaultPlan(seed=11, kill_probability=0.1, drop_probability=0.1)
-        with inject(plan) as injector:
-            chaotic = self._drive(base, ticks=6, seed=99, chaos=True)
-        assert sum(injector.injected.values()) > 0
-        assert chaotic == clean

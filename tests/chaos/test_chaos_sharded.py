@@ -1,8 +1,8 @@
-"""Sharded-topology chaos: one shard's pool under fire, poisoned frames.
+"""Sharded-topology chaos: shard processes under fire, poisoned frames.
 
 Two contracts:
 
-* killing one shard's pool workers mid-stream degrades that shard to
+* killing a shard's child process mid-stream degrades that shard to
   supervised retries — never to wrong answers: the sharded service
   still emits the exact verdict stream of a fault-free single service
   fed the same updates;
@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.detection.banks import DetectorSpec
-from repro.engine import CharacterizationEngine, EngineConfig
 from repro.online import (
     OnlineCharacterizationService,
     QosUpdate,
@@ -57,44 +56,13 @@ def _history(service, base, ticks, seed):
     return history
 
 
-class TestShardWorkerKill:
-    def test_killing_one_shards_pool_degrades_not_diverges(self):
-        base = np.random.default_rng(10).random((60, 2))
-
-        with OnlineCharacterizationService(base.copy(), CFG) as single:
-            clean = _history(single, base, ticks=5, seed=77)
-
-        sharded = ShardedService(base.copy(), CFG, topology_shards=2)
-        victim = sharded.handles[0].inner
-        victim.engine.close()
-        victim.engine = CharacterizationEngine(
-            EngineConfig(
-                backend="process",
-                workers=2,
-                min_process_devices=1,
-                dispatch_deadline=2.0,
-                retry_backoff=0.01,
-                serial_fallback_after=1_000,
-            )
-        )
-        plan = FaultPlan(seed=11, kill_probability=0.15, drop_probability=0.1)
-        try:
-            with inject(plan) as injector:
-                chaotic = _history(sharded, base, ticks=5, seed=77)
-            assert sum(injector.injected.values()) > 0
-            assert chaotic == clean
-        finally:
-            sharded.close()
-
-
 class TestProcessShardKill:
     """Chaos against the process topology's own supervision plane.
 
-    Here the kill strikes the *shard child process* (not a pool worker
-    inside it): the front door must respawn it against the surviving shm
-    planes — or degrade it to an in-parent serial worker when retries
-    run out — and keep the verdict stream bit-identical to a fault-free
-    single service.
+    The kill strikes the *shard child process*: the front door must
+    respawn it against the surviving shm planes — or degrade it to an
+    in-parent serial worker when retries run out — and keep the verdict
+    stream bit-identical to a fault-free single service.
     """
 
     def test_probabilistic_kills_respawn_never_diverge(self):

@@ -12,7 +12,7 @@ class TestInertDefault:
     def test_global_injector_is_inactive(self):
         injector = get_injector()
         assert not injector.active
-        assert injector.pool_dispatch(1, 0) is None
+        assert injector.dispatch(1, 0) is None
 
     def test_inactive_corrupt_frame_returns_input_unchanged(self):
         values = np.random.default_rng(0).random((4, 2))
@@ -49,24 +49,21 @@ class TestScheduledFaults:
                 drop_reply_at={2: 1},
                 hang_at={3: 0},
                 delay_at={4: 1},
-                corrupt_seq_at=(5,),
                 hang_seconds=0.25,
                 delay_seconds=0.05,
             )
         )
-        assert injector.pool_dispatch(1, 0).kill
-        assert injector.pool_dispatch(1, 1) is None
-        assert injector.pool_dispatch(2, 1).drop_reply
-        assert injector.pool_dispatch(3, 0).hang == 0.25
-        assert injector.pool_dispatch(4, 1).delay == 0.05
-        assert injector.pool_dispatch(5, 0).corrupt_seq
-        assert injector.pool_dispatch(6, 0) is None
+        assert injector.dispatch(1, 0).kill
+        assert injector.dispatch(1, 1) is None
+        assert injector.dispatch(2, 1).drop_reply
+        assert injector.dispatch(3, 0).hang == 0.25
+        assert injector.dispatch(4, 1).delay == 0.05
+        assert injector.dispatch(5, 0) is None
         assert injector.injected == {
             "kill": 1,
             "drop_reply": 1,
             "hang": 1,
             "delay": 1,
-            "corrupt_seq": 1,
         }
 
     def test_probabilistic_schedule_replays_identically(self):
@@ -77,9 +74,9 @@ class TestScheduledFaults:
             return [
                 (a.kill, a.drop_reply) if a else None
                 for a in (
-                    injector.pool_dispatch(seq, worker)
-                    for seq in range(1, 40)
-                    for worker in range(2)
+                    injector.dispatch(tick, shard)
+                    for tick in range(1, 40)
+                    for shard in range(2)
                 )
             ]
 
@@ -91,7 +88,7 @@ class TestScheduledFaults:
         injector = ChaosInjector(
             FaultPlan(seed=0, kill_probability=1.0, drop_probability=1.0)
         )
-        action = injector.pool_dispatch(1, 0)
+        action = injector.dispatch(1, 0)
         assert action.kill and not action.drop_reply
 
 

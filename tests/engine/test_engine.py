@@ -1,6 +1,6 @@
-"""Engine layer: config validation, backend equivalence, cache sharing.
+"""Engine layer: config validation, verdict equivalence, cache sharing.
 
-The load-bearing property is *verdict identity*: every backend, with and
+The load-bearing property is *verdict identity*: the engine, with and
 without batch precomputation, must reproduce the per-device seed path
 (`Characterizer(t).characterize_all()`) exactly on seeded simulations.
 """
@@ -11,14 +11,7 @@ import pytest
 
 from repro.core.characterize import Characterizer
 from repro.core.errors import ConfigurationError
-from repro.engine import (
-    BACKENDS,
-    CharacterizationEngine,
-    EngineConfig,
-    SerialBackend,
-    WorkerPoolBackend,
-    make_backend,
-)
+from repro.engine import CharacterizationEngine, EngineConfig
 from repro.simulation import SimulationConfig, Simulator
 
 
@@ -43,24 +36,12 @@ def simulated_steps():
 class TestEngineConfig:
     def test_defaults_are_serial(self):
         config = EngineConfig()
-        assert config.backend == "serial"
+        assert config.precompute_neighborhoods is True
         assert config.budget_fallback is False
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
-            EngineConfig(backend="threads")
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"workers": 0},
-            {"chunk_size": 0},
-            {"min_process_devices": 0},
-        ],
-    )
-    def test_bad_counts_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(**kwargs)
+            EngineConfig(kernel="nope")
 
     def test_characterizer_kwargs_roundtrip(self):
         config = EngineConfig(collection_budget=123, budget_fallback=True)
@@ -68,14 +49,9 @@ class TestEngineConfig:
         assert kwargs["collection_budget"] == 123
         assert kwargs["budget_fallback"] is True
 
-    def test_make_backend_names(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("process"), WorkerPoolBackend)
-        assert set(BACKENDS) == {"serial", "process"}
-
     def test_engine_rejects_config_plus_overrides(self):
         with pytest.raises(TypeError):
-            CharacterizationEngine(EngineConfig(), backend="serial")
+            CharacterizationEngine(EngineConfig(), kernel="bitset")
 
 
 class TestSerialEquivalence:
@@ -116,43 +92,6 @@ class TestSerialEquivalence:
         )
 
 
-class TestProcessEquivalence:
-    def test_verdicts_identical_to_seed_path(self, simulated_steps):
-        engine = CharacterizationEngine(
-            EngineConfig(backend="process", workers=2, min_process_devices=1)
-        )
-        for step in simulated_steps:
-            _assert_same_verdicts(
-                engine.characterize(step.transition),
-                _seed_verdicts(step.transition),
-            )
-
-    def test_small_flagged_set_degrades_to_serial(self, simulated_steps):
-        # min_process_devices above the flagged count must not spawn a pool
-        # (observable: it still produces the right verdicts; the serial
-        # path is unit-tested above, this guards the degradation branch).
-        step = simulated_steps[0]
-        engine = CharacterizationEngine(
-            EngineConfig(backend="process", workers=2, min_process_devices=10_000)
-        )
-        _assert_same_verdicts(
-            engine.characterize(step.transition),
-            _seed_verdicts(step.transition),
-        )
-
-    def test_explicit_chunk_size(self, simulated_steps):
-        step = simulated_steps[0]
-        engine = CharacterizationEngine(
-            EngineConfig(
-                backend="process", workers=2, chunk_size=1, min_process_devices=1
-            )
-        )
-        _assert_same_verdicts(
-            engine.characterize(step.transition),
-            _seed_verdicts(step.transition),
-        )
-
-
 class TestEngineStatsAndCache:
     def test_stats_accumulate_across_transitions(self, simulated_steps):
         engine = CharacterizationEngine()
@@ -181,16 +120,6 @@ class TestEngineStatsAndCache:
         first = engine.stats.cache_expansions
         engine.characterize(simulated_steps[1].transition)
         assert engine.stats.cache_expansions > first
-
-    def test_process_backend_reports_worker_expansions(self, simulated_steps):
-        # Worker caches are invisible to the parent; their expansion
-        # counts must still reach the run-level stats.
-        step = simulated_steps[0]
-        engine = CharacterizationEngine(
-            EngineConfig(backend="process", workers=2, min_process_devices=1)
-        )
-        engine.characterize(step.transition)
-        assert engine.stats.cache_expansions > 0
 
 
 class TestDriverIntegration:

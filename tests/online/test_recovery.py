@@ -2,8 +2,7 @@
 
 The acceptance bar: checkpoint a service mid-stream, kill it, restore
 into a *fresh process*, and the resumed verdict / flag / stats streams
-are identical to the uninterrupted run — on the serial and the pooled
-backend alike.  Plus the format contract (versioned, atomic, loud on
+are identical to the uninterrupted run.  Plus the format contract (versioned, atomic, loud on
 corruption) and the :class:`CheckpointWriter` cadence/retention sink.
 """
 
@@ -107,15 +106,8 @@ def _member_data_span(path, name):
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_kill_and_restore_is_verdict_identical(self, tmp_path, backend):
-        config = ServiceConfig(
-            r=0.05,
-            tau=2,
-            backend=backend,
-            workers=2,
-            dispatch_deadline=5.0 if backend == "process" else None,
-        )
+    def test_kill_and_restore_is_verdict_identical(self, tmp_path):
+        config = ServiceConfig(r=0.05, tau=2)
         # Uninterrupted reference: 9 ticks straight through.
         service, generator = _fresh_service(config)
         with service:
@@ -242,9 +234,9 @@ with open(out, "w") as fh:
             )
         assert head + tail == full
 
-    def test_restore_with_config_override_changes_backend(self, tmp_path):
-        # Verdicts are backend-invariant, so a checkpoint written by a
-        # serial service may resume on the pool (and vice versa).
+    def test_restore_with_config_override(self, tmp_path):
+        # Motion reuse changes work, not verdicts, so a checkpoint written
+        # with it on may resume with it off (and vice versa).
         service, generator = _fresh_service()
         with service:
             drive_load(service, generator, 3)
@@ -254,11 +246,10 @@ with open(out, "w") as fh:
                 full = _verdict_stream(
                     drive_load(service2, generator2, 6).ticks
                 )
-        pool_config = ServiceConfig(
-            r=0.05, tau=2, backend="process", workers=2, dispatch_deadline=5.0
-        )
-        restored = restore_service(path, config=pool_config)
+        override = ServiceConfig(r=0.05, tau=2, reuse_motions=False)
+        restored = restore_service(path, config=override)
         with restored:
+            assert restored.config.reuse_motions is False
             generator3 = LoadGenerator(PROFILE)
             generator3.fast_forward(3)
             tail = _verdict_stream(drive_load(restored, generator3, 3).ticks)
@@ -284,6 +275,24 @@ class TestFormat:
         path.write_bytes(b"this is not an npz archive")
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
+
+    def test_retired_engine_knobs_in_config_still_load(self, tmp_path):
+        # Version-2 checkpoints written before the engine's execution
+        # knobs were removed carry them in their service config.
+        service, _ = _fresh_service()
+        with service:
+            path = save_checkpoint(service, tmp_path / "ck.npz")
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(arrays["meta_json"].tobytes().decode())
+        meta["config"].update(
+            backend="serial", workers=None, max_worker_tasks=None
+        )
+        arrays["meta_json"] = np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8
+        )
+        np.savez(path, **arrays)
+        assert load_checkpoint(path).config == service.config
 
     def test_version_mismatch_raises(self, tmp_path):
         service, _ = _fresh_service()

@@ -83,7 +83,7 @@ class TestConfigValidation:
             {"queue_capacity": 0},
             {"max_batch": 0},
             {"backpressure": "spill"},
-            {"backend": "threads"},
+            {"dispatch_deadline": 0.0},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
@@ -94,6 +94,44 @@ class TestConfigValidation:
         config = ServiceConfig(r=0.03)
         assert config.cell == pytest.approx(0.06)
         assert ServiceConfig(r=0.0).cell == pytest.approx(1e-6)
+
+
+class TestEngineOwnership:
+    """A service closes the engine it built, never one it was handed."""
+
+    @staticmethod
+    def _counting_close(engine):
+        calls = []
+        engine.close = lambda: calls.append(1)
+        return calls
+
+    def _serve_one_tick(self, service):
+        for dev in range(8):
+            service.ingest(QosUpdate(dev, (0.5, 0.5), True))
+        service.end_tick()
+
+    def test_service_owns_and_closes_its_engine(self):
+        base = np.random.default_rng(5).random((40, 2))
+        with OnlineCharacterizationService(
+            base, ServiceConfig(r=0.05, tau=2)
+        ) as service:
+            calls = self._counting_close(service.engine)
+            self._serve_one_tick(service)
+        assert calls == [1]
+        service.close()  # idempotent: a double close is a clean no-op
+        assert calls == [1]
+
+    def test_shared_engine_left_open_by_service_close(self):
+        base = np.random.default_rng(6).random((40, 2))
+        engine = CharacterizationEngine()
+        calls = self._counting_close(engine)
+        service = OnlineCharacterizationService(
+            base, ServiceConfig(r=0.05, tau=2), engine=engine
+        )
+        self._serve_one_tick(service)
+        service.close()  # not the engine's owner: must not close it
+        assert calls == []
+        assert engine.stats.transitions == 1
 
 
 class TestVerdictEquivalence:

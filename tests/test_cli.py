@@ -59,38 +59,6 @@ class TestExecution:
         assert payload["rows"]
 
 
-class TestBackendFlags:
-    def test_backend_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["run", "table2", "--backend", "process", "--workers", "2"]
-        )
-        assert args.backend == "process"
-        assert args.workers == 2
-
-    def test_backend_defaults_to_none(self):
-        args = build_parser().parse_args(["run", "table2"])
-        assert args.backend is None
-        assert args.workers is None
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "table2", "--backend", "threads"])
-
-    def test_run_with_serial_backend(self, capsys):
-        assert (
-            main(
-                ["run", "table2", "--steps", "1", "--seeds", "0",
-                 "--backend", "serial"]
-            )
-            == 0
-        )
-        assert "I_k (Theorem 5)" in capsys.readouterr().out
-
-    def test_backend_ignored_by_analytic_experiments(self, capsys):
-        # figure6b runs no simulation; the flag must be silently dropped.
-        assert main(["run", "figure6b", "--backend", "process"]) == 0
-
-
 class TestOnlineCommands:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -104,10 +72,6 @@ class TestOnlineCommands:
         args = build_parser().parse_args(["replay"])
         assert args.command == "replay"
         assert args.trace is None
-
-    def test_serve_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--backend", "threads"])
 
     def test_serve_runs_and_reports(self, capsys):
         assert (
