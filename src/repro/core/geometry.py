@@ -138,10 +138,12 @@ def validate_unit_cube(points: np.ndarray, *, atol: float = 1e-9) -> np.ndarray:
     pipeline and is rejected eagerly.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.size and (pts.min() < -atol or pts.max() > 1.0 + atol):
+    # Written so that NaN fails it: NaN fails every comparison, and one
+    # NaN makes both min() and max() NaN.
+    if pts.size and not (pts.min() >= -atol and pts.max() <= 1.0 + atol):
         raise ConfigurationError(
-            "QoS coordinates must lie in [0, 1]; got range "
-            f"[{pts.min()}, {pts.max()}]"
+            "QoS coordinates must lie in [0, 1] (NaN is not a coordinate); "
+            f"got range [{pts.min()}, {pts.max()}]"
         )
     return pts
 

@@ -231,13 +231,20 @@ class DetectorBank(abc.ABC):
                 f"expected a ({self._n}, {self._d}) snapshot, got shape "
                 f"{arr.shape}"
             )
-        if not bool(np.all((arr >= 0.0) & (arr <= 1.0 + 1e-9))):
+        # NaN fails both comparisons, so it is refused here too.
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0 + 1e-9):
             raise ConfigurationError(
                 "QoS samples must lie in [0, 1] (NaN is not a sample)"
             )
         abnormal, forecasts, residuals, scores = self._observe(arr)
         self._seen += 1
-        flags = np.count_nonzero(abnormal, axis=1) >= self._min_raise
+        # Raise count summed one service column at a time (several times
+        # cheaper than count_nonzero(axis=1) on an (n, d) frame, small d);
+        # the smallest dtype that holds d keeps the adds narrow.
+        raised = np.zeros(self._n, dtype=np.min_scalar_type(self._d))
+        for k in range(self._d):
+            raised += abnormal[:, k]
+        flags = raised >= self._min_raise
         return BankDetection(
             positions=arr,
             abnormal=abnormal,

@@ -84,8 +84,12 @@ def diff_rows(
             f"flag vectors must have length {cur.shape[0]}, got "
             f"{prev_flags_arr.shape} and {cur_flags_arr.shape}"
         )
-    moved = np.any(prev != cur, axis=1)
-    changed = np.nonzero(moved | (prev_flags_arr != cur_flags_arr))[0]
+    # One column fold per coordinate: on an (n, d) frame with small d this
+    # is several times cheaper than np.any(prev != cur, axis=1).
+    differs = prev_flags_arr != cur_flags_arr
+    for k in range(cur.shape[1]):
+        differs |= prev[:, k] != cur[:, k]
+    changed = np.nonzero(differs)[0]
     return changed, cur[changed], cur_flags_arr[changed]
 
 

@@ -41,7 +41,16 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -91,6 +100,87 @@ VALIDATION_MODES = ("strict", "sanitize")
 
 #: Stable int8 encoding of verdict types for the store's verdict column.
 _VERDICT_CODE = {kind: np.int8(i) for i, kind in enumerate(AnomalyType)}
+
+
+class RowFaults(NamedTuple):
+    """Per-row fault masks of one ``(k, d)`` batch of positions.
+
+    A row with both a NaN and an inf coordinate counts under both
+    reasons; ``out_of_range`` marks finite rows only.
+    """
+
+    nan: np.ndarray
+    inf: np.ndarray
+    out_of_range: np.ndarray
+
+    @property
+    def bad(self) -> np.ndarray:
+        """Rows with any fault."""
+        return self.nan | self.inf | self.out_of_range
+
+    def tally(self, reject: Callable[[str, int], None]) -> np.ndarray:
+        """Count each reason through ``reject``; return :attr:`bad`."""
+        reject("nan", int(self.nan.sum()))
+        reject("inf", int(self.inf.sum()))
+        reject("out-of-range", int(self.out_of_range.sum()))
+        return self.bad
+
+
+def row_faults(arr: np.ndarray) -> Optional[RowFaults]:
+    """Classify the rows of a ``(k, d)`` float batch; ``None`` if all clean.
+
+    A clean batch — every tick's steady state — is recognized by a
+    min/max test: NaN fails every comparison, so neither a NaN nor an
+    inf can pass ``min >= 0 and max <= 1``.  Otherwise the masks are
+    folded one column at a time, which on an ``(n, d)`` frame with
+    small ``d`` is several times cheaper than an ``axis=1`` reduction.
+    """
+    if arr.size == 0 or (arr.min() >= 0.0 and arr.max() <= 1.0):
+        return None
+    nan = np.zeros(arr.shape[0], dtype=bool)
+    inf = np.zeros_like(nan)
+    outside = np.zeros_like(nan)
+    for k in range(arr.shape[1]):
+        col = arr[:, k]
+        nan |= np.isnan(col)
+        inf |= np.isinf(col)
+        outside |= (col < 0.0) | (col > 1.0)
+    return RowFaults(nan, inf, outside & ~(nan | inf))
+
+
+def screen_frame(
+    arr: np.ndarray,
+    shape: Tuple[int, int],
+    mode: str,
+    reject: Callable[[str, int], None],
+    stored: Callable[[], np.ndarray],
+) -> np.ndarray:
+    """Apply validation ``mode`` to one full frame of ``shape``.
+
+    A frame of another shape always raises: it cannot be partially
+    applied.  Otherwise every bad row's reasons are counted through
+    ``reject``; ``"strict"`` then raises, ``"sanitize"`` returns a copy
+    whose bad rows are replaced by the matching rows of ``stored()`` —
+    those devices simply do not report this tick.  A clean frame is
+    returned as is.
+    """
+    if arr.shape != shape:
+        reject("dimension-mismatch", 1)
+        raise DimensionMismatchError(
+            f"frame shape {arr.shape} incompatible with {shape}"
+        )
+    faults = row_faults(arr)
+    if faults is None:
+        return arr
+    bad = faults.tally(reject)
+    if mode == "strict":
+        raise ConfigurationError(
+            f"frame has {int(bad.sum())} malformed rows "
+            "(NaN/inf/out-of-range) and validation is strict"
+        )
+    repaired = arr.copy()
+    repaired[bad] = stored()[bad]
+    return repaired
 
 
 @dataclass(frozen=True)
@@ -156,11 +246,11 @@ class ServiceConfig:
         door falls back to running that shard inline.  Only the
         process topology consults it.
     validation:
-        How :meth:`feed_measurements` treats malformed frames.
-        ``"strict"`` (default) counts the rejection reasons on
-        ``repro_service_rejected_total{reason}`` and raises before the
-        detector bank consumes anything — the frame is refused
-        atomically.  ``"sanitize"`` substitutes each bad *row* (NaN,
+        How :meth:`feed_snapshot` and :meth:`feed_measurements` treat
+        malformed frames.  ``"strict"`` (default) counts the rejection
+        reasons on ``repro_service_rejected_total{reason}`` and raises
+        before the store or the detector bank consumes anything — the
+        frame is refused atomically.  ``"sanitize"`` substitutes each bad *row* (NaN,
         inf, out-of-range) with the device's current stored position —
         the device simply does not report this tick — and proceeds;
         only a frame whose shape does not match the fleet still raises
@@ -872,18 +962,9 @@ class OnlineCharacterizationService:
         if not kept:
             return 0
         positions = np.array([update.position for update in kept], dtype=float)
-        nan_bad = np.isnan(positions).any(axis=1)
-        inf_bad = np.isinf(positions).any(axis=1)
-        finite = ~(nan_bad | inf_bad)
-        range_bad = finite & (
-            (positions < 0.0).any(axis=1) | (positions > 1.0).any(axis=1)
-        )
-        self._reject("nan", int(nan_bad.sum()))
-        self._reject("inf", int(inf_bad.sum()))
-        self._reject("out-of-range", int(range_bad.sum()))
-        good = finite & ~range_bad
-        if not good.all():
-            idx = np.nonzero(good)[0]
+        faults = row_faults(positions)
+        if faults is not None:
+            idx = np.nonzero(~faults.tally(self._reject))[0]
             if idx.size == 0:
                 return 0
             positions = positions[idx]
@@ -923,7 +1004,19 @@ class OnlineCharacterizationService:
         :meth:`DeviceStateStore.apply_rows`, and no per-device Python
         objects are created at any point (the steady-state allocation
         test pins this down).
+
+        ``current`` must cover the store's allocated rows.  It passes the
+        configured ``validation`` mode before the store is touched, as a
+        :meth:`feed_measurements` frame does (:meth:`_validate_frame`).
         """
+        arr = self._validate_frame(
+            np.asarray(current, dtype=float),
+            self._store.current_positions().shape[0],
+        )
+        return self._feed_frame(arr, flags)
+
+    def _feed_frame(self, current: np.ndarray, flags) -> OnlineTick:
+        """Apply one validated frame + flag vector and close the tick."""
         # Apply any events queued mid-tick first, so the diff below sees
         # the true store state (and emits corrections back to `current`
         # where a mid-tick ingest diverged from the fed snapshot).
@@ -950,48 +1043,29 @@ class OnlineCharacterizationService:
         injector = get_injector()
         if injector.active:
             arr = injector.corrupt_frame(self._tick + 1, arr)
-        arr = self._validate_frame(arr)
+        arr = self._validate_frame(arr, self._store.n)
         detection = self._detect_stage.observe(arr, self._tracer)
         self._last_detection = detection
-        return self.feed_snapshot(arr, detection.flags)
+        return self._feed_frame(arr, detection.flags)
 
-    def _validate_frame(self, arr: np.ndarray) -> np.ndarray:
-        """Apply the configured validation mode to one raw QoS frame.
+    def _validate_frame(self, arr: np.ndarray, rows: int) -> np.ndarray:
+        """Apply the configured validation mode to one full frame.
 
-        Runs *before* the detector bank observes anything, so a
+        Runs *before* the detector bank or the store sees anything, so a
         rejected frame can never leave the bank one observation ahead
         of the store.  ``"strict"`` counts every bad row's reason and
         raises; ``"sanitize"`` substitutes each bad row with the
         device's current stored position — that device simply does not
         report this tick — and returns the repaired frame.  A frame
-        whose shape does not match the fleet always raises: it cannot
-        be partially applied.
+        whose shape is not ``(rows, dim)`` always raises.
         """
-        n, dim = self._store.n, self._store.dim
-        if arr.ndim != 2 or arr.shape != (n, dim):
-            self._reject("dimension-mismatch")
-            raise DimensionMismatchError(
-                f"measurement frame shape {arr.shape} incompatible with "
-                f"({n}, {dim})"
-            )
-        nan_bad = np.isnan(arr).any(axis=1)
-        inf_bad = np.isinf(arr).any(axis=1)
-        finite = ~(nan_bad | inf_bad)
-        range_bad = finite & ((arr < 0.0).any(axis=1) | (arr > 1.0).any(axis=1))
-        bad = ~finite | range_bad
-        if not bad.any():
-            return arr
-        self._reject("nan", int(nan_bad.sum()))
-        self._reject("inf", int(inf_bad.sum()))
-        self._reject("out-of-range", int(range_bad.sum()))
-        if self._config.validation == "strict":
-            raise ConfigurationError(
-                f"measurement frame has {int(bad.sum())} malformed rows "
-                "(NaN/inf/out-of-range) and validation is strict"
-            )
-        repaired = arr.copy()
-        repaired[bad] = self._store.current_positions()[bad]
-        return repaired
+        return screen_frame(
+            arr,
+            (rows, self._store.dim),
+            self._config.validation,
+            self._reject,
+            self._store.current_positions,
+        )
 
     # ------------------------------------------------------------------
     # Tick processing

@@ -121,6 +121,8 @@ from repro.online.service import (
     QosUpdate,
     ServiceConfig,
     ServiceStats,
+    row_faults,
+    screen_frame,
 )
 from repro.online.stages import (
     IndexUpdateStage,
@@ -1282,18 +1284,9 @@ class ShardedService:
             positions = np.array(
                 [update.position for update in kept], dtype=float
             )
-            nan_bad = np.isnan(positions).any(axis=1)
-            inf_bad = np.isinf(positions).any(axis=1)
-            finite = ~(nan_bad | inf_bad)
-            range_bad = finite & (
-                (positions < 0.0).any(axis=1) | (positions > 1.0).any(axis=1)
-            )
-            self._reject("nan", int(nan_bad.sum()))
-            self._reject("inf", int(inf_bad.sum()))
-            self._reject("out-of-range", int(range_bad.sum()))
-            good = finite & ~range_bad
-            if not good.all():
-                idx = np.nonzero(good)[0]
+            faults = row_faults(positions)
+            if faults is not None:
+                idx = np.nonzero(~faults.tally(self._reject))[0]
                 if idx.size == 0:
                     continue
                 positions = positions[idx]
@@ -1378,12 +1371,12 @@ class ShardedService:
     # ------------------------------------------------------------------
     # Feeding
     # ------------------------------------------------------------------
-    def _gather_current(self) -> np.ndarray:
-        """Current positions gathered into one global-id-indexed frame."""
-        frame = np.zeros((self.n, self._dim), dtype=float)
+    def _gather_current(self, rows: int) -> np.ndarray:
+        """Current positions gathered into a ``rows``-row, id-indexed frame."""
+        frame = np.zeros((rows, self._dim), dtype=float)
         for ids, positions in self._query("frame"):
-            if ids.size:
-                frame[ids] = positions
+            keep = ids < rows
+            frame[ids[keep]] = positions[keep]
         return frame
 
     def feed_snapshot(
@@ -1395,22 +1388,29 @@ class ShardedService:
         dense id range ``0..n-1`` — the fixed-fleet contract the
         snapshot drivers (monitor, trace replay, load generator) already
         satisfy.  Churned populations with id gaps flow through
-        :meth:`ingest` / :meth:`join` / :meth:`leave` instead.
+        :meth:`ingest` / :meth:`join` / :meth:`leave` instead.  The
+        frame, one row per flag, passes the configured ``validation``
+        mode before the frame board or any shard is touched.
         """
         current = np.asarray(current, dtype=float)
-        flags_arr = np.asarray(list(flags), dtype=bool)
-        if (
-            current.ndim != 2
-            or current.shape[1] != self._dim
-            or flags_arr.shape[0] != current.shape[0]
-        ):
-            self._reject("dimension-mismatch")
-            raise DimensionMismatchError(
-                f"snapshot frame {current.shape} with {flags_arr.shape[0]} "
-                f"flags incompatible with dim {self._dim}"
-            )
+        flags_arr = np.asarray(
+            flags if isinstance(flags, np.ndarray) else list(flags),
+            dtype=bool,
+        )
+        rows = flags_arr.shape[0]
+        current = screen_frame(
+            current,
+            (rows, self._dim),
+            self._config.validation,
+            self._reject,
+            lambda: self._gather_current(rows),
+        )
+        return self._feed_frame(current, flags_arr)
+
+    def _feed_frame(self, current: np.ndarray, flags: np.ndarray) -> OnlineTick:
+        """Publish one validated frame + flag vector and close the tick."""
         self._ingest_stage.run(self._tracer)
-        name, rows, _ = self._board.publish(current, flags_arr)
+        name, rows, _ = self._board.publish(current, flags)
         try:
             counts = self._phase(
                 [
@@ -1442,40 +1442,18 @@ class ShardedService:
         injector = get_injector()
         if injector.active:
             arr = injector.corrupt_frame(self._tick + 1, arr)
-        arr = self._validate_frame(arr)
+        n = self.n
+        arr = screen_frame(
+            arr,
+            (n, self._dim),
+            self._config.validation,
+            self._reject,
+            lambda: self._gather_current(n),
+        )
         with self._tracer.span("detect"):
             detection = self._bank.observe_batch(arr)
         self._last_detection = detection
-        return self.feed_snapshot(arr, detection.flags)
-
-    def _validate_frame(self, arr: np.ndarray) -> np.ndarray:
-        n, dim = self.n, self._dim
-        if arr.ndim != 2 or arr.shape != (n, dim):
-            self._reject("dimension-mismatch")
-            raise DimensionMismatchError(
-                f"measurement frame shape {arr.shape} incompatible with "
-                f"({n}, {dim})"
-            )
-        nan_bad = np.isnan(arr).any(axis=1)
-        inf_bad = np.isinf(arr).any(axis=1)
-        finite = ~(nan_bad | inf_bad)
-        range_bad = finite & (
-            (arr < 0.0).any(axis=1) | (arr > 1.0).any(axis=1)
-        )
-        bad = ~finite | range_bad
-        if not bad.any():
-            return arr
-        self._reject("nan", int(nan_bad.sum()))
-        self._reject("inf", int(inf_bad.sum()))
-        self._reject("out-of-range", int(range_bad.sum()))
-        if self._config.validation == "strict":
-            raise ConfigurationError(
-                f"measurement frame has {int(bad.sum())} malformed rows "
-                "(NaN/inf/out-of-range) and validation is strict"
-            )
-        repaired = arr.copy()
-        repaired[bad] = self._gather_current()[bad]
-        return repaired
+        return self._feed_frame(arr, detection.flags)
 
     # ------------------------------------------------------------------
     # Tick processing

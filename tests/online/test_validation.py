@@ -21,6 +21,7 @@ from repro.online import (
     OnlineCharacterizationService,
     QosUpdate,
     ServiceConfig,
+    ShardedService,
 )
 
 
@@ -112,6 +113,9 @@ class TestFramePathRejection:
             detection="bank",
         )
 
+    def _positions(self, service):
+        return service.store.current_positions()
+
     @pytest.mark.parametrize(
         "poison, reason",
         [(np.nan, "nan"), (np.inf, "inf"), (4.2, "out-of-range")],
@@ -137,17 +141,16 @@ class TestFramePathRejection:
     )
     def test_sanitize_repairs_bad_rows(self, poison, reason):
         with self._raw_service("sanitize") as service:
-            before = service.store.current_positions()[4].copy()
+            before = self._positions(service)[4].copy()
             frame = np.full((10, 2), 0.5)
             frame[4, 0] = poison
             tick = service.feed_measurements(frame)
             assert tick.tick == 1
             assert service.rejected == {reason: 1}
             # The bad row kept its stored position; the rest applied.
-            assert np.array_equal(
-                service.store.current_positions()[4], before
-            )
-            assert np.allclose(service.store.current_positions()[5], 0.5)
+            positions = self._positions(service)
+            assert np.array_equal(positions[4], before)
+            assert np.allclose(positions[5], 0.5)
 
     def test_wrong_shape_always_raises(self):
         for mode in ("strict", "sanitize"):
@@ -159,3 +162,28 @@ class TestFramePathRejection:
     def test_validation_mode_is_validated(self):
         with pytest.raises(ConfigurationError):
             ServiceConfig(validation="lenient")
+
+
+class TestFramePathRejectionInlineShards(TestFramePathRejection):
+    """The same frame contract on a 2-shard service; the sanitize repair
+    gathers the stored rows back from the shards."""
+
+    WORKERS = "inline"
+
+    def _raw_service(self, validation):
+        base = np.random.default_rng(1).random((10, 2))
+        return ShardedService(
+            base,
+            ServiceConfig(r=0.05, tau=2, validation=validation),
+            topology_shards=2,
+            topology_workers=self.WORKERS,
+            detector=DetectorSpec("step", {"max_step": 0.2}),
+            detection="bank",
+        )
+
+    def _positions(self, service):
+        return service._gather_current(service.n)
+
+
+class TestFramePathRejectionProcessShards(TestFramePathRejectionInlineShards):
+    WORKERS = "process"
