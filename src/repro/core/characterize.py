@@ -791,7 +791,7 @@ class Characterizer:
         )
         pts = transition.combined_of(ball)
         far = np.flatnonzero(
-            np.abs(pts - transition.combined[device]).max(axis=1)
+            np.abs(pts - transition.combined_of((device,))).max(axis=1)
             > 2.0 * transition.r + 1e-12
         )
         far_mask = sum(1 << int(i) for i in far)

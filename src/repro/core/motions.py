@@ -362,8 +362,14 @@ def maximal_motions_containing(
     The candidate pool is ``N(device)`` — flagged devices within ``2r`` at
     both times — which is sufficient because every member of a motion
     containing ``device`` lies within ``2r`` of it at both times.
+
+    A *lone* device (``N(device) == (device,)``) skips the sweep: its
+    only motion is ``{device}``, and either kernel would have made
+    exactly one window placement per combined dimension, ``2d`` steps.
     """
     neighborhood = transition.neighborhood(device)
+    if neighborhood == (device,):
+        return [frozenset(neighborhood)], 2 * transition.dim
     return enumerate_maximal_motions(
         transition, neighborhood, anchor=device, kernel=kernel
     )

@@ -30,8 +30,12 @@ the flagged devices that contains ``x``.  The cache enumerates each
 component's maximal motions once (:class:`MotionComponent`) and derives
 a member's family as the sublist of motions containing it — exact on
 any transition, including shard transitions truncated at a halo edge.
-Lone devices and components above :data:`_COMPONENT_LIMIT` members keep
-the per-device anchored enumeration.
+Components above :data:`_COMPONENT_LIMIT` members keep the per-device
+anchored enumeration.  A lone device (``N(j) == (j,)``) has no
+component object and no sweep at all: its family is the single motion
+``{j}`` (:func:`~repro.core.motions.maximal_motions_containing`), and
+since ``tau >= 1`` it has no dense motion, so its verdict stops at
+Theorem 5 without reading its ``4r`` ball.
 """
 
 from __future__ import annotations
@@ -255,9 +259,10 @@ class MotionCache:
         transition's neighbourhood memo, which the engine warms for its
         targets in one batch) and memoizes the result for every member.
         Returns None — for every device the walk reached — once the
-        component exceeds :data:`_COMPONENT_LIMIT` members, and for a
-        lone device, which has nothing to share (its anchored sweep is
-        the component sweep); both keep the per-device path.
+        component exceeds :data:`_COMPONENT_LIMIT` members (the
+        per-device anchored path), and for a lone device, which has
+        nothing to share: :func:`motion_family` returns its one-motion
+        family without a sweep.
         """
         try:
             return self._components[device]

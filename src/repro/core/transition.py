@@ -144,8 +144,8 @@ class Transition:
         self._flagged_sorted: Tuple[int, ...] = tuple(sorted(flagged_set))
         # Combined 2d-dimensional embedding: prev coords ++ cur coords.  A
         # subset has an r-consistent *motion* iff it fits a 2r-box here.
-        # Built lazily: online ticks that only touch a few flagged devices
-        # never pay the (n, 2d) allocation.
+        # The full plane is built lazily, for the offline tessellation
+        # baseline only; the verdict path gathers rows via combined_of.
         self._combined: Optional[np.ndarray] = None
         self._index_prev: Optional[GridIndex] = None
         self._index_cur: Optional[GridIndex] = None
@@ -203,7 +203,12 @@ class Transition:
 
     @property
     def combined(self) -> np.ndarray:
-        """The ``(n, 2d)`` combined coordinates (prev ++ cur)."""
+        """The ``(n, 2d)`` combined coordinates (prev ++ cur).
+
+        Built on first access and kept; an O(n) plane read only by the
+        offline tessellation baseline.  The verdict path reads rows
+        through :meth:`combined_of`.
+        """
         if self._combined is None:
             self._combined = np.hstack(
                 [self._previous.positions, self._current.positions]
@@ -211,8 +216,15 @@ class Transition:
         return self._combined
 
     def combined_of(self, devices: Sequence[int]) -> np.ndarray:
-        """Return combined coordinates for a subset of devices."""
-        return self.combined[list(devices)]
+        """Return the combined coordinates of ``devices``, in that order.
+
+        Gathers the requested rows of both snapshots and joins only
+        those, so the cost is O(len(devices)) whatever ``n`` is.
+        """
+        idx = list(devices)
+        return np.hstack(
+            [self._previous.positions[idx], self._current.positions[idx]]
+        ).astype(float, copy=False)
 
     # ------------------------------------------------------------------
     # Neighbourhood queries
@@ -374,7 +386,7 @@ class Transition:
         idx = list(devices)
         if len(idx) <= 1:
             return True
-        pts = self.combined[idx]
+        pts = self.combined_of(idx)
         side = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
         return side <= 2.0 * self._r + atol
 

@@ -91,8 +91,11 @@ class CostCounters:
         devices, so this counts the placements of that component's one
         unanchored sweep — the same value for every member.  Devices in
         a component above the sharing bound (64 members) count their
-        own anchored sweep of ``N(j)``.  A family carried across ticks
-        keeps the count of the tick that computed it.
+        own anchored sweep of ``N(j)``.  A lone device
+        (``N(j) == (j,)``) counts ``2d`` placements, one per combined
+        dimension — what a sweep of ``{j}`` makes, though none is run.
+        A family carried across ticks keeps the count of the tick that
+        computed it.
     """
 
     maximal_motions: int = 0

@@ -27,9 +27,10 @@ class EngineConfig:
     ----------
     precompute_neighborhoods:
         When true (default) the engine batch-computes the ``2r``
-        neighbourhoods *and* the ``4r`` knowledge balls of every device in
-        one vectorized pass before characterizing, warming the
-        transition's memo.
+        neighbourhoods of every target device, and the ``4r`` knowledge
+        balls of those with ``|N(j)| > tau`` (the only ones a verdict
+        can read), in vectorized passes before characterizing, warming
+        the transition's memo.
     kernel:
         Set-algebra representation of the verdict hot path: ``"bitset"``
         (default, integer masks over per-device local universes) or

@@ -8,11 +8,14 @@ per transition and walk the flagged set one device at a time.
 shared service:
 
 * **Batch neighbourhoods.**  Before any per-device work, the engine
-  computes *all* flagged-device ``2r`` neighbourhoods and ``4r`` knowledge
-  balls in one vectorized pass
+  computes the ``2r`` neighbourhoods of its target devices in one
+  vectorized pass
   (:meth:`~repro.core.transition.Transition.neighborhoods_batch`, backed by
   :meth:`~repro.core.geometry.GridIndex.query_batch`), replacing one
-  dict-walk per device with a handful of numpy operations.
+  dict-walk per device with a handful of numpy operations, then the
+  ``4r`` knowledge balls of only those with ``|N(j)| > tau`` — the only
+  devices whose verdict can read one, so mostly-lone fleets skip most
+  4r queries.
 * **Shared motion cache.**  One
   :class:`~repro.core.neighborhood.MotionCache` serves every device of a
   transition and every repeated call on the *same* transition object
@@ -145,9 +148,21 @@ class CharacterizationEngine:
     def _warm_neighborhoods(
         self, transition: Transition, devices: Sequence[int]
     ) -> None:
-        """Vectorized precomputation of the 2r and 4r balls of ``devices``."""
-        transition.neighborhoods_batch(devices)
-        transition.neighborhoods_batch(devices, radius_factor=4.0)
+        """Vectorized precomputation of the 2r balls of ``devices`` and
+        of the 4r balls that a verdict can read.
+
+        Only Theorems 6/7 read a device's 4r knowledge ball, and they
+        run only for a device with a tau-dense motion — one that lies
+        inside ``N(j)`` and has more than ``tau`` members.  A device
+        with ``|N(j)| <= tau`` (every lone device among them) stops at
+        Theorem 5, so its 4r ball is never queried; any other caller
+        still gets it from the per-device memoized query.
+        """
+        near = transition.neighborhoods_batch(devices)
+        tau = transition.tau
+        dense_capable = [j for j in devices if len(near[j]) > tau]
+        if dense_capable:
+            transition.neighborhoods_batch(dense_capable, radius_factor=4.0)
         self.stats.batch_neighborhood_passes += 1
 
     # ------------------------------------------------------------------

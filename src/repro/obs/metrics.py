@@ -149,13 +149,17 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (default one).
+
+        A caller that tallies equal values first makes one call per
+        distinct value instead of one per observation.
+        """
         index = bisect.bisect_left(self.bounds, value)
         with self._lock:
-            self.counts[index] += 1
-            self.sum += value
-            self.count += 1
+            self.counts[index] += count
+            self.sum += value * count
+            self.count += count
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile by intra-bucket interpolation.
@@ -282,8 +286,8 @@ class MetricFamily:
     def set(self, value: float) -> None:
         self._sole_child().set(value)
 
-    def observe(self, value: float) -> None:
-        self._sole_child().observe(value)
+    def observe(self, value: float, count: int = 1) -> None:
+        self._sole_child().observe(value, count)
 
     def quantile(self, q: float) -> float:
         return self._sole_child().quantile(q)

@@ -92,6 +92,10 @@ __all__ = [
     "ServiceStats",
 ]
 
+#: ``repro_verdict_family_motions`` bucket bounds (maximal motions per
+#: recomputed verdict's family).
+FAMILY_MOTION_BUCKETS = (1, 2, 4, 8, 16, 64)
+
 #: Accepted ``ServiceConfig.backpressure`` values.
 BACKPRESSURE_POLICIES = ("block", "drop-oldest", "error")
 
@@ -421,7 +425,11 @@ class MetricsSink:
     ``repro_verdict_device_ticks_total{kind=...}`` and
     ``repro_verdict_decisions_total{rule=...}``, each incremented once
     per label per tick — so verdict rates by type and rule are
-    scrapeable without touching the sink object.
+    scrapeable without touching the sink object.  The
+    ``repro_verdict_family_motions`` histogram records the family size
+    (``cost.maximal_motions``) of each recomputed verdict, observed once
+    per distinct size per tick; its ``le="1"`` bucket is mostly lone
+    devices, which leave the verdict path at its cheapest exit.
     """
 
     def __init__(self, registry: Optional[Registry] = None) -> None:
@@ -442,6 +450,11 @@ class MetricsSink:
             rule.value: 0 for rule in DecisionRule
         }
         self._current_kinds: Dict[int, str] = {}
+        self._family_motions = reg.histogram(
+            "repro_verdict_family_motions",
+            "Maximal motions in the family of each recomputed verdict",
+            buckets=FAMILY_MOTION_BUCKETS,
+        )
         self._decisions_counter = reg.counter(
             "repro_verdict_decisions_total",
             "Recomputed verdicts by the decision rule that produced them",
@@ -468,10 +481,14 @@ class MetricsSink:
         # One increment per label per tick, not one per device: the
         # registry's label lookup costs more than the tally.
         verdicts = tick.verdicts
-        rules = Counter([verdicts[device].rule for device in tick.recomputed])
+        recomputed = [verdicts[device] for device in tick.recomputed]
+        rules = Counter([verdict.rule for verdict in recomputed])
         for rule, count in rules.items():
             self.decision_counts[rule.value] += count
             self._decisions_counter.labels(rule=rule.value).inc(count)
+        sizes = Counter([verdict.cost.maximal_motions for verdict in recomputed])
+        for size, count in sizes.items():
+            self._family_motions.observe(size, count)
         kinds = {
             device: verdict.anomaly_type.value
             for device, verdict in verdicts.items()

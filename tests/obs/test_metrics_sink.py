@@ -224,3 +224,114 @@ class TestDecisionRuleCounting:
         )
         assert sink.decision_counts["theorem-6"] == 2
         assert _rule_value(reg, "theorem-6") == 2.0
+
+
+class TestFamilyMotionsHistogram:
+    """``repro_verdict_family_motions``: family sizes of recomputed verdicts."""
+
+    def _chain_ticks(self, sink, ticks=6, r=0.03):
+        # Devices 6k..6k+5 sit on a chain 0.7 * 2r apart; each tick one
+        # chain moves as one (interior members lie in two maximal
+        # motions) and two other devices jump alone (one motion each).
+        rng = np.random.default_rng(11)
+        home = rng.random((80, 2)) * 0.8 + 0.1
+        for k in range(4):
+            corner = np.array([0.15 + 0.2 * k, 0.5])
+            for i in range(6):
+                home[6 * k + i] = corner + [i * 1.4 * r, 0.0]
+        service = OnlineCharacterizationService(
+            home.copy(), ServiceConfig(r=r, tau=1), sinks=(sink,)
+        )
+        out = []
+        flagged = []
+        for t in range(ticks):
+            for device in flagged:
+                service.ingest(QosUpdate(device, tuple(home[device]), False))
+            chain = list(range(6 * (t % 4), 6 * (t % 4) + 6))
+            loners = rng.choice(np.arange(24, 80), 2, replace=False).tolist()
+            flagged = chain + loners
+            shift = rng.uniform(-0.05, 0.05, 2)
+            for device in chain:
+                pos = np.clip(home[device] + shift, 0, 1)
+                service.ingest(QosUpdate(device, tuple(pos), True))
+            for device in loners:
+                service.ingest(QosUpdate(device, tuple(rng.random(2)), True))
+            out.append(service.end_tick())
+        return out
+
+    def test_exported_buckets_match_recomputed_families(self, monkeypatch):
+        from repro.obs.export import render_prometheus
+        from repro.obs.metrics import Histogram
+
+        calls = []
+        observe = Histogram.observe
+
+        def counting(self, value, count=1):
+            calls.append(self.bounds)
+            observe(self, value, count)
+
+        monkeypatch.setattr(Histogram, "observe", counting)
+        reg = Registry()
+        sink = MetricsSink(registry=reg)
+        ticks = self._chain_ticks(sink)
+        sizes = [
+            tick.verdicts[device].cost.maximal_motions
+            for tick in ticks
+            for device in tick.recomputed
+        ]
+        assert 1 in sizes and max(sizes) > 1  # lone devices and groups
+        bounds = (1, 2, 4, 8, 16, 64)
+        hist = reg.snapshot()["repro_verdict_family_motions"]["samples"][0]
+        assert hist["buckets"] == {
+            str(float(b)): sum(
+                1 for s in sizes if (bounds[i - 1] if i else 0) < s <= b
+            )
+            for i, b in enumerate(bounds)
+        }
+        assert hist["inf"] == sum(1 for s in sizes if s > 64)
+        assert hist["count"] == len(sizes)
+        assert hist["sum"] == sum(sizes)
+        # One registry call per distinct size per tick, not per verdict.
+        family_calls = [b for b in calls if b == tuple(map(float, bounds))]
+        assert len(family_calls) == sum(
+            len({tick.verdicts[d].cost.maximal_motions for d in tick.recomputed})
+            for tick in ticks
+        )
+        assert len(family_calls) < len(sizes)
+        text = render_prometheus(reg)
+        lone = sum(1 for s in sizes if s == 1)
+        assert f'repro_verdict_family_motions_bucket{{le="1.0"}} {lone}' in text
+        assert (
+            f'repro_verdict_family_motions_bucket{{le="+Inf"}} {len(sizes)}' in text
+        )
+
+    def test_reused_verdicts_are_not_observed(self):
+        reg = Registry()
+        sink = MetricsSink(registry=reg)
+        verdicts = {
+            device: Characterization(
+                device=device,
+                anomaly_type=AnomalyType.ISOLATED,
+                rule=DecisionRule.THEOREM_5,
+            )
+            for device in (1, 2, 3)
+        }
+        verdicts[1].cost.maximal_motions = 1
+        verdicts[2].cost.maximal_motions = 3
+        verdicts[3].cost.maximal_motions = 3
+        sink(
+            OnlineTick(
+                tick=1,
+                applied=0,
+                flagged=(1, 2, 3),
+                recomputed=(1, 2),
+                reused=(3,),
+                dirty_cells=0,
+                verdicts=verdicts,
+            )
+        )
+        hist = reg.snapshot()["repro_verdict_family_motions"]["samples"][0]
+        assert hist["count"] == 2
+        assert hist["sum"] == 4
+        assert hist["buckets"]["1.0"] == 1
+        assert hist["buckets"]["4.0"] == 1

@@ -74,6 +74,17 @@ class TestHistogramBuckets:
         assert snap["count"] == 1
         assert snap["sum"] == pytest.approx(7.0)
 
+    def test_observe_with_count_equals_repeated_observes(self):
+        batched = Histogram(buckets=(1, 2, 4))
+        batched.observe(2, count=5)
+        batched.observe(9, count=2)
+        single = Histogram(buckets=(1, 2, 4))
+        for v in [2] * 5 + [9] * 2:
+            single.observe(v)
+        assert batched.snapshot() == single.snapshot()
+        assert batched.snapshot()["count"] == 7
+        assert batched.snapshot()["sum"] == 28
+
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ConfigurationError):
             Histogram(buckets=(0.5, 0.1))
