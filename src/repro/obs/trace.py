@@ -34,10 +34,13 @@ from typing import Dict, Optional
 
 from repro.obs.metrics import DEFAULT_BUCKETS, Registry, get_registry
 
-__all__ = ["Span", "Tracer", "get_tracer"]
+__all__ = ["Span", "TickClock", "Tracer", "get_tracer"]
 
 #: Histogram family every tracer records completed spans into.
 STAGE_HISTOGRAM = "repro_stage_seconds"
+
+#: Histogram family a service records each tick's wall clock into.
+TICK_HISTOGRAM = "repro_tick_seconds"
 
 
 class _NullSpan:
@@ -144,6 +147,34 @@ class Tracer:
         stages = self._stages
         self._stages = {}
         return stages
+
+
+class TickClock:
+    """One service's per-tick wall clock, into ``repro_tick_seconds``.
+
+    :meth:`start` marks a tick's first work — a frame feed (which
+    ``restart``s, so a rejected frame's time is not carried over), or
+    ``end_tick`` itself for an event-fed tick — and :meth:`stop`
+    observes the elapsed seconds once, at the close of ``end_tick``.
+    Events merely queued between ticks are not tick work.  Like the
+    tracer's spans, a disabled tracer reads no clock.
+    """
+
+    def __init__(self, tracer: Tracer) -> None:
+        self._tracer = tracer
+        self._histogram = tracer.registry.histogram(
+            TICK_HISTOGRAM, "Wall-clock seconds per service tick"
+        )
+        self._start: Optional[float] = None
+
+    def start(self, *, restart: bool = False) -> None:
+        if (restart or self._start is None) and self._tracer.enabled:
+            self._start = time.perf_counter()
+
+    def stop(self) -> None:
+        if self._start is not None:
+            self._histogram.observe(time.perf_counter() - self._start)
+            self._start = None
 
 
 #: The process-global tracer shared instrumentation (network monitor)

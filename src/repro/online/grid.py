@@ -217,6 +217,16 @@ class MutableGridIndex:
         """Current ``(k, d)`` cell keys of ``rows`` (a gathered copy)."""
         return self._keys[rows].copy()
 
+    def key_column(self) -> np.ndarray:
+        """Read-only view of the whole ``(capacity, d)`` cell-key column.
+
+        Rows that hold no device carry stale keys; callers mask them by
+        their own occupancy column.  Valid until the next mutation.
+        """
+        view = self._keys.view()
+        view.flags.writeable = False
+        return view
+
     def devices_in_cell(self, key: CellKey) -> FrozenSet[int]:
         """Devices currently stored in one cell."""
         key_arr = np.asarray(key, dtype=np.int64)
@@ -240,29 +250,66 @@ class MutableGridIndex:
             raise ConfigurationError(
                 f"device {device} is already indexed; use move()"
             )
-        if device < 0:
-            raise ConfigurationError(f"device id must be >= 0, got {device!r}")
         pos = self._validate(position)
-        if device >= self._alive.shape[0]:
+        keys = self.insert_rows(np.array([device]), pos[None, :])
+        return tuple(keys[0].tolist())
+
+    def insert_rows(
+        self, rows: np.ndarray, positions: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Vectorized :meth:`insert` of distinct, unindexed ``rows``.
+
+        In adopted mode the owner has already written the positions and
+        ``positions`` is ignored; otherwise it is the ``(k, d)`` state to
+        store.  Returns the ``(k, d)`` cell keys the rows landed in.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if not rows.size:
+            return np.empty((0, self._dim), dtype=np.int64)
+        if int(rows.min()) < 0:
+            raise ConfigurationError(
+                f"device id must be >= 0, got {int(rows.min())!r}"
+            )
+        top = int(rows.max())
+        if top >= self._alive.shape[0]:
             if self._external:
                 raise ConfigurationError(
-                    f"row {device} is beyond the adopted plane; rebind first"
+                    f"row {top} is beyond the adopted plane; rebind first"
                 )
-            self._grow_rows(max(device + 1, 2 * self._alive.shape[0], 4))
+            self._grow_rows(max(top + 1, 2 * self._alive.shape[0], 4))
+        if self._alive[rows].any() or np.unique(rows).size != rows.size:
+            raise ConfigurationError(
+                "rows are already indexed (or repeated); use move_rows()"
+            )
         if not self._external:
-            self._pts[device] = pos
-        self._keys[device] = np.floor(self._pts[device] / self._cell)
-        self._alive[device] = True
-        self._count += 1
-        return tuple(self._keys[device].tolist())
+            self._pts[rows] = np.asarray(positions, dtype=float)
+        keys = np.floor(self._pts[rows] / self._cell).astype(np.int64)
+        self._keys[rows] = keys
+        self._alive[rows] = True
+        self._count += int(rows.size)
+        return keys
 
     def remove(self, device: int) -> CellKey:
         """Drop a device; returns the cell it vacated."""
         if device not in self:
             raise UnknownDeviceError(f"device {device} is not indexed")
-        self._alive[device] = False
-        self._count -= 1
+        self.remove_rows(np.array([device]))
         return tuple(self._keys[device].tolist())
+
+    def remove_rows(self, rows: np.ndarray) -> None:
+        """Vectorized :meth:`remove` of distinct, indexed ``rows``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if not rows.size:
+            return
+        if (
+            int(rows.min()) < 0
+            or int(rows.max()) >= self._alive.shape[0]
+            or not self._alive[rows].all()
+            or np.unique(rows).size != rows.size
+        ):
+            raise UnknownDeviceError("rows are not indexed (or repeated)")
+        self._alive[rows] = False
+        self._count -= int(rows.size)
 
     def move(self, device: int, position: Sequence[float]) -> Tuple[CellKey, CellKey]:
         """Relocate a device; returns ``(old_cell, new_cell)``.

@@ -20,15 +20,19 @@ the topology chooses:
 Protocol
 --------
 One tick is a fixed phase sequence, each phase one scatter/collect
-roundtrip per shard: ``events``/``frame`` (ingest), ``movers`` →
-``migrate_out`` → ``migrate_in`` (parent-mediated migration), ``halo``
-(close dirty cells, publish the boundary band, reply segment names),
-``verdict`` (read peer bands seq-gated, run the local pipeline, reply a
-result dict).  Every mutating command carries its tick and the worker
-rolls the deferred snapshot (``advance_tick``) lazily at the *first*
-command of the next tick — deferring the roll past the verdict is what
-makes a kill-and-respawn recoverable: the shared-memory planes always
-hold a consistent ``(S_{k-1}, partially-updated S_k)`` pair.
+roundtrip per shard: ``events``/``frame`` (ingest; a frame is one
+gather of the shared board by row id), ``movers`` → ``migrate``
+(parent-mediated migration: a scan-only columnar record of the shard's
+leavers, then one command per shard evicting its ``out`` ids and
+admitting its ``in`` record, in no cross-shard order), ``halo`` (close
+dirty cells, publish the boundary band, reply segment names),
+``verdict`` (read peer bands seq-gated, run the local pipeline over the
+flagged rows plus the band, reply a result dict).  Every mutating
+command carries its tick and the worker rolls the deferred snapshot
+(``advance_tick``) lazily at the *first* command of the next tick —
+deferring the roll past the verdict is what makes a kill-and-respawn
+recoverable: the shared-memory planes always hold a consistent
+``(S_{k-1}, partially-updated S_k)`` pair.
 
 Supervision
 -----------
@@ -226,6 +230,38 @@ def _read_halo_sources(
     )
 
 
+def _gather_frame(
+    ids: np.ndarray, board_cur: np.ndarray, board_flags: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Align an id-indexed frame board with a store's rows.
+
+    ``ids`` is the store's row→id column.  One gather by ``max(ids, 0)``
+    builds the row-aligned ``(cur, flags)`` pair; free rows (id −1) then
+    take the store's scrubbed zeros and cleared flag, so they always
+    diff clean against it.
+    """
+    top = int(ids.max()) if ids.size else -1
+    if top >= board_flags.shape[0]:
+        raise DimensionMismatchError(
+            "snapshot frame rows do not cover the fleet's global id "
+            "range; feed churned populations through ingest/join/leave"
+        )
+    if top < 0:
+        # No resident: every row is free (and the board may be empty).
+        return (
+            np.zeros((ids.size, board_cur.shape[1])),
+            np.zeros(ids.size, dtype=bool),
+        )
+    take = np.maximum(ids, 0)
+    cur = np.take(board_cur, take, axis=0)
+    flags = np.take(board_flags, take)
+    free = np.flatnonzero(ids < 0)
+    if free.size:
+        cur[free] = 0.0
+        flags[free] = False
+    return cur, flags
+
+
 def _ctx_result(worker, ctx) -> Dict[str, Any]:
     """One shard's tick outcome as a plain, picklable result dict.
 
@@ -344,47 +380,46 @@ def handle_command(
         board_flags = board_reader.array(
             payload["board"], np.bool_, rows_total, offset=rows_total * dim * 8
         )
-        ids = np.asarray(store.row_ids())
-        alive = np.nonzero(ids >= 0)[0]
-        if alive.size == 0:
-            return 0
-        alive_ids = ids[alive]
-        if int(alive_ids.max()) >= rows_total:
-            raise DimensionMismatchError(
-                "snapshot frame rows do not cover the fleet's global id "
-                "range; feed churned populations through ingest/join/leave"
-            )
-        sub_cur = store.current_positions().copy()
-        sub_flags = store.flag_vector().copy()
-        sub_cur[alive] = board_cur[alive_ids]
-        sub_flags[alive] = board_flags[alive_ids]
+        sub_cur, sub_flags = _gather_frame(
+            np.asarray(store.row_ids()), board_cur, board_flags
+        )
         return worker.index_stage.apply_diff(sub_cur, sub_flags, worker.tracer)
     if op == "movers":
-        # Scan-only: eviction happens in the separate ``migrate_out``
-        # phase, *after* the parent has durably received these records —
-        # a kill between leave and reply must not lose devices.
+        # Scan-only: eviction happens in the ``migrate`` phase, *after*
+        # the parent has durably received these records — a kill between
+        # leave and reply must not lose devices.
         ids = np.asarray(store.row_ids())
-        alive = np.nonzero(ids >= 0)[0]
-        records: List[tuple] = []
-        if alive.size:
-            keys = store.index.keys_of_rows(alive)
-            dest = shard_map.shard_of_keys(keys)
-            off = np.nonzero(dest != worker.shard)[0]
-            for i in off.tolist():
-                device, prev, cur, flagged, code = store.row_state(
-                    int(alive[i])
-                )
-                records.append((int(dest[i]), device, prev, cur, flagged, code))
-        return records
-    if op == "migrate_out":
-        for device in payload["devices"]:
-            if store.row_if_present(int(device)) is not None:
-                store.leave(int(device))
-        return None
-    if op == "migrate_in":
-        for device, prev, cur, flagged, code in payload["records"]:
-            if store.row_if_present(int(device)) is None:
-                store.admit(int(device), prev, cur, flagged, code)
+        idx, dest = shard_map.leavers(
+            store.index.key_column()[: ids.shape[0]], worker.shard
+        )
+        keep = ids[idx] >= 0
+        rows, dest = idx[keep], dest[keep]
+        prev_plane, cur_plane = store.snapshot_arrays()
+        return {
+            "dest": dest,
+            "ids": ids[rows],
+            "prev": prev_plane[rows],
+            "cur": cur_plane[rows],
+            "flags": store.flag_vector()[rows],
+            "codes": store.verdict_codes()[rows],
+        }
+    if op == "migrate":
+        out = [store.row_if_present(int(j)) for j in payload["out"].tolist()]
+        store.leave_rows(
+            np.array([row for row in out if row is not None], dtype=np.int64)
+        )
+        admit = payload["in"]
+        absent = np.fromiter(
+            (store.row_if_present(int(j)) is None for j in admit["ids"].tolist()),
+            dtype=bool,
+            count=admit["ids"].shape[0],
+        )
+        store.admit_rows(
+            *(
+                admit[field][absent]
+                for field in ("ids", "prev", "cur", "flags", "codes")
+            )
+        )
         return None
     if op == "join":
         if store.row_if_present(int(payload["device"])) is None:
@@ -401,9 +436,14 @@ def handle_command(
         row = store.row_if_present(int(payload["device"]))
         if row is None:
             return None
-        _, prev, cur, flagged, _ = store.row_state(row)
+        prev_plane, cur_plane = store.snapshot_arrays()
+        ends = (
+            np.stack([prev_plane[row], cur_plane[row]])
+            if store.flag_vector()[row]
+            else None
+        )
         store.leave(int(payload["device"]))
-        return np.stack([prev, cur]) if flagged else None
+        return ends
     if op == "halo":
         cells = worker.tracker.finish_cells(store)
         worker.publish_halo(shard_map, seq=tick)
@@ -517,7 +557,6 @@ def _shard_child_main(
                     planes_factory=factory,
                 )
                 reply = _reply_header(worker) + (result,)
-                ok = True
             except Exception as exc:
                 reply = (
                     False,
@@ -526,7 +565,6 @@ def _shard_child_main(
                     0,
                     (type(exc).__name__, traceback.format_exc()),
                 )
-                ok = False
             hang = payload.get("_hang") if isinstance(payload, dict) else None
             if hang:
                 time.sleep(float(hang))
@@ -536,10 +574,6 @@ def _shard_child_main(
                 except (BrokenPipeError, OSError):
                     _child_cleanup(worker, unlink=True)
                     return
-            if ok and op == "halo":
-                # Overlap: pre-gather the owned-row planes while the
-                # parent is still collecting the peers' halo metadata.
-                worker.transition_stage.prestage(tick)
     finally:
         halo_reader.close()
         board_reader.close()

@@ -64,7 +64,7 @@ from repro.core.types import AnomalyType, Characterization, DecisionRule
 from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
 from repro.engine import CharacterizationEngine
 from repro.obs.metrics import Registry, get_registry
-from repro.obs.trace import Tracer
+from repro.obs.trace import TickClock, Tracer
 from repro.online.dirty import DirtyRegionTracker
 from repro.online.stages import (
     DetectStage,
@@ -667,6 +667,7 @@ class OnlineCharacterizationService:
     ) -> None:
         self._config = config
         self._tracer = tracer if tracer is not None else Tracer()
+        self._tick_clock = TickClock(self._tracer)
         registry = self._tracer.registry
         self._gauge_queue_depth = registry.gauge(
             "repro_service_queue_depth",
@@ -1026,6 +1027,7 @@ class OnlineCharacterizationService:
         configured ``validation`` mode before the store is touched, as a
         :meth:`feed_measurements` frame does (:meth:`_validate_frame`).
         """
+        self._tick_clock.start(restart=True)
         arr = self._validate_frame(
             np.asarray(current, dtype=float),
             self._store.current_positions().shape[0],
@@ -1056,6 +1058,7 @@ class OnlineCharacterizationService:
         invalidation — callers ship measurements, not verdicts.
         """
         self._detect_stage.require_bank()
+        self._tick_clock.start(restart=True)
         arr = np.asarray(values, dtype=float)
         injector = get_injector()
         if injector.active:
@@ -1096,6 +1099,7 @@ class OnlineCharacterizationService:
         the same transition.
         """
         tracer = self._tracer
+        self._tick_clock.start()
         self._gauge_queue_depth.set(len(self._queue))
         self._ingest_stage.run(tracer)
         applied = self._applied_since_tick
@@ -1135,6 +1139,7 @@ class OnlineCharacterizationService:
             result.stage_seconds[stage] = (
                 result.stage_seconds.get(stage, 0.0) + seconds
             )
+        self._tick_clock.stop()
         return result
 
     def _record_verdict_codes(

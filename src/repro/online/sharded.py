@@ -20,9 +20,11 @@ devices just across its borders — the **halo**.  Per tick:
 
 1. **route & apply** — ingested events and snapshot diffs are applied on
    each device's owning shard (the front door keeps the device→shard
-   map); devices whose new cell falls in another shard's box migrate via
-   :meth:`~repro.online.store.DeviceStateStore.admit`, which carries the
-   ``prev`` endpoint so the crossing move itself is not erased;
+   map); devices whose new cell falls in another shard's box migrate in
+   one columnar batch
+   (:meth:`~repro.online.store.DeviceStateStore.admit_rows`), which
+   carries the ``prev`` endpoint so the crossing move itself is not
+   erased;
 2. **dirty union** — every shard closes its tracker's cell bookkeeping
    (:meth:`~repro.online.dirty.DirtyRegionTracker.finish_cells`) and the
    front door unions the cells: an update near a boundary must
@@ -62,13 +64,13 @@ DESIGN.md ("Sharded topology") for the full argument.
 
 **Verdict identity** with the single service is exact — type, rule *and*
 witness.  Shard-local transitions number devices by the rank of their
-global id among the shard's participants (owned ∪ halo, sorted), a
-strictly monotone map; every order the characterization pipeline relies
-on (canonical motion sort keys, candidate pools, local universes) is
-either geometric or lexicographic in device ids, and lexicographic
-comparisons are invariant under monotone relabelling.  The randomized
-equivalence suite (``tests/online/test_sharded.py``) pins this down,
-churn and shard-crossing movers included.
+global id among the shard's participants (owned flagged ∪ halo,
+sorted), a strictly monotone map; every order the characterization
+pipeline relies on (canonical motion sort keys, candidate pools, local
+universes) is either geometric or lexicographic in device ids, and
+lexicographic comparisons are invariant under monotone relabelling.
+The randomized equivalence suite (``tests/online/test_sharded.py``)
+pins this down, churn and shard-crossing movers included.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ from repro.ipc import (
     StaleHaloError,
     unlink_by_name,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import TickClock, Tracer
 from repro.online.dirty import DirtyRegionTracker, union_cells
 from repro.online.procshard import (
     _CHILD_ERRORS,
@@ -261,6 +263,34 @@ class ShardMap:
             out = out * g + coord if axis else coord
         return out
 
+    def leavers(
+        self, keys: np.ndarray, shard: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of ``keys`` that :meth:`shard_of_keys` maps off ``shard``.
+
+        A box test on ``shard``'s own ``[lo, hi]`` per tiled axis — an
+        edge face is open, since keys beyond the cube clip to the edge
+        shards — so :meth:`shard_of_keys` runs only on the few rows that
+        fail it.  Returns ``(idx, dest)``: ascending row positions in
+        ``keys`` and each one's destination shard.
+        """
+        K = self._K
+        outside = None
+        for axis, c in enumerate(self._coords(shard)):
+            lo = int(self._lo[axis][c])
+            hi = int(self._hi[axis][c])
+            col = keys[:, axis]
+            if lo > 0:
+                out = col < lo
+                outside = out if outside is None else outside | out
+            if hi < K - 1:
+                out = col > hi
+                outside = out if outside is None else outside | out
+        if outside is None:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        idx = np.flatnonzero(outside)
+        return idx, self.shard_of_keys(keys[idx])
+
     def box_distance(self, keys: np.ndarray, shard: int) -> np.ndarray:
         """Chebyshev cell-distance of each key to ``shard``'s box.
 
@@ -393,14 +423,17 @@ class _HaloChannel:
 
 
 class HaloTransitionBuildStage:
-    """``transition-build`` over one shard's residents plus its halo.
+    """``transition-build`` over one shard's flagged residents plus its halo.
 
     The halo-aware twin of
     :class:`~repro.online.stages.TransitionBuildStage`.  Participants
-    are the shard's live devices plus the halo band deposited by the
-    front door (:meth:`stage_halo`), numbered by the rank of their
-    global id — a strictly monotone local→global map, which is what
-    keeps every id-lexicographic tie-break in the characterization
+    are the shard's *flagged* devices plus the halo band deposited by
+    the front door (:meth:`stage_halo`) — nothing in a transition's
+    verdict path reads an unflagged row (its indexes, neighbourhoods and
+    ``combined_of`` gathers are all flagged-only), so the build costs
+    O(flagged), not O(residents).  Participants are numbered by the rank
+    of their global id — a strictly monotone local→global map, which is
+    what keeps every id-lexicographic tie-break in the characterization
     pipeline (canonical motion order, candidate pools) invariant and the
     shard's verdicts bit-identical to the single service's.
 
@@ -422,9 +455,6 @@ class HaloTransitionBuildStage:
         self._halo_ids = np.empty(0, dtype=np.int64)
         self._halo_prev = np.empty((0, 0), dtype=np.float64)
         self._halo_cur = np.empty((0, 0), dtype=np.float64)
-        self._prestaged: Optional[
-            Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None
 
     def stage_halo(
         self, ids: np.ndarray, prev: np.ndarray, cur: np.ndarray
@@ -433,29 +463,6 @@ class HaloTransitionBuildStage:
         self._halo_ids = ids
         self._halo_prev = prev
         self._halo_cur = cur
-
-    def prestage(self, tick: int) -> None:
-        """Gather the owned-row planes early, overlapping the barrier.
-
-        A process-topology child calls this right after replying to the
-        ``halo`` command: no command between ``halo`` and ``verdict``
-        mutates the store, so the copies are exactly what :meth:`run`
-        would gather — made while the front door is still collecting the
-        peers' halo metadata and computing consumer masks.  :meth:`run`
-        consumes the cache only when the tick matches, so a respawn or
-        retry in between degrades to a fresh gather, never a stale one.
-        """
-        store = self._owner.store
-        ids = np.asarray(store.row_ids())
-        alive_rows = np.nonzero(ids >= 0)[0]
-        prev_plane, cur_plane = store.snapshot_arrays()
-        self._prestaged = (
-            int(tick),
-            alive_rows,
-            ids[alive_rows].copy(),
-            prev_plane[alive_rows].copy(),
-            cur_plane[alive_rows].copy(),
-        )
 
     def run(self, ctx: TickContext, tracer: Tracer) -> None:
         store = self._owner.store
@@ -471,59 +478,40 @@ class HaloTransitionBuildStage:
                 flagged_rows, ctx.dirty_cells, self._owner.tracker.rings
             )
         with tracer.span(self.name):
-            pre = self._prestaged
-            self._prestaged = None
-            if pre is not None and pre[0] == ctx.tick:
-                _, alive_rows, own_ids, own_prev, own_cur = pre
-            else:
-                ids_arr = np.asarray(store.row_ids())
-                alive_rows = np.nonzero(ids_arr >= 0)[0]
-                own_ids = ids_arr[alive_rows]
-                prev_plane, cur_plane = store.snapshot_arrays()
-                own_prev = prev_plane[alive_rows]
-                own_cur = cur_plane[alive_rows]
+            prev_plane, cur_plane = store.snapshot_arrays()
             halo_ids = self._halo_ids
-            part_ids = np.concatenate([own_ids, halo_ids])
+            n_owned = flagged_rows.shape[0]
+            part_ids = np.concatenate(
+                [np.asarray(store.row_ids())[flagged_rows], halo_ids]
+            )
             n_part = part_ids.shape[0]
             order = np.argsort(part_ids, kind="stable")
             rank = np.empty(n_part, dtype=np.int64)
             rank[order] = np.arange(n_part, dtype=np.int64)
-            n_owned = own_ids.shape[0]
-            # Store row -> local rank, for targets and affected rows.
-            used = np.asarray(store.row_ids()).shape[0]
-            rank_by_row = np.full(used, -1, dtype=np.int64)
-            rank_by_row[alive_rows] = rank[:n_owned]
+            own_rank = rank[:n_owned]
             dim = store.dim
             # tau needs at least tau + 1 participants; the pad rows are
             # unflagged zeros — invisible to the flagged-only indexes,
             # so the padded transition is exact, not approximate.
             pad = max(0, self._tau + 1 - n_part)
-            prev_arr = np.empty((n_part + pad, dim), dtype=np.float64)
-            cur_arr = np.empty((n_part + pad, dim), dtype=np.float64)
-            prev_arr[rank[:n_owned]] = own_prev
-            cur_arr[rank[:n_owned]] = own_cur
+            prev_arr = np.zeros((n_part + pad, dim), dtype=np.float64)
+            cur_arr = np.zeros((n_part + pad, dim), dtype=np.float64)
+            prev_arr[own_rank] = prev_plane[flagged_rows]
+            cur_arr[own_rank] = cur_plane[flagged_rows]
             if halo_ids.size:
                 prev_arr[rank[n_owned:]] = self._halo_prev
                 cur_arr[rank[n_owned:]] = self._halo_cur
-            if pad:
-                prev_arr[n_part:] = 0.0
-                cur_arr[n_part:] = 0.0
             prev_arr.flags.writeable = False
             cur_arr.flags.writeable = False
             key_of = np.full(n_part + pad, -1, dtype=np.int64)
-            key_of[rank] = part_ids
-            targets = tuple(
-                int(l) for l in np.sort(rank_by_row[flagged_rows])
-            )
-            flagged_local = sorted(targets)
-            if halo_ids.size:
-                flagged_local = sorted(
-                    [*flagged_local, *rank[n_owned:].tolist()]
-                )
+            key_of[:n_part] = part_ids[order]
+            # ``flagged_rows`` ascends, so affected rows (a subset, in
+            # input order) locate their rank by binary search.
+            affected = own_rank[np.searchsorted(flagged_rows, affected_rows)]
             ctx.key_of = key_of
-            ctx.verdict_targets = targets
-            ctx.flagged = tuple(flagged_local)
-            ctx.affected = set(rank_by_row[affected_rows].tolist())
+            ctx.verdict_targets = tuple(np.sort(own_rank).tolist())
+            ctx.flagged = tuple(range(n_part))
+            ctx.affected = set(affected.tolist())
             ctx.transition = Transition.from_views(
                 prev_arr, cur_arr, ctx.flagged, self._r, self._tau
             )
@@ -729,6 +717,7 @@ class ShardedService:
                 )
                 topology_shards = cap
         self._tracer = tracer if tracer is not None else Tracer()
+        self._tick_clock = TickClock(self._tracer)
         registry = self._tracer.registry
         self._gauge_queue_depth = registry.gauge(
             "repro_service_queue_depth",
@@ -1321,18 +1310,21 @@ class ShardedService:
         tracker has already marked the crossing move's cells, and they
         enter the global dirty union) and before the halo exchange, so
         every published row lies in its publisher's own box.  The
-        handover uses :meth:`DeviceStateStore.admit` — a plain ``join``
-        would restart the trajectory as stationary and erase the very
-        move that crossed the border.
+        handover carries each mover's ``prev`` endpoint — a plain
+        ``join`` would restart the trajectory as stationary and erase
+        the very move that crossed the border.
 
-        Three idempotent phases: ``movers`` is scan-only, so the parent
-        holds the full handover records before any store mutates;
-        ``migrate_out`` then evicts (leave-if-present) and
-        ``migrate_in`` admits (admit-if-absent) — each phase replays
-        safely after a kill+respawn at any point.  The parent also folds
-        every mover's trajectory-endpoint cells into this tick's and the
-        next tick's dirty union (``_mover_cells`` / ``_mover_carry``):
-        if the *source* shard is respawned later this tick, the departed
+        Two idempotent roundtrips.  ``movers`` is scan-only and replies
+        one columnar record per shard (``dest``, ``ids``, ``prev``,
+        ``cur``, ``flags``, ``codes``), so the parent holds every
+        handover before any store mutates.  One ``migrate`` command per
+        shard then carries its ``out`` ids and its ``in`` record: the
+        shard evicts (leave-if-present) and admits (admit-if-absent),
+        with no ordering across shards, and either half replays safely
+        after a kill+respawn at any point.  The parent also folds every
+        mover's trajectory-endpoint cells into this tick's and the next
+        tick's dirty union (``_mover_cells`` / ``_mover_carry``): if the
+        *source* shard is respawned later this tick, the departed
         device exists in neither of its recovered planes, so
         conservative plane-scan invalidation alone would miss the cells
         its move touched.  Flagged joins and leaves ride the same
@@ -1341,31 +1333,37 @@ class ShardedService:
         tick = self._tick + 1
         n_shards = self._map.n_shards
         replies = self._phase([("movers", tick, {})] * n_shards)
-        out_by_src: Dict[int, List[int]] = {}
-        in_by_dst: Dict[int, List[tuple]] = {}
-        cell = self._config.cell
-        moves = 0
-        for src, records in enumerate(replies):
-            for dest, device, prev, cur, flagged, code in records or ():
-                device, dest = int(device), int(dest)
-                out_by_src.setdefault(src, []).append(device)
-                in_by_dst.setdefault(dest, []).append(
-                    (device, prev, cur, bool(flagged), int(code))
-                )
-                self._owner[device] = dest
-                ends = np.floor(np.asarray([prev, cur], dtype=float) / cell)
-                self._mover_cells.append(ends.astype(np.int64))
-                moves += 1
+        moves = sum(int(rec["ids"].shape[0]) for rec in replies)
         if not moves:
             return 0
-        out_msgs: List[Optional[tuple]] = [None] * n_shards
-        in_msgs: List[Optional[tuple]] = [None] * n_shards
-        for src, devices in out_by_src.items():
-            out_msgs[src] = ("migrate_out", tick, {"devices": devices})
-        for dst, records in in_by_dst.items():
-            in_msgs[dst] = ("migrate_in", tick, {"records": records})
-        self._phase(out_msgs)
-        self._phase(in_msgs)
+        src = np.repeat(
+            np.arange(n_shards), [rec["ids"].shape[0] for rec in replies]
+        )
+        merged = {
+            field: np.concatenate([rec[field] for rec in replies])
+            for field in replies[0]
+        }
+        ids, dest = merged["ids"], merged["dest"]
+        self._owner.update(zip(ids.tolist(), dest.tolist()))
+        self._mover_cells.append(
+            np.floor(
+                np.concatenate([merged["prev"], merged["cur"]])
+                / self._config.cell
+            ).astype(np.int64)
+        )
+        msgs: List[Optional[tuple]] = [None] * n_shards
+        for shard in range(n_shards):
+            out = ids[src == shard]
+            take = dest == shard
+            if not out.size and not take.any():
+                continue
+            admit = {
+                field: col[take]
+                for field, col in merged.items()
+                if field != "dest"
+            }
+            msgs[shard] = ("migrate", tick, {"out": out, "in": admit})
+        self._phase(msgs)
         return moves
 
     # ------------------------------------------------------------------
@@ -1392,6 +1390,7 @@ class ShardedService:
         frame, one row per flag, passes the configured ``validation``
         mode before the frame board or any shard is touched.
         """
+        self._tick_clock.start(restart=True)
         current = np.asarray(current, dtype=float)
         flags_arr = np.asarray(
             flags if isinstance(flags, np.ndarray) else list(flags),
@@ -1438,6 +1437,7 @@ class ShardedService:
                 "feed_measurements needs a detector; construct the service "
                 "with detector=DetectorSpec(...)"
             )
+        self._tick_clock.start(restart=True)
         arr = np.asarray(values, dtype=float)
         injector = get_injector()
         if injector.active:
@@ -1461,6 +1461,7 @@ class ShardedService:
     def end_tick(self) -> OnlineTick:
         """Close the interval across every shard and merge the results."""
         tracer = self._tracer
+        self._tick_clock.start()
         self._gauge_queue_depth.set(len(self._queue))
         self._ingest_stage.run(tracer)
         with tracer.span("shard-migrate"):
@@ -1529,6 +1530,7 @@ class ShardedService:
             result.stage_seconds[stage] = (
                 result.stage_seconds.get(stage, 0.0) + seconds
             )
+        self._tick_clock.stop()
         return result
 
     def _tick_shards(
@@ -1538,13 +1540,13 @@ class ShardedService:
 
         The ``halo`` phase makes every shard publish its boundary band
         (seq-stamped with the tick) and reply with its dirty cells and
-        ring metadata; while the parent unions the dirty sets and
-        computes per-consumer halo masks, process children overlap by
-        pre-gathering their owned-row planes (:meth:`prestage`).  The
-        ``verdict`` phase then ships segment *names* — each shard gates
-        on the publisher's sequence header before copying its band, so a
-        slow publisher delays only its consumers' barrier and can never
-        hand them a stale band.
+        ring metadata; the parent unions the dirty sets and computes
+        per-consumer halo masks.  The ``verdict`` phase then ships
+        segment *names* — each shard gates on the publisher's sequence
+        header before copying its band, so a slow publisher delays only
+        its consumers' barrier and can never hand them a stale band —
+        and builds its local transition from its flagged rows plus the
+        band, O(flagged) (:class:`HaloTransitionBuildStage`).
 
         Three parent-side insurances widen the dirty union beyond the
         shards' reports: mover and flagged-membership endpoint cells for

@@ -387,24 +387,6 @@ class DeviceStateStore:
         view.flags.writeable = False
         return view
 
-    def row_state(
-        self, row: int
-    ) -> Tuple[int, np.ndarray, np.ndarray, bool, int]:
-        """One row's full migratable state.
-
-        ``(device, prev, cur, flagged, verdict_code)`` — exactly what
-        :meth:`admit` on another store needs to take the device over
-        without restarting its trajectory.  Positions are copies.
-        """
-        device = self.id_of(row)
-        return (
-            device,
-            self._prev[row].copy(),
-            self._cur[row].copy(),
-            bool(self._flags[row]),
-            int(self._verdict[row]),
-        )
-
     def verdict_codes(self) -> np.ndarray:
         """Read-only view of the verdict-code column (−1 = none)."""
         view = self._verdict[: self._used]
@@ -464,35 +446,8 @@ class DeviceStateStore:
         Both snapshots start at ``position`` (a new trajectory is
         stationary).  Returns the backing row.
         """
-        if device in self._row_of:
-            raise ConfigurationError(f"device {device} is already stored")
-        if device < 0:
-            raise ConfigurationError(f"device id must be >= 0, got {device!r}")
-        pos = validate_unit_cube(np.asarray(position, dtype=float))
-        if pos.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"position shape {pos.shape} incompatible with dim {self.dim}"
-            )
-        if self._free:
-            row = self._free.pop()
-        else:
-            if self._used == self._cur.shape[0]:
-                self._grow(max(4, 2 * self._cur.shape[0]))
-            row = self._used
-            self._used += 1
-        self._prev[row] = pos
-        self._cur[row] = pos
-        self._flags[row] = bool(flagged)
-        self._verdict[row] = NO_VERDICT
-        self._alive[row] = True
-        self._id_of[row] = device
-        self._row_of[device] = row
-        self._membership_serial += 1
-        self._index.insert(row, pos)
-        if flagged:
-            self._membership_cells.append(self._cells_of(pos))
-        self._sync_header()
-        return row
+        pos = np.asarray(position, dtype=float)
+        return self.admit(device, pos, pos, flagged)
 
     def admit(
         self,
@@ -504,47 +459,152 @@ class DeviceStateStore:
     ) -> int:
         """Admit a device mid-trajectory, with distinct snapshot endpoints.
 
-        The migration path of a sharded topology: a device crossing a
-        shard boundary must arrive with its *previous* position intact —
-        :meth:`join` would restart its trajectory as stationary
-        (``prev = cur``), silently erasing the very move that made it
-        cross.  Returns the backing row.
+        A one-row :meth:`admit_rows`.  A device crossing a shard boundary
+        must arrive with its *previous* position intact — :meth:`join`
+        would restart its trajectory as stationary (``prev = cur``),
+        silently erasing the very move that made it cross.  Returns the
+        backing row.
         """
-        row = self.join(device, cur, flagged)
-        prev_pos = validate_unit_cube(np.asarray(prev, dtype=float))
-        if prev_pos.shape != (self.dim,):
+        prev_pos = np.asarray(prev, dtype=float)
+        cur_pos = np.asarray(cur, dtype=float)
+        for name, pos in (("position", cur_pos), ("prev", prev_pos)):
+            if pos.shape != (self.dim,):
+                raise DimensionMismatchError(
+                    f"{name} shape {pos.shape} incompatible with dim {self.dim}"
+                )
+        rows = self.admit_rows(
+            np.array([device], dtype=np.int64),
+            prev_pos[None, :],
+            cur_pos[None, :],
+            np.array([bool(flagged)]),
+            np.array([verdict_code], dtype=np.int8),
+        )
+        return int(rows[0])
+
+    def admit_rows(
+        self,
+        ids: np.ndarray,
+        prev: np.ndarray,
+        cur: np.ndarray,
+        flags: np.ndarray,
+        codes: np.ndarray,
+    ) -> np.ndarray:
+        """Admit ``k`` absent devices in one vectorized pass.
+
+        Rows come off the free-list LIFO, then from the high-water mark
+        (growing the planes as a sequence of :meth:`admit` calls would).
+        The payload columns are written *before* ``id_of``: occupancy is
+        what :meth:`adopt_planes` trusts, so a worker killed mid-admit
+        leaves each device either whole or absent — never present with a
+        half-written trajectory — and an admit-if-absent resend completes
+        the batch.  Returns the backing rows, aligned with ``ids``.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        k = ids.shape[0]
+        prev = validate_unit_cube(np.asarray(prev, dtype=float))
+        cur = validate_unit_cube(np.asarray(cur, dtype=float))
+        flags = np.asarray(flags, dtype=bool)
+        codes = np.asarray(codes, dtype=np.int8)
+        dim = self.dim
+        if (
+            ids.shape != (k,)
+            or prev.shape != (k, dim)
+            or cur.shape != (k, dim)
+            or flags.shape != (k,)
+            or codes.shape != (k,)
+        ):
             raise DimensionMismatchError(
-                f"prev shape {prev_pos.shape} incompatible with dim {self.dim}"
+                f"admit batch shapes {prev.shape}/{cur.shape}/{flags.shape}/"
+                f"{codes.shape} incompatible with {k} rows of dim {dim}"
             )
-        self._prev[row] = prev_pos
-        self._verdict[row] = np.int8(verdict_code)
-        if flagged:
-            self._membership_cells.append(self._cells_of(prev_pos))
-        return row
+        if not k:
+            return np.empty(0, dtype=np.int64)
+        if int(ids.min()) < 0:
+            raise ConfigurationError(
+                f"device id must be >= 0, got {int(ids.min())!r}"
+            )
+        id_list = ids.tolist()
+        if len(set(id_list)) != k or any(j in self._row_of for j in id_list):
+            raise ConfigurationError(
+                "devices are already stored (or repeated in the batch)"
+            )
+        reused = min(k, len(self._free))
+        fresh = k - reused
+        capacity = self._cur.shape[0]
+        while capacity < self._used + fresh:
+            capacity = max(4, 2 * capacity)
+        if capacity != self._cur.shape[0]:
+            self._grow(capacity)
+        rows = np.empty(k, dtype=np.int64)
+        split = len(self._free) - reused
+        rows[:reused] = self._free[split:][::-1]
+        rows[reused:] = np.arange(self._used, self._used + fresh)
+        del self._free[split:]
+        self._prev[rows] = prev
+        self._cur[rows] = cur
+        self._flags[rows] = flags
+        self._verdict[rows] = codes
+        self._alive[rows] = True
+        self._id_of[rows] = ids
+        self._used += fresh
+        self._row_of.update(zip(id_list, rows.tolist()))
+        self._membership_serial += k
+        self._index.insert_rows(rows)
+        if flags.any():
+            # A stationary trajectory's prev cell is its cur cell.
+            moved = flags & np.any(prev != cur, axis=1)
+            self._membership_cells.append(
+                self._cells_of(np.concatenate([cur[flags], prev[moved]]))
+            )
+        self._sync_header()
+        return rows
 
     def leave(self, device: int) -> int:
-        """Evict a device, scrubbing and freeing its row.
-
-        The row is zeroed (positions, flag, verdict) *before* it enters
-        the free-list, so a later :meth:`join` can never observe the
-        departed device's state.  Returns the freed row.
-        """
+        """Evict a device, scrubbing and freeing its row (a one-row
+        :meth:`leave_rows`).  Returns the freed row."""
         row = self.row_of(device)
-        if self._flags[row]:
-            self._membership_cells.append(
-                self._cells_of(np.stack([self._prev[row], self._cur[row]]))
-            )
-        self._index.remove(row)
-        self._prev[row] = 0.0
-        self._cur[row] = 0.0
-        self._flags[row] = False
-        self._verdict[row] = NO_VERDICT
-        self._alive[row] = False
-        self._id_of[row] = -1
-        del self._row_of[device]
-        self._membership_serial += 1
-        self._free.append(row)
+        self.leave_rows(np.array([row], dtype=np.int64))
         return row
+
+    def leave_rows(self, rows: np.ndarray) -> None:
+        """Evict the devices of distinct, occupied ``rows`` in one pass.
+
+        ``id_of`` is cleared *first*, so a worker killed mid-leave
+        leaves each device absent (:meth:`adopt_planes` scrubs the
+        rest).  Each row is zeroed (positions, flag, verdict) *before*
+        it enters the free-list — in ``rows`` order, as a sequence of
+        :meth:`leave` calls would push them — so a later admit can never
+        observe a departed device's state.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if not rows.size:
+            return
+        if (
+            int(rows.min()) < 0
+            or int(rows.max()) >= self._used
+            or (self._id_of[rows] < 0).any()
+            or np.unique(rows).size != rows.size
+        ):
+            raise UnknownDeviceError("rows are not occupied (or repeated)")
+        ids = self._id_of[rows].tolist()
+        flagged = rows[self._flags[rows]]
+        if flagged.size:
+            self._membership_cells.append(
+                self._cells_of(
+                    np.concatenate([self._prev[flagged], self._cur[flagged]])
+                )
+            )
+        self._id_of[rows] = -1
+        self._index.remove_rows(rows)
+        self._prev[rows] = 0.0
+        self._cur[rows] = 0.0
+        self._flags[rows] = False
+        self._verdict[rows] = NO_VERDICT
+        self._alive[rows] = False
+        for device in ids:
+            del self._row_of[device]
+        self._membership_serial += rows.size
+        self._free.extend(rows.tolist())
 
     def _cells_of(self, positions: np.ndarray) -> np.ndarray:
         """``(k, d)`` cell keys of ``(k, d)`` (or one ``(d,)``) positions."""
@@ -789,7 +849,19 @@ class DeviceStateStore:
         store._tick_serial = int(planes.header[_HDR_SERIAL])
         store._membership_serial = 0
         store._membership_cells = []
-        store._free = np.nonzero(store._id_of[: store._used] < 0)[0].tolist()
+        # ``id_of`` is the occupancy truth: a row a killed predecessor
+        # was admitting or evicting is free, and is scrubbed here so it
+        # diffs clean and never leaks into a later admit.
+        stale = store._id_of < 0
+        stale[store._used :] = True
+        if stale.any():
+            store._prev[stale] = 0.0
+            store._cur[stale] = 0.0
+            store._flags[stale] = False
+            store._verdict[stale] = NO_VERDICT
+            store._alive[stale] = False
+            store._id_of[stale] = -1
+        store._free = np.nonzero(stale[: store._used])[0].tolist()
         # The index adopts the *full-capacity* plane — not just the
         # used-rows view — because a later ``join`` may claim row
         # ``_used`` without triggering a plane grow (capacity > used),
