@@ -597,24 +597,35 @@ class Characterizer:
         # knowledge ball.  Bit rank order == device id order, so
         # canonical sort keys read straight off the bits.  A component
         # whose dense-subset table would outgrow one vectorized motion
-        # (2^_VEC_SUBSET_LIMIT subsets) takes the per-device pool.
+        # (2^_VEC_SUBSET_LIMIT subsets) takes the per-device path.
         tau = self._transition.tau
-        component = self._cache.component(device)
-        if component is not None and sum(
-            1 << len(motion) for motion in component.motions if len(motion) > tau
-        ) > 1 << _VEC_SUBSET_LIMIT:
+        cache = self._cache
+        component = cache.component(device)
+        split = None if component is None else component.split(tau)
+        before = cache.expansions
+        if split is None or split.subsets > 1 << _VEC_SUBSET_LIMIT:
             component = None
-        if component is None:
             universe = LocalUniverse(self._transition.knowledge_ball(device))
+            d_mask, j_mask, _ = split_masks(cache, device, universe)
+            motions = family.dense
+            dense_masks = [universe.mask_of(motion) for motion in motions]
         else:
+            # The component's split, and its own row masks: no per-motion
+            # encoding.  The families of D_k(j) members are materialized
+            # as split_masks would, so neighbor_expansions stays exact.
             universe = component.universe
-        before = self._cache.expansions
-        d_mask, j_mask, _ = split_masks(self._cache, device, universe)
-        cost.neighbor_expansions = self._cache.expansions - before
+            row = component.rows[device]
+            d_mask = split.d[row]
+            j_mask = split.j[row]
+            devices = component.devices
+            cache.materialize(devices[i] for i in iter_bits(d_mask & ~(1 << row)))
+            dense = split.dense[row]
+            motions = [component.motions[k] for k in dense]
+            dense_masks = [component.masks[k] for k in dense]
+        cost.neighbor_expansions = cache.expansions - before
 
         # --- Theorem 6: a dense motion inside J_k(j) => massive. ---
-        dense_masks = [universe.mask_of(motion) for motion in family.dense]
-        for motion, mask in zip(family.dense, dense_masks):
+        for motion, mask in zip(motions, dense_masks):
             if popcount(mask & j_mask) > tau:
                 return Characterization(
                     device=device,

@@ -34,7 +34,10 @@ __all__ = [
     "validate_radius",
     "validate_unit_cube",
     "cells_within_rings",
+    "cells_ring_distance",
     "unique_cells",
+    "scan_answers",
+    "split_flat",
     "GridIndex",
 ]
 
@@ -152,6 +155,24 @@ def validate_unit_cube(points: np.ndarray, *, atol: float = 1e-9) -> np.ndarray:
 #: cell in high dimension) codes could overflow int64.
 _CODE_LIMIT = 1 << 62
 
+#: Largest ``q * m`` (queries times indexed points) that a batch range
+#: query answers with the direct Chebyshev scan rather than the sorted
+#: cell codes (:func:`scan_answers`): up to it the scan's O(q * m * d)
+#: compares cost less than the grid's code build, cell enumeration and
+#: gather.  Measured for d = 1..3 (DESIGN.md, "Neighbourhood queries").
+_SCAN_CROSSOVER = 1 << 19
+
+#: Largest ``p * c`` (probe cells times listed cells) that
+#: :func:`cells_ring_distance` answers by direct comparison rather than
+#: the stencil search; measured for d = 1..3 (DESIGN.md, "Neighbourhood
+#: queries").
+_RING_SCAN_CROSSOVER = 1 << 14
+
+#: Slack added to a grid query's candidate-cell span, far above the
+#: rounding error of coordinates in the unit cube and far below any
+#: cell side, so ``floor`` never drops a cell that holds a hit.
+_ROUNDING_GUARD = 1e-9
+
 #: Element budget of one chunk of a broadcast comparison, so memory stays
 #: bounded however many probes or cells a call gets.
 _CHUNK_ELEMENTS = 1 << 20
@@ -200,21 +221,39 @@ def cells_within_rings(
     """Which probe cells lie within ``rings`` (Chebyshev) of any listed cell.
 
     ``probes`` and ``cells`` are ``(p, d)`` / ``(c, d)`` integer cell keys;
-    the result is a ``(p,)`` boolean mask.  Each probe is expanded by the
-    precomputed ``(2 rings + 1)^d`` stencil of linearized cell-code
-    offsets and the expansion is located in the sorted codes of ``cells``
-    with ``searchsorted``, so the cost is ``O(p (2 rings + 1)^d log c)`` —
-    independent of how many devices share the grid.  Codes linearize the
-    smallest integer box holding both sets and every stencil cell, a
-    bijection on that box; where its cell count would overflow int64 the
-    test falls back to a direct coordinate-wise Chebyshev comparison.
+    the result is a ``(p,)`` boolean mask:
+    ``cells_ring_distance(probes, cells, rings) <= rings``.
+    """
+    return cells_ring_distance(probes, cells, rings) <= rings
+
+
+def cells_ring_distance(
+    probes: np.ndarray, cells: np.ndarray, rings: int
+) -> np.ndarray:
+    """Chebyshev distance, in cells, from each probe to its nearest listed
+    cell, capped at ``rings + 1``.
+
+    ``probes`` and ``cells`` are ``(p, d)`` / ``(c, d)`` integer cell keys;
+    the result is a ``(p,)`` int64 array, so one pass answers every band
+    up to ``rings`` (``dist <= k`` for any ``k <= rings``).  Each probe is
+    expanded by the precomputed ``(2 rings + 1)^d`` stencil of linearized
+    cell-code offsets and the expansion is located in the sorted codes of
+    ``cells`` with ``searchsorted``, so the cost is
+    ``O(p (2 rings + 1)^d log c)`` — independent of how many devices
+    share the grid.  Codes linearize the smallest integer box holding
+    both sets and every stencil cell, a bijection on that box.  Up to
+    ``p * c = _RING_SCAN_CROSSOVER``, and wherever the box's cell count
+    would overflow int64, a direct coordinate-wise Chebyshev comparison
+    answers instead: the same distances, without the stencil and sort
+    overhead.
     """
     if rings < 0:
         raise ConfigurationError(f"rings must be >= 0, got {rings!r}")
     probes = np.asarray(probes, dtype=np.int64)
     cells = np.asarray(cells, dtype=np.int64)
     p = probes.shape[0]
-    out = np.zeros(p, dtype=bool)
+    cap = rings + 1
+    out = np.full(p, cap, dtype=np.int64)
     if p == 0 or cells.size == 0:
         return out
     if probes.ndim != 2 or cells.ndim != 2 or probes.shape[1] != cells.shape[1]:
@@ -222,22 +261,28 @@ def cells_within_rings(
             f"probe keys {probes.shape} and cell keys {cells.shape} disagree"
         )
     dim = probes.shape[1]
-    lo = np.minimum(cells.min(axis=0), probes.min(axis=0) - rings)
-    hi = np.maximum(cells.max(axis=0), probes.max(axis=0) + rings)
-    strides = _row_major_strides(hi - lo + 1)
+    c = cells.shape[0]
+    strides = None
+    if p * c > _RING_SCAN_CROSSOVER:
+        lo = np.minimum(cells.min(axis=0), probes.min(axis=0) - rings)
+        hi = np.maximum(cells.max(axis=0), probes.max(axis=0) + rings)
+        strides = _row_major_strides(hi - lo + 1)
     if strides is None:
-        chunk = max(1, _CHUNK_ELEMENTS // (cells.shape[0] * dim))
+        # Direct Chebyshev comparison, one column at a time.
+        chunk = max(1, _CHUNK_ELEMENTS // c)
         for start in range(0, p, chunk):
             block = probes[start : start + chunk]
-            dist = np.abs(block[:, None, :] - cells[None, :, :]).max(axis=2)
-            out[start : start + chunk] = (dist <= rings).any(axis=1)
+            dist = np.zeros((block.shape[0], c), dtype=np.int64)
+            for column, keys in zip(block.T, cells.T):
+                np.maximum(dist, np.abs(column[:, None] - keys), out=dist)
+            out[start : start + chunk] = np.minimum(dist.min(axis=1), cap)
         return out
     side = np.arange(-rings, rings + 1, dtype=np.int64)
-    stencil = (
-        np.stack(np.meshgrid(*([side] * dim), indexing="ij"), axis=-1)
-        .reshape(-1, dim)
-        @ strides
-    )
+    offsets = np.stack(
+        np.meshgrid(*([side] * dim), indexing="ij"), axis=-1
+    ).reshape(-1, dim)
+    ring_of = np.abs(offsets).max(axis=1)
+    stencil = offsets @ strides
     sorted_codes = np.sort((cells - lo) @ strides)
     last = sorted_codes.shape[0] - 1
     base = (probes - lo) @ strides
@@ -245,8 +290,31 @@ def cells_within_rings(
     for start in range(0, p, chunk):
         expanded = base[start : start + chunk, None] + stencil[None, :]
         pos = np.minimum(np.searchsorted(sorted_codes, expanded), last)
-        out[start : start + chunk] = (sorted_codes[pos] == expanded).any(axis=1)
+        hit = sorted_codes[pos] == expanded
+        out[start : start + chunk] = np.where(hit, ring_of, cap).min(axis=1)
     return out
+
+
+def scan_answers(q: int, m: int) -> bool:
+    """Whether :meth:`GridIndex.query_batch_flat` answers ``q`` queries
+    over ``m`` points by the direct scan rather than the sorted cell
+    codes: while both the batch (``q * m``) and the index's self-join
+    (``m * m``) fit ``_SCAN_CROSSOVER``.
+
+    The self-join bound keeps a large index on its grid even for single
+    queries: the scan costs O(m) per query, while the grid's one code
+    sort amortizes over every query the index answers (a fresh index
+    per snapshot, queried once per miss of the component walk)."""
+    return max(q, m) * m <= _SCAN_CROSSOVER
+
+
+def split_flat(query_of: np.ndarray, rows: list, q: int, kind=tuple) -> list:
+    """Split the flat ``(query_of, rows)`` answer into ``q`` per-query
+    sequences of type ``kind``: one ``bincount`` plus list slices, with
+    ``rows`` already converted by one ``tolist``."""
+    ends = np.cumsum(np.bincount(query_of, minlength=q)).tolist()
+    starts = [0] + ends[:-1]
+    return [kind(rows[a:b]) for a, b in zip(starts, ends)]
 
 
 class GridIndex:
@@ -258,9 +326,20 @@ class GridIndex:
     a handful of cells, so building the index once per snapshot makes the
     whole characterization pass near-linear in ``n``.
 
-    Points are kept sorted by a linearized cell code (built on the first
-    query), so every range query — single or batched — reduces to
-    ``searchsorted`` plus fancy indexing; there is no per-cell dictionary.
+    A batch of ``q`` queries over ``m`` points answers either way:
+
+    * ``max(q, m) * m <= _SCAN_CROSSOVER`` (:func:`scan_answers`; a
+      small flagged set): a direct Chebyshev scan of every point, one
+      column at a time.  No sorted codes are built.
+    * above it: points are kept sorted by a linearized cell code (built
+      on the first such query), so the batch reduces to ``searchsorted``
+      plus fancy indexing over the candidate cells; there is no per-cell
+      dictionary.  Where the occupied key box would overflow int64
+      codes, the scan answers at any size.
+
+    Both sides keep exactly the points with ``|p - c| <= rho + atol`` in
+    every coordinate: the grid's candidate cells span that full reach,
+    ``atol`` sliver included, so the two sides agree point for point.
     """
 
     def __init__(self, points: np.ndarray, cell: float) -> None:
@@ -271,13 +350,13 @@ class GridIndex:
             raise DimensionMismatchError("points must be an (m, d) array")
         self._cell = float(cell)
         self._dim = self._points.shape[1]
-        self._keys = np.floor(self._points / self._cell).astype(np.int64)
-        self._sorted_codes: Optional[np.ndarray] = None
-        self._order: Optional[np.ndarray] = None
+        # Grid-side structures, built by the first query the scan does
+        # not answer (_ensure_batch_structures).
         self._key_lo: Optional[np.ndarray] = None
         self._key_span: Optional[np.ndarray] = None
         self._strides: Optional[np.ndarray] = None
-        self._linearizable = True
+        self._sorted_codes: Optional[np.ndarray] = None
+        self._order: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -315,31 +394,32 @@ class GridIndex:
             )
         return self.query_batch_flat(ctr[None, :], rho)[1].tolist()
 
+    @property
+    def _linearizable(self) -> bool:
+        """Whether the occupied key box linearizes into int64 codes
+        (builds the grid-side structures on first read)."""
+        self._ensure_batch_structures()
+        return self._strides is not None
+
     def _ensure_batch_structures(self) -> None:
-        """Build the sorted-cell-code arrays backing every query."""
-        if self._sorted_codes is not None:
+        """Build the sorted-cell-code arrays backing grid-side queries."""
+        if self._key_lo is not None:
             return
-        m = self._points.shape[0]
-        if m == 0:
+        keys = np.floor(self._points / self._cell).astype(np.int64)
+        if keys.shape[0] == 0:
             self._key_lo = np.zeros(self._dim, dtype=np.int64)
             self._key_span = np.ones(self._dim, dtype=np.int64)
-            self._strides = np.ones(self._dim, dtype=np.int64)
-            self._sorted_codes = np.empty(0, dtype=np.int64)
-            self._order = np.empty(0, dtype=np.int64)
-            return
-        keys = self._keys
-        self._key_lo = keys.min(axis=0)
-        self._key_span = keys.max(axis=0) - self._key_lo + 1
+        else:
+            self._key_lo = keys.min(axis=0)
+            self._key_span = keys.max(axis=0) - self._key_lo + 1
         # Row-major strides over the occupied key box: code is a bijection
         # from in-box cell keys to [0, prod(span)).  Degenerate cells (r
         # near 0 in high dimension) can make that range overflow int64;
-        # queries then fall back to a direct distance scan.
-        strides = _row_major_strides(self._key_span)
-        self._linearizable = strides is not None
-        if strides is None:
-            strides = np.ones(self._dim, dtype=np.int64)
-        self._strides = strides
-        codes = (keys - self._key_lo) @ strides
+        # queries then fall back to the direct distance scan.
+        self._strides = _row_major_strides(self._key_span)
+        if self._strides is None:
+            return
+        codes = (keys - self._key_lo) @ self._strides
         order = np.argsort(codes, kind="stable")
         self._order = order
         self._sorted_codes = codes[order]
@@ -357,10 +437,7 @@ class GridIndex:
         """
         query_of, rows = self.query_batch_flat(centers, rho, atol=atol)
         q = np.asarray(centers).shape[0]
-        if q == 0:
-            return []
-        splits = np.cumsum(np.bincount(query_of, minlength=q))[:-1]
-        return [chunk.tolist() for chunk in np.split(rows, splits)]
+        return split_flat(query_of, rows.tolist(), q, list)
 
     def query_batch_flat(
         self, centers: np.ndarray, rho: float, *, atol: float = 1e-12
@@ -379,30 +456,34 @@ class GridIndex:
                 f"centers shape {ctrs.shape} incompatible with dim {self._dim}"
             )
         q = ctrs.shape[0]
+        m = len(self)
         empty = (
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
-        if q == 0 or len(self) == 0:
+        if q == 0 or m == 0:
             return empty
-        self._ensure_batch_structures()
-        if not self._linearizable:
-            # Brute-force scan, chunked over queries; nonzero order is
-            # already (query_of, rows).
-            chunk = max(1, _CHUNK_ELEMENTS // (len(self) * self._dim))
-            query_of_parts: List[np.ndarray] = []
-            row_parts: List[np.ndarray] = []
+        reach = rho + atol
+        if scan_answers(q, m) or not self._linearizable:
+            # Direct Chebyshev scan, folded one column at a time into
+            # reused buffers and chunked over queries.  Flat indices into
+            # the (q, m) hit matrix come out sorted, so one divmod yields
+            # (query_of, rows) in order.
+            columns = self._points.T
+            chunk = max(1, _CHUNK_ELEMENTS // m)
+            parts: List[np.ndarray] = []
             for start in range(0, q, chunk):
                 block = ctrs[start : start + chunk]
-                within = np.all(
-                    np.abs(self._points[None, :, :] - block[:, None, :])
-                    <= rho + atol,
-                    axis=2,
-                )
-                query_of, rows = np.nonzero(within)
-                query_of_parts.append(query_of.astype(np.int64) + start)
-                row_parts.append(rows.astype(np.int64))
-            return np.concatenate(query_of_parts), np.concatenate(row_parts)
+                diff = np.empty((block.shape[0], m))
+                near = np.empty(diff.shape, dtype=bool)
+                within = np.ones(diff.shape, dtype=bool)
+                for column, coords in zip(columns, block.T):
+                    np.subtract(column, coords[:, None], out=diff)
+                    np.less_equal(np.abs(diff, out=diff), reach, out=near)
+                    within &= near
+                parts.append(np.flatnonzero(within) + start * m)
+            flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            return np.divmod(flat, m)
         assert (
             self._sorted_codes is not None
             and self._order is not None
@@ -410,8 +491,12 @@ class GridIndex:
             and self._key_span is not None
             and self._strides is not None
         )
-        lo = np.floor((ctrs - rho) / self._cell).astype(np.int64)
-        hi = np.floor((ctrs + rho) / self._cell).astype(np.int64)
+        # Candidate cells span the filter's full reach, ``atol`` sliver
+        # included, plus a guard for the rounding of ``ctrs +- reach``:
+        # a hit can sit across a cell boundary from ``ctrs +- rho``.
+        span = reach + _ROUNDING_GUARD
+        lo = np.floor((ctrs - span) / self._cell).astype(np.int64)
+        hi = np.floor((ctrs + span) / self._cell).astype(np.int64)
         counts = hi - lo + 1                                   # (q, d)
         width = counts.max(axis=0)                             # (d,)
         # Offsets enumerate the largest query box; narrower queries and
@@ -442,7 +527,7 @@ class GridIndex:
         per_query = lens.reshape(q, -1).sum(axis=1)
         query_of = np.repeat(np.arange(q, dtype=np.int64), per_query)
         keep = np.all(
-            np.abs(self._points[rows] - ctrs[query_of]) <= rho + atol, axis=1
+            np.abs(self._points[rows] - ctrs[query_of]) <= reach, axis=1
         )
         rows = rows[keep]
         query_of = query_of[keep]

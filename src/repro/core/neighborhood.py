@@ -20,8 +20,8 @@ It can also be *carried* across consecutive transitions
 (:meth:`MotionCache.carry_from`): a device whose ``4r`` surroundings did
 not change between two transitions has, a fortiori, unchanged ``2r``
 family inputs, so its family can be reused verbatim — the online
-service uses the dirty-region tracker's affected set as the (sound,
-conservative) invalidation set.
+service invalidates the dirty-region tracker's family band, a (sound,
+conservative) subset of its affected set.
 
 Within one transition the cache shares motion work per *component*:
 every member of a motion through ``x`` lies in ``N(x)``, so the
@@ -30,17 +30,25 @@ the flagged devices that contains ``x``.  The cache enumerates each
 component's maximal motions once (:class:`MotionComponent`) and derives
 a member's family as the sublist of motions containing it — exact on
 any transition, including shard transitions truncated at a halo edge.
-Components above :data:`_COMPONENT_LIMIT` members keep the per-device
-anchored enumeration.  A lone device (``N(j) == (j,)``) has no
-component object and no sweep at all: its family is the single motion
-``{j}`` (:func:`~repro.core.motions.maximal_motions_containing`), and
-since ``tau >= 1`` it has no dense motion, so its verdict stops at
+The split is shared the same way: a component's
+:class:`ComponentSplit`, built on its first dense member's verdict,
+holds every member's ``D_k`` / ``J_k`` as row masks, from the AND of
+each member's dense motion masks (its *cover*: ``x`` is in ``J_k(j)``
+iff ``j``'s bit is in ``x``'s cover).  Components above
+:data:`_COMPONENT_LIMIT` members keep the per-device anchored
+enumeration and the per-device :func:`split_masks`, which applies the
+same cover rule over the ``4r`` ball.  A lone device (``N(j) == (j,)``)
+has no component object and no sweep at all: its family is the single
+motion ``{j}`` (:func:`~repro.core.motions.maximal_motions_containing`),
+and since ``tau >= 1`` it has no dense motion, so its verdict stops at
 Theorem 5 without reading its ``4r`` ball.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -51,6 +59,7 @@ from repro.core.transition import Transition
 from repro.core.types import MotionFamily
 
 __all__ = [
+    "ComponentSplit",
     "MotionCache",
     "MotionComponent",
     "NeighborhoodSplit",
@@ -88,6 +97,7 @@ class MotionComponent:
         "window_steps",
         "_far",
         "_universe",
+        "_split",
     )
 
     def __init__(
@@ -106,6 +116,7 @@ class MotionComponent:
         self.window_steps = steps
         self._far: Optional[List[int]] = None
         self._universe: Optional[LocalUniverse] = None
+        self._split: Optional[ComponentSplit] = None
 
     @property
     def universe(self) -> LocalUniverse:
@@ -135,6 +146,13 @@ class MotionComponent:
             window_steps=self.window_steps,
         )
 
+    def split(self, tau: int) -> "ComponentSplit":
+        """The ``(D, J, L)`` split of every member, built on first use
+        (``tau`` is the transition's, fixed for the component's life)."""
+        if self._split is None:
+            self._split = ComponentSplit(self, tau)
+        return self._split
+
     def far_rows(self, transition: Transition, device: int) -> int:
         """Row mask of the members farther than ``2r`` from ``device``.
 
@@ -153,6 +171,54 @@ class MotionComponent:
             packed = np.packbits(far, axis=1, bitorder="little")
             self._far = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return self._far[self.rows[device]]
+
+
+def _cover(masks: Iterable[int]) -> int:
+    """The bits every mask holds: their AND (``-1``, all bits, for none).
+
+    ``x`` is in ``J_k(j)`` iff ``j``'s bit is in the cover of ``x``'s
+    maximal dense motions — "all of ``x``'s dense motions contain ``j``".
+    """
+    return reduce(and_, masks, -1)
+
+
+class ComponentSplit:
+    """The neighbourhood split of every member of one component.
+
+    Row masks over the component's members, indexed by member row:
+    ``dense[i]`` lists the indices (into ``component.motions``) of row
+    ``i``'s maximal dense motions, in canonical order; ``d[i]`` is their
+    union ``D_k``; ``j[i]`` is ``J_k``, the members of ``D_k`` whose
+    ``cover`` (the AND of their own dense masks) holds bit ``i``; ``L_k``
+    is ``d[i] & ~j[i]``.  One pass over the dense motions and one over
+    the covers serve every member, where :func:`split_masks` re-reads
+    each neighbour's family per device.  ``subsets`` is the size of the
+    component's dense-subset table, ``sum(2^|M|)`` over dense ``M``.
+    """
+
+    __slots__ = ("dense", "d", "j", "subsets")
+
+    def __init__(self, component: MotionComponent, tau: int) -> None:
+        width = len(component.devices)
+        masks = component.masks
+        dense: List[List[int]] = [[] for _ in range(width)]
+        d = [0] * width
+        self.subsets = 0
+        for k, (motion, mask) in enumerate(zip(component.motions, masks)):
+            if len(motion) > tau:
+                self.subsets += 1 << len(motion)
+                for i in iter_bits(mask):
+                    dense[i].append(k)
+                    d[i] |= mask
+        # held[i]: the members whose cover holds bit i.
+        held = [0] * width
+        for x, ks in enumerate(dense):
+            if ks:
+                for i in iter_bits(_cover(masks[k] for k in ks)):
+                    held[i] |= 1 << x
+        self.dense = dense
+        self.d = d
+        self.j = [dm & h for dm, h in zip(d, held)]
 
 
 class MotionCache:
@@ -252,6 +318,16 @@ class MotionCache:
                 self.carried_used += 1
         return fam
 
+    def materialize(self, devices: Iterable[int]) -> None:
+        """:meth:`family` for each of ``devices`` whose family is not yet
+        served: counts ``expansions`` and ``carried_used`` exactly as
+        those calls would, without their cost for memo hits."""
+        families = self._families
+        pending = self._carried_pending
+        for device in devices:
+            if device not in families or device in pending:
+                self.family(device)
+
     def component(self, device: int) -> Optional[MotionComponent]:
         """The memoized 2r-connected component of ``device``.
 
@@ -317,32 +393,28 @@ def split_masks(
 ) -> Tuple[int, int, int]:
     """Mask form of the split: ``(D_mask, J_mask, L_mask)`` over ``universe``.
 
-    The verdict hot path keeps the decomposition as bitmasks — Theorem 6
-    becomes a popcount of ``motion_mask & J_mask`` and the Theorem 7
-    pool filter a single AND against ``D_mask`` — while
-    :func:`split_neighborhood` decodes the same masks back to frozensets
-    at the public boundary.  The per-member test stays on the family's
-    frozensets (a handful of O(1) membership probes beats converting
-    every neighbour family to masks).
+    The per-device split, for devices without a shared component (the
+    ball path) and for :func:`split_neighborhood`; a shared component
+    reads the same split off its :class:`ComponentSplit`.  Both apply one
+    rule: a member of ``D_k(j)`` is in ``J_k(j)`` iff ``j``'s bit is in
+    its :func:`_cover`.  Each member's family is materialized here, so
+    ``neighbor_expansions`` counts them.
     """
-    dense = cache.dense_family(device)
     d_mask = 0
-    for motion in dense:
+    for motion in cache.dense_family(device):
         d_mask |= universe.mask_of(motion)
+    if not d_mask:
+        return 0, 0, 0
+    bit = universe.bit(device)
     devices = universe.devices
-    j_mask = 0
-    l_mask = 0
-    for i in iter_bits(d_mask):
-        member = devices[i]
-        # ``member`` is in D_k(j) so it shares at least one maximal dense
-        # motion with j; its own dense family is therefore non-empty.
-        if member == device or all(
-            device in motion for motion in cache.dense_family(member)
-        ):
+    j_mask = bit
+    for i in iter_bits(d_mask & ~bit):
+        # ``devices[i]`` shares a maximal dense motion with ``device``,
+        # so its own dense family is non-empty.
+        motions = cache.dense_family(devices[i])
+        if _cover(universe.mask_of(motion) for motion in motions) & bit:
             j_mask |= 1 << i
-        else:
-            l_mask |= 1 << i
-    return d_mask, j_mask, l_mask
+    return d_mask, j_mask, d_mask & ~j_mask
 
 
 def split_neighborhood(cache: MotionCache, device: int) -> NeighborhoodSplit:

@@ -26,7 +26,12 @@ from repro.core.errors import (
     DimensionMismatchError,
     UnknownDeviceError,
 )
-from repro.core.geometry import GridIndex, validate_radius, validate_unit_cube
+from repro.core.geometry import (
+    GridIndex,
+    split_flat,
+    validate_radius,
+    validate_unit_cube,
+)
 
 __all__ = ["Snapshot", "Transition"]
 
@@ -358,11 +363,10 @@ class Transition:
             both = np.intersect1d(
                 prev_q * m + prev_rows, cur_q * m + cur_rows, assume_unique=True
             )
-            hit_devices = flagged[both % m]
-            counts = np.bincount(both // m, minlength=len(missing))
-            splits = np.cumsum(counts)[:-1]
-            for j, hits in zip(missing, np.split(hit_devices, splits)):
-                self._neighborhood_cache[(j, factor)] = tuple(map(int, hits))
+            hits = split_flat(both // m, flagged[both % m].tolist(), len(missing))
+            cache = self._neighborhood_cache
+            for j, near in zip(missing, hits):
+                cache[(j, factor)] = near
         return {j: self._neighborhood_cache[(j, factor)] for j in devs}
 
     def knowledge_ball(self, device: int) -> Tuple[int, ...]:

@@ -34,8 +34,9 @@ function of the trajectories and flag bits of flagged devices within
 ``2r`` of it — a strict subset of the ``4r`` inputs of its verdict — so
 any unaffected device's family from the previous transition is still
 exact, and the online service carries those families across ticks via
-:meth:`~repro.core.neighborhood.MotionCache.carry_from` using this same
-affected set as the invalidation region.  The one-tick move carry is
+:meth:`~repro.core.neighborhood.MotionCache.carry_from`, invalidating
+the tighter ``family_rings`` band that the same fan-out records
+(:attr:`DirtyRegionTracker.family_dirty`).  The one-tick move carry is
 what makes this valid for trajectories, not just positions: a device
 that moved in tick ``k`` re-dirties its cells in tick ``k+1`` (its
 ``prev`` endpoint shifts under it), so no family survives a change to
@@ -121,6 +122,9 @@ class DirtyRegionTracker:
         self._pending: List[np.ndarray] = []
         self._carry: np.ndarray = _NO_CELLS
         self._carry_next: List[np.ndarray] = []
+        #: Flagged rows within ``family_rings`` of the dirty cells of the
+        #: last :meth:`finish_tick` (a subset of its affected rows).
+        self.family_dirty: Set[int] = set()
 
     @property
     def rings(self) -> int:
@@ -225,16 +229,15 @@ class DirtyRegionTracker:
         ``affected_rows`` is every *flagged* row of ``store`` within
         ``rings`` cells of a dirty cell — the flagged devices are the
         only possible verdict targets, so the fan-out never visits the
-        unflagged bulk.  The rows whose motion *families* are
-        invalidated (the tighter ``family_rings`` band) can be recovered
-        from the returned cells via ``store.index.rows_near_cells(rows,
-        dirty_cells, tracker.family_rings)``.
+        unflagged bulk.  The same fan-out (one ring distance per flagged
+        row) records :attr:`family_dirty`: the flagged rows whose motion
+        *families* are invalidated, the tighter ``family_rings`` band.
         """
         dirty = self.finish_cells(store)
-        affected = store.index.rows_near_cells(
-            store.flagged_rows(), dirty, self._rings
-        )
-        return dirty, set(affected.tolist())
+        rows = store.flagged_rows()
+        dist = store.index.ring_distances(rows, dirty, self._rings)
+        self.family_dirty = set(rows[dist <= self._family_rings].tolist())
+        return dirty, set(rows[dist <= self._rings].tolist())
 
     # ------------------------------------------------------------------
     # Checkpointing

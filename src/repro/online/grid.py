@@ -17,10 +17,11 @@ which case the store writes positions and the index only maintains the
 key column (:meth:`move_rows` is the vectorized tick path).
 
 Cell keys are the index's only spatial representation.  The tick's
-dirty-region fan-out is :meth:`~MutableGridIndex.rows_near_cells`: the
-keys of a few probe rows (the flagged devices) are tested against the
-dirty cells with :func:`~repro.core.geometry.cells_within_rings`, whose
-cost depends on the probe and dirty-cell counts, not on the population.
+dirty-region fan-out is :meth:`~MutableGridIndex.ring_distances` (and
+:meth:`~MutableGridIndex.rows_near_cells` over it): the keys of a few
+probe rows (the flagged devices) are measured against the dirty cells
+with :func:`~repro.core.geometry.cells_ring_distance`, whose cost
+depends on the probe and dirty-cell counts, not on the population.
 Range queries (:meth:`query`, :meth:`query_batch`, off the tick path)
 build a :class:`GridIndex` over the live rows — one grid implementation,
 answered by sorted cell codes.
@@ -43,7 +44,7 @@ from repro.core.errors import (
     DimensionMismatchError,
     UnknownDeviceError,
 )
-from repro.core.geometry import GridIndex, cells_within_rings
+from repro.core.geometry import GridIndex, cells_ring_distance, split_flat
 
 __all__ = ["MutableGridIndex"]
 
@@ -372,8 +373,7 @@ class MutableGridIndex:
             )
         grid, rows = self._grid()
         query_of, hits = grid.query_batch_flat(ctrs, rho)
-        splits = np.cumsum(np.bincount(query_of, minlength=ctrs.shape[0]))
-        return [chunk.tolist() for chunk in np.split(rows[hits], splits[:-1])]
+        return split_flat(query_of, rows[hits].tolist(), ctrs.shape[0], list)
 
     def _cells_array(self, keys) -> np.ndarray:
         if isinstance(keys, np.ndarray):
@@ -394,10 +394,17 @@ class MutableGridIndex:
         the population size.  Returned rows keep their input order.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        mask = cells_within_rings(
+        return rows[self.ring_distances(rows, keys, rings) <= rings]
+
+    def ring_distances(self, rows: np.ndarray, keys, rings: int) -> np.ndarray:
+        """Cell-ring distance from each of ``rows`` to its nearest listed
+        cell, capped at ``rings + 1``
+        (:func:`~repro.core.geometry.cells_ring_distance`): one fan-out
+        that answers every band up to ``rings``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return cells_ring_distance(
             self._keys[rows], self._cells_array(keys), rings
         )
-        return rows[mask]
 
     def devices_near_cells(
         self, keys: Iterable[CellKey], rings: int

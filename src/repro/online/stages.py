@@ -22,14 +22,14 @@ tracker, engine, config) and holds whatever cross-tick state it needs
 (the transition chain, the verdict cache, the motion-cache carry).  Per
 tick it receives one :class:`TickContext` and fills in its outputs:
 
-===================  ==========================================  =============================
-stage                reads                                       writes
-===================  ==========================================  =============================
-``dirty-region``     store flags, tracker cells                  ``flagged, dirty_cells, affected``
-``transition-build`` store planes, ``flagged``                   ``transition, chain_next, index_reused``
-``verdict``          ``transition, flagged, affected``           ``recompute, reused, verdicts, families_*``
-``sinks``            the finished ``OnlineTick``                 (side effects only)
-===================  ==========================================  =============================
+====================  ===============================================  ================================================
+stage                 reads                                            writes
+====================  ===============================================  ================================================
+``dirty-region``      store flags, tracker cells                       ``flagged, dirty_cells, affected, family_dirty``
+``transition-build``  store planes, ``flagged``                        ``transition, chain_next, index_reused``
+``verdict``           ``transition, flagged, affected, family_dirty``  ``recompute, reused, verdicts, families_*``
+``sinks``             the finished ``OnlineTick``                      (side effects only)
+====================  ===============================================  ================================================
 
 Each stage opens its own tracer span *only when it actually works*, so
 the per-tick ``stage_seconds`` breakdown keeps exactly the keys the
@@ -76,7 +76,10 @@ class TickContext:
     transition arrays and ``key_of`` carries the local→global id map
     (``None`` means identity).  ``verdicts`` is always keyed by the
     *cache key* (global id).  ``dirty_cells`` is a sorted ``(k, d)``
-    int64 array of cell keys.
+    int64 array of cell keys.  ``family_dirty`` is the subset of
+    ``affected`` whose motion families are invalidated; ``None`` where
+    the stage that closes the cells does not compute it (the motion
+    carry then stays off).
 
     The context itself never crosses a process boundary: a shard worker
     builds it from the ``verdict`` command's payload (tick plus the
@@ -93,6 +96,7 @@ class TickContext:
         default_factory=lambda: np.empty((0, 0), dtype=np.int64)
     )
     affected: Set[int] = field(default_factory=set)
+    family_dirty: Optional[Set[int]] = None
     transition: Optional[Transition] = None
     chain_next: Optional[np.ndarray] = None
     index_reused: bool = False
@@ -233,7 +237,9 @@ class DirtyRegionStage:
         store = self._owner.store
         ctx.flagged = store.flagged_devices()
         with tracer.span(self.name):
-            ctx.dirty_cells, ctx.affected = self._owner.tracker.finish_tick(store)
+            tracker = self._owner.tracker
+            ctx.dirty_cells, ctx.affected = tracker.finish_tick(store)
+            ctx.family_dirty = tracker.family_dirty
 
 
 class TransitionBuildStage:
@@ -389,21 +395,17 @@ class VerdictStage:
             self._incremental and self._reuse_motions and ctx.allow_carry
         )
         carry: Optional[MotionCache] = None
+        family_dirty = ctx.family_dirty
         if (
             reuse_effective
+            and family_dirty is not None
             and self.last_cache is not None
             and self._transitions.last_transition is not None
         ):
-            # Only the targets are probed against the family band; their
-            # transition ids are store rows (the carry runs on the
-            # single service only — shard pipelines gate it off).
-            family_dirty = set(
-                self._owner.store.index.rows_near_cells(
-                    np.asarray(targets, dtype=np.int64),
-                    ctx.dirty_cells,
-                    self._owner.tracker.family_rings,
-                ).tolist()
-            )
+            # The family band comes from the dirty-region fan-out; its
+            # ids are store rows, which are transition ids here (the
+            # carry runs on the single service only — shard pipelines
+            # gate it off).
             carry_clean = [j for j in targets if j not in family_dirty]
             carry = MotionCache.carry_from(
                 self.last_cache, transition, carry_clean
