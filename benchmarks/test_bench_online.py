@@ -19,10 +19,12 @@ from __future__ import annotations
 import json
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import geometry
 from repro.core.geometry import GridIndex
 from repro.online import (
     MutableGridIndex,
@@ -86,13 +88,16 @@ def test_incremental_index_beats_full_rebuild(n, churn):
     incremental_time = time.perf_counter() - start
 
     rebuild_positions = base.copy()
+    # The rebuild is the grid's: cell keys plus the code sort, which a
+    # fresh GridIndex builds on its first grid-side query.  A lone query
+    # is otherwise answered by a scan that builds no index at all
+    # (DESIGN.md, "Neighbourhood queries"), so the grid side is forced.
     start = time.perf_counter()
-    for moves in per_tick_moves:
-        for device, pos in moves:
-            rebuild_positions[device] = pos
-        # GridIndex sorts its cell codes on the first query, so the
-        # rebuild is only complete once the fresh index has answered one.
-        GridIndex(rebuild_positions, cell).query(rebuild_positions[0], 0.0)
+    with mock.patch.object(geometry, "_SCAN_CROSSOVER", 0):
+        for moves in per_tick_moves:
+            for device, pos in moves:
+                rebuild_positions[device] = pos
+            GridIndex(rebuild_positions, cell).query(rebuild_positions[0], 0.0)
     rebuild_time = time.perf_counter() - start
 
     # O(k) vs O(n) per tick: measured 30-100x at 1% churn; 2x keeps the

@@ -321,8 +321,10 @@ def _qualifying_locals(tau: int, m: int, d_local: int, far_local: int) -> np.nda
     masks over its ``m`` members.
 
     Every subset ``B`` enumerated here sits inside one maximal motion,
-    whose combined bounding box already fits a ``2r`` window (up to the
-    enumerator's ``atol``).  Under that premise, ``B ∪ {j}``'s box
+    whose combined bounding box already fits a ``2r`` window (the
+    enumerator rounds its extents exactly as
+    :meth:`~repro.core.transition.Transition.is_consistent_motion`
+    does).  Under that premise, ``B ∪ {j}``'s box
     exceeds ``2r`` iff some *single member* of ``B`` is more than ``2r``
     away from ``j`` in some combined dimension — the box of ``B`` alone
     can never blow the budget.  Consistency-with-``j`` therefore

@@ -36,7 +36,6 @@ __all__ = [
     "cells_within_rings",
     "cells_ring_distance",
     "unique_cells",
-    "scan_answers",
     "split_flat",
     "GridIndex",
 ]
@@ -157,16 +156,10 @@ _CODE_LIMIT = 1 << 62
 
 #: Largest ``q * m`` (queries times indexed points) that a batch range
 #: query answers with the direct Chebyshev scan rather than the sorted
-#: cell codes (:func:`scan_answers`): up to it the scan's O(q * m * d)
-#: compares cost less than the grid's code build, cell enumeration and
-#: gather.  Measured for d = 1..3 (DESIGN.md, "Neighbourhood queries").
+#: cell codes: up to it the scan's O(q * m * d) compares cost less than
+#: building the codes and answering on them.  Measured for d = 1..3
+#: (DESIGN.md, "Neighbourhood queries").
 _SCAN_CROSSOVER = 1 << 19
-
-#: Largest ``p * c`` (probe cells times listed cells) that
-#: :func:`cells_ring_distance` answers by direct comparison rather than
-#: the stencil search; measured for d = 1..3 (DESIGN.md, "Neighbourhood
-#: queries").
-_RING_SCAN_CROSSOVER = 1 << 14
 
 #: Slack added to a grid query's candidate-cell span, far above the
 #: rounding error of coordinates in the unit cube and far below any
@@ -241,11 +234,9 @@ def cells_ring_distance(
     ``cells`` with ``searchsorted``, so the cost is
     ``O(p (2 rings + 1)^d log c)`` — independent of how many devices
     share the grid.  Codes linearize the smallest integer box holding
-    both sets and every stencil cell, a bijection on that box.  Up to
-    ``p * c = _RING_SCAN_CROSSOVER``, and wherever the box's cell count
-    would overflow int64, a direct coordinate-wise Chebyshev comparison
-    answers instead: the same distances, without the stencil and sort
-    overhead.
+    both sets and every stencil cell, a bijection on that box; where its
+    cell count would overflow int64 the distances fall back to a direct
+    coordinate-wise Chebyshev comparison.
     """
     if rings < 0:
         raise ConfigurationError(f"rings must be >= 0, got {rings!r}")
@@ -262,11 +253,9 @@ def cells_ring_distance(
         )
     dim = probes.shape[1]
     c = cells.shape[0]
-    strides = None
-    if p * c > _RING_SCAN_CROSSOVER:
-        lo = np.minimum(cells.min(axis=0), probes.min(axis=0) - rings)
-        hi = np.maximum(cells.max(axis=0), probes.max(axis=0) + rings)
-        strides = _row_major_strides(hi - lo + 1)
+    lo = np.minimum(cells.min(axis=0), probes.min(axis=0) - rings)
+    hi = np.maximum(cells.max(axis=0), probes.max(axis=0) + rings)
+    strides = _row_major_strides(hi - lo + 1)
     if strides is None:
         # Direct Chebyshev comparison, one column at a time.
         chunk = max(1, _CHUNK_ELEMENTS // c)
@@ -295,19 +284,6 @@ def cells_ring_distance(
     return out
 
 
-def scan_answers(q: int, m: int) -> bool:
-    """Whether :meth:`GridIndex.query_batch_flat` answers ``q`` queries
-    over ``m`` points by the direct scan rather than the sorted cell
-    codes: while both the batch (``q * m``) and the index's self-join
-    (``m * m``) fit ``_SCAN_CROSSOVER``.
-
-    The self-join bound keeps a large index on its grid even for single
-    queries: the scan costs O(m) per query, while the grid's one code
-    sort amortizes over every query the index answers (a fresh index
-    per snapshot, queried once per miss of the component walk)."""
-    return max(q, m) * m <= _SCAN_CROSSOVER
-
-
 def split_flat(query_of: np.ndarray, rows: list, q: int, kind=tuple) -> list:
     """Split the flat ``(query_of, rows)`` answer into ``q`` per-query
     sequences of type ``kind``: one ``bincount`` plus list slices, with
@@ -328,9 +304,9 @@ class GridIndex:
 
     A batch of ``q`` queries over ``m`` points answers either way:
 
-    * ``max(q, m) * m <= _SCAN_CROSSOVER`` (:func:`scan_answers`; a
-      small flagged set): a direct Chebyshev scan of every point, one
-      column at a time.  No sorted codes are built.
+    * ``q * m <= _SCAN_CROSSOVER`` (a small flagged set, or a few
+      queries): a direct Chebyshev scan of every point, one column at a
+      time.  No sorted codes are built.
     * above it: points are kept sorted by a linearized cell code (built
       on the first such query), so the batch reduces to ``searchsorted``
       plus fancy indexing over the candidate cells; there is no per-cell
@@ -464,7 +440,7 @@ class GridIndex:
         if q == 0 or m == 0:
             return empty
         reach = rho + atol
-        if scan_answers(q, m) or not self._linearizable:
+        if q * m <= _SCAN_CROSSOVER or not self._linearizable:
             # Direct Chebyshev scan, folded one column at a time into
             # reused buffers and chunked over queries.  Flat indices into
             # the (q, m) hit matrix come out sorted, so one divmod yields

@@ -107,6 +107,10 @@ class _WindowEnumerator:
         anchor_value = (
             self._coords[self._anchor, dim] if self._anchor is not None else None
         )
+        # A window holds the values with ``value - left <= reach``: the
+        # extent test of Transition.is_consistent_motion, rounded the
+        # same way, so every enumerated motion passes it.
+        reach = self._width + self._atol
         seen_here: Set[FrozenSet[int]] = set()
         for start_pos, left in enumerate(values):
             if start_pos > 0 and left == values[start_pos - 1]:
@@ -115,12 +119,12 @@ class _WindowEnumerator:
                 # The window [left, left + width] must cover the anchor.
                 if left > anchor_value + self._atol:
                     break
-                if anchor_value > left + self._width + self._atol:
+                if anchor_value - left > reach:
                     continue
             covered = frozenset(
                 order[i]
                 for i in range(start_pos, len(order))
-                if values[i] <= left + self._width + self._atol
+                if values[i] - left <= reach
             )
             self.steps += 1
             if covered in seen_here:
@@ -208,7 +212,7 @@ class _MaskWindowEnumerator:
         # dominates all later ones, so only it recurses; the remaining
         # placements are still counted to keep ``steps`` parity with the
         # one-by-one sweep.
-        if values[-1] <= values[0] + reach:
+        if values[-1] - values[0] <= reach:
             count = 0
             previous: Optional[float] = None
             limit = None if anchor_value is None else anchor_value + self._atol
@@ -234,9 +238,9 @@ class _MaskWindowEnumerator:
                 # The window [left, left + width] must cover the anchor.
                 if left > anchor_value + self._atol:
                     break
-                if anchor_value > left + reach:
+                if anchor_value - left > reach:
                     continue
-            end = bisect_right(values, left + reach, start)
+            end = _window_end(values, left, reach, start)
             self.steps += 1
             covered = prefix[end] - prefix[start]
             dominated = False
@@ -248,6 +252,22 @@ class _MaskWindowEnumerator:
                 continue
             seen_here.append(covered)
             self._recurse(rows_sorted[start:end], covered, dim + 1)
+
+
+def _window_end(values: List[float], left: float, reach: float, start: int) -> int:
+    """One past the last of the sorted ``values`` (from ``start``) with
+    ``value - left <= reach``.
+
+    ``value - left`` is monotone in ``value``, so the window is a prefix;
+    ``bisect_right`` on ``left + reach`` lands within rounding of its
+    end, and the two loops settle the last ulp.
+    """
+    end = bisect_right(values, left + reach, start)
+    while end > start and values[end - 1] - left > reach:
+        end -= 1
+    while end < len(values) and values[end] - left <= reach:
+        end += 1
+    return end
 
 
 def _maximal_only(sets: Iterable[FrozenSet[int]]) -> List[FrozenSet[int]]:

@@ -328,9 +328,10 @@ class Transition:
         """Compute ``N(j)`` for many flagged devices in one vectorized pass.
 
         Semantically identical to calling :meth:`neighborhood` per device,
-        but the range queries of the whole batch run through
-        :meth:`GridIndex.query_batch` (sorted cell codes + ``searchsorted``)
-        instead of one query per device.  Results land in the same memo
+        but the range queries of the whole batch run through one
+        :meth:`GridIndex.query_batch_flat` per snapshot (a direct scan
+        for a small batch, sorted cell codes for a large one) instead of
+        one query per device.  Results land in the same memo
         :meth:`neighborhood` uses, so a batch pass warms the per-device
         path for free.  ``devices`` defaults to all of ``A_k``.
         """

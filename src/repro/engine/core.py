@@ -40,7 +40,6 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.characterize import Characterizer, classify_sets
 from repro.core.errors import ConfigurationError
-from repro.core.geometry import scan_answers
 from repro.core.neighborhood import MotionCache
 from repro.core.transition import Transition
 from repro.core.types import Characterization
@@ -158,20 +157,10 @@ class CharacterizationEngine:
         with ``|N(j)| <= tau`` (every lone device among them) stops at
         Theorem 5, so its 4r ball is never queried; any other caller
         still gets it from the per-device memoized query.
-
-        The component walk also reads ``N(x)`` of flagged neighbours
-        outside ``devices``.  While the whole flagged set is one
-        all-pairs scan (:func:`~repro.core.geometry.scan_answers`), its
-        2r batch costs about what the batch of ``devices`` does, so the
-        engine warms every flagged device and the walk never falls back
-        to a single-device query.
         """
-        flagged = transition.flagged_sorted
-        warm = flagged if scan_answers(len(flagged), len(flagged)) else devices
-        near = transition.neighborhoods_batch(warm)
+        near = transition.neighborhoods_batch(devices)
         tau = transition.tau
-        # An unflagged device has no N(j); the characterizer rejects it.
-        dense_capable = [j for j in devices if len(near.get(j, ())) > tau]
+        dense_capable = [j for j in devices if len(near[j]) > tau]
         if dense_capable:
             transition.neighborhoods_batch(dense_capable, radius_factor=4.0)
         self.stats.batch_neighborhood_passes += 1

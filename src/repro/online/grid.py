@@ -23,8 +23,9 @@ probe rows (the flagged devices) are measured against the dirty cells
 with :func:`~repro.core.geometry.cells_ring_distance`, whose cost
 depends on the probe and dirty-cell counts, not on the population.
 Range queries (:meth:`query`, :meth:`query_batch`, off the tick path)
-build a :class:`GridIndex` over the live rows — one grid implementation,
-answered by sorted cell codes.
+build a fresh :class:`GridIndex` over the live rows — one grid
+implementation, which answers a single query by a direct scan and a
+large batch by sorted cell codes.
 
 Equivalence is part of the contract, not an accident: after *any*
 interleaving of mutations, :meth:`query` and :meth:`query_batch` must

@@ -2,13 +2,13 @@
 
 Two shortcuts share setup work across a tick's flagged set:
 
-* a batch range query over a small index (``max(q, m) * m`` at most
+* a small batch of range queries (``q * m`` at most
   ``_SCAN_CROSSOVER``) is answered by a direct Chebyshev scan instead of
   the sorted-code grid,
   and both sides must equal the definitional predicate
   ``all(|p - c| <= rho + atol)`` — ``atol`` sliver included (the cell
-  ring distances of the dirty-region fan-out likewise, on both sides of
-  ``_RING_SCAN_CROSSOVER``);
+  ring distances of the dirty-region fan-out likewise, on the stencil
+  search and on its direct fallback);
 * a 2r-connected component computes the ``(D, J, L)`` split of all its
   members at once (:class:`ComponentSplit`), and each member's split must
   equal the per-device :func:`split_masks`.
@@ -146,16 +146,18 @@ class TestRangeQueries:
             index.query_batch(pts, 0.05)
         assert index._sorted_codes is not None
 
-    def test_crossover_sends_large_indexes_to_the_grid(self):
+    def test_crossover_counts_queries_times_points(self):
         side = int(np.sqrt(geometry._SCAN_CROSSOVER))
         rng = np.random.default_rng(2)
         small = GridIndex(rng.random((side, 2)), 0.02)
         small.query_batch_flat(small.points, 0.02)
         assert small._sorted_codes is None
-        # A single query on an index whose self-join exceeds the
-        # crossover still builds the grid: the sort amortizes.
+        # One query scans whatever the index size; a batch whose q * m
+        # exceeds the crossover builds the grid.
         large = GridIndex(rng.random((side + 1, 2)), 0.02)
         large.query_batch_flat(large.points[:1], 0.02)
+        assert large._sorted_codes is None
+        large.query_batch_flat(large.points, 0.02)
         assert large._sorted_codes is not None
 
 
@@ -170,10 +172,11 @@ def ring_cases(draw):
 
 
 class TestRingDistance:
-    @pytest.mark.parametrize("crossover", (0, 1 << 62))
+    # A code limit of 0 sends every key box to the direct fallback.
+    @pytest.mark.parametrize("code_limit", (1 << 62, 0), ids=("stencil", "direct"))
     @given(case=ring_cases())
     @settings(max_examples=150, deadline=None)
-    def test_both_sides_equal_brute_force(self, crossover, case):
+    def test_both_sides_equal_brute_force(self, code_limit, case):
         dim, probes, cells, rings = case
         want = [
             min(
@@ -184,7 +187,7 @@ class TestRingDistance:
         ]
         keys = np.asarray(probes, dtype=np.int64).reshape(len(probes), dim)
         listed = np.asarray(cells, dtype=np.int64).reshape(len(cells), dim)
-        with mock.patch.object(geometry, "_RING_SCAN_CROSSOVER", crossover):
+        with mock.patch.object(geometry, "_CODE_LIMIT", code_limit):
             got = geometry.cells_ring_distance(keys, listed, rings)
             near = geometry.cells_within_rings(keys, listed, rings)
         assert got.tolist() == want

@@ -99,6 +99,23 @@ class TestMotionSemantics:
         for motion in all_maximal_motions(t):
             assert t.is_consistent_motion(motion)
 
+    @pytest.mark.parametrize("kernel", ["bitset", "frozenset"])
+    def test_sliver_extent_rounds_like_is_consistent_motion(self, kernel):
+        # 2r + atol rounds to 0.187500000001.  The pair's extent rounds
+        # just under it at k-1 and just over it at k: not a motion.
+        pairs = [
+            (0.2812499999995, 0.3124999999995),
+            (0.4687500000005, 0.5000000000005),
+        ]
+        t = make_transition_1d(pairs, r=3 / 32, tau=1)
+        assert not t.is_consistent_motion([0, 1])
+        for anchor in (None, 0, 1):
+            motions, _ = enumerate_maximal_motions(
+                t, range(2), anchor=anchor, kernel=kernel
+            )
+            want = [(0,), (1,)] if anchor is None else [(anchor,)]
+            assert canonical(motions) == want
+
     def test_returned_sets_are_maximal(self):
         rng = random.Random(9)
         pairs = random_clustered_pairs(rng, 10, 0.06)
