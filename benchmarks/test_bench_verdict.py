@@ -1,17 +1,16 @@
-"""Verdict-kernel benchmarks: bitmask set algebra beats frozensets.
+"""Verdict benchmarks: ``characterize_many`` timings and motion reuse.
 
-Two asserted claims:
-
-* ``Characterizer.characterize_many`` on the bitset kernel is ≥ 3x
-  faster than the frozenset baseline at ``n ∈ {1k, 10k}`` with ~5% of
-  devices flagged (radii chosen to keep neighbourhood density — and
-  hence per-device verdict work — comparable across scales), while
-  returning identical verdicts, witnesses and cost counters (a third
-  row times an all-flagged fleet whose one 2r-connected component is
-  above the motion-sharing bound, and asserts the same identity);
-* the online service with cross-tick motion-family reuse recomputes
-  *strictly fewer* families than without, on identical 1%-churn update
-  streams, while remaining verdict-identical tick by tick.
+* ``Characterizer.characterize_many`` is timed at ``n ∈ {1k, 10k}`` with
+  ~5% of devices flagged (radii chosen to keep neighbourhood density —
+  and hence per-device verdict work — comparable across scales), and on
+  an all-flagged fleet whose one 2r-connected component is above the
+  motion-sharing bound (the per-device ball path).  These rows record
+  timings only; verdict correctness is anchored on the omniscient
+  oracle in ``tests/online/test_oracle_matrix.py``.
+* Asserted: the online service with cross-tick motion-family reuse
+  recomputes *strictly fewer* families than without, on identical
+  1%-churn update streams, while remaining verdict-identical tick by
+  tick.
 
 Every run appends rows to a ``BENCH_verdict.json`` summary written at
 module teardown (path overridable via the ``BENCH_VERDICT_JSON`` env
@@ -33,7 +32,7 @@ from repro.core.neighborhood import MotionCache
 from repro.core.transition import Snapshot, Transition
 from repro.online import OnlineCharacterizationService, QosUpdate, ServiceConfig
 
-#: (n, r) grid for the kernel claim; r keeps ~comparable flagged density
+#: (n, r) grid for the timing rows; r keeps ~comparable flagged density
 #: inside the 2r ball at both scales (flagged fraction is 5% of n).
 SCALES = [(1_000, 0.1), (10_000, 0.03)]
 
@@ -52,7 +51,7 @@ def bench_summary_artifact():
 
 
 # ----------------------------------------------------------------------
-# Claim 1: mask kernel beats the frozenset baseline on characterize_many
+# Timing rows: characterize_many
 # ----------------------------------------------------------------------
 def _verdict_scenario(n, r, *, frac=0.05, tau=3, seed=0):
     """~5% flagged: coherent clusters of tau+2 (massive-style) plus
@@ -79,85 +78,52 @@ def _verdict_scenario(n, r, *, frac=0.05, tau=3, seed=0):
     return prev, cur, flagged
 
 
-def _time_kernel(prev, cur, flagged, r, tau, kernel, repeats, targets=None):
+def _time_characterize(prev, cur, flagged, r, tau, repeats, targets=None):
     targets = flagged if targets is None else targets
     best = float("inf")
     results = None
     for _ in range(repeats):
         transition = Transition(Snapshot(prev), Snapshot(cur), flagged, r, tau)
         # Warm the vectorized neighbourhood memo outside the timed
-        # region, exactly as the engine does for every kernel.
+        # region, exactly as the engine does.
         transition.neighborhoods_batch(flagged)
         transition.neighborhoods_batch(flagged, radius_factor=4.0)
-        characterizer = Characterizer(transition, kernel=kernel)
+        characterizer = Characterizer(transition)
         start = time.perf_counter()
         results = characterizer.characterize_many(targets)
         best = min(best, time.perf_counter() - start)
-    return best, results
-
-
-def _assert_kernels_identical(mask_results, set_results):
-    assert mask_results.keys() == set_results.keys()
-    for j in mask_results:
-        got, want = mask_results[j], set_results[j]
-        assert got.anomaly_type == want.anomaly_type, j
-        assert got.rule == want.rule, j
-        assert got.witness == want.witness, j
-        assert got.cost.as_dict() == want.cost.as_dict(), j
+    assert sorted(results) == sorted(targets)
+    return best
 
 
 @pytest.mark.parametrize("n,r", SCALES)
-def test_bitset_kernel_beats_frozenset_baseline(n, r):
+def test_characterize_many_timing(n, r):
     tau = 3
     prev, cur, flagged = _verdict_scenario(n, r, tau=tau)
     repeats = 3 if n <= 1_000 else 2
-    mask_time, mask_results = _time_kernel(
-        prev, cur, flagged, r, tau, "bitset", repeats
-    )
-    set_time, set_results = _time_kernel(
-        prev, cur, flagged, r, tau, "frozenset", repeats
-    )
-
-    # Equivalence first: the speed means nothing if the answers drift.
-    _assert_kernels_identical(mask_results, set_results)
-
-    # The acceptance assertion: ≥ 3x on the verdict hot path (measured
-    # ~4.5x; the margin absorbs noisy CI boxes).
-    assert mask_time * 3 < set_time, (
-        f"bitset {mask_time * 1e3:.1f}ms not 3x faster than frozenset "
-        f"{set_time * 1e3:.1f}ms at n={n}"
-    )
+    seconds = _time_characterize(prev, cur, flagged, r, tau, repeats)
     _SUMMARY_ROWS.append(
         {
             "claim": "characterize_many",
             "n": n,
             "r": r,
             "flagged": len(flagged),
-            "bitset_seconds": mask_time,
-            "frozenset_seconds": set_time,
-            "speedup": set_time / mask_time,
+            "bitset_seconds": seconds,
         }
     )
 
 
 def test_large_component_takes_the_per_device_path():
     """All-flagged 1k fleet at r=0.03: one 2r-connected component far
-    above the sharing bound, so families and Theorem 7 pools take the
-    per-device path on both kernels.  Every 10th device is characterized
-    (the frozenset kernel needs ~20 s for all of them)."""
+    above the sharing bound, so Theorem 7 pools take the per-device ball
+    path.  Every 10th device is characterized."""
     n, r, tau = 1_000, 0.03, 3
     rng = np.random.default_rng(0)
     prev = rng.random((n, 2))
     cur = np.clip(prev + rng.normal(0, r / 3, (n, 2)), 0, 1)
     flagged = list(range(n))
     targets = flagged[::10]
-    mask_time, mask_results = _time_kernel(
-        prev, cur, flagged, r, tau, "bitset", 1, targets
-    )
-    set_time, set_results = _time_kernel(
-        prev, cur, flagged, r, tau, "frozenset", 1, targets
-    )
-    _assert_kernels_identical(mask_results, set_results)
+    seconds = _time_characterize(prev, cur, flagged, r, tau, 1, targets)
     transition = Transition(Snapshot(prev), Snapshot(cur), flagged, r, tau)
     assert MotionCache(transition).component(0) is None
     _SUMMARY_ROWS.append(
@@ -167,15 +133,13 @@ def test_large_component_takes_the_per_device_path():
             "r": r,
             "flagged": n,
             "characterized": len(targets),
-            "bitset_seconds": mask_time,
-            "frozenset_seconds": set_time,
-            "speedup": set_time / mask_time,
+            "bitset_seconds": seconds,
         }
     )
 
 
 # ----------------------------------------------------------------------
-# Claim 2: cross-tick motion-family reuse recomputes fewer families
+# Claim: cross-tick motion-family reuse recomputes fewer families
 # ----------------------------------------------------------------------
 def _service_stream(n, churn, *, ticks, tau, seed=0):
     """Setup batch flagging ~2% + per-tick 1%-churn batches."""
@@ -268,7 +232,12 @@ def test_motion_reuse_recomputes_fewer_families(n, churn):
 
 
 def test_summary_rows_schema():
-    """Rows carry what the CI artifact consumers expect."""
+    """Rows carry what the CI artifact consumers expect: every row a
+    claim and ``n``; a timing row its seconds; a comparison row a
+    speedup above 1."""
     for row in _SUMMARY_ROWS:
-        assert {"claim", "n", "speedup"} <= set(row)
-        assert row["speedup"] > 1.0
+        assert {"claim", "n"} <= set(row)
+        if "speedup" in row:
+            assert row["speedup"] > 1.0
+        else:
+            assert row["bitset_seconds"] > 0.0

@@ -14,7 +14,7 @@ Public surface:
 * :func:`~repro.core.oracle.oracle_classify` — the omniscient observer.
 """
 
-from repro.core.bitset import DEFAULT_KERNEL, KERNELS, LocalUniverse
+from repro.core.bitset import LocalUniverse
 from repro.core.characterize import (
     Characterizer,
     characterize_transition,
@@ -60,10 +60,8 @@ __all__ = [
     "Characterizer",
     "ConfigurationError",
     "CostCounters",
-    "DEFAULT_KERNEL",
     "DecisionRule",
     "DimensionMismatchError",
-    "KERNELS",
     "LocalUniverse",
     "MotionCache",
     "MotionFamily",

@@ -3,12 +3,12 @@
 The verdict hot path (Algorithms 3-5) is wall-to-wall set algebra:
 window coverage, inclusion-maximality, the ``J_k/L_k`` split, subset
 filters on the Theorem 7 candidate pool, and the disjoint-collection
-DFS.  Executing it on ``frozenset`` objects pays a hash-table walk per
-element per operation.  This module provides the alternative
-representation every hot-path component shares: subsets of one ``4r``
-knowledge ball encoded as plain Python ``int`` bitmasks over a
-:class:`LocalUniverse` — a compact device-id ↔ bit mapping local to the
-ball (a handful of devices in the paper's operating regime).
+DFS.  On ``frozenset`` objects each operation pays a hash-table walk
+per element.  This module provides the representation every hot-path
+component shares instead: subsets of one ``4r`` knowledge ball (or of
+one 2r-connected component) encoded as plain Python ``int`` bitmasks
+over a :class:`LocalUniverse` — a compact device-id ↔ bit mapping local
+to the ball (a handful of devices in the paper's operating regime).
 
 The algebra then collapses to single machine-word operations:
 
@@ -38,22 +38,9 @@ boundary via :meth:`LocalUniverse.mask_of` / :meth:`LocalUniverse.devices_of`.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-__all__ = [
-    "DEFAULT_KERNEL",
-    "KERNELS",
-    "LocalUniverse",
-    "iter_bits",
-    "popcount",
-    "resolve_kernel",
-]
-
-#: Selectable verdict-kernel representations.  ``"bitset"`` is the fast
-#: default; ``"frozenset"`` is the original representation, kept as the
-#: equivalence and benchmark baseline.
-KERNELS: Tuple[str, ...] = ("bitset", "frozenset")
-DEFAULT_KERNEL = "bitset"
+__all__ = ["LocalUniverse", "iter_bits", "popcount"]
 
 try:  # int.bit_count is Python >= 3.10; fall back for 3.9.
     popcount = int.bit_count  # type: ignore[attr-defined]
@@ -61,15 +48,6 @@ except AttributeError:  # pragma: no cover - exercised only on 3.9
     def popcount(mask: int) -> int:
         """Number of set bits in ``mask``."""
         return bin(mask).count("1")
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Validate a kernel name, defaulting ``None`` to :data:`DEFAULT_KERNEL`."""
-    if kernel is None:
-        return DEFAULT_KERNEL
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    return kernel
 
 
 def iter_bits(mask: int) -> Iterator[int]:

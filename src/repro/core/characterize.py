@@ -48,10 +48,12 @@ implied: if every member of ``B & D_k(j)`` were in ``J_k(j)``, extending
 ``B`` to a maximal dense motion would capture ``j`` and make
 ``B | {j}`` consistent, contradicting the first filter.
 
-The bitset kernel reads the pool of a device in a shared 2r-connected
-component off one per-component table of dense motion subsets
-(:meth:`Characterizer._shared_pool`); the frozenset kernel and
-components above the sharing bound enumerate it per device.
+Every set the verdict touches is an integer bitmask over a
+:class:`~repro.core.bitset.LocalUniverse`.  The pool of a device in a
+shared 2r-connected component is read off one per-component table of
+dense motion subsets (:meth:`Characterizer._shared_pool`); components
+above the sharing bound enumerate it per device over the device's ``4r``
+ball (:meth:`Characterizer._candidate_pool_masks`).
 
 The search memoizes visited unions and counts every collection it
 examines, feeding the Table III cost columns.
@@ -63,20 +65,14 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from repro.core.bitset import LocalUniverse, iter_bits, popcount, resolve_kernel
+from repro.core.bitset import LocalUniverse, iter_bits, popcount
 from repro.core.errors import (
     ConfigurationError,
     SearchBudgetExceeded,
     UnknownDeviceError,
 )
 from repro.core.motions import enumerate_maximal_motions
-from repro.core.neighborhood import (
-    MotionCache,
-    MotionComponent,
-    NeighborhoodSplit,
-    split_masks,
-    split_neighborhood,
-)
+from repro.core.neighborhood import MotionCache, MotionComponent, split_masks
 from repro.core.transition import Transition
 from repro.core.types import (
     AnomalyType,
@@ -87,17 +83,19 @@ from repro.core.types import (
 
 __all__ = ["Characterizer", "characterize_transition", "classify_sets"]
 
-Motion = FrozenSet[int]
 
-
-class _CollectionSearch:
+class _MaskCollectionSearch:
     """DFS for a Theorem 7 counterexample collection.
 
     State: the set of chosen candidate motions (pairwise disjoint, all
-    avoiding ``j``) and their union.  A state is a *counterexample* when
-    every maximal dense motion of ``j`` has at most ``tau`` members outside
-    the union.  Three prunings keep the search far below the raw
-    collection count (compare the two rightmost columns of Table III):
+    avoiding ``j``) and their union, as ``int`` masks over the device's
+    :class:`LocalUniverse`: disjointness is one AND, starvation
+    remainders are ``motion & ~union`` popcounts, and the visited-union
+    memo keys are the union ints themselves.  A state is a
+    *counterexample* when every maximal dense motion of ``j`` has at
+    most ``tau`` members outside the union.  Three prunings keep the
+    search far below the raw collection count (compare the two
+    rightmost columns of Table III):
 
     * branching targets the *most constrained* still-violating motion
       (fewest usable candidates), and only candidates intersecting it;
@@ -106,89 +104,10 @@ class _CollectionSearch:
       candidate;
     * visited unions are memoized (different choice orders reaching the
       same union are explored once).
-    """
 
-    def __init__(
-        self,
-        dense_of_j: Sequence[Motion],
-        candidates: Sequence[Motion],
-        tau: int,
-        budget: Optional[int],
-    ) -> None:
-        self._dense_of_j = list(dense_of_j)
-        self._candidates = list(candidates)
-        self._tau = tau
-        self._budget = budget
-        self._visited: Set[FrozenSet[int]] = set()
-        self.tested = 0
-        self.work = 0
-
-    def find_counterexample(self) -> Optional[Tuple[Motion, ...]]:
-        """Return a counterexample collection, or None if none exists."""
-        return self._dfs((), frozenset())
-
-    def _charge(self) -> None:
-        # Each node costs roughly one pass over the candidate pool, so the
-        # budget is enforced in *work units* (candidate inspections), not
-        # raw node counts — a node with a 10k-candidate pool is 10k times
-        # more expensive than one with a single candidate and must count
-        # accordingly for the bound to mean anything.
-        self.tested += 1
-        self.work += max(1, len(self._candidates))
-        if self._budget is not None and self.work > self._budget:
-            raise SearchBudgetExceeded(
-                f"Theorem 7 search exceeded its budget of {self._budget} "
-                "candidate inspections"
-            )
-
-    def _dfs(
-        self, chosen: Tuple[Motion, ...], union: FrozenSet[int]
-    ) -> Optional[Tuple[Motion, ...]]:
-        key = frozenset(union)
-        if key in self._visited:
-            return None
-        self._visited.add(key)
-        self._charge()
-        usable = [cand for cand in self._candidates if not cand & union]
-        # Find all violating motions; prune on coverability; branch on the
-        # one with the fewest helpers.
-        best_helpers: Optional[List[Motion]] = None
-        best_remainder: Optional[FrozenSet[int]] = None
-        for motion in self._dense_of_j:
-            remainder = motion - union
-            if len(remainder) <= self._tau:
-                continue
-            helpers = [cand for cand in usable if cand & remainder]
-            coverable: Set[int] = set()
-            for cand in helpers:
-                coverable |= cand & remainder
-            if len(remainder) - len(coverable & remainder) > self._tau:
-                return None  # this motion can never be starved from here
-            if best_helpers is None or len(helpers) < len(best_helpers):
-                best_helpers = helpers
-                best_remainder = remainder
-        if best_helpers is None:
-            return chosen  # Relations 4 and 5 both fail: counterexample.
-        assert best_remainder is not None
-        # Try candidates that bite off the most of the remainder first.
-        best_helpers.sort(key=lambda cand: -len(cand & best_remainder))
-        for cand in best_helpers:
-            hit = self._dfs(chosen + (cand,), union | cand)
-            if hit is not None:
-                return hit
-        return None
-
-
-class _MaskCollectionSearch:
-    """Bitmask kernel of :class:`_CollectionSearch`.
-
-    Same DFS, same prunings, same budget accounting — but states are
-    ``int`` masks over the device's :class:`LocalUniverse`: disjointness
-    is one AND, starvation remainders are ``motion & ~union`` popcounts,
-    and the visited-union memo keys are the union ints themselves.
-    Candidate iteration order matches the set kernel (both receive the
-    canonically sorted pool and use stable sorts), so ``tested`` /
-    ``work`` counters and the returned counterexample are identical.
+    Candidates arrive in canonical order and are re-ranked with stable
+    sorts, so ``tested`` and the returned counterexample are
+    deterministic.
     """
 
     def __init__(
@@ -211,6 +130,11 @@ class _MaskCollectionSearch:
         return self._dfs((), 0)
 
     def _charge(self) -> None:
+        # Each node costs roughly one pass over the candidate pool, so the
+        # budget is enforced in *work units* (candidate inspections), not
+        # raw node counts — a node with a 10k-candidate pool is 10k times
+        # more expensive than one with a single candidate and must count
+        # accordingly for the bound to mean anything.
         self.tested += 1
         self.work += max(1, len(self._candidates))
         if self._budget is not None and self.work > self._budget:
@@ -253,27 +177,16 @@ class _MaskCollectionSearch:
         return None
 
 
-def _count_collections(candidates: Sequence[Motion], cap: Optional[int] = None) -> int:
-    """Count all pairwise-disjoint sub-collections of ``candidates``.
+def _count_collections(masks: Sequence[int], cap: Optional[int] = None) -> int:
+    """Count all pairwise-disjoint sub-collections of the candidate
+    ``masks``.
 
     This is the paper's "all the collections of dense motions containing
     the devices in ``L_k(j)``" (fourth column of Table III).  The empty
     collection is counted.  ``cap`` bounds the count to keep the Table III
-    experiment from running forever on adversarial inputs.
-
-    Candidates are compiled to integer bitmasks (one bit per device that
-    appears in any candidate) so the disjointness test inside the
-    exponential recursion is a single AND.
+    experiment from running forever on adversarial inputs.  The
+    disjointness test inside the exponential recursion is a single AND.
     """
-    cands = list(candidates)
-    devices = sorted({device for cand in cands for device in cand})
-    bit_of = {device: 1 << i for i, device in enumerate(devices)}
-    masks: List[int] = []
-    for cand in cands:
-        mask = 0
-        for device in cand:
-            mask |= bit_of[device]
-        masks.append(mask)
     total = 0
 
     def rec(start: int, union: int) -> bool:
@@ -460,14 +373,6 @@ class Characterizer:
         the whole transition, so several characterizer instances (or
         repeated subset passes) share motion families.  Must be bound to
         ``transition``.
-    kernel:
-        Set-algebra representation of the verdict hot path:
-        ``"bitset"`` (default) runs window enumeration, the neighbourhood
-        split, the candidate pool and the Theorem 7 DFS on integer
-        bitmasks over a per-device :class:`LocalUniverse`;
-        ``"frozenset"`` is the original representation, kept as the
-        equivalence and benchmark baseline.  Verdicts, witnesses and
-        cost counters are identical either way.
     """
 
     def __init__(
@@ -481,7 +386,6 @@ class Characterizer:
         pool_cap: Optional[int] = 1 << 22,
         budget_fallback: bool = False,
         cache: Optional[MotionCache] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self._transition = transition
         self._full_nsc = full_nsc
@@ -490,16 +394,11 @@ class Characterizer:
         self._count_cap = collection_count_cap
         self._pool_cap = pool_cap
         self._budget_fallback = budget_fallback
-        self._kernel = resolve_kernel(kernel)
         if cache is not None and cache.transition is not transition:
             raise ConfigurationError(
                 "shared MotionCache is bound to a different transition"
             )
-        self._cache = (
-            cache
-            if cache is not None
-            else MotionCache(transition, kernel=self._kernel)
-        )
+        self._cache = cache if cache is not None else MotionCache(transition)
         self._subset_tables: Dict[MotionComponent, np.ndarray] = {}
 
     @property
@@ -511,11 +410,6 @@ class Characterizer:
     def cache(self) -> MotionCache:
         """The shared motion-family cache (exposed for instrumentation)."""
         return self._cache
-
-    @property
-    def kernel(self) -> str:
-        """The set-algebra kernel the verdict hot path runs on."""
-        return self._kernel
 
     # ------------------------------------------------------------------
     def characterize(self, device: int) -> Characterization:
@@ -539,9 +433,7 @@ class Characterizer:
             )
 
         cost.dense_motions = len(family.dense)
-        if self._kernel == "bitset":
-            return self._characterize_dense_masks(device, family, cost)
-        return self._characterize_dense_sets(device, family, cost)
+        return self._characterize_dense_masks(device, family, cost)
 
     def _fallback_or_raise(
         self, device: int, cost: CostCounters, error: SearchBudgetExceeded
@@ -555,39 +447,6 @@ class Characterizer:
             rule=DecisionRule.ALGORITHM_3,
             cost=cost,
         )
-
-    def _characterize_dense_sets(
-        self, device: int, family, cost: CostCounters
-    ) -> Characterization:
-        """Theorems 6/7 on the frozenset baseline representation."""
-        before = self._cache.expansions
-        split = split_neighborhood(self._cache, device)
-        cost.neighbor_expansions = self._cache.expansions - before
-
-        # --- Theorem 6: a dense motion inside J_k(j) => massive. ---
-        tau = self._transition.tau
-        for motion in family.dense:
-            if len(motion & split.always_with_j) > tau:
-                return Characterization(
-                    device=device,
-                    anomaly_type=AnomalyType.MASSIVE,
-                    rule=DecisionRule.THEOREM_6,
-                    cost=cost,
-                    witness=(motion,),
-                )
-
-        if not self._full_nsc:
-            return Characterization(
-                device=device,
-                anomaly_type=AnomalyType.UNRESOLVED,
-                rule=DecisionRule.ALGORITHM_3,
-                cost=cost,
-            )
-
-        try:
-            return self._characterize_full(device, family.dense, split, cost)
-        except SearchBudgetExceeded as exc:
-            return self._fallback_or_raise(device, cost, exc)
 
     def _characterize_dense_masks(
         self, device: int, family, cost: CostCounters
@@ -656,39 +515,6 @@ class Characterizer:
         except SearchBudgetExceeded as exc:
             return self._fallback_or_raise(device, cost, exc)
 
-    # ------------------------------------------------------------------
-    def _characterize_full(
-        self,
-        device: int,
-        dense_of_j: Sequence[Motion],
-        split: NeighborhoodSplit,
-        cost: CostCounters,
-    ) -> Characterization:
-        """Theorem 7 / Corollary 8 exact decision (Algorithms 4–5)."""
-        transition = self._transition
-        candidates = self._candidate_pool(device, split)
-        if self._count_all:
-            cost.total_collections = _count_collections(
-                candidates, cap=self._count_cap
-            )
-        search = _CollectionSearch(dense_of_j, candidates, transition.tau, self._budget)
-        counterexample = search.find_counterexample()
-        cost.tested_collections = search.tested
-        if counterexample is None:
-            return Characterization(
-                device=device,
-                anomaly_type=AnomalyType.MASSIVE,
-                rule=DecisionRule.THEOREM_7,
-                cost=cost,
-            )
-        return Characterization(
-            device=device,
-            anomaly_type=AnomalyType.UNRESOLVED,
-            rule=DecisionRule.COROLLARY_8,
-            cost=cost,
-            witness=counterexample,
-        )
-
     def _characterize_full_masks(
         self,
         device: int,
@@ -700,7 +526,7 @@ class Characterizer:
         """Theorem 7 / Corollary 8 exact decision on bitmasks."""
         if self._count_all:
             cost.total_collections = _count_collections(
-                [universe.devices_of(c) for c in candidates], cap=self._count_cap
+                candidates, cap=self._count_cap
             )
         search = _MaskCollectionSearch(
             dense_masks, candidates, self._transition.tau, self._budget
@@ -725,8 +551,10 @@ class Characterizer:
     def _shared_pool(
         self, device: int, d_mask: int, component: MotionComponent
     ) -> List[int]:
-        """:meth:`_candidate_pool` from the device's shared component, as
-        masks over the component's rows (its universe), same order.
+        """The Theorem 7 candidate pool of ``device`` (see the module
+        docstring), read off its shared component as masks over the
+        component's rows (its universe), in canonical order: larger
+        candidates first, ties broken lexicographically on members.
 
         The maximal motions of ``ball \\ {j}`` that meet the component
         are the inclusion-maximal sets among ``M ∩ ball \\ {j}`` over the
@@ -780,9 +608,10 @@ class Characterizer:
     def _candidate_pool_masks(
         self, device: int, d_mask: int, universe: LocalUniverse
     ) -> List[int]:
-        """Mask twin of :meth:`_candidate_pool`: same sets, same order.
+        """The per-device Theorem 7 candidate pool, for devices without a
+        shareable component: the same sets, in the same order, as
+        :meth:`_shared_pool` would return over the component.
 
-        The per-device pool, for devices without a shareable component.
         ``universe`` is seeded with the sorted ``4r`` ball, so bit ``i``
         is ``ball[i]``.  Subsets of each maximal motion of the ball
         without ``j`` are enumerated as local masks over its members —
@@ -799,9 +628,7 @@ class Characterizer:
         region = [x for x in ball if x != device]
         if not region:
             return []
-        maximal, _ = enumerate_maximal_motions(
-            transition, region, kernel=self._kernel
-        )
+        maximal, _ = enumerate_maximal_motions(transition, region)
         pts = transition.combined_of(ball)
         far = np.flatnonzero(
             np.abs(pts - transition.combined_of((device,))).max(axis=1)
@@ -835,8 +662,9 @@ class Characterizer:
                 raise SearchBudgetExceeded(
                     f"candidate pool for device {device} exceeded {cap}"
                 )
-        # Deterministic order matching the frozenset kernel: larger
-        # candidates first, ties broken lexicographically on members.
+        # Canonical order: larger candidates first (the DFS starves
+        # violating motions quickly), ties broken lexicographically on
+        # members.
         return sorted(pool, key=lambda um: (-popcount(um), -pool[um]))
 
     def _qualifying_locals_loop(
@@ -855,58 +683,6 @@ class Characterizer:
             if not transition.is_consistent_motion(subset):
                 out.append(local)
         return out
-
-    def _candidate_pool(self, device: int, split: NeighborhoodSplit) -> List[Motion]:
-        """Enumerate every Theorem 7 collection candidate for ``device``.
-
-        Candidates are all tau-dense motions ``B`` within the ``4r``
-        knowledge ball such that ``device not in B``, ``B`` intersects
-        ``D_k(j)``, and ``B | {device}`` is not an r-consistent motion
-        (see the module docstring for why these filters are WLOG-complete).
-        Every consistent set is a subset of some maximal motion of the
-        ball, so we enumerate maximal motions first and then their
-        qualifying dense subsets.
-        """
-        transition = self._transition
-        tau = transition.tau
-        region = [x for x in transition.knowledge_ball(device) if x != device]
-        if not region:
-            return []
-        maximal, _ = enumerate_maximal_motions(
-            transition, region, kernel=self._kernel
-        )
-        neighborhood = split.dense_neighborhood
-        pool: Set[Motion] = set()
-        for motion in maximal:
-            members = sorted(motion)
-            m = len(members)
-            if m <= tau:
-                continue
-            if self._pool_cap is not None and (1 << m) > self._pool_cap:
-                raise SearchBudgetExceeded(
-                    f"candidate pool for device {device} requires enumerating "
-                    f"2^{m} subsets of one maximal motion (cap {self._pool_cap})"
-                )
-            for mask in range(1, 1 << m):
-                if bin(mask).count("1") <= tau:
-                    continue
-                subset = frozenset(
-                    members[i] for i in range(m) if mask >> i & 1
-                )
-                if subset in pool:
-                    continue
-                if not subset & neighborhood:
-                    continue
-                if transition.is_consistent_motion(subset | {device}):
-                    continue
-                pool.add(subset)
-            if self._pool_cap is not None and len(pool) > self._pool_cap:
-                raise SearchBudgetExceeded(
-                    f"candidate pool for device {device} exceeded {self._pool_cap}"
-                )
-        # Deterministic order: larger candidates first so the DFS starves
-        # violating motions quickly; ties broken lexicographically.
-        return sorted(pool, key=lambda b: (-len(b), tuple(sorted(b))))
 
     # ------------------------------------------------------------------
     def characterize_many(

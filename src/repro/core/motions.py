@@ -20,19 +20,14 @@ the current window placement.  We implement the same scheme:
   windows do not multiply work;
 * results are reduced to inclusion-maximal sets at the end.
 
-Two *kernels* implement the scheme (selected per call, default
-``"bitset"``): the original ``frozenset`` recursion, kept as the
-equivalence/benchmark baseline, and a bitmask kernel whose recursion
-states are ``int`` masks over the candidate rows and whose per-dimension
-sweep replaces per-row NumPy scalar reads with one NumPy argsort per
-dimension at the root, C-sorted column lists plus binary-searched window
-edges inside the recursion, and O(1) prefix-sum window masks.  Both
-kernels examine the same window placements, report identical ``steps``
-and return identical motion lists — the equivalence tests enforce it.
+Recursion states are ``int`` masks over the candidate rows; each
+dimension's sweep sorts once (one NumPy argsort at the root, C-sorted
+column lists inside the recursion), finds window edges by binary search
+and forms each window's mask as an O(1) prefix-sum difference.
 
 Correctness is cross-checked in the test-suite against a brute-force
-enumerator over all subsets (``tests/core/test_motions.py``) and, at the
-characterization level, against the exhaustive partition oracle.
+enumerator over all subsets (:func:`brute_force_maximal_motions`) and,
+at the characterization level, against the exhaustive partition oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.bitset import iter_bits, popcount, resolve_kernel
+from repro.core.bitset import iter_bits, popcount
 from repro.core.errors import UnknownDeviceError
 from repro.core.transition import Transition
 from repro.core.types import MotionFamily
@@ -60,83 +55,12 @@ __all__ = [
 Motion = FrozenSet[int]
 
 
-class _WindowEnumerator:
+class _MaskWindowEnumerator:
     """Recursive sliding-window sweep over the combined coordinates.
 
-    The ``frozenset`` baseline kernel.  One instance handles one
-    (transition, candidate set, anchor) query.  ``steps`` counts window
-    placements; it is surfaced as the machine-independent cost proxy
-    reported in Table III benchmarks.
-    """
-
-    def __init__(
-        self,
-        coords: np.ndarray,
-        width: float,
-        anchor_row: Optional[int],
-        atol: float = 1e-12,
-    ) -> None:
-        self._coords = coords
-        self._width = width
-        self._anchor = anchor_row
-        self._atol = atol
-        self._dims = coords.shape[1]
-        self._memo: Set[Tuple[FrozenSet[int], int]] = set()
-        self._results: Set[FrozenSet[int]] = set()
-        self.steps = 0
-
-    def run(self) -> List[FrozenSet[int]]:
-        """Enumerate and return inclusion-maximal covered sets (row indices)."""
-        m = self._coords.shape[0]
-        if m == 0:
-            return []
-        self._recurse(frozenset(range(m)), 0)
-        return _maximal_only(self._results)
-
-    def _recurse(self, rows: FrozenSet[int], dim: int) -> None:
-        if (rows, dim) in self._memo:
-            return
-        self._memo.add((rows, dim))
-        if not rows:
-            return
-        if dim == self._dims:
-            self._results.add(rows)
-            return
-        order = sorted(rows, key=lambda i: self._coords[i, dim])
-        values = [self._coords[i, dim] for i in order]
-        anchor_value = (
-            self._coords[self._anchor, dim] if self._anchor is not None else None
-        )
-        # A window holds the values with ``value - left <= reach``: the
-        # extent test of Transition.is_consistent_motion, rounded the
-        # same way, so every enumerated motion passes it.
-        reach = self._width + self._atol
-        seen_here: Set[FrozenSet[int]] = set()
-        for start_pos, left in enumerate(values):
-            if start_pos > 0 and left == values[start_pos - 1]:
-                continue  # identical window
-            if anchor_value is not None:
-                # The window [left, left + width] must cover the anchor.
-                if left > anchor_value + self._atol:
-                    break
-                if anchor_value - left > reach:
-                    continue
-            covered = frozenset(
-                order[i]
-                for i in range(start_pos, len(order))
-                if values[i] - left <= reach
-            )
-            self.steps += 1
-            if covered in seen_here:
-                continue
-            if any(covered < other for other in seen_here):
-                continue  # strictly dominated placement in this dimension
-            seen_here.add(covered)
-            self._recurse(covered, dim + 1)
-
-
-class _MaskWindowEnumerator:
-    """Bitmask kernel of the sliding-window sweep.
+    One instance handles one (candidate set, anchor) query.  ``steps``
+    counts window placements; it is surfaced as the machine-independent
+    cost proxy reported in Table III benchmarks.
 
     Recursion states are ``int`` masks over the candidate *rows*
     (always a local universe by construction).  The root node of every
@@ -146,9 +70,9 @@ class _MaskWindowEnumerator:
     ``bisect_right`` on the sorted value list.  Each window's covered
     mask is then a prefix-sum difference — row bits are disjoint, so OR
     over a sorted slice equals subtraction of prefix sums — making a
-    placement O(1) big-int work.  Placement order, memoization,
-    dominance pruning and the ``steps`` counter match
-    :class:`_WindowEnumerator` placement for placement.
+    placement O(1) big-int work.  A placement whose covered mask equals
+    or is dominated by an earlier one in the same dimension is pruned;
+    recursion states are memoized per dimension.
     """
 
     def __init__(
@@ -210,8 +134,8 @@ class _MaskWindowEnumerator:
         # Fast path: the whole node fits one window along this dimension.
         # The first admissible placement covers every row and strictly
         # dominates all later ones, so only it recurses; the remaining
-        # placements are still counted to keep ``steps`` parity with the
-        # one-by-one sweep.
+        # placements are still counted, so ``steps`` counts every
+        # placement the sweep examines either way.
         if values[-1] - values[0] <= reach:
             count = 0
             previous: Optional[float] = None
@@ -292,7 +216,7 @@ def _maximal_only(sets: Iterable[FrozenSet[int]]) -> List[FrozenSet[int]]:
 
 
 def _maximal_only_masks(masks: Iterable[int]) -> List[int]:
-    """Mask twin of :func:`_maximal_only` (dominance = ``a & ~b == 0``)."""
+    """:func:`_maximal_only` on bitmasks (dominance = ``a & ~b == 0``)."""
     ordered = sorted(set(masks), key=popcount, reverse=True)
     out: List[int] = []
     larger_end = 0
@@ -311,8 +235,6 @@ def enumerate_maximal_motions(
     transition: Transition,
     candidates: Sequence[int],
     anchor: Optional[int] = None,
-    *,
-    kernel: Optional[str] = None,
 ) -> Tuple[List[Motion], int]:
     """Enumerate maximal r-consistent motions within ``candidates``.
 
@@ -328,10 +250,6 @@ def enumerate_maximal_motions(
         maximality is relative to motions containing it — which coincides
         with global maximality because any motion containing the anchor
         extends to a maximal one that still contains it (Remark 1).
-    kernel:
-        ``"bitset"`` (default) runs the vectorized mask sweep,
-        ``"frozenset"`` the original set recursion; results and ``steps``
-        are identical either way.
 
     Returns
     -------
@@ -341,7 +259,6 @@ def enumerate_maximal_motions(
         inclusion-maximal r-consistent motion; ``steps`` counts window
         placements examined (cost proxy).
     """
-    kernel = resolve_kernel(kernel)
     ids = sorted(set(int(c) for c in candidates))
     if anchor is not None and anchor not in ids:
         raise UnknownDeviceError(f"anchor {anchor} not among candidates")
@@ -349,32 +266,18 @@ def enumerate_maximal_motions(
         return [], 0
     coords = transition.combined_of(ids)
     anchor_row = ids.index(anchor) if anchor is not None else None
-    if kernel == "bitset":
-        mask_enum = _MaskWindowEnumerator(coords, 2.0 * transition.r, anchor_row)
-        raw_masks = mask_enum.run()
-        if anchor_row is not None:
-            anchor_bit = 1 << anchor_row
-            raw_masks = _maximal_only_masks(
-                m for m in raw_masks if m & anchor_bit
-            )
-        motions = [
-            frozenset(ids[i] for i in iter_bits(mask)) for mask in raw_masks
-        ]
-        steps = mask_enum.steps
-    else:
-        enum = _WindowEnumerator(coords, 2.0 * transition.r, anchor_row)
-        raw = enum.run()
-        motions = [frozenset(ids[i] for i in rows) for rows in raw]
-        if anchor is not None:
-            motions = [m for m in motions if anchor in m]
-            motions = _maximal_only(frozenset(m) for m in motions)
-        steps = enum.steps
+    enum = _MaskWindowEnumerator(coords, 2.0 * transition.r, anchor_row)
+    masks = enum.run()
+    if anchor_row is not None:
+        anchor_bit = 1 << anchor_row
+        masks = _maximal_only_masks(m for m in masks if m & anchor_bit)
+    motions = [frozenset(ids[i] for i in iter_bits(mask)) for mask in masks]
     motions.sort(key=lambda m: (-len(m), tuple(sorted(m))))
-    return motions, steps
+    return motions, enum.steps
 
 
 def maximal_motions_containing(
-    transition: Transition, device: int, *, kernel: Optional[str] = None
+    transition: Transition, device: int
 ) -> Tuple[List[Motion], int]:
     """Return all maximal r-consistent motions (within ``A_k``) containing
     ``device``.
@@ -384,26 +287,22 @@ def maximal_motions_containing(
     containing ``device`` lies within ``2r`` of it at both times.
 
     A *lone* device (``N(device) == (device,)``) skips the sweep: its
-    only motion is ``{device}``, and either kernel would have made
-    exactly one window placement per combined dimension, ``2d`` steps.
+    only motion is ``{device}``, and the sweep would have made exactly
+    one window placement per combined dimension, ``2d`` steps.
     """
     neighborhood = transition.neighborhood(device)
     if neighborhood == (device,):
         return [frozenset(neighborhood)], 2 * transition.dim
-    return enumerate_maximal_motions(
-        transition, neighborhood, anchor=device, kernel=kernel
-    )
+    return enumerate_maximal_motions(transition, neighborhood, anchor=device)
 
 
-def motion_family(
-    transition: Transition, device: int, *, kernel: Optional[str] = None
-) -> MotionFamily:
+def motion_family(transition: Transition, device: int) -> MotionFamily:
     """Build the :class:`MotionFamily` of a device.
 
     Packages ``M(j)`` (all maximal motions through ``j``) together with the
     dense subfamily ``Wbar_k(j)`` (those with more than ``tau`` members).
     """
-    motions, steps = maximal_motions_containing(transition, device, kernel=kernel)
+    motions, steps = maximal_motions_containing(transition, device)
     dense = tuple(m for m in motions if len(m) > transition.tau)
     return MotionFamily(
         device=device,

@@ -53,7 +53,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.bitset import LocalUniverse, iter_bits, resolve_kernel
+from repro.core.bitset import LocalUniverse, iter_bits
 from repro.core.motions import enumerate_maximal_motions, motion_family
 from repro.core.transition import Transition
 from repro.core.types import MotionFamily
@@ -100,14 +100,10 @@ class MotionComponent:
         "_split",
     )
 
-    def __init__(
-        self, transition: Transition, devices: Tuple[int, ...], kernel: str
-    ) -> None:
+    def __init__(self, transition: Transition, devices: Tuple[int, ...]) -> None:
         self.devices = devices
         self.rows: Dict[int, int] = {x: i for i, x in enumerate(devices)}
-        motions, steps = enumerate_maximal_motions(
-            transition, devices, kernel=kernel
-        )
+        motions, steps = enumerate_maximal_motions(transition, devices)
         self.motions: List[Motion] = motions
         rows = self.rows
         self.masks: List[int] = [
@@ -234,10 +230,6 @@ class MotionCache:
     ----------
     transition:
         The transition families are computed against.
-    kernel:
-        Enumeration kernel (``"bitset"`` default / ``"frozenset"``)
-        forwarded to :func:`motion_family`; both produce identical
-        families.
 
     Cross-tick reuse counters: ``carried`` is how many families were
     pre-seeded by :meth:`carry_from`; ``carried_used`` counts the
@@ -249,11 +241,8 @@ class MotionCache:
     once per transition, on its first member's request.
     """
 
-    def __init__(
-        self, transition: Transition, *, kernel: Optional[str] = None
-    ) -> None:
+    def __init__(self, transition: Transition) -> None:
         self._transition = transition
-        self._kernel = resolve_kernel(kernel)
         self._families: Dict[int, MotionFamily] = {}
         self._carried_pending: Set[int] = set()
         self._components: Dict[int, Optional[MotionComponent]] = {}
@@ -266,19 +255,12 @@ class MotionCache:
         """The transition this cache is bound to."""
         return self._transition
 
-    @property
-    def kernel(self) -> str:
-        """The enumeration kernel families are computed with."""
-        return self._kernel
-
     @classmethod
     def carry_from(
         cls,
         previous: "MotionCache",
         transition: Transition,
         devices: Iterable[int],
-        *,
-        kernel: Optional[str] = None,
     ) -> "MotionCache":
         """Build a cache for ``transition`` pre-seeded from ``previous``.
 
@@ -289,7 +271,7 @@ class MotionCache:
         determined by the trajectories of flagged devices within ``2r``
         of its owner, all of which lie inside the unchanged ``4r`` ball.
         """
-        cache = cls(transition, kernel=kernel or previous.kernel)
+        cache = cls(transition)
         families = previous._families
         for device in devices:
             family = families.get(device)
@@ -305,9 +287,7 @@ class MotionCache:
         if fam is None:
             component = self.component(device)
             if component is None:
-                fam = motion_family(
-                    self._transition, device, kernel=self._kernel
-                )
+                fam = motion_family(self._transition, device)
             else:
                 fam = component.family(device, self._transition.tau)
             self._families[device] = fam
@@ -355,9 +335,7 @@ class MotionCache:
         # A non-empty stack means the walk stopped above the bound.
         component = None
         if not stack and len(seen) > 1:
-            component = MotionComponent(
-                self._transition, tuple(sorted(seen)), self._kernel
-            )
+            component = MotionComponent(self._transition, tuple(sorted(seen)))
         for member in seen:
             self._components[member] = component
         return component

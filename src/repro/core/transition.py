@@ -160,7 +160,7 @@ class Transition:
             self._index_cur = self._adopt_index(index_cur, current, "index_cur")
         # Memo of N(j) keyed by (device, radius_factor): both the 2r
         # operating neighbourhood and the 4r knowledge ball are cached, so
-        # _candidate_pool / ablation_locality never recompute the 4r query.
+        # the verdict path and ablation_locality never recompute the 4r query.
         self._neighborhood_cache: Dict[Tuple[int, float], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------

@@ -28,8 +28,7 @@ scalar or an array broadcastable to ``(n, d)``).
 
 Selection registry
 ------------------
-Like the verdict kernels of :mod:`repro.core.bitset`, the detection
-plane is selectable: ``PLANES`` names the implementations ("bank" — the
+The detection plane is selectable: ``PLANES`` names the implementations ("bank" — the
 vectorized default — and "scalar", the reference loop wrapped in
 :class:`ScalarDetectorBank`), and a :class:`DetectorSpec` builds either
 from one config.  Consumers (network monitor, trace replay, the online

@@ -2,7 +2,7 @@
 
 :class:`EngineConfig` bundles the engine's own batching knob with the
 :class:`~repro.core.characterize.Characterizer` parameters (Theorem 7
-budgets, fallback policy, collection counting, kernel), kept here
+budgets, fallback policy, collection counting), kept here
 verbatim so every driver that routes through the engine speaks one
 configuration vocabulary.  The defaults reproduce the characterizer's
 own defaults exactly.
@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional
-
-from repro.core.bitset import KERNELS
-from repro.core.errors import ConfigurationError
 
 __all__ = ["EngineConfig"]
 
@@ -31,10 +28,6 @@ class EngineConfig:
         balls of those with ``|N(j)| > tau`` (the only ones a verdict
         can read), in vectorized passes before characterizing, warming
         the transition's memo.
-    kernel:
-        Set-algebra representation of the verdict hot path: ``"bitset"``
-        (default, integer masks over per-device local universes) or
-        ``"frozenset"`` (the original baseline).  Verdict-identical.
     full_nsc, collection_budget, count_all_collections,
     collection_count_cap, pool_cap, budget_fallback:
         Forwarded verbatim to
@@ -42,7 +35,6 @@ class EngineConfig:
     """
 
     precompute_neighborhoods: bool = True
-    kernel: str = "bitset"
     full_nsc: bool = True
     collection_budget: Optional[int] = None
     count_all_collections: bool = False
@@ -50,16 +42,9 @@ class EngineConfig:
     pool_cap: Optional[int] = 1 << 22
     budget_fallback: bool = False
 
-    def __post_init__(self) -> None:
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
-
     def characterizer_kwargs(self) -> Dict[str, object]:
         """The :class:`Characterizer` keyword arguments this config encodes."""
         return {
-            "kernel": self.kernel,
             "full_nsc": self.full_nsc,
             "collection_budget": self.collection_budget,
             "count_all_collections": self.count_all_collections,

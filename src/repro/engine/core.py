@@ -142,7 +142,7 @@ class CharacterizationEngine:
         if self._cache is None or self._cache.transition is not transition:
             if self._cache is not None:
                 self._folded_expansions += self._cache.expansions
-            self._cache = MotionCache(transition, kernel=self._config.kernel)
+            self._cache = MotionCache(transition)
         return self._cache
 
     def _warm_neighborhoods(

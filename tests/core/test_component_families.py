@@ -2,26 +2,31 @@
 
 :class:`MotionCache` enumerates each 2r-connected component of the
 flagged set once and derives a member's family as the motions that
-contain it; the bitset verdict kernel filters the component's table of
+contain it; the verdict filters the component's table of
 dense motion subsets into each member's Theorem 7 pool.  Both must be
 exact: families equal :func:`motion_family` on every transition — random
 ones, ones whose component exceeds the sharing bound (per-device
 fallback), and shard-like ones truncated at a cut line — and the shared
-pool equals the frozenset kernel's per-device ``_candidate_pool``, down
-to the order that fixes ``tested_collections`` and the witness.
+pool equals the definitional pool (every dense consistent subset of the
+``4r`` ball that avoids ``j``, meets ``D_k(j)`` and is inconsistent with
+``j``), down to the order that fixes ``tested_collections`` and the
+witness.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.characterize import Characterizer
-from repro.core.motions import motion_family
+from repro.core.motions import enumerate_maximal_motions, motion_family
 from repro.core.neighborhood import (
     _COMPONENT_LIMIT,
     MotionCache,
-    split_neighborhood,
+    MotionComponent,
 )
 from repro.core.transition import Snapshot, Transition
 from repro.core.types import DecisionRule
@@ -128,28 +133,43 @@ class TestSharedTheorem7Pool:
                 return t, deep
         pytest.fail("no seed reached Corollary 8")
 
-    def test_pool_verdicts_and_costs_match_frozenset_kernel(self):
+    @staticmethod
+    def _definitional_pool(t, j, d):
+        """Dense subsets of the maximal motions of ``ball \\ {j}`` that
+        meet ``d`` and are inconsistent with ``j``, canonically ordered.
+        Every consistent set lies in some maximal motion."""
+        region = [x for x in t.knowledge_ball(j) if x != j]
+        pool = set()
+        for motion in enumerate_maximal_motions(t, region)[0]:
+            for size in range(t.tau + 1, len(motion) + 1):
+                for subset in combinations(sorted(motion), size):
+                    if d & set(subset) and not t.is_consistent_motion(
+                        subset + (j,)
+                    ):
+                        pool.add(frozenset(subset))
+        return sorted(pool, key=lambda b: (-len(b), sorted(b)))
+
+    def test_pool_verdicts_and_costs_match_the_ball_path(self):
         t, deep = self._theorem7_transition()
         fast = Characterizer(t)
-        slow = Characterizer(
-            Transition(t.previous, t.current, t.flagged, t.r, t.tau),
-            kernel="frozenset",
-        )
+        ball = Characterizer(Transition(t.previous, t.current, t.flagged, t.r, t.tau))
         for j in deep:
             component = fast.cache.component(j)
             got = fast.characterize(j)
-            want = slow.characterize(j)
+            # The per-device ball path, with families from the component.
+            with mock.patch.object(MotionComponent, "split", lambda self, tau: None):
+                want = ball.characterize(j)
             assert component in fast._subset_tables  # the shared pool ran
             assert got.rule == want.rule
             assert got.witness == want.witness
             assert got.cost.tested_collections == want.cost.tested_collections
             assert got.cost.as_dict() == want.cost.as_dict()
             # The pool itself, in order: the shared table filter decoded
-            # against the component equals the per-device enumeration.
-            d_mask = component.universe.mask_of(fast.cache.family(j).neighborhood)
+            # against the component equals the definitional pool.
+            d = fast.cache.family(j).neighborhood
+            d_mask = component.universe.mask_of(d)
             shared = [
                 component.universe.devices_of(c)
                 for c in fast._shared_pool(j, d_mask, component)
             ]
-            split = split_neighborhood(slow.cache, j)
-            assert shared == slow._candidate_pool(j, split)
+            assert shared == self._definitional_pool(t, j, d)

@@ -13,12 +13,16 @@ Two shortcuts share setup work across a tick's flagged set:
   members at once (:class:`ComponentSplit`), and each member's split must
   equal the per-device :func:`split_masks`.
 
-Verdicts, rules, witnesses and cost counters must equal the
-``frozenset`` kernel's, on components of exactly 64 members (shared)
-and of 65 (the per-device ball path).  Coordinates are drawn on a 1/32
-grid, optionally nudged by fractions of ``atol``, so coincident points,
-points exactly ``rho`` apart and points in the sliver past ``rho`` are
-all common.
+Verdicts, rules, witnesses and cost counters must equal those of the
+per-device ball path (:func:`split_masks` plus the per-device candidate
+pool), forced here while families still come from the component, on
+components of exactly 64 members (shared) and of 65 (the ball path
+itself).  Verdicts must also match the omniscient oracle on every device
+whose ``4r`` ball it can classify, and every witness must satisfy the
+definitions (the oracle harness's reference and witness checker).
+Coordinates are drawn on a 1/32 grid, optionally nudged by fractions of
+``atol``, so coincident points, points exactly ``rho`` apart and points
+in the sliver past ``rho`` are all common.
 """
 
 from __future__ import annotations
@@ -34,13 +38,23 @@ from repro.core import geometry
 from repro.core.bitset import LocalUniverse
 from repro.core.characterize import Characterizer
 from repro.core.geometry import GridIndex
-from repro.core.neighborhood import _COMPONENT_LIMIT, MotionCache, split_masks
+from repro.core.neighborhood import (
+    _COMPONENT_LIMIT,
+    MotionCache,
+    MotionComponent,
+    split_masks,
+)
 from repro.core.transition import Snapshot, Transition
+from tests.online.test_oracle_matrix import check_witness, oracle_types
 
 GRID = 32
 ATOL = 1e-12
 #: Nudges in units of ``atol``: inside, on and just past the sliver.
 NUDGES = (-2.0, -0.5, 0.0, 0.2, 0.5, 1.0, 1.5)
+
+#: Largest ``4r`` ball the oracle classifies here (Bell(7) = 877
+#: candidate partitions); larger balls are skipped.
+ORACLE_LIMIT = 7
 
 #: Crossover settings forcing each side of the batch-query dispatch.
 SIDES = {"scan": 1 << 62, "grid": 0}
@@ -264,6 +278,36 @@ def _verdict_view(verdicts):
     }
 
 
+def _ball_path():
+    """Send every dense verdict down the per-device ball path.
+
+    Without a component split the verdict takes :func:`split_masks` and
+    the per-device candidate pool; families still come from the
+    component, so ``window_steps`` — hence ``cost.as_dict()`` — stays
+    comparable with the component path.
+    """
+    return mock.patch.object(MotionComponent, "split", lambda self, tau: None)
+
+
+def _assert_equals_ball_path_and_oracle(transition):
+    """Component path == forced ball path (verdicts, witnesses, costs,
+    expansions); types == the oracle where it can classify; witnesses
+    satisfy the definitions.  Returns the verdicts."""
+    got = Characterizer(transition)
+    got_verdicts = got.characterize_all()
+    want = Characterizer(_fresh(transition))
+    with _ball_path():
+        want_verdicts = want.characterize_all()
+    assert _verdict_view(got_verdicts) == _verdict_view(want_verdicts)
+    assert got.cache.expansions == want.cache.expansions
+    oracle = oracle_types(_fresh(transition), limit=ORACLE_LIMIT)
+    for j, verdict in got_verdicts.items():
+        if oracle[j] is not None:
+            assert verdict.anomaly_type is oracle[j], j
+        check_witness(transition, j, verdict)
+    return got_verdicts
+
+
 def _assert_component_splits_match(transition):
     cache = MotionCache(transition)
     checked = 0
@@ -325,23 +369,12 @@ class TestComponentSplit:
 
     @given(transition=grid_transitions())
     @settings(max_examples=150, deadline=None)
-    def test_verdicts_and_costs_equal_the_frozenset_kernel(self, transition):
-        want = Characterizer(_fresh(transition), kernel="frozenset")
-        got = Characterizer(transition)
-        assert _verdict_view(got.characterize_all()) == _verdict_view(
-            want.characterize_all()
-        )
-        assert got.cache.expansions == want.cache.expansions
+    def test_verdicts_and_costs_equal_the_ball_path(self, transition):
+        _assert_equals_ball_path_and_oracle(transition)
 
     @pytest.mark.parametrize("size", (_COMPONENT_LIMIT, _COMPONENT_LIMIT + 1))
     @pytest.mark.parametrize("tau", (1, 2))
-    def test_chain_verdicts_equal_the_frozenset_kernel(self, size, tau):
+    def test_chain_verdicts_equal_the_ball_path(self, size, tau):
         transition = _chain(size, tau=tau, seed=size + tau)
-        want = Characterizer(_fresh(transition), kernel="frozenset")
-        got = Characterizer(transition)
-        got_verdicts = got.characterize_all()
-        assert _verdict_view(got_verdicts) == _verdict_view(
-            want.characterize_all()
-        )
-        assert got.cache.expansions == want.cache.expansions
-        assert any(c.cost.dense_motions for c in got_verdicts.values())
+        verdicts = _assert_equals_ball_path_and_oracle(transition)
+        assert any(c.cost.dense_motions for c in verdicts.values())

@@ -7,8 +7,8 @@ with ``|N(j)| > tau``, and combined coordinates are gathered per row
 instead of joined for the whole fleet.  Each must be invisible in the
 results:
 
-* a lone device's family equals a direct sweep of ``[j]`` by either
-  enumerator, down to ``window_steps == 2 * dim``;
+* a lone device's family equals a direct sweep of ``[j]``, down to
+  ``window_steps == 2 * dim``;
 * ``combined_of(idx)`` equals the rows of the full ``prev ++ cur`` plane;
 * the engine's verdicts, witnesses, cost counters and stats equal those
   of a fresh per-device :class:`Characterizer`;
@@ -22,14 +22,12 @@ boundary arithmetic is exact.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.characterize import Characterizer
 from repro.core.motions import (
     _MaskWindowEnumerator,
-    _WindowEnumerator,
     all_maximal_motions,
     brute_force_maximal_motions,
     motion_family,
@@ -37,9 +35,8 @@ from repro.core.motions import (
 from repro.core.oracle import oracle_classify
 from repro.core.transition import Snapshot, Transition
 from repro.core.types import DecisionRule
-from repro.engine import CharacterizationEngine, EngineConfig
+from repro.engine import CharacterizationEngine
 
-KERNELS = ("bitset", "frozenset")
 GRID = 32
 
 
@@ -88,20 +85,18 @@ def _lone(transition):
 
 
 class TestLoneFamily:
-    @given(grid_transitions(), st.sampled_from(KERNELS))
+    @given(grid_transitions())
     @settings(max_examples=150, deadline=None)
-    def test_lone_family_equals_direct_sweep(self, transition, kernel):
+    def test_lone_family_equals_direct_sweep(self, transition):
         width = 2.0 * transition.r
         for j in _lone(transition):
             coords = transition.combined_of([j])
             masks = _MaskWindowEnumerator(coords, width, 0)
             assert masks.run() == [1]
-            sets = _WindowEnumerator(coords, width, 0)
-            assert sets.run() == [frozenset({0})]
-            family = motion_family(transition, j, kernel=kernel)
+            family = motion_family(transition, j)
             assert family.motions == (frozenset({j}),)
             assert family.dense == ()
-            assert family.window_steps == masks.steps == sets.steps
+            assert family.window_steps == masks.steps
             assert family.window_steps == 2 * transition.dim
 
     @given(grid_transitions(max_n=10))
@@ -159,12 +154,12 @@ def _verdict_view(verdicts):
 
 
 class TestEngineEqualsPerDevicePath:
-    @given(grid_transitions(), st.sampled_from(KERNELS))
+    @given(grid_transitions())
     @settings(max_examples=120, deadline=None)
-    def test_engine_equals_fresh_characterizer(self, transition, kernel):
-        reference = Characterizer(_fresh(transition), kernel=kernel)
+    def test_engine_equals_fresh_characterizer(self, transition):
+        reference = Characterizer(_fresh(transition))
         want = reference.characterize_all()
-        engine = CharacterizationEngine(EngineConfig(kernel=kernel))
+        engine = CharacterizationEngine()
         got = engine.characterize(transition)
         assert _verdict_view(got) == _verdict_view(want)
         assert engine.stats.as_dict() == {
@@ -182,8 +177,7 @@ class TestEngineEqualsPerDevicePath:
             if len(transition.neighborhood(j)) > transition.tau
         }
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_tau3_small_neighbourhoods_stop_at_theorem5(self, kernel):
+    def test_tau3_small_neighbourhoods_stop_at_theorem5(self):
         # tau = 3: a coordinated pair and a coordinated triple have
         # |N(j)| in {2, 3} and no dense motion, so they stop at
         # Theorem 5 without a 4r ball.  A coordinated group of five
@@ -199,8 +193,8 @@ class TestEngineEqualsPerDevicePath:
         prev = np.array([p for group in groups for p in group]) / GRID
         cur = np.clip(prev + 3 / GRID, 0.0, 1.0)
         t = Transition(Snapshot(prev), Snapshot(cur), range(len(prev)), r, 3)
-        want = Characterizer(_fresh(t), kernel=kernel).characterize_all()
-        got = CharacterizationEngine(EngineConfig(kernel=kernel)).characterize(t)
+        want = Characterizer(_fresh(t)).characterize_all()
+        got = CharacterizationEngine().characterize(t)
         assert _verdict_view(got) == _verdict_view(want)
         for j in range(5):
             assert len(t.neighborhood(j)) in (2, 3)
@@ -212,12 +206,10 @@ class TestEngineEqualsPerDevicePath:
 
 
 class TestOracle:
-    @given(grid_transitions(max_n=8), st.sampled_from(KERNELS))
+    @given(grid_transitions(max_n=8))
     @settings(max_examples=80, deadline=None)
-    def test_engine_matches_oracle(self, transition, kernel):
-        got = CharacterizationEngine(EngineConfig(kernel=kernel)).characterize(
-            transition
-        )
+    def test_engine_matches_oracle(self, transition):
+        got = CharacterizationEngine().characterize(transition)
         oracle = oracle_classify(_fresh(transition))
         for j in transition.flagged_sorted:
             assert got[j].anomaly_type is oracle.type_of(j), j

@@ -99,10 +99,12 @@ class TestMotionSemantics:
         for motion in all_maximal_motions(t):
             assert t.is_consistent_motion(motion)
 
-    @pytest.mark.parametrize("kernel", ["bitset", "frozenset"])
-    def test_sliver_extent_rounds_like_is_consistent_motion(self, kernel):
+    @pytest.mark.parametrize("enumerator", ["bitset", "frozenset"])
+    def test_sliver_extent_rounds_like_is_consistent_motion(self, enumerator):
         # 2r + atol rounds to 0.187500000001.  The pair's extent rounds
         # just under it at k-1 and just over it at k: not a motion.
+        # "bitset" is the sliding-window enumerator; "frozenset" is the
+        # brute-force reference, which tests every frozenset subset.
         pairs = [
             (0.2812499999995, 0.3124999999995),
             (0.4687500000005, 0.5000000000005),
@@ -110,9 +112,10 @@ class TestMotionSemantics:
         t = make_transition_1d(pairs, r=3 / 32, tau=1)
         assert not t.is_consistent_motion([0, 1])
         for anchor in (None, 0, 1):
-            motions, _ = enumerate_maximal_motions(
-                t, range(2), anchor=anchor, kernel=kernel
-            )
+            if enumerator == "bitset":
+                motions, _ = enumerate_maximal_motions(t, range(2), anchor=anchor)
+            else:
+                motions = brute_force_maximal_motions(t, range(2), anchor)
             want = [(0,), (1,)] if anchor is None else [(anchor,)]
             assert canonical(motions) == want
 

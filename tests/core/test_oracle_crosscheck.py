@@ -4,7 +4,9 @@ The central correctness claim of the paper (and of this implementation) is
 that the locally computable conditions of Theorems 5 and 7 and Corollary 8
 classify every device exactly as the omniscient observer would.  These
 tests enumerate all admissible anomaly partitions on random small
-configurations and compare.
+configurations and compare, and check every Theorem 6 and Corollary 8
+witness against the definitions with the oracle harness's checker
+(``tests/online/test_oracle_matrix.py``).
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from repro.core.characterize import Characterizer
 from repro.core.oracle import oracle_classify
 from repro.core.partition import enumerate_anomaly_partitions
 from repro.core.transition import Snapshot, Transition
-from repro.core.types import AnomalyType, DecisionRule
+from repro.core.types import AnomalyType
 from tests.conftest import make_transition_1d, random_clustered_pairs
+from tests.online.test_oracle_matrix import check_witness
 
 
 def _random_transition(seed: int):
@@ -43,6 +46,7 @@ class TestLocalEqualsOracle:
             assert local[device].anomaly_type is oracle.type_of(device), (
                 f"seed={seed} device={device}"
             )
+            check_witness(t, device, local[device])
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -52,6 +56,7 @@ class TestLocalEqualsOracle:
         oracle = oracle_classify(t)
         for device in t.flagged_sorted:
             assert local[device].anomaly_type is oracle.type_of(device)
+            check_witness(t, device, local[device])
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
@@ -111,6 +116,7 @@ class TestCoordinatedGroupsEqualOracle:
             assert local[device].anomaly_type is oracle.type_of(device), (
                 f"sizes={sizes} seed={seed} device={device}"
             )
+            check_witness(t, device, local[device])
         cache = characterizer.cache
         assert any(cache.component(j) is not None for j in range(sum(sizes)))
 
@@ -158,9 +164,4 @@ class TestDecisionRuleSoundness:
     def test_rules_report_correct_type(self, seed):
         t = _random_transition(seed)
         for device, verdict in Characterizer(t).characterize_all().items():
-            if verdict.rule is DecisionRule.THEOREM_5:
-                assert verdict.anomaly_type is AnomalyType.ISOLATED
-            elif verdict.rule in (DecisionRule.THEOREM_6, DecisionRule.THEOREM_7):
-                assert verdict.anomaly_type is AnomalyType.MASSIVE
-            elif verdict.rule is DecisionRule.COROLLARY_8:
-                assert verdict.anomaly_type is AnomalyType.UNRESOLVED
+            check_witness(t, device, verdict)

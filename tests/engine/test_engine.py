@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.characterize import Characterizer
-from repro.core.errors import ConfigurationError
 from repro.engine import CharacterizationEngine, EngineConfig
 from repro.simulation import SimulationConfig, Simulator
 
@@ -39,10 +38,6 @@ class TestEngineConfig:
         assert config.precompute_neighborhoods is True
         assert config.budget_fallback is False
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(kernel="nope")
-
     def test_characterizer_kwargs_roundtrip(self):
         config = EngineConfig(collection_budget=123, budget_fallback=True)
         kwargs = config.characterizer_kwargs()
@@ -51,7 +46,7 @@ class TestEngineConfig:
 
     def test_engine_rejects_config_plus_overrides(self):
         with pytest.raises(TypeError):
-            CharacterizationEngine(EngineConfig(), kernel="bitset")
+            CharacterizationEngine(EngineConfig(), full_nsc=False)
 
 
 class TestSerialEquivalence:
