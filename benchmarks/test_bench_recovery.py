@@ -3,7 +3,9 @@
 Measured at n=10k, 1% churn: a full checkpoint (store planes + tracker
 + verdict map + stats) of a 10k-device service writes in a few
 milliseconds and restores verdict-identically — cheap enough for an
-every-tick cadence.
+every-tick cadence.  A second row feeds the same fleet raw frames
+through the in-service step-threshold bank, so its checkpoint also
+carries the detector state and the last detection (``aux_bytes``).
 
 Every run appends rows to a ``BENCH_recovery.json`` summary written at
 session end (path overridable via ``BENCH_RECOVERY_JSON``); CI merges
@@ -15,15 +17,18 @@ from __future__ import annotations
 import json
 import os
 import time
+import zipfile
 
 import pytest
 
+from repro.detection.banks import default_detector_spec
 from repro.online import (
     LoadGenerator,
     LoadProfile,
     OnlineCharacterizationService,
     ServiceConfig,
     drive_load,
+    drive_load_measurements,
     restore_service,
     save_checkpoint,
 )
@@ -96,6 +101,50 @@ def test_checkpoint_write_and_restore_latency(tmp_path):
             "write_seconds": write_seconds,
             "restore_seconds": restore_seconds,
             "bytes": path.stat().st_size,
+        }
+    )
+
+
+def test_frame_fed_checkpoint_with_detector_bank(tmp_path):
+    cfg = ServiceConfig(r=0.01, tau=3)
+    generator = LoadGenerator(_profile())
+    service = OnlineCharacterizationService(
+        generator.initial_positions(),
+        cfg,
+        detector=default_detector_spec(cfg.r),
+    )
+    with service:
+        drive_load_measurements(service, generator, 3)
+        path = tmp_path / "bench.npz"
+        write_seconds = min(
+            _timed(lambda: save_checkpoint(service, path))
+            for _ in range(3)
+        )
+        reference = _history(
+            drive_load_measurements(service, generator, 1).ticks
+        )
+    restore_seconds, restored = min(
+        (_timed_value(lambda: restore_service(path)) for _ in range(3)),
+        key=lambda pair: pair[0],
+    )
+    with restored:
+        generator2 = LoadGenerator(_profile())
+        generator2.fast_forward(restored.current_tick)
+        resumed = _history(
+            drive_load_measurements(restored, generator2, 1).ticks
+        )
+    assert resumed == reference
+    with zipfile.ZipFile(path) as archive:
+        aux_bytes = archive.getinfo("aux_blob.npy").file_size
+    _SUMMARY_ROWS.append(
+        {
+            "claim": "checkpoint_latency_frame_fed",
+            "n": N,
+            "detector": "step",
+            "write_seconds": write_seconds,
+            "restore_seconds": restore_seconds,
+            "bytes": path.stat().st_size,
+            "aux_bytes": aux_bytes,
         }
     )
 

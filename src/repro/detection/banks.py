@@ -26,6 +26,17 @@ and hypothesis property tests per family, including warm-up boundaries
 and heterogeneous per-device parameters (every bank parameter may be a
 scalar or an array broadcastable to ``(n, d)``).
 
+Only state is fleet-sized
+-------------------------
+A bank keeps each parameter at the shape it was given (a scalar stays
+0-d) and lets NumPy broadcast it; broadcasting applies the same IEEE
+operation per element, so this is bit-identical to a full ``(n, d)``
+copy.  The threshold banks compute only ``abnormal`` per tick: their
+forecasts, residuals and scores are derived on first read (see
+:class:`BankDetection`).  The per-tick cost and a checkpoint's bytes
+then follow the recurrences' real state, not the fleet times every
+constant.
+
 Selection registry
 ------------------
 The detection plane is selectable: ``PLANES`` names the implementations ("bank" — the
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -120,17 +132,26 @@ def resolve_family(family: Optional[str]) -> str:
 # ----------------------------------------------------------------------
 # Batch detection result
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+#: ``(forecasts, residuals, scores)``, each ``(n, d)`` float.
+Planes = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _idle_planes(shape: Tuple[int, int]) -> Planes:
+    """Warm-up planes: no forecast, no residual, zero score."""
+    return np.full(shape, np.nan), np.full(shape, np.nan), np.zeros(shape)
+
+
 class BankDetection:
     """Outcome of feeding one ``(n, d)`` QoS snapshot to a bank.
 
     Attributes
     ----------
     positions:
-        The observed snapshot, ``(n, d)`` float.  Aliases the validated
-        input array (no defensive copy — a tick's snapshot is fresh by
-        construction, and copying five fleet-sized arrays per tick is
-        exactly the per-tick retention the banks exist to avoid).
+        The observed snapshot, ``(n, d)`` float.  A bank that retains
+        the snapshot hands out that very copy (the step-threshold bank
+        keeps it as its next baseline), so a checkpoint pickles the
+        plane once; the other banks alias the validated input (no
+        defensive copy — a tick's snapshot is fresh by construction).
     abnormal:
         Per-service verdicts, ``(n, d)`` bool.
     flags:
@@ -144,14 +165,66 @@ class BankDetection:
         scalar detector would return ``forecast=None`` (warm-up).
     residuals:
         ``observed - forecast``, ``(n, d)`` float; ``NaN`` during warm-up.
+
+    ``planes`` is the ``(forecasts, residuals, scores)`` tuple or a
+    picklable zero-argument callable returning it.  The threshold banks
+    pass a callable (a :func:`functools.partial` of a module-level
+    function over arrays the detection already references and nobody
+    mutates), so the three planes are computed on first read with the
+    bank's own expressions — bit-identical to eager ones — and a pickled
+    detection carries the recipe, never the derived planes.  Attributes
+    are read-only by contract.
     """
 
-    positions: np.ndarray
-    abnormal: np.ndarray
-    flags: np.ndarray
-    scores: np.ndarray
-    forecasts: np.ndarray
-    residuals: np.ndarray
+    __slots__ = ("positions", "abnormal", "flags", "_derive", "_planes")
+
+    def __init__(
+        self,
+        positions: np.ndarray,
+        abnormal: np.ndarray,
+        flags: np.ndarray,
+        planes: Union[Planes, Callable[[], Planes]],
+    ) -> None:
+        self.positions = positions
+        self.abnormal = abnormal
+        self.flags = flags
+        if callable(planes):
+            self._derive: Optional[Callable[[], Planes]] = planes
+            self._planes: Optional[Planes] = None
+        else:
+            self._derive = None
+            self._planes = tuple(planes)
+
+    def _derived(self) -> Planes:
+        if self._planes is None:
+            self._planes = self._derive()
+        return self._planes
+
+    @property
+    def forecasts(self) -> np.ndarray:
+        return self._derived()[0]
+
+    @property
+    def residuals(self) -> np.ndarray:
+        return self._derived()[1]
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self._derived()[2]
+
+    def __reduce__(self):
+        planes = self._planes if self._derive is None else self._derive
+        return (BankDetection, (self.positions, self.abnormal, self.flags, planes))
+
+    def __setstate__(self, state: Dict[str, np.ndarray]) -> None:
+        # Pickles written while this was a frozen dataclass restore a
+        # bare instance from its six-field dict, planes eager.
+        self.__init__(
+            state["positions"],
+            state["abnormal"],
+            state["flags"],
+            (state["forecasts"], state["residuals"], state["scores"]),
+        )
 
     def flagged_devices(self) -> List[int]:
         """Sorted device ids whose flag is raised."""
@@ -235,7 +308,7 @@ class DetectorBank(abc.ABC):
             raise ConfigurationError(
                 "QoS samples must lie in [0, 1] (NaN is not a sample)"
             )
-        abnormal, forecasts, residuals, scores = self._observe(arr)
+        positions, abnormal, planes = self._observe(arr)
         self._seen += 1
         # Raise count summed one service column at a time (several times
         # cheaper than count_nonzero(axis=1) on an (n, d) frame, small d);
@@ -244,21 +317,16 @@ class DetectorBank(abc.ABC):
         for k in range(self._d):
             raised += abnormal[:, k]
         flags = raised >= self._min_raise
-        return BankDetection(
-            positions=arr,
-            abnormal=abnormal,
-            flags=flags,
-            scores=scores,
-            forecasts=forecasts,
-            residuals=residuals,
-        )
+        return BankDetection(positions, abnormal, flags, planes)
 
     @abc.abstractmethod
     def _observe(
         self, values: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Consume one validated snapshot; return per-service
-        ``(abnormal, forecasts, residuals, scores)`` arrays."""
+    ) -> Tuple[np.ndarray, np.ndarray, Union[Planes, Callable[[], Planes]]]:
+        """Consume one validated snapshot; return ``(positions, abnormal,
+        planes)``: the snapshot as the detection reports it (``values``
+        or the bank's retained copy), the per-service verdicts, and the
+        :class:`BankDetection` planes or a recipe deriving them."""
 
     def reset(self) -> None:
         """Forget all state (subclasses must extend)."""
@@ -309,7 +377,7 @@ class ScalarDetectorBank(DetectorBank):
                     forecasts[i, j] = det.forecast
                 if det.residual is not None:
                     residuals[i, j] = det.residual
-        return abnormal, forecasts, residuals, scores
+        return values, abnormal, (forecasts, residuals, scores)
 
     def reset(self) -> None:
         super().reset()
@@ -324,7 +392,8 @@ class ArrayDetectorBank(DetectorBank):
     Every constructor parameter of the matching scalar detector may be
     given as a scalar or as an array broadcastable to ``(n, d)`` —
     heterogeneous per-device (or per-service) parameterizations cost
-    nothing extra.  Validation mirrors the scalar constructors
+    nothing extra.  Parameters keep their given shape and broadcast in
+    the update arithmetic.  Validation mirrors the scalar constructors
     elementwise.
     """
 
@@ -344,15 +413,18 @@ class ArrayDetectorBank(DetectorBank):
             raise ConfigurationError("warmup must be >= 0 everywhere")
 
     def _param(self, value, dtype=float) -> np.ndarray:
-        """Broadcast one parameter to the ``(n, d)`` state shape."""
-        arr = np.asarray(value, dtype=dtype)
+        """Own copy of one parameter, checked to broadcast to ``(n, d)``."""
+        arr = np.array(value, dtype=dtype)
         try:
-            return np.broadcast_to(arr, self.shape).copy()
-        except ValueError as exc:
+            fits = np.broadcast_shapes(arr.shape, self.shape) == self.shape
+        except ValueError:
+            fits = False
+        if not fits:
             raise ConfigurationError(
                 f"parameter of shape {arr.shape} does not broadcast to "
                 f"{self.shape}"
-            ) from exc
+            )
+        return arr
 
     def _require(self, condition: np.ndarray, message: str) -> None:
         """Elementwise constructor validation, scalar-error compatible."""
@@ -360,14 +432,36 @@ class ArrayDetectorBank(DetectorBank):
             raise ConfigurationError(message)
 
     def _warmed(self) -> np.ndarray:
-        """``(n, d)`` mask of elements past their warm-up (pre-increment
-        sample count, exactly like the scalar template method)."""
+        """Mask of elements past their warm-up (pre-increment sample
+        count, exactly like the scalar template method), at the warm-up
+        parameter's shape."""
         return self._seen >= self._warmup
 
 
 # ----------------------------------------------------------------------
 # Threshold banks
 # ----------------------------------------------------------------------
+def _step_planes(values, last, active, max_step) -> Planes:
+    """Step-threshold planes of one post-baseline observation."""
+    resid = values - last
+    return (
+        np.where(active, last, np.nan),
+        np.where(active, resid, np.nan),
+        np.where(active, np.abs(resid) / max_step, 0.0),
+    )
+
+
+def _band_planes(values, active, center, half) -> Planes:
+    """Band-threshold planes of one observation."""
+    resid = values - center
+    return (
+        np.where(active, np.broadcast_to(center, values.shape), np.nan),
+        np.where(active, resid, np.nan),
+        # half > 0 by construction (low < high strictly).
+        np.where(active, np.abs(resid) / half, 0.0),
+    )
+
+
 class StepThresholdBank(ArrayDetectorBank):
     """Vectorized :class:`~repro.detection.threshold.StepThresholdDetector`."""
 
@@ -394,22 +488,16 @@ class StepThresholdBank(ArrayDetectorBank):
         self._last: Optional[np.ndarray] = None
 
     def _observe(self, values):
-        n, d = self.shape
-        abnormal = np.zeros((n, d), dtype=bool)
-        forecasts = np.full((n, d), np.nan)
-        residuals = np.full((n, d), np.nan)
-        scores = np.zeros((n, d))
         last = self._last
+        # The retained baseline doubles as the detection's positions.
         self._last = values.copy()
-        if last is not None:
-            active = self._warmed()
-            resid = values - last
-            magnitude = np.abs(resid)
-            abnormal = active & (magnitude > self._max_step)
-            forecasts = np.where(active, last, np.nan)
-            residuals = np.where(active, resid, np.nan)
-            scores = np.where(active, magnitude / self._max_step, 0.0)
-        return abnormal, forecasts, residuals, scores
+        if last is None:
+            abnormal = np.zeros(self.shape, dtype=bool)
+            return self._last, abnormal, partial(_idle_planes, self.shape)
+        active = self._warmed()
+        abnormal = active & (np.abs(values - last) > self._max_step)
+        planes = partial(_step_planes, self._last, last, active, self._max_step)
+        return self._last, abnormal, planes
 
     def reset(self) -> None:
         super().reset()
@@ -446,13 +534,9 @@ class BandThresholdBank(ArrayDetectorBank):
 
     def _observe(self, values):
         active = self._warmed()
-        resid = values - self._center
         abnormal = active & ((values < self._low) | (values > self._high))
-        forecasts = np.where(active, self._center, np.nan)
-        residuals = np.where(active, resid, np.nan)
-        # half > 0 by construction (low < high strictly).
-        scores = np.where(active, np.abs(resid) / self._half, 0.0)
-        return abnormal, forecasts, residuals, scores
+        planes = partial(_band_planes, values, active, self._center, self._half)
+        return values, abnormal, planes
 
 
 # ----------------------------------------------------------------------
@@ -494,12 +578,8 @@ class EwmaBank(ArrayDetectorBank):
         n, d = self.shape
         if self._mean is None:
             self._mean = values.copy()
-            return (
-                np.zeros((n, d), dtype=bool),
-                np.full((n, d), np.nan),
-                np.full((n, d), np.nan),
-                np.zeros((n, d)),
-            )
+            abnormal = np.zeros((n, d), dtype=bool)
+            return values, abnormal, partial(_idle_planes, self.shape)
         forecasts = self._mean.copy()
         residuals = values - forecasts
         std = np.maximum(np.sqrt(self._var), self._min_std)
@@ -517,7 +597,7 @@ class EwmaBank(ArrayDetectorBank):
             (1 - alpha) * (self._var + alpha * residuals * residuals),
             self._var,
         )
-        return abnormal, forecasts, residuals, scores
+        return values, abnormal, (forecasts, residuals, scores)
 
     def reset(self) -> None:
         super().reset()
@@ -619,7 +699,7 @@ class ShewhartBank(ArrayDetectorBank):
         self._head = np.where(
             append & ~grow, (self._head + 1) % self._window, self._head
         )
-        return abnormal, forecasts, residuals, scores
+        return values, abnormal, (forecasts, residuals, scores)
 
     def reset(self) -> None:
         super().reset()
@@ -659,10 +739,7 @@ class CusumBank(ArrayDetectorBank):
         self._reset_on_alarm = self._param(reset_on_alarm, dtype=bool)
         # NaN marks "mu not yet known" (scalar: `self._mu is None`);
         # a fixed mu disables learning for that element.
-        if mu is None:
-            self._mu_fixed = np.full(self.shape, np.nan)
-        else:
-            self._mu_fixed = self._param(mu)
+        self._mu_fixed = self._param(np.nan if mu is None else mu)
         self._learn = np.isnan(self._mu_fixed)
         self._mu = self._mu_fixed.copy()
         self._warmup_sum = np.zeros(self.shape)
@@ -704,7 +781,7 @@ class CusumBank(ArrayDetectorBank):
         forecasts = np.where(active, mu_safe, np.nan)
         residuals = np.where(active, deviation, np.nan)
         scores = np.where(active, scores_full, 0.0)
-        return abnormal, forecasts, residuals, scores
+        return values, abnormal, (forecasts, residuals, scores)
 
     def reset(self) -> None:
         super().reset()
@@ -767,12 +844,8 @@ class HoltWintersBank(ArrayDetectorBank):
         n, d = self.shape
         if self._level is None:
             self._level = values.copy()
-            return (
-                np.zeros((n, d), dtype=bool),
-                np.full((n, d), np.nan),
-                np.full((n, d), np.nan),
-                np.zeros((n, d)),
-            )
+            abnormal = np.zeros((n, d), dtype=bool)
+            return values, abnormal, partial(_idle_planes, self.shape)
         if self._seen == 1:
             # Second sample initializes the trend, fleet-wide (banks feed
             # every element in lockstep, so the scalar per-detector sample
@@ -798,7 +871,7 @@ class HoltWintersBank(ArrayDetectorBank):
         self._level = np.where(track, level_new, self._level)
         self._trend = np.where(track, trend_new, self._trend)
         self._deviation = np.where(track, dev_new, self._deviation)
-        return abnormal, forecasts, residuals, scores
+        return values, abnormal, (forecasts, residuals, scores)
 
     def reset(self) -> None:
         super().reset()
@@ -851,7 +924,7 @@ class KalmanBank(ArrayDetectorBank):
         """Current ``(estimate, variance)`` arrays of the filtered level."""
         return (
             None if self._x is None else self._x.copy(),
-            self._p.copy(),
+            np.broadcast_to(self._p, self.shape).copy(),
         )
 
     def _observe(self, values):
@@ -860,12 +933,8 @@ class KalmanBank(ArrayDetectorBank):
             # First observation initializes the state directly.
             self._x = values.copy()
             self._p = self._rho.copy()
-            return (
-                np.zeros((n, d), dtype=bool),
-                np.full((n, d), np.nan),
-                np.full((n, d), np.nan),
-                np.zeros((n, d)),
-            )
+            abnormal = np.zeros((n, d), dtype=bool)
+            return values, abnormal, partial(_idle_planes, self.shape)
         x_pred = self._x
         p_pred = self._p + self._q
         innovation = values - x_pred
@@ -876,7 +945,7 @@ class KalmanBank(ArrayDetectorBank):
         gain = p_pred / s
         self._x = np.where(gated, x_pred, x_pred + gain * innovation)
         self._p = np.where(gated, p_pred, (1 - gain) * p_pred)
-        return abnormal, x_pred, innovation, raw / self._nsigma
+        return values, abnormal, (x_pred, innovation, raw / self._nsigma)
 
     def reset(self) -> None:
         super().reset()

@@ -11,7 +11,17 @@ spatially sharded :class:`~repro.online.sharded.ShardedService`:
   tally and the :class:`~repro.online.service.ServiceConfig`;
 * the front door's state, pickled into ``uint8`` blobs: the pending
   ingest queue and ``aux`` (the detector bank — its window state decides
-  every future flag — the last detection and caller extras);
+  every future flag — the last detection and caller extras).  ``aux``
+  is one pickle, so an array referenced twice is written once.  Bank
+  parameters travel at their given shape (0-d for a homogeneous fleet).
+  The last :class:`~repro.detection.banks.BankDetection` travels as its
+  positions, ``abnormal`` and ``flags`` plus, for the threshold banks,
+  the recipe its forecasts, residuals and scores derive from — never
+  the derived planes.  The step-threshold bank's baseline *is* the
+  detection's positions, so a frame-fed checkpoint writes the fleet's
+  positions twice in all (the store's ``cur`` and this shared plane)
+  plus the previous baseline.  Checkpoints written with full ``(n, d)``
+  parameters and an eager detection still load;
 * one *part* per store partition, its keys prefixed ``part{k}_``: the
   columnar :class:`~repro.online.store.DeviceStateStore` planes (both
   snapshots, flags, verdict codes, the id↔row table and free list)

@@ -424,10 +424,10 @@ def drive_load_measurements(
             with tracer.span("ingest"):
                 for update in generator.tick_updates():
                     positions[update.device] = update.position
-            # Ship a per-tick copy: BankDetection.positions aliases the
-            # fed array, so reusing one mutable buffer would
-            # retroactively rewrite every retained detection to the
-            # final tick's state.
+            # Ship a per-tick copy: BankDetection.positions (and the
+            # band bank's lazily derived planes) may alias the fed
+            # array, so reusing one mutable buffer would retroactively
+            # rewrite retained detections to the final tick's state.
             result.ticks.append(service.feed_measurements(positions.copy()))
     result.elapsed_seconds = run.seconds
     tracer.drain_stages()

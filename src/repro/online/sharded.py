@@ -55,9 +55,14 @@ is exact iff the local transition contains every flagged device ``i``
 in ``j``'s transition neighbourhood, and that neighbourhood *intersects*
 prev-side and cur-side ``4r`` balls — any qualifying ``i`` has its
 **current** position within ``4r`` of ``j``'s, which lies in the box, so
-``i``'s current cell is within ``rings`` cells of the box and the
-``halo_rings = rings + 1`` band (one spare ring absorbing the indexes'
-``1e-12`` query tolerance) contains it.  Devices that are prev-near but
+``i``'s current cell is within ``rings`` cells of the box, and the
+``halo_rings = rings`` band contains it.  That band already absorbs the
+indexes' ``1e-12`` query tolerance: points whose cells are ``D`` apart
+are more than ``(D - 1) * cell`` apart, and the tracker's ``rings =
+floor(4r / cell + 1e-9) + 1`` leaves ``rings * cell - 4r`` at a full
+cell for the service's ``cell = 2r`` (``4r / cell`` is exactly 2 while
+``2r`` is above the ``1e-6`` cell floor), so a device at key distance
+``rings + 1`` is at least ``4r + cell`` away, far past ``4r + 1e-12``.  Devices that are prev-near but
 cur-far are dropped by the intersection on both sides of the
 decomposition, and extra halo members are harmless supersets.  See
 DESIGN.md ("Sharded topology") for the full argument.
@@ -764,13 +769,13 @@ class ShardedService:
         tracker_probe = DirtyRegionTracker(
             cell=cfg.cell, influence_radius=4.0 * cfg.r
         )
-        # One spare ring on top of the influence band absorbs the grid
-        # indexes' 1e-12 query tolerance at cell-boundary extremes.
+        # The dirty band's rings already clear 4r by a full cell, which
+        # covers the grid indexes' 1e-12 query tolerance (module doc).
         self._map = ShardMap(
             topology_shards,
             cell=cfg.cell,
             dim=self._dim,
-            halo_rings=tracker_probe.rings + 1,
+            halo_rings=tracker_probe.rings,
         )
         keys = np.floor(pts / cfg.cell).astype(np.int64)
         owners = self._map.shard_of_keys(keys)

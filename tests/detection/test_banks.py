@@ -11,10 +11,15 @@ ways:
 * hypothesis property tests per family, sweeping series shape, warm-up
   boundaries, constant series and parameter corners;
 * heterogeneous per-device parameter arrays against individually
-  configured scalar detectors.
+  configured scalar detectors, for every parameter shape that
+  broadcasts to ``(n, d)`` (kept compact, never materialized);
+* pickling mid-stream: a restored bank and its last detection continue
+  bit-identically to the original.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -448,3 +453,103 @@ class TestSpecAndRegistry:
         assert detection.abnormal_services(1) == (0,)
         assert detection.max_scores.shape == (3,)
         assert detection.max_scores[1] > 1.0
+
+
+# ----------------------------------------------------------------------
+# Compact parameters, lazy planes and pickling
+# ----------------------------------------------------------------------
+def _assert_same_detection(got, want, where):
+    for name in ("positions", "abnormal", "flags"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), (
+            where,
+            name,
+        )
+    for name in ("forecasts", "residuals", "scores"):
+        assert np.array_equal(
+            getattr(got, name), getattr(want, name), equal_nan=True
+        ), (where, name)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("plane", PLANES)
+def test_pickled_bank_continues_bit_identically(family, plane):
+    rng = np.random.default_rng(7 + hash(family) % 2**32)
+    series = np.clip(rng.normal(0.7, 0.12, (24, 5, 2)), 0.0, 1.0)
+    series[14:17, 2, 0] = 0.05  # something to flag after the cut
+    bank = SPECS[family].bank(5, 2, plane=plane)
+    for k in range(10):
+        detection = bank.observe_batch(series[k])
+    # A checkpoint pickles bank and last detection together.
+    copy, copy_detection = pickle.loads(pickle.dumps((bank, detection)))
+    _assert_same_detection(copy_detection, detection, "restored detection")
+    assert copy.samples_seen == bank.samples_seen
+    for k in range(10, 24):
+        _assert_same_detection(
+            copy.observe_batch(series[k]), bank.observe_batch(series[k]), k
+        )
+
+
+def test_pickled_detection_carries_the_recipe_not_the_planes():
+    bank = SPECS["step"].bank(200, 2)
+    bank.observe_batch(np.full((200, 2), 0.5))
+    detection = bank.observe_batch(np.full((200, 2), 0.52))
+    before = len(pickle.dumps(detection))
+    detection.scores  # derive all three planes
+    assert len(pickle.dumps(detection)) == before
+    # The detection's snapshot is the bank's retained baseline.
+    assert detection.positions is bank._last
+
+
+#: family -> (parameter swept heterogeneously, sampler of its values)
+HETEROGENEOUS = {
+    "step": ("max_step", lambda rng, shape: rng.uniform(0.02, 0.2, shape)),
+    "band": ("low", lambda rng, shape: rng.uniform(0.1, 0.6, shape)),
+    "ewma": ("alpha", lambda rng, shape: rng.uniform(0.1, 0.9, shape)),
+    "shewhart": ("window", lambda rng, shape: rng.integers(2, 8, shape)),
+    "cusum": ("threshold", lambda rng, shape: rng.uniform(0.04, 0.2, shape)),
+    "holt-winters": ("band", lambda rng, shape: rng.uniform(1.0, 3.0, shape)),
+    "kalman": ("nsigma", lambda rng, shape: rng.uniform(1.0, 3.0, shape)),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("shape", [(4, 3), (4, 1), (3,), ()])
+def test_heterogeneous_parameter_shapes(family, shape):
+    """Any broadcastable shape matches per-element scalar detectors and is
+    kept at its given shape, not broadcast to ``(n, d)``."""
+    n, d = 4, 3
+    name, sample = HETEROGENEOUS[family]
+    rng = np.random.default_rng(len(shape) + hash(family) % 2**32)
+    value = sample(rng, shape)
+    spec = SPECS[family].replace(**{name: value})
+    bank = spec.bank(n, d)
+    assert getattr(bank, "_" + name).shape == shape
+    full = np.broadcast_to(value, (n, d))
+    scalars = [
+        [spec.replace(**{name: full[i, j].item()}).scalar() for j in range(d)]
+        for i in range(n)
+    ]
+    series = np.clip(rng.normal(0.6, 0.15, (20, n, d)), 0.0, 1.0)
+    series[12:14, 1, :] = 0.05
+    for k in range(20):
+        got = bank.observe_batch(series[k])
+        for i in range(n):
+            for j in range(d):
+                want = scalars[i][j].update(float(series[k, i, j]))
+                where = (k, i, j)
+                assert bool(got.abnormal[i, j]) == want.abnormal, where
+                assert got.scores[i, j] == want.score, where
+                for plane, ref in (
+                    (got.forecasts, want.forecast),
+                    (got.residuals, want.residual),
+                ):
+                    if ref is None:
+                        assert np.isnan(plane[i, j]), where
+                    else:
+                        assert plane[i, j] == ref, where
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 2), (2, 4, 3), (1, 4, 3)])
+def test_non_broadcastable_parameter_rejected(shape):
+    with pytest.raises(ConfigurationError):
+        DetectorSpec("step", {"max_step": np.full(shape, 0.1)}).bank(4, 3)

@@ -8,8 +8,11 @@ corruption) and the :class:`CheckpointWriter` cadence/retention sink.
 
 from __future__ import annotations
 
+import copyreg
+import functools
 import json
 import os
+import pickle
 import stat
 import subprocess
 import sys
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import CheckpointError, ConfigurationError
-from repro.detection.banks import DetectorSpec
+from repro.detection.banks import BankDetection, DetectorSpec
 from repro.online import (
     CheckpointWriter,
     LoadGenerator,
@@ -408,6 +411,162 @@ class TestFormat:
             path = service.checkpoint(tmp_path / "ck.npz")
         with pytest.raises(CheckpointError, match="single"):
             restore_sharded_service(path)
+
+
+#: The frame-fed services' detector, tight enough that the load raises flags.
+STEP = DetectorSpec("step", {"max_step": 0.1})
+
+DETECTION_FIELDS = (
+    "positions", "abnormal", "flags", "scores", "forecasts", "residuals",
+)
+
+
+def _frame_fed(kind):
+    """A ``single`` or process-sharded service that runs its own bank."""
+    generator = LoadGenerator(PROFILE)
+    cfg = ServiceConfig(r=0.05, tau=2)
+    if kind == "single":
+        service = OnlineCharacterizationService(
+            generator.initial_positions(), cfg, detector=STEP
+        )
+    else:
+        service = ShardedService(
+            generator.initial_positions(),
+            cfg,
+            topology_shards=2,
+            topology_workers=kind,
+            detector=STEP,
+        )
+    return service, generator
+
+
+def _assert_same_detection(got, want):
+    for name in DETECTION_FIELDS:
+        assert np.array_equal(
+            getattr(got, name), getattr(want, name), equal_nan=True
+        ), name
+
+
+def _ndarrays(obj, seen):
+    """Every ndarray reachable from ``obj`` (attributes, slots, containers,
+    partial arguments), each once."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, functools.partial):
+        children = [*obj.args, *obj.keywords.values()]
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+        for cls in type(obj).__mro__:
+            for slot in getattr(cls, "__slots__", ()):
+                if hasattr(obj, slot):
+                    children.append(getattr(obj, slot))
+    for child in children:
+        yield from _ndarrays(child, seen)
+
+
+class _LegacyDetection:
+    """Pickles exactly like the frozen-dataclass ``BankDetection`` that
+    version-2 checkpoints carried before its planes went lazy: a bare
+    instance plus its six-field dict, every plane eager."""
+
+    # The pickler emits NEWOBJ only for an object of the named class.
+    __class__ = BankDetection
+
+    def __init__(self, detection):
+        self._fields = {
+            name: np.array(getattr(detection, name))
+            for name in DETECTION_FIELDS
+        }
+
+    def __reduce__(self):
+        return (copyreg.__newobj__, (BankDetection,), self._fields)
+
+
+def _rewrite_in_legacy_layout(path, legacy_path):
+    """Copy a checkpoint, its detector planes in the older layout: every
+    bank parameter a full ``(n, d)`` copy, the bank's baseline and the
+    detection's positions separate arrays, the detection eager."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    aux = pickle.loads(arrays["aux_blob"].tobytes())
+    bank = aux["bank"]
+    for name, value in vars(bank).items():
+        if isinstance(value, np.ndarray) and value.shape != bank.shape:
+            setattr(bank, name, np.broadcast_to(value, bank.shape).copy())
+    bank._last = bank._last.copy()
+    aux["last_detection"] = _LegacyDetection(aux["last_detection"])
+    arrays["aux_blob"] = np.frombuffer(
+        pickle.dumps(aux, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
+    )
+    np.savez(legacy_path, **arrays)
+
+
+class TestDetectorPlanes:
+    """What a frame-fed checkpoint carries of the detection plane."""
+
+    @pytest.mark.parametrize("kind", ["single", "process"])
+    def test_restored_last_detection_equals_the_original(self, tmp_path, kind):
+        service, generator = _frame_fed(kind)
+        with service:
+            ticks = drive_load_measurements(service, generator, 4).ticks
+            assert any(t.flagged for t in ticks)
+            path = service.checkpoint(tmp_path / "ck.npz")
+            want = service.last_detection
+            restored = _restore_kind(kind, path)
+            with restored:
+                got = restored.last_detection
+                _assert_same_detection(got, want)
+                # One plane serves as the bank's baseline and the
+                # detection's positions, before and after the restore.
+                assert got.positions is restored.bank._last
+
+    def test_aux_blob_holds_at_most_two_position_planes(self, tmp_path):
+        service, generator = _frame_fed("single")
+        with service:
+            drive_load_measurements(service, generator, 4)
+            path = service.checkpoint(tmp_path / "ck.npz")
+            shape = (service.n, service.dim)
+        with np.load(path) as data:
+            aux = pickle.loads(data["aux_blob"].tobytes())
+        planes = [
+            arr
+            for arr in _ndarrays(aux, set())
+            if arr.dtype.kind == "f" and arr.size >= shape[0] * shape[1]
+        ]
+        # The shared positions and the previous baseline the lazy planes
+        # derive from; parameters stay 0-d, the planes are not pickled.
+        assert len(planes) <= 2
+        assert all(arr.shape == shape for arr in planes)
+
+    @pytest.mark.parametrize("kind", ["single", "process"])
+    def test_older_layout_resumes_verdict_identically(self, tmp_path, kind):
+        service, generator = _frame_fed(kind)
+        with service:
+            drive_load_measurements(service, generator, 4)
+            path = service.checkpoint(tmp_path / "ck.npz")
+            reference = drive_load_measurements(service, generator, 3)
+            want_stream = _verdict_stream(reference.ticks)
+            want_detection = service.last_detection
+        legacy = tmp_path / "legacy.npz"
+        _rewrite_in_legacy_layout(path, legacy)
+        ckpt = load_checkpoint(legacy)
+        assert ckpt.bank._max_step.shape == (PROFILE.devices, 2)
+        assert ckpt.last_detection.positions is not ckpt.bank._last
+        restored = _restore_kind(kind, legacy)
+        with restored:
+            generator2 = LoadGenerator(PROFILE)
+            generator2.fast_forward(4)
+            resumed = drive_load_measurements(restored, generator2, 3)
+            assert _verdict_stream(resumed.ticks) == want_stream
+            _assert_same_detection(restored.last_detection, want_detection)
 
 
 class TestWriterAndRetention:

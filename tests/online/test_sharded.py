@@ -393,6 +393,61 @@ class TestHaloCorrectness:
             sharded.close()
 
 
+class TestHaloBandTolerance:
+    """The halo band is the tracker's ``rings`` and needs no spare ring.
+
+    With ``r = 1/32`` (cell ``1/16``, exact in binary) two shards split
+    the 17 cells per axis at cell 9.  Device 0 sits in cell 8, the last
+    of shard 0's box; device 3 sits exactly ``rings = 3`` cells away in
+    shard 1, at Chebyshev distance ``4r + 0.5e-12`` — beyond ``4r`` but
+    inside the indexes' ``1e-12`` query tolerance.  Devices 1 and 2 sit
+    ``2r`` from device 0, so ``{1, 2, 3}`` is a consistent motion that
+    turns device 0's verdict from massive to unresolved: the shard
+    owning device 0 must see device 3 through its halo.
+    """
+
+    R = 1.0 / 32
+    EPS = 0.5e-12
+
+    def _positions(self, with_far):
+        x0 = 0.5625 - self.EPS  # cell 8; the seam is at 9/16
+        offsets = [0.0, 2 * self.R, 2 * self.R]
+        if with_far:
+            offsets.append(4 * self.R + self.EPS)  # cell 11
+        fleet = [(x0 + dx, 0.3) for dx in offsets]
+        filler = [(0.1, 0.9), (0.9, 0.9), (0.1, 0.1), (0.9, 0.1)]
+        return np.array(fleet + filler), len(fleet)
+
+    def _tick(self, service, positions, movers):
+        # The cluster moves as one and raises its flags.
+        for device in range(movers):
+            moved = positions[device] + np.array([0.0, 0.2])
+            service.ingest(QosUpdate(device, tuple(moved), True))
+        return service.end_tick()
+
+    @pytest.mark.parametrize("workers", TOPOLOGIES)
+    def test_device_at_4r_plus_tolerance_across_the_seam(self, workers):
+        cfg = ServiceConfig(r=self.R, tau=2)
+        positions, movers = self._positions(with_far=True)
+        x = positions[:movers, 0]
+        assert int(np.floor(x[0] / cfg.cell)) == 8
+        assert int(np.floor(x[3] / cfg.cell)) == 11
+        assert 4 * self.R < x[3] - x[0] <= 4 * self.R + 1e-12
+        single, sharded = make_pair(positions, cfg, shards=2, workers=workers)
+        try:
+            assert sharded._map.halo_rings == 3
+            want = self._tick(single, positions, movers)
+            assert want.verdicts[0].anomaly_type.name == "UNRESOLVED"
+            assert_same_tick(want, self._tick(sharded, positions, movers))
+        finally:
+            sharded.close()
+        # Without device 3, device 0 is massive: the far device decides.
+        positions, movers = self._positions(with_far=False)
+        alone = OnlineCharacterizationService(positions, cfg)
+        verdict = self._tick(alone, positions, movers).verdicts[0]
+        assert verdict.anomaly_type.name == "MASSIVE"
+
+
 class TestShardedServiceSurface:
     def test_partition_and_sizes(self):
         rng = np.random.default_rng(1)
