@@ -8,16 +8,15 @@ stream ≥ 5x faster than the per-device scalar
 sequences (the banks' bit-exact equivalence contract — the speed means
 nothing if the flags drift).
 
-Every run appends rows to a ``BENCH_detect.json`` summary written at
-module teardown (path overridable via the ``BENCH_DETECT_JSON`` env
-var); CI uploads it as a workflow artifact and ``tools/bench_merge.py``
-folds it into ``BENCH_summary.json``.
+Every run appends rows to ``_SUMMARY_ROWS``; after the module,
+``benchmarks/conftest.py`` writes them to the path in
+``BENCH_DETECT_JSON`` when that variable is set. CI uploads it as a
+workflow artifact and ``tools/bench_merge.py`` folds it into
+``BENCH_summary.json``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -31,17 +30,6 @@ from repro.detection.composite import DeviceMonitor
 SCALES = [(1_000, 2), (1_000, 3), (10_000, 2), (10_000, 3)]
 
 _SUMMARY_ROWS: list = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_summary_artifact():
-    """Collect per-test rows; write the JSON summary after the module."""
-    yield
-    if not _SUMMARY_ROWS:
-        return
-    path = os.environ.get("BENCH_DETECT_JSON", "BENCH_detect.json")
-    with open(path, "w") as handle:
-        json.dump({"benchmark": "detect", "rows": _SUMMARY_ROWS}, handle, indent=2)
 
 
 def _qos_stream(n, d, steps, *, seed=0, anomaly_rate=0.01):

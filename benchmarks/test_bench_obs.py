@@ -24,15 +24,13 @@ End-to-end runs of both arms still pin down verdict identity and the
 presence/absence of per-tick breakdowns, so the measured tracer is the
 one the real pipeline drives, not a synthetic stand-in.
 
-Every run appends one row to a ``BENCH_obs.json`` summary written at
-session end (path overridable via the ``BENCH_OBS_JSON`` env var); CI
-uploads it as a workflow artifact.
+Every run appends one row to ``_SUMMARY_ROWS``; after the module,
+``benchmarks/conftest.py`` writes them to the path in ``BENCH_OBS_JSON``
+when that variable is set. CI uploads it as a workflow artifact.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import pytest
@@ -65,17 +63,6 @@ TICK_STAGES = (
 )
 
 _SUMMARY_ROWS: list = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_summary_artifact():
-    """Collect per-test rows; write the JSON summary after the module."""
-    yield
-    if not _SUMMARY_ROWS:
-        return
-    path = os.environ.get("BENCH_OBS_JSON", "BENCH_obs.json")
-    with open(path, "w") as handle:
-        json.dump({"benchmark": "obs", "rows": _SUMMARY_ROWS}, handle, indent=2)
 
 
 def _run(n, churn, *, traced: bool):

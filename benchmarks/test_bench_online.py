@@ -9,15 +9,14 @@ Two asserted claims, at ``n ∈ {1k, 10k}`` with ~1% per-tick churn:
   recomputes *strictly fewer* neighbourhoods than full per-tick
   recharacterization, and wins wall-clock, on identical update streams.
 
-Every run appends one row to a ``BENCH_online.json`` summary written at
-session end (path overridable via the ``BENCH_ONLINE_JSON`` env var);
-CI uploads it as a workflow artifact.
+Every run appends one row to ``_SUMMARY_ROWS``; after the module,
+``benchmarks/conftest.py`` writes them to the path in
+``BENCH_ONLINE_JSON`` when that variable is set. CI uploads it as a
+workflow artifact.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from unittest import mock
 
@@ -37,17 +36,6 @@ from repro.online import (
 SCALES = [(1_000, 0.01), (10_000, 0.01)]
 
 _SUMMARY_ROWS: list = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_summary_artifact():
-    """Collect per-test rows; write the JSON summary after the module."""
-    yield
-    if not _SUMMARY_ROWS:
-        return
-    path = os.environ.get("BENCH_ONLINE_JSON", "BENCH_online.json")
-    with open(path, "w") as handle:
-        json.dump({"benchmark": "online", "rows": _SUMMARY_ROWS}, handle, indent=2)
 
 
 def _churn_moves(rng, positions, k):

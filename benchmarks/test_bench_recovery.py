@@ -7,19 +7,17 @@ every-tick cadence.  A second row feeds the same fleet raw frames
 through the in-service step-threshold bank, so its checkpoint also
 carries the detector state and the last detection (``aux_bytes``).
 
-Every run appends rows to a ``BENCH_recovery.json`` summary written at
-session end (path overridable via ``BENCH_RECOVERY_JSON``); CI merges
-it into ``BENCH_summary.json`` and uploads both.
+Every run appends rows to ``_SUMMARY_ROWS``; after the module,
+``benchmarks/conftest.py`` writes them to the path in
+``BENCH_RECOVERY_JSON`` when that variable is set. CI merges it into
+``BENCH_summary.json`` and uploads both.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 import zipfile
 
-import pytest
 
 from repro.detection.banks import default_detector_spec
 from repro.online import (
@@ -36,19 +34,6 @@ from repro.online import (
 _SUMMARY_ROWS: list = []
 
 N, CHURN = 10_000, 0.01
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_summary_artifact():
-    """Collect per-test rows; write the JSON summary after the module."""
-    yield
-    if not _SUMMARY_ROWS:
-        return
-    path = os.environ.get("BENCH_RECOVERY_JSON", "BENCH_recovery.json")
-    with open(path, "w") as handle:
-        json.dump(
-            {"benchmark": "recovery", "rows": _SUMMARY_ROWS}, handle, indent=2
-        )
 
 
 def _profile():

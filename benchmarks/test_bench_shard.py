@@ -25,14 +25,14 @@ A 100k-device scaling lane rides behind ``REPRO_BENCH_SHARD_100K=1``
 and a 1M-device smoke behind ``REPRO_BENCH_SHARD_1M=1`` (minutes of
 runtime; off in the default CI lane).
 
-Every run appends rows to a ``BENCH_shard.json`` summary written at
-session end (path overridable via the ``BENCH_SHARD_JSON`` env var);
-CI merges it into ``BENCH_summary.json`` and uploads both.
+Every run appends rows to ``_SUMMARY_ROWS``; after the module,
+``benchmarks/conftest.py`` writes them to the path in
+``BENCH_SHARD_JSON`` when that variable is set. CI merges it into
+``BENCH_summary.json`` and uploads both.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -46,17 +46,6 @@ N = 10_000
 TICKS = 3
 
 _SUMMARY_ROWS: list = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_summary_artifact():
-    """Collect per-test rows; write the JSON summary after the module."""
-    yield
-    if not _SUMMARY_ROWS:
-        return
-    path = os.environ.get("BENCH_SHARD_JSON", "BENCH_shard.json")
-    with open(path, "w") as handle:
-        json.dump({"benchmark": "shard", "rows": _SUMMARY_ROWS}, handle, indent=2)
 
 
 def _stream(n, ticks, seed):

@@ -11,15 +11,14 @@ the per-device compatibility path (:func:`diff_updates` building
 device, list-of-bool flag vectors) that mirrors the pre-refactor object
 store.  Rows also record the store's columnar bytes per device.
 
-Every run appends one row to a ``BENCH_store.json`` summary written at
-session end (path overridable via the ``BENCH_STORE_JSON`` env var);
-CI uploads it as a workflow artifact.
+Every run appends one row to ``_SUMMARY_ROWS``; after the module,
+``benchmarks/conftest.py`` writes them to the path in
+``BENCH_STORE_JSON`` when that variable is set. CI uploads it as a
+workflow artifact.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -38,17 +37,6 @@ CELL = 0.06
 TICKS = 4
 
 _SUMMARY_ROWS: list = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_summary_artifact():
-    """Collect per-test rows; write the JSON summary after the module."""
-    yield
-    if not _SUMMARY_ROWS:
-        return
-    path = os.environ.get("BENCH_STORE_JSON", "BENCH_store.json")
-    with open(path, "w") as handle:
-        json.dump({"benchmark": "store", "rows": _SUMMARY_ROWS}, handle, indent=2)
 
 
 def _stream(n, churn, *, seed=0):

@@ -12,16 +12,14 @@
   1%-churn update streams, while remaining verdict-identical tick by
   tick.
 
-Every run appends rows to a ``BENCH_verdict.json`` summary written at
-module teardown (path overridable via the ``BENCH_VERDICT_JSON`` env
-var); CI uploads it as a workflow artifact and feeds it to
-``tools/bench_merge.py``.
+Every run appends rows to ``_SUMMARY_ROWS``; after the module,
+``benchmarks/conftest.py`` writes them to the path in
+``BENCH_VERDICT_JSON`` when that variable is set. CI uploads it as a
+workflow artifact and feeds it to ``tools/bench_merge.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -37,17 +35,6 @@ from repro.online import OnlineCharacterizationService, QosUpdate, ServiceConfig
 SCALES = [(1_000, 0.1), (10_000, 0.03)]
 
 _SUMMARY_ROWS: list = []
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_summary_artifact():
-    """Collect per-test rows; write the JSON summary after the module."""
-    yield
-    if not _SUMMARY_ROWS:
-        return
-    path = os.environ.get("BENCH_VERDICT_JSON", "BENCH_verdict.json")
-    with open(path, "w") as handle:
-        json.dump({"benchmark": "verdict", "rows": _SUMMARY_ROWS}, handle, indent=2)
 
 
 # ----------------------------------------------------------------------

@@ -103,7 +103,7 @@ def load_part() -> None:
     print(f"scenario run: {stats.ticks} ticks, {stats.updates_applied} events, "
           f"{throughput:,.0f} events/s")
     print(f"recomputed {stats.verdicts_recomputed} verdicts, reused "
-          f"{stats.verdicts_reused}, index reuses {stats.index_reuses}")
+          f"{stats.verdicts_reused}")
     assert stats.verdicts_recomputed > 0
 
     # The columnar store's memory story: a device is a row across a few

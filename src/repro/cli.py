@@ -410,8 +410,7 @@ def _print_service_summary(result, service) -> None:
     )
     print(
         f"totals: updates={total} recomputed={result.total_recomputed} "
-        f"reused={result.total_reused} ({recompute_share:.1f}% recomputed) "
-        f"index_reuses={stats.index_reuses}"
+        f"reused={result.total_reused} ({recompute_share:.1f}% recomputed)"
     )
     print(
         f"motion families: recomputed={stats.families_recomputed} "

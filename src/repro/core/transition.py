@@ -103,17 +103,6 @@ class Transition:
     tau:
         Density threshold in ``[1, n - 1]`` separating isolated from
         massive anomalies (Definition 4).
-    index_prev, index_cur:
-        Optional prebuilt :class:`GridIndex` objects over the *flagged*
-        positions (sorted device order, cell side ``max(2r, 1e-6)``),
-        adopted instead of rebuilding.  Consecutive transitions share
-        index work this way: when the flagged set is unchanged from one
-        interval to the next, the previous transition's
-        :attr:`cur_index` indexes exactly the positions the next
-        transition needs for its ``prev`` side.  Adopted indexes are
-        validated (cell side, shape, and point content) so a stale or
-        mismatched index fails fast instead of corrupting neighbourhood
-        queries.
     """
 
     def __init__(
@@ -123,9 +112,6 @@ class Transition:
         flagged: Iterable[int],
         r: float,
         tau: int,
-        *,
-        index_prev: Optional[GridIndex] = None,
-        index_cur: Optional[GridIndex] = None,
     ) -> None:
         if previous.positions.shape != current.positions.shape:
             raise DimensionMismatchError(
@@ -154,10 +140,6 @@ class Transition:
         self._combined: Optional[np.ndarray] = None
         self._index_prev: Optional[GridIndex] = None
         self._index_cur: Optional[GridIndex] = None
-        if index_prev is not None:
-            self._index_prev = self._adopt_index(index_prev, previous, "index_prev")
-        if index_cur is not None:
-            self._index_cur = self._adopt_index(index_cur, current, "index_cur")
         # Memo of N(j) keyed by (device, radius_factor): both the 2r
         # operating neighbourhood and the 4r knowledge ball are cached, so
         # the verdict path and ablation_locality never recompute the 4r query.
@@ -245,29 +227,6 @@ class Transition:
             return np.zeros((0, self.dim))
         return snapshot.positions[list(self._flagged_sorted)]
 
-    def _adopt_index(
-        self, index: GridIndex, snapshot: Snapshot, label: str
-    ) -> GridIndex:
-        """Validate a prebuilt index against this transition's flagged set.
-
-        The content check is a vectorized ``array_equal`` — far cheaper
-        than the per-point dict build it saves — so reuse cannot silently
-        serve neighbourhoods of the wrong snapshot or flagged set.
-        """
-        expected = self._flagged_points(snapshot)
-        if abs(index.cell - self.index_cell) > 1e-12:
-            raise ConfigurationError(
-                f"{label} has cell side {index.cell}, expected {self.index_cell}"
-            )
-        if index.points.shape != expected.shape or not np.array_equal(
-            index.points, expected
-        ):
-            raise ConfigurationError(
-                f"{label} does not index this transition's flagged positions "
-                f"(shape {index.points.shape}, expected {expected.shape})"
-            )
-        return index
-
     def _indexes(self) -> Tuple[GridIndex, GridIndex]:
         """Lazily build grid indexes over the *flagged* devices."""
         if self._index_prev is None:
@@ -287,11 +246,7 @@ class Transition:
 
     @property
     def cur_index(self) -> GridIndex:
-        """The ``S_k``-side flagged index (built on first access).
-
-        When the next interval's flagged set equals this one's, pass this
-        as that transition's ``index_prev`` to skip one index build.
-        """
+        """The ``S_k``-side flagged index (built on first access)."""
         return self._indexes()[1]
 
     def neighborhood(self, device: int, *, radius_factor: float = 2.0) -> Tuple[int, ...]:
@@ -427,9 +382,6 @@ class Transition:
         flagged: Iterable[int],
         r: float,
         tau: int,
-        *,
-        index_prev: Optional[GridIndex] = None,
-        index_cur: Optional[GridIndex] = None,
     ) -> "Transition":
         """Build a transition over *pre-validated* array views, zero-copy.
 
@@ -447,8 +399,6 @@ class Transition:
             flagged,
             r,
             tau,
-            index_prev=index_prev,
-            index_cur=index_cur,
         )
 
     @classmethod

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -143,8 +143,7 @@ class NetworkMonitor:
         :class:`~repro.online.service.OnlineCharacterizationService`
         instead of recharacterizing every flagged gateway: per-tick QoS
         diffs become events, only verdicts whose ``4r`` neighbourhoods
-        changed are recomputed, and index work is shared across
-        consecutive ticks.  Verdicts are identical either way.
+        changed are recomputed.  Verdicts are identical either way.
     service_config:
         Knobs for the incremental service (``r``/``tau`` are overridden
         with the monitor's own).
@@ -197,9 +196,6 @@ class NetworkMonitor:
             service_config or ServiceConfig(), r=r, tau=tau
         )
         self._service: Optional[OnlineCharacterizationService] = None
-        # Batch-mode index sharing: the previous tick's transition, kept
-        # only while its current snapshot is this tick's previous one.
-        self._last_transition: Optional[Transition] = None
 
     @property
     def injector(self) -> FaultInjector:
@@ -291,7 +287,6 @@ class NetworkMonitor:
         if self._incremental:
             return self._tick_incremental(result, previous, qos, flagged)
         if previous is None or not flagged:
-            self._last_transition = None
             return result
         with tracer.span("transition-build"):
             transition = Transition(
@@ -300,9 +295,7 @@ class NetworkMonitor:
                 flagged,
                 self._r,
                 self._tau,
-                index_prev=self._reusable_prev_index(flagged),
             )
-        self._last_transition = transition
         result.transition = transition
         with tracer.span("verdict"):
             result.verdicts = self._engine.characterize(transition)
@@ -318,18 +311,6 @@ class NetworkMonitor:
                     )
                 )
         return result
-
-    def _reusable_prev_index(self, flagged: Sequence[int]):
-        """The previous tick's current-side index, when it still applies.
-
-        Valid exactly when the last tick built a transition (so its
-        current snapshot is this tick's previous one) over the same
-        flagged set.
-        """
-        last = self._last_transition
-        if last is not None and tuple(flagged) == last.flagged_sorted:
-            return last.cur_index
-        return None
 
     def _tick_incremental(
         self,

@@ -92,7 +92,6 @@ from repro.ipc import (
 )
 from repro.obs.trace import Tracer
 from repro.online.store import (
-    NO_VERDICT,
     DeviceStateStore,
     attach_store_planes,
     shm_planes_factory,
@@ -143,9 +142,10 @@ def _maybe_roll(store: DeviceStateStore, tick: int) -> None:
 def _mark_recovered(worker) -> None:
     """Reinstate the respawn invariants on an adopted-planes worker.
 
-    The planes carry rows, flags, verdict codes and the tick serial;
-    everything in-memory — the dirty tracker's cell sets, the verdict
-    cache — died with the predecessor.  Dirtying every alive cell on
+    The planes carry rows, flags, verdict codes and the tick serial
+    (the adopted store derives its coded rows from them); everything
+    in-memory — the dirty tracker's cell sets, the verdict cache — died
+    with the predecessor.  Dirtying every alive cell on
     *both* snapshot planes (with the move carry, so next tick's
     ``prev``-shift invalidation is also covered) makes the lost
     bookkeeping a conservative superset: the ``prev``-plane cells are
@@ -157,9 +157,6 @@ def _mark_recovered(worker) -> None:
     global dirty set whenever a shard was respawned.)
     """
     store = worker.store
-    codes = np.asarray(store.verdict_codes())
-    rows = np.nonzero(codes != NO_VERDICT)[0]
-    worker._verdict_rows = rows if rows.size else None
     ids = np.asarray(store.row_ids())
     alive = np.nonzero(ids >= 0)[0]
     if alive.size:
@@ -349,9 +346,6 @@ def handle_command(
         worker.verdict_stage.cache = dict(payload["verdicts"])
         worker.verdict_stage.last_cache = None
         worker.transition_stage.last_transition = None
-        codes = np.asarray(new_store.verdict_codes())
-        rows = np.nonzero(codes != NO_VERDICT)[0]
-        worker._verdict_rows = rows if rows.size else None
         return None
 
     # Every mutating command below belongs to tick ``tick``; roll the
@@ -429,21 +423,19 @@ def handle_command(
                 bool(payload["flagged"]),
             )
         return None
-    if op == "leave":
-        # A flagged departure replies its (prev, cur) endpoints: the
-        # store's record of them lives in worker memory until the halo
-        # phase, and a respawned worker has no trace of the row.
+    if op == "endpoints":
+        # Scan-only, like ``movers``: a flagged leaver's (prev, cur)
+        # reach the parent before ``leave`` evicts it, so a kill between
+        # the evict and its reply cannot lose them.
         row = store.row_if_present(int(payload["device"]))
-        if row is None:
+        if row is None or not store.flag_vector()[row]:
             return None
         prev_plane, cur_plane = store.snapshot_arrays()
-        ends = (
-            np.stack([prev_plane[row], cur_plane[row]])
-            if store.flag_vector()[row]
-            else None
-        )
-        store.leave(int(payload["device"]))
-        return ends
+        return np.stack([prev_plane[row], cur_plane[row]])
+    if op == "leave":
+        if store.row_if_present(int(payload["device"])) is not None:
+            store.leave(int(payload["device"]))
+        return None
     if op == "halo":
         cells = worker.tracker.finish_cells(store)
         worker.publish_halo(shard_map, seq=tick)

@@ -70,7 +70,7 @@ from repro.online.service import (
     QosUpdate,
     ServiceConfig,
 )
-from repro.online.store import NO_VERDICT, DeviceStateStore
+from repro.online.store import DeviceStateStore
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -91,8 +91,13 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 
 #: ServiceConfig fields that older version-2 checkpoints carry but the
-#: service no longer has (the engine's execution knobs); dropped on load.
-_RETIRED_CONFIG_KEYS = ("backend", "workers", "max_worker_tasks")
+#: service no longer has (the engine's execution knobs and the grid-index
+#: adoption switch); dropped on load.
+_RETIRED_CONFIG_KEYS = ("backend", "workers", "max_worker_tasks", "reuse_indexes")
+
+#: ServiceStats counters that older version-2 checkpoints carry but the
+#: service no longer keeps; dropped on load.
+_RETIRED_STATS_KEYS = ("index_reuses",)
 
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{8})\.npz$")
 
@@ -147,24 +152,18 @@ def save_checkpoint(
     """Write one atomic checkpoint of ``service`` to ``path``.
 
     ``service`` is an :class:`OnlineCharacterizationService` or a
-    :class:`~repro.online.sharded.ShardedService`; call it between ticks
+    :class:`~repro.online.sharded.ShardedService` — each names its own
+    topology and hands over its store partitions; call it between ticks
     (e.g. from a sink).  ``extra`` is an arbitrary (picklable) dict
     carried alongside the service state — e.g. the CLI replay driver
     stores its external detector bank there.  Returns the published path.
     """
     path = Path(path)
-    if isinstance(service, OnlineCharacterizationService):
-        topology = "single"
-        parts = [
-            (service.store.state(), service._tracker.state(), service._verdicts)
-        ]
-    else:
-        topology = "sharded"
-        parts = service.shard_states()
+    parts = service._partition_states()
     meta = {
         "version": CHECKPOINT_VERSION,
         "tick": service.current_tick,
-        "topology": topology,
+        "topology": service._CHECKPOINT_TOPOLOGY,
         "shards": len(parts),
         "applied_since_tick": service._applied_since_tick,
         "stats": service.stats.as_dict(),
@@ -260,7 +259,11 @@ def load_checkpoint(path: _PathLike) -> Checkpoint:
         tick=int(meta["tick"]),
         topology=str(meta["topology"]),
         applied_since_tick=int(meta["applied_since_tick"]),
-        stats={k: int(v) for k, v in meta["stats"].items()},
+        stats={
+            k: int(v)
+            for k, v in meta["stats"].items()
+            if k not in _RETIRED_STATS_KEYS
+        },
         rejected={k: int(v) for k, v in meta.get("rejected", {}).items()},
         config=ServiceConfig(
             **{
@@ -288,18 +291,6 @@ def _load_topology(
             "checkpoints"
         )
     return ckpt
-
-
-def _restore_front_door(service, ckpt: Checkpoint) -> None:
-    """Reinstate what both services keep outside their store partitions."""
-    service._bank = ckpt.bank
-    service._last_detection = ckpt.last_detection
-    service._queue.extend(ckpt.queue)
-    service._applied_since_tick = int(ckpt.applied_since_tick)
-    service._tick = int(ckpt.tick)
-    for name, value in ckpt.stats.items():
-        setattr(service.stats, name, value)
-    service.rejected = dict(ckpt.rejected)
 
 
 def restore_service(
@@ -331,9 +322,7 @@ def restore_service(
     )
     service._tracker.restore_state(part.tracker_state)
     service._verdicts = dict(part.verdicts)
-    _restore_front_door(service, ckpt)
-    rows = np.nonzero(service.store.verdict_codes() != NO_VERDICT)[0]
-    service._verdict_rows = rows if rows.size else None
+    service._restore_front_door(ckpt)
     # Perf caches start cold on purpose: they reference arrays and
     # transitions of the dead process and only ever accelerate, never
     # decide, the next tick.
@@ -378,7 +367,7 @@ def restore_sharded_service(
     except Exception:
         service.close()
         raise
-    _restore_front_door(service, ckpt)
+    service._restore_front_door(ckpt)
     return service
 
 

@@ -22,10 +22,6 @@ keeps it warm:
   :class:`~repro.engine.CharacterizationEngine`; everyone else's verdict
   is served from cache, which the locality argument guarantees is still
   exact;
-* when the flagged set is unchanged from the previous tick, the previous
-  transition's current-side grid index is adopted as the new
-  transition's ``prev`` index (the :class:`Transition` reuse path), so
-  quiet ticks skip half the index work too;
 * finished ticks are pushed to pluggable *sinks* (reports, metrics —
   any callable).
 
@@ -35,6 +31,11 @@ engine pass over all flagged devices of the same transition would
 produce (type, rule and witness; cost counters are artifacts of *when* a
 verdict was computed).  ``tests/online`` enforces this on seeded and
 randomized runs.
+
+The queue, validation, detector bank, stats, sinks and checkpoints live
+on ``_FrontDoor``, which the sharded topology
+(:class:`~repro.online.sharded.ShardedService`) inherits as well; only
+where input lands and how a tick is computed differ between the two.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from repro.core.errors import (
 )
 from repro.core.transition import Transition
 from repro.core.types import AnomalyType, Characterization, DecisionRule
-from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
+from repro.detection.banks import BankDetection, DetectorBank, DetectorLike
 from repro.engine import CharacterizationEngine
 from repro.obs.metrics import Registry, get_registry
 from repro.obs.trace import TickClock, Tracer
@@ -101,9 +102,6 @@ BACKPRESSURE_POLICIES = ("block", "drop-oldest", "error")
 
 #: Accepted ``ServiceConfig.validation`` values.
 VALIDATION_MODES = ("strict", "sanitize")
-
-#: Stable int8 encoding of verdict types for the store's verdict column.
-_VERDICT_CODE = {kind: np.int8(i) for i, kind in enumerate(AnomalyType)}
 
 
 class RowFaults(NamedTuple):
@@ -205,7 +203,12 @@ class QosUpdate:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Knobs of an :class:`OnlineCharacterizationService`.
+    """Knobs of an :class:`OnlineCharacterizationService` or a
+    :class:`~repro.online.sharded.ShardedService`.
+
+    Both services read every field except where noted; the spatial
+    topology of a sharded service is a constructor argument, not a
+    field.
 
     Attributes
     ----------
@@ -226,9 +229,6 @@ class ServiceConfig:
         When true (default) only affected verdicts are recomputed each
         tick; when false every flagged device is recomputed — the
         always-correct baseline the benchmarks compare against.
-    reuse_indexes:
-        Adopt the previous transition's current-side grid index when the
-        flagged set is unchanged.
     reuse_motions:
         Carry motion families of devices outside the dirty cell-rings
         from the previous tick's cache into the next tick's
@@ -268,7 +268,6 @@ class ServiceConfig:
     max_batch: Optional[int] = None
     backpressure: str = "block"
     incremental: bool = True
-    reuse_indexes: bool = True
     reuse_motions: bool = True
     dispatch_deadline: Optional[float] = None
     dispatch_retries: int = 2
@@ -317,7 +316,6 @@ _SERVICE_STAT_HELP = {
     "inline_drains": "Inline drains forced by block backpressure",
     "verdicts_recomputed": "Verdicts recomputed through the engine",
     "verdicts_reused": "Verdicts served from the per-device cache",
-    "index_reuses": "Grid indexes adopted from the previous transition",
     "families_recomputed": "Motion families recomputed",
     "families_reused": "Motion families carried across ticks",
 }
@@ -569,7 +567,368 @@ class ReportSink:
                 rows.append((tick.tick, device, verdict.anomaly_type))
 
 
-class OnlineCharacterizationService:
+class _FrontDoor:
+    """The front door both services share.
+
+    Owns everything between a caller and a tick's computation: the
+    bounded ingest queue and its backpressure policy, per-event and
+    per-frame validation with the ``repro_service_rejected_total``
+    tally, the in-service detector bank, the service gauges, run
+    stats, sinks, checkpoints, and the close of a tick (stats,
+    gauges, sinks and the stage-seconds fold).
+
+    A subclass decides where validated input lands and how a tick is
+    computed:
+
+    * :meth:`_apply_segment` — one duplicate-free run of queued events;
+    * :meth:`_apply_frame` — one validated full frame plus flags;
+    * :meth:`_stored_frame` — the stored positions a ``"sanitize"``
+      repair substitutes for bad rows;
+    * :meth:`_run_tick` — the tick body, returning the
+      :class:`OnlineTick` the sinks will see;
+    * :meth:`_partition_states` — the checkpoint's per-partition parts,
+      tagged by ``_CHECKPOINT_TOPOLOGY``;
+    * ``n``, ``dim``, :meth:`close` and ``restore``.
+    """
+
+    #: The ``topology`` a checkpoint of this service records.
+    _CHECKPOINT_TOPOLOGY = ""
+
+    def _open_front_door(
+        self,
+        config: ServiceConfig,
+        *,
+        sinks: Iterable[Callable[[OnlineTick], None]],
+        tracer: Optional[Tracer],
+    ) -> None:
+        self._config = config
+        self._tracer = tracer if tracer is not None else Tracer()
+        self._tick_clock = TickClock(self._tracer)
+        registry = self._tracer.registry
+        self._gauge_queue_depth = registry.gauge(
+            "repro_service_queue_depth",
+            "Ingest-queue backlog observed at each tick close",
+        )
+        self._gauge_devices = registry.gauge(
+            "repro_service_devices", "Devices tracked by the store"
+        )
+        self._gauge_flagged = registry.gauge(
+            "repro_service_flagged_devices",
+            "Devices flagged at the latest tick",
+        )
+        self._detect_stage = DetectStage()
+        self._queue: Deque[QosUpdate] = deque()
+        # Updates applied since the last end_tick — includes inline
+        # drains forced by "block" backpressure, so per-tick accounting
+        # never undercounts.
+        self._applied_since_tick = 0
+        self._sinks: List[Callable[[OnlineTick], None]] = list(sinks)
+        self._ingest_stage = IngestDrainStage(
+            lambda: self._apply_batch(
+                self._config.max_batch or len(self._queue)
+            ),
+            lambda: len(self._queue),
+        )
+        self._sink_stage = SinkStage(self._sinks)
+        self._tick = 0
+        self._closed = False
+        self.stats = ServiceStats()
+        #: Rejected-input tally by reason (mirrored to the registry
+        #: counter ``repro_service_rejected_total{reason}``).
+        self.rejected: Dict[str, int] = {}
+        self._rejected_counter = registry.counter(
+            "repro_service_rejected_total",
+            "Malformed inputs rejected by the service, by reason",
+            labelnames=("reason",),
+        )
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def config(self) -> ServiceConfig:
+        """The service configuration."""
+        return self._config
+
+    @property
+    def current_tick(self) -> int:
+        """Number of completed ticks."""
+        return self._tick
+
+    @property
+    def queued(self) -> int:
+        """Events currently waiting in the ingest queue."""
+        return len(self._queue)
+
+    @property
+    def tracer(self) -> Tracer:
+        """The stage-span tracer timing this service's ticks."""
+        return self._tracer
+
+    @property
+    def bank(self) -> Optional[DetectorBank]:
+        """The in-service detector bank (None without a ``detector``)."""
+        return self._detect_stage.bank
+
+    @property
+    def last_detection(self) -> Optional[BankDetection]:
+        """The bank's most recent batch detection, if any."""
+        return self._detect_stage.last
+
+    def add_sink(self, sink: Callable[[OnlineTick], None]) -> None:
+        """Attach a sink called with every finished :class:`OnlineTick`."""
+        self._sinks.append(sink)
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:  # pragma: no cover - every subclass overrides
+        raise NotImplementedError
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def checkpoint(self, path, *, extra: Optional[Dict[str, object]] = None):
+        """Write an atomic checkpoint of this service to ``path``.
+
+        See :mod:`repro.online.recovery` for the format; returns the
+        published path.
+        """
+        from repro.online.recovery import save_checkpoint
+
+        return save_checkpoint(self, path, extra=extra)
+
+    def _restore_front_door(self, ckpt) -> None:
+        """Reinstate what a checkpoint keeps outside the store partitions."""
+        self._detect_stage.bank = ckpt.bank
+        self._detect_stage.last = ckpt.last_detection
+        self._queue.extend(ckpt.queue)
+        self._applied_since_tick = int(ckpt.applied_since_tick)
+        self._tick = int(ckpt.tick)
+        for name, value in ckpt.stats.items():
+            setattr(self.stats, name, value)
+        self.rejected = dict(ckpt.rejected)
+
+    # ------------------------------------------------------------------
+    # Ingest
+    # ------------------------------------------------------------------
+    def ingest(self, update: QosUpdate) -> bool:
+        """Enqueue one event; returns False iff it displaced older work.
+
+        At capacity, the configured backpressure policy decides: apply
+        queued updates inline (``block``), drop the oldest queued event
+        (``drop-oldest``), or refuse (``error``).
+        """
+        cfg = self._config
+        accepted = True
+        if len(self._queue) >= cfg.queue_capacity:
+            if cfg.backpressure == "error":
+                raise QueueFullError(
+                    f"ingest queue is at capacity ({cfg.queue_capacity})"
+                )
+            if cfg.backpressure == "drop-oldest":
+                self._queue.popleft()
+                self.stats.updates_dropped += 1
+                accepted = False
+            else:  # block: make room by doing the consumer's work now
+                with self._tracer.span("ingest-drain"):
+                    self._apply_batch(cfg.max_batch or len(self._queue))
+                self.stats.inline_drains += 1
+        self._queue.append(update)
+        return accepted
+
+    def ingest_many(self, updates: Iterable[QosUpdate]) -> int:
+        """Enqueue a batch; returns how many were accepted cleanly."""
+        return sum(1 for update in updates if self.ingest(update))
+
+    def _apply_batch(self, limit: int) -> int:
+        """Pop up to ``limit`` events and apply them as row batches.
+
+        Row batches need unique devices, so the batch is split into
+        order-preserving segments at each repeated device: within and
+        across segments arrival order is preserved, so last-write-wins
+        semantics hold and every intermediate state still marks the
+        dirty tracker (a device hopping A→B→C dirties all three cells,
+        exactly as the per-update path did).
+        """
+        batch: List[QosUpdate] = []
+        while self._queue and len(batch) < limit:
+            batch.append(self._queue.popleft())
+        if not batch:
+            return 0
+        start = 0
+        seen = set()
+        applied = 0
+        for i, update in enumerate(batch):
+            if update.device in seen:
+                applied += self._apply_segment(batch[start:i])
+                start = i
+                seen = set()
+            seen.add(update.device)
+        applied += self._apply_segment(batch[start:])
+        # Rejected events are tallied separately — only events that
+        # actually landed in the store count as applied.
+        self.stats.updates_applied += applied
+        self._applied_since_tick += applied
+        return len(batch)
+
+    def _reject(self, reason: str, count: int = 1) -> None:
+        """Count ``count`` rejected inputs under ``reason``."""
+        if count <= 0:
+            return
+        self.rejected[reason] = self.rejected.get(reason, 0) + count
+        self._rejected_counter.labels(reason=reason).inc(count)
+
+    def _screen_segment(
+        self, segment: List[QosUpdate], known: Callable[[int], bool]
+    ) -> Tuple[List[QosUpdate], Optional[np.ndarray]]:
+        """Drop and count the malformed events of one segment.
+
+        Malformed events are dropped *per event*, counted on
+        ``repro_service_rejected_total{reason}``: an unknown device id
+        (``known`` is false), a position of the wrong dimension, a
+        non-finite coordinate or one outside the unit cube must not
+        crash the tick (or desync the store) for every well-formed
+        report in the same batch.  Returns the kept events and their
+        ``(k, d)`` positions (``None`` when nothing is kept).
+        """
+        dim = self.dim
+        kept: List[QosUpdate] = []
+        for update in segment:
+            if not known(update.device):
+                self._reject("unknown-device")
+            elif len(update.position) != dim:
+                self._reject("dimension-mismatch")
+            else:
+                kept.append(update)
+        if not kept:
+            return kept, None
+        positions = np.array([update.position for update in kept], dtype=float)
+        faults = row_faults(positions)
+        if faults is not None:
+            idx = np.nonzero(~faults.tally(self._reject))[0]
+            if idx.size == 0:
+                return [], None
+            positions = positions[idx]
+            kept = [kept[i] for i in idx.tolist()]
+        return kept, positions
+
+    def _apply_segment(self, segment: List[QosUpdate]) -> int:
+        """Apply one duplicate-free event run; returns how many landed."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Frames
+    # ------------------------------------------------------------------
+    def feed_measurements(self, values: np.ndarray) -> OnlineTick:
+        """One tick from raw QoS vectors: the service detects, then flags.
+
+        Requires a ``detector`` at construction.  The bank observes the
+        ``(n, d)`` snapshot (one vectorized update for the whole fleet),
+        its flag vector joins the positions in :meth:`feed_snapshot`,
+        and the resulting flag *diffs* drive the usual dirty-region
+        invalidation — callers ship measurements, not verdicts.
+        """
+        self._detect_stage.require_bank()
+        self._tick_clock.start(restart=True)
+        arr = np.asarray(values, dtype=float)
+        injector = get_injector()
+        if injector.active:
+            arr = injector.corrupt_frame(self._tick + 1, arr)
+        arr = self._validate_frame(arr, self.n)
+        detection = self._detect_stage.observe(arr, self._tracer)
+        return self._feed_frame(arr, detection.flags)
+
+    def _validate_frame(self, arr: np.ndarray, rows: int) -> np.ndarray:
+        """Apply the configured validation mode to one full frame.
+
+        Runs *before* the detector bank or the store sees anything, so a
+        rejected frame can never leave the bank one observation ahead
+        of the store.  ``"strict"`` counts every bad row's reason and
+        raises; ``"sanitize"`` substitutes each bad row with the
+        device's current stored position — that device simply does not
+        report this tick — and returns the repaired frame.  A frame
+        whose shape is not ``(rows, dim)`` always raises.
+        """
+        return screen_frame(
+            arr,
+            (rows, self.dim),
+            self._config.validation,
+            self._reject,
+            lambda: self._stored_frame(rows),
+        )
+
+    def _stored_frame(self, rows: int) -> np.ndarray:
+        """The stored positions of a ``rows``-row frame, row-aligned."""
+        raise NotImplementedError
+
+    def _feed_frame(self, current: np.ndarray, flags) -> OnlineTick:
+        """Apply one validated frame + flag vector and close the tick."""
+        # Apply any events queued mid-tick first, so the frame's diff
+        # sees the true store state (and emits corrections back to
+        # `current` where a mid-tick ingest diverged from the frame).
+        self._ingest_stage.run(self._tracer)
+        applied_rows = self._apply_frame(current, flags)
+        if applied_rows:
+            self.stats.updates_applied += applied_rows
+            self._applied_since_tick += applied_rows
+        return self.end_tick()
+
+    def _apply_frame(self, current: np.ndarray, flags) -> int:
+        """Apply one validated frame; returns how many rows changed."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Tick processing
+    # ------------------------------------------------------------------
+    def end_tick(self) -> OnlineTick:
+        """Close the current interval: drain, invalidate, recharacterize.
+
+        Returns the finished :class:`OnlineTick` after pushing it to
+        every sink.  The verdict map covers exactly the flagged devices
+        and is equal (type / rule / witness) to a full batch pass over
+        the same transition.
+        """
+        tracer = self._tracer
+        self._tick_clock.start()
+        self._gauge_queue_depth.set(len(self._queue))
+        self._ingest_stage.run(tracer)
+        applied = self._applied_since_tick
+        self._applied_since_tick = 0
+        self._tick += 1
+        result = self._run_tick(applied, tracer)
+        stats = self.stats
+        stats.ticks += 1
+        stats.verdicts_recomputed += len(result.recomputed)
+        stats.verdicts_reused += len(result.reused)
+        stats.families_recomputed += result.families_recomputed
+        stats.families_reused += result.families_reused
+        self._gauge_devices.set(self.n)
+        self._gauge_flagged.set(len(result.flagged))
+        self._sink_stage.run(result, tracer)
+        # The sinks span closed after the tick body drained the stages;
+        # fold it (and any spans a sink itself opened) into this tick's
+        # breakdown so the next tick starts from a clean accumulator.
+        for stage, seconds in tracer.drain_stages().items():
+            result.stage_seconds[stage] = (
+                result.stage_seconds.get(stage, 0.0) + seconds
+            )
+        self._tick_clock.stop()
+        return result
+
+    def _run_tick(self, applied: int, tracer: Tracer) -> OnlineTick:
+        """Compute tick ``current_tick`` over the applied input."""
+        raise NotImplementedError
+
+    def _partition_states(self) -> List[Tuple[Dict, Dict, Dict]]:
+        """Per-partition ``(store_state, tracker_state, verdict_cache)``."""
+        raise NotImplementedError
+
+
+class OnlineCharacterizationService(_FrontDoor):
     """Event-driven characterization with incremental verdict refresh.
 
     Parameters
@@ -603,6 +962,8 @@ class OnlineCharacterizationService:
         null path (every tick's ``stage_seconds`` is then empty).
     """
 
+    _CHECKPOINT_TOPOLOGY = "single"
+
     def __init__(
         self,
         initial_positions: np.ndarray,
@@ -622,19 +983,9 @@ class OnlineCharacterizationService:
             sinks=sinks,
             tracer=tracer,
         )
-        if detector is not None:
-            self._bank = as_bank(
-                detector, self._store.n, self._store.dim, plane=detection
-            )
-            # Warm-up step 0: the initial snapshot is the bank's first
-            # observation, exactly like the trace replayers' step 0.
-            self._last_detection = self._bank.observe_batch(
-                np.asarray(initial_positions, dtype=float)
-            )
-        elif detection is not None:
-            raise ConfigurationError(
-                "detection plane given without a detector spec or bank"
-            )
+        self._detect_stage.attach(
+            detector, detection, np.asarray(initial_positions, dtype=float)
+        )
 
     @classmethod
     def _from_store(
@@ -665,21 +1016,7 @@ class OnlineCharacterizationService:
         sinks: Iterable[Callable[[OnlineTick], None]],
         tracer: Optional[Tracer],
     ) -> None:
-        self._config = config
-        self._tracer = tracer if tracer is not None else Tracer()
-        self._tick_clock = TickClock(self._tracer)
-        registry = self._tracer.registry
-        self._gauge_queue_depth = registry.gauge(
-            "repro_service_queue_depth",
-            "Ingest-queue backlog observed at each tick close",
-        )
-        self._gauge_devices = registry.gauge(
-            "repro_service_devices", "Devices tracked by the store"
-        )
-        self._gauge_flagged = registry.gauge(
-            "repro_service_flagged_devices",
-            "Devices flagged at the latest tick",
-        )
+        self._open_front_door(config, sinks=sinks, tracer=tracer)
         cfg = self._config
         self._store = store
         self._tracker = DirtyRegionTracker(
@@ -689,16 +1026,6 @@ class OnlineCharacterizationService:
         )
         self._owns_engine = engine is None
         self._engine = engine or CharacterizationEngine()
-        self._bank: Optional[DetectorBank] = None
-        self._last_detection: Optional[BankDetection] = None
-        self._queue: Deque[QosUpdate] = deque()
-        # Updates applied since the last end_tick — includes inline
-        # drains forced by "block" backpressure, so per-tick accounting
-        # never undercounts.
-        self._applied_since_tick = 0
-        # Rows whose verdict-code column entries are currently set.
-        self._verdict_rows: Optional[np.ndarray] = None
-        self._sinks: List[Callable[[OnlineTick], None]] = list(sinks)
         # The tick pipeline: every span name the tracer emits is a real
         # stage object (see repro.online.stages).  The stages own the
         # cross-tick state the inline code used to keep on the service —
@@ -706,48 +1033,22 @@ class OnlineCharacterizationService:
         # verdict cache and motion-cache carry on the verdict stage —
         # and read the store/tracker/engine through the service, so a
         # checkpoint restore that swaps the store is seen everywhere.
-        self._ingest_stage = IngestDrainStage(
-            lambda: self._apply_batch(
-                self._config.max_batch or len(self._queue)
-            ),
-            lambda: len(self._queue),
-        )
-        self._detect_stage = DetectStage(lambda: self._bank)
         self._index_stage = IndexUpdateStage(self)
         self._dirty_stage = DirtyRegionStage(self)
-        self._transition_stage = TransitionBuildStage(
-            self, cfg.r, cfg.tau, reuse_indexes=cfg.reuse_indexes
-        )
+        self._transition_stage = TransitionBuildStage(self, cfg.r, cfg.tau)
         self._verdict_stage = VerdictStage(
             self,
             incremental=cfg.incremental,
             reuse_motions=cfg.reuse_motions,
             transition_source=self._transition_stage,
         )
-        self._sink_stage = SinkStage(self._sinks)
         self._pipeline = TickPipeline(
             [self._dirty_stage, self._transition_stage, self._verdict_stage]
-        )
-        self._tick = 0
-        self._closed = False
-        self.stats = ServiceStats()
-        #: Rejected-input tally by reason (mirrored to the registry
-        #: counter ``repro_service_rejected_total{reason}``).
-        self.rejected: Dict[str, int] = {}
-        self._rejected_counter = registry.counter(
-            "repro_service_rejected_total",
-            "Malformed inputs rejected by the service, by reason",
-            labelnames=("reason",),
         )
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> ServiceConfig:
-        """The service configuration."""
-        return self._config
-
     @property
     def store(self) -> DeviceStateStore:
         """The columnar device-state store."""
@@ -792,31 +1093,6 @@ class OnlineCharacterizationService:
         self._verdict_stage.cache = value
 
     @property
-    def current_tick(self) -> int:
-        """Number of completed ticks."""
-        return self._tick
-
-    @property
-    def bank(self) -> Optional[DetectorBank]:
-        """The in-service detector bank (None without a ``detector``)."""
-        return self._bank
-
-    @property
-    def last_detection(self) -> Optional[BankDetection]:
-        """The bank's most recent batch detection, if any."""
-        return self._last_detection
-
-    @property
-    def queued(self) -> int:
-        """Events currently waiting in the ingest queue."""
-        return len(self._queue)
-
-    @property
-    def tracer(self) -> Tracer:
-        """The stage-span tracer timing this service's tick pipeline."""
-        return self._tracer
-
-    @property
     def verdicts(self) -> Dict[int, Characterization]:
         """The current verdict map (flagged devices only; a copy)."""
         return dict(self._verdicts)
@@ -824,10 +1100,6 @@ class OnlineCharacterizationService:
     def flagged_devices(self) -> Tuple[int, ...]:
         """Currently flagged devices, sorted."""
         return self._store.flagged_devices()
-
-    def add_sink(self, sink: Callable[[OnlineTick], None]) -> None:
-        """Attach a sink called with every finished :class:`OnlineTick`."""
-        self._sinks.append(sink)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -845,22 +1117,6 @@ class OnlineCharacterizationService:
         self._closed = True
         if self._owns_engine:
             self._engine.close()
-
-    def __enter__(self) -> "OnlineCharacterizationService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def checkpoint(self, path, *, extra: Optional[Dict[str, object]] = None):
-        """Write an atomic checkpoint of this service to ``path``.
-
-        See :mod:`repro.online.recovery` for the format; returns the
-        published path.
-        """
-        from repro.online.recovery import save_checkpoint
-
-        return save_checkpoint(self, path, extra=extra)
 
     @classmethod
     def restore(
@@ -883,117 +1139,30 @@ class OnlineCharacterizationService:
             source, config=config, engine=engine, sinks=sinks, tracer=tracer
         )
 
+    def _partition_states(self) -> List[Tuple[Dict, Dict, Dict]]:
+        return [(self._store.state(), self._tracker.state(), self._verdicts)]
+
     # ------------------------------------------------------------------
-    # Ingest
+    # Input
     # ------------------------------------------------------------------
-    def ingest(self, update: QosUpdate) -> bool:
-        """Enqueue one event; returns False iff it displaced older work.
-
-        At capacity, the configured backpressure policy decides: apply
-        queued updates inline (``block``), drop the oldest queued event
-        (``drop-oldest``), or refuse (``error``).
-        """
-        cfg = self._config
-        accepted = True
-        if len(self._queue) >= cfg.queue_capacity:
-            if cfg.backpressure == "error":
-                raise QueueFullError(
-                    f"ingest queue is at capacity ({cfg.queue_capacity})"
-                )
-            if cfg.backpressure == "drop-oldest":
-                self._queue.popleft()
-                self.stats.updates_dropped += 1
-                accepted = False
-            else:  # block: make room by doing the consumer's work now
-                with self._tracer.span("ingest-drain"):
-                    self._apply_batch(cfg.max_batch or len(self._queue))
-                self.stats.inline_drains += 1
-        self._queue.append(update)
-        return accepted
-
-    def ingest_many(self, updates: Iterable[QosUpdate]) -> int:
-        """Enqueue a batch; returns how many were accepted cleanly."""
-        return sum(1 for update in updates if self.ingest(update))
-
-    def _apply_batch(self, limit: int) -> int:
-        """Pop up to ``limit`` events, apply them as vectorized row batches.
-
-        :meth:`DeviceStateStore.apply_rows` needs unique rows, so the
-        batch is split into order-preserving segments at each repeated
-        device: within and across segments arrival order is preserved,
-        so last-write-wins semantics hold and every intermediate state
-        still marks the dirty tracker (a device hopping A→B→C dirties
-        all three cells, exactly as the per-update path did).
-        """
-        batch: List[QosUpdate] = []
-        while self._queue and len(batch) < limit:
-            batch.append(self._queue.popleft())
-        if not batch:
-            return 0
-        start = 0
-        seen = set()
-        applied = 0
-        for i, update in enumerate(batch):
-            if update.device in seen:
-                applied += self._apply_segment(batch[start:i])
-                start = i
-                seen = set()
-            seen.add(update.device)
-        applied += self._apply_segment(batch[start:])
-        # Rejected events are tallied separately — only events that
-        # actually landed in the store count as applied.
-        self.stats.updates_applied += applied
-        self._applied_since_tick += applied
-        return len(batch)
-
-    def _reject(self, reason: str, count: int = 1) -> None:
-        """Count ``count`` rejected inputs under ``reason``."""
-        if count <= 0:
-            return
-        self.rejected[reason] = self.rejected.get(reason, 0) + count
-        self._rejected_counter.labels(reason=reason).inc(count)
-
     def _apply_segment(self, segment: List[QosUpdate]) -> int:
-        """Apply one duplicate-free event run as a single row batch.
-
-        Malformed events are dropped *per event*, counted on
-        ``repro_service_rejected_total{reason}``: an unknown device id,
-        a position of the wrong dimension, a non-finite coordinate or
-        one outside the unit cube must not crash the tick (or desync
-        the store) for every well-formed report in the same batch.
-        Returns how many events actually landed in the store.
-        """
+        """Apply one duplicate-free event run as a single row batch."""
         store = self._store
-        dim = store.dim
-        rows: List[int] = []
-        kept: List[QosUpdate] = []
-        for update in segment:
-            row = store.row_if_present(update.device)
-            if row is None:
-                self._reject("unknown-device")
-                continue
-            if len(update.position) != dim:
-                self._reject("dimension-mismatch")
-                continue
-            rows.append(row)
-            kept.append(update)
+        kept, positions = self._screen_segment(
+            segment, lambda device: store.row_if_present(device) is not None
+        )
         if not kept:
             return 0
-        positions = np.array([update.position for update in kept], dtype=float)
-        faults = row_faults(positions)
-        if faults is not None:
-            idx = np.nonzero(~faults.tally(self._reject))[0]
-            if idx.size == 0:
-                return 0
-            positions = positions[idx]
-            rows = [rows[i] for i in idx.tolist()]
-            kept = [kept[i] for i in idx.tolist()]
         count = len(kept)
-        rows_arr = np.asarray(rows, dtype=np.int64)
+        rows = np.fromiter(
+            (store.row_of(update.device) for update in kept),
+            dtype=np.int64,
+            count=count,
+        )
         flags = np.fromiter(
             (update.flagged for update in kept), dtype=bool, count=count
         )
-        applied = store.apply_rows(rows_arr, positions, flags)
+        applied = store.apply_rows(rows, positions, flags)
         self._tracker.mark_batch(applied, was_relevant=applied.was_flagged)
         return count
 
@@ -1034,91 +1203,21 @@ class OnlineCharacterizationService:
         )
         return self._feed_frame(arr, flags)
 
-    def _feed_frame(self, current: np.ndarray, flags) -> OnlineTick:
-        """Apply one validated frame + flag vector and close the tick."""
-        # Apply any events queued mid-tick first, so the diff below sees
-        # the true store state (and emits corrections back to `current`
-        # where a mid-tick ingest diverged from the fed snapshot).
-        self._ingest_stage.run(self._tracer)
-        applied_rows = self._index_stage.apply_diff(
-            current, flags, self._tracer
-        )
-        if applied_rows:
-            self.stats.updates_applied += applied_rows
-            self._applied_since_tick += applied_rows
-        return self.end_tick()
+    def _stored_frame(self, rows: int) -> np.ndarray:
+        return self._store.current_positions()
 
-    def feed_measurements(self, values: np.ndarray) -> OnlineTick:
-        """One tick from raw QoS vectors: the service detects, then flags.
-
-        Requires a ``detector`` at construction.  The bank observes the
-        ``(n, d)`` snapshot (one vectorized update for the whole fleet),
-        its flag vector joins the positions in :meth:`feed_snapshot`,
-        and the resulting flag *diffs* drive the usual dirty-region
-        invalidation — callers ship measurements, not verdicts.
-        """
-        self._detect_stage.require_bank()
-        self._tick_clock.start(restart=True)
-        arr = np.asarray(values, dtype=float)
-        injector = get_injector()
-        if injector.active:
-            arr = injector.corrupt_frame(self._tick + 1, arr)
-        arr = self._validate_frame(arr, self._store.n)
-        detection = self._detect_stage.observe(arr, self._tracer)
-        self._last_detection = detection
-        return self._feed_frame(arr, detection.flags)
-
-    def _validate_frame(self, arr: np.ndarray, rows: int) -> np.ndarray:
-        """Apply the configured validation mode to one full frame.
-
-        Runs *before* the detector bank or the store sees anything, so a
-        rejected frame can never leave the bank one observation ahead
-        of the store.  ``"strict"`` counts every bad row's reason and
-        raises; ``"sanitize"`` substitutes each bad row with the
-        device's current stored position — that device simply does not
-        report this tick — and returns the repaired frame.  A frame
-        whose shape is not ``(rows, dim)`` always raises.
-        """
-        return screen_frame(
-            arr,
-            (rows, self._store.dim),
-            self._config.validation,
-            self._reject,
-            self._store.current_positions,
-        )
+    def _apply_frame(self, current: np.ndarray, flags) -> int:
+        return self._index_stage.apply_diff(current, flags, self._tracer)
 
     # ------------------------------------------------------------------
     # Tick processing
     # ------------------------------------------------------------------
-    def end_tick(self) -> OnlineTick:
-        """Close the current interval: drain, invalidate, recharacterize.
-
-        Returns the finished :class:`OnlineTick` after pushing it to
-        every sink.  The verdict map covers exactly the flagged devices
-        and is equal (type / rule / witness) to a full batch pass over
-        the same transition.
-        """
-        tracer = self._tracer
-        self._tick_clock.start()
-        self._gauge_queue_depth.set(len(self._queue))
-        self._ingest_stage.run(tracer)
-        applied = self._applied_since_tick
-        self._applied_since_tick = 0
-        self._tick += 1
+    def _run_tick(self, applied: int, tracer: Tracer) -> OnlineTick:
         ctx = TickContext(tick=self._tick, applied=applied)
         self._pipeline.run(ctx, tracer)
-        if ctx.index_reused:
-            self.stats.index_reuses += 1
-        self._record_verdict_codes(ctx.flagged, ctx.verdicts)
+        self._store.record_verdicts(ctx.verdicts)
         self._transition_stage.advance(ctx)
-        self.stats.ticks += 1
-        self.stats.verdicts_recomputed += len(ctx.recompute)
-        self.stats.verdicts_reused += len(ctx.reused)
-        self.stats.families_recomputed += ctx.families_recomputed
-        self.stats.families_reused += ctx.families_reused
-        self._gauge_devices.set(self._store.n)
-        self._gauge_flagged.set(len(ctx.flagged))
-        result = OnlineTick(
+        return OnlineTick(
             tick=self._tick,
             applied=applied,
             flagged=ctx.flagged,
@@ -1131,44 +1230,6 @@ class OnlineCharacterizationService:
             families_reused=ctx.families_reused,
             stage_seconds=tracer.drain_stages(),
         )
-        self._sink_stage.run(result, tracer)
-        # The sinks span closed after the drain above; fold it (and any
-        # spans a sink itself opened) into this tick's breakdown so the
-        # next tick starts from a clean accumulator.
-        for stage, seconds in tracer.drain_stages().items():
-            result.stage_seconds[stage] = (
-                result.stage_seconds.get(stage, 0.0) + seconds
-            )
-        self._tick_clock.stop()
-        return result
-
-    def _record_verdict_codes(
-        self,
-        flagged: Tuple[int, ...],
-        verdicts: Dict[int, Characterization],
-    ) -> None:
-        """Mirror this tick's verdicts into the store's int8 code column."""
-        store = self._store
-        if self._verdict_rows is not None and self._verdict_rows.size:
-            store.set_verdict_codes(
-                self._verdict_rows,
-                np.full(self._verdict_rows.shape[0], -1, dtype=np.int8),
-            )
-        if flagged:
-            rows = np.fromiter(
-                (store.row_of(j) for j in flagged),
-                dtype=np.int64,
-                count=len(flagged),
-            )
-            codes = np.fromiter(
-                (_VERDICT_CODE[verdicts[j].anomaly_type] for j in flagged),
-                dtype=np.int8,
-                count=len(flagged),
-            )
-            store.set_verdict_codes(rows, codes)
-            self._verdict_rows = rows
-        else:
-            self._verdict_rows = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

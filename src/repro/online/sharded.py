@@ -82,31 +82,24 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from multiprocessing import shared_memory
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Iterable,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 import numpy as np
 
-from repro.core.errors import (
-    ConfigurationError,
-    DimensionMismatchError,
-    QueueFullError,
-)
+from repro.core.errors import ConfigurationError, DimensionMismatchError
 from repro.core.transition import Transition
 from repro.core.types import Characterization
-from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
+from repro.detection.banks import DetectorLike
 from repro.engine import CharacterizationEngine
 from repro.ipc import (
     ShardRoundtripError,
@@ -114,7 +107,7 @@ from repro.ipc import (
     StaleHaloError,
     unlink_by_name,
 )
-from repro.obs.trace import TickClock, Tracer
+from repro.obs.trace import Tracer
 from repro.online.dirty import DirtyRegionTracker, union_cells
 from repro.online.procshard import (
     _CHILD_ERRORS,
@@ -122,19 +115,9 @@ from repro.online.procshard import (
     _InlineShardHandle,
     _ProcessShardHandle,
 )
-from repro.online.service import (
-    _VERDICT_CODE,
-    OnlineTick,
-    QosUpdate,
-    ServiceConfig,
-    ServiceStats,
-    row_faults,
-    screen_frame,
-)
+from repro.online.service import OnlineTick, QosUpdate, ServiceConfig, _FrontDoor
 from repro.online.stages import (
     IndexUpdateStage,
-    IngestDrainStage,
-    SinkStage,
     TickContext,
     TickPipeline,
     VerdictStage,
@@ -586,7 +569,6 @@ class _ShardWorker:
         self.pipeline = TickPipeline(
             [self.transition_stage, self.verdict_stage]
         )
-        self._verdict_rows: Optional[np.ndarray] = None
 
     def publish_halo(self, boundary: "ShardMap", *, seq: int = 0) -> None:
         """Publish this shard's boundary band of flagged rows.
@@ -611,47 +593,20 @@ class _ShardWorker:
     def run_tick(self, ctx: TickContext) -> TickContext:
         """Run the local pipeline and record the verdict codes."""
         self.pipeline.run(ctx, self.tracer)
-        self._record_verdict_codes(ctx)
+        self.store.record_verdicts(ctx.verdicts)
         return ctx
-
-    def _record_verdict_codes(self, ctx: TickContext) -> None:
-        store = self.store
-        if self._verdict_rows is not None and self._verdict_rows.size:
-            store.set_verdict_codes(
-                self._verdict_rows,
-                np.full(self._verdict_rows.shape[0], -1, dtype=np.int8),
-            )
-        targets = ctx.verdict_targets or ()
-        if targets and ctx.key_of is not None:
-            devices = [int(ctx.key_of[l]) for l in targets]
-            rows = np.fromiter(
-                (store.row_of(j) for j in devices),
-                dtype=np.int64,
-                count=len(devices),
-            )
-            codes = np.fromiter(
-                (
-                    _VERDICT_CODE[ctx.verdicts[j].anomaly_type]
-                    for j in devices
-                ),
-                dtype=np.int8,
-                count=len(devices),
-            )
-            store.set_verdict_codes(rows, codes)
-            self._verdict_rows = rows
-        else:
-            self._verdict_rows = None
 
     def close(self) -> None:
         self.channel.close()
 
 
-class ShardedService:
+class ShardedService(_FrontDoor):
     """Front door over ``topology_shards`` spatial shard workers.
 
-    Speaks the single service's driver API — :meth:`ingest`,
-    :meth:`feed_snapshot`, :meth:`feed_measurements`, :meth:`end_tick`,
-    sinks — and produces one merged
+    Shares the single service's front door — :meth:`ingest`,
+    :meth:`feed_measurements`, :meth:`end_tick`, validation, the
+    detector bank, sinks and checkpoints — routes what it accepts to
+    the owning shards, and produces one merged
     :class:`~repro.online.service.OnlineTick` per tick whose verdict map
     is identical (type, rule, witness) to what one
     :class:`~repro.online.service.OnlineCharacterizationService` over
@@ -664,10 +619,8 @@ class ShardedService:
         ``(n, d)`` QoS state at service start; devices get global ids
         ``0..n-1`` and are partitioned by the cell→shard map.
     config:
-        The standard :class:`~repro.online.service.ServiceConfig`
-        (``shards`` remains the *store-internal* shard count, applied
-        per partition store; the spatial topology is this class's own
-        parameter).
+        The standard :class:`~repro.online.service.ServiceConfig`, read
+        by the front door and by every shard.
     topology_shards:
         Number of spatial shards tiling the unit cube.
     topology_workers:
@@ -683,6 +636,8 @@ class ShardedService:
         :class:`RuntimeWarning` naming the collapsed shard count.
     """
 
+    _CHECKPOINT_TOPOLOGY = "sharded"
+
     def __init__(
         self,
         initial_positions: np.ndarray,
@@ -696,8 +651,7 @@ class ShardedService:
         detection: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self._config = config or ServiceConfig()
-        cfg = self._config
+        cfg = config or ServiceConfig()
         if topology_workers not in ("inline", "process"):
             raise ConfigurationError(
                 f"topology_workers must be 'inline' or 'process', "
@@ -721,20 +675,8 @@ class ShardedService:
                     stacklevel=2,
                 )
                 topology_shards = cap
-        self._tracer = tracer if tracer is not None else Tracer()
-        self._tick_clock = TickClock(self._tracer)
+        self._open_front_door(cfg, sinks=sinks, tracer=tracer)
         registry = self._tracer.registry
-        self._gauge_queue_depth = registry.gauge(
-            "repro_service_queue_depth",
-            "Ingest-queue backlog observed at each tick close",
-        )
-        self._gauge_devices = registry.gauge(
-            "repro_service_devices", "Devices tracked by the store"
-        )
-        self._gauge_flagged = registry.gauge(
-            "repro_service_flagged_devices",
-            "Devices flagged at the latest tick",
-        )
         self._gauge_shard_devices = registry.gauge(
             "repro_shard_devices",
             "Devices resident per spatial shard",
@@ -815,43 +757,11 @@ class ShardedService:
             int(device): int(shard)
             for device, shard in enumerate(owners.tolist())
         }
-        self._bank: Optional[DetectorBank] = None
-        self._last_detection: Optional[BankDetection] = None
-        if detector is not None:
-            self._bank = as_bank(detector, pts.shape[0], self._dim, plane=detection)
-            self._last_detection = self._bank.observe_batch(pts)
-        elif detection is not None:
-            raise ConfigurationError(
-                "detection plane given without a detector spec or bank"
-            )
-        self._queue: Deque[QosUpdate] = deque()
-        self._applied_since_tick = 0
-        self._sinks: List[Callable[[OnlineTick], None]] = list(sinks)
-        self._ingest_stage = IngestDrainStage(
-            lambda: self._apply_batch(
-                self._config.max_batch or len(self._queue)
-            ),
-            lambda: len(self._queue),
-        )
-        self._sink_stage = SinkStage(self._sinks)
-        self._tick = 0
-        self._closed = False
-        self.stats = ServiceStats()
-        self.rejected: Dict[str, int] = {}
-        self._rejected_counter = registry.counter(
-            "repro_service_rejected_total",
-            "Malformed inputs rejected by the service, by reason",
-            labelnames=("reason",),
-        )
+        self._detect_stage.attach(detector, detection, pts)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def config(self) -> ServiceConfig:
-        """The (per-shard) service configuration."""
-        return self._config
-
     @property
     def topology(self) -> ShardMap:
         """The cell→shard tiling of the unit cube."""
@@ -898,31 +808,6 @@ class ShardedService:
         return self.nbytes / max(1, self.n)
 
     @property
-    def current_tick(self) -> int:
-        """Number of completed ticks."""
-        return self._tick
-
-    @property
-    def queued(self) -> int:
-        """Events currently waiting in the front-door queue."""
-        return len(self._queue)
-
-    @property
-    def tracer(self) -> Tracer:
-        """The front-door tracer (workers own per-shard tracers)."""
-        return self._tracer
-
-    @property
-    def bank(self) -> Optional[DetectorBank]:
-        """The front-door detector bank (None without a ``detector``)."""
-        return self._bank
-
-    @property
-    def last_detection(self) -> Optional[BankDetection]:
-        """The bank's most recent batch detection, if any."""
-        return self._last_detection
-
-    @property
     def verdicts(self) -> Dict[int, Characterization]:
         """The merged verdict map across shards (a copy)."""
         merged: Dict[int, Characterization] = {}
@@ -951,10 +836,6 @@ class ShardedService:
     def shard_sizes(self) -> Tuple[int, ...]:
         """Resident device count per spatial shard."""
         return tuple(handle.n for handle in self._handles)
-
-    def add_sink(self, sink: Callable[[OnlineTick], None]) -> None:
-        """Attach a sink called with every finished :class:`OnlineTick`."""
-        self._sinks.append(sink)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1081,22 +962,6 @@ class ShardedService:
             unlink_by_name(name)
         self._orphans = []
 
-    def __enter__(self) -> "ShardedService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def checkpoint(self, path, *, extra=None):
-        """Write an atomic checkpoint of this service to ``path``.
-
-        See :mod:`repro.online.recovery` for the format; returns the
-        published path.
-        """
-        from repro.online.recovery import save_checkpoint
-
-        return save_checkpoint(self, path, extra=extra)
-
     @classmethod
     def restore(cls, source, **kwargs) -> "ShardedService":
         """Rebuild a sharded service from a checkpoint path (or loaded
@@ -1115,6 +980,8 @@ class ShardedService:
         return self._phase(
             [("state", self._tick, {}) for _ in range(self._map.n_shards)]
         )
+
+    _partition_states = shard_states
 
     def load_shard_states(self, parts) -> None:
         """Reinstate per-shard states from checkpoint parts, in shard order.
@@ -1178,19 +1045,22 @@ class ShardedService:
     def leave(self, device: int) -> int:
         """Evict a device from its owning shard; returns the shard.
 
-        A flagged device's reply carries its ``(prev, cur)`` endpoints,
-        folded into the front door's dirty insurance: if the shard's
-        worker dies before the next halo phase, the store's own record
-        of those cells dies with it.
+        Scan, then evict, as :meth:`_migrate` does: a flagged device's
+        ``(prev, cur)`` endpoints come back from a scan-only
+        ``endpoints`` command and are folded into the front door's dirty
+        insurance *before* ``leave`` evicts the row.  If the shard's
+        worker dies after the evict — before its reply, or before the
+        next halo phase — the store's own record of those cells dies
+        with it, and a resent ``leave`` finds no row.
         """
         shard = self.shard_of(device)
-        ends = self._phase_one(
-            shard, ("leave", self._tick + 1, {"device": int(device)})
-        )
+        payload = {"device": int(device)}
+        ends = self._phase_one(shard, ("endpoints", self._tick + 1, payload))
         if ends is not None:
             self._mover_cells.append(
                 np.floor(ends / self._config.cell).astype(np.int64)
             )
+        self._phase_one(shard, ("leave", self._tick + 1, payload))
         del self._owner[int(device)]
         return shard
 
@@ -1201,59 +1071,8 @@ class ShardedService:
         return self._phase(msgs)[shard]
 
     # ------------------------------------------------------------------
-    # Ingest
+    # Input
     # ------------------------------------------------------------------
-    def ingest(self, update: QosUpdate) -> bool:
-        """Enqueue one event; same backpressure contract as the service."""
-        cfg = self._config
-        accepted = True
-        if len(self._queue) >= cfg.queue_capacity:
-            if cfg.backpressure == "error":
-                raise QueueFullError(
-                    f"ingest queue is at capacity ({cfg.queue_capacity})"
-                )
-            if cfg.backpressure == "drop-oldest":
-                self._queue.popleft()
-                self.stats.updates_dropped += 1
-                accepted = False
-            else:
-                with self._tracer.span("ingest-drain"):
-                    self._apply_batch(cfg.max_batch or len(self._queue))
-                self.stats.inline_drains += 1
-        self._queue.append(update)
-        return accepted
-
-    def ingest_many(self, updates: Iterable[QosUpdate]) -> int:
-        """Enqueue a batch; returns how many were accepted cleanly."""
-        return sum(1 for update in updates if self.ingest(update))
-
-    def _reject(self, reason: str, count: int = 1) -> None:
-        if count <= 0:
-            return
-        self.rejected[reason] = self.rejected.get(reason, 0) + count
-        self._rejected_counter.labels(reason=reason).inc(count)
-
-    def _apply_batch(self, limit: int) -> int:
-        """Pop up to ``limit`` events and apply them, routed per shard."""
-        batch: List[QosUpdate] = []
-        while self._queue and len(batch) < limit:
-            batch.append(self._queue.popleft())
-        if not batch:
-            return 0
-        start = 0
-        seen: Set[int] = set()
-        applied = 0
-        for i, update in enumerate(batch):
-            if update.device in seen:
-                applied += self._apply_segment(batch[start:i])
-                start = i
-                seen = set()
-            seen.add(update.device)
-        applied += self._apply_segment(batch[start:])
-        self.stats.updates_applied += applied
-        self._applied_since_tick += applied
-        return len(batch)
-
     def _apply_segment(self, segment: List[QosUpdate]) -> int:
         """Apply one duplicate-free run, one row batch per owning shard.
 
@@ -1261,49 +1080,30 @@ class ShardedService:
         ``events`` commands carry *global device ids* — row numbers are
         a private concern of whichever worker hosts the partition.
         """
-        dim = self._dim
-        by_shard: Dict[int, List[QosUpdate]] = {}
-        for update in segment:
-            shard = self._owner.get(update.device)
-            if shard is None:
-                self._reject("unknown-device")
-                continue
-            if len(update.position) != dim:
-                self._reject("dimension-mismatch")
-                continue
-            by_shard.setdefault(shard, []).append(update)
-        total = 0
+        owner = self._owner
+        kept, positions = self._screen_segment(segment, owner.__contains__)
+        if not kept:
+            return 0
+        count = len(kept)
+        shards = np.fromiter(
+            (owner[update.device] for update in kept), dtype=np.int64, count=count
+        )
+        ids = np.fromiter(
+            (update.device for update in kept), dtype=np.int64, count=count
+        )
+        flags = np.fromiter(
+            (update.flagged for update in kept), dtype=bool, count=count
+        )
         msgs: List[Optional[tuple]] = [None] * self._map.n_shards
-        for shard, kept in by_shard.items():
-            positions = np.array(
-                [update.position for update in kept], dtype=float
-            )
-            faults = row_faults(positions)
-            if faults is not None:
-                idx = np.nonzero(~faults.tally(self._reject))[0]
-                if idx.size == 0:
-                    continue
-                positions = positions[idx]
-                kept = [kept[i] for i in idx.tolist()]
-            flags = np.fromiter(
-                (update.flagged for update in kept),
-                dtype=bool,
-                count=len(kept),
-            )
-            ids = np.fromiter(
-                (update.device for update in kept),
-                dtype=np.int64,
-                count=len(kept),
-            )
+        for shard in np.unique(shards).tolist():
+            take = shards == shard
             msgs[shard] = (
                 "events",
                 self._tick + 1,
-                {"ids": ids, "positions": positions, "flags": flags},
+                {"ids": ids[take], "positions": positions[take], "flags": flags[take]},
             )
-            total += len(kept)
-        if any(msg is not None for msg in msgs):
-            self._phase(msgs)
-        return total
+        self._phase(msgs)
+        return count
 
     # ------------------------------------------------------------------
     # Migration
@@ -1335,7 +1135,7 @@ class ShardedService:
         its move touched.  Flagged joins and leaves ride the same
         insurance.
         """
-        tick = self._tick + 1
+        tick = self._tick
         n_shards = self._map.n_shards
         replies = self._phase([("movers", tick, {})] * n_shards)
         moves = sum(int(rec["ids"].shape[0]) for rec in replies)
@@ -1396,24 +1196,20 @@ class ShardedService:
         mode before the frame board or any shard is touched.
         """
         self._tick_clock.start(restart=True)
-        current = np.asarray(current, dtype=float)
         flags_arr = np.asarray(
             flags if isinstance(flags, np.ndarray) else list(flags),
             dtype=bool,
         )
-        rows = flags_arr.shape[0]
-        current = screen_frame(
-            current,
-            (rows, self._dim),
-            self._config.validation,
-            self._reject,
-            lambda: self._gather_current(rows),
+        current = self._validate_frame(
+            np.asarray(current, dtype=float), flags_arr.shape[0]
         )
         return self._feed_frame(current, flags_arr)
 
-    def _feed_frame(self, current: np.ndarray, flags: np.ndarray) -> OnlineTick:
-        """Publish one validated frame + flag vector and close the tick."""
-        self._ingest_stage.run(self._tracer)
+    def _stored_frame(self, rows: int) -> np.ndarray:
+        return self._gather_current(rows)
+
+    def _apply_frame(self, current: np.ndarray, flags: np.ndarray) -> int:
+        """Publish the frame on the board; every shard gathers its rows."""
         name, rows, _ = self._board.publish(current, flags)
         try:
             counts = self._phase(
@@ -1429,52 +1225,15 @@ class ShardedService:
         except DimensionMismatchError:
             self._reject("dimension-mismatch")
             raise
-        applied_rows = sum(int(count) for count in counts)
-        if applied_rows:
-            self.stats.updates_applied += applied_rows
-            self._applied_since_tick += applied_rows
-        return self.end_tick()
-
-    def feed_measurements(self, values: np.ndarray) -> OnlineTick:
-        """One tick from raw QoS vectors: detect at the front door, flag."""
-        if self._bank is None:
-            raise ConfigurationError(
-                "feed_measurements needs a detector; construct the service "
-                "with detector=DetectorSpec(...)"
-            )
-        self._tick_clock.start(restart=True)
-        arr = np.asarray(values, dtype=float)
-        injector = get_injector()
-        if injector.active:
-            arr = injector.corrupt_frame(self._tick + 1, arr)
-        n = self.n
-        arr = screen_frame(
-            arr,
-            (n, self._dim),
-            self._config.validation,
-            self._reject,
-            lambda: self._gather_current(n),
-        )
-        with self._tracer.span("detect"):
-            detection = self._bank.observe_batch(arr)
-        self._last_detection = detection
-        return self._feed_frame(arr, detection.flags)
+        return sum(int(count) for count in counts)
 
     # ------------------------------------------------------------------
     # Tick processing
     # ------------------------------------------------------------------
-    def end_tick(self) -> OnlineTick:
-        """Close the interval across every shard and merge the results."""
-        tracer = self._tracer
-        self._tick_clock.start()
-        self._gauge_queue_depth.set(len(self._queue))
-        self._ingest_stage.run(tracer)
+    def _run_tick(self, applied: int, tracer: Tracer) -> OnlineTick:
+        """Migrate, exchange halos, run every shard and merge the results."""
         with tracer.span("shard-migrate"):
             self._migrate()
-        applied = self._applied_since_tick
-        self._applied_since_tick = 0
-        self._tick += 1
-
         results, dirty_cells, halo_bytes = self._tick_shards(tracer)
 
         verdicts: Dict[int, Characterization] = {}
@@ -1506,17 +1265,9 @@ class ShardedService:
                 stage_seconds[stage] = (
                     stage_seconds.get(stage, 0.0) + seconds
                 )
-
-        self.stats.ticks += 1
-        self.stats.verdicts_recomputed += len(recomputed)
-        self.stats.verdicts_reused += len(reused)
-        self.stats.families_recomputed += families_recomputed
-        self.stats.families_reused += families_reused
-        self._gauge_devices.set(self.n)
-        self._gauge_flagged.set(len(flagged))
         if halo_bytes:
             self._counter_halo_bytes.inc(halo_bytes)
-        result = OnlineTick(
+        return OnlineTick(
             tick=self._tick,
             applied=applied,
             flagged=tuple(sorted(flagged)),
@@ -1530,13 +1281,6 @@ class ShardedService:
             stage_seconds=stage_seconds,
             halo_bytes=halo_bytes,
         )
-        self._sink_stage.run(result, tracer)
-        for stage, seconds in tracer.drain_stages().items():
-            result.stage_seconds[stage] = (
-                result.stage_seconds.get(stage, 0.0) + seconds
-            )
-        self._tick_clock.stop()
-        return result
 
     def _tick_shards(
         self, tracer: Tracer

@@ -26,7 +26,7 @@ tick it receives one :class:`TickContext` and fills in its outputs:
 stage                 reads                                            writes
 ====================  ===============================================  ================================================
 ``dirty-region``      store flags, tracker cells                       ``flagged, dirty_cells, affected, family_dirty``
-``transition-build``  store planes, ``flagged``                        ``transition, chain_next, index_reused``
+``transition-build``  store planes, ``flagged``                        ``transition, chain_next``
 ``verdict``           ``transition, flagged, affected, family_dirty``  ``recompute, reused, verdicts, families_*``
 ``sinks``             the finished ``OnlineTick``                      (side effects only)
 ====================  ===============================================  ================================================
@@ -48,7 +48,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.neighborhood import MotionCache
 from repro.core.transition import Transition
 from repro.core.types import Characterization
-from repro.detection.banks import BankDetection, DetectorBank
+from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
 from repro.obs.trace import Tracer
 
 __all__ = [
@@ -99,7 +99,6 @@ class TickContext:
     family_dirty: Optional[Set[int]] = None
     transition: Optional[Transition] = None
     chain_next: Optional[np.ndarray] = None
-    index_reused: bool = False
     allow_carry: bool = True
     key_of: Optional[np.ndarray] = None
     verdict_targets: Optional[Tuple[int, ...]] = None
@@ -159,15 +158,38 @@ class IngestDrainStage:
 
 
 class DetectStage:
-    """``detect``: run the in-service detector bank over one raw frame."""
+    """``detect``: the in-service detector bank and its latest detection.
+
+    :meth:`attach` builds the bank and lets it observe the initial
+    snapshot (warm-up step 0, like the trace replayers' step 0) outside
+    any span; :meth:`observe` runs it over one raw frame per tick.
+    """
 
     name = "detect"
 
-    def __init__(self, get_bank: Callable[[], Optional[DetectorBank]]) -> None:
-        self._get_bank = get_bank
+    def __init__(self) -> None:
+        self.bank: Optional[DetectorBank] = None
+        self.last: Optional[BankDetection] = None
+
+    def attach(
+        self,
+        detector: Optional[DetectorLike],
+        detection: Optional[str],
+        initial: np.ndarray,
+    ) -> None:
+        """Build the bank for ``initial``'s ``(n, d)`` fleet and warm it."""
+        if detector is not None:
+            self.bank = as_bank(
+                detector, initial.shape[0], initial.shape[1], plane=detection
+            )
+            self.last = self.bank.observe_batch(initial)
+        elif detection is not None:
+            raise ConfigurationError(
+                "detection plane given without a detector spec or bank"
+            )
 
     def require_bank(self) -> DetectorBank:
-        bank = self._get_bank()
+        bank = self.bank
         if bank is None:
             raise ConfigurationError(
                 "feed_measurements needs a detector; construct the service "
@@ -178,7 +200,8 @@ class DetectStage:
     def observe(self, frame: np.ndarray, tracer: Tracer) -> BankDetection:
         bank = self.require_bank()
         with tracer.span(self.name):
-            return bank.observe_batch(frame)
+            self.last = bank.observe_batch(frame)
+        return self.last
 
 
 class IndexUpdateStage:
@@ -248,27 +271,23 @@ class TransitionBuildStage:
     Owns the cross-tick perf state of the build: the *chained* current
     copy (steady-state ticks pay one ``(n, d)`` copy, not two — the
     previous tick's frozen ``cur`` is this tick's ``prev`` by object
-    identity) and the previous transition whose current-side grid index
-    is adopted when the flagged set is unchanged.
+    identity) and the previous transition, which gates the verdict
+    stage's motion carry.
     """
 
     name = "transition-build"
 
-    def __init__(self, owner, r: float, tau: int, *,
-                 reuse_indexes: bool) -> None:
+    def __init__(self, owner, r: float, tau: int) -> None:
         self._owner = owner
         self._r = float(r)
         self._tau = int(tau)
-        self._reuse_indexes = bool(reuse_indexes)
         self.last_transition: Optional[Transition] = None
-        self.last_flagged: Optional[Tuple[int, ...]] = None
         self.chain_cur: Optional[np.ndarray] = None
         self.chain_serial: Optional[Tuple[int, int]] = None
 
     def reset(self) -> None:
         """Drop all cross-tick perf state (checkpoint restore path)."""
         self.last_transition = None
-        self.last_flagged = None
         self.chain_cur = None
         self.chain_serial = None
 
@@ -299,24 +318,8 @@ class TransitionBuildStage:
                 prev_arr = prev_view.copy()
                 prev_arr.flags.writeable = False
             ctx.chain_next = cur_arr
-            index_prev = None
-            # The previous transition's current-side index is this
-            # tick's prev-side index only under the same conditions.
-            if (
-                chained
-                and self._reuse_indexes
-                and self.last_transition is not None
-                and self.last_flagged == ctx.flagged
-            ):
-                index_prev = self.last_transition.cur_index
-                ctx.index_reused = True
             ctx.transition = Transition.from_views(
-                prev_arr,
-                cur_arr,
-                ctx.flagged,
-                self._r,
-                self._tau,
-                index_prev=index_prev,
+                prev_arr, cur_arr, ctx.flagged, self._r, self._tau
             )
 
     def advance(self, ctx: TickContext) -> None:
@@ -326,7 +329,6 @@ class TransitionBuildStage:
         self.chain_cur = ctx.chain_next
         self.chain_serial = (store.tick_serial, store.membership_serial)
         self.last_transition = ctx.transition
-        self.last_flagged = ctx.flagged if ctx.transition is not None else None
 
 
 class VerdictStage:

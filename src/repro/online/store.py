@@ -30,7 +30,7 @@ explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.core.errors import (
     UnknownDeviceError,
 )
 from repro.core.geometry import validate_unit_cube
+from repro.core.types import AnomalyType, Characterization
 from repro.ipc import ShmPlanes
 from repro.online.grid import CellKey, MutableGridIndex
 
@@ -54,6 +55,9 @@ __all__ = [
 
 #: Verdict-code column value meaning "no verdict recorded".
 NO_VERDICT = np.int8(-1)
+
+#: Stable int8 encoding of verdict types for the verdict-code column.
+VERDICT_CODE = {kind: np.int8(i) for i, kind in enumerate(AnomalyType)}
 
 # ----------------------------------------------------------------------
 # Shared-memory plane layout.
@@ -208,6 +212,7 @@ class DeviceStateStore:
         self._tick_serial = 0
         self._membership_serial = 0
         self._membership_cells: List[np.ndarray] = []
+        self._coded_rows = np.empty(0, dtype=np.int64)
         self._sync_header()
 
     def _materialize(self, capacity: int, dim: int) -> None:
@@ -393,11 +398,27 @@ class DeviceStateStore:
         view.flags.writeable = False
         return view
 
-    def set_verdict_codes(self, rows: np.ndarray, codes: np.ndarray) -> None:
-        """Record verdict codes for ``rows`` (int8; −1 clears)."""
-        self._verdict[np.asarray(rows, dtype=np.int64)] = np.asarray(
-            codes, dtype=np.int8
+    def record_verdicts(self, verdicts: Mapping[int, Characterization]) -> None:
+        """Mirror one tick's verdict map into the verdict-code column.
+
+        Clears the rows this method coded last time, then codes the rows
+        of ``verdicts``' devices, so the column holds exactly the latest
+        tick's verdicts.  A restored or adopted store takes every coded
+        row of its column as the rows coded last time.
+        """
+        self._verdict[self._coded_rows] = NO_VERDICT
+        count = len(verdicts)
+        rows = np.fromiter(
+            (self.row_of(device) for device in verdicts),
+            dtype=np.int64,
+            count=count,
         )
+        self._verdict[rows] = np.fromiter(
+            (VERDICT_CODE[v.anomaly_type] for v in verdicts.values()),
+            dtype=np.int8,
+            count=count,
+        )
+        self._coded_rows = rows
 
     def snapshot_arrays(
         self, *, copy: bool = False
@@ -804,13 +825,16 @@ class DeviceStateStore:
         return store
 
     def _rebuild_derived(self) -> None:
-        """Rebuild the id→row map and grid index from the columns.
+        """Rebuild the id→row map, coded rows and grid index from the columns.
 
         The index adopts the full-capacity plane with only the occupied
         rows (``id_of >= 0``) alive, so scrubbed free rows never haunt
         cell ``(0, ..., 0)``.
         """
         occupied = np.nonzero(self._id_of[: self._used] >= 0)[0]
+        self._coded_rows = np.nonzero(
+            self._verdict[: self._used] != NO_VERDICT
+        )[0]
         self._row_of = dict(
             zip(self._id_of[occupied].tolist(), occupied.tolist())
         )

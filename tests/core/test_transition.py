@@ -149,71 +149,3 @@ class TestConsistencyPredicates:
         pairs = [(0.1, 0.1), (0.1, 0.1), (0.1, 0.1), (0.9, 0.9)]
         t = make_transition_1d(pairs, r=0.03, tau=2)
         assert not t.is_dense_motion([0, 1, 2, 3])
-
-
-class TestIndexReuse:
-    """Consecutive transitions can share prebuilt grid indexes."""
-
-    def make_pair(self, seed=0, n=40, r=0.04):
-        rng = np.random.default_rng(seed)
-        s0, s1, s2 = (rng.random((n, 2)) * 0.9 for _ in range(3))
-        flagged = list(range(0, n, 3))
-        first = Transition(Snapshot(s0), Snapshot(s1), flagged, r, 2)
-        return first, s1, s2, flagged, r
-
-    def test_cur_index_adopted_as_next_prev(self):
-        first, s1, s2, flagged, r = self.make_pair()
-        second = Transition(
-            Snapshot(s1), Snapshot(s2), flagged, r, 2,
-            index_prev=first.cur_index,
-        )
-        assert second.prev_index is first.cur_index
-
-    def test_reused_index_answers_identically(self):
-        first, s1, s2, flagged, r = self.make_pair(seed=5)
-        reused = Transition(
-            Snapshot(s1), Snapshot(s2), flagged, r, 2,
-            index_prev=first.cur_index,
-        )
-        fresh = Transition(Snapshot(s1), Snapshot(s2), flagged, r, 2)
-        for j in flagged:
-            assert reused.neighborhood(j) == fresh.neighborhood(j)
-            assert reused.knowledge_ball(j) == fresh.knowledge_ball(j)
-        assert reused.neighborhoods_batch() == fresh.neighborhoods_batch()
-
-    def test_both_sides_accept_prebuilt_indexes(self):
-        first, s1, s2, flagged, r = self.make_pair()
-        fresh = Transition(Snapshot(s1), Snapshot(s2), flagged, r, 2)
-        adopted = Transition(
-            Snapshot(s1), Snapshot(s2), flagged, r, 2,
-            index_prev=fresh.prev_index, index_cur=fresh.cur_index,
-        )
-        assert adopted.prev_index is fresh.prev_index
-        assert adopted.cur_index is fresh.cur_index
-
-    def test_wrong_flagged_set_rejected(self):
-        first, s1, s2, flagged, r = self.make_pair()
-        with pytest.raises(ConfigurationError):
-            Transition(
-                Snapshot(s1), Snapshot(s2), flagged[:-1], r, 2,
-                index_prev=first.cur_index,
-            )
-
-    def test_wrong_snapshot_rejected(self):
-        first, s1, s2, flagged, r = self.make_pair()
-        # first.prev_index indexes s0 positions, not s1's.
-        with pytest.raises(ConfigurationError):
-            Transition(
-                Snapshot(s1), Snapshot(s2), flagged, r, 2,
-                index_prev=first.prev_index,
-            )
-
-    def test_wrong_cell_rejected(self):
-        from repro.core.geometry import GridIndex
-
-        first, s1, s2, flagged, r = self.make_pair()
-        bad = GridIndex(s1[flagged], 0.5)
-        with pytest.raises(ConfigurationError):
-            Transition(
-                Snapshot(s1), Snapshot(s2), flagged, r, 2, index_prev=bad
-            )

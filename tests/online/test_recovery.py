@@ -281,21 +281,41 @@ class TestFormat:
 
     def test_retired_engine_knobs_in_config_still_load(self, tmp_path):
         # Version-2 checkpoints written before the engine's execution
-        # knobs were removed carry them in their service config.
-        service, _ = _fresh_service()
+        # knobs and the grid-index adoption switch were removed carry
+        # them in their service config, and the adoption counter in
+        # their stats.
+        service, generator = _fresh_service()
         with service:
+            full = _verdict_stream(drive_load(service, generator, 7).ticks)
+        service, generator = _fresh_service()
+        with service:
+            drive_load(service, generator, 4)
             path = save_checkpoint(service, tmp_path / "ck.npz")
+            stats = service.stats.as_dict()
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
         meta = json.loads(arrays["meta_json"].tobytes().decode())
         meta["config"].update(
-            backend="serial", workers=None, max_worker_tasks=None
+            backend="serial",
+            workers=None,
+            max_worker_tasks=None,
+            reuse_indexes=True,
         )
+        meta["stats"]["index_reuses"] = 3
         arrays["meta_json"] = np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8
         )
         np.savez(path, **arrays)
-        assert load_checkpoint(path).config == service.config
+        ckpt = load_checkpoint(path)
+        assert ckpt.config == service.config
+        assert ckpt.stats == stats
+        restored = restore_service(ckpt)
+        with restored:
+            assert restored.stats.as_dict() == stats
+            generator2 = LoadGenerator(PROFILE)
+            generator2.fast_forward(4)
+            tail = _verdict_stream(drive_load(restored, generator2, 3).ticks)
+        assert tail == full[4:]
 
     def test_version_mismatch_raises(self, tmp_path):
         service, _ = _fresh_service()

@@ -1,7 +1,7 @@
 """OnlineCharacterizationService: the verdict-identity contract.
 
-The service may cache, invalidate lazily, shard, batch and reuse
-indexes — but after every ``end_tick`` its verdict map must equal a
+The service may cache, invalidate lazily, shard and batch — but after
+every ``end_tick`` its verdict map must equal a
 fresh batch characterization of the same transition (type, rule,
 witness).  The randomized drive below checks that on every tick of
 adversarially mixed update streams.
@@ -23,6 +23,7 @@ from repro.online import (
     QosUpdate,
     ReportSink,
     ServiceConfig,
+    ShardedService,
 )
 
 
@@ -232,44 +233,25 @@ class TestVerdictEquivalence:
         assert out.reused == ()
 
 
-class TestIndexReuse:
-    def test_stable_flagged_set_shares_index_work(self):
-        rng = np.random.default_rng(2)
-        service = OnlineCharacterizationService(
-            rng.random((60, 2)), ServiceConfig(r=0.04, tau=2)
-        )
-        for j in range(5):
-            service.ingest(QosUpdate(j, (0.4 + 0.01 * j, 0.4), True))
-        service.end_tick()
-        assert service.stats.index_reuses == 0
-        for _ in range(3):
-            service.end_tick()
-        assert service.stats.index_reuses == 3
-
-    def test_changed_flagged_set_rebuilds(self):
-        rng = np.random.default_rng(2)
-        service = OnlineCharacterizationService(
-            rng.random((60, 2)), ServiceConfig(r=0.04, tau=2)
-        )
-        service.ingest(QosUpdate(0, (0.4, 0.4), True))
-        service.end_tick()
-        service.ingest(QosUpdate(1, (0.6, 0.6), True))
-        service.end_tick()
-        assert service.stats.index_reuses == 0
-
-    def test_reuse_can_be_disabled(self):
-        rng = np.random.default_rng(2)
-        service = OnlineCharacterizationService(
-            rng.random((60, 2)),
-            ServiceConfig(r=0.04, tau=2, reuse_indexes=False),
-        )
-        service.ingest(QosUpdate(0, (0.4, 0.4), True))
-        service.end_tick()
-        service.end_tick()
-        assert service.stats.index_reuses == 0
-
-
 class TestBackpressure:
+    """The queue contract, on the single service; the subclasses below
+    run the same tests through a 2-shard front door."""
+
+    @pytest.fixture
+    def make(self):
+        made = []
+
+        def make(initial, config):
+            made.append(self.build(initial, config))
+            return made[-1]
+
+        yield make
+        for service in made:
+            service.close()
+
+    def build(self, initial, config):
+        return OnlineCharacterizationService(initial, config)
+
     def config(self, policy, capacity=4):
         return ServiceConfig(
             r=0.03, tau=2, queue_capacity=capacity, backpressure=policy
@@ -280,28 +262,22 @@ class TestBackpressure:
             QosUpdate(j, (0.1 + 0.001 * j, 0.1), False) for j in range(count)
         ]
 
-    def test_error_policy_raises(self):
-        service = OnlineCharacterizationService(
-            np.full((10, 2), 0.5), self.config("error")
-        )
+    def test_error_policy_raises(self, make):
+        service = make(np.full((10, 2), 0.5), self.config("error"))
         for update in self.updates(4):
             service.ingest(update)
         with pytest.raises(QueueFullError):
             service.ingest(QosUpdate(9, (0.9, 0.9), False))
 
-    def test_drop_oldest_policy_sheds_load(self):
-        service = OnlineCharacterizationService(
-            np.full((10, 2), 0.5), self.config("drop-oldest")
-        )
+    def test_drop_oldest_policy_sheds_load(self, make):
+        service = make(np.full((10, 2), 0.5), self.config("drop-oldest"))
         accepted = service.ingest_many(self.updates(7))
         assert accepted == 4
         assert service.stats.updates_dropped == 3
         assert service.queued == 4
 
-    def test_block_policy_applies_inline(self):
-        service = OnlineCharacterizationService(
-            np.full((10, 2), 0.5), self.config("block")
-        )
+    def test_block_policy_applies_inline(self, make):
+        service = make(np.full((10, 2), 0.5), self.config("block"))
         accepted = service.ingest_many(self.updates(7))
         assert accepted == 7
         assert service.stats.updates_dropped == 0
@@ -312,8 +288,8 @@ class TestBackpressure:
         assert out.applied == 7
         assert service.stats.updates_applied == 7
 
-    def test_max_batch_drains_in_chunks(self):
-        service = OnlineCharacterizationService(
+    def test_max_batch_drains_in_chunks(self, make):
+        service = make(
             np.full((10, 2), 0.5),
             ServiceConfig(r=0.03, tau=2, max_batch=2, queue_capacity=100),
         )
@@ -321,6 +297,106 @@ class TestBackpressure:
         out = service.end_tick()
         assert out.applied == 5
         assert service.queued == 0
+
+
+class TestBackpressureInlineShards(TestBackpressure):
+    WORKERS = "inline"
+
+    def build(self, initial, config):
+        # Half the fleet on each side of the shards' seam.
+        initial = initial.copy()
+        initial[::2, 0] = 0.9
+        return ShardedService(
+            initial, config, topology_shards=2, topology_workers=self.WORKERS
+        )
+
+
+class TestBackpressureProcessShards(TestBackpressureInlineShards):
+    WORKERS = "process"
+
+
+def _front_door_stream(rng, n, ticks):
+    """Per tick: well-formed moves and flag flips, a repeated device,
+    and one event per rejection reason."""
+    for _ in range(ticks):
+        batch = [
+            QosUpdate(int(j), tuple(rng.random(2)), bool(rng.random() < 0.5))
+            for j in rng.choice(n, size=8, replace=False)
+        ]
+        batch.append(QosUpdate(batch[0].device, tuple(rng.random(2)), True))
+        batch += [
+            QosUpdate(n + 7, (0.5, 0.5), True),
+            QosUpdate(1, (0.5, 0.5, 0.5), True),
+            QosUpdate(2, (float("nan"), 0.5), True),
+            QosUpdate(3, (float("inf"), 0.5), True),
+            QosUpdate(4, (0.5, 1.5), True),
+        ]
+        rng.shuffle(batch)
+        yield batch
+
+
+class TestFrontDoorParity:
+    @pytest.mark.parametrize("policy", ["error", "drop-oldest", "block"])
+    def test_topologies_report_the_same_tick_stream(self, policy):
+        n = 40
+        base = np.random.default_rng(4).random((n, 2))
+        # The motion carry runs on the single service only, so it would
+        # split the family counters; every other stat is front door or
+        # verdict work and must agree.
+        config = ServiceConfig(
+            r=0.05,
+            tau=2,
+            queue_capacity=6,
+            max_batch=4,
+            backpressure=policy,
+            reuse_motions=False,
+        )
+        services = [
+            OnlineCharacterizationService(base, config),
+            *(
+                ShardedService(
+                    base, config, topology_shards=2, topology_workers=workers
+                )
+                for workers in ("inline", "process")
+            ),
+        ]
+        try:
+            runs = []
+            for service in services:
+                ticks = []
+                for batch in _front_door_stream(np.random.default_rng(9), n, 6):
+                    accepted = []
+                    for update in batch:
+                        try:
+                            accepted.append(service.ingest(update))
+                        except QueueFullError:
+                            accepted.append(None)
+                    out = service.end_tick()
+                    ticks.append(
+                        (
+                            accepted,
+                            out.applied,
+                            out.flagged,
+                            {
+                                j: (v.anomaly_type, v.rule, v.witness)
+                                for j, v in out.verdicts.items()
+                            },
+                        )
+                    )
+                runs.append(
+                    (ticks, service.stats.as_dict(), dict(service.rejected))
+                )
+        finally:
+            for service in services:
+                service.close()
+        single = runs[0]
+        assert single[1]["updates_applied"] > 0
+        assert single[1]["verdicts_recomputed"] > 0
+        assert set(single[2]) == {
+            "unknown-device", "dimension-mismatch", "nan", "inf", "out-of-range"
+        }
+        for run in runs[1:]:
+            assert run == single
 
 
 class TestSinks:

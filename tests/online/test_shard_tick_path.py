@@ -13,6 +13,8 @@ replaced:
 * the ``migrate`` command is idempotent, and a worker killed between an
   admit's payload writes and its ``id_of`` publication recovers, after
   plane adoption and a resend, to the state of a clean application;
+* a ``leave`` whose evict landed but whose reply was lost still leaves
+  the flagged leaver's cells in the next dirty union;
 * the halo transition holds only flagged participants, and the verdict
   path never allocates a store-sized plane.
 """
@@ -28,7 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, DimensionMismatchError
-from repro.online import ServiceConfig, ShardedService
+from repro.online import (
+    OnlineCharacterizationService,
+    QosUpdate,
+    ServiceConfig,
+    ShardedService,
+)
 from repro.online.procshard import _gather_frame, handle_command
 from repro.online.replay import diff_rows
 from repro.online.sharded import HaloTransitionBuildStage, ShardMap, _ShardWorker
@@ -363,6 +370,73 @@ class TestMigrateCommand:
         finally:
             if adopted is not None:
                 adopted.release_planes(unlink=True)
+
+
+class TestLeaveCommand:
+    def test_lost_leave_reply_keeps_the_leavers_cells_dirty(self, monkeypatch):
+        # A flagged trio straddles the seam between shard 0 (x < 0.6)
+        # and shard 1: one motion of 3 > tau.  Two quiet ticks later the
+        # shard-0 member leaves; its shard evicts the row, and the reply
+        # is lost, so the child is respawned and ``leave`` resent.  The
+        # shard-1 pair's verdicts hinge on the leaver alone, and only
+        # its (prev, cur) cells in the dirty union recompute them.
+        cfg = ServiceConfig(r=0.05, tau=2, dispatch_deadline=1.0)
+        rng = np.random.default_rng(11)
+        pts = np.concatenate(
+            [
+                [[0.58, 0.48], [0.61, 0.48], [0.62, 0.48]],
+                rng.uniform([0.05, 0.05], [0.25, 0.95], (12, 2)),
+                rng.uniform([0.85, 0.05], [0.95, 0.95], (12, 2)),
+            ]
+        )
+        single = OnlineCharacterizationService(pts, cfg)
+        sharded = ShardedService(
+            pts, cfg, topology_shards=2, topology_workers="process"
+        )
+        handle = sharded.handles[0]
+        send = handle.send
+        dropped = []
+
+        def drop_first_leave_reply(msg, *, canonical=None):
+            op, tick, payload = msg
+            if op == "leave" and not dropped:
+                dropped.append(msg)
+                return send(
+                    (op, tick, {**payload, "_drop_reply": True}), canonical=msg
+                )
+            return send(msg, canonical=canonical)
+
+        monkeypatch.setattr(handle, "send", drop_first_leave_reply)
+        try:
+            assert [sharded.shard_of(j) for j in range(3)] == [0, 1, 1]
+            for service in (single, sharded):
+                service.ingest_many(
+                    QosUpdate(j, (pts[j, 0], 0.5), True) for j in range(3)
+                )
+            ticks = []
+            for _ in range(3):
+                ticks.append((single.end_tick(), sharded.end_tick()))
+            single.store.leave(0)
+            sharded.leave(0)
+            ticks.append((single.end_tick(), sharded.end_tick()))
+            assert dropped and handle.respawns == 1
+            leaver_cell = np.floor(np.array([0.58, 0.5]) / cfg.cell)
+            assert (sharded._prev_dirty == leaver_cell).all(axis=1).any()
+            for want, got in ticks:
+                assert verdict_view(got) == verdict_view(want)
+            assert {v.anomaly_type for v in ticks[2][0].verdicts.values()} != {
+                v.anomaly_type for v in ticks[3][0].verdicts.values()
+            }
+        finally:
+            sharded.close()
+            single.close()
+
+
+def verdict_view(tick):
+    return {
+        j: (v.anomaly_type, v.rule, v.witness)
+        for j, v in tick.verdicts.items()
+    }
 
 
 # ----------------------------------------------------------------------

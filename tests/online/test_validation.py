@@ -32,15 +32,6 @@ def fresh_registry():
     _reset_global_registry()
 
 
-@pytest.fixture
-def service():
-    base = np.random.default_rng(0).random((12, 2))
-    with OnlineCharacterizationService(
-        base, ServiceConfig(r=0.05, tau=2)
-    ) as svc:
-        yield svc
-
-
 def _counter_value(reason):
     family = get_registry().counter(
         "repro_service_rejected_total", "", labelnames=("reason",)
@@ -49,6 +40,18 @@ def _counter_value(reason):
 
 
 class TestQueuePathRejection:
+    @pytest.fixture
+    def service(self):
+        base = np.random.default_rng(0).random((12, 2))
+        with self._service(base, ServiceConfig(r=0.05, tau=2)) as svc:
+            yield svc
+
+    def _service(self, base, config):
+        return OnlineCharacterizationService(base, config)
+
+    def _positions(self, service):
+        return service.store.current_positions()
+
     @pytest.mark.parametrize(
         "update, reason",
         [
@@ -60,19 +63,17 @@ class TestQueuePathRejection:
         ],
     )
     def test_each_reason_is_dropped_and_counted(self, service, update, reason):
-        before = service.store.current_positions()[1].copy()
+        before = self._positions(service)[1].copy()
         service.ingest(update)
         tick = service.end_tick()
         assert tick.applied == 0
         assert service.rejected == {reason: 1}
         assert _counter_value(reason) == 1
         # The store never saw the bad row.
-        assert np.array_equal(
-            service.store.current_positions()[1], before
-        )
+        assert np.array_equal(self._positions(service)[1], before)
 
     def test_good_rows_in_a_poisoned_batch_still_land(self, service):
-        target = service.store.current_positions()[3].copy()
+        target = self._positions(service)[3].copy()
         service.ingest_many(
             [
                 QosUpdate(2, (float("nan"), 0.5), True),
@@ -83,12 +84,8 @@ class TestQueuePathRejection:
         tick = service.end_tick()
         assert tick.applied == 1
         assert service.rejected == {"nan": 1, "unknown-device": 1}
-        assert np.allclose(
-            service.store.current_positions()[3], (0.25, 0.75)
-        )
-        assert not np.array_equal(
-            service.store.current_positions()[3], target
-        )
+        assert np.allclose(self._positions(service)[3], (0.25, 0.75))
+        assert not np.array_equal(self._positions(service)[3], target)
 
     def test_negative_coordinate_is_out_of_range(self, service):
         service.ingest(QosUpdate(0, (-0.1, 0.5), False))
@@ -101,6 +98,24 @@ class TestQueuePathRejection:
             service.end_tick()
         assert service.rejected == {"unknown-device": 3}
         assert _counter_value("unknown-device") == 3
+
+
+class TestQueuePathRejectionInlineShards(TestQueuePathRejection):
+    """The same per-event contract on a 2-shard front door."""
+
+    WORKERS = "inline"
+
+    def _service(self, base, config):
+        return ShardedService(
+            base, config, topology_shards=2, topology_workers=self.WORKERS
+        )
+
+    def _positions(self, service):
+        return service._gather_current(service.n)
+
+
+class TestQueuePathRejectionProcessShards(TestQueuePathRejectionInlineShards):
+    WORKERS = "process"
 
 
 class TestFramePathRejection:
