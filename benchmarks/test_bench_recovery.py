@@ -5,7 +5,10 @@ Measured at n=10k, 1% churn: a full checkpoint (store planes + tracker
 milliseconds and restores verdict-identically — cheap enough for an
 every-tick cadence.  A second row feeds the same fleet raw frames
 through the in-service step-threshold bank, so its checkpoint also
-carries the detector state and the last detection (``aux_bytes``).
+carries the detector state and the last detection (``aux_bytes``).  A
+third row runs that frame-fed fleet on 2 process shards.  The two
+frame-fed rows time the restore's ``load_checkpoint`` and its rebuild
+apart (``restore_seconds`` is their sum).
 
 Every run appends rows to ``_SUMMARY_ROWS``; after the module,
 ``benchmarks/conftest.py`` writes them to the path in
@@ -18,16 +21,18 @@ from __future__ import annotations
 import time
 import zipfile
 
-
 from repro.detection.banks import default_detector_spec
 from repro.online import (
     LoadGenerator,
     LoadProfile,
     OnlineCharacterizationService,
     ServiceConfig,
+    ShardedService,
     drive_load,
     drive_load_measurements,
+    load_checkpoint,
     restore_service,
+    restore_sharded_service,
     save_checkpoint,
 )
 
@@ -90,14 +95,10 @@ def test_checkpoint_write_and_restore_latency(tmp_path):
     )
 
 
-def test_frame_fed_checkpoint_with_detector_bank(tmp_path):
-    cfg = ServiceConfig(r=0.01, tau=3)
+def _frame_fed_row(tmp_path, service, restore):
+    """Checkpoint a frame-fed ``service``; time the write, the load and the
+    rebuild apart, and check the restored service resumes identically."""
     generator = LoadGenerator(_profile())
-    service = OnlineCharacterizationService(
-        generator.initial_positions(),
-        cfg,
-        detector=default_detector_spec(cfg.r),
-    )
     with service:
         drive_load_measurements(service, generator, 3)
         path = tmp_path / "bench.npz"
@@ -108,10 +109,17 @@ def test_frame_fed_checkpoint_with_detector_bank(tmp_path):
         reference = _history(
             drive_load_measurements(service, generator, 1).ticks
         )
-    restore_seconds, restored = min(
-        (_timed_value(lambda: restore_service(path)) for _ in range(3)),
+    load_seconds, loaded = min(
+        (_timed_value(lambda: load_checkpoint(path)) for _ in range(3)),
         key=lambda pair: pair[0],
     )
+    rebuilds = []
+    restored = None
+    for _ in range(3):
+        if restored is not None:
+            restored.close()
+        seconds, restored = _timed_value(lambda: restore(loaded))
+        rebuilds.append(seconds)
     with restored:
         generator2 = LoadGenerator(_profile())
         generator2.fast_forward(restored.current_tick)
@@ -121,16 +129,45 @@ def test_frame_fed_checkpoint_with_detector_bank(tmp_path):
     assert resumed == reference
     with zipfile.ZipFile(path) as archive:
         aux_bytes = archive.getinfo("aux_blob.npy").file_size
+    return {
+        "n": N,
+        "detector": "step",
+        "write_seconds": write_seconds,
+        "load_seconds": load_seconds,
+        "rebuild_seconds": min(rebuilds),
+        "restore_seconds": load_seconds + min(rebuilds),
+        "bytes": path.stat().st_size,
+        "aux_bytes": aux_bytes,
+    }
+
+
+def test_frame_fed_checkpoint_with_detector_bank(tmp_path):
+    cfg = ServiceConfig(r=0.01, tau=3)
+    service = OnlineCharacterizationService(
+        LoadGenerator(_profile()).initial_positions(),
+        cfg,
+        detector=default_detector_spec(cfg.r),
+    )
+    row = _frame_fed_row(tmp_path, service, restore_service)
+    _SUMMARY_ROWS.append({"claim": "checkpoint_latency_frame_fed", **row})
+
+
+def test_process_sharded_frame_fed_checkpoint(tmp_path):
+    cfg = ServiceConfig(r=0.01, tau=3)
+    service = ShardedService(
+        LoadGenerator(_profile()).initial_positions(),
+        cfg,
+        topology_shards=2,
+        topology_workers="process",
+        detector=default_detector_spec(cfg.r),
+    )
+    row = _frame_fed_row(
+        tmp_path,
+        service,
+        lambda loaded: restore_sharded_service(loaded, topology_workers="process"),
+    )
     _SUMMARY_ROWS.append(
-        {
-            "claim": "checkpoint_latency_frame_fed",
-            "n": N,
-            "detector": "step",
-            "write_seconds": write_seconds,
-            "restore_seconds": restore_seconds,
-            "bytes": path.stat().st_size,
-            "aux_bytes": aux_bytes,
-        }
+        {"claim": "checkpoint_latency_frame_fed_sharded", "shards": 2, **row}
     )
 
 

@@ -373,6 +373,12 @@ class SegmentReader:
                     pass
             self._zombies = remaining
 
+    def segment(self, name: str) -> shared_memory.SharedMemory:
+        """Segment ``name``, attached on demand and cached."""
+        if name not in self._segments:
+            self._segments[name] = shared_memory.SharedMemory(name=name)
+        return self._segments[name]
+
     def array(
         self,
         name: str,
@@ -382,11 +388,9 @@ class SegmentReader:
         offset: int = 0,
     ) -> np.ndarray:
         """A read-only view into segment ``name`` (attached on demand)."""
-        seg = self._segments.get(name)
-        if seg is None:
-            seg = shared_memory.SharedMemory(name=name)
-            self._segments[name] = seg
-        arr = np.frombuffer(seg.buf, dtype=dtype, count=count, offset=offset)
+        arr = np.frombuffer(
+            self.segment(name).buf, dtype=dtype, count=count, offset=offset
+        )
         arr.flags.writeable = False
         return arr
 

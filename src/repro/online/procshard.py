@@ -56,7 +56,7 @@ Why ``fork``: children inherit the parent's modules, chaos plan and
 resource tracker, so shared-memory create/attach/unlink registrations
 pair up without manual tracking, and spawning costs one page-table
 copy, not an interpreter boot.  The tracker is only inherited if it is
-already running at fork time — :meth:`_ProcessShardHandle._spawn`
+already running at fork time — :meth:`_ProcessShardHandle._fork`
 starts it first; otherwise every child would start its own, and a
 killed child's tracker would unlink every segment the child had merely
 attached: its peers' halo bands and the front door's frame board.
@@ -93,7 +93,6 @@ from repro.ipc import (
 from repro.obs.trace import Tracer
 from repro.online.store import (
     DeviceStateStore,
-    attach_store_planes,
     shm_planes_factory,
     store_plane_fields,
 )
@@ -297,7 +296,6 @@ def handle_command(
     shard_map,
     halo_reader: SegmentReader,
     board_reader: SegmentReader,
-    planes_factory,
 ):
     """Execute one front-door command against a shard worker.
 
@@ -312,11 +310,13 @@ def handle_command(
     store = worker.store
     if op == "state":
         # Checkpoints capture *completed* ticks: roll the deferred
-        # advance so the cut never depends on where the shard ran.
+        # advance so the cut never depends on where the shard ran.  The
+        # columns of shm-backed planes are not pickled down the pipe:
+        # the front door copies them out of the planes itself.
         if store.tick_serial < tick:
             store.advance_tick()
         return (
-            store.state(),
+            store.state(columns=store.planes is None),
             worker.tracker.state(),
             dict(worker.verdict_stage.cache),
         )
@@ -334,33 +334,14 @@ def handle_command(
         if what == "flagged":
             return store.flagged_devices()
         raise ConfigurationError(f"unknown shard query {what!r}")
-    if op == "restore":
-        new_store = DeviceStateStore.from_state(
-            payload["store"], planes_factory=planes_factory
-        )
-        old = worker.store
-        worker.store = new_store
-        if old.planes is not None:
-            old.release_planes(unlink=True)
-        worker.tracker.restore_state(payload["tracker"])
-        worker.verdict_stage.cache = dict(payload["verdicts"])
-        worker.verdict_stage.last_cache = None
-        worker.transition_stage.last_transition = None
-        return None
 
     # Every mutating command below belongs to tick ``tick``; roll the
     # deferred snapshot from the previous tick before touching state.
     _maybe_roll(store, tick)
 
     if op == "events":
-        ids = np.asarray(payload["ids"], dtype=np.int64)
-        rows = np.fromiter(
-            (store.row_of(int(j)) for j in ids.tolist()),
-            dtype=np.int64,
-            count=ids.shape[0],
-        )
         applied = store.apply_rows(
-            rows, payload["positions"], payload["flags"]
+            store.rows_of(payload["ids"]), payload["positions"], payload["flags"]
         )
         worker.tracker.mark_batch(applied, was_relevant=applied.was_flagged)
         return None
@@ -398,16 +379,10 @@ def handle_command(
             "codes": store.verdict_codes()[rows],
         }
     if op == "migrate":
-        out = [store.row_if_present(int(j)) for j in payload["out"].tolist()]
-        store.leave_rows(
-            np.array([row for row in out if row is not None], dtype=np.int64)
-        )
+        out = store.rows_of(payload["out"])
+        store.leave_rows(out[out >= 0])
         admit = payload["in"]
-        absent = np.fromiter(
-            (store.row_if_present(int(j)) is None for j in admit["ids"].tolist()),
-            dtype=bool,
-            count=admit["ids"].shape[0],
-        )
+        absent = store.rows_of(admit["ids"]) < 0
         store.admit_rows(
             *(
                 admit[field][absent]
@@ -461,6 +436,10 @@ def _reply_header(worker) -> Tuple[bool, Optional[str], int, int]:
     return (True, planes.name, planes.capacity, worker.store.n)
 
 
+def _error_reply(exc: Exception) -> tuple:
+    return (False, None, 0, 0, (type(exc).__name__, traceback.format_exc()))
+
+
 def _child_cleanup(worker, *, unlink: bool) -> None:
     try:
         worker.channel.close()
@@ -478,41 +457,29 @@ def _shard_child_main(
 ) -> None:
     """The shard-process entry point: build (or adopt) a worker, serve.
 
-    ``init`` is ``("fresh", positions, ids)`` at service construction or
-    ``("adopt", plane_name, capacity)`` on a supervised respawn.  The
-    loop answers one command per message; a ``None`` sentinel (clean
-    shutdown) and parent death both unlink the owned segments.  Parent
-    death is noticed by polling: the forked child inherits the parent's
-    end of its own pipe, so a dead parent never shows up as EOF, and the
-    loop instead watches for the child being re-parented.
+    ``init`` is ``("fresh", positions, ids)`` at construction, ``("state",
+    part)`` on a restore (inherited through the fork, never pickled) or
+    ``("adopt", plane_name, capacity)`` on a respawn.  A failed build
+    unlinks the segments it made and replies its error.  The loop answers one command per message; a ``None`` sentinel
+    (clean shutdown) and parent death both unlink the owned segments.
+    Parent death is noticed by polling: the forked child inherits the
+    parent's end of its own pipe, so a dead parent never shows up as
+    EOF, and the loop instead watches for the child being re-parented.
     """
     from repro.online.sharded import _ShardWorker
 
-    factory = shm_planes_factory()
+    created: List[ShmPlanes] = []
+    factory = shm_planes_factory(created)
     tracer = Tracer(enabled=trace_enabled)
-    if init[0] == "fresh":
-        _, positions, ids = init
-        worker = _ShardWorker(
-            shard,
-            positions,
-            ids,
-            dim,
-            config,
-            tracer,
-            planes_factory=factory,
+    try:
+        worker = _ShardWorker.from_init(
+            shard, init, dim, config, tracer, planes_factory=factory
         )
-    else:
-        _, plane_name, capacity = init
-        planes = attach_store_planes(plane_name, capacity, dim)
-        store = DeviceStateStore.adopt_planes(
-            planes,
-            cell=config.cell,
-            planes_factory=factory,
-        )
-        worker = _ShardWorker(
-            shard, None, None, dim, config, tracer, store=store
-        )
-        _mark_recovered(worker)
+    except Exception as exc:
+        for planes in created:
+            planes.unlink()
+        conn.send(_error_reply(exc))
+        return
     halo_reader = SegmentReader()
     board_reader = SegmentReader()
     try:
@@ -546,17 +513,10 @@ def _shard_child_main(
                     shard_map=shard_map,
                     halo_reader=halo_reader,
                     board_reader=board_reader,
-                    planes_factory=factory,
                 )
                 reply = _reply_header(worker) + (result,)
             except Exception as exc:
-                reply = (
-                    False,
-                    None,
-                    0,
-                    0,
-                    (type(exc).__name__, traceback.format_exc()),
-                )
+                reply = _error_reply(exc)
             hang = payload.get("_hang") if isinstance(payload, dict) else None
             if hang:
                 time.sleep(float(hang))
@@ -582,9 +542,7 @@ class _ProcessShardHandle:
     retry; chaos decorations are never remembered).
     """
 
-    def __init__(
-        self, shard, config, dim, shard_map, positions, ids, trace_enabled
-    ) -> None:
+    def __init__(self, shard, config, dim, shard_map, init, trace_enabled) -> None:
         self.shard = int(shard)
         self._config = config
         self._dim = int(dim)
@@ -593,18 +551,13 @@ class _ProcessShardHandle:
         self._ctx = multiprocessing.get_context("fork")
         self.plane_name: Optional[str] = None
         self.plane_capacity = 0
-        self.n = int(positions.shape[0])
+        self.n = 0
         self.ring_names: Tuple[str, ...] = ()
         self.respawns = 0
         self.last_msg: Optional[tuple] = None
         self.worker: Optional[WorkerHandle] = None
-        self._spawn(
-            (
-                "fresh",
-                np.ascontiguousarray(positions, dtype=np.float64),
-                np.ascontiguousarray(ids, dtype=np.int64),
-            )
-        )
+        # Forks only; the caller awaits ``ready`` once every shard forked.
+        self._fork(init)
 
     @property
     def nbytes(self) -> int:
@@ -613,7 +566,7 @@ class _ProcessShardHandle:
             self.plane_capacity, store_plane_fields(self._dim)
         )
 
-    def _spawn(self, init) -> None:
+    def _fork(self, init) -> None:
         # The children must inherit one tracker (see the module notes).
         resource_tracker.ensure_running()
         parent_conn, child_conn = self._ctx.Pipe()
@@ -634,10 +587,15 @@ class _ProcessShardHandle:
         proc.start()
         child_conn.close()
         self.worker = WorkerHandle(process=proc, conn=parent_conn)
+
+    def await_ready(self) -> None:
+        """Block until the forked child has built its worker; a failed
+        build raises :class:`ConfigurationError` with its traceback."""
         ok, name, capacity, n, payload = self.recv(_READY_DEADLINE)
         if not ok or payload != "ready":
+            detail = payload[1] if not ok else repr(payload)
             raise ConfigurationError(
-                f"shard {self.shard} worker failed to start: {payload!r}"
+                f"shard {self.shard} worker failed to start:\n{detail}"
             )
         self.plane_name = name
         self.plane_capacity = int(capacity)
@@ -729,7 +687,8 @@ class _ProcessShardHandle:
         """Kill and relaunch a child that adopts the surviving planes."""
         orphans = self.kill()
         self.respawns += 1
-        self._spawn(("adopt", self.plane_name, self.plane_capacity))
+        self._fork(("adopt", self.plane_name, self.plane_capacity))
+        self.await_ready()
         return orphans
 
     def degrade(self, tracer: Tracer) -> "_InlineShardHandle":
@@ -742,24 +701,17 @@ class _ProcessShardHandle:
         """
         from repro.online.sharded import _ShardWorker
 
-        planes = attach_store_planes(
-            self.plane_name, self.plane_capacity, self._dim
-        )
-        adopted = DeviceStateStore.adopt_planes(
-            planes, cell=self._config.cell
-        )
-        state = adopted.state()
-        adopted.release_planes(unlink=True)
-        worker = _ShardWorker(
+        worker = _ShardWorker.from_init(
             self.shard,
-            None,
-            None,
+            ("adopt", self.plane_name, self.plane_capacity),
             self._dim,
             self._config,
             tracer,
-            store=DeviceStateStore.from_state(state),
         )
-        _mark_recovered(worker)
+        adopted, worker.store = worker.store, DeviceStateStore.from_state(
+            worker.store.state()
+        )
+        adopted.release_planes(unlink=True)
         inline = _InlineShardHandle(worker, self._map)
         inline.send(self.last_msg)
         return inline
@@ -796,6 +748,9 @@ class _InlineShardHandle:
         self._pending: Optional[tuple] = None
         self.ring_names: Tuple[str, ...] = ()
 
+    def await_ready(self) -> None:
+        """The worker is built in the constructor: nothing to wait for."""
+
     @property
     def n(self) -> int:
         return self.inner.store.n
@@ -820,7 +775,6 @@ class _InlineShardHandle:
             shard_map=self._map,
             halo_reader=self._halo_reader,
             board_reader=self._board_reader,
-            planes_factory=None,
         )
         if payload.get("_hang"):
             time.sleep(float(payload["_hang"]))

@@ -345,7 +345,9 @@ def restore_sharded_service(
     verdict caches are reinstated exactly; cross-tick perf caches start
     cold; the device→shard owner map is rebuilt from the parts'
     id columns (authoritative — placement is part of the stores' state,
-    not recomputed from positions).  ``topology_workers`` picks where
+    not recomputed from positions).  Each shard is built straight from
+    its part — a process child inherits the part through the fork — and
+    the children build concurrently.  ``topology_workers`` picks where
     the restored shards run; a checkpoint taken under either topology
     restores under either.  A single-service checkpoint raises
     :class:`CheckpointError`.
@@ -353,20 +355,13 @@ def restore_sharded_service(
     from repro.online.sharded import ShardedService
 
     ckpt = _load_topology(source, "sharded", "restore_sharded_service")
-    dim = int(np.asarray(ckpt.parts[0].store_state["cur"]).shape[1])
-    service = ShardedService(
-        np.zeros((1, dim)),
+    service = ShardedService._from_parts(
+        ckpt.parts,
         config or ckpt.config,
-        topology_shards=len(ckpt.parts),
+        topology_workers=topology_workers,
         sinks=sinks,
         tracer=tracer,
-        topology_workers=topology_workers,
     )
-    try:
-        service.load_shard_states(ckpt.parts)
-    except Exception:
-        service.close()
-        raise
     service._restore_front_door(ckpt)
     return service
 

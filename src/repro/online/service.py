@@ -327,8 +327,9 @@ class ServiceStats:
     API-compatible with its former dataclass shape — readable/writable
     int attributes plus :meth:`as_dict` — but the counters now *live* on
     the metric registry: every positive increment is mirrored onto a
-    ``repro_service_<field>_total`` counter, so the export plane sees
-    one aggregate series per field across every service in the process
+    ``repro_service_<field>_total`` counter of ``registry`` (a service
+    passes its tracer's, beside its gauges), so the export plane sees
+    one aggregate series per field across the services sharing it
     while each instance keeps its own exact values here.  (Registry
     counters are monotone; a stat rewound by hand — never done by the
     service — adjusts only the local view.)
@@ -632,7 +633,7 @@ class _FrontDoor:
         self._sink_stage = SinkStage(self._sinks)
         self._tick = 0
         self._closed = False
-        self.stats = ServiceStats()
+        self.stats = ServiceStats(registry)
         #: Rejected-input tally by reason (mirrored to the registry
         #: counter ``repro_service_rejected_total{reason}``).
         self.rejected: Dict[str, int] = {}
@@ -783,38 +784,39 @@ class _FrontDoor:
         self._rejected_counter.labels(reason=reason).inc(count)
 
     def _screen_segment(
-        self, segment: List[QosUpdate], known: Callable[[int], bool]
-    ) -> Tuple[List[QosUpdate], Optional[np.ndarray]]:
+        self, segment: List[QosUpdate], known: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Drop and count the malformed events of one segment.
 
         Malformed events are dropped *per event*, counted on
         ``repro_service_rejected_total{reason}``: an unknown device id
-        (``known`` is false), a position of the wrong dimension, a
-        non-finite coordinate or one outside the unit cube must not
-        crash the tick (or desync the store) for every well-formed
-        report in the same batch.  Returns the kept events and their
-        ``(k, d)`` positions (``None`` when nothing is kept).
+        (``known``, aligned with ``segment``, is false), a position of
+        the wrong dimension, a non-finite coordinate or one outside the
+        unit cube must not crash the tick (or desync the store) for
+        every well-formed report in the same batch.  Returns the kept
+        events' indices into ``segment`` and their ``(k, d)`` positions
+        (``None`` when nothing is kept).
         """
         dim = self.dim
-        kept: List[QosUpdate] = []
-        for update in segment:
-            if not known(update.device):
+        kept: List[int] = []
+        for i, (update, ok) in enumerate(zip(segment, known.tolist())):
+            if not ok:
                 self._reject("unknown-device")
             elif len(update.position) != dim:
                 self._reject("dimension-mismatch")
             else:
-                kept.append(update)
+                kept.append(i)
+        idx = np.asarray(kept, dtype=np.int64)
         if not kept:
-            return kept, None
-        positions = np.array([update.position for update in kept], dtype=float)
+            return idx, None
+        positions = np.array([segment[i].position for i in kept], dtype=float)
         faults = row_faults(positions)
         if faults is not None:
-            idx = np.nonzero(~faults.tally(self._reject))[0]
-            if idx.size == 0:
-                return [], None
-            positions = positions[idx]
-            kept = [kept[i] for i in idx.tolist()]
-        return kept, positions
+            good = np.nonzero(~faults.tally(self._reject))[0]
+            if good.size == 0:
+                return good, None
+            positions, idx = positions[good], idx[good]
+        return idx, positions
 
     def _apply_segment(self, segment: List[QosUpdate]) -> int:
         """Apply one duplicate-free event run; returns how many landed."""
@@ -1148,23 +1150,16 @@ class OnlineCharacterizationService(_FrontDoor):
     def _apply_segment(self, segment: List[QosUpdate]) -> int:
         """Apply one duplicate-free event run as a single row batch."""
         store = self._store
-        kept, positions = self._screen_segment(
-            segment, lambda device: store.row_if_present(device) is not None
-        )
-        if not kept:
+        rows = store.rows_of([update.device for update in segment])
+        keep, positions = self._screen_segment(segment, rows >= 0)
+        if positions is None:
             return 0
-        count = len(kept)
-        rows = np.fromiter(
-            (store.row_of(update.device) for update in kept),
-            dtype=np.int64,
-            count=count,
-        )
         flags = np.fromiter(
-            (update.flagged for update in kept), dtype=bool, count=count
+            (update.flagged for update in segment), dtype=bool, count=len(segment)
         )
-        applied = store.apply_rows(rows, positions, flags)
+        applied = store.apply_rows(rows[keep], positions, flags[keep])
         self._tracker.mark_batch(applied, was_relevant=applied.was_flagged)
-        return count
+        return int(keep.size)
 
     def feed_snapshot(
         self, current: np.ndarray, flags: Iterable[bool]

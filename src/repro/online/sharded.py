@@ -102,6 +102,7 @@ from repro.core.types import Characterization
 from repro.detection.banks import DetectorLike
 from repro.engine import CharacterizationEngine
 from repro.ipc import (
+    SegmentReader,
     ShardRoundtripError,
     SnapshotRing,
     StaleHaloError,
@@ -114,6 +115,7 @@ from repro.online.procshard import (
     _FrameBoard,
     _InlineShardHandle,
     _ProcessShardHandle,
+    _mark_recovered,
 )
 from repro.online.service import OnlineTick, QosUpdate, ServiceConfig, _FrontDoor
 from repro.online.stages import (
@@ -122,7 +124,11 @@ from repro.online.stages import (
     TickPipeline,
     VerdictStage,
 )
-from repro.online.store import DeviceStateStore
+from repro.online.store import (
+    DeviceStateStore,
+    attach_store_planes,
+    read_store_columns,
+)
 from repro.robust.chaos import get_injector
 
 __all__ = [
@@ -146,6 +152,14 @@ def _grid_for(shards: int, dim: int) -> Tuple[int, ...]:
         if shards % a == 0:
             best = a
     return (shards // best, best)
+
+
+def _shard_map(cfg: ServiceConfig, shards: int, dim: int) -> "ShardMap":
+    """The tiling of a service over ``cfg``.  Its halo band is the dirty
+    band's rings, which already clear 4r by a full cell, covering the grid
+    indexes' 1e-12 query tolerance (module doc)."""
+    rings = DirtyRegionTracker(cell=cfg.cell, influence_radius=4.0 * cfg.r).rings
+    return ShardMap(shards, cell=cfg.cell, dim=dim, halo_rings=rings)
 
 
 class ShardMap:
@@ -508,48 +522,19 @@ class HaloTransitionBuildStage:
 class _ShardWorker:
     """One spatial shard: store partition, tracker, engine, pipeline.
 
-    ``planes_factory`` backs the store with shared-memory planes (the
-    process topology's kill-survivable partition); ``store`` hands in a
-    pre-built store (a respawned child adopting its predecessor's
-    planes, or a degraded inline fallback).  :meth:`run_tick` leaves the
-    snapshot roll to the *next* tick's first mutating command, so a
-    mid-verdict kill always leaves the planes holding a consistent
-    ``(S_{k-1}, S_k)`` pair.
+    Built around a ready store — :meth:`from_init` builds one from a
+    shard's residents, a checkpoint part or surviving shm planes.
+    :meth:`run_tick` leaves the snapshot roll to the *next* tick's first
+    mutating command, so a mid-verdict kill always leaves the planes
+    holding a consistent ``(S_{k-1}, S_k)`` pair.
     """
 
     def __init__(
-        self,
-        shard: int,
-        positions: Optional[np.ndarray],
-        ids: Optional[np.ndarray],
-        dim: int,
-        config: ServiceConfig,
-        tracer: Tracer,
-        *,
-        planes_factory=None,
-        store: Optional[DeviceStateStore] = None,
+        self, shard: int, store: DeviceStateStore, config: ServiceConfig, tracer: Tracer
     ) -> None:
         self.shard = int(shard)
+        self.store = store
         cfg = config
-        if store is not None:
-            self.store = store
-        elif positions is not None and positions.shape[0]:
-            self.store = DeviceStateStore(
-                positions,
-                cell=cfg.cell,
-                ids=ids,
-                planes_factory=planes_factory,
-            )
-        else:
-            # The store needs at least one row to exist; seed a
-            # placeholder and evict it so the shard starts empty with a
-            # reusable free row.
-            self.store = DeviceStateStore(
-                np.zeros((1, dim)),
-                cell=cfg.cell,
-                planes_factory=planes_factory,
-            )
-            self.store.leave(0)
         self.tracker = DirtyRegionTracker(
             cell=cfg.cell,
             influence_radius=4.0 * cfg.r,
@@ -569,6 +554,47 @@ class _ShardWorker:
         self.pipeline = TickPipeline(
             [self.transition_stage, self.verdict_stage]
         )
+
+    @classmethod
+    def from_init(
+        cls, shard, init, dim, config, tracer, *, planes_factory=None
+    ) -> "_ShardWorker":
+        """Build a worker from ``("fresh", positions, ids)``, a checkpoint's
+        ``("state", part)`` or ``("adopt", plane_name, capacity)``, the shm
+        planes a killed predecessor left (``planes_factory`` puts a new
+        store in shm).  A restored worker reinstates its part exactly; an
+        adopting one dirties every alive cell (``_mark_recovered``).
+        Cross-tick perf caches start cold.
+        """
+        kind, arg = init[0], init[1]
+        if kind == "fresh" and arg.shape[0]:
+            store = DeviceStateStore(
+                arg, cell=config.cell, ids=init[2], planes_factory=planes_factory
+            )
+        elif kind == "fresh":
+            # A store needs a row to exist: an empty shard seeds a
+            # placeholder and evicts it, keeping a reusable free row.
+            store = DeviceStateStore(
+                np.zeros((1, dim)), cell=config.cell, planes_factory=planes_factory
+            )
+            store.leave(0)
+        elif kind == "adopt":
+            store = DeviceStateStore.adopt_planes(
+                attach_store_planes(arg, init[2], dim),
+                cell=config.cell,
+                planes_factory=planes_factory,
+            )
+        else:
+            store = DeviceStateStore.from_state(
+                arg.store_state, planes_factory=planes_factory
+            )
+        worker = cls(shard, store, config, tracer)
+        if kind == "adopt":
+            _mark_recovered(worker)
+        elif kind == "state":
+            worker.tracker.restore_state(arg.tracker_state)
+            worker.verdict_stage.cache = dict(arg.verdicts)
+        return worker
 
     def publish_halo(self, boundary: "ShardMap", *, seq: int = 0) -> None:
         """Publish this shard's boundary band of flagged rows.
@@ -652,18 +678,11 @@ class ShardedService(_FrontDoor):
         tracer: Optional[Tracer] = None,
     ) -> None:
         cfg = config or ServiceConfig()
-        if topology_workers not in ("inline", "process"):
-            raise ConfigurationError(
-                f"topology_workers must be 'inline' or 'process', "
-                f"got {topology_workers!r}"
-            )
         pts = np.asarray(initial_positions, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise DimensionMismatchError(
                 "initial_positions must be a non-empty (n, d) array"
             )
-        self._dim = int(pts.shape[1])
-        self._topology_workers = topology_workers
         if min_shard_devices and topology_shards > 1:
             cap = max(1, pts.shape[0] // int(min_shard_devices))
             if cap < topology_shards:
@@ -675,6 +694,48 @@ class ShardedService(_FrontDoor):
                     stacklevel=2,
                 )
                 topology_shards = cap
+        shard_map = _shard_map(cfg, topology_shards, pts.shape[1])
+        owners = shard_map.shard_of_keys(np.floor(pts / cfg.cell).astype(np.int64))
+        residents = [np.flatnonzero(owners == k) for k in range(shard_map.n_shards)]
+        self._start(
+            cfg, shard_map, pts.shape[1], topology_workers,
+            [("fresh", pts[ids], ids) for ids in residents], sinks=sinks, tracer=tracer,
+        )
+        self._detect_stage.attach(detector, detection, pts)
+
+    @classmethod
+    def _from_parts(
+        cls, parts, config: ServiceConfig, *, topology_workers: str, sinks, tracer
+    ) -> "ShardedService":
+        """A service whose shards are born holding their checkpoint parts:
+        a process child inherits its part through the fork."""
+        dim = int(np.asarray(parts[0].store_state["cur"]).shape[1])
+        service = cls.__new__(cls)
+        service._start(
+            config, _shard_map(config, len(parts), dim), dim, topology_workers,
+            [("state", part) for part in parts], sinks=sinks, tracer=tracer,
+        )
+        return service
+
+    def _start(
+        self, cfg, shard_map, dim, topology_workers, inits, *, sinks, tracer
+    ) -> None:
+        """Open the front door and bring up one shard per ``init``.
+
+        Every process shard is forked before any ``ready`` is awaited, so
+        the children build their stores concurrently while the front door
+        builds its owner columns.  If any shard fails to start, every
+        shard is shut down — children reaped, segments unlinked — and the
+        first error is raised.
+        """
+        if topology_workers not in ("inline", "process"):
+            raise ConfigurationError(
+                f"topology_workers must be 'inline' or 'process', "
+                f"got {topology_workers!r}"
+            )
+        self._dim = int(dim)
+        self._topology_workers = topology_workers
+        self._map = shard_map
         self._open_front_door(cfg, sinks=sinks, tracer=tracer)
         registry = self._tracer.registry
         self._gauge_shard_devices = registry.gauge(
@@ -708,56 +769,52 @@ class ShardedService(_FrontDoor):
             "repro_halo_bytes_total",
             "Halo band bytes shipped between shards, both endpoints",
         )
-        tracker_probe = DirtyRegionTracker(
-            cell=cfg.cell, influence_radius=4.0 * cfg.r
-        )
-        # The dirty band's rings already clear 4r by a full cell, which
-        # covers the grid indexes' 1e-12 query tolerance (module doc).
-        self._map = ShardMap(
-            topology_shards,
-            cell=cfg.cell,
-            dim=self._dim,
-            halo_rings=tracker_probe.rings,
-        )
-        keys = np.floor(pts / cfg.cell).astype(np.int64)
-        owners = self._map.shard_of_keys(keys)
         self._handles: List[Any] = []
         self._board = _FrameBoard()
+        self._planes_reader = SegmentReader()
         self._orphans: List[str] = []
         self._respawned_since_dirty = False
         self._prev_dirty: np.ndarray = union_cells(())
         self._mover_cells: List[np.ndarray] = []
         self._mover_carry: List[np.ndarray] = []
-        self._shard_flagged: List[int] = [0] * self._map.n_shards
-        for shard in range(self._map.n_shards):
-            mask = owners == shard
-            ids = np.nonzero(mask)[0].astype(np.int64)
-            if topology_workers == "process":
-                handle: Any = _ProcessShardHandle(
-                    shard,
-                    cfg,
-                    self._dim,
-                    self._map,
-                    pts[mask],
-                    ids,
-                    self._tracer.enabled,
+        self._shard_flagged: List[int] = [0] * shard_map.n_shards
+        enabled = self._tracer.enabled
+        failure: Optional[Exception] = None
+        try:
+            for shard, init in enumerate(inits):
+                self._handles.append(
+                    _ProcessShardHandle(shard, cfg, self._dim, shard_map, init, enabled)
+                    if topology_workers == "process"
+                    else _InlineShardHandle(
+                        _ShardWorker.from_init(
+                            shard, init, self._dim, cfg, Tracer(registry, enabled=enabled)
+                        ),
+                        shard_map,
+                    )
                 )
-            else:
-                worker = _ShardWorker(
-                    shard,
-                    pts[mask],
-                    ids,
-                    self._dim,
-                    cfg,
-                    Tracer(registry, enabled=self._tracer.enabled),
-                )
-                handle = _InlineShardHandle(worker, self._map)
-            self._handles.append(handle)
-        self._owner: Dict[int, int] = {
-            int(device): int(shard)
-            for device, shard in enumerate(owners.tolist())
-        }
-        self._detect_stage.attach(detector, detection, pts)
+            # The device→shard map as two integer columns: resident ids,
+            # sorted, and each one's shard (restored id columns mark free
+            # rows −1).  A closing int64-max sentinel owned by shard −1
+            # keeps every lookup in range.
+            cols = [
+                np.asarray(init[2] if init[0] == "fresh" else init[1].store_state["id_of"])
+                for init in inits
+            ]
+            cols = [col[col >= 0].astype(np.int64) for col in cols]
+            ids = np.concatenate([*cols, [np.iinfo(np.int64).max]])
+            shards = np.concatenate([np.full(c.size, k) for k, c in enumerate(cols)] + [[-1]])
+            order = np.argsort(ids, kind="stable")
+            self._owner_ids, self._owner_shards = ids[order], shards[order]
+        except Exception as exc:
+            failure = exc
+        for handle in self._handles:
+            try:
+                handle.await_ready()
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            self.close()
+            raise failure
 
     # ------------------------------------------------------------------
     # Introspection
@@ -826,10 +883,15 @@ class ShardedService(_FrontDoor):
         """Verdict targets per shard at the latest tick."""
         return tuple(self._shard_flagged)
 
+    def _owners(self, ids: np.ndarray) -> np.ndarray:
+        """Owning shard of each of ``ids`` (−1 where a device is not stored)."""
+        pos = np.searchsorted(self._owner_ids, ids)
+        return np.where(self._owner_ids[pos] == ids, self._owner_shards[pos], -1)
+
     def shard_of(self, device: int) -> int:
         """The spatial shard currently owning ``device``."""
-        shard = self._owner.get(int(device))
-        if shard is None:
+        shard = int(self._owners(np.array([int(device)]))[0])
+        if shard < 0:
             raise ConfigurationError(f"device {device} is not in the service")
         return shard
 
@@ -848,6 +910,7 @@ class ShardedService(_FrontDoor):
         for handle in self._handles:
             handle.shutdown()
         self._board.close()
+        self._planes_reader.close()
         self._drain_orphans()
 
     # ------------------------------------------------------------------
@@ -975,42 +1038,26 @@ class ShardedService(_FrontDoor):
 
         The checkpoint's parts, wherever the shards run: the ``state``
         command first rolls any deferred tick advance, so the captured
-        states are those of completed ticks.
+        states are those of completed ticks.  A process shard's reply
+        leaves out its six store columns; they are copied here straight
+        from its shm planes (the child idles between commands), so every
+        returned array owns its memory and outlives :meth:`close`.
         """
-        return self._phase(
+        states = self._phase(
             [("state", self._tick, {}) for _ in range(self._map.n_shards)]
         )
+        reader = self._planes_reader
+        procs = [h for h in self._handles if isinstance(h, _ProcessShardHandle)]
+        reader.evict_except([handle.plane_name for handle in procs])
+        for handle, (store_state, _, _) in zip(self._handles, states):
+            if handle in procs:
+                seg = reader.segment(handle.plane_name)
+                store_state.update(
+                    read_store_columns(seg, handle.plane_capacity, self._dim)
+                )
+        return states
 
     _partition_states = shard_states
-
-    def load_shard_states(self, parts) -> None:
-        """Reinstate per-shard states from checkpoint parts, in shard order.
-
-        Stores, trackers and verdict caches are reinstated exactly;
-        cross-tick perf caches start cold.  The device→shard owner map
-        is rebuilt from the parts' id columns at the front door —
-        placement is part of the stores' state, never recomputed from
-        positions — so the map needs no roundtrip of its own.
-        """
-        owner: Dict[int, int] = {}
-        for shard, part in enumerate(parts):
-            ids = np.asarray(part.store_state["id_of"])
-            owner.update(dict.fromkeys(ids[ids >= 0].tolist(), shard))
-        self._phase(
-            [
-                (
-                    "restore",
-                    0,
-                    {
-                        "store": part.store_state,
-                        "tracker": part.tracker_state,
-                        "verdicts": part.verdicts,
-                    },
-                )
-                for part in parts
-            ]
-        )
-        self._owner = owner
 
     # ------------------------------------------------------------------
     # Membership
@@ -1024,7 +1071,7 @@ class ShardedService(_FrontDoor):
         insurance (see :meth:`_migrate`) as well as the shard's own.
         """
         device = int(device)
-        if device in self._owner:
+        if self._owners(np.array([device]))[0] >= 0:
             raise ConfigurationError(f"device {device} is already stored")
         pos = np.asarray(position, dtype=float)
         key = np.floor(pos / self._config.cell).astype(np.int64)
@@ -1039,7 +1086,9 @@ class ShardedService(_FrontDoor):
         )
         if flagged:
             self._mover_cells.append(key[None, :])
-        self._owner[device] = shard
+        at = np.searchsorted(self._owner_ids, device)
+        self._owner_ids = np.insert(self._owner_ids, at, device)
+        self._owner_shards = np.insert(self._owner_shards, at, shard)
         return shard
 
     def leave(self, device: int) -> int:
@@ -1061,7 +1110,9 @@ class ShardedService(_FrontDoor):
                 np.floor(ends / self._config.cell).astype(np.int64)
             )
         self._phase_one(shard, ("leave", self._tick + 1, payload))
-        del self._owner[int(device)]
+        at = np.searchsorted(self._owner_ids, int(device))
+        self._owner_ids = np.delete(self._owner_ids, at)
+        self._owner_shards = np.delete(self._owner_shards, at)
         return shard
 
     def _phase_one(self, shard: int, msg: tuple) -> Any:
@@ -1076,24 +1127,23 @@ class ShardedService(_FrontDoor):
     def _apply_segment(self, segment: List[QosUpdate]) -> int:
         """Apply one duplicate-free run, one row batch per owning shard.
 
-        Routing and input validation happen here at the front door; the
-        ``events`` commands carry *global device ids* — row numbers are
-        a private concern of whichever worker hosts the partition.
+        Routing and input validation happen here at the front door, on
+        whole id vectors; the ``events`` commands carry *global device
+        ids* — row numbers are a private concern of whichever worker
+        hosts the partition.
         """
-        owner = self._owner
-        kept, positions = self._screen_segment(segment, owner.__contains__)
-        if not kept:
-            return 0
-        count = len(kept)
-        shards = np.fromiter(
-            (owner[update.device] for update in kept), dtype=np.int64, count=count
-        )
+        count = len(segment)
         ids = np.fromiter(
-            (update.device for update in kept), dtype=np.int64, count=count
+            (update.device for update in segment), dtype=np.int64, count=count
         )
+        shards = self._owners(ids)
+        keep, positions = self._screen_segment(segment, shards >= 0)
+        if positions is None:
+            return 0
         flags = np.fromiter(
-            (update.flagged for update in kept), dtype=bool, count=count
-        )
+            (update.flagged for update in segment), dtype=bool, count=count
+        )[keep]
+        ids, shards = ids[keep], shards[keep]
         msgs: List[Optional[tuple]] = [None] * self._map.n_shards
         for shard in np.unique(shards).tolist():
             take = shards == shard
@@ -1103,7 +1153,7 @@ class ShardedService(_FrontDoor):
                 {"ids": ids[take], "positions": positions[take], "flags": flags[take]},
             )
         self._phase(msgs)
-        return count
+        return int(keep.size)
 
     # ------------------------------------------------------------------
     # Migration
@@ -1149,7 +1199,7 @@ class ShardedService(_FrontDoor):
             for field in replies[0]
         }
         ids, dest = merged["ids"], merged["dest"]
-        self._owner.update(zip(ids.tolist(), dest.tolist()))
+        self._owner_shards[np.searchsorted(self._owner_ids, ids)] = dest
         self._mover_cells.append(
             np.floor(
                 np.concatenate([merged["prev"], merged["cur"]])

@@ -49,6 +49,7 @@ __all__ = [
     "AppliedUpdate",
     "DeviceStateStore",
     "attach_store_planes",
+    "read_store_columns",
     "shm_planes_factory",
     "store_plane_fields",
 ]
@@ -85,17 +86,25 @@ def store_plane_fields(dim: int):
     )
 
 
-def shm_planes_factory():
+#: The store's columns, in plane order; each is the attribute ``_<name>``.
+_COLUMNS = tuple(name for name, _, _ in store_plane_fields(0))
+
+
+def shm_planes_factory(created: Optional[List[ShmPlanes]] = None):
     """A ``planes_factory`` allocating store columns in shared memory.
 
     Fork-context creators leave resource tracking alone (the shared
     tracker pairs create/attach registrations with the eventual unlink).
+    ``created``, when given, collects every plane set the factory makes,
+    so a builder that fails midway can unlink what it allocated.
     """
 
     def factory(capacity: int, dim: int) -> ShmPlanes:
         planes = ShmPlanes.create(capacity, store_plane_fields(dim))
         planes.header[_HDR_CAPACITY] = capacity
         planes.header[_HDR_DIM] = dim
+        if created is not None:
+            created.append(planes)
         return planes
 
     return factory
@@ -104,6 +113,18 @@ def shm_planes_factory():
 def attach_store_planes(name: str, capacity: int, dim: int) -> ShmPlanes:
     """Attach an existing store plane segment by name."""
     return ShmPlanes.attach(name, capacity, store_plane_fields(dim))
+
+
+def read_store_columns(seg, capacity: int, dim: int) -> Dict[str, np.ndarray]:
+    """Copy the used rows of every column out of a store plane segment.
+
+    ``seg`` is an attached segment (e.g. from a
+    :class:`~repro.ipc.SegmentReader`); the copies are the columns of
+    :meth:`DeviceStateStore.state` and outlive the mapping.
+    """
+    planes = ShmPlanes(seg, capacity, store_plane_fields(dim), owner=False)
+    used = int(planes.header[_HDR_USED])
+    return {name: col[:used].copy() for name, col in planes.arrays.items()}
 
 
 @dataclass(frozen=True)
@@ -243,13 +264,11 @@ class DeviceStateStore:
         self._id_of[:] = -1
 
     def _bind_planes(self, planes: ShmPlanes) -> None:
-        arrs = planes.arrays
-        self._prev = arrs["prev"]
-        self._cur = arrs["cur"]
-        self._flags = arrs["flags"]
-        self._alive = arrs["alive"]
-        self._verdict = arrs["verdict"]
-        self._id_of = arrs["id_of"]
+        for name in _COLUMNS:
+            setattr(self, f"_{name}", planes.arrays[name])
+
+    def _columns(self) -> Dict[str, np.ndarray]:
+        return {name: getattr(self, f"_{name}") for name in _COLUMNS}
 
     def _sync_header(self) -> None:
         """Write-through the mutable scalars into the shm plane header."""
@@ -278,9 +297,8 @@ class DeviceStateStore:
         if self._planes is None:
             return
         planes, self._planes = self._planes, None
-        self._prev = self._cur = None
-        self._flags = self._alive = self._verdict = None
-        self._id_of = None
+        for name in _COLUMNS:
+            setattr(self, f"_{name}", None)
         self._index = None
         self._row_of = {}
         self.drop_retired_planes()
@@ -330,14 +348,7 @@ class DeviceStateStore:
     @property
     def nbytes(self) -> int:
         """Total bytes held in the store's columns (capacity, not n)."""
-        return int(
-            self._prev.nbytes
-            + self._cur.nbytes
-            + self._flags.nbytes
-            + self._alive.nbytes
-            + self._verdict.nbytes
-            + self._id_of.nbytes
-        )
+        return sum(col.nbytes for col in self._columns().values())
 
     @property
     def bytes_per_device(self) -> float:
@@ -354,6 +365,15 @@ class DeviceStateStore:
     def row_if_present(self, device: int) -> Optional[int]:
         """The row backing ``device``, or ``None`` when unknown."""
         return self._row_of.get(device)
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The rows backing ``ids`` (−1 where a device is unknown)."""
+        get = self._row_of.get
+        return np.fromiter(
+            (get(j, -1) for j in np.asarray(ids).tolist()),
+            dtype=np.int64,
+            count=len(ids),
+        )
 
     def id_of(self, row: int) -> int:
         """The device id stored in ``row``."""
@@ -645,27 +665,10 @@ class DeviceStateStore:
 
     def _grow(self, capacity: int) -> None:
         """Reallocate all columns to ``capacity`` rows and rebind the index."""
-        old = self._cur.shape[0]
-        d = self.dim
-        olds = (
-            self._prev,
-            self._cur,
-            self._flags,
-            self._alive,
-            self._verdict,
-            self._id_of,
-        )
-        self._materialize(capacity, d)
-        news = (
-            self._prev,
-            self._cur,
-            self._flags,
-            self._alive,
-            self._verdict,
-            self._id_of,
-        )
-        for new, prev in zip(news, olds):
-            new[:old] = prev
+        olds = self._columns()
+        self._materialize(capacity, self.dim)
+        for name, new in self._columns().items():
+            new[: olds[name].shape[0]] = olds[name]
         self._index.rebind(self._cur)
         self._sync_header()
 
@@ -765,21 +768,22 @@ class DeviceStateStore:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def state(self) -> Dict[str, np.ndarray]:
+    def state(self, *, columns: bool = True) -> Dict[str, np.ndarray]:
         """The store's full state as plain arrays (trimmed to used rows).
 
         Everything derived — the grid index and the id→row map — is
         rebuilt by :meth:`from_state`, so only the
         columns, the free-list, the scalars and the not yet taken
         membership cells (:meth:`take_membership_cells`) travel.
+        ``columns=False`` leaves out the six columns, which a reader of
+        the shm planes copies itself (:func:`read_store_columns`).
         """
+        state = {
+            name: col[: self._used].copy()
+            for name, col in (self._columns().items() if columns else ())
+        }
         return {
-            "prev": self._prev[: self._used].copy(),
-            "cur": self._cur[: self._used].copy(),
-            "flags": self._flags[: self._used].copy(),
-            "alive": self._alive[: self._used].copy(),
-            "verdict": self._verdict[: self._used].copy(),
-            "id_of": self._id_of[: self._used].copy(),
+            **state,
             "free": np.asarray(self._free, dtype=np.int64),
             "cell": np.float64(self._cell),
             "membership": (
@@ -806,12 +810,8 @@ class DeviceStateStore:
         store.retired_planes = []
         cur = np.asarray(state["cur"], dtype=float)
         store._materialize(cur.shape[0], cur.shape[1])
-        store._prev[:] = np.asarray(state["prev"], dtype=float)
-        store._cur[:] = cur
-        store._flags[:] = np.asarray(state["flags"], dtype=bool)
-        store._alive[:] = np.asarray(state["alive"], dtype=bool)
-        store._verdict[:] = np.asarray(state["verdict"], dtype=np.int8)
-        store._id_of[:] = np.asarray(state["id_of"], dtype=np.int64)
+        for name, col in store._columns().items():
+            col[:] = state[name]
         store._free = [int(r) for r in np.asarray(state["free"]).tolist()]
         store._used = store._cur.shape[0]
         store._tick_serial = int(state["tick_serial"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copyreg
 import functools
 import json
+import multiprocessing
 import os
 import pickle
 import stat
@@ -431,6 +432,77 @@ class TestFormat:
             path = service.checkpoint(tmp_path / "ck.npz")
         with pytest.raises(CheckpointError, match="single"):
             restore_sharded_service(path)
+
+
+_SHM = Path("/dev/shm")
+_MAPS = Path("/proc/self/maps")
+
+
+def _shm_names():
+    """Every segment currently linked in ``/dev/shm``."""
+    return set(os.listdir(_SHM))
+
+
+def _mapped_shm():
+    """The ``/dev/shm`` segments mapped into this process."""
+    return {
+        token
+        for line in _MAPS.read_text().splitlines()
+        for token in line.split()
+        if token.startswith(str(_SHM) + "/")
+    }
+
+
+@pytest.mark.skipif(
+    not (_SHM.is_dir() and _MAPS.exists()),
+    reason="needs /dev/shm and /proc/self/maps",
+)
+class TestProcessRestoreHygiene:
+    """A process restore leaves nothing behind: no segment, child or mapping."""
+
+    def _checkpoint(self, tmp_path):
+        service, generator = _service_of_kind("process")
+        with service:
+            drive_load(service, generator, 3)
+            return save_checkpoint(service, tmp_path / "ck.npz")
+
+    def test_restore_tick_checkpoint_close_leaves_nothing(self, tmp_path):
+        path = self._checkpoint(tmp_path)
+        segments, mapped = _shm_names(), _mapped_shm()
+        restored = restore_sharded_service(path, topology_workers="process")
+        with restored:
+            generator = LoadGenerator(PROFILE)
+            generator.fast_forward(restored.current_tick)
+            drive_load(restored, generator, 1)
+            # The checkpoint reads the children's planes from this process.
+            restored.checkpoint(tmp_path / "again.npz")
+            assert _mapped_shm() - mapped
+        assert multiprocessing.active_children() == []
+        assert _shm_names() == segments
+        assert _mapped_shm() <= mapped
+
+    def test_child_failing_before_ready_is_reaped_and_unlinked(self, tmp_path):
+        ckpt = load_checkpoint(self._checkpoint(tmp_path))
+        # One row short: shard 1's child allocates its planes, then fails
+        # to fill them; shard 0's child comes up healthy.
+        state = ckpt.parts[1].store_state
+        state["prev"] = state["prev"][:-1]
+        segments = _shm_names()
+        with pytest.raises(ConfigurationError, match="shard 1 worker failed to start"):
+            restore_sharded_service(ckpt, topology_workers="process")
+        assert multiprocessing.active_children() == []
+        assert _shm_names() == segments
+
+    def test_shard_states_outlive_close(self, tmp_path):
+        ckpt = load_checkpoint(self._checkpoint(tmp_path))
+        restored = restore_sharded_service(ckpt, topology_workers="process")
+        with restored:
+            states = restored.shard_states()
+        for (store_state, _, _), part in zip(states, ckpt.parts):
+            for key, want in part.store_state.items():
+                got = store_state[key]
+                assert not isinstance(got, np.ndarray) or got.base is None
+                np.testing.assert_array_equal(got, want)
 
 
 #: The frame-fed services' detector, tight enough that the load raises flags.

@@ -318,7 +318,6 @@ def run_migrate(store) -> None:
         shard_map=None,
         halo_reader=None,
         board_reader=None,
-        planes_factory=None,
     )
 
 
