@@ -486,6 +486,19 @@ class StepThresholdBank(ArrayDetectorBank):
             "max_step must lie in (0, 1] everywhere",
         )
         self._last: Optional[np.ndarray] = None
+        # Private ``|values - last|`` plane, reused every tick so the
+        # step test allocates no fleet-sized float temporary.  Never
+        # exposed, never pickled (see ``__getstate__``).
+        self._step: Optional[np.ndarray] = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_step"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._step = None
 
     def _observe(self, values):
         last = self._last
@@ -494,8 +507,12 @@ class StepThresholdBank(ArrayDetectorBank):
         if last is None:
             abnormal = np.zeros(self.shape, dtype=bool)
             return self._last, abnormal, partial(_idle_planes, self.shape)
+        if self._step is None:
+            self._step = np.empty(self.shape)
+        step = np.abs(np.subtract(values, last, out=self._step), out=self._step)
         active = self._warmed()
-        abnormal = active & (np.abs(values - last) > self._max_step)
+        abnormal = np.greater(step, self._max_step)
+        abnormal &= active
         planes = partial(_step_planes, self._last, last, active, self._max_step)
         return self._last, abnormal, planes
 

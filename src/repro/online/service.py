@@ -833,14 +833,18 @@ class _FrontDoor:
         its flag vector joins the positions in :meth:`feed_snapshot`,
         and the resulting flag *diffs* drive the usual dirty-region
         invalidation — callers ship measurements, not verdicts.
+
+        A frame has one row per row the bank holds (the fleet the
+        service was built over, indexed by device id); the row of a
+        device that has left is ignored.
         """
-        self._detect_stage.require_bank()
+        bank = self._detect_stage.require_bank()
         self._tick_clock.start(restart=True)
         arr = np.asarray(values, dtype=float)
         injector = get_injector()
         if injector.active:
             arr = injector.corrupt_frame(self._tick + 1, arr)
-        arr = self._validate_frame(arr, self.n)
+        arr = self._validate_frame(arr, bank.devices)
         detection = self._detect_stage.observe(arr, self._tracer)
         return self._feed_frame(arr, detection.flags)
 
@@ -1202,6 +1206,16 @@ class OnlineCharacterizationService(_FrontDoor):
         return self._store.current_positions()
 
     def _apply_frame(self, current: np.ndarray, flags) -> int:
+        vacant = self._store.free_rows()
+        if vacant.size:
+            # A vacant row's entry is ignored: it takes the store's
+            # scrubbed zeros and a clear flag, so it diffs clean.
+            current = current.copy()
+            current[vacant] = 0.0
+            flags = np.array(
+                flags if isinstance(flags, np.ndarray) else list(flags), dtype=bool
+            )
+            flags[vacant] = False
         return self._index_stage.apply_diff(current, flags, self._tracer)
 
     # ------------------------------------------------------------------

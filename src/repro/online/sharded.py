@@ -110,6 +110,7 @@ from repro.ipc import (
 )
 from repro.obs.trace import Tracer
 from repro.online.dirty import DirtyRegionTracker, union_cells
+from repro.online.idmap import IdColumnMap
 from repro.online.procshard import (
     _CHILD_ERRORS,
     _FrameBoard,
@@ -792,19 +793,17 @@ class ShardedService(_FrontDoor):
                         shard_map,
                     )
                 )
-            # The device→shard map as two integer columns: resident ids,
-            # sorted, and each one's shard (restored id columns mark free
-            # rows −1).  A closing int64-max sentinel owned by shard −1
-            # keeps every lookup in range.
+            # The device→shard map: resident ids and each one's shard
+            # (restored id columns mark free rows −1).
             cols = [
                 np.asarray(init[2] if init[0] == "fresh" else init[1].store_state["id_of"])
                 for init in inits
             ]
-            cols = [col[col >= 0].astype(np.int64) for col in cols]
-            ids = np.concatenate([*cols, [np.iinfo(np.int64).max]])
-            shards = np.concatenate([np.full(c.size, k) for k, c in enumerate(cols)] + [[-1]])
-            order = np.argsort(ids, kind="stable")
-            self._owner_ids, self._owner_shards = ids[order], shards[order]
+            cols = [col[col >= 0] for col in cols]
+            self._owners = IdColumnMap(
+                np.concatenate(cols),
+                np.concatenate([np.full(c.size, k) for k, c in enumerate(cols)]),
+            )
         except Exception as exc:
             failure = exc
         for handle in self._handles:
@@ -883,15 +882,10 @@ class ShardedService(_FrontDoor):
         """Verdict targets per shard at the latest tick."""
         return tuple(self._shard_flagged)
 
-    def _owners(self, ids: np.ndarray) -> np.ndarray:
-        """Owning shard of each of ``ids`` (−1 where a device is not stored)."""
-        pos = np.searchsorted(self._owner_ids, ids)
-        return np.where(self._owner_ids[pos] == ids, self._owner_shards[pos], -1)
-
     def shard_of(self, device: int) -> int:
         """The spatial shard currently owning ``device``."""
-        shard = int(self._owners(np.array([int(device)]))[0])
-        if shard < 0:
+        shard = self._owners.get(int(device))
+        if shard is None:
             raise ConfigurationError(f"device {device} is not in the service")
         return shard
 
@@ -1071,7 +1065,7 @@ class ShardedService(_FrontDoor):
         insurance (see :meth:`_migrate`) as well as the shard's own.
         """
         device = int(device)
-        if self._owners(np.array([device]))[0] >= 0:
+        if self._owners.get(device) is not None:
             raise ConfigurationError(f"device {device} is already stored")
         pos = np.asarray(position, dtype=float)
         key = np.floor(pos / self._config.cell).astype(np.int64)
@@ -1086,9 +1080,7 @@ class ShardedService(_FrontDoor):
         )
         if flagged:
             self._mover_cells.append(key[None, :])
-        at = np.searchsorted(self._owner_ids, device)
-        self._owner_ids = np.insert(self._owner_ids, at, device)
-        self._owner_shards = np.insert(self._owner_shards, at, shard)
+        self._owners.insert([device], [shard])
         return shard
 
     def leave(self, device: int) -> int:
@@ -1110,9 +1102,7 @@ class ShardedService(_FrontDoor):
                 np.floor(ends / self._config.cell).astype(np.int64)
             )
         self._phase_one(shard, ("leave", self._tick + 1, payload))
-        at = np.searchsorted(self._owner_ids, int(device))
-        self._owner_ids = np.delete(self._owner_ids, at)
-        self._owner_shards = np.delete(self._owner_shards, at)
+        self._owners.delete([int(device)])
         return shard
 
     def _phase_one(self, shard: int, msg: tuple) -> Any:
@@ -1136,7 +1126,7 @@ class ShardedService(_FrontDoor):
         ids = np.fromiter(
             (update.device for update in segment), dtype=np.int64, count=count
         )
-        shards = self._owners(ids)
+        shards = self._owners.lookup(ids)
         keep, positions = self._screen_segment(segment, shards >= 0)
         if positions is None:
             return 0
@@ -1199,7 +1189,7 @@ class ShardedService(_FrontDoor):
             for field in replies[0]
         }
         ids, dest = merged["ids"], merged["dest"]
-        self._owner_shards[np.searchsorted(self._owner_ids, ids)] = dest
+        self._owners.assign(ids, dest)
         self._mover_cells.append(
             np.floor(
                 np.concatenate([merged["prev"], merged["cur"]])

@@ -3,16 +3,27 @@
 :class:`DeviceStateStore` is the service's system-state mirror: the last
 two QoS snapshots (the ``S_{k-1}`` / ``S_k`` pair a
 :class:`~repro.core.transition.Transition` needs), the flag bit
-``a_k(j)`` and the last verdict code — for every device, as *columns*: two ``(capacity, d)`` position planes and a handful
-of ``(capacity,)`` vectors.  There is no per-device Python object
-anywhere in the store; a device is a row index.
+``a_k(j)`` and the last verdict code — for every device, as *columns*:
+two ``(capacity, d)`` position planes and a handful of ``(capacity,)``
+vectors.  There is no per-device Python object anywhere in the store,
+the id map included; a device is a row index.
 
-Identifiers map to rows through an id↔row table with a LIFO free-list:
-:meth:`join` reuses the most recently vacated row (best cache locality)
-and :meth:`leave` scrubs the row before freeing it so reuse can never
-resurrect stale positions or flags.  When the population is the initial
-``0..n-1`` range (the common service case) ids and rows coincide and the
-map costs nothing on the hot path.
+Rows map to identifiers through the ``id_of`` column (−1 marks a free
+row), and identifiers to rows through an
+:class:`~repro.online.idmap.IdColumnMap`: the present ids sorted, their
+rows aligned, both ``int64`` columns (16 bytes a device).  A lookup is
+one vectorized ``searchsorted`` over a whole id batch — the event path,
+the shard commands and :meth:`record_verdicts` look up every id of a
+batch in one call.  The map is derived from ``id_of``, so a checkpoint
+never carries it: the constructor, :meth:`from_state` and
+:meth:`adopt_planes` build it in one pass, skipping the sort when the
+ids are already ascending (a fresh fleet's ``0..n-1``, or any store
+whose rows were never recycled out of id order).  :meth:`admit_rows` and
+:meth:`leave_rows` insert and delete one batch at a time.
+
+Freed rows go on a LIFO free-list: :meth:`join` reuses the most recently
+vacated row (best cache locality) and :meth:`leave` scrubs the row
+before freeing it so reuse can never resurrect stale positions or flags.
 
 The hot path itself is :meth:`apply_rows`: one gather/compare/scatter
 over the tick's changed rows, one vectorized cell re-key in the adopted
@@ -43,6 +54,7 @@ from repro.core.geometry import validate_unit_cube
 from repro.core.types import AnomalyType, Characterization
 from repro.ipc import ShmPlanes
 from repro.online.grid import CellKey, MutableGridIndex
+from repro.online.idmap import IdColumnMap
 
 __all__ = [
     "AppliedBatch",
@@ -213,9 +225,10 @@ class DeviceStateStore:
         self._index = MutableGridIndex.from_array(self._cur, cell)
         self._used = n  # high-water mark of ever-allocated rows
         self._free: List[int] = []  # LIFO row free-list
+        rows = np.arange(n, dtype=np.int64)
         if ids is None:
-            self._id_of[:] = np.arange(n, dtype=np.int64)  # row -> id (-1 free)
-            self._row_of: Dict[int, int] = {j: j for j in range(n)}
+            self._id_of[:] = rows  # row -> id (-1 free)
+            self._rows = IdColumnMap(rows, rows)
         else:
             id_arr = np.asarray(ids, dtype=np.int64)
             if id_arr.shape != (n,):
@@ -225,11 +238,7 @@ class DeviceStateStore:
             if id_arr.min(initial=0) < 0:
                 raise ConfigurationError("device ids must be >= 0")
             self._id_of[:] = id_arr
-            self._row_of = {
-                int(device): row for row, device in enumerate(id_arr.tolist())
-            }
-            if len(self._row_of) != n:
-                raise ConfigurationError("device ids must be unique")
+            self._rows = IdColumnMap(id_arr, rows)
         self._tick_serial = 0
         self._membership_serial = 0
         self._membership_cells: List[np.ndarray] = []
@@ -300,7 +309,7 @@ class DeviceStateStore:
         for name in _COLUMNS:
             setattr(self, f"_{name}", None)
         self._index = None
-        self._row_of = {}
+        self._rows = IdColumnMap((), ())
         self.drop_retired_planes()
         if unlink:
             planes.unlink()
@@ -313,7 +322,7 @@ class DeviceStateStore:
     @property
     def n(self) -> int:
         """Number of live devices."""
-        return len(self._row_of)
+        return len(self._rows)
 
     @property
     def dim(self) -> int:
@@ -357,23 +366,18 @@ class DeviceStateStore:
 
     def row_of(self, device: int) -> int:
         """The row currently backing ``device``."""
-        row = self._row_of.get(device)
+        row = self._rows.get(device)
         if row is None:
             raise UnknownDeviceError(f"device {device} is not in the store")
         return row
 
     def row_if_present(self, device: int) -> Optional[int]:
         """The row backing ``device``, or ``None`` when unknown."""
-        return self._row_of.get(device)
+        return self._rows.get(device)
 
-    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+    def rows_of(self, ids) -> np.ndarray:
         """The rows backing ``ids`` (−1 where a device is unknown)."""
-        get = self._row_of.get
-        return np.fromiter(
-            (get(j, -1) for j in np.asarray(ids).tolist()),
-            dtype=np.int64,
-            count=len(ids),
-        )
+        return self._rows.lookup(ids)
 
     def id_of(self, row: int) -> int:
         """The device id stored in ``row``."""
@@ -399,6 +403,10 @@ class DeviceStateStore:
         view = self._flags[: self._used]
         view.flags.writeable = False
         return view
+
+    def free_rows(self) -> np.ndarray:
+        """Allocated rows that back no device (the free-list, LIFO order)."""
+        return np.asarray(self._free, dtype=np.int64)
 
     def row_ids(self) -> np.ndarray:
         """Read-only view of the row→id column (−1 marks a free row).
@@ -428,11 +436,9 @@ class DeviceStateStore:
         """
         self._verdict[self._coded_rows] = NO_VERDICT
         count = len(verdicts)
-        rows = np.fromiter(
-            (self.row_of(device) for device in verdicts),
-            dtype=np.int64,
-            count=count,
-        )
+        rows = self._rows.lookup(np.fromiter(verdicts, dtype=np.int64, count=count))
+        if (rows < 0).any():
+            raise UnknownDeviceError("a verdict names a device not in the store")
         self._verdict[rows] = np.fromiter(
             (VERDICT_CODE[v.anomaly_type] for v in verdicts.values()),
             dtype=np.int8,
@@ -564,8 +570,7 @@ class DeviceStateStore:
             raise ConfigurationError(
                 f"device id must be >= 0, got {int(ids.min())!r}"
             )
-        id_list = ids.tolist()
-        if len(set(id_list)) != k or any(j in self._row_of for j in id_list):
+        if np.unique(ids).size != k or (self._rows.lookup(ids) >= 0).any():
             raise ConfigurationError(
                 "devices are already stored (or repeated in the batch)"
             )
@@ -588,7 +593,7 @@ class DeviceStateStore:
         self._alive[rows] = True
         self._id_of[rows] = ids
         self._used += fresh
-        self._row_of.update(zip(id_list, rows.tolist()))
+        self._rows.insert(ids, rows)
         self._membership_serial += k
         self._index.insert_rows(rows)
         if flags.any():
@@ -627,7 +632,7 @@ class DeviceStateStore:
             or np.unique(rows).size != rows.size
         ):
             raise UnknownDeviceError("rows are not occupied (or repeated)")
-        ids = self._id_of[rows].tolist()
+        ids = self._id_of[rows]
         flagged = rows[self._flags[rows]]
         if flagged.size:
             self._membership_cells.append(
@@ -642,8 +647,7 @@ class DeviceStateStore:
         self._flags[rows] = False
         self._verdict[rows] = NO_VERDICT
         self._alive[rows] = False
-        for device in ids:
-            del self._row_of[device]
+        self._rows.delete(ids)
         self._membership_serial += rows.size
         self._free.extend(rows.tolist())
 
@@ -831,15 +835,13 @@ class DeviceStateStore:
         rows (``id_of >= 0``) alive, so scrubbed free rows never haunt
         cell ``(0, ..., 0)``.
         """
-        occupied = np.nonzero(self._id_of[: self._used] >= 0)[0]
-        self._coded_rows = np.nonzero(
-            self._verdict[: self._used] != NO_VERDICT
-        )[0]
-        self._row_of = dict(
-            zip(self._id_of[occupied].tolist(), occupied.tolist())
-        )
-        alive = np.zeros(self._cur.shape[0], dtype=bool)
-        alive[occupied] = True
+        # Rows past the high-water mark hold id −1 (a fresh or a
+        # scrubbed plane), so ``id_of >= 0`` is the full-capacity mask.
+        alive = self._id_of >= 0
+        occupied = np.flatnonzero(alive)
+        self._rows = IdColumnMap(self._id_of[occupied], occupied)
+        del occupied  # before the index's transient (n, d) key plane
+        self._coded_rows = np.flatnonzero(self._verdict[: self._used] != NO_VERDICT)
         self._index = MutableGridIndex.from_array(
             self._cur, self._cell, alive=alive
         )

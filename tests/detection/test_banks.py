@@ -20,6 +20,7 @@ ways:
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,6 +499,40 @@ def test_pickled_detection_carries_the_recipe_not_the_planes():
     assert len(pickle.dumps(detection)) == before
     # The detection's snapshot is the bank's retained baseline.
     assert detection.positions is bank._last
+
+
+class TestStepScratchPlane:
+    """The step bank tests ``|values - last|`` in one private plane."""
+
+    def _bank(self, n=100_000):
+        bank = SPECS["step"].bank(n, 2)
+        rng = np.random.default_rng(3)
+        for _ in range(3):  # baseline, then the plane is allocated
+            bank.observe_batch(rng.random((n, 2)))
+        return bank, rng.random((n, 2))
+
+    def test_steady_observe_allocates_one_float_plane(self):
+        bank, frame = self._bank()
+        tracemalloc.start()
+        try:
+            bank.observe_batch(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The retained baseline copy (1.6 MB) and the bool planes; each
+        # further (n, d) float temporary would add 1.6 MB.
+        assert peak < 2.5 * 2**20, peak
+
+    def test_pickle_holds_no_scratch_plane(self):
+        bank, frame = self._bank()
+        blob = pickle.dumps(bank)
+        # The baseline plane plus parameters: nothing fleet-sized else.
+        assert len(blob) < bank._last.nbytes + 1024
+        copy = pickle.loads(blob)
+        assert copy._step is None and bank._step is not None
+        _assert_same_detection(
+            copy.observe_batch(frame), bank.observe_batch(frame), "after pickle"
+        )
 
 
 #: family -> (parameter swept heterogeneously, sampler of its values)

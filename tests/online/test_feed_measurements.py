@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, DimensionMismatchError
 from repro.detection import DetectorSpec
 from repro.io import Incident, TraceConfig, generate_trace
 from repro.online import (
@@ -21,6 +21,7 @@ from repro.online import (
     LoadProfile,
     OnlineCharacterizationService,
     ServiceConfig,
+    ShardedService,
     drive_load_measurements,
     replay_trace_online,
 )
@@ -162,6 +163,78 @@ class TestFeedMeasurements:
                     is outcome.verdicts[device].anomaly_type
                 )
         online.service.close()
+
+
+class TestFrameAfterLeave:
+    """A frame keeps one row per bank row after a device leaves.
+
+    The bank and the store diff are sized to the fleet the service was
+    built over; the departed device's row is ignored, whatever it holds.
+    A frame sized to the live count is refused before the bank sees it.
+    """
+
+    N = 40
+    LEFT = (3, 17)
+
+    def _service(self, host, positions):
+        config = ServiceConfig(r=0.03, tau=3)
+        if host == "single":
+            return OnlineCharacterizationService(positions, config, detector=SPEC)
+        return ShardedService(
+            positions, config, topology_shards=2, topology_workers=host, detector=SPEC
+        )
+
+    def _frames(self, ticks=5):
+        rng = np.random.default_rng(11)
+        base = 0.1 + 0.8 * rng.random((self.N, 2))
+        frames = [base]
+        for tick in range(ticks):
+            frame = np.clip(frames[-1] + rng.normal(0.0, 0.005, base.shape), 0, 1)
+            if tick % 2:
+                # The left devices and their neighbours by id jump past
+                # max_step: the bank raises the vacant rows too.
+                frame[[2, 3, 4, 16, 17, 18], 0] = np.where(
+                    frame[[2, 3, 4, 16, 17, 18], 0] > 0.5, 0.1, 0.9
+                )
+            frames.append(frame)
+        return frames
+
+    def _run(self, host):
+        frames = self._frames()
+        bank = SPEC.bank(self.N, 2)
+        bank.observe_batch(frames[0])
+        live = sorted(set(range(self.N)) - set(self.LEFT))
+        ticks = []
+        with self._service(host, frames[0]) as service:
+            for device in self.LEFT:
+                # The single service's membership lives on its store.
+                getattr(service, "store", service).leave(device)
+            seen = service.bank.samples_seen
+            with pytest.raises(DimensionMismatchError):
+                service.feed_measurements(frames[1][live])
+            assert service.bank.samples_seen == seen
+            for frame in frames[1:]:
+                flags = bank.observe_batch(frame).flags
+                got = service.feed_measurements(frame)
+                assert got.flagged == tuple(j for j in live if flags[j])
+                assert set(got.verdicts) == set(got.flagged)
+                ticks.append(got)
+            assert service.n == self.N - len(self.LEFT)
+        assert any(tick.flagged for tick in ticks)
+        return ticks
+
+    @pytest.mark.parametrize("host", ["single", "inline", "process"])
+    def test_leave_then_frame(self, host):
+        self._run(host)
+
+    def test_hosts_agree_after_leave(self):
+        want = self._run("single")
+        for host in ("inline", "process"):
+            for a, b in zip(want, self._run(host)):
+                assert a.flagged == b.flagged
+                assert {j: v.anomaly_type for j, v in a.verdicts.items()} == {
+                    j: v.anomaly_type for j, v in b.verdicts.items()
+                }
 
 
 class TestDriveLoadMeasurements:

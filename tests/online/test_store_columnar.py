@@ -3,9 +3,14 @@
 The structure-of-arrays PR's acceptance tests live here:
 
 * a hypothesis property test drives random join/leave/move sequences
-  against a dict-based mirror: the id↔row map stays a bijection, rows
-  are reused LIFO, and a reused row never resurrects the departed
-  device's position, flag or verdict;
+  against a dict-based mirror: the id↔row map stays a bijection, absent
+  ids read −1 / ``None``, rows are reused LIFO, and a reused row never
+  resurrects the departed device's position, flag or verdict;
+* the id→row map is sorted integer columns (``IdColumnMap``): it
+  matches a dict through tombstones and merges, ``from_state`` and
+  ``adopt_planes`` rebuild it equal to the live one, a huge id costs
+  nothing, and building or restoring a 100k store peaks at its columns
+  plus a small slack (a per-device ``dict`` alone would add ~11.6 MB);
 * the read-only view contract of ``snapshot_arrays`` /
   ``current_positions`` (``copy=True`` is the only way to get a mutable
   array);
@@ -37,6 +42,17 @@ from repro.online import (
     QosUpdate,
     ServiceConfig,
 )
+from repro.online import idmap
+from repro.online.idmap import IdColumnMap
+from repro.online.store import attach_store_planes, shm_planes_factory
+
+
+@pytest.fixture(scope="class")
+def small_recent_run():
+    """A small run of 4 ids, so hypothesis reaches its merge."""
+    saved, idmap.RECENT_MAX = idmap.RECENT_MAX, 4
+    yield
+    idmap.RECENT_MAX = saved
 
 
 def make_store(n=6, d=2, seed=0, cell=0.06):
@@ -166,6 +182,17 @@ class TestFreeListProperties:
         assert len(rows) == len(mirror)
         for j in mirror:
             assert store.id_of(store.row_of(j)) == j
+        # Absent ids, the int64-max sentinel's own among them, read −1
+        # in a batch and None one at a time.
+        probe = [*range(12), -1, 12, 10**12, np.iinfo(np.int64).max]
+        want = [store.row_of(j) if j in mirror else -1 for j in probe]
+        assert store.rows_of(probe).tolist() == want
+        assert store.rows_of(np.asarray(probe[::-1])).tolist() == want[::-1]
+        for j in probe:
+            if j not in mirror:
+                assert store.row_if_present(j) is None
+                with pytest.raises(UnknownDeviceError):
+                    store.row_of(j)
         # Position / flag consistency (row reuse never resurrects the
         # departed occupant's state).
         for j, (pos, flag) in mirror.items():
@@ -202,6 +229,145 @@ class TestFreeListProperties:
         store.apply(5, [0.91, 0.17], False)
         assert np.allclose(store.index.position(store.row_of(5)), [0.91, 0.17])
         assert len(store.index) == 40
+
+
+# ----------------------------------------------------------------------
+# The id→row map: sorted id and row columns, derived from ``id_of``
+# ----------------------------------------------------------------------
+def _churned(store):
+    """Joins out of id order, a huge id and a few leaves."""
+    for device in (40, 10**12, 7_000, 33):
+        store.join(device, [0.3, 0.6], device == 33)
+    for device in (2, 10**12, 5):
+        store.leave(device)
+    store.join(9_999, [0.1, 0.2], True)
+    store.join(10**12 + 1, [0.7, 0.7], False)
+    return store
+
+
+class TestIdColumnMapRuns:
+    """Tombstones, the small run and both merges against a dict mirror."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(0, 40), max_size=6)),
+            max_size=40,
+        )
+    )
+    def test_batches_match_a_dict(self, batches, small_recent_run):
+        mirror = {j: j + 100 for j in range(0, 20, 2)}
+        ids = np.array(sorted(mirror), dtype=np.int64)
+        m = IdColumnMap(ids, ids + 100)
+        for add, batch in batches:
+            batch = np.unique(np.asarray(batch, dtype=np.int64))
+            if add:
+                batch = np.array([j for j in batch if j not in mirror], dtype=np.int64)
+                m.insert(batch, batch * 3)
+                mirror.update((int(j), int(j) * 3) for j in batch)
+            else:
+                batch = np.array([j for j in batch if j in mirror], dtype=np.int64)
+                m.delete(batch)
+                for j in batch:
+                    del mirror[int(j)]
+            probe = np.arange(-1, 42)
+            assert m.lookup(probe).tolist() == [mirror.get(int(j), -1) for j in probe]
+            assert [m.get(int(j)) for j in probe] == [mirror.get(int(j)) for j in probe]
+            got_ids, got_values = m.items()
+            assert got_ids.tolist() == sorted(mirror)
+            assert got_values.tolist() == [mirror[j] for j in sorted(mirror)]
+            assert len(m) == len(mirror)
+        m.assign(np.array(sorted(mirror), dtype=np.int64), np.zeros(len(mirror)))
+        assert (m.lookup(np.array(sorted(mirror))) == 0).all()
+
+
+def _assert_same_map(got, want):
+    for a, b in zip(got._rows.items(), want._rows.items()):
+        assert np.array_equal(a, b)
+    assert got.n == want.n
+
+
+class TestIdColumns:
+    def test_from_state_rebuilds_the_live_map(self):
+        store = _churned(make_store(n=12))
+        _assert_same_map(DeviceStateStore.from_state(store.state()), store)
+
+    def test_adopt_planes_rebuilds_the_live_map(self):
+        store = _churned(make_store(n=12))
+        shm = DeviceStateStore(
+            make_store(n=12).current_positions(),
+            cell=0.06,
+            planes_factory=shm_planes_factory(),
+        )
+        adopted = None
+        try:
+            _churned(shm)
+            _assert_same_map(shm, store)
+            planes = shm.planes
+            adopted = DeviceStateStore.adopt_planes(
+                attach_store_planes(planes.name, planes.capacity, 2), cell=0.06
+            )
+            _assert_same_map(adopted, store)
+        finally:
+            if adopted is not None:
+                adopted.release_planes(unlink=False)
+            shm.release_planes(unlink=True)
+
+    def test_huge_id_join_allocates_no_id_indexed_column(self):
+        store = make_store(n=1_000)
+        big = 10**12
+        tracemalloc.start()
+        try:
+            row = store.join(big, [0.9, 0.9], True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # An id-indexed column would need terabytes.
+        assert peak < 1 << 20
+        assert store.row_of(big) == row and store.id_of(row) == big
+        assert store.rows_of([big, big - 1, big + 1]).tolist() == [row, -1, -1]
+        assert store.leave(big) == row
+        assert store.row_if_present(big) is None
+        assert store.join(big, [0.1, 0.1]) == row
+        with pytest.raises(ConfigurationError, match="already stored"):
+            store.join(big, [0.2, 0.2])
+        assert store.n == 1_001
+
+    @pytest.mark.parametrize("path", ["init", "from_state", "adopt_planes"])
+    def test_100k_build_peaks_at_its_columns(self, path):
+        n = 100_000
+        pts = np.random.default_rng(4).random((n, 2))
+        source = DeviceStateStore(
+            pts,
+            cell=0.06,
+            planes_factory=shm_planes_factory() if path == "adopt_planes" else None,
+        )
+        state = source.state()
+        build = {
+            "init": lambda: DeviceStateStore(pts, cell=0.06),
+            "from_state": lambda: DeviceStateStore.from_state(state),
+            "adopt_planes": lambda: DeviceStateStore.adopt_planes(
+                attach_store_planes(source.planes.name, n, 2), cell=0.06
+            ),
+        }[path]
+        tracemalloc.start()
+        try:
+            store = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        try:
+            # Its columns: the store's own, the index's cell keys and the
+            # id map's two int64 columns.  The slack is about one
+            # fleet-sized float temporary of the cell-key computation.
+            columns = store.nbytes + store.index.key_column().nbytes + 16 * (n + 1)
+            assert peak <= columns + (2 << 20), (peak, columns)
+            assert store.n == n
+            assert store.rows_of([0, n - 1, n]).tolist() == [0, n - 1, -1]
+        finally:
+            if path == "adopt_planes":
+                store.release_planes(unlink=False)
+                source.release_planes(unlink=True)
 
 
 # ----------------------------------------------------------------------
