@@ -1,4 +1,4 @@
-"""Verdict benchmarks: ``characterize_many`` timings and motion reuse.
+"""Verdict benchmarks: ``characterize_many`` timings.
 
 * ``Characterizer.characterize_many`` is timed at ``n ∈ {1k, 10k}`` with
   ~5% of devices flagged (radii chosen to keep neighbourhood density —
@@ -7,10 +7,6 @@
   motion-sharing bound (the per-device ball path).  These rows record
   timings only; verdict correctness is anchored on the omniscient
   oracle in ``tests/online/test_oracle_matrix.py``.
-* Asserted: the online service with cross-tick motion-family reuse
-  recomputes *strictly fewer* families than without, on identical
-  1%-churn update streams, while remaining verdict-identical tick by
-  tick.
 
 Every run appends rows to ``_SUMMARY_ROWS``; after the module,
 ``benchmarks/conftest.py`` writes them to the path in
@@ -28,7 +24,6 @@ import pytest
 from repro.core.characterize import Characterizer
 from repro.core.neighborhood import MotionCache
 from repro.core.transition import Snapshot, Transition
-from repro.online import OnlineCharacterizationService, QosUpdate, ServiceConfig
 
 #: (n, r) grid for the timing rows; r keeps ~comparable flagged density
 #: inside the 2r ball at both scales (flagged fraction is 5% of n).
@@ -125,106 +120,9 @@ def test_large_component_takes_the_per_device_path():
     )
 
 
-# ----------------------------------------------------------------------
-# Claim: cross-tick motion-family reuse recomputes fewer families
-# ----------------------------------------------------------------------
-def _service_stream(n, churn, *, ticks, tau, seed=0):
-    """Setup batch flagging ~2% + per-tick 1%-churn batches."""
-    rng = np.random.default_rng(seed)
-    base = rng.random((n, 2))
-    flagged = sorted(
-        int(j) for j in rng.choice(n, size=max(8, n // 50), replace=False)
-    )
-    positions = base.copy()
-    setup = []
-    for device in flagged:
-        positions[device] = np.clip(positions[device] + 0.05, 0.0, 1.0)
-        setup.append(QosUpdate(device, tuple(positions[device]), True))
-    healthy = np.array(sorted(set(range(n)) - set(flagged)))
-    per_tick = []
-    for _ in range(ticks):
-        batch = []
-        movers = rng.choice(healthy, size=max(1, int(round(churn * n))), replace=False)
-        for device in movers:
-            device = int(device)
-            positions[device] = np.clip(
-                positions[device] + rng.normal(0.0, 0.005, 2), 0.0, 1.0
-            )
-            batch.append(QosUpdate(device, tuple(positions[device]), False))
-        for device in flagged[:3]:
-            positions[device] = np.clip(
-                positions[device] + rng.normal(0.0, 0.002, 2), 0.0, 1.0
-            )
-            batch.append(QosUpdate(device, tuple(positions[device]), True))
-        per_tick.append(batch)
-    return base, setup, per_tick
-
-
-def _run_reuse(base, setup, per_tick, *, reuse, r, tau):
-    service = OnlineCharacterizationService(
-        base, ServiceConfig(r=r, tau=tau, reuse_motions=reuse)
-    )
-    service.ingest_many(setup)
-    service.end_tick()
-    service.end_tick()  # consume the setup move carry before counting
-    families_before = service.stats.families_recomputed
-    start = time.perf_counter()
-    ticks = []
-    for batch in per_tick:
-        service.ingest_many(batch)
-        ticks.append(service.end_tick())
-    elapsed = time.perf_counter() - start
-    recomputed = service.stats.families_recomputed - families_before
-    return elapsed, recomputed, service, ticks
-
-
-@pytest.mark.parametrize("n,churn", [(1_000, 0.01), (10_000, 0.01)])
-def test_motion_reuse_recomputes_fewer_families(n, churn):
-    r = 0.03 if n <= 1_000 else 0.01
-    tau = 3
-    base, setup, per_tick = _service_stream(n, churn, ticks=4, tau=tau)
-    _, reuse_families, reuse_service, reuse_ticks = _run_reuse(
-        base, setup, per_tick, reuse=True, r=r, tau=tau
-    )
-    _, full_families, _, full_ticks = _run_reuse(
-        base, setup, per_tick, reuse=False, r=r, tau=tau
-    )
-
-    # Verdict identity on the same stream, tick by tick.
-    for ta, tb in zip(reuse_ticks, full_ticks):
-        assert ta.verdicts.keys() == tb.verdicts.keys()
-        for j in ta.verdicts:
-            a, b = ta.verdicts[j], tb.verdicts[j]
-            assert a.anomaly_type == b.anomaly_type, (ta.tick, j)
-            assert a.rule == b.rule, (ta.tick, j)
-            assert a.witness == b.witness, (ta.tick, j)
-
-    # The acceptance assertion: strictly fewer families recomputed.
-    assert reuse_families < full_families, (
-        f"reuse recomputed {reuse_families} >= no-reuse {full_families} "
-        f"at n={n}"
-    )
-    assert reuse_service.stats.families_reused > 0
-    _SUMMARY_ROWS.append(
-        {
-            "claim": "motion_reuse",
-            "n": n,
-            "churn": churn,
-            "reuse_families_recomputed": reuse_families,
-            "full_families_recomputed": full_families,
-            "families_reused": reuse_service.stats.families_reused,
-            "speedup": full_families / max(1, reuse_families),
-        }
-    )
-
-
 def test_summary_rows_schema():
     """Rows carry what the CI artifact consumers expect: every row a
-    claim and ``n``; a timing row its seconds; a comparison row a
-    speedup above 1."""
+    claim, ``n`` and its seconds."""
     for row in _SUMMARY_ROWS:
         assert {"claim", "n"} <= set(row)
-        if "speedup" in row:
-            assert row["speedup"] > 1.0
-        else:
-            assert row["bitset_seconds"] > 0.0
+        assert row["bitset_seconds"] > 0.0

@@ -149,12 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable incremental invalidation (recompute all verdicts)",
         )
         sub_parser.add_argument(
-            "--reuse-motions",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="carry motion families of clean devices across ticks",
-        )
-        sub_parser.add_argument(
             "--json", default=None, help="also write the summary JSON here"
         )
         obs = sub_parser.add_argument_group(
@@ -381,7 +375,6 @@ def _service_config(args: argparse.Namespace):
         queue_capacity=args.queue,
         max_batch=args.batch,
         incremental=not args.full,
-        reuse_motions=args.reuse_motions,
         dispatch_deadline=args.dispatch_deadline,
         validation=args.validation,
     )
@@ -412,10 +405,7 @@ def _print_service_summary(result, service) -> None:
         f"totals: updates={total} recomputed={result.total_recomputed} "
         f"reused={result.total_reused} ({recompute_share:.1f}% recomputed)"
     )
-    print(
-        f"motion families: recomputed={stats.families_recomputed} "
-        f"reused={stats.families_reused}"
-    )
+    print(f"motion families: recomputed={stats.families_recomputed}")
     # The sharded front door exposes the same footprint figures itself.
     store = getattr(service, "store", service)
     print(

@@ -71,6 +71,7 @@ from repro.core.errors import (
     SearchBudgetExceeded,
     UnknownDeviceError,
 )
+from repro.core.geometry import CONSISTENCY_ATOL
 from repro.core.motions import enumerate_maximal_motions
 from repro.core.neighborhood import MotionCache, MotionComponent, split_masks
 from repro.core.transition import Transition
@@ -632,7 +633,7 @@ class Characterizer:
         pts = transition.combined_of(ball)
         far = np.flatnonzero(
             np.abs(pts - transition.combined_of((device,))).max(axis=1)
-            > 2.0 * transition.r + 1e-12
+            > 2.0 * transition.r + CONSISTENCY_ATOL
         )
         far_mask = sum(1 << int(i) for i in far)
         width = len(ball)

@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.errors import ConfigurationError, DimensionMismatchError
 
 __all__ = [
+    "CONSISTENCY_ATOL",
     "uniform_norm",
     "uniform_distance",
     "pairwise_uniform_distances",
@@ -39,6 +40,13 @@ __all__ = [
     "split_flat",
     "GridIndex",
 ]
+
+#: Absolute slack of the ``2r`` consistency and range tests (motion
+#: consistency, neighbourhood and ball queries), so points engineered to
+#: sit exactly ``2r`` apart classify the same on every platform.  Two
+#: hops of it bound how far past ``4r`` a verdict can read
+#: (:mod:`repro.online.dirty`).
+CONSISTENCY_ATOL = 1e-12
 
 
 def uniform_norm(x: np.ndarray) -> float:
@@ -93,7 +101,9 @@ def bounding_box_side(points: np.ndarray) -> float:
     return float(np.max(pts.max(axis=0) - pts.min(axis=0)))
 
 
-def is_r_consistent_points(points: np.ndarray, r: float, *, atol: float = 1e-12) -> bool:
+def is_r_consistent_points(
+    points: np.ndarray, r: float, *, atol: float = CONSISTENCY_ATOL
+) -> bool:
     """Check Definition 1: pairwise uniform distances all at most ``2r``.
 
     A small absolute tolerance absorbs floating-point noise so that points
@@ -104,7 +114,7 @@ def is_r_consistent_points(points: np.ndarray, r: float, *, atol: float = 1e-12)
 
 
 def points_within(points: np.ndarray, center: np.ndarray, rho: float,
-                  *, atol: float = 1e-12) -> np.ndarray:
+                  *, atol: float = CONSISTENCY_ATOL) -> np.ndarray:
     """Return indices of rows of ``points`` within uniform distance ``rho``.
 
     This is the vicinity ``V = {x : ||x - center|| <= rho}`` of
@@ -401,7 +411,7 @@ class GridIndex:
         self._sorted_codes = codes[order]
 
     def query_batch(
-        self, centers: np.ndarray, rho: float, *, atol: float = 1e-12
+        self, centers: np.ndarray, rho: float, *, atol: float = CONSISTENCY_ATOL
     ) -> List[List[int]]:
         """Answer many range queries in one vectorized pass.
 
@@ -416,7 +426,7 @@ class GridIndex:
         return split_flat(query_of, rows.tolist(), q, list)
 
     def query_batch_flat(
-        self, centers: np.ndarray, rho: float, *, atol: float = 1e-12
+        self, centers: np.ndarray, rho: float, *, atol: float = CONSISTENCY_ATOL
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized batch range query, flat-array form.
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.core.bitset import iter_bits, popcount
 from repro.core.errors import UnknownDeviceError
+from repro.core.geometry import CONSISTENCY_ATOL
 from repro.core.transition import Transition
 from repro.core.types import MotionFamily
 
@@ -80,7 +81,7 @@ class _MaskWindowEnumerator:
         coords: np.ndarray,
         width: float,
         anchor_row: Optional[int],
-        atol: float = 1e-12,
+        atol: float = CONSISTENCY_ATOL,
     ) -> None:
         m = coords.shape[0]
         self._m = m

@@ -16,12 +16,9 @@ the motion families of ``j``'s neighbours — i.e. trajectories within
 
 :class:`MotionCache` memoizes per-device motion families for one
 transition so a full characterization pass computes each family once.
-It can also be *carried* across consecutive transitions
-(:meth:`MotionCache.carry_from`): a device whose ``4r`` surroundings did
-not change between two transitions has, a fortiori, unchanged ``2r``
-family inputs, so its family can be reused verbatim — the online
-service invalidates the dirty-region tracker's family band, a (sound,
-conservative) subset of its affected set.
+A cache never outlives its transition; across ticks the online service
+reuses whole verdicts, recomputing only those within ``4r`` of a
+change (:mod:`repro.online.dirty`).
 
 Within one transition the cache shares motion work per *component*:
 every member of a motion through ``x`` lies in ``N(x)``, so the
@@ -49,11 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.bitset import LocalUniverse, iter_bits
+from repro.core.geometry import CONSISTENCY_ATOL
 from repro.core.motions import enumerate_maximal_motions, motion_family
 from repro.core.transition import Transition
 from repro.core.types import MotionFamily
@@ -162,7 +160,7 @@ class MotionComponent:
             pts = transition.combined_of(self.devices)
             far = (
                 np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
-                > 2.0 * transition.r + 1e-12
+                > 2.0 * transition.r + CONSISTENCY_ATOL
             )
             packed = np.packbits(far, axis=1, bitorder="little")
             self._far = [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -231,55 +229,21 @@ class MotionCache:
     transition:
         The transition families are computed against.
 
-    Cross-tick reuse counters: ``carried`` is how many families were
-    pre-seeded by :meth:`carry_from`; ``carried_used`` counts the
-    distinct carried devices whose family was actually served, i.e.
-    recomputations genuinely avoided.
-
-    A family that is neither memoized nor carried is derived from its
-    owner's :meth:`component` on request; a component is enumerated
-    once per transition, on its first member's request.
+    A family that is not yet memoized is derived from its owner's
+    :meth:`component` on request; a component is enumerated once per
+    transition, on its first member's request.
     """
 
     def __init__(self, transition: Transition) -> None:
         self._transition = transition
         self._families: Dict[int, MotionFamily] = {}
-        self._carried_pending: Set[int] = set()
         self._components: Dict[int, Optional[MotionComponent]] = {}
         self.expansions = 0
-        self.carried = 0
-        self.carried_used = 0
 
     @property
     def transition(self) -> Transition:
         """The transition this cache is bound to."""
         return self._transition
-
-    @classmethod
-    def carry_from(
-        cls,
-        previous: "MotionCache",
-        transition: Transition,
-        devices: Iterable[int],
-    ) -> "MotionCache":
-        """Build a cache for ``transition`` pre-seeded from ``previous``.
-
-        Only the families of ``devices`` (the *clean* set — devices whose
-        ``4r`` surroundings are unchanged between the two transitions)
-        are carried over; everyone else recomputes on demand.  Sound
-        because a :class:`~repro.core.types.MotionFamily` is a pure value
-        determined by the trajectories of flagged devices within ``2r``
-        of its owner, all of which lie inside the unchanged ``4r`` ball.
-        """
-        cache = cls(transition)
-        families = previous._families
-        for device in devices:
-            family = families.get(device)
-            if family is not None:
-                cache._families[device] = family
-                cache._carried_pending.add(device)
-        cache.carried = len(cache._families)
-        return cache
 
     def family(self, device: int) -> MotionFamily:
         """Return (and memoize) the motion family of ``device``."""
@@ -292,20 +256,15 @@ class MotionCache:
                 fam = component.family(device, self._transition.tau)
             self._families[device] = fam
             self.expansions += 1
-        elif self._carried_pending:
-            if device in self._carried_pending:
-                self._carried_pending.discard(device)
-                self.carried_used += 1
         return fam
 
     def materialize(self, devices: Iterable[int]) -> None:
         """:meth:`family` for each of ``devices`` whose family is not yet
-        served: counts ``expansions`` and ``carried_used`` exactly as
-        those calls would, without their cost for memo hits."""
+        memoized: counts ``expansions`` exactly as those calls would,
+        without their cost for memo hits."""
         families = self._families
-        pending = self._carried_pending
         for device in devices:
-            if device not in families or device in pending:
+            if device not in families:
                 self.family(device)
 
     def component(self, device: int) -> Optional[MotionComponent]:

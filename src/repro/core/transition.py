@@ -27,6 +27,7 @@ from repro.core.errors import (
     UnknownDeviceError,
 )
 from repro.core.geometry import (
+    CONSISTENCY_ATOL,
     GridIndex,
     split_flat,
     validate_radius,
@@ -337,7 +338,9 @@ class Transition:
     # ------------------------------------------------------------------
     # Consistency predicates
     # ------------------------------------------------------------------
-    def is_consistent_motion(self, devices: Iterable[int], *, atol: float = 1e-12) -> bool:
+    def is_consistent_motion(
+        self, devices: Iterable[int], *, atol: float = CONSISTENCY_ATOL
+    ) -> bool:
         """Definition 3: the subset is r-consistent at both times.
 
         Implemented as a single bounding-box check in the combined

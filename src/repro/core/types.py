@@ -94,8 +94,6 @@ class CostCounters:
         own anchored sweep of ``N(j)``.  A lone device
         (``N(j) == (j,)``) counts ``2d`` placements, one per combined
         dimension — what a sweep of ``{j}`` makes, though none is run.
-        A family carried across ticks keeps the count of the tick that
-        computed it.
     """
 
     maximal_motions: int = 0
@@ -166,10 +164,9 @@ class MotionFamily:
     ``D_k(j)`` (union of the dense family, Section V-B).
 
     A family is a pure *value*: it holds no reference to the transition
-    it was computed on, which is what lets the online service carry
-    families of undisturbed devices across consecutive transitions
-    (:meth:`~repro.core.neighborhood.MotionCache.carry_from`) instead of
-    re-enumerating them.
+    it was computed on, so the characterizer can share it between every
+    device of that transition through one
+    :class:`~repro.core.neighborhood.MotionCache`.
     """
 
     device: DeviceId

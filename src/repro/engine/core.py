@@ -21,7 +21,10 @@ shared service:
   transition and every repeated call on the *same* transition object
   (e.g. several subset passes over one interval pay each motion family
   once); run-level counters aggregate cache statistics across the
-  consecutive transitions of a run.
+  consecutive transitions of a run.  Families never outlive their
+  transition: the online service saves work across ticks at the
+  verdict level instead, recomputing only the verdicts within ``4r``
+  of a change (:mod:`repro.online.dirty`).
 
 The per-device work is one serial
 :meth:`~repro.core.characterize.Characterizer.characterize_many` call;
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.characterize import Characterizer, classify_sets
-from repro.core.errors import ConfigurationError
 from repro.core.neighborhood import MotionCache
 from repro.core.transition import Transition
 from repro.core.types import Characterization
@@ -52,13 +54,12 @@ __all__ = ["CharacterizationEngine", "EngineRun", "EngineStats"]
 class EngineRun:
     """What one :meth:`CharacterizationEngine.characterize_run` produced.
 
-    ``families_recomputed`` / ``families_reused`` count the motion-cache
-    work of this call: families expanded, and carried families served.
+    ``families_recomputed`` counts the motion-cache work of this call:
+    the families it expanded.
     """
 
     verdicts: Dict[int, Characterization]
     families_recomputed: int = 0
-    families_reused: int = 0
 
 
 @dataclass
@@ -110,26 +111,7 @@ class CharacterizationEngine:
         """The engine configuration."""
         return self._config
 
-    @property
-    def motion_cache(self) -> Optional[MotionCache]:
-        """The motion cache of the most recent transition (if any).
-
-        The online service reads this after a tick to seed the next
-        transition's cache via :meth:`MotionCache.carry_from`.
-        """
-        return self._cache
-
     # ------------------------------------------------------------------
-    def adopt_cache(self, cache: MotionCache) -> None:
-        """Install an externally built cache (e.g. a cross-tick carry).
-
-        The previous cache's counters are folded into :attr:`stats`
-        exactly as when a new transition arrives.
-        """
-        if self._cache is not None and self._cache is not cache:
-            self._folded_expansions += self._cache.expansions
-        self._cache = cache
-
     def _cache_for(self, transition: Transition) -> MotionCache:
         """Return the motion cache bound to ``transition``.
 
@@ -167,35 +149,18 @@ class CharacterizationEngine:
 
     # ------------------------------------------------------------------
     def characterize_run(
-        self,
-        transition: Transition,
-        devices: Optional[Sequence[int]] = None,
-        *,
-        cache: Optional[MotionCache] = None,
+        self, transition: Transition, devices: Optional[Sequence[int]] = None
     ) -> EngineRun:
-        """Classify ``devices`` and report the run's cache work.
-
-        ``cache`` optionally installs a pre-seeded motion cache (the
-        online service passes a cross-tick carry built with
-        :meth:`MotionCache.carry_from`); it must be bound to
-        ``transition``.
-        """
+        """Classify ``devices`` and report the run's cache work."""
         devs = (
             list(transition.flagged_sorted)
             if devices is None
             else [int(j) for j in devices]
         )
-        if cache is not None:
-            if cache.transition is not transition:
-                raise ConfigurationError(
-                    "adopted MotionCache is bound to a different transition"
-                )
-            self.adopt_cache(cache)
         if devs and self._config.precompute_neighborhoods:
             self._warm_neighborhoods(transition, devs)
         shared = self._cache_for(transition)
         expansions_before = shared.expansions
-        reused_before = shared.carried_used
         verdicts = Characterizer(
             transition, cache=shared, **self._config.characterizer_kwargs()
         ).characterize_many(devs)
@@ -205,15 +170,10 @@ class CharacterizationEngine:
         return EngineRun(
             verdicts=verdicts,
             families_recomputed=shared.expansions - expansions_before,
-            families_reused=shared.carried_used - reused_before,
         )
 
     def characterize(
-        self,
-        transition: Transition,
-        devices: Optional[Sequence[int]] = None,
-        *,
-        cache: Optional[MotionCache] = None,
+        self, transition: Transition, devices: Optional[Sequence[int]] = None
     ) -> Dict[int, Characterization]:
         """Classify ``devices`` (default: all of ``A_k``) of ``transition``.
 
@@ -222,7 +182,7 @@ class CharacterizationEngine:
         :meth:`characterize_run` for the variant that also reports the
         run's motion-family work.
         """
-        return self.characterize_run(transition, devices, cache=cache).verdicts
+        return self.characterize_run(transition, devices).verdicts
 
     def classify(
         self, transition: Transition, devices: Optional[Sequence[int]] = None

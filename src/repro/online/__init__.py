@@ -10,9 +10,9 @@ This package keeps a live population warm instead:
 * :class:`~repro.online.store.DeviceStateStore` — last two QoS snapshots
   and flag state per device, as columns;
 * :class:`~repro.online.dirty.DirtyRegionTracker` — maps a tick's
-  updated cells to the flagged devices whose ``4r`` neighbourhoods could
-  have changed (the paper's locality result read as an invalidation
-  rule);
+  changed positions to the flagged devices within ``4r`` of them, whose
+  verdicts could have changed (the paper's locality result read as an
+  invalidation rule);
 * :class:`~repro.online.service.OnlineCharacterizationService` — bounded
   ingest queue, batching and backpressure knobs
   (:class:`~repro.online.service.ServiceConfig`), pluggable sinks, and a

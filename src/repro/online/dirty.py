@@ -11,69 +11,175 @@ moved during the *previous* one (its ``prev`` endpoint shifted under it),
 or toggled its flag.  Moves of devices that are unflagged on both sides
 of the toggle are invisible to every verdict and tracked for free.
 
-:class:`DirtyRegionTracker` accumulates those changes as integer grid-cell
-keys — ``(k, d)`` int64 arrays, never per-cell Python tuples:
+:class:`DirtyRegionTracker` accumulates those changes as a
+:class:`DirtyRegion` — axis-aligned boxes, each tagged with the grid
+cell that holds it, where a changed *position* is a box of zero width:
 
-* a relevant update marks the device's old and new current cells
-  (``old`` doubles as the device's ``prev`` endpoint — the store rolled
-  snapshots at the last tick boundary);
-* a *position* move additionally carries its two cells into the next
-  tick's dirty set, because ``prev_{k+1} = cur_k`` shifts the device's
-  trajectory again one tick later;
-* at tick end, every flagged device within ``rings`` cells (Chebyshev)
-  of a dirty cell is reported as *affected* — a conservative superset of
-  the devices whose verdicts can have changed, with ``rings`` sized so
-  that anything farther is provably more than ``4r`` away.  Only the
-  flagged rows are tested (unflagged devices are never verdict targets),
-  so the fan-out costs ``O(flagged)``, not ``O(devices near the dirty
-  cells)``.
+* a relevant update marks the device's trajectory endpoints: its
+  ``prev`` position (the store rolled snapshots at the last tick
+  boundary) and its new one;
+* a *position* move additionally carries its two positions into the
+  next tick's region, because ``prev_{k+1} = cur_k`` shifts the
+  device's trajectory again one tick later;
+* a flagged join or leave marks its trajectory endpoints (the store
+  records them, :meth:`~repro.online.store.DeviceStateStore.take_membership`);
+* two sources stay cell-granular and mark whole cells: recovery
+  (:meth:`DirtyRegionTracker.invalidate_cells`) and the move carry of a
+  checkpoint written before positions were recorded.
 
-The complement of the affected set is sound for more than verdict-cache
-reuse: a device's *motion family* (``M(j)`` / ``Wbar_k(j)``) is a
-function of the trajectories and flag bits of flagged devices within
-``2r`` of it — a strict subset of the ``4r`` inputs of its verdict — so
-any unaffected device's family from the previous transition is still
-exact, and the online service carries those families across ticks via
-:meth:`~repro.core.neighborhood.MotionCache.carry_from`, invalidating
-the tighter ``family_rings`` band that the same fan-out records
-(:attr:`DirtyRegionTracker.family_dirty`).  The one-tick move carry is
-what makes this valid for trajectories, not just positions: a device
-that moved in tick ``k`` re-dirties its cells in tick ``k+1`` (its
-``prev`` endpoint shifts under it), so no family survives a change to
-*either* endpoint of a nearby trajectory.
+At tick end (:meth:`DirtyRegionTracker.finish_tick`) a flagged row is
+*affected* when its ``prev`` or ``cur`` endpoint lies within Chebyshev
+``4r + tol`` of a dirty box — the exact recompute set.  ``tol`` is two
+hops of :data:`~repro.core.geometry.CONSISTENCY_ATOL`: a verdict reads
+its neighbours' motion families, each hop a ``2r + atol`` test.  The
+fan-out is cell-first: rows within ``sure_rings`` cells of a dirty cell
+(``(d + 1) * cell <= 4r``) are affected without a distance test, rows
+beyond ``rings`` cells are provably out of reach, and only the band in
+between is measured, in bounded chunks.  Only the flagged rows are
+tested (unflagged devices are never verdict targets), so the fan-out
+costs ``O(flagged)``, not ``O(devices near the dirty cells)``.
+
+Both topologies share the fan-out: the single service closes and fans
+out its own region in one call; a shard closes its region for the front
+door (:meth:`DirtyRegionTracker.close`), which unions every shard's, and
+then fans the *global* union out over its own flagged rows — a change
+near a shard boundary must invalidate verdicts on both sides.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.core.geometry import unique_cells
-from repro.online.store import AppliedBatch, AppliedUpdate, DeviceStateStore
+from repro.core.geometry import CONSISTENCY_ATOL, unique_cells
 
-__all__ = ["DirtyRegionTracker", "union_cells"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.online.store import AppliedBatch, AppliedUpdate, DeviceStateStore
 
-#: The empty cell set (its width is unknown until a cell is seen).
-_NO_CELLS = np.empty((0, 0), dtype=np.int64)
+__all__ = ["DirtyRegion", "DirtyRegionTracker"]
+
+#: How far past ``4r`` a verdict can read: two hops (a neighbour's
+#: motion family) of the ``2r + atol`` consistency and range tests.
+REACH_TOL = 2.0 * CONSISTENCY_ATOL
+
+#: Element budget of one chunk of the box-distance test, so a wide band
+#: of probe rows never materializes a dense rows-by-boxes matrix.
+_CHUNK_ELEMENTS = 1 << 16
+
+#: Outward slack of a whole-cell box, far above ``floor``'s rounding at
+#: a cell boundary and far below any cell side.
+_CELL_GUARD = 1e-9
+
+_NO_KEYS = np.empty((0, 0), dtype=np.int64)
+_NO_POINTS = np.empty((0, 0), dtype=np.float64)
 
 
-def union_cells(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Sorted, de-duplicated union of ``(k, d)`` integer cell-key arrays.
+class DirtyRegion:
+    """Dirty axis-aligned boxes, each inside one grid cell.
 
-    Empty parts (of any width) are ignored; the union of nothing is a
-    ``(0, 0)`` array.
+    ``keys`` is ``(m, d)`` int64 — the cell holding each box — and
+    ``lo`` / ``hi`` are ``(m, d)`` float64 corners.  A changed position
+    is a box with ``lo == hi``; a region of positions only holds one
+    array as both corners, so it pickles and checkpoints one plane.  A
+    whole dirty cell spans its cell.  Regions are plain arrays, so a
+    shard ships its region to the front door as is.
     """
-    live = [part for part in parts if len(part)]
-    if not live:
-        return _NO_CELLS
-    return unique_cells(np.concatenate(live))
+
+    __slots__ = ("keys", "lo", "hi", "_cells")
+
+    def __init__(self, keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        self.keys = keys
+        self.lo = lo
+        self.hi = hi
+        self._cells: Optional[np.ndarray] = None
+
+    @classmethod
+    def empty(cls) -> "DirtyRegion":
+        return cls(_NO_KEYS, _NO_POINTS, _NO_POINTS)
+
+    @classmethod
+    def of_points(cls, points: np.ndarray, cell: float) -> "DirtyRegion":
+        """Zero-width boxes at ``points``, in the cells that hold them."""
+        points = np.asarray(points, dtype=np.float64)
+        return cls(np.floor(points / cell).astype(np.int64), points, points)
+
+    @classmethod
+    def of_cells(cls, keys: np.ndarray, cell: float) -> "DirtyRegion":
+        """Whole cells ``keys`` as boxes, widened by a rounding guard."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if not keys.size:
+            return cls.empty()
+        guard = _CELL_GUARD * cell
+        return cls(keys, keys * cell - guard, (keys + 1) * cell + guard)
+
+    @classmethod
+    def union(cls, parts: Sequence["DirtyRegion"]) -> "DirtyRegion":
+        """All boxes of ``parts`` (empty parts of any width are skipped)."""
+        live = [part for part in parts if len(part)]
+        if not live:
+            return cls.empty()
+        if len(live) == 1:
+            return live[0]
+        lo = np.concatenate([part.lo for part in live])
+        points = all(part.hi is part.lo for part in live)
+        hi = lo if points else np.concatenate([part.hi for part in live])
+        return cls(np.concatenate([part.keys for part in live]), lo, hi)
+
+    def __len__(self) -> int:
+        return int(self.keys.shape[0])
+
+    @property
+    def cells(self) -> np.ndarray:
+        """The dirty cells: sorted, de-duplicated ``(k, d)`` int64 keys."""
+        if self._cells is None:
+            self._cells = unique_cells(self.keys) if len(self) else _NO_KEYS
+        return self._cells
+
+    def distance(self, points: np.ndarray) -> np.ndarray:
+        """Chebyshev distance from each of ``points`` to its nearest box."""
+        out = np.full(points.shape[0], np.inf)
+        m = len(self)
+        if not m:
+            return out
+        chunk = max(1, _CHUNK_ELEMENTS // (m * self.lo.shape[1]))
+        for start in range(0, points.shape[0], chunk):
+            block = points[start : start + chunk, None, :]
+            gap = np.maximum(self.lo[None] - block, block - self.hi[None])
+            out[start : start + chunk] = gap.max(axis=2).min(axis=1)
+        return np.maximum(out, 0.0)
+
+    def state(self, name: str) -> Dict[str, np.ndarray]:
+        """The region as ``{name}_keys`` / ``{name}_lo`` / ``{name}_hi``
+        arrays: none for an empty region, no ``hi`` for positions only."""
+        if not len(self):
+            return {}
+        state = {f"{name}_keys": self.keys, f"{name}_lo": self.lo}
+        if self.hi is not self.lo:
+            state[f"{name}_hi"] = self.hi
+        return state
+
+    @classmethod
+    def from_state(
+        cls, state: Dict[str, np.ndarray], name: str, cell: float
+    ) -> "DirtyRegion":
+        """Inverse of :meth:`state`.  A state without the boxes — written
+        when only cells were recorded — holds ``name`` as cell keys."""
+        if f"{name}_keys" not in state:
+            return cls.of_cells(state.get(name, _NO_KEYS), cell)
+        lo = np.asarray(state[f"{name}_lo"], dtype=np.float64)
+        hi = state.get(f"{name}_hi")
+        return cls(
+            np.asarray(state[f"{name}_keys"], dtype=np.int64),
+            lo,
+            lo if hi is None else np.asarray(hi, dtype=np.float64),
+        )
 
 
 class DirtyRegionTracker:
-    """Map a tick's updated cells to the verdicts they can invalidate.
+    """Map a tick's updates to the verdicts they can invalidate.
 
     Parameters
     ----------
@@ -81,67 +187,35 @@ class DirtyRegionTracker:
         Grid-cell side (must match the store's index).
     influence_radius:
         How far a change can reach: ``4r``, the paper's knowledge radius.
-    family_radius:
-        How far a change can reach into *motion families*: ``2r``, the
-        neighbourhood radius of Algorithm 2 (defaults to half the
-        influence radius).  Devices beyond this tighter band keep their
-        families across the tick even when their verdicts must be
-        recomputed — the set the service's cross-tick motion carry is
-        allowed to reuse.
+        The fan-out adds :data:`REACH_TOL` for the tests' tolerance.
     """
 
-    def __init__(
-        self,
-        *,
-        cell: float,
-        influence_radius: float,
-        family_radius: Optional[float] = None,
-    ) -> None:
+    def __init__(self, *, cell: float, influence_radius: float) -> None:
         if cell <= 0:
             raise ConfigurationError(f"cell side must be positive, got {cell!r}")
         if influence_radius < 0:
             raise ConfigurationError(
                 f"influence_radius must be >= 0, got {influence_radius!r}"
             )
-        if family_radius is None:
-            family_radius = influence_radius / 2.0
-        if not 0 <= family_radius <= influence_radius:
-            raise ConfigurationError(
-                "family_radius must lie in [0, influence_radius], got "
-                f"{family_radius!r}"
-            )
         self._cell = float(cell)
-        # Two cells at Chebyshev key-distance D hold points at least
-        # (D - 1) * cell apart, so rings = floor(4r / cell) + 1 guarantees
-        # rings * cell > 4r: anything outside the ring band is strictly
-        # beyond the influence radius even at cell-boundary extremes.
-        self._rings = int(math.floor(influence_radius / self._cell + 1e-9)) + 1
-        self._family_rings = int(
-            math.floor(family_radius / self._cell + 1e-9)
-        ) + 1
-        self._pending: List[np.ndarray] = []
-        self._carry: np.ndarray = _NO_CELLS
-        self._carry_next: List[np.ndarray] = []
-        #: Flagged rows within ``family_rings`` of the dirty cells of the
-        #: last :meth:`finish_tick` (a subset of its affected rows).
-        self.family_dirty: Set[int] = set()
+        self._reach = float(influence_radius) + REACH_TOL
+        # Two cells at Chebyshev key-distance D hold points more than
+        # (D - 1) * cell apart, so rings = floor(reach / cell) + 1 puts
+        # everything outside the ring band strictly beyond the reach;
+        # cells D <= sure_rings apart hold points less than
+        # (D + 1) * cell <= 4r apart.
+        self._rings = int(math.floor(self._reach / self._cell + 1e-9)) + 1
+        self._sure_rings = int(math.floor(influence_radius / self._cell)) - 1
+        self._pending: List[DirtyRegion] = []
+        self._carry = DirtyRegion.empty()
+        self._carry_next: List[DirtyRegion] = []
 
     @property
     def rings(self) -> int:
         """Cell-ring radius of the influence band."""
         return self._rings
 
-    @property
-    def family_rings(self) -> int:
-        """Cell-ring radius of the (tighter) motion-family band."""
-        return self._family_rings
-
-    @property
-    def pending_cells(self) -> np.ndarray:
-        """Cells dirtied so far this tick (including last tick's carry)."""
-        return union_cells([*self._pending, self._carry])
-
-    def mark(self, applied: AppliedUpdate, *, was_relevant: bool) -> bool:
+    def mark(self, applied: "AppliedUpdate", *, was_relevant: bool) -> bool:
         """Record one applied update; returns whether it dirtied anything.
 
         ``was_relevant`` is true when the device was flagged *before* the
@@ -153,22 +227,24 @@ class DirtyRegionTracker:
         )
         if not relevant:
             return False
-        cells = np.array([applied.old_cell, applied.new_cell], dtype=np.int64)
-        self._pending.append(cells)
+        region = DirtyRegion.of_points(
+            np.array([applied.prev_position, applied.new_position]), self._cell
+        )
+        self._pending.append(region)
         if applied.moved:
             # prev_{k+1} = cur_k: this trajectory shifts again next tick.
-            self._carry_next.append(cells)
+            self._carry_next.append(region)
         return True
 
     def mark_batch(
-        self, batch: AppliedBatch, *, was_relevant: np.ndarray
+        self, batch: "AppliedBatch", *, was_relevant: np.ndarray
     ) -> int:
         """Vectorized :meth:`mark` over one applied row batch.
 
-        Computes the relevance mask in one pass and keeps the old/new
-        keys of the relevant rows as arrays — the irrelevant bulk of a
-        steady-state tick allocates nothing per device.  Returns the
-        number of relevant updates.
+        Computes the relevance mask in one pass and gathers the
+        ``prev``/new positions of the relevant rows only — the irrelevant
+        bulk of a steady-state tick allocates nothing per device.
+        Returns the number of relevant updates.
         """
         relevant = batch.flag_changed | (
             batch.moved & (batch.flagged | np.asarray(was_relevant, dtype=bool))
@@ -176,14 +252,20 @@ class DirtyRegionTracker:
         count = int(np.count_nonzero(relevant))
         if not count:
             return 0
-        self._pending.append(batch.old_keys[relevant])
-        self._pending.append(batch.new_keys[relevant])
+        self._pending.append(self._endpoints(batch, relevant))
         moved = relevant & batch.moved
         if moved.any():
             # prev_{k+1} = cur_k: these trajectories shift again next tick.
-            self._carry_next.append(batch.old_keys[moved])
-            self._carry_next.append(batch.new_keys[moved])
+            self._carry_next.append(self._endpoints(batch, moved))
         return count
+
+    def _endpoints(self, batch: "AppliedBatch", mask: np.ndarray) -> DirtyRegion:
+        return DirtyRegion.of_points(
+            np.concatenate(
+                [batch.prev_plane[batch.rows[mask]], batch.new_positions[mask]]
+            ),
+            self._cell,
+        )
 
     def invalidate_cells(self, keys: np.ndarray) -> None:
         """Force ``keys`` dirty this tick *and* carry them into the next.
@@ -195,69 +277,74 @@ class DirtyRegionTracker:
         the move carry as well covers trajectories whose ``prev``
         endpoint shifted in the lost tick.
         """
-        cells = np.asarray(keys, dtype=np.int64)
-        self._pending.append(cells)
-        self._carry_next.append(cells)
+        region = DirtyRegion.of_cells(keys, self._cell)
+        self._pending.append(region)
+        self._carry_next.append(region)
 
-    def finish_cells(self, store: DeviceStateStore) -> np.ndarray:
-        """Close the tick's *cell* bookkeeping: return the dirty cells.
+    def close(self, store: "DeviceStateStore") -> DirtyRegion:
+        """Close the tick's bookkeeping and return its dirty region.
 
-        The result is a sorted ``(k, d)`` int64 array of unique cell
-        keys: the marked cells, last tick's move carry, and the cells of
-        ``store``'s flagged joins / leaves since the last tick
-        (:meth:`~repro.online.store.DeviceStateStore.take_membership_cells`).
-        Resets per-tick state; the carry of this tick's moves seeds the
-        next tick's dirty set.  The sharded topology uses this half of
-        :meth:`finish_tick` on its own: each shard closes its cells, the
-        front door unions them, and every shard then tests its flagged
-        rows against the *global* union — a change near a shard boundary
-        must invalidate verdicts on both sides.
+        The region holds the marks, last tick's move carry, and the
+        endpoints of ``store``'s flagged joins / leaves since the last
+        tick.  Resets per-tick state; the carry of this tick's moves
+        seeds the next tick's region.
         """
-        dirty = union_cells(
-            [*self._pending, self._carry, *store.take_membership_cells()]
+        region = DirtyRegion.union(
+            [*self._pending, self._carry, store.take_membership()]
         )
         self._pending = []
-        self._carry = union_cells(self._carry_next)
+        self._carry = DirtyRegion.union(self._carry_next)
         self._carry_next = []
-        return dirty
+        return region
 
     def finish_tick(
-        self, store: DeviceStateStore
-    ) -> Tuple[np.ndarray, Set[int]]:
-        """Close the tick: return ``(dirty_cells, affected_rows)``.
+        self, store: "DeviceStateStore", region: Optional[DirtyRegion] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fan a dirty region out: return ``(dirty_cells, affected_rows)``.
 
-        ``affected_rows`` is every *flagged* row of ``store`` within
-        ``rings`` cells of a dirty cell — the flagged devices are the
-        only possible verdict targets, so the fan-out never visits the
-        unflagged bulk.  The same fan-out (one ring distance per flagged
-        row) records :attr:`family_dirty`: the flagged rows whose motion
-        *families* are invalidated, the tighter ``family_rings`` band.
+        ``region`` defaults to this tracker's own, closed by the call
+        (:meth:`close`); a shard passes the front door's global union.
+        ``affected_rows`` are the *flagged* rows of ``store`` (ascending)
+        whose ``prev`` or ``cur`` endpoint lies within ``4r + tol`` of a
+        dirty box — the flagged devices are the only verdict targets, so
+        the fan-out never visits the unflagged bulk.
         """
-        dirty = self.finish_cells(store)
+        if region is None:
+            region = self.close(store)
+        cells = region.cells
         rows = store.flagged_rows()
-        dist = store.index.ring_distances(rows, dirty, self._rings)
-        self.family_dirty = set(rows[dist <= self._family_rings].tolist())
-        return dirty, set(rows[dist <= self._rings].tolist())
+        dist = store.index.ring_distances(rows, cells, self._rings)
+        affected = dist <= self._sure_rings
+        band = np.nonzero(~affected & (dist <= self._rings))[0]
+        if band.size:
+            probe = rows[band]
+            prev, cur = store.snapshot_arrays()
+            gap = np.minimum(region.distance(prev[probe]), region.distance(cur[probe]))
+            affected[band] = gap <= self._reach
+        return cells, rows[affected]
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, np.ndarray]:
-        """The three cell sets as ``(k, d)`` integer arrays (sorted)."""
+        """The pending marks and both carries as region arrays."""
         return {
-            "pending": union_cells(self._pending),
-            "carry": self._carry,
-            "carry_next": union_cells(self._carry_next),
+            **DirtyRegion.union(self._pending).state("pending"),
+            **self._carry.state("carry"),
+            **DirtyRegion.union(self._carry_next).state("carry_next"),
         }
 
     def restore_state(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore the cell sets from :meth:`state` output."""
-        self._pending = [union_cells([state["pending"]])]
-        self._carry = union_cells([state["carry"]])
-        self._carry_next = [union_cells([state["carry_next"]])]
+        """Restore from :meth:`state` output; a state that holds only
+        cell keys (``pending`` / ``carry`` / ``carry_next``) restores them
+        as whole-cell boxes."""
+        cell = self._cell
+        self._pending = [DirtyRegion.from_state(state, "pending", cell)]
+        self._carry = DirtyRegion.from_state(state, "carry", cell)
+        self._carry_next = [DirtyRegion.from_state(state, "carry_next", cell)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DirtyRegionTracker(rings={self._rings}, "
-            f"pending={len(self.pending_cells)}, carry={len(self._carry)})"
+            f"pending={sum(map(len, self._pending))}, carry={len(self._carry)})"
         )

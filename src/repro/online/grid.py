@@ -17,11 +17,12 @@ which case the store writes positions and the index only maintains the
 key column (:meth:`move_rows` is the vectorized tick path).
 
 Cell keys are the index's only spatial representation.  The tick's
-dirty-region fan-out is :meth:`~MutableGridIndex.ring_distances` (and
-:meth:`~MutableGridIndex.rows_near_cells` over it): the keys of a few
-probe rows (the flagged devices) are measured against the dirty cells
-with :func:`~repro.core.geometry.cells_ring_distance`, whose cost
-depends on the probe and dirty-cell counts, not on the population.
+dirty-region fan-out starts with :meth:`~MutableGridIndex.ring_distances`:
+the keys of a few probe rows (the flagged devices) are measured against
+the dirty cells with :func:`~repro.core.geometry.cells_ring_distance`,
+whose cost depends on the probe and dirty-cell counts, not on the
+population (:meth:`~MutableGridIndex.rows_near_cells` is the same test
+as a row filter).
 Range queries (:meth:`query`, :meth:`query_batch`, off the tick path)
 build a fresh :class:`GridIndex` over the live rows — one grid
 implementation, which answers a single query by a direct scan and a
@@ -329,23 +330,14 @@ class MutableGridIndex:
         self._keys[device] = np.floor(pos / self._cell)
         return old_key, tuple(self._keys[device].tolist())
 
-    def move_rows(
-        self, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def move_rows(self, rows: np.ndarray) -> None:
         """Vectorized :meth:`move` for rows whose positions were rewritten.
 
         Reads the (already updated) positions plane for ``rows`` and
-        recomputes their keys in one pass.  Returns ``(old_keys,
-        new_keys, cell_changed)`` — two ``(k, d)`` int arrays plus a
-        boolean mask — the row-vector form the dirty-region tracker
-        consumes.
+        recomputes their keys in one pass.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        old_keys = self._keys[rows]
-        new_keys = np.floor(self._pts[rows] / self._cell).astype(np.int64)
-        cell_changed = np.any(new_keys != old_keys, axis=1)
-        self._keys[rows] = new_keys
-        return old_keys, new_keys, cell_changed
+        self._keys[rows] = np.floor(self._pts[rows] / self._cell)
 
     # ------------------------------------------------------------------
     # Queries

@@ -25,7 +25,8 @@ gather of the shared board by row id), ``movers`` → ``migrate``
 (parent-mediated migration: a scan-only columnar record of the shard's
 leavers, then one command per shard evicting its ``out`` ids and
 admitting its ``in`` record, in no cross-shard order), ``halo`` (close
-dirty cells, publish the boundary band, reply segment names),
+the dirty region, publish the boundary band, reply the region and
+segment names),
 ``verdict`` (read peer bands seq-gated, run the local pipeline over the
 flagged rows plus the band, reply a result dict).  Every mutating
 command carries its tick and the worker rolls the deferred snapshot
@@ -143,7 +144,7 @@ def _mark_recovered(worker) -> None:
 
     The planes carry rows, flags, verdict codes and the tick serial
     (the adopted store derives its coded rows from them); everything
-    in-memory — the dirty tracker's cell sets, the verdict cache — died
+    in-memory — the dirty tracker's regions, the verdict cache — died
     with the predecessor.  Dirtying every alive cell on
     *both* snapshot planes (with the move carry, so next tick's
     ``prev``-shift invalidation is also covered) makes the lost
@@ -151,9 +152,9 @@ def _mark_recovered(worker) -> None:
     the old trajectory endpoints of any updates the dead child had
     already applied, the ``cur``-plane cells the new ones, so every
     verdict those updates could touch recomputes once, bit-identically.
-    (The lost *carry* set — cells of the previous tick's moves — is
+    (The lost *carry* — the previous tick's move endpoints — is
     covered at the front door, which re-unions the previous tick's
-    global dirty set whenever a shard was respawned.)
+    global dirty region whenever a shard was respawned.)
     """
     store = worker.store
     ids = np.asarray(store.row_ids())
@@ -280,7 +281,6 @@ def _ctx_result(worker, ctx) -> Dict[str, Any]:
         "recomputed": recomputed,
         "reused": reused,
         "families_recomputed": int(ctx.families_recomputed),
-        "families_reused": int(ctx.families_reused),
         "n_targets": len(targets),
         "stage_seconds": worker.tracer.drain_stages(),
         "n": worker.store.n,
@@ -412,18 +412,15 @@ def handle_command(
             store.leave(int(payload["device"]))
         return None
     if op == "halo":
-        cells = worker.tracker.finish_cells(store)
+        region = worker.tracker.close(store)
         worker.publish_halo(shard_map, seq=tick)
-        return (cells, worker.channel.meta(worker.shard))
+        return (region, worker.channel.meta(worker.shard))
     if op == "verdict":
         halo_ids, halo_prev, halo_cur = _read_halo_sources(
             halo_reader, payload["sources"], store.dim
         )
         worker.transition_stage.stage_halo(halo_ids, halo_prev, halo_cur)
-        ctx = TickContext(
-            tick=tick,
-            dirty_cells=payload["dirty"],
-        )
+        ctx = TickContext(tick=tick, dirty=payload["dirty"])
         worker.run_tick(ctx)
         return _ctx_result(worker, ctx)
     raise ConfigurationError(f"unknown shard command {op!r}")

@@ -26,9 +26,11 @@ spatially sharded :class:`~repro.online.sharded.ShardedService`:
   columnar :class:`~repro.online.store.DeviceStateStore` planes (both
   snapshots, flags, verdict codes, the id↔row table and free list)
   trimmed to used rows, the
-  :class:`~repro.online.dirty.DirtyRegionTracker` cell sets (without
+  :class:`~repro.online.dirty.DirtyRegionTracker` dirty regions (without
   them the first post-restore tick would miss the one-tick move carry
-  and reuse verdicts it must recompute) and the verdict map.  The single
+  and reuse verdicts it must recompute) and the verdict map.  A region
+  is written as its boxes; a checkpoint written when only cells were
+  recorded restores its cells as whole-cell boxes.  The single
   service writes exactly one part; a sharded service one per shard.
 
 The archive is stored, not deflated: the float planes compress by only
@@ -44,11 +46,10 @@ previous checkpoint intact (its stale ``.tmp`` is swept by the next
 :func:`prune_checkpoints`).  :class:`CheckpointWriter` packages the
 cadence as a service sink (every ``N`` ticks, keep the last ``K``).
 
-What deliberately does *not* travel: the cross-tick perf caches (the
-previous transition, the motion-cache carry, the chained ``cur`` copy).
-They only accelerate the next tick, so the first post-restore tick pays
-one fresh index build and family recompute — verdicts are unaffected,
-which is exactly the contract ``tests/online/test_recovery.py`` pins.
+What deliberately does *not* travel: the chained ``cur`` copy of the
+transition build.  It only accelerates the next tick, so the first
+post-restore tick pays one extra copy — verdicts are unaffected, which
+is exactly the contract ``tests/online/test_recovery.py`` pins.
 """
 
 from __future__ import annotations
@@ -91,13 +92,19 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 
 #: ServiceConfig fields that older version-2 checkpoints carry but the
-#: service no longer has (the engine's execution knobs and the grid-index
-#: adoption switch); dropped on load.
-_RETIRED_CONFIG_KEYS = ("backend", "workers", "max_worker_tasks", "reuse_indexes")
+#: service no longer has (the engine's execution knobs, the grid-index
+#: adoption switch and the cross-tick motion carry); dropped on load.
+_RETIRED_CONFIG_KEYS = (
+    "backend",
+    "workers",
+    "max_worker_tasks",
+    "reuse_indexes",
+    "reuse_motions",
+)
 
 #: ServiceStats counters that older version-2 checkpoints carry but the
 #: service no longer keeps; dropped on load.
-_RETIRED_STATS_KEYS = ("index_reuses",)
+_RETIRED_STATS_KEYS = ("index_reuses", "families_reused")
 
 _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{8})\.npz$")
 
@@ -307,9 +314,7 @@ def restore_service(
     to resume with different service knobs).
     The restored service recomputes exactly what the uninterrupted one
     would have: store, tracker, verdict cache, queue and bank state are
-    all reinstated; only the cross-tick perf caches start cold, so the
-    first resumed tick trades some reuse for correctness.  A sharded
-    checkpoint raises :class:`CheckpointError`.
+    all reinstated.  A sharded checkpoint raises :class:`CheckpointError`.
     """
     ckpt = _load_topology(source, "single", "restore_service")
     (part,) = ckpt.parts
@@ -323,11 +328,6 @@ def restore_service(
     service._tracker.restore_state(part.tracker_state)
     service._verdicts = dict(part.verdicts)
     service._restore_front_door(ckpt)
-    # Perf caches start cold on purpose: they reference arrays and
-    # transitions of the dead process and only ever accelerate, never
-    # decide, the next tick.
-    service._transition_stage.reset()
-    service._verdict_stage.reset()
     return service
 
 
@@ -342,8 +342,8 @@ def restore_sharded_service(
     """Rebuild a :class:`ShardedService` from its checkpoint.
 
     Mirrors :func:`restore_service` per shard: stores, trackers and
-    verdict caches are reinstated exactly; cross-tick perf caches start
-    cold; the device→shard owner map is rebuilt from the parts'
+    verdict caches are reinstated exactly; the device→shard owner map is
+    rebuilt from the parts'
     id columns (authoritative — placement is part of the stores' state,
     not recomputed from positions).  Each shard is built straight from
     its part — a process child inherits the part through the fork — and

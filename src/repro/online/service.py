@@ -229,16 +229,6 @@ class ServiceConfig:
         When true (default) only affected verdicts are recomputed each
         tick; when false every flagged device is recomputed — the
         always-correct baseline the benchmarks compare against.
-    reuse_motions:
-        Carry motion families of devices outside the dirty cell-rings
-        from the previous tick's cache into the next tick's
-        (:meth:`~repro.core.neighborhood.MotionCache.carry_from`), so
-        recomputed verdicts near a dirty region do not re-enumerate the
-        families of their unaffected neighbours.  Sound for the same
-        reason verdict reuse is: a family depends only on trajectories
-        within ``2r`` of its owner, a subset of the ``4r`` influence
-        band the tracker invalidates.  Effective in incremental mode on
-        the single service (shard pipelines gate the carry off).
     dispatch_deadline:
         Per-roundtrip deadline (seconds) for shard-process commands; a
         child that has not replied by then is declared hung, killed and
@@ -268,7 +258,6 @@ class ServiceConfig:
     max_batch: Optional[int] = None
     backpressure: str = "block"
     incremental: bool = True
-    reuse_motions: bool = True
     dispatch_deadline: Optional[float] = None
     dispatch_retries: int = 2
     validation: str = "strict"
@@ -317,7 +306,6 @@ _SERVICE_STAT_HELP = {
     "verdicts_recomputed": "Verdicts recomputed through the engine",
     "verdicts_reused": "Verdicts served from the per-device cache",
     "families_recomputed": "Motion families recomputed",
-    "families_reused": "Motion families carried across ticks",
 }
 
 
@@ -397,6 +385,9 @@ class OnlineTick:
     verdicts: Dict[int, Characterization] = field(default_factory=dict)
     transition: Optional[Transition] = None
     families_recomputed: int = 0
+    # Always 0: motion families no longer outlive their tick.
+    # ``perfbench/run.py`` reads this field; the benchmark's own files are
+    # only edited by benchmark changes, so it stays until one drops it.
     families_reused: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     halo_bytes: int = 0
@@ -438,7 +429,6 @@ class MetricsSink:
         self.recomputed = 0
         self.reused = 0
         self.families_recomputed = 0
-        self.families_reused = 0
         self.verdict_counts: Dict[str, int] = {
             kind.value: 0 for kind in AnomalyType
         }
@@ -476,7 +466,6 @@ class MetricsSink:
         self.recomputed += len(tick.recomputed)
         self.reused += len(tick.reused)
         self.families_recomputed += tick.families_recomputed
-        self.families_reused += tick.families_reused
         # One increment per label per tick, not one per device: the
         # registry's label lookup costs more than the tally.
         verdicts = tick.verdicts
@@ -514,7 +503,6 @@ class MetricsSink:
             "recomputed": self.recomputed,
             "reused": self.reused,
             "families_recomputed": self.families_recomputed,
-            "families_reused": self.families_reused,
             "verdict_counts": dict(self.verdict_counts),
             "verdict_tick_counts": dict(self.verdict_tick_counts),
             "decision_counts": dict(self.decision_counts),
@@ -911,7 +899,6 @@ class _FrontDoor:
         stats.verdicts_recomputed += len(result.recomputed)
         stats.verdicts_reused += len(result.reused)
         stats.families_recomputed += result.families_recomputed
-        stats.families_reused += result.families_reused
         self._gauge_devices.set(self.n)
         self._gauge_flagged.set(len(result.flagged))
         self._sink_stage.run(result, tracer)
@@ -1026,9 +1013,7 @@ class OnlineCharacterizationService(_FrontDoor):
         cfg = self._config
         self._store = store
         self._tracker = DirtyRegionTracker(
-            cell=cfg.cell,
-            influence_radius=4.0 * cfg.r,
-            family_radius=2.0 * cfg.r,
+            cell=cfg.cell, influence_radius=4.0 * cfg.r
         )
         self._owns_engine = engine is None
         self._engine = engine or CharacterizationEngine()
@@ -1036,18 +1021,12 @@ class OnlineCharacterizationService(_FrontDoor):
         # stage object (see repro.online.stages).  The stages own the
         # cross-tick state the inline code used to keep on the service —
         # the transition chain lives on the transition-build stage, the
-        # verdict cache and motion-cache carry on the verdict stage —
-        # and read the store/tracker/engine through the service, so a
+        # verdict cache on the verdict stage — and read the store/tracker/engine through the service, so a
         # checkpoint restore that swaps the store is seen everywhere.
         self._index_stage = IndexUpdateStage(self)
         self._dirty_stage = DirtyRegionStage(self)
         self._transition_stage = TransitionBuildStage(self, cfg.r, cfg.tau)
-        self._verdict_stage = VerdictStage(
-            self,
-            incremental=cfg.incremental,
-            reuse_motions=cfg.reuse_motions,
-            transition_source=self._transition_stage,
-        )
+        self._verdict_stage = VerdictStage(self, incremental=cfg.incremental)
         self._pipeline = TickPipeline(
             [self._dirty_stage, self._transition_stage, self._verdict_stage]
         )
@@ -1073,7 +1052,7 @@ class OnlineCharacterizationService(_FrontDoor):
 
     @property
     def tracker(self) -> DirtyRegionTracker:
-        """The dirty-region tracker accumulating this tick's cells."""
+        """The dirty-region tracker accumulating this tick's region."""
         return self._tracker
 
     @property
@@ -1232,11 +1211,10 @@ class OnlineCharacterizationService(_FrontDoor):
             flagged=ctx.flagged,
             recomputed=tuple(ctx.recompute),
             reused=tuple(ctx.reused),
-            dirty_cells=len(ctx.dirty_cells),
+            dirty_cells=len(ctx.dirty.cells),
             verdicts=ctx.verdicts,
             transition=ctx.transition,
             families_recomputed=ctx.families_recomputed,
-            families_reused=ctx.families_reused,
             stage_seconds=tracer.drain_stages(),
         )
 

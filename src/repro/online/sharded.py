@@ -25,11 +25,13 @@ devices just across its borders — the **halo**.  Per tick:
    (:meth:`~repro.online.store.DeviceStateStore.admit_rows`), which
    carries the ``prev`` endpoint so the crossing move itself is not
    erased;
-2. **dirty union** — every shard closes its tracker's cell bookkeeping
-   (:meth:`~repro.online.dirty.DirtyRegionTracker.finish_cells`) and the
-   front door unions the cells: an update near a boundary must
-   invalidate verdicts on *both* sides, so each shard tests its own
-   flagged rows against the global union (an int64 cell-key array);
+2. **dirty union** — every shard closes its tracker's dirty region
+   (:meth:`~repro.online.dirty.DirtyRegionTracker.close`) and the front
+   door unions the regions: an update near a boundary must invalidate
+   verdicts on *both* sides, so each shard fans the global union out
+   over its own flagged rows, through the same
+   :meth:`~repro.online.dirty.DirtyRegionTracker.finish_tick` as the
+   single service;
 3. **halo exchange** — each shard publishes the ``(prev, cur)`` rows of
    its flagged devices within ``halo_rings`` cells of its box boundary
    through a :class:`~repro.ipc.SnapshotRing` (a double-buffered
@@ -109,7 +111,7 @@ from repro.ipc import (
     unlink_by_name,
 )
 from repro.obs.trace import Tracer
-from repro.online.dirty import DirtyRegionTracker, union_cells
+from repro.online.dirty import DirtyRegion, DirtyRegionTracker
 from repro.online.idmap import IdColumnMap
 from repro.online.procshard import (
     _CHILD_ERRORS,
@@ -138,6 +140,11 @@ __all__ = [
     "ShardedService",
     "StaleHaloError",
 ]
+
+#: Dirty unions that fold in the front door's respawn insurance after a
+#: shard respawn or degrade: the one closing that tick, and the next,
+#: which would have read the dead child's move carry.
+_INSURED_UNIONS = 2
 
 
 def _grid_for(shards: int, dim: int) -> Tuple[int, ...]:
@@ -440,11 +447,9 @@ class HaloTransitionBuildStage:
     pipeline (canonical motion order, candidate pools) invariant and the
     shard's verdicts bit-identical to the single service's.
 
-    No cross-tick chain or index adoption: the participant set churns
-    with the halo every tick, so ``last_transition`` stays ``None`` and
-    the verdict stage's motion carry is gated off via
-    ``ctx.allow_carry`` (verdict-level caching, the big win, still
-    applies — it is keyed by global id and survives any relabelling).
+    No cross-tick chain: the participant set churns with the halo every
+    tick.  Verdict-level caching still applies — it is keyed by global
+    id and survives any relabelling.
     """
 
     name = "transition-build"
@@ -453,8 +458,6 @@ class HaloTransitionBuildStage:
         self._owner = owner
         self._r = float(r)
         self._tau = int(tau)
-        #: Carry gate read by :class:`VerdictStage`; intentionally never set.
-        self.last_transition: Optional[Transition] = None
         self._halo_ids = np.empty(0, dtype=np.int64)
         self._halo_prev = np.empty((0, 0), dtype=np.float64)
         self._halo_cur = np.empty((0, 0), dtype=np.float64)
@@ -469,7 +472,6 @@ class HaloTransitionBuildStage:
 
     def run(self, ctx: TickContext, tracer: Tracer) -> None:
         store = self._owner.store
-        ctx.allow_carry = False
         flagged_rows = store.flagged_rows()
         if flagged_rows.size == 0:
             # No verdicts owed by this shard: publish-only tick.
@@ -477,9 +479,7 @@ class HaloTransitionBuildStage:
             ctx.verdict_targets = ()
             return
         with tracer.span("dirty-region"):
-            affected_rows = store.index.rows_near_cells(
-                flagged_rows, ctx.dirty_cells, self._owner.tracker.rings
-            )
+            _, affected_rows = self._owner.tracker.finish_tick(store, ctx.dirty)
         with tracer.span(self.name):
             prev_plane, cur_plane = store.snapshot_arrays()
             halo_ids = self._halo_ids
@@ -537,21 +537,14 @@ class _ShardWorker:
         self.store = store
         cfg = config
         self.tracker = DirtyRegionTracker(
-            cell=cfg.cell,
-            influence_radius=4.0 * cfg.r,
-            family_radius=2.0 * cfg.r,
+            cell=cfg.cell, influence_radius=4.0 * cfg.r
         )
         self.engine = CharacterizationEngine()
         self.tracer = tracer
         self.channel = _HaloChannel()
         self.index_stage = IndexUpdateStage(self)
         self.transition_stage = HaloTransitionBuildStage(self, cfg.r, cfg.tau)
-        self.verdict_stage = VerdictStage(
-            self,
-            incremental=cfg.incremental,
-            reuse_motions=False,
-            transition_source=self.transition_stage,
-        )
+        self.verdict_stage = VerdictStage(self, incremental=cfg.incremental)
         self.pipeline = TickPipeline(
             [self.transition_stage, self.verdict_stage]
         )
@@ -774,10 +767,11 @@ class ShardedService(_FrontDoor):
         self._board = _FrameBoard()
         self._planes_reader = SegmentReader()
         self._orphans: List[str] = []
-        self._respawned_since_dirty = False
-        self._prev_dirty: np.ndarray = union_cells(())
-        self._mover_cells: List[np.ndarray] = []
-        self._mover_carry: List[np.ndarray] = []
+        # Dirty insurance against shard respawns (see _tick_shards).
+        self._insure = 0
+        self._prev_dirty = DirtyRegion.empty()
+        self._mover_points: List[DirtyRegion] = []
+        self._mover_carry: List[DirtyRegion] = []
         self._shard_flagged: List[int] = [0] * shard_map.n_shards
         enabled = self._tracer.enabled
         failure: Optional[Exception] = None
@@ -992,7 +986,7 @@ class ShardedService(_FrontDoor):
 
     def _note_respawn(self, shard: int, orphans: Iterable[str]) -> None:
         self._orphans.extend(orphans)
-        self._respawned_since_dirty = True
+        self._insure = _INSURED_UNIONS
         self._counter_respawns.labels(shard=str(shard)).inc()
 
     def _fallback_inline(self, shard: int) -> None:
@@ -1005,7 +999,7 @@ class ShardedService(_FrontDoor):
         """
         handle = self._handles[shard]
         self._orphans.extend(handle.kill())
-        self._respawned_since_dirty = True
+        self._insure = _INSURED_UNIONS
         self._handles[shard] = handle.degrade(
             Tracer(self._tracer.registry, enabled=self._tracer.enabled)
         )
@@ -1061,7 +1055,7 @@ class ShardedService(_FrontDoor):
     ) -> int:
         """Admit a device on the shard owning its cell; returns the shard.
 
-        A flagged join's cell is folded into the front door's dirty
+        A flagged join's position is folded into the front door's dirty
         insurance (see :meth:`_migrate`) as well as the shard's own.
         """
         device = int(device)
@@ -1079,7 +1073,9 @@ class ShardedService(_FrontDoor):
             ),
         )
         if flagged:
-            self._mover_cells.append(key[None, :])
+            self._mover_points.append(
+                DirtyRegion.of_points(pos[None, :], self._config.cell)
+            )
         self._owners.insert([device], [shard])
         return shard
 
@@ -1098,9 +1094,7 @@ class ShardedService(_FrontDoor):
         payload = {"device": int(device)}
         ends = self._phase_one(shard, ("endpoints", self._tick + 1, payload))
         if ends is not None:
-            self._mover_cells.append(
-                np.floor(ends / self._config.cell).astype(np.int64)
-            )
+            self._mover_points.append(DirtyRegion.of_points(ends, self._config.cell))
         self._phase_one(shard, ("leave", self._tick + 1, payload))
         self._owners.delete([int(device)])
         return shard
@@ -1167,13 +1161,13 @@ class ShardedService(_FrontDoor):
         shard evicts (leave-if-present) and admits (admit-if-absent),
         with no ordering across shards, and either half replays safely
         after a kill+respawn at any point.  The parent also folds every
-        mover's trajectory-endpoint cells into this tick's and the next
-        tick's dirty union (``_mover_cells`` / ``_mover_carry``): if the
+        mover's trajectory endpoints as dirty insurance for this tick
+        and the next (``_mover_points`` / ``_mover_carry``): if the
         *source* shard is respawned later this tick, the departed
         device exists in neither of its recovered planes, so
-        conservative plane-scan invalidation alone would miss the cells
-        its move touched.  Flagged joins and leaves ride the same
-        insurance.
+        conservative plane-scan invalidation alone would miss the
+        positions its move touched.  Flagged joins and leaves ride the
+        same insurance.
         """
         tick = self._tick
         n_shards = self._map.n_shards
@@ -1190,11 +1184,10 @@ class ShardedService(_FrontDoor):
         }
         ids, dest = merged["ids"], merged["dest"]
         self._owners.assign(ids, dest)
-        self._mover_cells.append(
-            np.floor(
-                np.concatenate([merged["prev"], merged["cur"]])
-                / self._config.cell
-            ).astype(np.int64)
+        self._mover_points.append(
+            DirtyRegion.of_points(
+                np.concatenate([merged["prev"], merged["cur"]]), self._config.cell
+            )
         )
         msgs: List[Optional[tuple]] = [None] * n_shards
         for shard in range(n_shards):
@@ -1281,7 +1274,6 @@ class ShardedService(_FrontDoor):
         recomputed: List[int] = []
         reused: List[int] = []
         families_recomputed = 0
-        families_reused = 0
         stage_seconds = tracer.drain_stages()
         for shard, result in enumerate(results):
             verdicts.update(result["verdicts"])
@@ -1289,7 +1281,6 @@ class ShardedService(_FrontDoor):
             recomputed.extend(result["recomputed"])
             reused.extend(result["reused"])
             families_recomputed += result["families_recomputed"]
-            families_reused += result["families_reused"]
             self._shard_flagged[shard] = result["n_targets"]
             shard_label = str(shard)
             self._gauge_shard_devices.labels(shard=shard_label).set(
@@ -1313,23 +1304,22 @@ class ShardedService(_FrontDoor):
             flagged=tuple(sorted(flagged)),
             recomputed=tuple(sorted(recomputed)),
             reused=tuple(sorted(reused)),
-            dirty_cells=len(dirty_cells),
+            dirty_cells=dirty_cells,
             verdicts=verdicts,
             transition=None,
             families_recomputed=families_recomputed,
-            families_reused=families_reused,
             stage_seconds=stage_seconds,
             halo_bytes=halo_bytes,
         )
 
     def _tick_shards(
         self, tracer: Tracer
-    ) -> Tuple[List[Dict[str, Any]], np.ndarray, int]:
+    ) -> Tuple[List[Dict[str, Any]], int, int]:
         """The tick's halo barrier and verdicts over shm rings.
 
         The ``halo`` phase makes every shard publish its boundary band
-        (seq-stamped with the tick) and reply with its dirty cells and
-        ring metadata; the parent unions the dirty sets and computes
+        (seq-stamped with the tick) and reply with its dirty region and
+        ring metadata; the parent unions the regions and computes
         per-consumer halo masks.  The ``verdict`` phase then ships
         segment *names* — each shard gates on the publisher's sequence
         header before copying its band, so a slow publisher delays only
@@ -1337,12 +1327,14 @@ class ShardedService(_FrontDoor):
         and builds its local transition from its flagged rows plus the
         band, O(flagged) (:class:`HaloTransitionBuildStage`).
 
-        Three parent-side insurances widen the dirty union beyond the
-        shards' reports: mover and flagged-membership endpoint cells for
-        this tick and the next (a respawned shard has no trace of
-        departed devices), and — after any respawn or degrade since the
-        last union — the previous tick's whole dirty union, which is a
-        superset of the carry set the dead child's tracker lost.
+        For two unions after any respawn or degrade, parent-side
+        insurance widens the union beyond the shards' reports: the
+        endpoints of this tick's and the last tick's movers and flagged
+        joins / leaves (a respawned shard has no trace of departed
+        devices), and the previous tick's whole union, a superset of the
+        carry the dead child's tracker lost.  Without a respawn the
+        shards' regions already hold every relevant endpoint, so the
+        union — and the recompute set — equals the single service's.
         """
         tick = self._tick
         n_shards = self._map.n_shards
@@ -1364,21 +1356,22 @@ class ShardedService(_FrontDoor):
                         payload["_hang"] = stall
                 halo_msgs.append(("halo", tick, payload))
             replies = self._phase(halo_msgs)
-            parts: List[np.ndarray] = []
+            parts: List[DirtyRegion] = []
             metas: List[Dict[str, Any]] = []
-            for shard, (cells, meta) in enumerate(replies):
-                parts.append(cells)
+            for shard, (region, meta) in enumerate(replies):
+                parts.append(region)
                 metas.append(meta)
                 self._handles[shard].ring_names = tuple(meta["live"])
-            parts.extend(self._mover_cells)
-            parts.extend(self._mover_carry)
-            if self._respawned_since_dirty:
-                parts.append(self._prev_dirty)
-                self._respawned_since_dirty = False
-            dirty_cells = union_cells(parts)
-            self._prev_dirty = dirty_cells
-            self._mover_carry = self._mover_cells
-            self._mover_cells = []
+            if self._insure:
+                parts += [self._prev_dirty, *self._mover_points, *self._mover_carry]
+                self._insure -= 1
+            dirty = DirtyRegion.union(parts)
+            # The cells are de-duplicated once, here, and travel with the
+            # region, so no shard repeats the sort.
+            dirty_cells = len(dirty.cells)
+            self._prev_dirty = dirty
+            self._mover_carry = self._mover_points
+            self._mover_points = []
 
             halo_rings = self._map.halo_rings
             halo_bytes = 0
@@ -1417,7 +1410,7 @@ class ShardedService(_FrontDoor):
                 (
                     "verdict",
                     tick,
-                    {"sources": sources_of[shard], "dirty": dirty_cells},
+                    {"sources": sources_of[shard], "dirty": dirty},
                 )
                 for shard in range(n_shards)
             ],

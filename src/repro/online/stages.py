@@ -19,17 +19,17 @@ Stage contract
 --------------
 A stage is constructed once with its long-lived collaborators (store,
 tracker, engine, config) and holds whatever cross-tick state it needs
-(the transition chain, the verdict cache, the motion-cache carry).  Per
-tick it receives one :class:`TickContext` and fills in its outputs:
+(the transition chain, the verdict cache).  Per tick it receives one
+:class:`TickContext` and fills in its outputs:
 
-====================  ===============================================  ================================================
-stage                 reads                                            writes
-====================  ===============================================  ================================================
-``dirty-region``      store flags, tracker cells                       ``flagged, dirty_cells, affected, family_dirty``
-``transition-build``  store planes, ``flagged``                        ``transition, chain_next``
-``verdict``           ``transition, flagged, affected, family_dirty``  ``recompute, reused, verdicts, families_*``
-``sinks``             the finished ``OnlineTick``                      (side effects only)
-====================  ===============================================  ================================================
+====================  =================================  ====================================================
+stage                 reads                              writes
+====================  =================================  ====================================================
+``dirty-region``      store flags, tracker region        ``flagged, dirty, affected``
+``transition-build``  store planes, ``flagged``          ``transition, chain_next``
+``verdict``           ``transition, flagged, affected``  ``recompute, reused, verdicts, families_recomputed``
+``sinks``             the finished ``OnlineTick``        (side effects only)
+====================  =================================  ====================================================
 
 Each stage opens its own tracer span *only when it actually works*, so
 the per-tick ``stage_seconds`` breakdown keeps exactly the keys the
@@ -45,11 +45,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.core.neighborhood import MotionCache
 from repro.core.transition import Transition
 from repro.core.types import Characterization
 from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
 from repro.obs.trace import Tracer
+from repro.online.dirty import DirtyRegion
 
 __all__ = [
     "DetectStage",
@@ -75,15 +75,13 @@ class TickContext:
     for a shard pipeline it is the local row of the shard's
     transition arrays and ``key_of`` carries the local→global id map
     (``None`` means identity).  ``verdicts`` is always keyed by the
-    *cache key* (global id).  ``dirty_cells`` is a sorted ``(k, d)``
-    int64 array of cell keys.  ``family_dirty`` is the subset of
-    ``affected`` whose motion families are invalidated; ``None`` where
-    the stage that closes the cells does not compute it (the motion
-    carry then stays off).
+    *cache key* (global id).  ``dirty`` is the tick's
+    :class:`~repro.online.dirty.DirtyRegion` (its ``cells`` are the
+    dirty cell keys).
 
     The context itself never crosses a process boundary: a shard worker
     builds it from the ``verdict`` command's payload (tick plus the
-    global dirty-cell union) and replies only the plain result dict
+    global dirty-region union) and replies only the plain result dict
     distilled by :func:`repro.online.procshard._ctx_result`, so every
     field here may hold arbitrarily large arrays without ever being
     pickled down a pipe.
@@ -92,21 +90,16 @@ class TickContext:
     tick: int
     applied: int = 0
     flagged: Tuple[int, ...] = ()
-    dirty_cells: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 0), dtype=np.int64)
-    )
+    dirty: DirtyRegion = field(default_factory=DirtyRegion.empty)
     affected: Set[int] = field(default_factory=set)
-    family_dirty: Optional[Set[int]] = None
     transition: Optional[Transition] = None
     chain_next: Optional[np.ndarray] = None
-    allow_carry: bool = True
     key_of: Optional[np.ndarray] = None
     verdict_targets: Optional[Tuple[int, ...]] = None
     recompute: List[int] = field(default_factory=list)
     reused: List[int] = field(default_factory=list)
     verdicts: Dict[int, Characterization] = field(default_factory=dict)
     families_recomputed: int = 0
-    families_reused: int = 0
 
     def key(self, device: int) -> int:
         """Map a transition-space id to its stable cache key."""
@@ -244,7 +237,7 @@ class DirtyRegionStage:
     """``dirty-region``: close the tracker and fan out to affected rows.
 
     Only the flagged rows — the verdict targets — are tested against
-    the dirty cells; the unflagged bulk near them is never visited.
+    the dirty region; the unflagged bulk near it is never visited.
 
     ``owner`` is any object with ``store`` / ``tracker`` properties (a
     service or a shard worker); stages read through it so a checkpoint
@@ -261,8 +254,9 @@ class DirtyRegionStage:
         ctx.flagged = store.flagged_devices()
         with tracer.span(self.name):
             tracker = self._owner.tracker
-            ctx.dirty_cells, ctx.affected = tracker.finish_tick(store)
-            ctx.family_dirty = tracker.family_dirty
+            ctx.dirty = tracker.close(store)
+            _, rows = tracker.finish_tick(store, ctx.dirty)
+            ctx.affected = set(rows.tolist())
 
 
 class TransitionBuildStage:
@@ -271,8 +265,7 @@ class TransitionBuildStage:
     Owns the cross-tick perf state of the build: the *chained* current
     copy (steady-state ticks pay one ``(n, d)`` copy, not two — the
     previous tick's frozen ``cur`` is this tick's ``prev`` by object
-    identity) and the previous transition, which gates the verdict
-    stage's motion carry.
+    identity).
     """
 
     name = "transition-build"
@@ -281,15 +274,8 @@ class TransitionBuildStage:
         self._owner = owner
         self._r = float(r)
         self._tau = int(tau)
-        self.last_transition: Optional[Transition] = None
         self.chain_cur: Optional[np.ndarray] = None
         self.chain_serial: Optional[Tuple[int, int]] = None
-
-    def reset(self) -> None:
-        """Drop all cross-tick perf state (checkpoint restore path)."""
-        self.last_transition = None
-        self.chain_cur = None
-        self.chain_serial = None
 
     def run(self, ctx: TickContext, tracer: Tracer) -> None:
         if not ctx.flagged:
@@ -328,40 +314,24 @@ class TransitionBuildStage:
         store.advance_tick()
         self.chain_cur = ctx.chain_next
         self.chain_serial = (store.tick_serial, store.membership_serial)
-        self.last_transition = ctx.transition
 
 
 class VerdictStage:
-    """``verdict``: plan the recompute set, carry families, characterize.
+    """``verdict``: plan the recompute set and characterize it.
 
     Owns the per-device verdict cache (the incremental path serves
-    unaffected devices from it) and the cross-tick
-    :class:`~repro.core.neighborhood.MotionCache` carry.  Ids seen by
-    the engine are transition-space; the cache is keyed through
-    ``ctx.key`` so a sharded pipeline can keep it in global id space
-    across halo churn and migrations.
+    unaffected devices from it).  Ids seen by the engine are
+    transition-space; the cache is keyed through ``ctx.key`` so a
+    sharded pipeline can keep it in global id space across halo churn
+    and migrations.
     """
 
     name = "verdict"
 
-    def __init__(
-        self,
-        owner,
-        *,
-        incremental: bool,
-        reuse_motions: bool,
-        transition_source: TransitionBuildStage,
-    ) -> None:
+    def __init__(self, owner, *, incremental: bool) -> None:
         self._owner = owner
         self._incremental = bool(incremental)
-        self._reuse_motions = bool(reuse_motions)
-        self._transitions = transition_source
         self.cache: Dict[int, Characterization] = {}
-        self.last_cache: Optional[MotionCache] = None
-
-    def reset(self) -> None:
-        """Drop the motion-cache carry (checkpoint restore path)."""
-        self.last_cache = None
 
     def run(self, ctx: TickContext, tracer: Tracer) -> None:
         # ``targets`` is who this stage owes a verdict: everything
@@ -374,7 +344,6 @@ class VerdictStage:
             else ctx.verdict_targets
         )
         if not targets:
-            self.last_cache = None
             self.cache = {}
             return
         transition = ctx.transition
@@ -388,45 +357,15 @@ class VerdictStage:
             ctx.reused = [j for j in targets if j not in recompute_set]
         else:
             ctx.recompute = list(targets)
-        # Cross-tick motion-family carry: families see only the 2r ball,
-        # half the verdicts' 4r reach, so the family-clean set (outside
-        # the tighter family_rings band) is strictly larger than the
-        # verdict-clean set — devices whose verdicts must be recomputed
-        # still reuse their own and their neighbours' families.
-        reuse_effective = (
-            self._incremental and self._reuse_motions and ctx.allow_carry
-        )
-        carry: Optional[MotionCache] = None
-        family_dirty = ctx.family_dirty
-        if (
-            reuse_effective
-            and family_dirty is not None
-            and self.last_cache is not None
-            and self._transitions.last_transition is not None
-        ):
-            # The family band comes from the dirty-region fan-out; its
-            # ids are store rows, which are transition ids here (the
-            # carry runs on the single service only — shard pipelines
-            # gate it off).
-            carry_clean = [j for j in targets if j not in family_dirty]
-            carry = MotionCache.carry_from(
-                self.last_cache, transition, carry_clean
-            )
         if ctx.recompute:
-            engine = self._owner.engine
             with tracer.span(self.name):
-                run = engine.characterize_run(
-                    transition, devices=ctx.recompute, cache=carry
+                run = self._owner.engine.characterize_run(
+                    transition, devices=ctx.recompute
                 )
             fresh = run.verdicts
             ctx.families_recomputed = run.families_recomputed
-            ctx.families_reused = run.families_reused
-            self.last_cache = (
-                engine.motion_cache if reuse_effective else None
-            )
         else:
             fresh = {}
-            self.last_cache = carry
         key_of = ctx.key_of
         merged: Dict[int, Characterization] = {}
         for j in targets:

@@ -53,6 +53,7 @@ from repro.core.errors import (
 from repro.core.geometry import validate_unit_cube
 from repro.core.types import AnomalyType, Characterization
 from repro.ipc import ShmPlanes
+from repro.online.dirty import DirtyRegion
 from repro.online.grid import CellKey, MutableGridIndex
 from repro.online.idmap import IdColumnMap
 
@@ -144,8 +145,8 @@ class AppliedUpdate:
     """What one :meth:`DeviceStateStore.apply` actually changed.
 
     The dirty-region tracker consumes exactly these facts: whether the
-    device moved (and between which cells) and whether its flag bit
-    toggled.
+    device moved, whether its flag bit toggled, and its trajectory's
+    endpoints — ``prev_position`` (``S_{k-1}``) and the new position.
     """
 
     device: int
@@ -154,6 +155,8 @@ class AppliedUpdate:
     flagged: bool
     old_cell: CellKey
     new_cell: CellKey
+    prev_position: Tuple[float, ...]
+    new_position: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,11 @@ class AppliedBatch:
     """Row-vector description of one :meth:`DeviceStateStore.apply_rows`.
 
     All arrays are aligned: entry ``i`` describes ``rows[i]`` (device id
-    ``ids[i]``).  ``old_keys`` / ``new_keys`` are ``(k, d)`` integer cell
-    keys; the tracker only materializes tuples for the relevant subset.
+    ``ids[i]``).  ``new_positions`` are the ``(k, d)`` positions written;
+    ``prev_plane`` is a read-only view of the store's ``S_{k-1}`` plane,
+    indexed by row — each trajectory's other endpoint, however many
+    updates the tick applies.  The tracker gathers both only for the
+    relevant rows, so the batch itself copies no position.
     """
 
     rows: np.ndarray
@@ -171,9 +177,8 @@ class AppliedBatch:
     flag_changed: np.ndarray
     flagged: np.ndarray
     was_flagged: np.ndarray
-    cell_changed: np.ndarray
-    old_keys: np.ndarray
-    new_keys: np.ndarray
+    prev_plane: np.ndarray
+    new_positions: np.ndarray
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
@@ -241,7 +246,7 @@ class DeviceStateStore:
             self._rows = IdColumnMap(id_arr, rows)
         self._tick_serial = 0
         self._membership_serial = 0
-        self._membership_cells: List[np.ndarray] = []
+        self._membership: List[DirtyRegion] = []
         self._coded_rows = np.empty(0, dtype=np.int64)
         self._sync_header()
 
@@ -597,10 +602,12 @@ class DeviceStateStore:
         self._membership_serial += k
         self._index.insert_rows(rows)
         if flags.any():
-            # A stationary trajectory's prev cell is its cur cell.
+            # A stationary trajectory's prev endpoint is its cur one.
             moved = flags & np.any(prev != cur, axis=1)
-            self._membership_cells.append(
-                self._cells_of(np.concatenate([cur[flags], prev[moved]]))
+            self._membership.append(
+                DirtyRegion.of_points(
+                    np.concatenate([cur[flags], prev[moved]]), self._cell
+                )
             )
         self._sync_header()
         return rows
@@ -635,9 +642,10 @@ class DeviceStateStore:
         ids = self._id_of[rows]
         flagged = rows[self._flags[rows]]
         if flagged.size:
-            self._membership_cells.append(
-                self._cells_of(
-                    np.concatenate([self._prev[flagged], self._cur[flagged]])
+            self._membership.append(
+                DirtyRegion.of_points(
+                    np.concatenate([self._prev[flagged], self._cur[flagged]]),
+                    self._cell,
                 )
             )
         self._id_of[rows] = -1
@@ -651,21 +659,19 @@ class DeviceStateStore:
         self._membership_serial += rows.size
         self._free.extend(rows.tolist())
 
-    def _cells_of(self, positions: np.ndarray) -> np.ndarray:
-        """``(k, d)`` cell keys of ``(k, d)`` (or one ``(d,)``) positions."""
-        return np.floor(np.atleast_2d(positions) / self._cell).astype(np.int64)
-
-    def take_membership_cells(self) -> List[np.ndarray]:
-        """Cells of flagged joins / leaves since the last call (cleared).
+    def take_membership(self) -> DirtyRegion:
+        """Trajectory endpoints of flagged joins / leaves since the last
+        call (cleared).
 
         A flagged device that joins or leaves changes the transition of
         every verdict near its trajectory endpoints without any update
-        being applied, so the dirty-region tracker folds these cells
-        into the tick's dirty set (unflagged churn is invisible to every
-        verdict and is not recorded).
+        being applied, so the dirty-region tracker folds these points
+        into the tick's dirty region (unflagged churn is invisible to
+        every verdict and is not recorded).
         """
-        cells, self._membership_cells = self._membership_cells, []
-        return cells
+        region = DirtyRegion.union(self._membership)
+        self._membership = []
+        return region
 
     def _grow(self, capacity: int) -> None:
         """Reallocate all columns to ``capacity`` rows and rebind the index."""
@@ -713,17 +719,13 @@ class DeviceStateStore:
         moved = np.any(positions != self._cur[rows], axis=1)
         was_flagged = self._flags[rows].copy()
         flag_changed = flags != was_flagged
-        old_keys = self._index.keys_of_rows(rows)
-        new_keys = old_keys
-        cell_changed = np.zeros(k, dtype=bool)
         if moved.any():
             moved_rows = rows[moved]
             self._cur[moved_rows] = positions[moved]
-            _, moved_new, moved_changed = self._index.move_rows(moved_rows)
-            new_keys = old_keys.copy()
-            new_keys[moved] = moved_new
-            cell_changed[moved] = moved_changed
+            self._index.move_rows(moved_rows)
         self._flags[rows] = flags
+        prev_plane = self._prev[: self._used]
+        prev_plane.flags.writeable = False
         return AppliedBatch(
             rows=rows,
             ids=self._id_of[rows],
@@ -731,9 +733,8 @@ class DeviceStateStore:
             flag_changed=flag_changed,
             flagged=flags,
             was_flagged=was_flagged,
-            cell_changed=cell_changed,
-            old_keys=old_keys,
-            new_keys=new_keys,
+            prev_plane=prev_plane,
+            new_positions=positions,
         )
 
     def apply(
@@ -749,18 +750,18 @@ class DeviceStateStore:
             raise DimensionMismatchError(
                 f"position shape {pos.shape} incompatible with dim {self.dim}"
             )
-        batch = self.apply_rows(
-            np.array([row], dtype=np.int64),
-            pos.reshape(1, -1),
-            np.array([bool(flagged)]),
-        )
+        rows = np.array([row], dtype=np.int64)
+        old_cell = tuple(self._index.keys_of_rows(rows)[0].tolist())
+        batch = self.apply_rows(rows, pos.reshape(1, -1), np.array([bool(flagged)]))
         return AppliedUpdate(
             device=device,
             moved=bool(batch.moved[0]),
             flag_changed=bool(batch.flag_changed[0]),
             flagged=bool(flagged),
-            old_cell=tuple(batch.old_keys[0].tolist()),
-            new_cell=tuple(batch.new_keys[0].tolist()),
+            old_cell=old_cell,
+            new_cell=tuple(self._index.keys_of_rows(rows)[0].tolist()),
+            prev_position=tuple(self._prev[row].tolist()),
+            new_position=tuple(pos.tolist()),
         )
 
     def advance_tick(self) -> None:
@@ -778,7 +779,7 @@ class DeviceStateStore:
         Everything derived — the grid index and the id→row map — is
         rebuilt by :meth:`from_state`, so only the
         columns, the free-list, the scalars and the not yet taken
-        membership cells (:meth:`take_membership_cells`) travel.
+        membership endpoints (:meth:`take_membership`) travel.
         ``columns=False`` leaves out the six columns, which a reader of
         the shm planes copies itself (:func:`read_store_columns`).
         """
@@ -790,11 +791,7 @@ class DeviceStateStore:
             **state,
             "free": np.asarray(self._free, dtype=np.int64),
             "cell": np.float64(self._cell),
-            "membership": (
-                np.concatenate(self._membership_cells)
-                if self._membership_cells
-                else np.empty((0, self.dim), dtype=np.int64)
-            ),
+            **DirtyRegion.union(self._membership).state("membership"),
             "tick_serial": np.int64(self._tick_serial),
         }
 
@@ -820,10 +817,9 @@ class DeviceStateStore:
         store._used = store._cur.shape[0]
         store._tick_serial = int(state["tick_serial"])
         store._membership_serial = 0
-        membership = np.asarray(
-            state.get("membership", np.empty((0, cur.shape[1]))), dtype=np.int64
-        )
-        store._membership_cells = [membership] if len(membership) else []
+        store._membership = [
+            DirtyRegion.from_state(state, "membership", store._cell)
+        ]
         store._sync_header()
         store._rebuild_derived()
         return store
@@ -874,7 +870,7 @@ class DeviceStateStore:
         store._used = int(planes.header[_HDR_USED])
         store._tick_serial = int(planes.header[_HDR_SERIAL])
         store._membership_serial = 0
-        store._membership_cells = []
+        store._membership = []
         # ``id_of`` is the occupancy truth: a row a killed predecessor
         # was admitting or evicting is free, and is scrubbed here so it
         # diffs clean and never leaks into a later admit.

@@ -1,10 +1,11 @@
-"""Flagged-only dirty-region fan-out over integer cell keys.
+"""Flagged-only dirty-region fan-out: cell rings first, exact distances last.
 
 The tick tests only the rows that can be verdict targets (the flagged
-devices) against the tick's dirty cells, through
-:func:`~repro.core.geometry.cells_within_rings`: a linearized
-``(2 rings + 1)^d`` stencil plus ``searchsorted``, with a brute-force
-Chebyshev fallback where the codes would overflow int64.  Every check
+devices) against the tick's dirty region.  The first pass measures cell
+rings through :func:`~repro.core.geometry.cells_within_rings`: a
+linearized ``(2 rings + 1)^d`` stencil plus ``searchsorted``, with a
+brute-force Chebyshev fallback where the codes would overflow int64.
+Rows in the outer rings then take an exact distance test.  Every check
 here compares against a test-local brute-force reference:
 
 * the primitives themselves (the ring test and the cell-set union), on
@@ -13,9 +14,11 @@ here compares against a test-local brute-force reference:
   both fallback routes (forced, and a genuinely tiny cell in d=3);
 * the single service and the inline-sharded service on randomized
   streams with churn and LIFO-recycled ids: on every tick the affected
-  set must equal "devices within ``rings`` cells of a dirty cell"
-  intersected with the verdict targets (and the two topologies must
-  agree on every verdict).
+  set must equal "flagged devices whose ``prev`` or ``cur`` lies within
+  ``4r + 2e-12`` of a position changed by an update, a move one tick
+  earlier, a flagged join or a flagged leave", recorded from the stream
+  alone (and the two topologies must agree on every verdict and
+  recompute set).
 
 Store fixes ride along: a ``join`` / ``leave`` between ticks must drop
 the service's chained ``prev`` copy, a flagged join / leave must dirty
@@ -33,6 +36,8 @@ from hypothesis import strategies as st
 import repro.core.geometry as geometry
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import cells_within_rings, unique_cells
+from repro.core.oracle import oracle_classify
+from repro.core.transition import Snapshot, Transition
 from repro.online import (
     DeviceStateStore,
     MutableGridIndex,
@@ -149,13 +154,9 @@ class TestUniqueCells:
         assert np.array_equal(got, np.unique(keys, axis=0))
 
 
-def near_rows(positions, rows, cell, dirty, rings):
-    """Test-local ``devices_near_cells``: rows near a dirty cell, brute force."""
-    if len(dirty) == 0 or len(rows) == 0:
-        return set()
-    keys = np.floor(positions[rows] / cell).astype(np.int64)
-    dist = np.abs(keys[:, None, :] - np.asarray(dirty)[None, :, :]).max(axis=2)
-    return set(np.asarray(rows)[(dist <= rings).any(axis=1)].tolist())
+#: How far past ``4r`` a change can reach a verdict: two hops of the
+#: ``1e-12`` tolerance of the ``2r`` motion and range tests.
+REACH_TOL = 2e-12
 
 
 def churn_stream(rng, single, sharded, ticks, n):
@@ -164,16 +165,29 @@ def churn_stream(rng, single, sharded, ticks, n):
     Freed ids come back LIFO, so on the single service a recycled id
     lands on its recycled row (its transition is row-indexed).  Some
     moves pin a coordinate to the cube's faces (cells 0 and top).
+
+    Each tick yields a brute-force reference built from the stream
+    alone: ``(dirty, prev, cur)``, where ``dirty`` lists every position
+    whose change a verdict can see — old and new positions of relevant
+    updates, last tick's move endpoints, flagged join and leave
+    endpoints — and ``prev`` / ``cur`` map each present device to its
+    trajectory endpoints.
     """
     pos = {j: single.store.position(j) for j in range(n)}
+    flag = dict.fromkeys(pos, False)
     free_ids = []
+    carry = []
     for _ in range(ticks):
+        dirty, carry = carry, []
+        prev = dict(pos)
         for _ in range(int(rng.integers(0, 3))):
             gone = int(rng.choice(sorted(pos)))
             single.store.leave(gone)
             if sharded is not None:
                 sharded.leave(gone)
-            del pos[gone]
+            if flag[gone]:
+                dirty.append(pos[gone])
+            del pos[gone], flag[gone], prev[gone]
             free_ids.append(gone)
         while free_ids and rng.random() < 0.6:
             j = free_ids.pop()
@@ -182,9 +196,13 @@ def churn_stream(rng, single, sharded, ticks, n):
             single.store.join(j, p, f)
             if sharded is not None:
                 sharded.join(j, tuple(p), f)
-            pos[j] = p
+            if f:
+                dirty.append(p)
+            pos[j] = prev[j] = p
+            flag[j] = f
         movers = rng.choice(sorted(pos), size=min(len(pos), 15), replace=False)
         for j in movers.tolist():
+            old = pos[j]
             step = rng.normal(0, 0.04 if rng.random() < 0.8 else 0.3, 2)
             pos[j] = np.clip(pos[j] + step, 0, 1)
             if rng.random() < 0.1:
@@ -193,7 +211,28 @@ def churn_stream(rng, single, sharded, ticks, n):
             single.ingest(update)
             if sharded is not None:
                 sharded.ingest(update)
-        yield
+            moved = not np.array_equal(old, pos[j])
+            if update.flagged != flag[j] or (moved and (update.flagged or flag[j])):
+                dirty += [old, pos[j]]
+                if moved:
+                    carry += [old, pos[j]]
+            flag[j] = update.flagged
+        yield dirty, prev, dict(pos)
+
+
+def exact_affected(devices, reference, r):
+    """Brute force: the devices whose ``prev`` or ``cur`` endpoint lies
+    within Chebyshev ``4r + tol`` of a dirty position."""
+    dirty, prev, cur = reference
+    reach = 4 * r + REACH_TOL
+    return {
+        j
+        for j in devices
+        if any(
+            min(np.abs(prev[j] - q).max(), np.abs(cur[j] - q).max()) <= reach
+            for q in dirty
+        )
+    }
 
 
 def verdict_view(tick):
@@ -209,53 +248,37 @@ class TestFlaggedOnlyFanout:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_single_service_affected_matches_reference(self, seed, monkeypatch):
         checked = []
+        reference = {}
         original = DirtyRegionStage.run
 
         def run(stage, ctx, tracer):
             original(stage, ctx, tracer)
             store = stage._owner.store
-            alive = np.nonzero(np.asarray(store.row_ids()) >= 0)[0]
-            flagged = set(store.flagged_rows().tolist())
-            want = near_rows(
-                np.asarray(store.current_positions()),
-                alive,
-                self.CFG.cell,
-                ctx.dirty_cells,
-                stage._owner.tracker.rings,
-            )
-            assert ctx.affected == want & flagged
-            checked.append(len(ctx.affected))
+            flagged = store.flagged_devices()
+            want = exact_affected(flagged, reference["tick"], self.CFG.r)
+            assert ctx.affected == {store.row_of(j) for j in want}
+            checked.append(len(want))
 
         monkeypatch.setattr(DirtyRegionStage, "run", run)
         rng = np.random.default_rng(seed)
         n = 60
         svc = OnlineCharacterizationService(rng.random((n, 2)), self.CFG)
         with svc:
-            for _ in churn_stream(rng, svc, None, 12, n):
+            for reference["tick"] in churn_stream(rng, svc, None, 12, n):
                 svc.end_tick()
         assert len(checked) == 12 and sum(checked) > 0
 
     def test_sharded_affected_matches_reference(self, monkeypatch):
         checked = []
+        reference = {}
         original = HaloTransitionBuildStage.run
 
         def run(stage, ctx, tracer):
             original(stage, ctx, tracer)
-            store = stage._owner.store
             targets = ctx.verdict_targets or ()
-            rows = np.array(
-                [store.row_of(int(ctx.key_of[l])) for l in targets],
-                dtype=np.int64,
-            )
-            near = near_rows(
-                np.asarray(store.current_positions()),
-                rows,
-                self.CFG.cell,
-                ctx.dirty_cells,
-                stage._owner.tracker.rings,
-            )
-            want = {l for l, row in zip(targets, rows.tolist()) if row in near}
-            assert ctx.affected == want
+            owned = {int(ctx.key_of[l]): l for l in targets}
+            want = exact_affected(owned, reference["tick"], self.CFG.r)
+            assert ctx.affected == {owned[j] for j in want}
             checked.append(len(want))
 
         monkeypatch.setattr(HaloTransitionBuildStage, "run", run)
@@ -265,15 +288,77 @@ class TestFlaggedOnlyFanout:
         single = OnlineCharacterizationService(positions.copy(), self.CFG)
         sharded = ShardedService(positions.copy(), self.CFG, topology_shards=4)
         try:
-            for _ in churn_stream(rng, single, sharded, 10, n):
+            for reference["tick"] in churn_stream(rng, single, sharded, 10, n):
                 want = single.end_tick()
                 got = sharded.end_tick()
                 assert got.flagged == want.flagged
+                assert got.recomputed == want.recomputed
                 assert verdict_view(got) == verdict_view(want)
         finally:
             sharded.close()
             single.close()
         assert checked and sum(checked) > 0
+
+
+class TestExactReach:
+    """The recompute set stops at ``4r + 2e-12``, not at a cell ring.
+
+    ``r = 1/32`` (cell ``1/16``, exact in binary) and the layout of
+    ``TestHaloBandTolerance``: device 0 sits in cell 8, the last of
+    shard 0's box; devices 1 and 2 sit ``2r`` from it; device 3 sits
+    ``4r + delta`` from it in cell 11, three rings over in shard 1.  All
+    four flag and move as one, so ``{1, 2, 3}`` is a consistent motion
+    exactly when ``delta`` is within the ``1e-12`` tolerance, and then
+    device 0 is unresolved, not massive.  After a quiet tick device 3
+    moves away, the only change of the tick.  At ``delta = 0.5e-12``
+    device 0 is within reach: it is recomputed and turns massive, as
+    the oracle says.  At ``delta = 1e-6`` it is out of reach, and its
+    massive verdict is reused.
+    """
+
+    R = 1.0 / 32
+
+    def build(self, kind, positions):
+        cfg = ServiceConfig(r=self.R, tau=2)
+        if kind == "single":
+            return OnlineCharacterizationService(positions.copy(), cfg)
+        return ShardedService(
+            positions.copy(), cfg, topology_shards=2, topology_workers=kind
+        )
+
+    @pytest.mark.parametrize("delta, reused", [(0.5e-12, False), (1e-6, True)])
+    @pytest.mark.parametrize("kind", ["single", "inline", "process"])
+    def test_planted_device_at_the_reach(self, kind, delta, reused):
+        x0 = 0.5625 - 0.5e-12
+        xs = [x0, x0 + 2 * self.R, x0 + 2 * self.R, x0 + 4 * self.R + delta]
+        filler = [(0.1, 0.9), (0.9, 0.9), (0.1, 0.1), (0.9, 0.1)]
+        positions = np.array([(x, 0.3) for x in xs] + filler)
+        assert 4 * self.R < xs[3] - xs[0] <= 4 * self.R + delta + 1e-15
+        service = self.build(kind, positions)
+        try:
+            for j, x in enumerate(xs):
+                service.ingest(QosUpdate(j, (x, 0.5), True))
+            first = service.end_tick()
+            service.end_tick()
+            prev = positions.copy()
+            prev[:4, 1] = 0.5
+            cur = prev.copy()
+            cur[3, 0] += 0.01
+            service.ingest(QosUpdate(3, tuple(cur[3]), True))
+            tick = service.end_tick()
+        finally:
+            service.close()
+        assert first.verdicts[0].anomaly_type.name == (
+            "MASSIVE" if reused else "UNRESOLVED"
+        )
+        assert (0 in tick.reused) is reused
+        assert (0 in tick.recomputed) is not reused
+        oracle = oracle_classify(
+            Transition(Snapshot(prev), Snapshot(cur), range(4), self.R, 2)
+        )
+        for j, verdict in tick.verdicts.items():
+            assert verdict.anomaly_type is oracle.type_of(j), j
+        assert tick.verdicts[0].anomaly_type.name == "MASSIVE"
 
 
 class TestMembershipChurn:

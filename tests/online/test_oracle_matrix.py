@@ -9,8 +9,8 @@ coordinated groups of 3-6 moving by a common shift, loners walking and
 jumping, flags toggling in place, and leave/join churn whose joins reuse
 the most recently freed id.
 
-Each stream runs through the single service (motion carry on and off),
-a 2-shard inline and a 2-shard process :class:`ShardedService`, a
+Each stream runs through six configurations: the single service, a
+2-shard inline and a 2-shard process :class:`ShardedService`, a
 mid-stream checkpoint and restore of the single and of the sharded
 service, and process shards under a seeded ``FaultPlan`` of child kills.
 
@@ -360,10 +360,8 @@ def _sharded(workers, cfg=CFG):
     )
 
 
-def _single(carry):
-    return lambda pts: OnlineCharacterizationService(
-        pts, ServiceConfig(r=R, tau=TAU, reuse_motions=carry)
-    )
+def _single(pts):
+    return OnlineCharacterizationService(pts, CFG)
 
 
 def _chaos(data):
@@ -376,12 +374,11 @@ def _chaos(data):
 
 #: name -> ``run(stream, tmp_path)``, the stream's verdict maps per tick.
 CONFIGURATIONS = {
-    "single-carry": lambda data, tmp: _run(_single(True), False, data),
-    "single-no-carry": lambda data, tmp: _run(_single(False), False, data),
+    "single": lambda data, tmp: _run(_single, False, data),
     "inline-shards": lambda data, tmp: _run(_sharded("inline"), True, data),
     "process-shards": lambda data, tmp: _run(_sharded("process"), True, data),
     "single-restored": lambda data, tmp: _run(
-        _single(True),
+        _single,
         False,
         data,
         restore=OnlineCharacterizationService.restore,

@@ -131,11 +131,9 @@ class TestRoundtrip:
             tail = _verdict_stream(drive_load(restored, generator2, 5).ticks)
             resumed_stats = restored.stats.as_dict()
         assert head + tail == full
-        # Aggregate event/verdict counts match; the reuse/recompute
-        # split may differ on the first resumed tick (cold perf caches),
-        # so compare the verdict-bearing counters only.
-        for key in ("ticks", "updates_applied", "updates_dropped"):
-            assert resumed_stats[key] == full_stats[key]
+        # The dirty regions travel exactly, so even the recompute/reuse
+        # split of the resumed ticks matches the uninterrupted run.
+        assert resumed_stats == full_stats
 
     def test_restore_into_fresh_process(self, tmp_path):
         # The real kill -9 scenario: the resuming interpreter shares no
@@ -239,8 +237,9 @@ with open(out, "w") as fh:
         assert head + tail == full
 
     def test_restore_with_config_override(self, tmp_path):
-        # Motion reuse changes work, not verdicts, so a checkpoint written
-        # with it on may resume with it off (and vice versa).
+        # Incremental invalidation changes work, not verdicts, so a
+        # checkpoint written with it on may resume with it off (and vice
+        # versa).
         service, generator = _fresh_service()
         with service:
             drive_load(service, generator, 3)
@@ -250,10 +249,10 @@ with open(out, "w") as fh:
                 full = _verdict_stream(
                     drive_load(service2, generator2, 6).ticks
                 )
-        override = ServiceConfig(r=0.05, tau=2, reuse_motions=False)
+        override = ServiceConfig(r=0.05, tau=2, incremental=False)
         restored = restore_service(path, config=override)
         with restored:
-            assert restored.config.reuse_motions is False
+            assert restored.config.incremental is False
             generator3 = LoadGenerator(PROFILE)
             generator3.fast_forward(3)
             tail = _verdict_stream(drive_load(restored, generator3, 3).ticks)
@@ -282,9 +281,9 @@ class TestFormat:
 
     def test_retired_engine_knobs_in_config_still_load(self, tmp_path):
         # Version-2 checkpoints written before the engine's execution
-        # knobs and the grid-index adoption switch were removed carry
-        # them in their service config, and the adoption counter in
-        # their stats.
+        # knobs, the grid-index adoption switch and the cross-tick motion
+        # carry were removed carry them in their service config, and the
+        # adoption and carry counters in their stats.
         service, generator = _fresh_service()
         with service:
             full = _verdict_stream(drive_load(service, generator, 7).ticks)
@@ -301,8 +300,10 @@ class TestFormat:
             workers=None,
             max_worker_tasks=None,
             reuse_indexes=True,
+            reuse_motions=True,
         )
         meta["stats"]["index_reuses"] = 3
+        meta["stats"]["families_reused"] = 5
         arrays["meta_json"] = np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8
         )
@@ -659,6 +660,59 @@ class TestDetectorPlanes:
             resumed = drive_load_measurements(restored, generator2, 3)
             assert _verdict_stream(resumed.ticks) == want_stream
             _assert_same_detection(restored.last_detection, want_detection)
+
+
+def _rewrite_with_cell_regions(path, cell_path):
+    """Copy a checkpoint, its dirty regions as cell keys only — the way
+    checkpoints were written before the tracker and the store recorded
+    positions (``pending`` / ``carry`` / ``carry_next`` and the store's
+    ``membership``).  Returns how many carry cells were written."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    carried = 0
+    for key in [key for key in arrays if key.endswith("_keys")]:
+        base = key[: -len("_keys")]
+        keys = arrays.pop(key)
+        del arrays[f"{base}_lo"]
+        arrays.pop(f"{base}_hi", None)
+        cells = np.unique(keys, axis=0) if len(keys) else np.empty((0, 0), np.int64)
+        arrays[base] = cells
+        if base.endswith("_tracker_carry"):
+            carried += len(cells)
+    np.savez(cell_path, **arrays)
+    return carried
+
+
+class TestCellRegions:
+    """Checkpoints that record dirty regions as cells still resume."""
+
+    @pytest.mark.parametrize("feed", ["events", "frames"])
+    @pytest.mark.parametrize("kind", ["single", "process"])
+    def test_cell_only_regions_resume_verdict_identically(self, tmp_path, kind, feed):
+        if feed == "frames":
+            service, generator = _frame_fed(kind)
+            drive = drive_load_measurements
+        else:
+            service, generator = _service_of_kind(kind)
+            drive = drive_load
+        with service:
+            drive(service, generator, 4)
+            path = service.checkpoint(tmp_path / "ck.npz")
+            want = drive(service, generator, 3).ticks
+        cells = tmp_path / "cells.npz"
+        assert _rewrite_with_cell_regions(path, cells) > 0
+        for source, exact in ((path, True), (cells, False)):
+            restored = _restore_kind(kind, source)
+            with restored:
+                generator2 = LoadGenerator(PROFILE)
+                generator2.fast_forward(4)
+                got = drive(restored, generator2, 3).ticks
+            assert _verdict_stream(got) == _verdict_stream(want)
+            # Boxes resume the exact recompute set; whole carry cells
+            # recompute a superset of it on the first resumed tick.
+            first, ref = set(got[0].recomputed), set(want[0].recomputed)
+            assert first == ref if exact else first >= ref
+            assert [t.recomputed for t in got[1:]] == [t.recomputed for t in want[1:]]
 
 
 class TestWriterAndRetention:

@@ -340,16 +340,12 @@ class TestFrontDoorParity:
     def test_topologies_report_the_same_tick_stream(self, policy):
         n = 40
         base = np.random.default_rng(4).random((n, 2))
-        # The motion carry runs on the single service only, so it would
-        # split the family counters; every other stat is front door or
-        # verdict work and must agree.
         config = ServiceConfig(
             r=0.05,
             tau=2,
             queue_capacity=6,
             max_batch=4,
             backpressure=policy,
-            reuse_motions=False,
         )
         services = [
             OnlineCharacterizationService(base, config),

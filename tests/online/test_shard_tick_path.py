@@ -107,17 +107,15 @@ class TestBoxTestScan:
 # Batch membership vs the per-device sequence
 # ----------------------------------------------------------------------
 def canonical_membership(store):
-    cells = store.take_membership_cells()
-    if not cells:
-        return set()
-    return {tuple(row) for row in np.concatenate(cells).tolist()}
+    region = store.take_membership()
+    return {tuple(row) for row in np.hstack([region.lo, region.hi]).tolist()}
 
 
 def assert_same_store(a: DeviceStateStore, b: DeviceStateStore) -> None:
     sa, sb = a.state(), b.state()
     assert sa.keys() == sb.keys()
     for key in sa:
-        if key == "membership":
+        if key.startswith("membership"):
             continue
         np.testing.assert_array_equal(sa[key], sb[key], err_msg=key)
     assert a.n == b.n
@@ -361,10 +359,10 @@ class TestMigrateCommand:
             for device in (10, 11):
                 assert adopted.row_if_present(device) is None
             run_migrate(adopted)
-            # Membership cells are worker memory, lost with the kill;
+            # Membership endpoints are worker memory, lost with the kill;
             # the respawn's whole-plane invalidation stands in for them.
             for store in (clean, adopted):
-                store.take_membership_cells()
+                store.take_membership()
             assert_same_store(adopted, clean)
         finally:
             if adopted is not None:
@@ -420,7 +418,7 @@ class TestLeaveCommand:
             ticks.append((single.end_tick(), sharded.end_tick()))
             assert dropped and handle.respawns == 1
             leaver_cell = np.floor(np.array([0.58, 0.5]) / cfg.cell)
-            assert (sharded._prev_dirty == leaver_cell).all(axis=1).any()
+            assert (sharded._prev_dirty.cells == leaver_cell).all(axis=1).any()
             for want, got in ticks:
                 assert verdict_view(got) == verdict_view(want)
             assert {v.anomaly_type for v in ticks[2][0].verdicts.values()} != {

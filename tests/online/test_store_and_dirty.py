@@ -98,7 +98,7 @@ class TestDirtyRegionTracker:
         applied = store.apply(0, np.clip(pts[0] + 0.01, 0, 1), False)
         assert tracker.mark(applied, was_relevant=False) is False
         dirty, affected = tracker.finish_tick(store)
-        assert len(dirty) == 0 and affected == set()
+        assert len(dirty) == 0 and affected.size == 0
 
     def test_flagged_move_dirties_both_cells(self):
         tracker, _ = self.make()
