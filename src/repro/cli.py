@@ -380,6 +380,31 @@ def _service_config(args: argparse.Namespace):
     )
 
 
+def _open_service(args: argparse.Namespace, initial, resume=None, **kwargs):
+    """The service ``serve`` / ``replay`` drives, restored from ``resume``
+    (a checkpoint path or loaded checkpoint) or built over ``initial``.
+
+    ``--topology-shards 0`` is the single service — the one-shard,
+    in-process :class:`~repro.online.ShardedService` — whose checkpoints
+    carry their own topology tag; ``kwargs`` reach the constructor.
+    """
+    from repro.online import OnlineCharacterizationService, ShardedService
+
+    if args.topology_shards:
+        cls = ShardedService
+        topology = {"topology_workers": args.topology_workers}
+    else:
+        cls, topology = OnlineCharacterizationService, {}
+    if resume is not None:
+        return cls.restore(resume, **topology, **kwargs)
+    if args.topology_shards:
+        topology.update(
+            topology_shards=args.topology_shards,
+            min_shard_devices=args.min_shard_devices,
+        )
+    return cls(initial, _service_config(args), **topology, **kwargs)
+
+
 def _print_tick_table(ticks) -> None:
     print(
         f"{'tick':>5} {'applied':>8} {'flagged':>8} {'recomputed':>11} "
@@ -406,12 +431,10 @@ def _print_service_summary(result, service) -> None:
         f"reused={result.total_reused} ({recompute_share:.1f}% recomputed)"
     )
     print(f"motion families: recomputed={stats.families_recomputed}")
-    # The sharded front door exposes the same footprint figures itself.
-    store = getattr(service, "store", service)
     print(
-        f"store memory: {store.nbytes:,} bytes "
-        f"({store.bytes_per_device:.0f} bytes/device, n={store.n}, "
-        f"d={store.dim})"
+        f"store memory: {service.nbytes:,} bytes "
+        f"({service.bytes_per_device:.0f} bytes/device, n={service.n}, "
+        f"d={service.dim})"
     )
     print(
         f"elapsed={result.elapsed_seconds:.3f}s "
@@ -420,14 +443,13 @@ def _print_service_summary(result, service) -> None:
 
 
 def _write_service_json(path: str, result, service, extra: Dict) -> None:
-    store = getattr(service, "store", service)
     payload = {
         "stats": service.stats.as_dict(),
         "store": {
-            "n": store.n,
-            "dim": store.dim,
-            "nbytes": store.nbytes,
-            "bytes_per_device": store.bytes_per_device,
+            "n": service.n,
+            "dim": service.dim,
+            "nbytes": service.nbytes,
+            "bytes_per_device": service.bytes_per_device,
         },
         "ticks": [
             {
@@ -486,16 +508,10 @@ def _run_serve(args: argparse.Namespace) -> int:
         LoadGenerator,
         LoadProfile,
         MetricsSink,
-        OnlineCharacterizationService,
-        ShardedService,
         drive_load,
         drive_load_measurements,
         latest_checkpoint,
-        restore_service,
-        restore_sharded_service,
     )
-
-    sharded = args.topology_shards > 0
 
     profile = LoadProfile(
         devices=args.devices,
@@ -528,30 +544,13 @@ def _run_serve(args: argparse.Namespace) -> int:
             # A previous run left a checkpoint behind: rebuild the
             # service from it and replay the load generator forward so
             # the stream continues exactly where the dead process died.
-            if sharded:
-                service_cm = restore_sharded_service(
-                    resume,
-                    config=_service_config(args),
-                    topology_workers=args.topology_workers,
-                )
-            else:
-                service_cm = restore_service(
-                    resume, config=_service_config(args)
-                )
-        elif sharded:
-            service_cm = ShardedService(
-                generator.initial_positions(),
-                _service_config(args),
-                topology_shards=args.topology_shards,
-                topology_workers=args.topology_workers,
-                min_shard_devices=args.min_shard_devices,
-                detector=_detector_spec(args) if args.raw else None,
-                detection=args.detection if args.raw else None,
+            service_cm = _open_service(
+                args, None, resume, config=_service_config(args)
             )
         else:
-            service_cm = OnlineCharacterizationService(
+            service_cm = _open_service(
+                args,
                 generator.initial_positions(),
-                _service_config(args),
                 detector=_detector_spec(args) if args.raw else None,
                 detection=args.detection if args.raw else None,
             )
@@ -594,7 +593,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             else:
                 topo = (
                     f" topology-shards={args.topology_shards}"
-                    if sharded
+                    if args.topology_shards
                     else ""
                 )
                 print(
@@ -643,16 +642,10 @@ def _run_replay(args: argparse.Namespace) -> int:
     from repro.io.traces import read_trace
     from repro.online import (
         CheckpointWriter,
-        OnlineCharacterizationService,
-        ShardedService,
         latest_checkpoint,
         load_checkpoint,
         replay_trace_online,
-        restore_service,
-        restore_sharded_service,
     )
-
-    sharded = args.topology_shards > 0
 
     if args.trace:
         with open(args.trace) as handle:
@@ -704,56 +697,43 @@ def _run_replay(args: argparse.Namespace) -> int:
         )
     else:
         topo = (
-            f" topology-shards={args.topology_shards}" if sharded else ""
+            f" topology-shards={args.topology_shards}"
+            if args.topology_shards
+            else ""
         )
         print(
             f"replay: {source}{topo} "
             f"mode={mode} detector={args.detector}/{args.detection}"
         )
-    result = None
     service = None
     try:
+        resume = (
+            latest_checkpoint(args.checkpoint_dir) if args.checkpoint_dir else None
+        )
+        if resume is not None:
+            # The external detector bank rides in the checkpoint's extra
+            # blob, so a resumed run flags exactly what the uninterrupted
+            # one would have.
+            ckpt = load_checkpoint(resume)
+            service = _open_service(args, None, ckpt)
+            bank = ckpt.extra.get("replay_bank")
+            skip = min(service.current_tick, len(trace) - 1)
+            print(
+                f"resuming from {resume} (tick {service.current_tick})",
+                file=sys.stderr,
+            )
+        else:
+            service = _open_service(args, trace[0].qos)
+            n, d = trace[0].qos.shape
+            bank = resolve_bank(
+                n,
+                d,
+                detector=_detector_spec(args),
+                detection=args.detection,
+                r=service.config.r,
+            )
+            skip = 0
         if args.checkpoint_dir:
-            # Checkpointed replay: the external detector bank rides in
-            # the checkpoint's extra blob so a resumed run flags exactly
-            # what the uninterrupted one would have.
-            resume = latest_checkpoint(args.checkpoint_dir)
-            if resume is not None:
-                ckpt = load_checkpoint(resume)
-                if sharded:
-                    service = restore_sharded_service(
-                        ckpt, topology_workers=args.topology_workers
-                    )
-                else:
-                    service = restore_service(ckpt)
-                bank = ckpt.extra.get("replay_bank")
-                skip = min(service.current_tick, len(trace) - 1)
-                print(
-                    f"resuming from {resume} (tick {service.current_tick})",
-                    file=sys.stderr,
-                )
-            else:
-                if sharded:
-                    service = ShardedService(
-                        trace[0].qos,
-                        _service_config(args),
-                        topology_shards=args.topology_shards,
-                        topology_workers=args.topology_workers,
-                        min_shard_devices=args.min_shard_devices,
-                    )
-                else:
-                    service = OnlineCharacterizationService(
-                        trace[0].qos, _service_config(args)
-                    )
-                n, d = trace[0].qos.shape
-                bank = resolve_bank(
-                    n,
-                    d,
-                    detector=_detector_spec(args),
-                    detection=args.detection,
-                    r=service.config.r,
-                )
-                skip = 0
             service.add_sink(
                 CheckpointWriter(
                     service,
@@ -763,30 +743,9 @@ def _run_replay(args: argparse.Namespace) -> int:
                     extra={"replay_bank": bank},
                 )
             )
-            result = replay_trace_online(
-                trace, service=service, bank=bank, skip_steps=skip
-            )
-        elif sharded:
-            service = ShardedService(
-                trace[0].qos,
-                _service_config(args),
-                topology_shards=args.topology_shards,
-                topology_workers=args.topology_workers,
-                min_shard_devices=args.min_shard_devices,
-            )
-            result = replay_trace_online(
-                trace,
-                service=service,
-                detector=_detector_spec(args),
-                detection=args.detection,
-            )
-        else:
-            result = replay_trace_online(
-                trace,
-                config=_service_config(args),
-                detector=_detector_spec(args),
-                detection=args.detection,
-            )
+        result = replay_trace_online(
+            trace, service=service, bank=bank, skip_steps=skip
+        )
         if logger is not None:
             for tick in result.ticks:
                 logger.tick_sink(tick)
@@ -810,9 +769,7 @@ def _run_replay(args: argparse.Namespace) -> int:
                 },
             )
     finally:
-        if result is not None:
-            result.service.close()
-        elif service is not None:
+        if service is not None:
             service.close()
         if server is not None:
             server.close()

@@ -52,6 +52,7 @@ path (:func:`~repro.detection.base.detect_series`).
 from __future__ import annotations
 
 import abc
+import copy
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -332,6 +333,19 @@ class DetectorBank(abc.ABC):
         """Forget all state (subclasses must extend)."""
         self._seen = 0
 
+    @abc.abstractmethod
+    def renew_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Restart the detectors of ``rows`` on a device joining there.
+
+        Each row's detectors start over as fresh ones that observed the
+        row of ``values`` (the device's join position) as their warm-up
+        sample — what the whole fleet's detectors do at a service's
+        construction — so a device never inherits the state of a
+        predecessor under its id.  Rows past :attr:`devices` grow the
+        bank; the rows skipped by that growth back no device and hold
+        zero state until a device joins there.
+        """
+
 
 class ScalarDetectorBank(DetectorBank):
     """Reference plane: ``n x d`` scalar detectors behind the batch API.
@@ -352,6 +366,7 @@ class ScalarDetectorBank(DetectorBank):
         super().__init__(
             devices, services, min_abnormal_services=min_abnormal_services
         )
+        self._factory = factory
         self._detectors: List[List[Detector]] = [
             [factory() for _ in range(services)] for _ in range(devices)
         ]
@@ -385,6 +400,16 @@ class ScalarDetectorBank(DetectorBank):
             for det in row:
                 det.reset()
 
+    def renew_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        factory = self._factory
+        for row, sample in zip(np.asarray(rows).tolist(), np.asarray(values)):
+            while row >= len(self._detectors):
+                self._detectors.append([factory() for _ in range(self._d)])
+            self._detectors[row] = [factory() for _ in range(self._d)]
+            for det, x in zip(self._detectors[row], sample.tolist()):
+                det.update(x)
+        self._n = len(self._detectors)
+
 
 class ArrayDetectorBank(DetectorBank):
     """Shared machinery of the vectorized banks.
@@ -395,7 +420,18 @@ class ArrayDetectorBank(DetectorBank):
     nothing extra.  Parameters keep their given shape and broadcast in
     the update arithmetic.  Validation mirrors the scalar constructors
     elementwise.
+
+    :meth:`renew_rows` keeps the fleet in lockstep but for the renewed
+    rows: ``_born`` (``None`` until a first renewal) offsets each row's
+    sample count, and the recurrences consult :meth:`_row_seen` where
+    they would read the fleet's.
     """
+
+    #: Per-row sample-count offsets, ``(n, 1)``; ``None``: all zero.
+    _born: Optional[np.ndarray] = None
+    #: Whether some parameter varies by device, which rows cannot follow
+    #: into a renewal or a growth.
+    _per_device = False
 
     def __init__(
         self,
@@ -424,6 +460,8 @@ class ArrayDetectorBank(DetectorBank):
                 f"parameter of shape {arr.shape} does not broadcast to "
                 f"{self.shape}"
             )
+        if arr.ndim == 2 and arr.shape[0] == self._n:
+            self._per_device = True
         return arr
 
     def _require(self, condition: np.ndarray, message: str) -> None:
@@ -431,11 +469,67 @@ class ArrayDetectorBank(DetectorBank):
         if not bool(np.all(condition)):
             raise ConfigurationError(message)
 
+    def _row_seen(self):
+        """Samples each row has seen: the fleet's count, or an ``(n, 1)``
+        column once a row was renewed."""
+        if self._born is None:
+            return self._seen
+        return self._seen - self._born
+
     def _warmed(self) -> np.ndarray:
         """Mask of elements past their warm-up (pre-increment sample
         count, exactly like the scalar template method), at the warm-up
-        parameter's shape."""
-        return self._seen >= self._warmup
+        parameter's shape (rows' once a row was renewed)."""
+        return self._row_seen() >= self._warmup
+
+    def renew_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Splice fresh detectors into ``rows`` (see the base class).
+
+        A probe bank of the renewed rows — this bank's state sliced to
+        them, then :meth:`reset` — observes ``values``; its state arrays
+        overwrite the rows'.  State is every array of two or more
+        dimensions led by the fleet axis; parameters stay 0-d or
+        per-service, and a bank with a per-device parameter refuses.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        values = np.asarray(values, dtype=float).reshape(rows.size, self._d)
+        if self._per_device:
+            raise ConfigurationError(
+                "a bank with per-device parameters cannot renew or add rows"
+            )
+        n = self._n
+        state = [
+            key
+            for key, value in vars(self).items()
+            if key != "_born"
+            and isinstance(value, np.ndarray)
+            and value.ndim >= 2
+            and value.shape[0] == n
+        ]
+        probe = copy.copy(self)
+        for key in state:
+            setattr(probe, key, getattr(self, key)[: rows.size].copy())
+        probe._n = rows.size
+        probe._born = None
+        probe.reset()
+        probe.observe_batch(values)
+        top = max(n, int(rows.max()) + 1)
+        for key in state:
+            column = getattr(self, key)
+            if top > n:
+                grown = np.zeros((top,) + column.shape[1:], dtype=column.dtype)
+                grown[:n] = column
+                setattr(self, key, grown)
+                column = grown
+            fresh = getattr(probe, key)
+            if fresh is not None:
+                column[rows] = fresh
+        born = np.zeros((top, 1), dtype=np.int64)
+        if self._born is not None:
+            born[:n] = self._born
+        born[rows] = self._seen - 1
+        self._born = born
+        self._n = top
 
 
 # ----------------------------------------------------------------------
@@ -774,7 +868,7 @@ class CusumBank(ArrayDetectorBank):
         self._warmup_sum = np.where(
             warming, self._warmup_sum + values, self._warmup_sum
         )
-        learn_now = warming & self._learn & (self._seen + 1 == self._warmup)
+        learn_now = warming & self._learn & (self._row_seen() + 1 == self._warmup)
         with np.errstate(divide="ignore", invalid="ignore"):
             learned = self._warmup_sum / self._warmup
         self._mu = np.where(learn_now, learned, self._mu)
@@ -863,7 +957,12 @@ class HoltWintersBank(ArrayDetectorBank):
             self._level = values.copy()
             abnormal = np.zeros((n, d), dtype=bool)
             return values, abnormal, partial(_idle_planes, self.shape)
-        if self._seen == 1:
+        if self._born is not None:
+            # Renewed rows take their second sample out of lockstep.
+            self._trend = np.where(
+                self._row_seen() == 1, values - self._level, self._trend
+            )
+        elif self._seen == 1:
             # Second sample initializes the trend, fleet-wide (banks feed
             # every element in lockstep, so the scalar per-detector sample
             # counter is the bank's own).

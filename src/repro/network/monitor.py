@@ -43,7 +43,8 @@ from repro.network.faults import FaultInjector
 from repro.network.services import ServiceCatalog, default_catalog
 from repro.network.topology import IspTopology
 from repro.obs.trace import get_tracer
-from repro.online.service import OnlineCharacterizationService, ServiceConfig
+from repro.online.service import ServiceConfig
+from repro.online.sharded import OnlineCharacterizationService
 
 __all__ = ["ReportingPolicy", "Report", "TickResult", "NetworkMonitor"]
 
@@ -82,7 +83,9 @@ class TickResult:
     tick: int
     qos: np.ndarray                       # (n, d) measured QoS
     flagged: List[int]                    # devices with a_k(j) = true
-    transition: Optional[Transition]      # None on the first tick
+    # None on the first tick, and on every incremental tick: the online
+    # service's transitions are its shards' own, flagged-only ones.
+    transition: Optional[Transition]
     verdicts: Dict[int, Characterization] = field(default_factory=dict)
     reports: List[Report] = field(default_factory=list)
     # The bank's full per-service verdicts (scores, forecasts, residuals
@@ -331,7 +334,6 @@ class NetworkMonitor:
         # snapshot path diffs arrays, no per-gateway list needed.
         assert self._last_detection is not None
         out = self._service.feed_snapshot(qos, self._last_detection.flags)
-        result.transition = out.transition
         result.verdicts = dict(out.verdicts)
         for device_id, verdict in result.verdicts.items():
             if self._policy.should_report(verdict.anomaly_type):

@@ -13,18 +13,20 @@ This package keeps a live population warm instead:
   changed positions to the flagged devices within ``4r`` of them, whose
   verdicts could have changed (the paper's locality result read as an
   invalidation rule);
-* :class:`~repro.online.service.OnlineCharacterizationService` — bounded
-  ingest queue, batching and backpressure knobs
-  (:class:`~repro.online.service.ServiceConfig`), pluggable sinks, and a
-  per-tick verdict map equal to full batch recharacterization;
+* :mod:`repro.online.service` — the front door: bounded ingest queue,
+  batching and backpressure knobs
+  (:class:`~repro.online.service.ServiceConfig`), validation, pluggable
+  sinks;
+* :mod:`repro.online.sharded` — the one tick path: spatial shards with
+  per-tick halo exchange behind one
+  :class:`~repro.online.sharded.ShardedService` front door, and the
+  single :class:`~repro.online.sharded.OnlineCharacterizationService`,
+  its one-shard in-process case; per-tick verdict maps equal full batch
+  recharacterization;
 * :mod:`repro.online.replay` — drivers feeding recorded traces or
   synthetic load through the service;
 * :mod:`repro.online.stages` — the tick pipeline decomposed into
   composable stage objects over a shared :class:`TickContext`;
-* :mod:`repro.online.sharded` — spatial shards with per-tick halo
-  exchange: N shard workers behind one
-  :class:`~repro.online.sharded.ShardedService` front door, verdicts
-  identical to one big service.
 
 The tick pipeline is instrumented end to end through :mod:`repro.obs`:
 every service owns a stage-span tracer (``service.tracer``), each
@@ -62,7 +64,6 @@ from repro.online.service import (
     BACKPRESSURE_POLICIES,
     VALIDATION_MODES,
     MetricsSink,
-    OnlineCharacterizationService,
     OnlineTick,
     QosUpdate,
     ReportSink,
@@ -71,18 +72,16 @@ from repro.online.service import (
 )
 from repro.online.sharded import (
     HaloTransitionBuildStage,
+    OnlineCharacterizationService,
     ShardMap,
     ShardedService,
 )
 from repro.online.stages import (
     DetectStage,
-    DirtyRegionStage,
     IndexUpdateStage,
     IngestDrainStage,
     SinkStage,
     TickContext,
-    TickPipeline,
-    TransitionBuildStage,
     VerdictStage,
 )
 from repro.online.store import AppliedUpdate, DeviceStateStore
@@ -99,7 +98,6 @@ __all__ = [
     "CheckpointWriter",
     "DetectStage",
     "DeviceStateStore",
-    "DirtyRegionStage",
     "DirtyRegionTracker",
     "HaloTransitionBuildStage",
     "IndexUpdateStage",
@@ -119,8 +117,6 @@ __all__ = [
     "ShardedService",
     "SinkStage",
     "TickContext",
-    "TickPipeline",
-    "TransitionBuildStage",
     "VALIDATION_MODES",
     "VerdictStage",
     "checkpoint_path",

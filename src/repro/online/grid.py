@@ -205,11 +205,6 @@ class MutableGridIndex:
             raise UnknownDeviceError(f"device {device} is not indexed")
         return self._pts[device].copy()
 
-    def cell_key(self, position: Sequence[float]) -> CellKey:
-        """The grid cell containing ``position``."""
-        pos = self._validate(position)
-        return tuple(int(c) for c in np.floor(pos / self._cell).astype(int))
-
     def key_of(self, device: int) -> CellKey:
         """The grid cell currently holding ``device``."""
         if device not in self:

@@ -103,6 +103,27 @@ class IdColumnMap:
             out = np.where(new_ids[at] == ids, new_values[at], out)
         return out
 
+    def locate(self, ids) -> Tuple[np.ndarray, np.ndarray]:
+        """Each of ``ids``' value (−1 where absent) and slot.
+
+        A slot numbers an id's entry across both runs (−1 where the id
+        has none); an absent id's slot is its tombstone, if it has one.
+        Slots stay valid until the next :meth:`insert` or :meth:`delete`,
+        which accept them in place of a second search.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        (main_ids, main_values), (new_ids, new_values) = self._runs
+        at = main_ids.searchsorted(ids)
+        hit = main_ids[at] == ids
+        values = np.where(hit, main_values[at], -1)
+        slots = np.where(hit, at, -1)
+        if new_ids.size > 1:
+            at = new_ids.searchsorted(ids)
+            hit = new_ids[at] == ids
+            values = np.where(hit, new_values[at], values)
+            slots = np.where(hit, at + main_ids.size, slots)
+        return values, slots
+
     def get(self, device: int) -> Optional[int]:
         """The value of one id, or ``None`` when it is absent."""
         for run_ids, run_values in self._runs:
@@ -112,22 +133,29 @@ class IdColumnMap:
                 return value if value >= 0 else None
         return None
 
-    def _write(self, ids: np.ndarray, values) -> np.ndarray:
-        """Write ``values`` (an array aligned with ``ids``, or one scalar)
-        to the slots of ``ids`` in either run; returns which were found."""
-        found = np.zeros(ids.size, dtype=bool)
-        for run_ids, run_values in self._runs:
-            at = run_ids.searchsorted(ids)
-            hit = run_ids[at] == ids
-            run_values[at[hit]] = values if np.isscalar(values) else values[hit]
-            found |= hit
-        return found
+    def _write(self, slots: np.ndarray, values) -> None:
+        """Write ``values`` (an array aligned with ``slots``, or one
+        scalar) to the entries at ``slots``, all of them valid."""
+        main_values = self._runs[0][1]
+        split = main_values.size
+        in_main = slots < split
+        for run_values, take, offset in (
+            (main_values, in_main, 0),
+            (self._runs[1][1], ~in_main, split),
+        ):
+            run_values[slots[take] - offset] = (
+                values if np.isscalar(values) else values[take]
+            )
 
-    def insert(self, ids, values) -> None:
-        """Add absent ``ids`` with their ``values``."""
+    def insert(self, ids, values, slots=None) -> None:
+        """Add absent ``ids`` with their ``values``; ``slots`` are their
+        :meth:`locate` slots, when the caller already has them."""
         ids = np.asarray(ids, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
-        found = self._write(ids, values)
+        if slots is None:
+            slots = self.locate(ids)[1]
+        found = slots >= 0
+        self._write(slots[found], values[found])
         if not found.all():
             new_ids, new_values = self._runs[1]
             fresh = np.flatnonzero(~found)
@@ -141,18 +169,19 @@ class IdColumnMap:
         if self._runs[1][0].size > RECENT_MAX:
             self._merge()
 
-    def delete(self, ids) -> None:
-        """Drop present ``ids`` (their slots become tombstones)."""
+    def delete(self, ids, slots=None) -> None:
+        """Drop present ``ids`` (their slots become tombstones); ``slots``
+        are their :meth:`locate` slots, when the caller already has them."""
         ids = np.asarray(ids, dtype=np.int64)
-        self._write(ids, -1)
+        self._write(self.locate(ids)[1] if slots is None else slots, -1)
         self._live -= ids.size
-        slots = sum(run_ids.size - 1 for run_ids, _ in self._runs)
-        if slots - self._live > self._live:
+        entries = sum(run_ids.size - 1 for run_ids, _ in self._runs)
+        if entries - self._live > self._live:
             self._merge()
 
     def assign(self, ids, values) -> None:
         """Overwrite the values of present ``ids`` in place."""
-        self._write(np.asarray(ids, dtype=np.int64), np.asarray(values, dtype=np.int64))
+        self._write(self.locate(ids)[1], np.asarray(values, dtype=np.int64))
 
     def _merge(self) -> None:
         """One main run of the present ids; the small run empties."""

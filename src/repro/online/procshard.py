@@ -7,8 +7,9 @@ against an ordinary ``_ShardWorker``.  Where it runs is the only thing
 the topology chooses:
 
 * :class:`_InlineShardHandle` runs it inside the front door's process
-  (``topology_workers="inline"``, and the degraded fallback of a process
-  shard whose supervision ran out of retries);
+  (``topology_workers="inline"``, the single service's one shard, and
+  the degraded fallback of a process shard whose supervision ran out of
+  retries);
 * :class:`_ProcessShardHandle` runs it in one long-lived **fork-context
   daemonic process** per shard, whose store partition lives in
   shared-memory columnar planes
@@ -21,7 +22,8 @@ Protocol
 --------
 One tick is a fixed phase sequence, each phase one scatter/collect
 roundtrip per shard: ``events``/``frame`` (ingest; a frame is one
-gather of the shared board by row id), ``movers`` → ``migrate``
+gather by row id, of the shared board in a child, of the frame arrays
+themselves in process), ``movers`` → ``migrate``
 (parent-mediated migration: a scan-only columnar record of the shard's
 leavers, then one command per shard evicting its ``out`` ids and
 admitting its ``in`` record, in no cross-shard order), ``halo`` (close
@@ -33,7 +35,8 @@ command carries its tick and the worker rolls the deferred snapshot
 (``advance_tick``) lazily at the *first* command of the next tick —
 deferring the roll past the verdict is what makes a kill-and-respawn
 recoverable: the shared-memory planes always hold a consistent
-``(S_{k-1}, partially-updated S_k)`` pair.
+``(S_{k-1}, partially-updated S_k)`` pair.  An in-process shard has no
+kill to survive and rolls right after its verdict instead.
 
 Supervision
 -----------
@@ -235,7 +238,9 @@ def _gather_frame(
     ``ids`` is the store's row→id column.  One gather by ``max(ids, 0)``
     builds the row-aligned ``(cur, flags)`` pair; free rows (id −1) then
     take the store's scrubbed zeros and cleared flag, so they always
-    diff clean against it.
+    diff clean against it.  A store whose rows hold ids ``0..n-1`` in
+    order, over an ``n``-row board, is aligned already: the board itself
+    is returned.
     """
     top = int(ids.max()) if ids.size else -1
     if top >= board_flags.shape[0]:
@@ -249,6 +254,15 @@ def _gather_frame(
             np.zeros((ids.size, board_cur.shape[1])),
             np.zeros(ids.size, dtype=bool),
         )
+    n = ids.size
+    # Ids strictly ascending from 0 to n - 1 over n rows are 0..n-1.
+    if (
+        n == board_flags.shape[0]
+        and ids[0] == 0
+        and ids[-1] == n - 1
+        and (ids[1:] > ids[:-1]).all()
+    ):
+        return board_cur, board_flags
     take = np.maximum(ids, 0)
     cur = np.take(board_cur, take, axis=0)
     flags = np.take(board_flags, take)
@@ -268,18 +282,12 @@ def _ctx_result(worker, ctx) -> Dict[str, Any]:
     ``ctx.key_of`` here, before the context dies.
     """
     key_of = ctx.key_of
-    targets = ctx.verdict_targets or ()
-    if key_of is not None:
-        flagged = [int(key_of[l]) for l in targets]
-        recomputed = [int(key_of[l]) for l in ctx.recompute]
-        reused = [int(key_of[l]) for l in ctx.reused]
-    else:
-        flagged, recomputed, reused = [], [], []
+    targets = ctx.verdict_targets
     return {
-        "verdicts": dict(ctx.verdicts),
-        "flagged": flagged,
-        "recomputed": recomputed,
-        "reused": reused,
+        "verdicts": ctx.verdicts,
+        "flagged": [key_of[j] for j in targets],
+        "recomputed": [key_of[j] for j in ctx.recompute],
+        "reused": [key_of[j] for j in ctx.reused],
         "families_recomputed": int(ctx.families_recomputed),
         "n_targets": len(targets),
         "stage_seconds": worker.tracer.drain_stages(),
@@ -346,19 +354,20 @@ def handle_command(
         worker.tracker.mark_batch(applied, was_relevant=applied.was_flagged)
         return None
     if op == "frame":
-        rows_total = int(payload["rows"])
-        dim = store.dim
-        board_reader.evict_except(payload["live"])
-        board_cur = board_reader.array(
-            payload["board"], np.float64, rows_total * dim
-        ).reshape(rows_total, dim)
-        board_flags = board_reader.array(
-            payload["board"], np.bool_, rows_total, offset=rows_total * dim * 8
-        )
-        sub_cur, sub_flags = _gather_frame(
-            np.asarray(store.row_ids()), board_cur, board_flags
-        )
-        return worker.index_stage.apply_diff(sub_cur, sub_flags, worker.tracer)
+        if "cur" in payload:
+            # An in-process shard is handed the frame itself.
+            board_cur, board_flags = payload["cur"], payload["flags"]
+        else:
+            rows_total = int(payload["rows"])
+            dim = store.dim
+            board_reader.evict_except(payload["live"])
+            board_cur = board_reader.array(
+                payload["board"], np.float64, rows_total * dim
+            ).reshape(rows_total, dim)
+            board_flags = board_reader.array(
+                payload["board"], np.bool_, rows_total, offset=rows_total * dim * 8
+            )
+        return worker.index_stage.apply_frame(board_cur, board_flags, worker.tracer)
     if op == "movers":
         # Scan-only: eviction happens in the ``migrate`` phase, *after*
         # the parent has durably received these records — a kill between
@@ -379,15 +388,20 @@ def handle_command(
             "codes": store.verdict_codes()[rows],
         }
     if op == "migrate":
-        out = store.rows_of(payload["out"])
-        store.leave_rows(out[out >= 0])
+        # One id-map search per half: the slots found locate the entries
+        # the eviction and the admission then write.
+        rows, slots = store.locate(payload["out"])
+        present = rows >= 0
+        store.leave_rows(rows[present], slots[present])
         admit = payload["in"]
-        absent = store.rows_of(admit["ids"]) < 0
+        rows, slots = store.locate(admit["ids"])
+        absent = rows < 0
         store.admit_rows(
             *(
                 admit[field][absent]
                 for field in ("ids", "prev", "cur", "flags", "codes")
-            )
+            ),
+            slots=slots[absent],
         )
         return None
     if op == "join":
@@ -729,8 +743,10 @@ class _InlineShardHandle:
     shard falls back to when supervision exhausts its retries.  Speaks
     the send/recv surface of :class:`_ProcessShardHandle` (so the phase
     loops don't branch) but executes :func:`handle_command` directly on
-    an in-parent ``_ShardWorker`` at ``recv`` time; peer halo bands and
-    the frame board are still read from shared memory by name.
+    an in-parent ``_ShardWorker`` at ``recv`` time, and rolls the
+    snapshot right after a verdict (there is no kill to defer it for);
+    peer halo bands are still read from shared memory by name, while a
+    frame arrives as the arrays themselves.
     Dispatch faults are never drawn here — there is no child to kill —
     while a payload's ``_hang`` (a delayed halo publish) stalls the
     reply the way the child loop does.
@@ -773,6 +789,11 @@ class _InlineShardHandle:
             halo_reader=self._halo_reader,
             board_reader=self._board_reader,
         )
+        if op == "verdict":
+            # No kill to survive in-process: roll the snapshot as soon as
+            # the verdicts land, so between ticks the planes read
+            # ``(S_k, S_k)``, and the next tick's ``_maybe_roll`` is a no-op.
+            self.inner.store.advance_tick()
         if payload.get("_hang"):
             time.sleep(float(payload["_hang"]))
         return (True, None, 0, self.inner.store.n, result)

@@ -2,9 +2,11 @@
 
 A checkpoint is one ``.npz`` file holding everything a fresh process
 needs to resume a killed service *verdict-identically* mid-stream.  The
-same format serves the single
-:class:`~repro.online.service.OnlineCharacterizationService` and the
-spatially sharded :class:`~repro.online.sharded.ShardedService`:
+same format serves the spatially sharded
+:class:`~repro.online.sharded.ShardedService` and the single
+:class:`~repro.online.sharded.OnlineCharacterizationService`, its
+one-shard case; only the topology tag (``"sharded"`` / ``"single"``)
+tells them apart:
 
 * a JSON metadata record: the format version, the tick number, the
   topology (kind and shard count), service stats, the rejected-input
@@ -30,8 +32,8 @@ spatially sharded :class:`~repro.online.sharded.ShardedService`:
   them the first post-restore tick would miss the one-tick move carry
   and reuse verdicts it must recompute) and the verdict map.  A region
   is written as its boxes; a checkpoint written when only cells were
-  recorded restores its cells as whole-cell boxes.  The single
-  service writes exactly one part; a sharded service one per shard.
+  recorded restores its cells as whole-cell boxes.  One part per shard:
+  the single service writes exactly one.
 
 The archive is stored, not deflated: the float planes compress by only
 ~6% and zlib would dominate the write (and the load).  The zip CRC-32 of
@@ -45,11 +47,6 @@ observe a torn checkpoint, and a writer killed mid-write leaves the
 previous checkpoint intact (its stale ``.tmp`` is swept by the next
 :func:`prune_checkpoints`).  :class:`CheckpointWriter` packages the
 cadence as a service sink (every ``N`` ticks, keep the last ``K``).
-
-What deliberately does *not* travel: the chained ``cur`` copy of the
-transition build.  It only accelerates the next tick, so the first
-post-restore tick pays one extra copy — verdicts are unaffected, which
-is exactly the contract ``tests/online/test_recovery.py`` pins.
 """
 
 from __future__ import annotations
@@ -65,13 +62,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from repro.core.errors import CheckpointError, ConfigurationError
-from repro.online.service import (
-    OnlineCharacterizationService,
-    OnlineTick,
-    QosUpdate,
-    ServiceConfig,
-)
-from repro.online.store import DeviceStateStore
+from repro.online.service import OnlineTick, QosUpdate, ServiceConfig
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -158,15 +149,15 @@ def save_checkpoint(
 ) -> Path:
     """Write one atomic checkpoint of ``service`` to ``path``.
 
-    ``service`` is an :class:`OnlineCharacterizationService` or a
-    :class:`~repro.online.sharded.ShardedService` — each names its own
-    topology and hands over its store partitions; call it between ticks
+    ``service`` is a :class:`~repro.online.sharded.ShardedService` or
+    the single service — each names its own topology and hands over its
+    shards' partitions; call it between ticks
     (e.g. from a sink).  ``extra`` is an arbitrary (picklable) dict
     carried alongside the service state — e.g. the CLI replay driver
     stores its external detector bank there.  Returns the published path.
     """
     path = Path(path)
-    parts = service._partition_states()
+    parts = service.shard_states()
     meta = {
         "version": CHECKPOINT_VERSION,
         "tick": service.current_tick,
@@ -307,28 +298,22 @@ def restore_service(
     engine=None,
     sinks: Iterable[Callable[[OnlineTick], None]] = (),
     tracer=None,
-) -> OnlineCharacterizationService:
+):
     """Rebuild a single service from its checkpoint, verdict-identically.
 
     ``config`` overrides the checkpointed :class:`ServiceConfig` (e.g.
-    to resume with different service knobs).
-    The restored service recomputes exactly what the uninterrupted one
-    would have: store, tracker, verdict cache, queue and bank state are
-    all reinstated.  A sharded checkpoint raises :class:`CheckpointError`.
+    to resume with different service knobs); ``engine`` is shared as at
+    construction.  Store, tracker, verdict cache, queue and bank state
+    are all reinstated, the one shard built straight from the one part.
+    A sharded checkpoint raises :class:`CheckpointError`.
     """
-    ckpt = _load_topology(source, "single", "restore_service")
-    (part,) = ckpt.parts
-    service = OnlineCharacterizationService._from_store(
-        DeviceStateStore.from_state(part.store_state),
-        config or ckpt.config,
-        engine=engine,
-        sinks=sinks,
-        tracer=tracer,
+    from repro.online.sharded import OnlineCharacterizationService
+
+    return _restore(
+        OnlineCharacterizationService, "single", "restore_service", source,
+        config=config, sinks=sinks, tracer=tracer, engine=engine,
+        topology_workers="inline",
     )
-    service._tracker.restore_state(part.tracker_state)
-    service._verdicts = dict(part.verdicts)
-    service._restore_front_door(ckpt)
-    return service
 
 
 def restore_sharded_service(
@@ -341,27 +326,28 @@ def restore_sharded_service(
 ):
     """Rebuild a :class:`ShardedService` from its checkpoint.
 
-    Mirrors :func:`restore_service` per shard: stores, trackers and
-    verdict caches are reinstated exactly; the device→shard owner map is
-    rebuilt from the parts'
-    id columns (authoritative — placement is part of the stores' state,
-    not recomputed from positions).  Each shard is built straight from
-    its part — a process child inherits the part through the fork — and
-    the children build concurrently.  ``topology_workers`` picks where
-    the restored shards run; a checkpoint taken under either topology
-    restores under either.  A single-service checkpoint raises
-    :class:`CheckpointError`.
+    Per shard, as :func:`restore_service` does for its one: stores,
+    trackers and verdict caches are reinstated exactly; the device→shard
+    owner map is rebuilt from the parts' id columns (authoritative —
+    placement is part of the stores' state, not recomputed from
+    positions).  Each shard is built straight from its part — a process
+    child inherits the part through the fork — and the children build
+    concurrently.  ``topology_workers`` picks where the restored shards
+    run; a checkpoint taken under either topology restores under
+    either.  A single-service checkpoint raises :class:`CheckpointError`.
     """
     from repro.online.sharded import ShardedService
 
-    ckpt = _load_topology(source, "sharded", "restore_sharded_service")
-    service = ShardedService._from_parts(
-        ckpt.parts,
-        config or ckpt.config,
+    return _restore(
+        ShardedService, "sharded", "restore_sharded_service", source,
+        config=config, sinks=sinks, tracer=tracer,
         topology_workers=topology_workers,
-        sinks=sinks,
-        tracer=tracer,
     )
+
+
+def _restore(cls, topology: str, restorer: str, source, *, config, **kwargs):
+    ckpt = _load_topology(source, topology, restorer)
+    service = cls._from_parts(ckpt.parts, config or ckpt.config, **kwargs)
     service._restore_front_door(ckpt)
     return service
 

@@ -27,12 +27,8 @@ from repro.core.errors import ConfigurationError
 from repro.detection.banks import DetectorSpec, resolve_bank
 from repro.detection.base import Detector
 from repro.io.traces import TraceStep
-from repro.online.service import (
-    OnlineCharacterizationService,
-    OnlineTick,
-    QosUpdate,
-    ServiceConfig,
-)
+from repro.online.service import OnlineTick, QosUpdate, ServiceConfig
+from repro.online.sharded import OnlineCharacterizationService
 
 __all__ = [
     "LoadGenerator",

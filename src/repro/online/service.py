@@ -1,4 +1,5 @@
-"""The online characterization service: events in, fresh verdicts out.
+"""The online characterization service's front door: events in, fresh
+verdicts out.
 
 Where the batch drivers rebuild the world every interval, the service
 keeps it warm:
@@ -9,21 +10,28 @@ keeps it warm:
   room (the single-process analogue of blocking the producer),
   ``"drop-oldest"`` sheds load, ``"error"`` raises
   :class:`~repro.core.errors.QueueFullError`;
-* :meth:`OnlineCharacterizationService.end_tick` drains the queue in
-  batches of ``max_batch``, applies them to the columnar
-  :class:`~repro.online.store.DeviceStateStore` as vectorized row
-  batches (order-preserving segments, so a device reporting twice keeps
-  last-write-wins semantics), and lets the
-  :class:`~repro.online.dirty.DirtyRegionTracker` accumulate the touched
-  grid cells;
+* ``end_tick`` drains the queue in batches of ``max_batch`` and applies
+  them, as vectorized row batches (order-preserving segments, so a
+  device reporting twice keeps last-write-wins semantics), to the
+  columnar :class:`~repro.online.store.DeviceStateStore` of each
+  device's shard, whose :class:`~repro.online.dirty.DirtyRegionTracker`
+  accumulates the touched grid cells;
 * only the *affected* flagged devices — those within the dirty cells'
   ``4r`` influence band, plus any flagged device without a cached
-  verdict — are recomputed through the shared
+  verdict — are recomputed through a
   :class:`~repro.engine.CharacterizationEngine`; everyone else's verdict
   is served from cache, which the locality argument guarantees is still
   exact;
 * finished ticks are pushed to pluggable *sinks* (reports, metrics —
   any callable).
+
+This module holds what every caller sees — :class:`ServiceConfig`,
+:class:`QosUpdate`, :class:`OnlineTick`, the sinks and ``_FrontDoor``
+(the queue, validation, detector bank, stats, sinks and checkpoints).
+The tick itself has one path,
+:class:`~repro.online.sharded.ShardedService`; the single service,
+:class:`~repro.online.sharded.OnlineCharacterizationService` (importable
+from here too), is its one-shard, in-process case.
 
 Verdict identity with batch recharacterization is the contract: on any
 update stream, the verdict map after ``end_tick`` equals what a fresh
@@ -31,11 +39,6 @@ engine pass over all flagged devices of the same transition would
 produce (type, rule and witness; cost counters are artifacts of *when* a
 verdict was computed).  ``tests/online`` enforces this on seeded and
 randomized runs.
-
-The queue, validation, detector bank, stats, sinks and checkpoints live
-on ``_FrontDoor``, which the sharded topology
-(:class:`~repro.online.sharded.ShardedService`) inherits as well; only
-where input lands and how a tick is computed differ between the two.
 """
 
 from __future__ import annotations
@@ -62,23 +65,10 @@ from repro.core.errors import (
 )
 from repro.core.transition import Transition
 from repro.core.types import AnomalyType, Characterization, DecisionRule
-from repro.detection.banks import BankDetection, DetectorBank, DetectorLike
-from repro.engine import CharacterizationEngine
+from repro.detection.banks import BankDetection, DetectorBank
 from repro.obs.metrics import Registry, get_registry
 from repro.obs.trace import TickClock, Tracer
-from repro.online.dirty import DirtyRegionTracker
-from repro.online.stages import (
-    DetectStage,
-    DirtyRegionStage,
-    IndexUpdateStage,
-    IngestDrainStage,
-    SinkStage,
-    TickContext,
-    TickPipeline,
-    TransitionBuildStage,
-    VerdictStage,
-)
-from repro.online.store import DeviceStateStore
+from repro.online.stages import DetectStage, IngestDrainStage, SinkStage
 from repro.robust.chaos import get_injector
 
 __all__ = [
@@ -367,13 +357,21 @@ class OnlineTick:
     """Everything observable about one service tick.
 
     ``stage_seconds`` is the tick's wall-clock breakdown by pipeline
-    stage (``ingest-drain``, ``detect``, ``index-update``,
-    ``dirty-region``, ``transition-build``, ``verdict``, ``sinks``) as
-    drained from the service's :class:`~repro.obs.trace.Tracer`; empty
-    when the tracer is disabled.
+    stage as drained from the service's and its shards'
+    :class:`~repro.obs.trace.Tracer` — front door: ``ingest-drain``,
+    ``detect``, ``frame-roundtrip``, ``shard-migrate``,
+    ``halo-exchange``, ``dirty-union``, ``shard-send``,
+    ``verdict-merge``, ``sinks``; shards (summed over shards):
+    ``index-update``, ``dirty-region``, ``transition-build``,
+    ``verdict``.  Empty when the tracer is disabled.
+
+    ``transition`` is always ``None``: each shard builds its own
+    flagged-only transition inside the tick, and none outlives it.  The
+    field stays for readers that test it (perfbench's reference check
+    falls back to the frames).
 
     ``halo_bytes`` is the total payload shipped through halo rings this
-    tick (sharded topologies only; always 0 on the single service).
+    tick (0 with one shard).
     """
 
     tick: int
@@ -557,27 +555,16 @@ class ReportSink:
 
 
 class _FrontDoor:
-    """The front door both services share.
+    """The front door of :class:`~repro.online.sharded.ShardedService`.
 
     Owns everything between a caller and a tick's computation: the
     bounded ingest queue and its backpressure policy, per-event and
     per-frame validation with the ``repro_service_rejected_total``
     tally, the in-service detector bank, the service gauges, run
     stats, sinks, checkpoints, and the close of a tick (stats,
-    gauges, sinks and the stage-seconds fold).
-
-    A subclass decides where validated input lands and how a tick is
-    computed:
-
-    * :meth:`_apply_segment` — one duplicate-free run of queued events;
-    * :meth:`_apply_frame` — one validated full frame plus flags;
-    * :meth:`_stored_frame` — the stored positions a ``"sanitize"``
-      repair substitutes for bad rows;
-    * :meth:`_run_tick` — the tick body, returning the
-      :class:`OnlineTick` the sinks will see;
-    * :meth:`_partition_states` — the checkpoint's per-partition parts,
-      tagged by ``_CHECKPOINT_TOPOLOGY``;
-    * ``n``, ``dim``, :meth:`close` and ``restore``.
+    gauges, sinks and the stage-seconds fold).  The sharded service
+    routes what it accepts to its shards (``_apply_segment``,
+    ``_apply_frame``) and computes the tick (``_run_tick``).
     """
 
     #: The ``topology`` a checkpoint of this service records.
@@ -671,9 +658,6 @@ class _FrontDoor:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def close(self) -> None:  # pragma: no cover - every subclass overrides
-        raise NotImplementedError
-
     def __enter__(self):
         return self
 
@@ -806,10 +790,6 @@ class _FrontDoor:
             positions, idx = positions[good], idx[good]
         return idx, positions
 
-    def _apply_segment(self, segment: List[QosUpdate]) -> int:
-        """Apply one duplicate-free event run; returns how many landed."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     # Frames
     # ------------------------------------------------------------------
@@ -855,10 +835,6 @@ class _FrontDoor:
             lambda: self._stored_frame(rows),
         )
 
-    def _stored_frame(self, rows: int) -> np.ndarray:
-        """The stored positions of a ``rows``-row frame, row-aligned."""
-        raise NotImplementedError
-
     def _feed_frame(self, current: np.ndarray, flags) -> OnlineTick:
         """Apply one validated frame + flag vector and close the tick."""
         # Apply any events queued mid-tick first, so the frame's diff
@@ -870,10 +846,6 @@ class _FrontDoor:
             self.stats.updates_applied += applied_rows
             self._applied_since_tick += applied_rows
         return self.end_tick()
-
-    def _apply_frame(self, current: np.ndarray, flags) -> int:
-        """Apply one validated frame; returns how many rows changed."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Tick processing
@@ -912,315 +884,12 @@ class _FrontDoor:
         self._tick_clock.stop()
         return result
 
-    def _run_tick(self, applied: int, tracer: Tracer) -> OnlineTick:
-        """Compute tick ``current_tick`` over the applied input."""
-        raise NotImplementedError
 
-    def _partition_states(self) -> List[Tuple[Dict, Dict, Dict]]:
-        """Per-partition ``(store_state, tracker_state, verdict_cache)``."""
-        raise NotImplementedError
+def __getattr__(name: str):
+    # The single service lives with the tick path in repro.online.sharded,
+    # which imports this module; a lazy import keeps both import paths.
+    if name == "OnlineCharacterizationService":
+        from repro.online.sharded import OnlineCharacterizationService
 
-
-class OnlineCharacterizationService(_FrontDoor):
-    """Event-driven characterization with incremental verdict refresh.
-
-    Parameters
-    ----------
-    initial_positions:
-        ``(n, d)`` QoS state at service start.
-    config:
-        Service knobs; defaults to :class:`ServiceConfig` defaults.
-    engine:
-        Optional shared :class:`CharacterizationEngine` (e.g. the one a
-        :class:`~repro.network.monitor.NetworkMonitor` already owns);
-        defaults to a fresh engine with the default configuration.
-    sinks:
-        Initial sink callables; more can be added with :meth:`add_sink`.
-    detector:
-        Optional in-service detection: a
-        :class:`~repro.detection.banks.DetectorSpec` (or prebuilt
-        :class:`~repro.detection.banks.DetectorBank`) enabling
-        :meth:`feed_measurements` — callers ship raw ``(n, d)`` QoS
-        snapshots and the service runs the bank itself, its flag diffs
-        feeding the same dirty-region invalidation path as precomputed
-        flags.  The bank consumes the initial snapshot at construction
-        (warm-up step 0), mirroring the trace replayers.
-    detection:
-        Plane the bank is built on when ``detector`` is a spec
-        (``"bank"`` — vectorized, default — or ``"scalar"``).
-    tracer:
-        Stage-span :class:`~repro.obs.trace.Tracer` timing the tick
-        pipeline; defaults to an enabled tracer on the process-global
-        registry.  Pass ``Tracer(enabled=False)`` for the zero-overhead
-        null path (every tick's ``stage_seconds`` is then empty).
-    """
-
-    _CHECKPOINT_TOPOLOGY = "single"
-
-    def __init__(
-        self,
-        initial_positions: np.ndarray,
-        config: Optional[ServiceConfig] = None,
-        *,
-        engine: Optional[CharacterizationEngine] = None,
-        sinks: Iterable[Callable[[OnlineTick], None]] = (),
-        detector: Optional[DetectorLike] = None,
-        detection: Optional[str] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        cfg = config or ServiceConfig()
-        self._setup(
-            DeviceStateStore(initial_positions, cell=cfg.cell),
-            cfg,
-            engine=engine,
-            sinks=sinks,
-            tracer=tracer,
-        )
-        self._detect_stage.attach(
-            detector, detection, np.asarray(initial_positions, dtype=float)
-        )
-
-    @classmethod
-    def _from_store(
-        cls,
-        store: DeviceStateStore,
-        config: ServiceConfig,
-        *,
-        engine: Optional[CharacterizationEngine] = None,
-        sinks: Iterable[Callable[[OnlineTick], None]] = (),
-        tracer: Optional[Tracer] = None,
-    ) -> "OnlineCharacterizationService":
-        """A detector-less service over an already built store.
-
-        The checkpoint restore path: the store comes back from its saved
-        columns once, instead of a throwaway store being built from
-        initial positions and swapped out.
-        """
-        service = cls.__new__(cls)
-        service._setup(store, config, engine=engine, sinks=sinks, tracer=tracer)
-        return service
-
-    def _setup(
-        self,
-        store: DeviceStateStore,
-        config: ServiceConfig,
-        *,
-        engine: Optional[CharacterizationEngine],
-        sinks: Iterable[Callable[[OnlineTick], None]],
-        tracer: Optional[Tracer],
-    ) -> None:
-        self._open_front_door(config, sinks=sinks, tracer=tracer)
-        cfg = self._config
-        self._store = store
-        self._tracker = DirtyRegionTracker(
-            cell=cfg.cell, influence_radius=4.0 * cfg.r
-        )
-        self._owns_engine = engine is None
-        self._engine = engine or CharacterizationEngine()
-        # The tick pipeline: every span name the tracer emits is a real
-        # stage object (see repro.online.stages).  The stages own the
-        # cross-tick state the inline code used to keep on the service —
-        # the transition chain lives on the transition-build stage, the
-        # verdict cache on the verdict stage — and read the store/tracker/engine through the service, so a
-        # checkpoint restore that swaps the store is seen everywhere.
-        self._index_stage = IndexUpdateStage(self)
-        self._dirty_stage = DirtyRegionStage(self)
-        self._transition_stage = TransitionBuildStage(self, cfg.r, cfg.tau)
-        self._verdict_stage = VerdictStage(self, incremental=cfg.incremental)
-        self._pipeline = TickPipeline(
-            [self._dirty_stage, self._transition_stage, self._verdict_stage]
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def store(self) -> DeviceStateStore:
-        """The columnar device-state store."""
-        return self._store
-
-    @property
-    def n(self) -> int:
-        """Number of live devices (drivers use this instead of ``store.n``
-        so the sharded front door can satisfy the same contract)."""
-        return self._store.n
-
-    @property
-    def dim(self) -> int:
-        """Number of services per device."""
-        return self._store.dim
-
-    @property
-    def tracker(self) -> DirtyRegionTracker:
-        """The dirty-region tracker accumulating this tick's region."""
-        return self._tracker
-
-    @property
-    def engine(self) -> CharacterizationEngine:
-        """The characterization engine recomputations route through."""
-        return self._engine
-
-    @property
-    def pipeline(self) -> TickPipeline:
-        """The ordered core stages one ``end_tick`` runs."""
-        return self._pipeline
-
-    # ------------------------------------------------------------------
-    # The verdict cache, re-exposed under its historical attribute name
-    # (recovery and the tests reach for it).
-    # ------------------------------------------------------------------
-    @property
-    def _verdicts(self) -> Dict[int, Characterization]:
-        return self._verdict_stage.cache
-
-    @_verdicts.setter
-    def _verdicts(self, value: Dict[int, Characterization]) -> None:
-        self._verdict_stage.cache = value
-
-    @property
-    def verdicts(self) -> Dict[int, Characterization]:
-        """The current verdict map (flagged devices only; a copy)."""
-        return dict(self._verdicts)
-
-    def flagged_devices(self) -> Tuple[int, ...]:
-        """Currently flagged devices, sorted."""
-        return self._store.flagged_devices()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the engine, if the service owns it.
-
-        A shared engine (passed at construction) belongs to its owner —
-        e.g. a :class:`~repro.network.monitor.NetworkMonitor` — which is
-        responsible for closing it.  Idempotent: a double close is a
-        clean no-op.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns_engine:
-            self._engine.close()
-
-    @classmethod
-    def restore(
-        cls,
-        source,
-        *,
-        config=None,
-        engine: Optional[CharacterizationEngine] = None,
-        sinks: Iterable[Callable[["OnlineTick"], None]] = (),
-        tracer: Optional[Tracer] = None,
-    ) -> "OnlineCharacterizationService":
-        """Rebuild a service from a checkpoint path (or loaded object).
-
-        The restored service continues the stream verdict-identically;
-        see :func:`repro.online.recovery.restore_service`.
-        """
-        from repro.online.recovery import restore_service
-
-        return restore_service(
-            source, config=config, engine=engine, sinks=sinks, tracer=tracer
-        )
-
-    def _partition_states(self) -> List[Tuple[Dict, Dict, Dict]]:
-        return [(self._store.state(), self._tracker.state(), self._verdicts)]
-
-    # ------------------------------------------------------------------
-    # Input
-    # ------------------------------------------------------------------
-    def _apply_segment(self, segment: List[QosUpdate]) -> int:
-        """Apply one duplicate-free event run as a single row batch."""
-        store = self._store
-        rows = store.rows_of([update.device for update in segment])
-        keep, positions = self._screen_segment(segment, rows >= 0)
-        if positions is None:
-            return 0
-        flags = np.fromiter(
-            (update.flagged for update in segment), dtype=bool, count=len(segment)
-        )
-        applied = store.apply_rows(rows[keep], positions, flags[keep])
-        self._tracker.mark_batch(applied, was_relevant=applied.was_flagged)
-        return int(keep.size)
-
-    def feed_snapshot(
-        self, current: np.ndarray, flags: Iterable[bool]
-    ) -> OnlineTick:
-        """Adapt one snapshot + flag vector into events and a tick.
-
-        The bridge the snapshot-shaped drivers (network monitor, sampled
-        stream, trace replay) share: devices whose position or flag bit
-        differs from the service's *own* current state emit a
-        :class:`QosUpdate`, then the tick is closed.  The diff runs
-        against the store — not a caller-remembered previous snapshot,
-        which can disagree after mid-tick ingests — so the service
-        always converges to ``current``.  ``flags`` is the full current
-        flag vector (index = device id).
-
-        The self-produced diff batch is applied *directly* as one
-        vectorized row batch, not routed through the bounded ingest
-        queue: the snapshot is already materialized, and an "error"
-        backpressure policy firing mid-batch would leave the tick
-        half-applied — and a detector bank one observation ahead of the
-        store (:meth:`feed_measurements` relies on this atomicity).
-        This is the columnar hot path: the diff runs against the
-        store's read-only views, the changed rows go straight to
-        :meth:`DeviceStateStore.apply_rows`, and no per-device Python
-        objects are created at any point (the steady-state allocation
-        test pins this down).
-
-        ``current`` must cover the store's allocated rows.  It passes the
-        configured ``validation`` mode before the store is touched, as a
-        :meth:`feed_measurements` frame does (:meth:`_validate_frame`).
-        """
-        self._tick_clock.start(restart=True)
-        arr = self._validate_frame(
-            np.asarray(current, dtype=float),
-            self._store.current_positions().shape[0],
-        )
-        return self._feed_frame(arr, flags)
-
-    def _stored_frame(self, rows: int) -> np.ndarray:
-        return self._store.current_positions()
-
-    def _apply_frame(self, current: np.ndarray, flags) -> int:
-        vacant = self._store.free_rows()
-        if vacant.size:
-            # A vacant row's entry is ignored: it takes the store's
-            # scrubbed zeros and a clear flag, so it diffs clean.
-            current = current.copy()
-            current[vacant] = 0.0
-            flags = np.array(
-                flags if isinstance(flags, np.ndarray) else list(flags), dtype=bool
-            )
-            flags[vacant] = False
-        return self._index_stage.apply_diff(current, flags, self._tracer)
-
-    # ------------------------------------------------------------------
-    # Tick processing
-    # ------------------------------------------------------------------
-    def _run_tick(self, applied: int, tracer: Tracer) -> OnlineTick:
-        ctx = TickContext(tick=self._tick, applied=applied)
-        self._pipeline.run(ctx, tracer)
-        self._store.record_verdicts(ctx.verdicts)
-        self._transition_stage.advance(ctx)
-        return OnlineTick(
-            tick=self._tick,
-            applied=applied,
-            flagged=ctx.flagged,
-            recomputed=tuple(ctx.recompute),
-            reused=tuple(ctx.reused),
-            dirty_cells=len(ctx.dirty.cells),
-            verdicts=ctx.verdicts,
-            transition=ctx.transition,
-            families_recomputed=ctx.families_recomputed,
-            stage_seconds=tracer.drain_stages(),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"OnlineCharacterizationService(n={self._store.n}, "
-            f"ticks={self._tick}, queued={len(self._queue)}, "
-            f"flagged={len(self._verdicts)})"
-        )
+        return OnlineCharacterizationService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

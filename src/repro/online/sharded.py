@@ -1,16 +1,15 @@
-"""Sharded multi-service topology: spatial shards with halo exchange.
+"""The online tick path: spatial shards with halo exchange.
 
-One :class:`~repro.online.service.OnlineCharacterizationService` holds
-the whole fleet in one store and one verdict pipeline.  That is the
-right shape up to a few hundred thousand devices; beyond it, one
-process's tick becomes one long critical path.  This module decomposes
-the plane instead of the pipeline: the unit QoS cube is tiled into
-``topology_shards`` axis-aligned boxes of grid cells, each owned by a
-:class:`_ShardWorker` — its own columnar
+The unit QoS cube is tiled into ``topology_shards`` axis-aligned boxes
+of grid cells, each owned by a :class:`_ShardWorker` — its own columnar
 :class:`~repro.online.store.DeviceStateStore` partition (keyed by
 *global* device ids), dirty-region tracker, characterization engine and
-tracer — and a :class:`ShardedService` front door that speaks the same
-API as the single service.
+tracer — behind one :class:`ShardedService` front door.  One process's
+tick is one long critical path at a few hundred thousand devices;
+shards divide it.  The single service,
+:class:`OnlineCharacterizationService`, is the same class fixed at one
+in-process shard: one shard with an empty halo holds the whole
+computation, so there is one tick path, not two.
 
 The paper's locality theorem is what makes the decomposition exact: a
 flagged device's verdict depends only on flagged devices within ``4r``
@@ -38,13 +37,15 @@ devices just across its borders — the **halo**.  Per tick:
    shared-memory publication ring); consumers take
    the bands whose cells lie within ``halo_rings`` *outside* their own
    box, read seq-gated by segment name;
-4. **local pipelines** — each shard runs a
-   :class:`~repro.online.stages.TickPipeline` of a halo-aware
-   transition-build stage plus the standard
+4. **local pipelines** — each shard runs a halo-aware
+   transition-build stage, then the standard
    :class:`~repro.online.stages.VerdictStage`;
 5. **merge** — verdicts (already remapped to global ids), flagged sets,
    stats and stage timings are merged into one ordinary
    :class:`~repro.online.service.OnlineTick` for the sinks.
+
+With one shard, steps 1 and 3 have nothing to move: no device leaves
+the only box, and no band is published.
 
 Every step is a command of one protocol
 (:func:`repro.online.procshard.handle_command`) sent through one handle
@@ -69,7 +70,7 @@ cur-far are dropped by the intersection on both sides of the
 decomposition, and extra halo members are harmless supersets.  See
 DESIGN.md ("Sharded topology") for the full argument.
 
-**Verdict identity** with the single service is exact — type, rule *and*
+**Verdict identity** across shard counts is exact — type, rule *and*
 witness.  Shard-local transitions number devices by the rank of their
 global id among the shard's participants (owned flagged ∪ halo,
 sorted), a strictly monotone map; every order the characterization
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import nullcontext
 from multiprocessing import shared_memory
 from typing import (
     Any,
@@ -124,7 +126,6 @@ from repro.online.service import OnlineTick, QosUpdate, ServiceConfig, _FrontDoo
 from repro.online.stages import (
     IndexUpdateStage,
     TickContext,
-    TickPipeline,
     VerdictStage,
 )
 from repro.online.store import (
@@ -136,6 +137,7 @@ from repro.robust.chaos import get_injector
 
 __all__ = [
     "HaloTransitionBuildStage",
+    "OnlineCharacterizationService",
     "ShardMap",
     "ShardedService",
     "StaleHaloError",
@@ -160,6 +162,16 @@ def _grid_for(shards: int, dim: int) -> Tuple[int, ...]:
         if shards % a == 0:
             best = a
     return (shards // best, best)
+
+
+def _fleet_points(initial_positions) -> np.ndarray:
+    """A service's ``(n, d)`` initial positions, checked non-empty."""
+    pts = np.asarray(initial_positions, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise DimensionMismatchError(
+            "initial_positions must be a non-empty (n, d) array"
+        )
+    return pts
 
 
 def _shard_map(cfg: ServiceConfig, shards: int, dim: int) -> "ShardMap":
@@ -435,21 +447,22 @@ class _HaloChannel:
 class HaloTransitionBuildStage:
     """``transition-build`` over one shard's flagged residents plus its halo.
 
-    The halo-aware twin of
-    :class:`~repro.online.stages.TransitionBuildStage`.  Participants
-    are the shard's *flagged* devices plus the halo band deposited by
-    the front door (:meth:`stage_halo`) — nothing in a transition's
-    verdict path reads an unflagged row (its indexes, neighbourhoods and
-    ``combined_of`` gathers are all flagged-only), so the build costs
+    Participants are the shard's *flagged* devices plus the halo band
+    deposited by the front door (:meth:`stage_halo`) — nothing in a
+    transition's verdict path reads an unflagged row (its indexes,
+    neighbourhoods and ``combined_of`` gathers are all flagged-only), so
+    the build costs
     O(flagged), not O(residents).  Participants are numbered by the rank
     of their global id — a strictly monotone local→global map, which is
     what keeps every id-lexicographic tie-break in the characterization
     pipeline (canonical motion order, candidate pools) invariant and the
-    shard's verdicts bit-identical to the single service's.
+    shard's verdicts bit-identical whatever the shard count.
 
-    No cross-tick chain: the participant set churns with the halo every
-    tick.  Verdict-level caching still applies — it is keyed by global
-    id and survives any relabelling.
+    Nothing is carried across ticks: the participant set churns with
+    the halo every tick.  Verdict-level caching still applies — it is
+    keyed by global id and survives any relabelling.  A one-shard
+    service has no halo, and its transition is the flagged subset of
+    the whole fleet.
     """
 
     name = "transition-build"
@@ -506,12 +519,10 @@ class HaloTransitionBuildStage:
                 cur_arr[rank[n_owned:]] = self._halo_cur
             prev_arr.flags.writeable = False
             cur_arr.flags.writeable = False
-            key_of = np.full(n_part + pad, -1, dtype=np.int64)
-            key_of[:n_part] = part_ids[order]
             # ``flagged_rows`` ascends, so affected rows (a subset, in
             # input order) locate their rank by binary search.
             affected = own_rank[np.searchsorted(flagged_rows, affected_rows)]
-            ctx.key_of = key_of
+            ctx.key_of = part_ids[order].tolist()
             ctx.verdict_targets = tuple(np.sort(own_rank).tolist())
             ctx.flagged = tuple(range(n_part))
             ctx.affected = set(affected.tolist())
@@ -531,7 +542,12 @@ class _ShardWorker:
     """
 
     def __init__(
-        self, shard: int, store: DeviceStateStore, config: ServiceConfig, tracer: Tracer
+        self,
+        shard: int,
+        store: DeviceStateStore,
+        config: ServiceConfig,
+        tracer: Tracer,
+        engine: Optional[CharacterizationEngine] = None,
     ) -> None:
         self.shard = int(shard)
         self.store = store
@@ -539,26 +555,25 @@ class _ShardWorker:
         self.tracker = DirtyRegionTracker(
             cell=cfg.cell, influence_radius=4.0 * cfg.r
         )
-        self.engine = CharacterizationEngine()
+        # A shared engine (the network monitor's) stays its owner's to close.
+        self.owns_engine = engine is None
+        self.engine = engine or CharacterizationEngine()
         self.tracer = tracer
         self.channel = _HaloChannel()
         self.index_stage = IndexUpdateStage(self)
         self.transition_stage = HaloTransitionBuildStage(self, cfg.r, cfg.tau)
         self.verdict_stage = VerdictStage(self, incremental=cfg.incremental)
-        self.pipeline = TickPipeline(
-            [self.transition_stage, self.verdict_stage]
-        )
 
     @classmethod
     def from_init(
-        cls, shard, init, dim, config, tracer, *, planes_factory=None
+        cls, shard, init, dim, config, tracer, *, planes_factory=None, engine=None
     ) -> "_ShardWorker":
-        """Build a worker from ``("fresh", positions, ids)``, a checkpoint's
-        ``("state", part)`` or ``("adopt", plane_name, capacity)``, the shm
-        planes a killed predecessor left (``planes_factory`` puts a new
-        store in shm).  A restored worker reinstates its part exactly; an
-        adopting one dirties every alive cell (``_mark_recovered``).
-        Cross-tick perf caches start cold.
+        """Build a worker from ``("fresh", positions, ids)`` (``ids``
+        ``None`` numbers the rows ``0..n-1``), a checkpoint's ``("state",
+        part)`` or ``("adopt", plane_name, capacity)``, the shm planes a
+        killed predecessor left (``planes_factory`` puts a new store in
+        shm).  A restored worker reinstates its part exactly; an adopting
+        one dirties every alive cell (``_mark_recovered``).
         """
         kind, arg = init[0], init[1]
         if kind == "fresh" and arg.shape[0]:
@@ -582,7 +597,7 @@ class _ShardWorker:
             store = DeviceStateStore.from_state(
                 arg.store_state, planes_factory=planes_factory
             )
-        worker = cls(shard, store, config, tracer)
+        worker = cls(shard, store, config, tracer, engine)
         if kind == "adopt":
             _mark_recovered(worker)
         elif kind == "state":
@@ -593,8 +608,12 @@ class _ShardWorker:
     def publish_halo(self, boundary: "ShardMap", *, seq: int = 0) -> None:
         """Publish this shard's boundary band of flagged rows.
 
-        ``seq`` (the tick number) gates the consumers' reads.
+        ``seq`` (the tick number) gates the consumers' reads.  A lone
+        shard has no consumer and publishes nothing: its channel never
+        allocates a segment.
         """
+        if boundary.n_shards == 1:
+            return
         store = self.store
         rows = store.flagged_rows()
         if rows.size:
@@ -611,27 +630,29 @@ class _ShardWorker:
         )
 
     def run_tick(self, ctx: TickContext) -> TickContext:
-        """Run the local pipeline and record the verdict codes."""
-        self.pipeline.run(ctx, self.tracer)
+        """Build the local transition, verdict it, record the codes."""
+        self.transition_stage.run(ctx, self.tracer)
+        self.verdict_stage.run(ctx, self.tracer)
         self.store.record_verdicts(ctx.verdicts)
         return ctx
 
     def close(self) -> None:
         self.channel.close()
+        if self.owns_engine:
+            self.engine.close()
 
 
 class ShardedService(_FrontDoor):
     """Front door over ``topology_shards`` spatial shard workers.
 
-    Shares the single service's front door — :meth:`ingest`,
-    :meth:`feed_measurements`, :meth:`end_tick`, validation, the
-    detector bank, sinks and checkpoints — routes what it accepts to
-    the owning shards, and produces one merged
-    :class:`~repro.online.service.OnlineTick` per tick whose verdict map
-    is identical (type, rule, witness) to what one
-    :class:`~repro.online.service.OnlineCharacterizationService` over
-    the same stream would produce.  ``OnlineTick.transition`` is
-    ``None``: there is no global transition object, only per-shard ones.
+    Owns the front door — :meth:`ingest`, :meth:`feed_measurements`,
+    :meth:`end_tick`, validation, the detector bank, sinks and
+    checkpoints — routes what it accepts to the owning shards, and
+    produces one merged :class:`~repro.online.service.OnlineTick` per
+    tick whose verdict map is identical (type, rule, witness) whatever
+    the shard count, one included (:class:`OnlineCharacterizationService`).
+    ``OnlineTick.transition`` is ``None``: there is no global transition
+    object, only per-shard ones.
 
     Parameters
     ----------
@@ -672,11 +693,7 @@ class ShardedService(_FrontDoor):
         tracer: Optional[Tracer] = None,
     ) -> None:
         cfg = config or ServiceConfig()
-        pts = np.asarray(initial_positions, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise DimensionMismatchError(
-                "initial_positions must be a non-empty (n, d) array"
-            )
+        pts = _fleet_points(initial_positions)
         if min_shard_devices and topology_shards > 1:
             cap = max(1, pts.shape[0] // int(min_shard_devices))
             if cap < topology_shards:
@@ -689,17 +706,35 @@ class ShardedService(_FrontDoor):
                 )
                 topology_shards = cap
         shard_map = _shard_map(cfg, topology_shards, pts.shape[1])
-        owners = shard_map.shard_of_keys(np.floor(pts / cfg.cell).astype(np.int64))
-        residents = [np.flatnonzero(owners == k) for k in range(shard_map.n_shards)]
+        if shard_map.n_shards == 1:
+            # One shard owns the whole fleet as given: no keying, no copy.
+            inits = [("fresh", pts, None)]
+        else:
+            owners = shard_map.shard_of_keys(
+                np.floor(pts / cfg.cell).astype(np.int64)
+            )
+            inits = [
+                ("fresh", pts[ids], ids)
+                for ids in (
+                    np.flatnonzero(owners == k) for k in range(shard_map.n_shards)
+                )
+            ]
         self._start(
-            cfg, shard_map, pts.shape[1], topology_workers,
-            [("fresh", pts[ids], ids) for ids in residents], sinks=sinks, tracer=tracer,
+            cfg, shard_map, pts.shape[1], topology_workers, inits,
+            sinks=sinks, tracer=tracer,
         )
         self._detect_stage.attach(detector, detection, pts)
 
     @classmethod
     def _from_parts(
-        cls, parts, config: ServiceConfig, *, topology_workers: str, sinks, tracer
+        cls,
+        parts,
+        config: ServiceConfig,
+        *,
+        topology_workers: str,
+        sinks,
+        tracer,
+        engine: Optional[CharacterizationEngine] = None,
     ) -> "ShardedService":
         """A service whose shards are born holding their checkpoint parts:
         a process child inherits its part through the fork."""
@@ -708,11 +743,13 @@ class ShardedService(_FrontDoor):
         service._start(
             config, _shard_map(config, len(parts), dim), dim, topology_workers,
             [("state", part) for part in parts], sinks=sinks, tracer=tracer,
+            engine=engine,
         )
         return service
 
     def _start(
-        self, cfg, shard_map, dim, topology_workers, inits, *, sinks, tracer
+        self, cfg, shard_map, dim, topology_workers, inits, *, sinks, tracer,
+        engine=None,
     ) -> None:
         """Open the front door and bring up one shard per ``init``.
 
@@ -720,7 +757,8 @@ class ShardedService(_FrontDoor):
         the children build their stores concurrently while the front door
         builds its owner columns.  If any shard fails to start, every
         shard is shut down — children reaped, segments unlinked — and the
-        first error is raised.
+        first error is raised.  ``engine`` is shared by the in-process
+        shards (the single service's one).
         """
         if topology_workers not in ("inline", "process"):
             raise ConfigurationError(
@@ -782,21 +820,25 @@ class ShardedService(_FrontDoor):
                     if topology_workers == "process"
                     else _InlineShardHandle(
                         _ShardWorker.from_init(
-                            shard, init, self._dim, cfg, Tracer(registry, enabled=enabled)
+                            shard, init, self._dim, cfg,
+                            Tracer(registry, enabled=enabled), engine=engine,
                         ),
                         shard_map,
                     )
                 )
             # The device→shard map: resident ids and each one's shard
             # (restored id columns mark free rows −1).
-            cols = [
-                np.asarray(init[2] if init[0] == "fresh" else init[1].store_state["id_of"])
-                for init in inits
-            ]
-            cols = [col[col >= 0] for col in cols]
+            cols = []
+            for init in inits:
+                if init[0] == "fresh":
+                    ids = init[2]
+                    cols.append(np.arange(init[1].shape[0]) if ids is None else ids)
+                else:
+                    ids = np.asarray(init[1].store_state["id_of"])
+                    cols.append(ids[ids >= 0])
             self._owners = IdColumnMap(
                 np.concatenate(cols),
-                np.concatenate([np.full(c.size, k) for k, c in enumerate(cols)]),
+                np.repeat(np.arange(len(cols)), [col.size for col in cols]),
             )
         except Exception as exc:
             failure = exc
@@ -905,7 +947,11 @@ class ShardedService(_FrontDoor):
     # Command phases and supervision
     # ------------------------------------------------------------------
     def _phase(
-        self, msgs: List[Optional[tuple]], *, chaos: bool = False
+        self,
+        msgs: List[Optional[tuple]],
+        *,
+        chaos: bool = False,
+        span: Optional[str] = None,
     ) -> List[Any]:
         """One scatter/collect roundtrip; ``None`` skips that shard.
 
@@ -916,15 +962,18 @@ class ShardedService(_FrontDoor):
         *every* outstanding reply is drained, so one failing shard never
         leaves another's reply stranded in a pipe to desynchronize the
         next phase.  ``chaos`` routes the sends through the handles'
-        dispatch fault hook (the verdict phase).
+        dispatch fault hook (the verdict phase).  ``span`` times the
+        sends — the collect is the shards' own work, which their stage
+        spans time.
         """
-        for handle, msg in zip(self._handles, msgs):
-            if msg is None:
-                continue
-            if chaos:
-                handle.send_with_chaos(msg)
-            else:
-                handle.send(msg)
+        with self._tracer.span(span) if span else nullcontext():
+            for handle, msg in zip(self._handles, msgs):
+                if msg is None:
+                    continue
+                if chaos:
+                    handle.send_with_chaos(msg)
+                else:
+                    handle.send(msg)
         results: List[Any] = [None] * len(msgs)
         error: Optional[BaseException] = None
         for shard, msg in enumerate(msgs):
@@ -1045,8 +1094,6 @@ class ShardedService(_FrontDoor):
                 )
         return states
 
-    _partition_states = shard_states
-
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
@@ -1056,12 +1103,20 @@ class ShardedService(_FrontDoor):
         """Admit a device on the shard owning its cell; returns the shard.
 
         A flagged join's position is folded into the front door's dirty
-        insurance (see :meth:`_migrate`) as well as the shard's own.
+        insurance (see :meth:`_migrate`) as well as the shard's own.  The
+        detector bank, if any, grows to the device's id and restarts its
+        row from the join position
+        (:meth:`~repro.detection.banks.DetectorBank.renew_rows`), so the
+        next frame covers the id and the device inherits no predecessor's
+        baseline.
         """
         device = int(device)
         if self._owners.get(device) is not None:
             raise ConfigurationError(f"device {device} is already stored")
         pos = np.asarray(position, dtype=float)
+        bank = self._detect_stage.bank
+        if bank is not None:
+            bank.renew_rows(np.array([device]), pos[None, :])
         key = np.floor(pos / self._config.cell).astype(np.int64)
         shard = int(self._map.shard_of_keys(key[None, :])[0])
         self._phase_one(
@@ -1242,19 +1297,25 @@ class ShardedService(_FrontDoor):
         return self._gather_current(rows)
 
     def _apply_frame(self, current: np.ndarray, flags: np.ndarray) -> int:
-        """Publish the frame on the board; every shard gathers its rows."""
-        name, rows, _ = self._board.publish(current, flags)
+        """Hand the frame to every shard; each applies its residents' rows.
+
+        An in-process shard takes the arrays themselves; process shards
+        read them off the shared frame board, written once per frame.
+        """
+        board: Dict[str, Any] = {}
+        msgs: List[Optional[tuple]] = []
+        with self._tracer.span("frame-roundtrip"):
+            for handle in self._handles:
+                if isinstance(handle, _InlineShardHandle):
+                    payload = {"cur": current, "flags": flags}
+                else:
+                    if not board:
+                        name, rows, _ = self._board.publish(current, flags)
+                        board = {"board": name, "rows": rows, "live": [name]}
+                    payload = board
+                msgs.append(("frame", self._tick + 1, payload))
         try:
-            counts = self._phase(
-                [
-                    (
-                        "frame",
-                        self._tick + 1,
-                        {"board": name, "rows": rows, "live": [name]},
-                    )
-                    for _ in range(self._map.n_shards)
-                ]
-            )
+            counts = self._phase(msgs, span="frame-roundtrip")
         except DimensionMismatchError:
             self._reject("dimension-mismatch")
             raise
@@ -1268,49 +1329,48 @@ class ShardedService(_FrontDoor):
         with tracer.span("shard-migrate"):
             self._migrate()
         results, dirty_cells, halo_bytes = self._tick_shards(tracer)
-
         verdicts: Dict[int, Characterization] = {}
         flagged: List[int] = []
         recomputed: List[int] = []
         reused: List[int] = []
         families_recomputed = 0
-        stage_seconds = tracer.drain_stages()
-        for shard, result in enumerate(results):
-            verdicts.update(result["verdicts"])
-            flagged.extend(result["flagged"])
-            recomputed.extend(result["recomputed"])
-            reused.extend(result["reused"])
-            families_recomputed += result["families_recomputed"]
-            self._shard_flagged[shard] = result["n_targets"]
-            shard_label = str(shard)
-            self._gauge_shard_devices.labels(shard=shard_label).set(
-                result["n"]
-            )
-            self._gauge_shard_flagged.labels(shard=shard_label).set(
-                result["n_targets"]
-            )
-            for stage, seconds in result["stage_seconds"].items():
-                self._hist_shard_stage.labels(
-                    shard=shard_label, stage=stage
-                ).observe(seconds)
-                stage_seconds[stage] = (
-                    stage_seconds.get(stage, 0.0) + seconds
+        stage_seconds: Dict[str, float] = {}
+        with tracer.span("verdict-merge"):
+            for shard, result in enumerate(results):
+                verdicts.update(result["verdicts"])
+                flagged.extend(result["flagged"])
+                recomputed.extend(result["recomputed"])
+                reused.extend(result["reused"])
+                families_recomputed += result["families_recomputed"]
+                self._shard_flagged[shard] = result["n_targets"]
+                shard_label = str(shard)
+                self._gauge_shard_devices.labels(shard=shard_label).set(result["n"])
+                self._gauge_shard_flagged.labels(shard=shard_label).set(
+                    result["n_targets"]
                 )
-        if halo_bytes:
-            self._counter_halo_bytes.inc(halo_bytes)
-        return OnlineTick(
-            tick=self._tick,
-            applied=applied,
-            flagged=tuple(sorted(flagged)),
-            recomputed=tuple(sorted(recomputed)),
-            reused=tuple(sorted(reused)),
-            dirty_cells=dirty_cells,
-            verdicts=verdicts,
-            transition=None,
-            families_recomputed=families_recomputed,
-            stage_seconds=stage_seconds,
-            halo_bytes=halo_bytes,
-        )
+                for stage, seconds in result["stage_seconds"].items():
+                    self._hist_shard_stage.labels(
+                        shard=shard_label, stage=stage
+                    ).observe(seconds)
+                    stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
+            if halo_bytes:
+                self._counter_halo_bytes.inc(halo_bytes)
+            tick = OnlineTick(
+                tick=self._tick,
+                applied=applied,
+                flagged=tuple(sorted(flagged)),
+                recomputed=tuple(sorted(recomputed)),
+                reused=tuple(sorted(reused)),
+                dirty_cells=dirty_cells,
+                verdicts=verdicts,
+                transition=None,
+                families_recomputed=families_recomputed,
+                stage_seconds=stage_seconds,
+                halo_bytes=halo_bytes,
+            )
+        for stage, seconds in tracer.drain_stages().items():
+            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
+        return tick
 
     def _tick_shards(
         self, tracer: Tracer
@@ -1345,12 +1405,12 @@ class ShardedService(_FrontDoor):
             # shipped as a reply stall: the shard publishes its band
             # first and sleeps before replying, so the fault delays only
             # the barrier — the seq gate proves consumers still read a
-            # whole, current band.
+            # whole, current band.  A lone shard publishes no band.
             injector = get_injector()
             halo_msgs: List[Optional[tuple]] = []
             for shard in range(n_shards):
                 payload: Dict[str, Any] = {}
-                if injector.active:
+                if injector.active and n_shards > 1:
                     stall = injector.halo_publish(tick, shard)
                     if stall:
                         payload["_hang"] = stall
@@ -1365,13 +1425,6 @@ class ShardedService(_FrontDoor):
             if self._insure:
                 parts += [self._prev_dirty, *self._mover_points, *self._mover_carry]
                 self._insure -= 1
-            dirty = DirtyRegion.union(parts)
-            # The cells are de-duplicated once, here, and travel with the
-            # region, so no shard repeats the sort.
-            dirty_cells = len(dirty.cells)
-            self._prev_dirty = dirty
-            self._mover_carry = self._mover_points
-            self._mover_points = []
 
             halo_rings = self._map.halo_rings
             halo_bytes = 0
@@ -1404,6 +1457,14 @@ class ShardedService(_FrontDoor):
                         }
                     )
                 sources_of.append(sources)
+        with tracer.span("dirty-union"):
+            dirty = DirtyRegion.union(parts)
+            # The cells are de-duplicated once, here, and travel with the
+            # region, so no shard repeats the sort.
+            dirty_cells = len(dirty.cells)
+        self._prev_dirty = dirty
+        self._mover_carry = self._mover_points
+        self._mover_points = []
 
         results = self._phase(
             [
@@ -1415,6 +1476,7 @@ class ShardedService(_FrontDoor):
                 for shard in range(n_shards)
             ],
             chaos=True,
+            span="shard-send",
         )
         # Segments orphaned by kills stay linked until every consumer is
         # done reading the tick's bands; unlink them only now.
@@ -1423,6 +1485,70 @@ class ShardedService(_FrontDoor):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ShardedService(n={self.n}, shards={self._map.n_shards}, "
+            f"{type(self).__name__}(n={self.n}, shards={self._map.n_shards}, "
             f"ticks={self._tick}, queued={len(self._queue)})"
         )
+
+
+class OnlineCharacterizationService(ShardedService):
+    """The single service: one in-process shard holding the whole fleet.
+
+    The paper's locality result makes one shard with an empty halo the
+    whole computation, so the single service is a :class:`ShardedService`
+    fixed at one inline shard — the same front door, command protocol and
+    tick path.  It exposes that shard's ``store``, ``tracker`` and
+    ``engine``, tags its checkpoints ``"single"``
+    (:func:`repro.online.recovery.restore_service` restores them), and
+    takes an optional shared ``engine`` (e.g. a
+    :class:`~repro.network.monitor.NetworkMonitor`'s), which
+    :meth:`close` leaves open.  Devices get ids ``0..n-1``; the other
+    parameters are :class:`ShardedService`'s.
+    """
+
+    _CHECKPOINT_TOPOLOGY = "single"
+
+    def __init__(
+        self,
+        initial_positions: np.ndarray,
+        config: Optional[ServiceConfig] = None,
+        *,
+        engine: Optional[CharacterizationEngine] = None,
+        sinks: Iterable[Callable[[OnlineTick], None]] = (),
+        detector: Optional[DetectorLike] = None,
+        detection: Optional[str] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        cfg = config or ServiceConfig()
+        pts = _fleet_points(initial_positions)
+        self._start(
+            cfg, _shard_map(cfg, 1, pts.shape[1]), pts.shape[1], "inline",
+            [("fresh", pts, None)], sinks=sinks, tracer=tracer, engine=engine,
+        )
+        self._detect_stage.attach(detector, detection, pts)
+
+    @property
+    def _worker(self) -> _ShardWorker:
+        return self._handles[0].inner
+
+    @property
+    def store(self) -> DeviceStateStore:
+        """The columnar device-state store of the one shard."""
+        return self._worker.store
+
+    @property
+    def tracker(self) -> DirtyRegionTracker:
+        """The dirty-region tracker accumulating this tick's region."""
+        return self._worker.tracker
+
+    @property
+    def engine(self) -> CharacterizationEngine:
+        """The characterization engine recomputations route through."""
+        return self._worker.engine
+
+    @classmethod
+    def restore(cls, source, **kwargs) -> "OnlineCharacterizationService":
+        """Rebuild a single service from a checkpoint path (or loaded
+        object); see :func:`repro.online.recovery.restore_service`."""
+        from repro.online.recovery import restore_service
+
+        return restore_service(source, **kwargs)

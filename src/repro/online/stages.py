@@ -1,46 +1,41 @@
 """The online tick as explicit pipeline stages.
 
-The service's ``end_tick`` used to be one ~300-line method; the spans it
-emitted (``ingest-drain``, ``detect``, ``index-update``,
-``dirty-region``, ``transition-build``, ``verdict``, ``sinks``) were
-names painted onto inline code.  This module makes each span a *stage
-object* with an array-in/array-out contract over a shared
-:class:`TickContext`, so the same stages can be composed two ways:
-
-* :class:`~repro.online.service.OnlineCharacterizationService` runs one
-  pipeline over the whole population (exactly the old behaviour — the
-  refactor is observationally identical, including which spans a tick
-  emits);
-* :class:`~repro.online.sharded.ShardedService` runs one pipeline *per
-  spatial shard*, swapping only the transition-build stage for a
-  halo-aware variant and keying the verdict cache by global device id.
+Every span a tick emits is a *stage object* with an array-in/array-out
+contract over a shared :class:`TickContext`.  There is one tick path:
+the front door (:class:`~repro.online.service._FrontDoor`) runs the
+ingest, detect and sink stages, and each spatial shard of a
+:class:`~repro.online.sharded.ShardedService` — the single service is
+the one-shard, in-process case — runs the index-update stage on its
+input, and the halo-aware transition build
+(:class:`~repro.online.sharded.HaloTransitionBuildStage`) then the
+:class:`VerdictStage` at its verdict command.
 
 Stage contract
 --------------
 A stage is constructed once with its long-lived collaborators (store,
 tracker, engine, config) and holds whatever cross-tick state it needs
-(the transition chain, the verdict cache).  Per tick it receives one
-:class:`TickContext` and fills in its outputs:
+(the verdict cache).  Per tick it receives one :class:`TickContext` and
+fills in its outputs:
 
-====================  =================================  ====================================================
-stage                 reads                              writes
-====================  =================================  ====================================================
-``dirty-region``      store flags, tracker region        ``flagged, dirty, affected``
-``transition-build``  store planes, ``flagged``          ``transition, chain_next``
-``verdict``           ``transition, flagged, affected``  ``recompute, reused, verdicts, families_recomputed``
-``sinks``             the finished ``OnlineTick``        (side effects only)
-====================  =================================  ====================================================
+====================  ====================================  ====================================================
+stage                 reads                                 writes
+====================  ====================================  ====================================================
+``transition-build``  store planes, ``dirty``, halo band    ``flagged, affected, transition, key_of, verdict_targets``
+``verdict``           ``transition, verdict_targets,``      ``recompute, reused, verdicts, families_recomputed``
+                      ``affected, key_of``
+``sinks``             the finished ``OnlineTick``           (side effects only)
+====================  ====================================  ====================================================
 
+The transition build also opens the ``dirty-region`` span of the
+fan-out from the tick's dirty region to the affected verdict targets.
 Each stage opens its own tracer span *only when it actually works*, so
-the per-tick ``stage_seconds`` breakdown keeps exactly the keys the
-inline code produced (quiet ticks still skip ``transition-build`` /
-``verdict``).
+quiet ticks skip ``transition-build`` / ``verdict``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -53,13 +48,10 @@ from repro.online.dirty import DirtyRegion
 
 __all__ = [
     "DetectStage",
-    "DirtyRegionStage",
     "IndexUpdateStage",
     "IngestDrainStage",
     "SinkStage",
     "TickContext",
-    "TickPipeline",
-    "TransitionBuildStage",
     "VerdictStage",
     "remap_characterization",
 ]
@@ -67,15 +59,15 @@ __all__ = [
 
 @dataclass
 class TickContext:
-    """The array-valued blackboard one tick's stages read and write.
+    """The array-valued blackboard one shard's tick stages read and write.
 
-    ``flagged``, ``affected``, ``recompute`` and ``reused`` are in
-    *transition id space*: for the single service that is the global
-    device id (its transition is row-indexed, so ids are store rows),
-    for a shard pipeline it is the local row of the shard's
-    transition arrays and ``key_of`` carries the local→global id map
-    (``None`` means identity).  ``verdicts`` is always keyed by the
-    *cache key* (global id).  ``dirty`` is the tick's
+    ``flagged``, ``affected``, ``recompute``, ``reused`` and
+    ``verdict_targets`` are in *transition id space*: the local row of
+    the shard's transition arrays.  ``key_of`` maps a local row to its
+    global device id, the key of the verdict cache and of ``verdicts``.
+    ``verdict_targets`` are the rows the shard owes a verdict (its own
+    flagged devices; halo participants are characterized by their
+    owners).  ``dirty`` is the tick's global
     :class:`~repro.online.dirty.DirtyRegion` (its ``cells`` are the
     dirty cell keys).
 
@@ -88,28 +80,22 @@ class TickContext:
     """
 
     tick: int
-    applied: int = 0
     flagged: Tuple[int, ...] = ()
     dirty: DirtyRegion = field(default_factory=DirtyRegion.empty)
     affected: Set[int] = field(default_factory=set)
     transition: Optional[Transition] = None
-    chain_next: Optional[np.ndarray] = None
-    key_of: Optional[np.ndarray] = None
-    verdict_targets: Optional[Tuple[int, ...]] = None
+    key_of: List[int] = field(default_factory=list)
+    verdict_targets: Tuple[int, ...] = ()
     recompute: List[int] = field(default_factory=list)
     reused: List[int] = field(default_factory=list)
     verdicts: Dict[int, Characterization] = field(default_factory=dict)
     families_recomputed: int = 0
 
-    def key(self, device: int) -> int:
-        """Map a transition-space id to its stable cache key."""
-        if self.key_of is None:
-            return device
-        return int(self.key_of[device])
-
 
 def remap_characterization(
-    verdict: Characterization, key_of: np.ndarray
+    verdict: Characterization,
+    key_of: Sequence[int],
+    motions: Optional[Dict[FrozenSet[int], FrozenSet[int]]] = None,
 ) -> Characterization:
     """Rewrite a verdict from transition-local ids to global ids.
 
@@ -117,14 +103,25 @@ def remap_characterization(
     produces — including the witness motions, which are frozensets of
     device ids — must leave the shard in the global id space or two
     shards' reports could not be compared, merged or checkpointed.
+    ``motions`` memoizes remapped witness motions across the verdicts
+    of one tick, which share them (a massive group's members all carry
+    the group's motion).  The verdict is built field by field:
+    ``dataclasses.replace`` costs several times more on a tick that
+    remaps thousands of verdicts.
     """
     witness = verdict.witness
     if witness is not None:
-        witness = tuple(
-            frozenset(int(key_of[j]) for j in motion) for motion in witness
-        )
-    return replace(
-        verdict, device=int(key_of[verdict.device]), witness=witness
+        if motions is None:
+            motions = {}
+        remapped = []
+        for motion in witness:
+            mapped = motions.get(motion)
+            if mapped is None:
+                mapped = motions[motion] = frozenset([key_of[j] for j in motion])
+            remapped.append(mapped)
+        witness = tuple(remapped)
+    return Characterization(
+        key_of[verdict.device], verdict.anomaly_type, verdict.rule, verdict.cost, witness
     )
 
 
@@ -198,13 +195,12 @@ class DetectStage:
 
 
 class IndexUpdateStage:
-    """``index-update``: diff one snapshot against the store and apply it.
+    """``index-update``: diff one frame against the store and apply it.
 
-    The bridge the snapshot-shaped drivers share: rows whose position
-    or flag bit differs from the owner's store are applied as one
-    vectorized batch and marked on the dirty tracker.  ``current`` and
-    ``flags`` must be aligned with the store's allocated rows.  Returns
-    the number of rows applied.
+    The frame path's shard-side stage: the id-indexed frame is aligned
+    with the store's rows, and rows whose position or flag bit differs
+    are applied as one vectorized batch and marked on the dirty tracker.
+    Returns the number of rows applied.
     """
 
     name = "index-update"
@@ -212,13 +208,17 @@ class IndexUpdateStage:
     def __init__(self, owner) -> None:
         self._owner = owner
 
-    def apply_diff(
-        self, current: np.ndarray, flags, tracer: Tracer
+    def apply_frame(
+        self, frame: np.ndarray, flags: np.ndarray, tracer: Tracer
     ) -> int:
+        from repro.online.procshard import _gather_frame
         from repro.online.replay import diff_rows
 
         store = self._owner.store
         with tracer.span(self.name):
+            current, flags = _gather_frame(
+                np.asarray(store.row_ids()), frame, flags
+            )
             rows, positions, new_flags = diff_rows(
                 store.current_positions(),
                 current,
@@ -233,97 +233,14 @@ class IndexUpdateStage:
             return int(rows.size)
 
 
-class DirtyRegionStage:
-    """``dirty-region``: close the tracker and fan out to affected rows.
-
-    Only the flagged rows — the verdict targets — are tested against
-    the dirty region; the unflagged bulk near it is never visited.
-
-    ``owner`` is any object with ``store`` / ``tracker`` properties (a
-    service or a shard worker); stages read through it so a checkpoint
-    restore that swaps the owner's store is seen by every stage.
-    """
-
-    name = "dirty-region"
-
-    def __init__(self, owner) -> None:
-        self._owner = owner
-
-    def run(self, ctx: TickContext, tracer: Tracer) -> None:
-        store = self._owner.store
-        ctx.flagged = store.flagged_devices()
-        with tracer.span(self.name):
-            tracker = self._owner.tracker
-            ctx.dirty = tracker.close(store)
-            _, rows = tracker.finish_tick(store, ctx.dirty)
-            ctx.affected = set(rows.tolist())
-
-
-class TransitionBuildStage:
-    """``transition-build``: freeze the snapshot pair into a transition.
-
-    Owns the cross-tick perf state of the build: the *chained* current
-    copy (steady-state ticks pay one ``(n, d)`` copy, not two — the
-    previous tick's frozen ``cur`` is this tick's ``prev`` by object
-    identity).
-    """
-
-    name = "transition-build"
-
-    def __init__(self, owner, r: float, tau: int) -> None:
-        self._owner = owner
-        self._r = float(r)
-        self._tau = int(tau)
-        self.chain_cur: Optional[np.ndarray] = None
-        self.chain_serial: Optional[Tuple[int, int]] = None
-
-    def run(self, ctx: TickContext, tracer: Tracer) -> None:
-        if not ctx.flagged:
-            return
-        store = self._owner.store
-        with tracer.span(self.name):
-            prev_view, cur_view = store.snapshot_arrays()
-            # One read-only copy freezes the current positions for the
-            # published transition (ticks retain them; live views would
-            # be corrupted by the next update).  The prev side chains
-            # the previous tick's frozen cur — same content as the
-            # store's prev plane, zero extra copy — unless the store
-            # rolled an unexpected number of times in between, or a
-            # join/leave vacated or recycled a row since the copy.
-            cur_arr = cur_view.copy()
-            cur_arr.flags.writeable = False
-            chained = (
-                self.chain_cur is not None
-                and (store.tick_serial, store.membership_serial)
-                == self.chain_serial
-                and self.chain_cur.shape == prev_view.shape
-            )
-            if chained:
-                prev_arr = self.chain_cur
-            else:
-                prev_arr = prev_view.copy()
-                prev_arr.flags.writeable = False
-            ctx.chain_next = cur_arr
-            ctx.transition = Transition.from_views(
-                prev_arr, cur_arr, ctx.flagged, self._r, self._tau
-            )
-
-    def advance(self, ctx: TickContext) -> None:
-        """Roll the store and the chain after the tick's verdicts land."""
-        store = self._owner.store
-        store.advance_tick()
-        self.chain_cur = ctx.chain_next
-        self.chain_serial = (store.tick_serial, store.membership_serial)
-
-
 class VerdictStage:
     """``verdict``: plan the recompute set and characterize it.
 
     Owns the per-device verdict cache (the incremental path serves
     unaffected devices from it).  Ids seen by the engine are
-    transition-space; the cache is keyed through ``ctx.key`` so a
-    sharded pipeline can keep it in global id space across halo churn
-    and migrations.
+    transition-space; the cache is keyed through ``ctx.key_of`` so it
+    stays in global id space across halo churn and migrations.  Its span
+    covers the plan, the engine run and the remapped cache.
     """
 
     name = "verdict"
@@ -334,50 +251,41 @@ class VerdictStage:
         self.cache: Dict[int, Characterization] = {}
 
     def run(self, ctx: TickContext, tracer: Tracer) -> None:
-        # ``targets`` is who this stage owes a verdict: everything
-        # flagged for the single service, the *owned* flagged subset for
-        # a shard pipeline (halo devices participate in the transition
-        # but are characterized by their owning shard).
-        targets = (
-            ctx.flagged
-            if ctx.verdict_targets is None
-            else ctx.verdict_targets
-        )
+        targets = ctx.verdict_targets
         if not targets:
             self.cache = {}
             return
-        transition = ctx.transition
-        if self._incremental:
-            ctx.recompute = [
-                j
-                for j in targets
-                if j in ctx.affected or ctx.key(j) not in self.cache
-            ]
-            recompute_set = set(ctx.recompute)
-            ctx.reused = [j for j in targets if j not in recompute_set]
-        else:
-            ctx.recompute = list(targets)
-        if ctx.recompute:
-            with tracer.span(self.name):
-                run = self._owner.engine.characterize_run(
-                    transition, devices=ctx.recompute
-                )
-            fresh = run.verdicts
-            ctx.families_recomputed = run.families_recomputed
-        else:
-            fresh = {}
         key_of = ctx.key_of
-        merged: Dict[int, Characterization] = {}
-        for j in targets:
-            if j in fresh:
-                verdict = fresh[j]
-                if key_of is not None:
-                    verdict = remap_characterization(verdict, key_of)
-                merged[ctx.key(j)] = verdict
+        cache = self.cache
+        with tracer.span(self.name):
+            keys = [key_of[j] for j in targets]
+            if self._incremental:
+                affected = ctx.affected
+                ctx.recompute = [
+                    j
+                    for j, key in zip(targets, keys)
+                    if j in affected or key not in cache
+                ]
+                recompute_set = set(ctx.recompute)
+                ctx.reused = [j for j in targets if j not in recompute_set]
             else:
-                merged[ctx.key(j)] = self.cache[ctx.key(j)]
-        ctx.verdicts = merged
-        self.cache = merged
+                ctx.recompute = list(targets)
+            fresh = {}
+            if ctx.recompute:
+                run = self._owner.engine.characterize_run(
+                    ctx.transition, devices=ctx.recompute
+                )
+                fresh = run.verdicts
+                ctx.families_recomputed = run.families_recomputed
+            motions: Dict[FrozenSet[int], FrozenSet[int]] = {}
+            ctx.verdicts = self.cache = {
+                key: (
+                    remap_characterization(fresh[j], key_of, motions)
+                    if j in fresh
+                    else cache[key]
+                )
+                for j, key in zip(targets, keys)
+            }
 
 
 class SinkStage:
@@ -392,15 +300,3 @@ class SinkStage:
         with tracer.span(self.name):
             for sink in self.sinks:
                 sink(tick)
-
-
-class TickPipeline:
-    """An ordered run of the core per-tick stages over one context."""
-
-    def __init__(self, stages: Sequence[object]) -> None:
-        self.stages = list(stages)
-
-    def run(self, ctx: TickContext, tracer: Tracer) -> TickContext:
-        for stage in self.stages:
-            stage.run(ctx, tracer)
-        return ctx

@@ -245,7 +245,6 @@ class DeviceStateStore:
             self._id_of[:] = id_arr
             self._rows = IdColumnMap(id_arr, rows)
         self._tick_serial = 0
-        self._membership_serial = 0
         self._membership: List[DirtyRegion] = []
         self._coded_rows = np.empty(0, dtype=np.int64)
         self._sync_header()
@@ -343,21 +342,11 @@ class DeviceStateStore:
     def tick_serial(self) -> int:
         """Monotone counter bumped by each :meth:`advance_tick`.
 
-        Consumers that chain ``prev = last tick's cur`` (the service's
-        zero-extra-copy transition build) use this to detect a missed or
-        doubled roll and fall back to a fresh copy.
+        The shard command protocol compares it with a command's tick to
+        roll a deferred snapshot exactly once
+        (:func:`repro.online.procshard.handle_command`).
         """
         return self._tick_serial
-
-    @property
-    def membership_serial(self) -> int:
-        """Counter bumped by every :meth:`join` / :meth:`leave`.
-
-        A consumer holding a copy of last tick's positions (the
-        service's chained ``prev`` plane) compares it to detect rows
-        that were vacated or recycled since the copy was taken.
-        """
-        return self._membership_serial
 
     @property
     def nbytes(self) -> int:
@@ -384,6 +373,12 @@ class DeviceStateStore:
         """The rows backing ``ids`` (−1 where a device is unknown)."""
         return self._rows.lookup(ids)
 
+    def locate(self, ids) -> Tuple[np.ndarray, np.ndarray]:
+        """``ids``' rows (−1 where unknown) and their id-map slots, which
+        :meth:`leave_rows` and :meth:`admit_rows` take in place of a
+        second lookup (:meth:`~repro.online.idmap.IdColumnMap.locate`)."""
+        return self._rows.locate(ids)
+
     def id_of(self, row: int) -> int:
         """The device id stored in ``row``."""
         if not 0 <= row < self._used or self._id_of[row] < 0:
@@ -408,10 +403,6 @@ class DeviceStateStore:
         view = self._flags[: self._used]
         view.flags.writeable = False
         return view
-
-    def free_rows(self) -> np.ndarray:
-        """Allocated rows that back no device (the free-list, LIFO order)."""
-        return np.asarray(self._free, dtype=np.int64)
 
     def row_ids(self) -> np.ndarray:
         """Read-only view of the row→id column (−1 marks a free row).
@@ -540,6 +531,7 @@ class DeviceStateStore:
         cur: np.ndarray,
         flags: np.ndarray,
         codes: np.ndarray,
+        slots: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Admit ``k`` absent devices in one vectorized pass.
 
@@ -549,7 +541,9 @@ class DeviceStateStore:
         what :meth:`adopt_planes` trusts, so a worker killed mid-admit
         leaves each device either whole or absent — never present with a
         half-written trajectory — and an admit-if-absent resend completes
-        the batch.  Returns the backing rows, aligned with ``ids``.
+        the batch.  ``slots`` are the ids' :meth:`locate` slots from a
+        caller that has just found them absent.  Returns the backing
+        rows, aligned with ``ids``.
         """
         ids = np.asarray(ids, dtype=np.int64)
         k = ids.shape[0]
@@ -575,7 +569,11 @@ class DeviceStateStore:
             raise ConfigurationError(
                 f"device id must be >= 0, got {int(ids.min())!r}"
             )
-        if np.unique(ids).size != k or (self._rows.lookup(ids) >= 0).any():
+        stored = False
+        if slots is None:
+            found, slots = self._rows.locate(ids)
+            stored = bool((found >= 0).any())
+        if stored or np.unique(ids).size != k:
             raise ConfigurationError(
                 "devices are already stored (or repeated in the batch)"
             )
@@ -598,8 +596,7 @@ class DeviceStateStore:
         self._alive[rows] = True
         self._id_of[rows] = ids
         self._used += fresh
-        self._rows.insert(ids, rows)
-        self._membership_serial += k
+        self._rows.insert(ids, rows, slots)
         self._index.insert_rows(rows)
         if flags.any():
             # A stationary trajectory's prev endpoint is its cur one.
@@ -619,7 +616,9 @@ class DeviceStateStore:
         self.leave_rows(np.array([row], dtype=np.int64))
         return row
 
-    def leave_rows(self, rows: np.ndarray) -> None:
+    def leave_rows(
+        self, rows: np.ndarray, slots: Optional[np.ndarray] = None
+    ) -> None:
         """Evict the devices of distinct, occupied ``rows`` in one pass.
 
         ``id_of`` is cleared *first*, so a worker killed mid-leave
@@ -627,7 +626,8 @@ class DeviceStateStore:
         rest).  Each row is zeroed (positions, flag, verdict) *before*
         it enters the free-list — in ``rows`` order, as a sequence of
         :meth:`leave` calls would push them — so a later admit can never
-        observe a departed device's state.
+        observe a departed device's state.  ``slots`` are the devices'
+        :meth:`locate` slots, when the caller has them.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if not rows.size:
@@ -655,8 +655,7 @@ class DeviceStateStore:
         self._flags[rows] = False
         self._verdict[rows] = NO_VERDICT
         self._alive[rows] = False
-        self._rows.delete(ids)
-        self._membership_serial += rows.size
+        self._rows.delete(ids, slots)
         self._free.extend(rows.tolist())
 
     def take_membership(self) -> DirtyRegion:
@@ -816,7 +815,6 @@ class DeviceStateStore:
         store._free = [int(r) for r in np.asarray(state["free"]).tolist()]
         store._used = store._cur.shape[0]
         store._tick_serial = int(state["tick_serial"])
-        store._membership_serial = 0
         store._membership = [
             DirtyRegion.from_state(state, "membership", store._cell)
         ]
@@ -869,7 +867,6 @@ class DeviceStateStore:
         store._bind_planes(planes)
         store._used = int(planes.header[_HDR_USED])
         store._tick_serial = int(planes.header[_HDR_SERIAL])
-        store._membership_serial = 0
         store._membership = []
         # ``id_of`` is the occupancy truth: a row a killed predecessor
         # was admitting or evicting is free, and is scrubbed here so it

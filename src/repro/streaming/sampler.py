@@ -33,7 +33,8 @@ from repro.core.transition import Snapshot, Transition
 from repro.core.types import Characterization
 from repro.detection.banks import BankDetection, DetectorBank, DetectorSpec, as_bank
 from repro.engine import CharacterizationEngine
-from repro.online.service import OnlineCharacterizationService, ServiceConfig
+from repro.online.service import ServiceConfig
+from repro.online.sharded import OnlineCharacterizationService
 
 __all__ = [
     "SamplerConfig",

@@ -588,3 +588,52 @@ def test_heterogeneous_parameter_shapes(family, shape):
 def test_non_broadcastable_parameter_rejected(shape):
     with pytest.raises(ConfigurationError):
         DetectorSpec("step", {"max_step": np.full(shape, 0.1)}).bank(4, 3)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("plane", PLANES)
+def test_renewed_rows_run_as_fresh_detectors(family, plane):
+    """A renewed row runs as a fresh detector that observed its join
+    position first; a row past the fleet grows the bank; every other row
+    runs on as if nothing happened."""
+    rng = np.random.default_rng(11 + FAMILIES.index(family))
+    series = np.clip(rng.normal(0.6, 0.15, (18, 7, 2)), 0.0, 1.0)
+    series[12:14, 2, 1] = 0.02  # something for the renewed row to flag
+    joins = np.array([[0.6, 0.55], [0.3, 0.9]])
+    spec = SPECS[family]
+    bank = spec.bank(5, 2, plane=plane)
+    untouched = spec.bank(5, 2, plane=plane)
+    fresh = [spec.bank(1, 2, plane=plane) for _ in joins]
+    for k in range(6):
+        bank.observe_batch(series[k, :5])
+        untouched.observe_batch(series[k, :5])
+    bank.renew_rows(np.array([2, 6]), joins)
+    assert bank.shape == (7, 2)
+    for probe, join in zip(fresh, joins):
+        probe.observe_batch(join[None, :])
+    kept = [0, 1, 3, 4]
+    for k in range(6, 18):
+        got = bank.observe_batch(series[k])
+        pairs = [(untouched.observe_batch(series[k, :5]), kept, kept)]
+        pairs += [
+            (probe.observe_batch(series[k, [row]]), [0], [row])
+            for probe, row in zip(fresh, (2, 6))
+        ]
+        for want, want_rows, got_rows in pairs:
+            for name in ("abnormal", "flags"):
+                assert np.array_equal(
+                    getattr(got, name)[got_rows], getattr(want, name)[want_rows]
+                ), (k, got_rows, name)
+            for name in ("forecasts", "residuals", "scores"):
+                assert np.array_equal(
+                    getattr(got, name)[got_rows],
+                    getattr(want, name)[want_rows],
+                    equal_nan=True,
+                ), (k, got_rows, name)
+
+
+def test_renewal_refuses_per_device_parameters():
+    bank = DetectorSpec("ewma", {"alpha": np.full((3, 1), 0.2)}).bank(3, 2)
+    bank.observe_batch(np.full((3, 2), 0.5))
+    with pytest.raises(ConfigurationError, match="per-device"):
+        bank.renew_rows(np.array([1]), np.full((1, 2), 0.4))

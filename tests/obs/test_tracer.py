@@ -4,9 +4,12 @@ the service integration (every OnlineTick carries its own breakdown).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.detection import DetectorSpec
 from repro.obs.metrics import Registry, get_registry
 from repro.obs.trace import STAGE_HISTOGRAM, Tracer, get_tracer
 from repro.online import (
@@ -165,3 +168,42 @@ class TestServiceIntegration:
             assert {
                 j: v.anomaly_type for j, v in a.verdicts.items()
             } == {j: v.anomaly_type for j, v in b.verdicts.items()}
+
+
+class TestOneShardSpans:
+    """The single service's tick runs the sharded front door, and spans
+    its roundtrips: the frame handoff, the verdict sends, the dirty
+    union and the verdict merge, beside the shard's own stages."""
+
+    FRONT_DOOR = (
+        "detect",
+        "frame-roundtrip",
+        "shard-migrate",
+        "halo-exchange",
+        "dirty-union",
+        "shard-send",
+        "verdict-merge",
+        "sinks",
+    )
+    SHARD = ("index-update", "dirty-region", "transition-build", "verdict")
+
+    def test_frame_tick_carries_every_span(self):
+        rng = np.random.default_rng(2)
+        positions = rng.random((300, 2))
+        service = OnlineCharacterizationService(
+            positions,
+            ServiceConfig(r=0.05, tau=2),
+            detector=DetectorSpec("step", {"max_step": 0.05}),
+        )
+        frame = positions.copy()
+        frame[:30] = np.clip(frame[:30] + 0.2, 0.0, 1.0)
+        with service:
+            start = time.perf_counter()
+            tick = service.feed_measurements(frame)
+            elapsed = time.perf_counter() - start
+        assert tick.recomputed
+        for stage in self.FRONT_DOOR + self.SHARD:
+            assert stage in tick.stage_seconds, stage
+        # Flat spans: each stretch of the tick is timed once, so they
+        # never add up to more than the tick took.
+        assert sum(tick.stage_seconds.values()) <= elapsed

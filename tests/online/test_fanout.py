@@ -20,10 +20,9 @@ here compares against a test-local brute-force reference:
   alone (and the two topologies must agree on every verdict and
   recompute set).
 
-Store fixes ride along: a ``join`` / ``leave`` between ticks must drop
-the service's chained ``prev`` copy, a flagged join / leave must dirty
-its cells even when nothing else moves (checkpoints included), and a
-store restored into shared memory must land its rows in the shm planes.
+Store fixes ride along: a flagged join / leave must dirty its cells
+even when nothing else moves (checkpoints included), and a store
+restored into shared memory must land its rows in the shm planes.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.online import (
     ShardedService,
 )
 from repro.online.sharded import HaloTransitionBuildStage
-from repro.online.stages import DirtyRegionStage
 from repro.online.store import shm_planes_factory
 
 
@@ -182,7 +180,7 @@ def churn_stream(rng, single, sharded, ticks, n):
         prev = dict(pos)
         for _ in range(int(rng.integers(0, 3))):
             gone = int(rng.choice(sorted(pos)))
-            single.store.leave(gone)
+            single.leave(gone)
             if sharded is not None:
                 sharded.leave(gone)
             if flag[gone]:
@@ -193,7 +191,7 @@ def churn_stream(rng, single, sharded, ticks, n):
             j = free_ids.pop()
             p = rng.random(2)
             f = bool(rng.random() < 0.5)
-            single.store.join(j, p, f)
+            single.join(j, p, f)
             if sharded is not None:
                 sharded.join(j, tuple(p), f)
             if f:
@@ -249,17 +247,16 @@ class TestFlaggedOnlyFanout:
     def test_single_service_affected_matches_reference(self, seed, monkeypatch):
         checked = []
         reference = {}
-        original = DirtyRegionStage.run
+        original = HaloTransitionBuildStage.run
 
         def run(stage, ctx, tracer):
             original(stage, ctx, tracer)
-            store = stage._owner.store
-            flagged = store.flagged_devices()
-            want = exact_affected(flagged, reference["tick"], self.CFG.r)
-            assert ctx.affected == {store.row_of(j) for j in want}
+            owned = {ctx.key_of[l]: l for l in ctx.verdict_targets}
+            want = exact_affected(owned, reference["tick"], self.CFG.r)
+            assert ctx.affected == {owned[j] for j in want}
             checked.append(len(want))
 
-        monkeypatch.setattr(DirtyRegionStage, "run", run)
+        monkeypatch.setattr(HaloTransitionBuildStage, "run", run)
         rng = np.random.default_rng(seed)
         n = 60
         svc = OnlineCharacterizationService(rng.random((n, 2)), self.CFG)
@@ -361,32 +358,6 @@ class TestExactReach:
         assert tick.verdicts[0].anomaly_type.name == "MASSIVE"
 
 
-class TestMembershipChurn:
-    def test_join_and_leave_break_the_prev_chain(self):
-        """A recycled row must not inherit the departed device's ``prev``.
-
-        The transition build chains last tick's frozen ``cur`` copy as
-        this tick's ``prev``; a leave + LIFO re-join between ticks
-        rewrites that row in the store, so the chain must be dropped and
-        the published transition must match the store's planes.
-        """
-        rng = np.random.default_rng(3)
-        svc = OnlineCharacterizationService(
-            rng.random((30, 2)), ServiceConfig(r=0.04, tau=2)
-        )
-        with svc:
-            flags = np.zeros(30, dtype=bool)
-            flags[:12] = True
-            svc.feed_snapshot(np.asarray(svc.store.current_positions()), flags)
-            svc.store.leave(5)
-            svc.store.join(5, [0.9, 0.1], True)
-            tick = svc.end_tick()
-            prev, cur = svc.store.snapshot_arrays()
-            assert np.array_equal(tick.transition.previous.positions, prev)
-            assert np.array_equal(tick.transition.current.positions, cur)
-            assert np.array_equal(prev[5], [0.9, 0.1])
-
-
 def massive_group_service(make):
     """Four co-located flagged devices (massive at tau=2), two quiet ticks."""
     rng = np.random.default_rng(0)
@@ -414,8 +385,8 @@ class TestMembershipInvalidation:
             lambda pts: OnlineCharacterizationService(pts, self.CFG)
         )
         with svc:
-            svc.store.leave(3)
-            svc.store.leave(2)
+            svc.leave(3)
+            svc.leave(2)
             tick = svc.end_tick()
         assert self.survivors(tick) == {0: "isolated", 1: "isolated"}
         assert set(tick.recomputed) == {0, 1}
@@ -476,8 +447,8 @@ class TestMembershipInvalidation:
             lambda pts: OnlineCharacterizationService(pts, self.CFG)
         )
         with svc:
-            svc.store.leave(3)
-            svc.store.leave(2)
+            svc.leave(3)
+            svc.leave(2)
             path = svc.checkpoint(tmp_path / "ck.npz")
         with OnlineCharacterizationService.restore(path) as restored:
             tick = restored.end_tick()

@@ -207,8 +207,7 @@ class TestFrameAfterLeave:
         ticks = []
         with self._service(host, frames[0]) as service:
             for device in self.LEFT:
-                # The single service's membership lives on its store.
-                getattr(service, "store", service).leave(device)
+                service.leave(device)
             seen = service.bank.samples_seen
             with pytest.raises(DimensionMismatchError):
                 service.feed_measurements(frames[1][live])
@@ -235,6 +234,47 @@ class TestFrameAfterLeave:
                 assert {j: v.anomaly_type for j, v in a.verdicts.items()} == {
                     j: v.anomaly_type for j, v in b.verdicts.items()
                 }
+
+
+class TestFrameAfterJoin:
+    """A join grows the bank to the fleet's id range and restarts the
+    joined id's row: the next frame covers the new id, and a device
+    reusing a departed id does not inherit its predecessor's baseline."""
+
+    N = 20
+
+    _service = TestFrameAfterLeave._service
+
+    def _base(self):
+        return 0.1 + 0.8 * np.random.default_rng(23).random((self.N, 2))
+
+    @pytest.mark.parametrize("host", ["single", "inline", "process"])
+    def test_join_then_frame(self, host):
+        base = self._base()
+        with self._service(host, base) as service:
+            service.join(self.N, (0.5, 0.5))
+            frame = np.vstack([base, [0.5, 0.5]])
+            assert service.feed_measurements(frame).flagged == ()
+            assert service.bank.devices == self.N + 1
+            with pytest.raises(DimensionMismatchError):
+                service.feed_measurements(base)
+            frame[self.N, 0] = 0.9
+            tick = service.feed_measurements(frame)
+            assert tick.flagged == (self.N,)
+            assert service.n == self.N + 1
+
+    @pytest.mark.parametrize("host", ["single", "inline", "process"])
+    def test_rejoined_id_starts_from_its_join_position(self, host):
+        base = self._base()
+        far = (0.95 if base[3, 0] < 0.5 else 0.05, base[3, 1])
+        with self._service(host, base) as service:
+            service.leave(3)
+            service.join(3, far)
+            frame = base.copy()
+            frame[3] = far
+            assert service.feed_measurements(frame).flagged == ()
+            frame[3] = base[3]
+            assert service.feed_measurements(frame).flagged == (3,)
 
 
 class TestDriveLoadMeasurements:

@@ -326,9 +326,9 @@ def stream(seed: int) -> Stream:
 # ----------------------------------------------------------------------
 def _feed(service, tick: StreamTick, sharded: bool):
     for j in tick.leaves:
-        service.leave(j) if sharded else service.store.leave(j)
+        service.leave(j)
     for j, p, f in tick.joins:
-        service.join(j, p, f) if sharded else service.store.join(j, p, f)
+        service.join(j, p, f)
     service.ingest_many(tick.updates)
     return service.end_tick()
 

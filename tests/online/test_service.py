@@ -525,7 +525,12 @@ class TestFeedSnapshotStoreDiff:
         )
         assert service.flagged_devices() == (5,)
         assert set(out.verdicts) == {5}
-        assert_verdicts_match_batch(out, out.transition)
+        # The tick's transition runs from the base to the fed snapshot
+        # (ticks publish no transition object of their own).
+        reference = Transition(
+            Snapshot(base), Snapshot(current), [5], 0.05, 2
+        )
+        assert_verdicts_match_batch(out, reference)
 
     def test_feed_snapshot_unchanged_when_store_agrees(self):
         rng = np.random.default_rng(4)

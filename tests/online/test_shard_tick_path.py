@@ -413,7 +413,7 @@ class TestLeaveCommand:
             ticks = []
             for _ in range(3):
                 ticks.append((single.end_tick(), sharded.end_tick()))
-            single.store.leave(0)
+            single.leave(0)
             sharded.leave(0)
             ticks.append((single.end_tick(), sharded.end_tick()))
             assert dropped and handle.respawns == 1

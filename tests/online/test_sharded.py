@@ -238,7 +238,7 @@ class TestShardedIdentity:
             for _ in range(10):
                 alive = sorted(pos)
                 gone = int(rng.choice(alive))
-                single.store.leave(gone)
+                single.leave(gone)
                 sharded.leave(gone)
                 del pos[gone], flags[gone]
                 free_ids.append(gone)
@@ -246,7 +246,7 @@ class TestShardedIdentity:
                     j = free_ids.pop()
                     p = rng.random(2)
                     f = bool(rng.random() < 0.5)
-                    single.store.join(j, p, f)
+                    single.join(j, p, f)
                     sharded.join(j, tuple(p), f)
                     pos[j] = p
                     flags[j] = f

@@ -253,9 +253,12 @@ class TestIdColumnMapRuns:
         batches=st.lists(
             st.tuples(st.booleans(), st.lists(st.integers(0, 40), max_size=6)),
             max_size=40,
-        )
+        ),
+        by_slot=st.booleans(),
     )
-    def test_batches_match_a_dict(self, batches, small_recent_run):
+    def test_batches_match_a_dict(self, batches, by_slot, small_recent_run):
+        """``by_slot`` hands :meth:`IdColumnMap.locate`'s slots to
+        ``insert`` and ``delete``, as the shard ``migrate`` command does."""
         mirror = {j: j + 100 for j in range(0, 20, 2)}
         ids = np.array(sorted(mirror), dtype=np.int64)
         m = IdColumnMap(ids, ids + 100)
@@ -263,15 +266,16 @@ class TestIdColumnMapRuns:
             batch = np.unique(np.asarray(batch, dtype=np.int64))
             if add:
                 batch = np.array([j for j in batch if j not in mirror], dtype=np.int64)
-                m.insert(batch, batch * 3)
+                m.insert(batch, batch * 3, m.locate(batch)[1] if by_slot else None)
                 mirror.update((int(j), int(j) * 3) for j in batch)
             else:
                 batch = np.array([j for j in batch if j in mirror], dtype=np.int64)
-                m.delete(batch)
+                m.delete(batch, m.locate(batch)[1] if by_slot else None)
                 for j in batch:
                     del mirror[int(j)]
             probe = np.arange(-1, 42)
             assert m.lookup(probe).tolist() == [mirror.get(int(j), -1) for j in probe]
+            assert m.locate(probe)[0].tolist() == m.lookup(probe).tolist()
             assert [m.get(int(j)) for j in probe] == [mirror.get(int(j)) for j in probe]
             got_ids, got_values = m.items()
             assert got_ids.tolist() == sorted(mirror)
