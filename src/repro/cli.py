@@ -405,6 +405,12 @@ def _open_service(args: argparse.Namespace, initial, resume=None, **kwargs):
     return cls(initial, _service_config(args), **topology, **kwargs)
 
 
+def _topology_label(args: argparse.Namespace) -> str:
+    """The banners' topology field: empty for the single service."""
+    shards = args.topology_shards
+    return f" topology-shards={shards}" if shards else ""
+
+
 def _print_tick_table(ticks) -> None:
     print(
         f"{'tick':>5} {'applied':>8} {'flagged':>8} {'recomputed':>11} "
@@ -591,14 +597,9 @@ def _run_serve(args: argparse.Namespace) -> int:
                     flags=flag_source,
                 )
             else:
-                topo = (
-                    f" topology-shards={args.topology_shards}"
-                    if args.topology_shards
-                    else ""
-                )
                 print(
                     f"serve: n={args.devices} ticks={args.ticks} "
-                    f"churn={args.churn:.2%}{topo} "
+                    f"churn={args.churn:.2%}{_topology_label(args)} "
                     f"mode={mode} flags={flag_source}"
                 )
             ticks_left = max(0, args.ticks - start_tick)
@@ -696,13 +697,8 @@ def _run_replay(args: argparse.Namespace) -> int:
             detector=f"{args.detector}/{args.detection}",
         )
     else:
-        topo = (
-            f" topology-shards={args.topology_shards}"
-            if args.topology_shards
-            else ""
-        )
         print(
-            f"replay: {source}{topo} "
+            f"replay: {source}{_topology_label(args)} "
             f"mode={mode} detector={args.detector}/{args.detection}"
         )
     service = None

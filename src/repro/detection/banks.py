@@ -346,6 +346,10 @@ class DetectorBank(abc.ABC):
         zero state until a device joins there.
         """
 
+    def check_renewal(self, rows) -> None:
+        """Raise :class:`ConfigurationError` if :meth:`renew_rows` would
+        refuse ``rows``, before anything changes."""
+
 
 class ScalarDetectorBank(DetectorBank):
     """Reference plane: ``n x d`` scalar detectors behind the batch API.
@@ -429,8 +433,8 @@ class ArrayDetectorBank(DetectorBank):
 
     #: Per-row sample-count offsets, ``(n, 1)``; ``None``: all zero.
     _born: Optional[np.ndarray] = None
-    #: Whether some parameter varies by device, which rows cannot follow
-    #: into a renewal or a growth.
+    #: Whether some parameter varies by device, which a growth has no
+    #: row of.
     _per_device = False
 
     def __init__(
@@ -482,21 +486,29 @@ class ArrayDetectorBank(DetectorBank):
         parameter's shape (rows' once a row was renewed)."""
         return self._row_seen() >= self._warmup
 
+    def check_renewal(self, rows) -> None:
+        """Refuse growth when a parameter varies by device: the new rows
+        would have no parameters of their own."""
+        if self._per_device and int(np.max(rows)) >= self._n:
+            raise ConfigurationError(
+                f"a bank with per-device parameters cannot grow past its "
+                f"{self._n} rows"
+            )
+
     def renew_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Splice fresh detectors into ``rows`` (see the base class).
 
-        A probe bank of the renewed rows — this bank's state sliced to
+        A probe bank of the renewed rows — this bank's arrays taken at
         them, then :meth:`reset` — observes ``values``; its state arrays
         overwrite the rows'.  State is every array of two or more
-        dimensions led by the fleet axis; parameters stay 0-d or
-        per-service, and a bank with a per-device parameter refuses.
+        dimensions led by the fleet axis; a per-device parameter is one
+        too, taken and written back unchanged.  A row past the fleet
+        probes with the last row's parameters, every row's when none
+        varies by device (:meth:`check_renewal`).
         """
         rows = np.asarray(rows, dtype=np.int64)
         values = np.asarray(values, dtype=float).reshape(rows.size, self._d)
-        if self._per_device:
-            raise ConfigurationError(
-                "a bank with per-device parameters cannot renew or add rows"
-            )
+        self.check_renewal(rows)
         n = self._n
         state = [
             key
@@ -507,8 +519,9 @@ class ArrayDetectorBank(DetectorBank):
             and value.shape[0] == n
         ]
         probe = copy.copy(self)
+        taken = np.minimum(rows, n - 1)
         for key in state:
-            setattr(probe, key, getattr(self, key)[: rows.size].copy())
+            setattr(probe, key, getattr(self, key)[taken])
         probe._n = rows.size
         probe._born = None
         probe.reset()
@@ -517,16 +530,15 @@ class ArrayDetectorBank(DetectorBank):
         for key in state:
             column = getattr(self, key)
             if top > n:
-                grown = np.zeros((top,) + column.shape[1:], dtype=column.dtype)
-                grown[:n] = column
-                setattr(self, key, grown)
-                column = grown
+                column = np.concatenate(
+                    [column, np.zeros((top - n,) + column.shape[1:], column.dtype)]
+                )
+                setattr(self, key, column)
             fresh = getattr(probe, key)
             if fresh is not None:
                 column[rows] = fresh
         born = np.zeros((top, 1), dtype=np.int64)
-        if self._born is not None:
-            born[:n] = self._born
+        born[:n] = 0 if self._born is None else self._born
         born[rows] = self._seen - 1
         self._born = born
         self._n = top

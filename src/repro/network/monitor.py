@@ -288,53 +288,31 @@ class NetworkMonitor:
         previous = self._previous_qos
         self._previous_qos = qos
         if self._incremental:
-            return self._tick_incremental(result, previous, qos, flagged)
-        if previous is None or not flagged:
-            return result
-        with tracer.span("transition-build"):
-            transition = Transition(
-                Snapshot(previous),
-                Snapshot(qos),
-                flagged,
-                self._r,
-                self._tau,
-            )
-        result.transition = transition
-        with tracer.span("verdict"):
-            result.verdicts = self._engine.characterize(transition)
-        for device_id, verdict in result.verdicts.items():
-            if self._policy.should_report(verdict.anomaly_type):
-                result.reports.append(
-                    Report(
-                        tick=self._tick,
-                        device_id=device_id,
-                        gateway=self._topology.gateway_name(device_id),
-                        anomaly_type=verdict.anomaly_type,
-                        position=tuple(float(x) for x in qos[device_id]),
-                    )
+            # Characterize through the online service instead of batch.
+            if previous is None:
+                # The first tick seeds the service; there is no interval yet.
+                self._service = OnlineCharacterizationService(
+                    qos, self._service_config, engine=self._engine
                 )
-        return result
-
-    def _tick_incremental(
-        self,
-        result: TickResult,
-        previous: Optional[np.ndarray],
-        qos: np.ndarray,
-        flagged: List[int],
-    ) -> TickResult:
-        """Characterize through the online service instead of batch."""
-        if previous is None:
-            # First tick seeds the service state; there is no interval yet.
-            self._service = OnlineCharacterizationService(
-                qos, self._service_config, engine=self._engine
-            )
-            return result
-        assert self._service is not None
-        # The bank's flag vector goes to the service as-is — the columnar
-        # snapshot path diffs arrays, no per-gateway list needed.
-        assert self._last_detection is not None
-        out = self._service.feed_snapshot(qos, self._last_detection.flags)
-        result.verdicts = dict(out.verdicts)
+                return result
+            # The bank's flag vector goes to the service as-is — the
+            # columnar snapshot path diffs arrays, no per-gateway list.
+            out = self._service.feed_snapshot(qos, detection.flags)
+            result.verdicts = dict(out.verdicts)
+        else:
+            if previous is None or not flagged:
+                return result
+            with tracer.span("transition-build"):
+                transition = Transition(
+                    Snapshot(previous),
+                    Snapshot(qos),
+                    flagged,
+                    self._r,
+                    self._tau,
+                )
+            result.transition = transition
+            with tracer.span("verdict"):
+                result.verdicts = self._engine.characterize(transition)
         for device_id, verdict in result.verdicts.items():
             if self._policy.should_report(verdict.anomaly_type):
                 result.reports.append(

@@ -77,10 +77,7 @@ from repro.online.sharded import (
     ShardedService,
 )
 from repro.online.stages import (
-    DetectStage,
     IndexUpdateStage,
-    IngestDrainStage,
-    SinkStage,
     TickContext,
     VerdictStage,
 )
@@ -96,12 +93,10 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
     "CheckpointWriter",
-    "DetectStage",
     "DeviceStateStore",
     "DirtyRegionTracker",
     "HaloTransitionBuildStage",
     "IndexUpdateStage",
-    "IngestDrainStage",
     "LoadGenerator",
     "LoadProfile",
     "MetricsSink",
@@ -115,7 +110,6 @@ __all__ = [
     "ServiceStats",
     "ShardMap",
     "ShardedService",
-    "SinkStage",
     "TickContext",
     "VALIDATION_MODES",
     "VerdictStage",

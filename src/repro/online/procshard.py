@@ -35,8 +35,9 @@ command carries its tick and the worker rolls the deferred snapshot
 (``advance_tick``) lazily at the *first* command of the next tick —
 deferring the roll past the verdict is what makes a kill-and-respawn
 recoverable: the shared-memory planes always hold a consistent
-``(S_{k-1}, partially-updated S_k)`` pair.  An in-process shard has no
-kill to survive and rolls right after its verdict instead.
+``(S_{k-1}, partially-updated S_k)`` pair.  A lone in-process shard —
+the single service's, whose store is read between ticks — has no kill
+to survive and rolls right after its verdict instead.
 
 Supervision
 -----------
@@ -743,10 +744,10 @@ class _InlineShardHandle:
     shard falls back to when supervision exhausts its retries.  Speaks
     the send/recv surface of :class:`_ProcessShardHandle` (so the phase
     loops don't branch) but executes :func:`handle_command` directly on
-    an in-parent ``_ShardWorker`` at ``recv`` time, and rolls the
-    snapshot right after a verdict (there is no kill to defer it for);
-    peer halo bands are still read from shared memory by name, while a
-    frame arrives as the arrays themselves.
+    an in-parent ``_ShardWorker`` at ``recv`` time; a lone shard rolls
+    its snapshot right after a verdict (module doc).  Peer halo bands
+    are still read from shared memory by name, while a frame arrives as
+    the arrays themselves.
     Dispatch faults are never drawn here — there is no child to kill —
     while a payload's ``_hang`` (a delayed halo publish) stalls the
     reply the way the child loop does.
@@ -789,9 +790,9 @@ class _InlineShardHandle:
             halo_reader=self._halo_reader,
             board_reader=self._board_reader,
         )
-        if op == "verdict":
+        if op == "verdict" and self._map.n_shards == 1:
             # No kill to survive in-process: roll the snapshot as soon as
-            # the verdicts land, so between ticks the planes read
+            # the verdicts land, so between ticks the exposed store reads
             # ``(S_k, S_k)``, and the next tick's ``_maybe_roll`` is a no-op.
             self.inner.store.advance_tick()
         if payload.get("_hang"):

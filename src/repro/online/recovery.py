@@ -278,19 +278,6 @@ def load_checkpoint(path: _PathLike) -> Checkpoint:
     )
 
 
-def _load_topology(
-    source: Union[Checkpoint, _PathLike], topology: str, restorer: str
-) -> Checkpoint:
-    ckpt = source if isinstance(source, Checkpoint) else load_checkpoint(source)
-    if ckpt.topology != topology:
-        raise CheckpointError(
-            f"checkpoint is from a {ckpt.topology} service with "
-            f"{len(ckpt.parts)} part(s); {restorer} restores {topology} "
-            "checkpoints"
-        )
-    return ckpt
-
-
 def restore_service(
     source: Union[Checkpoint, _PathLike],
     *,
@@ -309,10 +296,8 @@ def restore_service(
     """
     from repro.online.sharded import OnlineCharacterizationService
 
-    return _restore(
-        OnlineCharacterizationService, "single", "restore_service", source,
-        config=config, sinks=sinks, tracer=tracer, engine=engine,
-        topology_workers="inline",
+    return OnlineCharacterizationService.restore(
+        source, config=config, sinks=sinks, tracer=tracer, engine=engine
     )
 
 
@@ -338,18 +323,10 @@ def restore_sharded_service(
     """
     from repro.online.sharded import ShardedService
 
-    return _restore(
-        ShardedService, "sharded", "restore_sharded_service", source,
-        config=config, sinks=sinks, tracer=tracer,
+    return ShardedService.restore(
+        source, config=config, sinks=sinks, tracer=tracer,
         topology_workers=topology_workers,
     )
-
-
-def _restore(cls, topology: str, restorer: str, source, *, config, **kwargs):
-    ckpt = _load_topology(source, topology, restorer)
-    service = cls._from_parts(ckpt.parts, config or ckpt.config, **kwargs)
-    service._restore_front_door(ckpt)
-    return service
 
 
 def checkpoint_path(directory: _PathLike, tick: int) -> Path:

@@ -68,7 +68,6 @@ from repro.core.types import AnomalyType, Characterization, DecisionRule
 from repro.detection.banks import BankDetection, DetectorBank
 from repro.obs.metrics import Registry, get_registry
 from repro.obs.trace import TickClock, Tracer
-from repro.online.stages import DetectStage, IngestDrainStage, SinkStage
 from repro.robust.chaos import get_injector
 
 __all__ = [
@@ -592,20 +591,14 @@ class _FrontDoor:
             "repro_service_flagged_devices",
             "Devices flagged at the latest tick",
         )
-        self._detect_stage = DetectStage()
+        self._bank: Optional[DetectorBank] = None
+        self._last_detection: Optional[BankDetection] = None
         self._queue: Deque[QosUpdate] = deque()
         # Updates applied since the last end_tick — includes inline
         # drains forced by "block" backpressure, so per-tick accounting
         # never undercounts.
         self._applied_since_tick = 0
         self._sinks: List[Callable[[OnlineTick], None]] = list(sinks)
-        self._ingest_stage = IngestDrainStage(
-            lambda: self._apply_batch(
-                self._config.max_batch or len(self._queue)
-            ),
-            lambda: len(self._queue),
-        )
-        self._sink_stage = SinkStage(self._sinks)
         self._tick = 0
         self._closed = False
         self.stats = ServiceStats(registry)
@@ -644,12 +637,12 @@ class _FrontDoor:
     @property
     def bank(self) -> Optional[DetectorBank]:
         """The in-service detector bank (None without a ``detector``)."""
-        return self._detect_stage.bank
+        return self._bank
 
     @property
     def last_detection(self) -> Optional[BankDetection]:
         """The bank's most recent batch detection, if any."""
-        return self._detect_stage.last
+        return self._last_detection
 
     def add_sink(self, sink: Callable[[OnlineTick], None]) -> None:
         """Attach a sink called with every finished :class:`OnlineTick`."""
@@ -676,8 +669,8 @@ class _FrontDoor:
 
     def _restore_front_door(self, ckpt) -> None:
         """Reinstate what a checkpoint keeps outside the store partitions."""
-        self._detect_stage.bank = ckpt.bank
-        self._detect_stage.last = ckpt.last_detection
+        self._bank = ckpt.bank
+        self._last_detection = ckpt.last_detection
         self._queue.extend(ckpt.queue)
         self._applied_since_tick = int(ckpt.applied_since_tick)
         self._tick = int(ckpt.tick)
@@ -716,6 +709,14 @@ class _FrontDoor:
     def ingest_many(self, updates: Iterable[QosUpdate]) -> int:
         """Enqueue a batch; returns how many were accepted cleanly."""
         return sum(1 for update in updates if self.ingest(update))
+
+    def _drain_queue(self) -> None:
+        """``ingest-drain``: apply the whole queue, ``max_batch`` at a time."""
+        if not self._queue:
+            return
+        with self._tracer.span("ingest-drain"):
+            while self._queue:
+                self._apply_batch(self._config.max_batch or len(self._queue))
 
     def _apply_batch(self, limit: int) -> int:
         """Pop up to ``limit`` events and apply them as row batches.
@@ -806,15 +807,21 @@ class _FrontDoor:
         service was built over, indexed by device id); the row of a
         device that has left is ignored.
         """
-        bank = self._detect_stage.require_bank()
+        bank = self._bank
+        if bank is None:
+            raise ConfigurationError(
+                "feed_measurements needs a detector; construct the service "
+                "with detector=DetectorSpec(...)"
+            )
         self._tick_clock.start(restart=True)
         arr = np.asarray(values, dtype=float)
         injector = get_injector()
         if injector.active:
             arr = injector.corrupt_frame(self._tick + 1, arr)
         arr = self._validate_frame(arr, bank.devices)
-        detection = self._detect_stage.observe(arr, self._tracer)
-        return self._feed_frame(arr, detection.flags)
+        with self._tracer.span("detect"):
+            self._last_detection = bank.observe_batch(arr)
+        return self._feed_frame(arr, self._last_detection.flags)
 
     def _validate_frame(self, arr: np.ndarray, rows: int) -> np.ndarray:
         """Apply the configured validation mode to one full frame.
@@ -832,7 +839,7 @@ class _FrontDoor:
             (rows, self.dim),
             self._config.validation,
             self._reject,
-            lambda: self._stored_frame(rows),
+            lambda: self._gather_current(rows),
         )
 
     def _feed_frame(self, current: np.ndarray, flags) -> OnlineTick:
@@ -840,7 +847,7 @@ class _FrontDoor:
         # Apply any events queued mid-tick first, so the frame's diff
         # sees the true store state (and emits corrections back to
         # `current` where a mid-tick ingest diverged from the frame).
-        self._ingest_stage.run(self._tracer)
+        self._drain_queue()
         applied_rows = self._apply_frame(current, flags)
         if applied_rows:
             self.stats.updates_applied += applied_rows
@@ -861,7 +868,7 @@ class _FrontDoor:
         tracer = self._tracer
         self._tick_clock.start()
         self._gauge_queue_depth.set(len(self._queue))
-        self._ingest_stage.run(tracer)
+        self._drain_queue()
         applied = self._applied_since_tick
         self._applied_since_tick = 0
         self._tick += 1
@@ -873,7 +880,9 @@ class _FrontDoor:
         stats.families_recomputed += result.families_recomputed
         self._gauge_devices.set(self.n)
         self._gauge_flagged.set(len(result.flagged))
-        self._sink_stage.run(result, tracer)
+        with tracer.span("sinks"):
+            for sink in self._sinks:
+                sink(result)
         # The sinks span closed after the tick body drained the stages;
         # fold it (and any spans a sink itself opened) into this tick's
         # breakdown so the next tick starts from a clean accumulator.

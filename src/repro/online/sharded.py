@@ -100,10 +100,14 @@ from typing import (
 
 import numpy as np
 
-from repro.core.errors import ConfigurationError, DimensionMismatchError
+from repro.core.errors import (
+    CheckpointError,
+    ConfigurationError,
+    DimensionMismatchError,
+)
 from repro.core.transition import Transition
 from repro.core.types import Characterization
-from repro.detection.banks import DetectorLike
+from repro.detection.banks import DetectorLike, as_bank
 from repro.engine import CharacterizationEngine
 from repro.ipc import (
     SegmentReader,
@@ -162,16 +166,6 @@ def _grid_for(shards: int, dim: int) -> Tuple[int, ...]:
         if shards % a == 0:
             best = a
     return (shards // best, best)
-
-
-def _fleet_points(initial_positions) -> np.ndarray:
-    """A service's ``(n, d)`` initial positions, checked non-empty."""
-    pts = np.asarray(initial_positions, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise DimensionMismatchError(
-            "initial_positions must be a non-empty (n, d) array"
-        )
-    return pts
 
 
 def _shard_map(cfg: ServiceConfig, shards: int, dim: int) -> "ShardMap":
@@ -538,7 +532,9 @@ class _ShardWorker:
     shard's residents, a checkpoint part or surviving shm planes.
     :meth:`run_tick` leaves the snapshot roll to the *next* tick's first
     mutating command, so a mid-verdict kill always leaves the planes
-    holding a consistent ``(S_{k-1}, S_k)`` pair.
+    holding a consistent ``(S_{k-1}, S_k)`` pair; only a lone
+    in-process shard's handle rolls right after the verdict
+    (:mod:`repro.online.procshard`).
     """
 
     def __init__(
@@ -642,6 +638,26 @@ class _ShardWorker:
             self.engine.close()
 
 
+class _LoneShardOwners:
+    """The device→shard map of a lone in-process shard: every id its
+    store holds is shard 0's, so presence is read off the store's own id
+    map and there is nothing to keep in step."""
+
+    def __init__(self, worker: _ShardWorker) -> None:
+        self._worker = worker
+
+    def get(self, device: int) -> Optional[int]:
+        return None if self._worker.store.row_if_present(device) is None else 0
+
+    def lookup(self, ids) -> np.ndarray:
+        return np.minimum(self._worker.store.rows_of(ids), 0)
+
+    def _follow(self, *_) -> None:
+        pass
+
+    insert = delete = assign = _follow
+
+
 class ShardedService(_FrontDoor):
     """Front door over ``topology_shards`` spatial shard workers.
 
@@ -675,6 +691,9 @@ class ShardedService(_FrontDoor):
         at least this many devices (a shard below it pays more in halo
         exchange and fixed per-tick overhead than it wins back); emits a
         :class:`RuntimeWarning` naming the collapsed shard count.
+    engine:
+        A characterization engine the in-process shards share (a process
+        shard builds its own); :meth:`close` leaves it open.
     """
 
     _CHECKPOINT_TOPOLOGY = "sharded"
@@ -687,13 +706,18 @@ class ShardedService(_FrontDoor):
         topology_shards: int = 4,
         topology_workers: str = "inline",
         min_shard_devices: int = 0,
+        engine: Optional[CharacterizationEngine] = None,
         sinks: Iterable[Callable[[OnlineTick], None]] = (),
         detector: Optional[DetectorLike] = None,
         detection: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         cfg = config or ServiceConfig()
-        pts = _fleet_points(initial_positions)
+        pts = np.asarray(initial_positions, dtype=float)
+        if pts.ndim != 2 or pts.shape[0] < 1:
+            raise DimensionMismatchError(
+                "initial_positions must be a non-empty (n, d) array"
+            )
         if min_shard_devices and topology_shards > 1:
             cap = max(1, pts.shape[0] // int(min_shard_devices))
             if cap < topology_shards:
@@ -721,23 +745,49 @@ class ShardedService(_FrontDoor):
             ]
         self._start(
             cfg, shard_map, pts.shape[1], topology_workers, inits,
-            sinks=sinks, tracer=tracer,
+            sinks=sinks, tracer=tracer, engine=engine,
         )
-        self._detect_stage.attach(detector, detection, pts)
+        if detector is not None:
+            # The bank observes the initial snapshot outside any span
+            # (warm-up step 0, like the trace replayers' step 0).
+            self._bank = as_bank(detector, *pts.shape, plane=detection)
+            self._last_detection = self._bank.observe_batch(pts)
+        elif detection is not None:
+            raise ConfigurationError(
+                "detection plane given without a detector spec or bank"
+            )
 
     @classmethod
-    def _from_parts(
+    def restore(
         cls,
-        parts,
-        config: ServiceConfig,
+        source,
         *,
-        topology_workers: str,
-        sinks,
-        tracer,
+        config: Optional[ServiceConfig] = None,
+        topology_workers: str = "inline",
+        sinks: Iterable[Callable[[OnlineTick], None]] = (),
+        tracer: Optional[Tracer] = None,
         engine: Optional[CharacterizationEngine] = None,
     ) -> "ShardedService":
-        """A service whose shards are born holding their checkpoint parts:
-        a process child inherits its part through the fork."""
+        """Rebuild a service of this class from a checkpoint path (or
+        loaded :class:`~repro.online.recovery.Checkpoint`) of its own
+        topology; see :func:`repro.online.recovery.restore_sharded_service`
+        and :func:`~repro.online.recovery.restore_service`.
+
+        The shards are born holding their checkpoint parts — a process
+        child inherits its part through the fork — and the front door
+        reinstates the rest.
+        """
+        from repro.online.recovery import Checkpoint, load_checkpoint
+
+        ckpt = source if isinstance(source, Checkpoint) else load_checkpoint(source)
+        topology = cls._CHECKPOINT_TOPOLOGY
+        if ckpt.topology != topology:
+            raise CheckpointError(
+                f"checkpoint is from a {ckpt.topology} service with "
+                f"{len(ckpt.parts)} part(s); {cls.__name__} restores "
+                f"{topology} checkpoints"
+            )
+        parts, config = ckpt.parts, config or ckpt.config
         dim = int(np.asarray(parts[0].store_state["cur"]).shape[1])
         service = cls.__new__(cls)
         service._start(
@@ -745,6 +795,7 @@ class ShardedService(_FrontDoor):
             [("state", part) for part in parts], sinks=sinks, tracer=tracer,
             engine=engine,
         )
+        service._restore_front_door(ckpt)
         return service
 
     def _start(
@@ -826,20 +877,25 @@ class ShardedService(_FrontDoor):
                         shard_map,
                     )
                 )
-            # The device→shard map: resident ids and each one's shard
-            # (restored id columns mark free rows −1).
-            cols = []
-            for init in inits:
-                if init[0] == "fresh":
-                    ids = init[2]
-                    cols.append(np.arange(init[1].shape[0]) if ids is None else ids)
-                else:
-                    ids = np.asarray(init[1].store_state["id_of"])
-                    cols.append(ids[ids >= 0])
-            self._owners = IdColumnMap(
-                np.concatenate(cols),
-                np.repeat(np.arange(len(cols)), [col.size for col in cols]),
-            )
+            if shard_map.n_shards == 1 and topology_workers == "inline":
+                self._owners = _LoneShardOwners(self._handles[0].inner)
+            else:
+                # The device→shard map: resident ids and each one's shard
+                # (restored id columns mark free rows −1).
+                cols = []
+                for init in inits:
+                    if init[0] == "fresh":
+                        ids = init[2]
+                        cols.append(
+                            np.arange(init[1].shape[0]) if ids is None else ids
+                        )
+                    else:
+                        ids = np.asarray(init[1].store_state["id_of"])
+                        cols.append(ids[ids >= 0])
+                self._owners = IdColumnMap(
+                    np.concatenate(cols),
+                    np.repeat(np.arange(len(cols)), [col.size for col in cols]),
+                )
         except Exception as exc:
             failure = exc
         for handle in self._handles:
@@ -1062,14 +1118,6 @@ class ShardedService(_FrontDoor):
             unlink_by_name(name)
         self._orphans = []
 
-    @classmethod
-    def restore(cls, source, **kwargs) -> "ShardedService":
-        """Rebuild a sharded service from a checkpoint path (or loaded
-        object); see :func:`repro.online.recovery.restore_sharded_service`."""
-        from repro.online.recovery import restore_sharded_service
-
-        return restore_sharded_service(source, **kwargs)
-
     def shard_states(self) -> List[Tuple[Dict, Dict, Dict]]:
         """Per-shard ``(store_state, tracker_state, verdict_cache)``.
 
@@ -1103,20 +1151,21 @@ class ShardedService(_FrontDoor):
         """Admit a device on the shard owning its cell; returns the shard.
 
         A flagged join's position is folded into the front door's dirty
-        insurance (see :meth:`_migrate`) as well as the shard's own.  The
-        detector bank, if any, grows to the device's id and restarts its
-        row from the join position
+        insurance (see :meth:`_migrate`) as well as the shard's own.  Once
+        the shard has admitted the device — it refuses a negative id or a
+        position off the unit cube — the detector bank, if any, grows to
+        the device's id and restarts its row from the join position
         (:meth:`~repro.detection.banks.DetectorBank.renew_rows`), so the
         next frame covers the id and the device inherits no predecessor's
-        baseline.
+        baseline.  A refused join changes nothing.
         """
         device = int(device)
         if self._owners.get(device) is not None:
             raise ConfigurationError(f"device {device} is already stored")
         pos = np.asarray(position, dtype=float)
-        bank = self._detect_stage.bank
+        bank = self._bank
         if bank is not None:
-            bank.renew_rows(np.array([device]), pos[None, :])
+            bank.check_renewal([device])
         key = np.floor(pos / self._config.cell).astype(np.int64)
         shard = int(self._map.shard_of_keys(key[None, :])[0])
         self._phase_one(
@@ -1127,6 +1176,8 @@ class ShardedService(_FrontDoor):
                 {"device": device, "position": pos, "flagged": bool(flagged)},
             ),
         )
+        if bank is not None:
+            bank.renew_rows(np.array([device]), pos[None, :])
         if flagged:
             self._mover_points.append(
                 DirtyRegion.of_points(pos[None, :], self._config.cell)
@@ -1292,9 +1343,6 @@ class ShardedService(_FrontDoor):
             np.asarray(current, dtype=float), flags_arr.shape[0]
         )
         return self._feed_frame(current, flags_arr)
-
-    def _stored_frame(self, rows: int) -> np.ndarray:
-        return self._gather_current(rows)
 
     def _apply_frame(self, current: np.ndarray, flags: np.ndarray) -> int:
         """Hand the frame to every shard; each applies its residents' rows.
@@ -1518,37 +1566,22 @@ class OnlineCharacterizationService(ShardedService):
         detection: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        cfg = config or ServiceConfig()
-        pts = _fleet_points(initial_positions)
-        self._start(
-            cfg, _shard_map(cfg, 1, pts.shape[1]), pts.shape[1], "inline",
-            [("fresh", pts, None)], sinks=sinks, tracer=tracer, engine=engine,
+        super().__init__(
+            initial_positions, config, topology_shards=1, engine=engine,
+            sinks=sinks, detector=detector, detection=detection, tracer=tracer,
         )
-        self._detect_stage.attach(detector, detection, pts)
-
-    @property
-    def _worker(self) -> _ShardWorker:
-        return self._handles[0].inner
 
     @property
     def store(self) -> DeviceStateStore:
         """The columnar device-state store of the one shard."""
-        return self._worker.store
+        return self._handles[0].inner.store
 
     @property
     def tracker(self) -> DirtyRegionTracker:
         """The dirty-region tracker accumulating this tick's region."""
-        return self._worker.tracker
+        return self._handles[0].inner.tracker
 
     @property
     def engine(self) -> CharacterizationEngine:
         """The characterization engine recomputations route through."""
-        return self._worker.engine
-
-    @classmethod
-    def restore(cls, source, **kwargs) -> "OnlineCharacterizationService":
-        """Rebuild a single service from a checkpoint path (or loaded
-        object); see :func:`repro.online.recovery.restore_service`."""
-        from repro.online.recovery import restore_service
-
-        return restore_service(source, **kwargs)
+        return self._handles[0].inner.engine

@@ -1,14 +1,14 @@
-"""The online tick as explicit pipeline stages.
+"""The shard side of the online tick as explicit pipeline stages.
 
-Every span a tick emits is a *stage object* with an array-in/array-out
-contract over a shared :class:`TickContext`.  There is one tick path:
-the front door (:class:`~repro.online.service._FrontDoor`) runs the
-ingest, detect and sink stages, and each spatial shard of a
-:class:`~repro.online.sharded.ShardedService` — the single service is
-the one-shard, in-process case — runs the index-update stage on its
-input, and the halo-aware transition build
-(:class:`~repro.online.sharded.HaloTransitionBuildStage`) then the
-:class:`VerdictStage` at its verdict command.
+A shard's spans are *stage objects* with an array-in/array-out contract
+over a shared :class:`TickContext`.  There is one tick path: each
+spatial shard of a :class:`~repro.online.sharded.ShardedService` — the
+single service is the one-shard, in-process case — runs the
+:class:`IndexUpdateStage` on its input, and the halo-aware transition
+build (:class:`~repro.online.sharded.HaloTransitionBuildStage`) then the
+:class:`VerdictStage` at its verdict command.  The front door
+(:class:`~repro.online.service._FrontDoor`), of which there is one, times
+its own ``ingest-drain``, ``detect`` and ``sinks`` spans.
 
 Stage contract
 --------------
@@ -23,7 +23,6 @@ stage                 reads                                 writes
 ``transition-build``  store planes, ``dirty``, halo band    ``flagged, affected, transition, key_of, verdict_targets``
 ``verdict``           ``transition, verdict_targets,``      ``recompute, reused, verdicts, families_recomputed``
                       ``affected, key_of``
-``sinks``             the finished ``OnlineTick``           (side effects only)
 ====================  ====================================  ====================================================
 
 The transition build also opens the ``dirty-region`` span of the
@@ -35,22 +34,17 @@ quiet ticks skip ``transition-build`` / ``verdict``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.errors import ConfigurationError
 from repro.core.transition import Transition
 from repro.core.types import Characterization
-from repro.detection.banks import BankDetection, DetectorBank, DetectorLike, as_bank
 from repro.obs.trace import Tracer
 from repro.online.dirty import DirtyRegion
 
 __all__ = [
-    "DetectStage",
     "IndexUpdateStage",
-    "IngestDrainStage",
-    "SinkStage",
     "TickContext",
     "VerdictStage",
     "remap_characterization",
@@ -123,75 +117,6 @@ def remap_characterization(
     return Characterization(
         key_of[verdict.device], verdict.anomaly_type, verdict.rule, verdict.cost, witness
     )
-
-
-class IngestDrainStage:
-    """``ingest-drain``: empty the bounded queue into the store.
-
-    The queue and its backpressure policy are service-level API; the
-    stage wraps the service's drain callable so the pipeline owns the
-    span and the loop, not the queue semantics.
-    """
-
-    name = "ingest-drain"
-
-    def __init__(self, drain: Callable[[], int], pending: Callable[[], int]) -> None:
-        self._drain = drain
-        self._pending = pending
-
-    def run(self, tracer: Tracer) -> None:
-        if not self._pending():
-            return
-        with tracer.span(self.name):
-            while self._pending():
-                self._drain()
-
-
-class DetectStage:
-    """``detect``: the in-service detector bank and its latest detection.
-
-    :meth:`attach` builds the bank and lets it observe the initial
-    snapshot (warm-up step 0, like the trace replayers' step 0) outside
-    any span; :meth:`observe` runs it over one raw frame per tick.
-    """
-
-    name = "detect"
-
-    def __init__(self) -> None:
-        self.bank: Optional[DetectorBank] = None
-        self.last: Optional[BankDetection] = None
-
-    def attach(
-        self,
-        detector: Optional[DetectorLike],
-        detection: Optional[str],
-        initial: np.ndarray,
-    ) -> None:
-        """Build the bank for ``initial``'s ``(n, d)`` fleet and warm it."""
-        if detector is not None:
-            self.bank = as_bank(
-                detector, initial.shape[0], initial.shape[1], plane=detection
-            )
-            self.last = self.bank.observe_batch(initial)
-        elif detection is not None:
-            raise ConfigurationError(
-                "detection plane given without a detector spec or bank"
-            )
-
-    def require_bank(self) -> DetectorBank:
-        bank = self.bank
-        if bank is None:
-            raise ConfigurationError(
-                "feed_measurements needs a detector; construct the service "
-                "with detector=DetectorSpec(...)"
-            )
-        return bank
-
-    def observe(self, frame: np.ndarray, tracer: Tracer) -> BankDetection:
-        bank = self.require_bank()
-        with tracer.span(self.name):
-            self.last = bank.observe_batch(frame)
-        return self.last
 
 
 class IndexUpdateStage:
@@ -286,17 +211,3 @@ class VerdictStage:
                 )
                 for j, key in zip(targets, keys)
             }
-
-
-class SinkStage:
-    """``sinks``: fan the finished tick out to every attached sink."""
-
-    name = "sinks"
-
-    def __init__(self, sinks: List[Callable]) -> None:
-        self.sinks = sinks
-
-    def run(self, tick, tracer: Tracer) -> None:
-        with tracer.span(self.name):
-            for sink in self.sinks:
-                sink(tick)

@@ -632,8 +632,24 @@ def test_renewed_rows_run_as_fresh_detectors(family, plane):
                 ), (k, got_rows, name)
 
 
-def test_renewal_refuses_per_device_parameters():
-    bank = DetectorSpec("ewma", {"alpha": np.full((3, 1), 0.2)}).bank(3, 2)
-    bank.observe_batch(np.full((3, 2), 0.5))
+def test_renewal_keeps_per_device_parameters_and_refuses_growth():
+    """A renewed row of a per-device bank runs on its own parameters; a
+    row past the fleet, which has none, is refused before any change."""
+    alpha = np.array([[0.2], [0.7], [0.4]])
+    series = np.clip(np.random.default_rng(5).normal(0.6, 0.1, (12, 3, 2)), 0, 1)
+    bank = DetectorSpec("ewma", {"alpha": alpha, "warmup": 2}).bank(3, 2)
+    for k in range(4):
+        bank.observe_batch(series[k])
     with pytest.raises(ConfigurationError, match="per-device"):
-        bank.renew_rows(np.array([1]), np.full((1, 2), 0.4))
+        bank.check_renewal(np.array([3]))
+    with pytest.raises(ConfigurationError, match="per-device"):
+        bank.renew_rows(np.array([3]), np.full((1, 2), 0.4))
+    assert bank.devices == 3
+    bank.renew_rows(np.array([1]), np.full((1, 2), 0.4))
+    fresh = DetectorSpec("ewma", {"alpha": 0.7, "warmup": 2}).bank(1, 2)
+    fresh.observe_batch(np.full((1, 2), 0.4))
+    for k in range(4, 12):
+        got = bank.observe_batch(series[k])
+        want = fresh.observe_batch(series[k, [1]])
+        assert np.array_equal(got.scores[[1]], want.scores, equal_nan=True), k
+        assert np.array_equal(got.abnormal[[1]], want.abnormal), k

@@ -176,12 +176,13 @@ class TestFrameAfterLeave:
     N = 40
     LEFT = (3, 17)
 
-    def _service(self, host, positions):
+    def _service(self, host, positions, detection=None):
         config = ServiceConfig(r=0.03, tau=3)
+        kwargs = {"detector": SPEC, "detection": detection}
         if host == "single":
-            return OnlineCharacterizationService(positions, config, detector=SPEC)
+            return OnlineCharacterizationService(positions, config, **kwargs)
         return ShardedService(
-            positions, config, topology_shards=2, topology_workers=host, detector=SPEC
+            positions, config, topology_shards=2, topology_workers=host, **kwargs
         )
 
     def _frames(self, ticks=5):
@@ -274,6 +275,53 @@ class TestFrameAfterJoin:
             frame[3] = far
             assert service.feed_measurements(frame).flagged == ()
             frame[3] = base[3]
+            assert service.feed_measurements(frame).flagged == (3,)
+
+
+    @pytest.mark.parametrize("host", ["single", "inline", "process"])
+    @pytest.mark.parametrize("plane", ["bank", "scalar"])
+    @pytest.mark.parametrize(
+        "device, position",
+        [(20, (1.5, 0.5)), (20, (float("nan"), 0.5)), (-1, (0.5, 0.5))],
+        ids=["off-cube", "nan", "negative-id"],
+    )
+    def test_refused_join_leaves_no_trace(self, host, plane, device, position):
+        """A join the shard refuses leaves the bank as it was: no growth,
+        and no row (the last one, for id −1) restarted."""
+        base = self._base()
+        base[self.N - 1] = (0.15, 0.15)  # far from the refused position
+        frames = [base.copy() for _ in range(3)]
+        frames[2][0, 0] = 0.95 if base[0, 0] < 0.5 else 0.05
+        with self._service(host, base, plane) as service, self._service(
+            host, base, plane
+        ) as reference:
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ConfigurationError):
+                    service.join(device, position)
+            assert service.bank.devices == self.N
+            assert service.n == self.N
+            for frame in frames:
+                want = reference.feed_measurements(frame)
+                assert service.feed_measurements(frame).flagged == want.flagged
+            assert want.flagged == (0,)
+
+    def test_join_keeps_per_device_parameters(self):
+        """A bank whose parameters vary by device renews a departed id's
+        row in place, and refuses growth before the shard is touched."""
+        base = self._base()
+        spec = DetectorSpec("step", {"max_step": np.full((self.N, 1), 0.12)})
+        with OnlineCharacterizationService(
+            base, ServiceConfig(r=0.03, tau=3), detector=spec
+        ) as service:
+            with pytest.raises(ConfigurationError, match="per-device"):
+                service.join(self.N, (0.5, 0.5))
+            assert service.n == self.N and service.bank.devices == self.N
+            service.leave(3)
+            service.join(3, (0.5, 0.5))
+            frame = base.copy()
+            frame[3] = (0.5, 0.5)
+            assert service.feed_measurements(frame).flagged == ()
+            frame[3, 0] = 0.9
             assert service.feed_measurements(frame).flagged == (3,)
 
 
