@@ -1571,6 +1571,13 @@ class OnlineCharacterizationService(ShardedService):
             sinks=sinks, detector=detector, detection=detection, tracer=tracer,
         )
 
+    @classmethod
+    def restore(cls, source, **kwargs) -> "OnlineCharacterizationService":
+        """:meth:`ShardedService.restore`, with its one shard in process."""
+        if kwargs.get("topology_workers", "inline") != "inline":
+            raise ConfigurationError("the single service's shard runs inline")
+        return super().restore(source, **kwargs)
+
     @property
     def store(self) -> DeviceStateStore:
         """The columnar device-state store of the one shard."""

@@ -96,6 +96,17 @@ class TestConfigValidation:
         assert config.cell == pytest.approx(0.06)
         assert ServiceConfig(r=0.0).cell == pytest.approx(1e-6)
 
+    def test_single_service_restores_inline_only(self, tmp_path):
+        """Its ``store``/``tracker``/``engine`` read an in-process shard."""
+        base = np.random.default_rng(4).random((30, 2))
+        with OnlineCharacterizationService(base) as service:
+            service.end_tick()
+            path = service.checkpoint(tmp_path / "single.npz")
+        with pytest.raises(ConfigurationError, match="inline"):
+            OnlineCharacterizationService.restore(path, topology_workers="process")
+        with OnlineCharacterizationService.restore(path) as restored:
+            assert restored.store.n == 30
+
 
 class TestEngineOwnership:
     """A service closes the engine it built, never one it was handed."""
