@@ -1,13 +1,9 @@
-"""Online-subsystem benchmarks: incremental beats rebuild under churn.
+"""Online-subsystem benchmark: the incremental service beats full recompute.
 
-Two asserted claims, at ``n ∈ {1k, 10k}`` with ~1% per-tick churn:
-
-* maintaining a :class:`~repro.online.MutableGridIndex` through a tick's
-  moves is faster than rebuilding a batch
-  :class:`~repro.core.geometry.GridIndex` from scratch;
-* the incremental service (dirty-region invalidation + verdict cache)
-  recomputes *strictly fewer* neighbourhoods than full per-tick
-  recharacterization, and wins wall-clock, on identical update streams.
+The asserted claim, at ``n ∈ {1k, 10k}`` with ~1% per-tick churn: the
+incremental service (dirty-region invalidation + verdict cache)
+recomputes *strictly fewer* neighbourhoods than full per-tick
+recharacterization, and wins wall-clock, on identical update streams.
 
 Every run appends one row to ``_SUMMARY_ROWS``; after the module,
 ``benchmarks/conftest.py`` writes them to the path in
@@ -18,102 +14,24 @@ workflow artifact.
 from __future__ import annotations
 
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import geometry
-from repro.core.geometry import GridIndex
 from repro.online import (
-    MutableGridIndex,
     OnlineCharacterizationService,
     QosUpdate,
     ServiceConfig,
 )
 
-#: (n, churn) grid for both claims.
+#: (n, churn) grid of the claim.
 SCALES = [(1_000, 0.01), (10_000, 0.01)]
 
 _SUMMARY_ROWS: list = []
 
 
-def _churn_moves(rng, positions, k):
-    movers = rng.choice(positions.shape[0], size=k, replace=False)
-    moves = []
-    for device in movers:
-        device = int(device)
-        positions[device] = np.clip(
-            positions[device] + rng.normal(0.0, 0.01, positions.shape[1]),
-            0.0,
-            1.0,
-        )
-        moves.append((device, positions[device].copy()))
-    return moves
-
-
 # ----------------------------------------------------------------------
-# Claim 1: incremental index maintenance vs full rebuild
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("n,churn", SCALES)
-def test_incremental_index_beats_full_rebuild(n, churn):
-    cell = 0.06
-    ticks = 5
-    rng = np.random.default_rng(0)
-    base = rng.random((n, 2))
-    # Pre-generate identical move streams for both strategies.
-    positions = base.copy()
-    per_tick_moves = [
-        _churn_moves(rng, positions, max(1, int(round(churn * n))))
-        for _ in range(ticks)
-    ]
-
-    mutable = MutableGridIndex.from_points(base, cell)
-    start = time.perf_counter()
-    for moves in per_tick_moves:
-        for device, pos in moves:
-            mutable.move(device, pos)
-    incremental_time = time.perf_counter() - start
-
-    rebuild_positions = base.copy()
-    # The rebuild is the grid's: cell keys plus the code sort, which a
-    # fresh GridIndex builds on its first grid-side query.  A lone query
-    # is otherwise answered by a scan that builds no index at all
-    # (DESIGN.md, "Neighbourhood queries"), so the grid side is forced.
-    start = time.perf_counter()
-    with mock.patch.object(geometry, "_SCAN_CROSSOVER", 0):
-        for moves in per_tick_moves:
-            for device, pos in moves:
-                rebuild_positions[device] = pos
-            GridIndex(rebuild_positions, cell).query(rebuild_positions[0], 0.0)
-    rebuild_time = time.perf_counter() - start
-
-    # O(k) vs O(n) per tick: measured 30-100x at 1% churn; 2x keeps the
-    # gate sturdy on noisy CI boxes.
-    assert incremental_time * 2 < rebuild_time, (
-        f"incremental {incremental_time * 1e3:.2f}ms not faster than "
-        f"rebuild {rebuild_time * 1e3:.2f}ms at n={n}"
-    )
-    # The maintained index still answers like a fresh build.
-    probe = rebuild_positions[:: max(1, n // 50)]
-    assert mutable.query_batch(probe, 2 * cell) == GridIndex(
-        rebuild_positions, cell
-    ).query_batch(probe, 2 * cell)
-    _SUMMARY_ROWS.append(
-        {
-            "claim": "index_maintenance",
-            "n": n,
-            "churn": churn,
-            "ticks": ticks,
-            "incremental_seconds": incremental_time,
-            "rebuild_seconds": rebuild_time,
-            "speedup": rebuild_time / incremental_time,
-        }
-    )
-
-
-# ----------------------------------------------------------------------
-# Claim 2: incremental service vs full per-tick recharacterization
+# Incremental service vs full per-tick recharacterization
 # ----------------------------------------------------------------------
 def _scenario_updates(n, churn, *, ticks, seed=0):
     """One setup batch (flag 2%) + per-tick batches of mostly-healthy churn."""

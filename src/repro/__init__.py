@@ -30,8 +30,8 @@ Subpackages
     Batch-first characterization engine: vectorized neighbourhoods and
     a motion cache shared across devices and transitions.
 ``repro.online``
-    Event-driven characterization service: sharded device-state store,
-    incremental grid indexes, dirty-region invalidation, and a
+    Event-driven characterization service: sharded device-state store
+    with a cell-key column, dirty-region invalidation, and a
     replayable event pipeline with backpressure.
 ``repro.detection``
     Error detection functions ``a_k(j)`` (threshold, EWMA, CUSUM,

@@ -143,7 +143,7 @@ class NetworkMonitor:
         the caller's to close.
     incremental:
         When true, the tick loop routes through an
-        :class:`~repro.online.service.OnlineCharacterizationService`
+        :class:`~repro.online.sharded.OnlineCharacterizationService`
         instead of recharacterizing every flagged gateway: per-tick QoS
         diffs become events, only verdicts whose ``4r`` neighbourhoods
         changed are recomputed.  Verdicts are identical either way.

@@ -4,11 +4,11 @@ The batch drivers (:mod:`repro.simulation`, :mod:`repro.experiments`)
 rebuild every spatial index and recompute every verdict each interval.
 This package keeps a live population warm instead:
 
-* :class:`~repro.online.grid.MutableGridIndex` — the incremental twin of
-  :class:`~repro.core.geometry.GridIndex`: insert / remove / move in
-  O(1), query-identical by contract;
 * :class:`~repro.online.store.DeviceStateStore` — last two QoS snapshots
-  and flag state per device, as columns;
+  and flag state per device, as columns, changed only in row batches;
+* :class:`~repro.online.grid.MutableGridIndex` — the store's cell-key
+  column (the cells of :class:`~repro.core.geometry.GridIndex`), re-keyed
+  per batch for the dirty-region fan-out;
 * :class:`~repro.online.dirty.DirtyRegionTracker` — maps a tick's
   changed positions to the flagged devices within ``4r`` of them, whose
   verdicts could have changed (the paper's locality result read as an
@@ -55,7 +55,6 @@ from repro.online.replay import (
     LoadGenerator,
     LoadProfile,
     OnlineReplayResult,
-    diff_updates,
     drive_load,
     drive_load_measurements,
     replay_trace_online,
@@ -81,14 +80,13 @@ from repro.online.stages import (
     TickContext,
     VerdictStage,
 )
-from repro.online.store import AppliedUpdate, DeviceStateStore
+from repro.online.store import DeviceStateStore
 
 # ``perfbench/run.py`` imports this name; the benchmark's own files are
 # only edited by benchmark changes, so the alias stays until one drops it.
 load_sharded_checkpoint = load_checkpoint
 
 __all__ = [
-    "AppliedUpdate",
     "BACKPRESSURE_POLICIES",
     "CHECKPOINT_VERSION",
     "Checkpoint",
@@ -114,7 +112,6 @@ __all__ = [
     "VALIDATION_MODES",
     "VerdictStage",
     "checkpoint_path",
-    "diff_updates",
     "drive_load",
     "drive_load_measurements",
     "latest_checkpoint",

@@ -57,7 +57,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.geometry import CONSISTENCY_ATOL, unique_cells
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.online.store import AppliedBatch, AppliedUpdate, DeviceStateStore
+    from repro.online.store import AppliedBatch, DeviceStateStore
 
 __all__ = ["DirtyRegion", "DirtyRegionTracker"]
 
@@ -215,36 +215,17 @@ class DirtyRegionTracker:
         """Cell-ring radius of the influence band."""
         return self._rings
 
-    def mark(self, applied: "AppliedUpdate", *, was_relevant: bool) -> bool:
-        """Record one applied update; returns whether it dirtied anything.
-
-        ``was_relevant`` is true when the device was flagged *before* the
-        update — a move of a device that is unflagged before and after
-        cannot change any verdict and is skipped entirely.
-        """
-        relevant = applied.flag_changed or (
-            applied.moved and (applied.flagged or was_relevant)
-        )
-        if not relevant:
-            return False
-        region = DirtyRegion.of_points(
-            np.array([applied.prev_position, applied.new_position]), self._cell
-        )
-        self._pending.append(region)
-        if applied.moved:
-            # prev_{k+1} = cur_k: this trajectory shifts again next tick.
-            self._carry_next.append(region)
-        return True
-
     def mark_batch(
         self, batch: "AppliedBatch", *, was_relevant: np.ndarray
     ) -> int:
-        """Vectorized :meth:`mark` over one applied row batch.
+        """Record one applied row batch; returns its relevant-row count.
 
-        Computes the relevance mask in one pass and gathers the
-        ``prev``/new positions of the relevant rows only — the irrelevant
-        bulk of a steady-state tick allocates nothing per device.
-        Returns the number of relevant updates.
+        A row is relevant when its flag toggled, or when it moved while
+        flagged after the update or before it (``was_relevant``): a move
+        of a device unflagged on both sides cannot change any verdict.
+        The relevance mask is one pass, and only the relevant rows'
+        ``prev``/new positions are gathered — the irrelevant bulk of a
+        steady-state tick allocates nothing per device.
         """
         relevant = batch.flag_changed | (
             batch.moved & (batch.flagged | np.asarray(was_relevant, dtype=bool))

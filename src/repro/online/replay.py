@@ -4,12 +4,11 @@ Two drivers close the loop between recorded data and the online service:
 
 * :func:`replay_trace_online` runs a detector bank over a QoS trace
   (recorded via :mod:`repro.io.traces` or generated by
-  :mod:`repro.io.synthetic`), diffs consecutive snapshots into
-  :class:`~repro.online.service.QosUpdate` events — a device reports
-  only when its position or flag bit changed — and feeds the service one
-  tick per trace step.  It is the streaming twin of
-  :func:`repro.io.synthetic.replay_trace`, with identical flagged sets
-  and verdicts.
+  :mod:`repro.io.synthetic`), diffs consecutive snapshots into row
+  batches (:func:`diff_rows`) — a device reports only when its position
+  or flag bit changed — and feeds the service one tick per trace step.
+  It is the streaming twin of :func:`repro.io.synthetic.replay_trace`,
+  with identical flagged sets and verdicts.
 * :class:`LoadGenerator` synthesizes open-ended update streams (random
   drift, anomalous jumps, optional coordinated bursts) for scenario and
   scale runs — millions of updates without materializing a trace.
@@ -35,7 +34,6 @@ __all__ = [
     "LoadProfile",
     "OnlineReplayResult",
     "diff_rows",
-    "diff_updates",
     "drive_load",
     "drive_load_measurements",
     "replay_trace_online",
@@ -87,33 +85,6 @@ def diff_rows(
         differs |= prev[:, k] != cur[:, k]
     changed = np.nonzero(differs)[0]
     return changed, cur[changed], cur_flags_arr[changed]
-
-
-def diff_updates(
-    previous: np.ndarray,
-    current: np.ndarray,
-    previous_flags: Sequence[bool],
-    current_flags: Sequence[bool],
-) -> List[QosUpdate]:
-    """Turn two consecutive snapshots into the minimal event batch.
-
-    A device emits an update iff its position or flag bit changed — the
-    event stream a fleet of report-on-change gateways would produce.
-    Compatibility shim over :func:`diff_rows` for callers that want
-    :class:`QosUpdate` objects (the service's snapshot path feeds the
-    row vectors straight to the store instead).
-    """
-    rows, positions, flags = diff_rows(
-        previous, current, previous_flags, current_flags
-    )
-    return [
-        QosUpdate(
-            device=int(device),
-            position=tuple(pos),
-            flagged=bool(flag),
-        )
-        for device, pos, flag in zip(rows, positions, flags)
-    ]
 
 
 class _Stopwatch:
@@ -396,7 +367,7 @@ def drive_load_measurements(
 
     The detector-owning twin of :func:`drive_load`: generator updates
     are folded into a full ``(n, d)`` snapshot per tick and shipped via
-    :meth:`~repro.online.service.OnlineCharacterizationService.feed_measurements`
+    :meth:`~repro.online.sharded.OnlineCharacterizationService.feed_measurements`
     — the *service's* bank decides the flags, the generator's flag bits
     are deliberately ignored.  The service must have been constructed
     with a ``detector`` and seeded with ``generator.initial_positions()``.

@@ -30,8 +30,8 @@ This module holds what every caller sees — :class:`ServiceConfig`,
 (the queue, validation, detector bank, stats, sinks and checkpoints).
 The tick itself has one path,
 :class:`~repro.online.sharded.ShardedService`; the single service,
-:class:`~repro.online.sharded.OnlineCharacterizationService` (importable
-from here too), is its one-shard, in-process case.
+:class:`~repro.online.sharded.OnlineCharacterizationService`, is its
+one-shard, in-process case.
 
 Verdict identity with batch recharacterization is the contract: on any
 update stream, the verdict map after ``end_tick`` equals what a fresh
@@ -74,7 +74,6 @@ __all__ = [
     "BACKPRESSURE_POLICIES",
     "VALIDATION_MODES",
     "MetricsSink",
-    "OnlineCharacterizationService",
     "OnlineTick",
     "QosUpdate",
     "ReportSink",
@@ -301,13 +300,12 @@ _SERVICE_STAT_HELP = {
 class ServiceStats:
     """Run-level counters of one service instance.
 
-    API-compatible with its former dataclass shape — readable/writable
-    int attributes plus :meth:`as_dict` — but the counters now *live* on
-    the metric registry: every positive increment is mirrored onto a
-    ``repro_service_<field>_total`` counter of ``registry`` (a service
-    passes its tracer's, beside its gauges), so the export plane sees
-    one aggregate series per field across the services sharing it
-    while each instance keeps its own exact values here.  (Registry
+    Readable/writable int attributes plus :meth:`as_dict`.  Every
+    positive increment is mirrored onto a ``repro_service_<field>_total``
+    counter of ``registry`` (a service passes its tracer's, beside its
+    gauges), so the export plane sees one aggregate series per field
+    across the services sharing it while each instance keeps its own
+    exact values here.  (Registry
     counters are monotone; a stat rewound by hand — never done by the
     service — adjusts only the local view.)
     """
@@ -893,12 +891,3 @@ class _FrontDoor:
         self._tick_clock.stop()
         return result
 
-
-def __getattr__(name: str):
-    # The single service lives with the tick path in repro.online.sharded,
-    # which imports this module; a lazy import keeps both import paths.
-    if name == "OnlineCharacterizationService":
-        from repro.online.sharded import OnlineCharacterizationService
-
-        return OnlineCharacterizationService
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

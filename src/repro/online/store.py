@@ -21,16 +21,19 @@ ids are already ascending (a fresh fleet's ``0..n-1``, or any store
 whose rows were never recycled out of id order).  :meth:`admit_rows` and
 :meth:`leave_rows` insert and delete one batch at a time.
 
-Freed rows go on a LIFO free-list: :meth:`join` reuses the most recently
-vacated row (best cache locality) and :meth:`leave` scrubs the row
-before freeing it so reuse can never resurrect stale positions or flags.
+Freed rows go on a LIFO free-list: :meth:`admit_rows` reuses the most
+recently vacated row (best cache locality) and :meth:`leave_rows` scrubs
+the row before freeing it so reuse can never resurrect stale positions
+or flags.  ``id_of >= 0`` marks the occupied rows (the ``alive`` column
+mirrors it); :meth:`join` and :meth:`leave` are one-device forms of the
+batch calls, for the shard commands.
 
-The hot path itself is :meth:`apply_rows`: one gather/compare/scatter
-over the tick's changed rows, one vectorized cell re-key in the adopted
-:class:`~repro.online.grid.MutableGridIndex` (which shares the current
-position plane zero-copy), and an :class:`AppliedBatch` of row vectors
-for the dirty-region tracker.  The per-device :meth:`apply` survives as
-a compatibility shim over a one-row batch.
+Device state changes only in batches of rows.  The hot path is
+:meth:`apply_rows`: one gather/compare/scatter over the tick's changed
+rows, one vectorized cell re-key in the adopted
+:class:`~repro.online.grid.MutableGridIndex` (the cell-key column over
+the current position plane, shared zero-copy), and an
+:class:`AppliedBatch` of row vectors for the dirty-region tracker.
 
 :meth:`snapshot_arrays` and :meth:`current_positions` return *read-only
 views* by default (``copy=True`` opts into a private copy); anything
@@ -54,12 +57,11 @@ from repro.core.geometry import validate_unit_cube
 from repro.core.types import AnomalyType, Characterization
 from repro.ipc import ShmPlanes
 from repro.online.dirty import DirtyRegion
-from repro.online.grid import CellKey, MutableGridIndex
+from repro.online.grid import MutableGridIndex
 from repro.online.idmap import IdColumnMap
 
 __all__ = [
     "AppliedBatch",
-    "AppliedUpdate",
     "DeviceStateStore",
     "attach_store_planes",
     "read_store_columns",
@@ -138,25 +140,6 @@ def read_store_columns(seg, capacity: int, dim: int) -> Dict[str, np.ndarray]:
     planes = ShmPlanes(seg, capacity, store_plane_fields(dim), owner=False)
     used = int(planes.header[_HDR_USED])
     return {name: col[:used].copy() for name, col in planes.arrays.items()}
-
-
-@dataclass(frozen=True)
-class AppliedUpdate:
-    """What one :meth:`DeviceStateStore.apply` actually changed.
-
-    The dirty-region tracker consumes exactly these facts: whether the
-    device moved, whether its flag bit toggled, and its trajectory's
-    endpoints — ``prev_position`` (``S_{k-1}``) and the new position.
-    """
-
-    device: int
-    moved: bool
-    flag_changed: bool
-    flagged: bool
-    old_cell: CellKey
-    new_cell: CellKey
-    prev_position: Tuple[float, ...]
-    new_position: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -304,7 +287,7 @@ class DeviceStateStore:
         """Drop every shm view and close (optionally unlink) the planes.
 
         The worker-exit path: numpy views pin the mapping, so the
-        columns and the adopted grid index must be dropped *before* the
+        columns and the adopted cell-key index must be dropped *before* the
         segment closes.  The store is unusable afterwards.
         """
         if self._planes is None:
@@ -378,16 +361,6 @@ class DeviceStateStore:
         :meth:`leave_rows` and :meth:`admit_rows` take in place of a
         second lookup (:meth:`~repro.online.idmap.IdColumnMap.locate`)."""
         return self._rows.locate(ids)
-
-    def id_of(self, row: int) -> int:
-        """The device id stored in ``row``."""
-        if not 0 <= row < self._used or self._id_of[row] < 0:
-            raise UnknownDeviceError(f"row {row} is not occupied")
-        return int(self._id_of[row])
-
-    def is_flagged(self, device: int) -> bool:
-        """Current flag bit ``a_k(j)``."""
-        return bool(self._flags[self.row_of(device)])
 
     def flagged_devices(self) -> Tuple[int, ...]:
         """All currently flagged devices, sorted by id."""
@@ -474,53 +447,25 @@ class DeviceStateStore:
         view.flags.writeable = False
         return view
 
-    def position(self, device: int) -> np.ndarray:
-        """Current position of ``device`` (a copy)."""
-        return self._cur[self.row_of(device)].copy()
-
     # ------------------------------------------------------------------
     # Membership (join / leave with row reuse)
     # ------------------------------------------------------------------
     def join(
         self, device: int, position: Sequence[float], flagged: bool = False
     ) -> int:
-        """Admit a device, reusing a freed row if one exists.
+        """Admit a device, reusing a freed row if one exists (a one-row
+        :meth:`admit_rows`).
 
         Both snapshots start at ``position`` (a new trajectory is
         stationary).  Returns the backing row.
         """
-        pos = np.asarray(position, dtype=float)
-        return self.admit(device, pos, pos, flagged)
-
-    def admit(
-        self,
-        device: int,
-        prev: Sequence[float],
-        cur: Sequence[float],
-        flagged: bool = False,
-        verdict_code: int = int(NO_VERDICT),
-    ) -> int:
-        """Admit a device mid-trajectory, with distinct snapshot endpoints.
-
-        A one-row :meth:`admit_rows`.  A device crossing a shard boundary
-        must arrive with its *previous* position intact — :meth:`join`
-        would restart its trajectory as stationary (``prev = cur``),
-        silently erasing the very move that made it cross.  Returns the
-        backing row.
-        """
-        prev_pos = np.asarray(prev, dtype=float)
-        cur_pos = np.asarray(cur, dtype=float)
-        for name, pos in (("position", cur_pos), ("prev", prev_pos)):
-            if pos.shape != (self.dim,):
-                raise DimensionMismatchError(
-                    f"{name} shape {pos.shape} incompatible with dim {self.dim}"
-                )
+        pos = np.asarray(position, dtype=float).reshape(1, -1)
         rows = self.admit_rows(
             np.array([device], dtype=np.int64),
-            prev_pos[None, :],
-            cur_pos[None, :],
+            pos,
+            pos,
             np.array([bool(flagged)]),
-            np.array([verdict_code], dtype=np.int8),
+            np.array([NO_VERDICT], dtype=np.int8),
         )
         return int(rows[0])
 
@@ -536,7 +481,10 @@ class DeviceStateStore:
         """Admit ``k`` absent devices in one vectorized pass.
 
         Rows come off the free-list LIFO, then from the high-water mark
-        (growing the planes as a sequence of :meth:`admit` calls would).
+        (growing the planes as a sequence of :meth:`join` calls would).
+        ``prev`` and ``cur`` may differ: a device crossing a shard
+        boundary arrives mid-trajectory, and restarting it as stationary
+        would erase the very move that made it cross.
         The payload columns are written *before* ``id_of``: occupancy is
         what :meth:`adopt_planes` trusts, so a worker killed mid-admit
         leaves each device either whole or absent — never present with a
@@ -597,7 +545,7 @@ class DeviceStateStore:
         self._id_of[rows] = ids
         self._used += fresh
         self._rows.insert(ids, rows, slots)
-        self._index.insert_rows(rows)
+        self._index.move_rows(rows)
         if flags.any():
             # A stationary trajectory's prev endpoint is its cur one.
             moved = flags & np.any(prev != cur, axis=1)
@@ -649,7 +597,6 @@ class DeviceStateStore:
                 )
             )
         self._id_of[rows] = -1
-        self._index.remove_rows(rows)
         self._prev[rows] = 0.0
         self._cur[rows] = 0.0
         self._flags[rows] = False
@@ -736,33 +683,6 @@ class DeviceStateStore:
             new_positions=positions,
         )
 
-    def apply(
-        self, device: int, position: Sequence[float], flagged: bool
-    ) -> AppliedUpdate:
-        """Apply one QoS report and describe what changed.
-
-        Compatibility shim over a one-row :meth:`apply_rows` batch.
-        """
-        row = self.row_of(device)
-        pos = validate_unit_cube(np.asarray(position, dtype=float))
-        if pos.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"position shape {pos.shape} incompatible with dim {self.dim}"
-            )
-        rows = np.array([row], dtype=np.int64)
-        old_cell = tuple(self._index.keys_of_rows(rows)[0].tolist())
-        batch = self.apply_rows(rows, pos.reshape(1, -1), np.array([bool(flagged)]))
-        return AppliedUpdate(
-            device=device,
-            moved=bool(batch.moved[0]),
-            flag_changed=bool(batch.flag_changed[0]),
-            flagged=bool(flagged),
-            old_cell=old_cell,
-            new_cell=tuple(self._index.keys_of_rows(rows)[0].tolist()),
-            prev_position=tuple(self._prev[row].tolist()),
-            new_position=tuple(pos.tolist()),
-        )
-
     def advance_tick(self) -> None:
         """Roll ``S_k`` into ``S_{k-1}`` (one vectorized copy)."""
         np.copyto(self._prev[: self._used], self._cur[: self._used])
@@ -775,10 +695,10 @@ class DeviceStateStore:
     def state(self, *, columns: bool = True) -> Dict[str, np.ndarray]:
         """The store's full state as plain arrays (trimmed to used rows).
 
-        Everything derived — the grid index and the id→row map — is
-        rebuilt by :meth:`from_state`, so only the
-        columns, the free-list, the scalars and the not yet taken
-        membership endpoints (:meth:`take_membership`) travel.
+        Everything derived — the cell-key column and the id→row map — is
+        rebuilt by :meth:`from_state`, so only the columns, the
+        free-list, the scalars and the not yet taken membership endpoints
+        (:meth:`take_membership`) travel.
         ``columns=False`` leaves out the six columns, which a reader of
         the shm planes copies itself (:func:`read_store_columns`).
         """
@@ -823,22 +743,18 @@ class DeviceStateStore:
         return store
 
     def _rebuild_derived(self) -> None:
-        """Rebuild the id→row map, coded rows and grid index from the columns.
+        """Rebuild the id→row map, coded rows and cell keys from the columns.
 
-        The index adopts the full-capacity plane with only the occupied
-        rows (``id_of >= 0``) alive, so scrubbed free rows never haunt
-        cell ``(0, ..., 0)``.
+        The index keys the full-capacity plane; free rows' keys are
+        stale, and every reader masks them by ``id_of``.
         """
         # Rows past the high-water mark hold id −1 (a fresh or a
         # scrubbed plane), so ``id_of >= 0`` is the full-capacity mask.
-        alive = self._id_of >= 0
-        occupied = np.flatnonzero(alive)
+        occupied = np.flatnonzero(self._id_of >= 0)
         self._rows = IdColumnMap(self._id_of[occupied], occupied)
         del occupied  # before the index's transient (n, d) key plane
         self._coded_rows = np.flatnonzero(self._verdict[: self._used] != NO_VERDICT)
-        self._index = MutableGridIndex.from_array(
-            self._cur, self._cell, alive=alive
-        )
+        self._index = MutableGridIndex.from_array(self._cur, self._cell)
 
     @classmethod
     def adopt_planes(
@@ -854,8 +770,9 @@ class DeviceStateStore:
         worker adopts the partition its killed predecessor left in
         shared memory.  Row data, the used high-water mark, and the tick
         serial come straight from the segment; everything derived — the
-        id→row map, the free-list, the grid index — is rebuilt.  The free-list's LIFO *order* does not survive (only
-        its membership); the sharded topology never observes it because
+        id→row map, the free-list, the cell-key column — is rebuilt.
+        The free-list's LIFO *order* does not survive (only its
+        membership); the sharded topology never observes it because
         participants rank by global id, and callers that do need the
         exact recycling order restore from a checkpoint instead.
         """
@@ -881,12 +798,9 @@ class DeviceStateStore:
             store._alive[stale] = False
             store._id_of[stale] = -1
         store._free = np.nonzero(stale[: store._used])[0].tolist()
-        # The index adopts the *full-capacity* plane — not just the
-        # used-rows view — because a later ``join`` may claim row
-        # ``_used`` without triggering a plane grow (capacity > used),
-        # and an external index refuses inserts beyond its bound extent.
-        # Rows that never held a device are not alive, exactly like
-        # freed rows; a genuine grow rebinds as usual.
+        # The index keys the *full-capacity* plane — not just the
+        # used-rows view — because a later admit may claim row ``_used``
+        # without a plane grow (capacity > used); a grow rebinds.
         store._rebuild_derived()
         return store
 

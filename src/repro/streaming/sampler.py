@@ -184,7 +184,7 @@ class SampledCharacterizationStream:
         Policy knobs for the per-device samplers.
     incremental:
         When true, verdicts come from an
-        :class:`~repro.online.service.OnlineCharacterizationService` fed
+        :class:`~repro.online.sharded.OnlineCharacterizationService` fed
         with per-tick diffs: the service keeps *every* flagged device's
         verdict fresh (recomputing only where ``4r`` neighbourhoods
         changed), and the due-filter selects which verdicts this tick

@@ -47,6 +47,7 @@ from repro.online import (
 )
 from repro.online.sharded import HaloTransitionBuildStage
 from repro.online.store import shm_planes_factory
+from tests.online.store_ops import position_of
 
 
 def reference_near(probes, cells, rings):
@@ -120,7 +121,7 @@ class TestCellsWithinRings:
         pts = rng.random((300, 3))
         pts[0] = 0.0
         pts[1] = 1.0
-        index = MutableGridIndex.from_points(pts, cell)
+        index = MutableGridIndex.from_array(pts, cell)
         keys = np.floor(pts / cell).astype(np.int64)
         dirty = np.concatenate([keys[:2], keys[5:40] + 2])
         span = np.maximum(keys.max(axis=0), dirty.max(axis=0)) - np.minimum(
@@ -129,7 +130,7 @@ class TestCellsWithinRings:
         assert geometry._row_major_strides(span + 9) is None
         rows = np.arange(300, dtype=np.int64)
         for rings in (0, 2, 4):
-            got = index.rows_near_cells(rows, dirty, rings).tolist()
+            got = rows[index.ring_distances(rows, dirty, rings) <= rings].tolist()
             want = reference_near(keys.tolist(), dirty.tolist(), rings)
             assert got == [int(r) for r in rows[np.asarray(want)]]
 
@@ -171,7 +172,7 @@ def churn_stream(rng, single, sharded, ticks, n):
     endpoints — and ``prev`` / ``cur`` map each present device to its
     trajectory endpoints.
     """
-    pos = {j: single.store.position(j) for j in range(n)}
+    pos = {j: position_of(single.store, j) for j in range(n)}
     flag = dict.fromkeys(pos, False)
     free_ids = []
     carry = []
@@ -474,7 +475,7 @@ class TestShmRestore:
             for device in ids[ids >= 0].tolist():
                 assert restored.row_of(device) == store.row_of(device)
                 assert np.array_equal(
-                    restored.position(device), store.position(device)
+                    position_of(restored, device), position_of(store, device)
                 )
         finally:
             restored.release_planes(unlink=True)

@@ -31,10 +31,10 @@ from repro.online import (
     LoadProfile,
     OnlineCharacterizationService,
     ServiceConfig,
-    diff_updates,
     drive_load,
     replay_trace_online,
 )
+from repro.online.replay import diff_rows
 from repro.streaming import SampledCharacterizationStream
 
 
@@ -52,28 +52,30 @@ def incident_trace():
     return generate_trace(config, incidents)
 
 
-class TestDiffUpdates:
+class TestDiffRows:
     def test_only_changes_emit_events(self):
         prev = np.full((4, 2), 0.5)
         cur = prev.copy()
         cur[1] += 0.1
-        updates = diff_updates(prev, cur, [False, False, True, False],
-                               [False, False, False, True])
-        by_device = {u.device: u for u in updates}
+        rows, positions, flags = diff_rows(
+            prev, cur, [False, False, True, False], [False, False, False, True]
+        )
+        by_device = dict(zip(rows.tolist(), flags.tolist()))
         assert set(by_device) == {1, 2, 3}
-        assert by_device[1].flagged is False
-        assert by_device[2].flagged is False  # flag lowered
-        assert by_device[3].flagged is True
+        assert by_device[1] is False
+        assert by_device[2] is False  # flag lowered
+        assert by_device[3] is True
+        assert positions.tolist() == cur[[1, 2, 3]].tolist()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            diff_updates(np.zeros((3, 2)), np.zeros((4, 2)), [0] * 3, [0] * 4)
+            diff_rows(np.zeros((3, 2)), np.zeros((4, 2)), [0] * 3, [0] * 4)
 
     def test_flag_vector_length_rejected(self):
         with pytest.raises(ConfigurationError):
-            diff_updates(np.zeros((3, 2)), np.zeros((3, 2)), [0] * 2, [0] * 3)
+            diff_rows(np.zeros((3, 2)), np.zeros((3, 2)), [0] * 2, [0] * 3)
         with pytest.raises(ConfigurationError):
-            diff_updates(np.zeros((3, 2)), np.zeros((3, 2)), [0] * 3, [0] * 4)
+            diff_rows(np.zeros((3, 2)), np.zeros((3, 2)), [0] * 3, [0] * 4)
 
     def test_vectorized_diff_matches_per_device_loop(self):
         # The changed-device selection is one np.nonzero over the moved /
@@ -88,15 +90,16 @@ class TestDiffUpdates:
         cur_flags = prev_flags.copy()
         toggles = rng.choice(n, size=25, replace=False)
         cur_flags[toggles] = ~cur_flags[toggles]
-        updates = diff_updates(prev, cur, prev_flags, cur_flags)
+        rows, positions, flags = diff_rows(prev, cur, prev_flags, cur_flags)
         expected = [
             (j, tuple(cur[j]), bool(cur_flags[j]))
             for j in range(n)
             if np.any(prev[j] != cur[j]) or bool(prev_flags[j]) != bool(cur_flags[j])
         ]
-        assert [(u.device, u.position, u.flagged) for u in updates] == expected
+        got = list(zip(rows.tolist(), map(tuple, positions.tolist()), flags.tolist()))
+        assert got == expected
         # Devices are emitted in ascending order (np.nonzero contract).
-        assert [u.device for u in updates] == sorted(u.device for u in updates)
+        assert rows.tolist() == sorted(rows.tolist())
 
 
 class TestTraceReplayEquivalence:

@@ -25,6 +25,7 @@ from repro.online import (
     ServiceConfig,
     ShardedService,
 )
+from tests.online.store_ops import position_of
 
 
 def assert_verdicts_match_batch(out, reference_transition):
@@ -184,7 +185,7 @@ class TestVerdictEquivalence:
         cluster = list(range(10, 16))
         offset = np.array([0.2, 0.2])
         for j in cluster:
-            pos = np.clip(service.store.position(j) + offset, 0, 1)
+            pos = np.clip(position_of(service.store, j) + offset, 0, 1)
             service.ingest(QosUpdate(j, tuple(pos), True))
         busy = service.end_tick()
         assert busy.recomputed == tuple(cluster)
@@ -223,7 +224,7 @@ class TestVerdictEquivalence:
             for j in rng.choice(range(50, 100), size=10, replace=False):
                 j = int(j)
                 pos = np.clip(
-                    service.store.position(j) + rng.normal(0, 0.005, 2), 0, 1
+                    position_of(service.store, j) + rng.normal(0, 0.005, 2), 0, 1
                 )
                 service.ingest(QosUpdate(j, tuple(pos), False))
             out = service.end_tick()

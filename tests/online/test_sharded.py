@@ -3,7 +3,7 @@
 A :class:`~repro.online.sharded.ShardedService` may partition the
 population spatially, exchange halos, migrate movers and merge partial
 verdict maps — but tick for tick its output must equal one big
-:class:`~repro.online.service.OnlineCharacterizationService` fed the
+:class:`~repro.online.sharded.OnlineCharacterizationService` fed the
 same stream: same flagged tuple, same verdict types, rules and
 witnesses.  The suites below check that contract on adversarial
 streams (boundary-ring clusters, corner cells shared by four shards,

@@ -15,6 +15,13 @@ from repro.core.errors import (
 )
 from repro.online import DeviceStateStore, DirtyRegionTracker
 from repro.online.dirty import REACH_TOL, DirtyRegion
+from tests.online.store_ops import (
+    apply_one,
+    cell_of,
+    flag_of,
+    mark_one,
+    position_of,
+)
 
 
 def cell_set(cells):
@@ -46,30 +53,32 @@ class TestStoreBasics:
     def test_unknown_device_rejected(self):
         store, _ = make_store()
         with pytest.raises(UnknownDeviceError):
-            store.apply(99, [0.5, 0.5], False)
+            apply_one(store, 99, [0.5, 0.5], False)
+        with pytest.raises(UnknownDeviceError):
+            store.apply_rows(np.array([99]), np.full((1, 2), 0.5), np.array([False]))
 
 
 class TestApplyAndRoll:
     def test_apply_reports_motion_and_flag_change(self):
         store, pts = make_store()
-        applied = store.apply(4, np.clip(pts[4] + 0.2, 0, 1), True)
-        assert applied.moved and applied.flag_changed and applied.flagged
+        applied = apply_one(store, 4, np.clip(pts[4] + 0.2, 0, 1), True)
+        assert applied.moved[0] and applied.flag_changed[0] and applied.flagged[0]
         # Re-applying the same state changes nothing.
-        applied2 = store.apply(4, store.position(4), True)
-        assert not applied2.moved and not applied2.flag_changed
+        applied2 = apply_one(store, 4, position_of(store, 4), True)
+        assert not applied2.moved[0] and not applied2.flag_changed[0]
 
     def test_flags_track_last_write(self):
         store, _ = make_store()
-        store.apply(2, store.position(2), True)
-        store.apply(7, store.position(7), True)
-        store.apply(2, store.position(2), False)
+        apply_one(store, 2, position_of(store, 2), True)
+        apply_one(store, 7, position_of(store, 7), True)
+        apply_one(store, 2, position_of(store, 2), False)
         assert store.flagged_devices() == (7,)
-        assert store.is_flagged(7) and not store.is_flagged(2)
+        assert flag_of(store, 7) and not flag_of(store, 2)
 
     def test_advance_tick_rolls_current_into_previous(self):
         store, pts = make_store()
         new_pos = np.clip(pts[0] + 0.1, 0, 1)
-        store.apply(0, new_pos, False)
+        apply_one(store, 0, new_pos, False)
         prev, cur = store.snapshot_arrays()
         assert np.array_equal(prev[0], pts[0])
         assert np.array_equal(cur[0], new_pos)
@@ -79,8 +88,8 @@ class TestApplyAndRoll:
 
     def test_index_follows_current_positions(self):
         store, _ = make_store(cell=0.05)
-        store.apply(1, [0.99, 0.99], False)
-        assert np.allclose(store.index.position(1), [0.99, 0.99])
+        apply_one(store, 1, [0.99, 0.99], False)
+        assert cell_of(store, 1) == (19, 19)
 
 
 class TestDirtyRegionTracker:
@@ -99,36 +108,36 @@ class TestDirtyRegionTracker:
     def test_unflagged_drift_is_invisible(self):
         tracker, _ = self.make()
         store, pts = make_store(cell=0.06)
-        applied = store.apply(0, np.clip(pts[0] + 0.01, 0, 1), False)
-        assert tracker.mark(applied, was_relevant=False) is False
+        drift = np.clip(pts[0] + 0.01, 0, 1)
+        assert mark_one(tracker, store, 0, drift, False, was_relevant=False) == 0
         dirty, affected = tracker.finish_tick(store)
         assert len(dirty) == 0 and affected.size == 0
 
     def test_flagged_move_dirties_both_cells(self):
         tracker, _ = self.make()
         store, _ = make_store(cell=0.06)
-        applied = store.apply(0, [0.9, 0.9], True)
-        assert tracker.mark(applied, was_relevant=False) is True
+        old_cell = cell_of(store, 0)
+        assert mark_one(tracker, store, 0, [0.9, 0.9], True, was_relevant=False) == 1
         dirty, affected = tracker.finish_tick(store)
-        assert {applied.old_cell, applied.new_cell} <= cell_set(dirty)
+        assert {old_cell, cell_of(store, 0)} <= cell_set(dirty)
         assert 0 in affected
 
     def test_flag_toggle_without_motion_is_relevant(self):
         tracker, _ = self.make()
         store, _ = make_store(cell=0.06)
-        applied = store.apply(3, store.position(3), True)
-        assert tracker.mark(applied, was_relevant=False) is True
+        here = position_of(store, 3)
+        assert mark_one(tracker, store, 3, here, True, was_relevant=False) == 1
 
     def test_move_carries_into_next_tick(self):
         tracker, _ = self.make()
         store, _ = make_store(cell=0.06)
-        applied = store.apply(0, [0.9, 0.9], True)
-        tracker.mark(applied, was_relevant=False)
+        old_cell = cell_of(store, 0)
+        mark_one(tracker, store, 0, [0.9, 0.9], True, was_relevant=False)
         dirty_now, _ = tracker.finish_tick(store)
         # No new marks: the carry from the move must still dirty the
         # trajectory's cells one tick later (prev endpoint shifted).
         dirty_next, affected = tracker.finish_tick(store)
-        assert cell_set(dirty_next) == {applied.old_cell, applied.new_cell}
+        assert cell_set(dirty_next) == {old_cell, cell_of(store, 0)}
         assert 0 in affected
         # ... and be fully consumed after that.
         dirty_after, _ = tracker.finish_tick(store)
@@ -137,11 +146,51 @@ class TestDirtyRegionTracker:
     def test_flag_only_change_does_not_carry(self):
         tracker, _ = self.make()
         store, _ = make_store(cell=0.06)
-        applied = store.apply(3, store.position(3), True)
-        tracker.mark(applied, was_relevant=False)
+        mark_one(tracker, store, 3, position_of(store, 3), True, was_relevant=False)
         tracker.finish_tick(store)
         dirty_next, _ = tracker.finish_tick(store)
         assert len(dirty_next) == 0
+
+    def test_mixed_batch_marks_each_row_by_its_own_rule(self):
+        """One batch, as the service applies it: only relevant rows mark
+        their endpoints, and only relevant movers carry them."""
+        tracker, _ = self.make()
+        store, pts = make_store(n=8, cell=0.06)
+        # Devices 1, 3 and 5 start flagged; the roll makes prev == cur.
+        store.apply_rows(np.array([1, 3, 5]), pts[[1, 3, 5]], np.ones(3, dtype=bool))
+        store.advance_tick()
+        tracker.finish_tick(store)
+        moved = np.clip(pts + 0.07, 0, 1)
+        # row: (new position, new flag, relevant, carried)
+        cases = {
+            0: (moved[0], False, False, False),  # unflagged drift
+            1: (moved[1], True, True, True),  # flagged move
+            2: (pts[2], True, True, False),  # flag raised in place
+            3: (pts[3], False, True, False),  # flag lowered in place
+            5: (moved[5], False, True, True),  # flagged device moves, lowers
+            6: (pts[6], False, False, False),  # a report that changes nothing
+        }
+        rows = np.array(sorted(cases))
+        batch = store.apply_rows(
+            rows,
+            np.array([cases[r][0] for r in rows]),
+            np.array([cases[r][1] for r in rows]),
+        )
+        assert batch.moved.tolist() == [True, True, False, False, True, False]
+        assert batch.flag_changed.tolist() == [False, False, True, True, True, False]
+        count = tracker.mark_batch(batch, was_relevant=batch.was_flagged)
+        assert count == sum(case[2] for case in cases.values())
+
+        def endpoints(pick):
+            want = [r for r in rows.tolist() if pick(cases[r])]
+            return {tuple(p) for r in want for p in (pts[r], cases[r][0])}
+
+        region = tracker.close(store)
+        assert {tuple(p) for p in region.lo.tolist()} == endpoints(lambda c: c[2])
+        store.advance_tick()
+        carry = tracker.close(store)
+        assert {tuple(p) for p in carry.lo.tolist()} == endpoints(lambda c: c[3])
+        assert len(tracker.close(store)) == 0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -276,7 +325,7 @@ class TestExactFanout:
         rng = np.random.default_rng(seed)
         store = DeviceStateStore(rng.random((n, dim)), cell=2 * self.R)
         for j in rng.choice(n, size=n // 2, replace=False).tolist():
-            store.apply(j, store.position(j), True)
+            apply_one(store, j, position_of(store, j), True)
         return store, rng
 
     def reference(self, store, region):
@@ -306,17 +355,15 @@ class TestExactFanout:
         for offset in (-1e-9, 0.5e-12, 1e-9, 1e-6):
             for direction in (np.eye(dim)[0], np.ones(dim)):
                 j = flagged[len(planted)]
-                store.apply(j, anchor + direction * (4 * self.R + offset), True)
+                apply_one(store, j, anchor + direction * (4 * self.R + offset), True)
                 planted[store.row_of(j)] = offset
         store.advance_tick()
         # Flagged movers: their own endpoints are dirty, as marked.  All
         # other dirty boxes lie in [0, 0.3]^d, beyond reach of the
         # planted devices, so only the anchor decides theirs.
-        low = [j for j in flagged[len(planted) :] if store.position(j)[0] < 0.3]
+        low = [j for j in flagged[len(planted) :] if position_of(store, j)[0] < 0.3]
         for j in low[:3]:
-            tracker.mark(
-                store.apply(j, 0.3 * rng.random(dim), True), was_relevant=True
-            )
+            mark_one(tracker, store, j, 0.3 * rng.random(dim), True, was_relevant=True)
         region = DirtyRegion.union(
             [
                 tracker.close(store),
@@ -340,8 +387,7 @@ class TestExactFanout:
             [[0.45, 0.45], [0.55, 0.45], [0.62, 0.45], [0.79, 0.45], [0.95, 0.45]]
         )
         store = DeviceStateStore(pts, cell=2 * self.R)
-        for j in range(5):
-            store.apply(j, pts[j], True)
+        store.apply_rows(np.arange(5), pts, np.ones(5, dtype=bool))
         store.advance_tick()
         tracker = DirtyRegionTracker(
             cell=2 * self.R, influence_radius=4 * self.R
@@ -368,7 +414,7 @@ class TestExactFanout:
             cell=2 * self.R, influence_radius=4 * self.R
         )
         for j in store.flagged_devices()[:4]:
-            tracker.mark(store.apply(j, rng.random(2), True), was_relevant=True)
+            mark_one(tracker, store, j, rng.random(2), True, was_relevant=True)
         tracker.invalidate_cells(np.array([[1, 8]], dtype=np.int64))
         twin = DirtyRegionTracker(cell=2 * self.R, influence_radius=4 * self.R)
         twin.restore_state(tracker.state())

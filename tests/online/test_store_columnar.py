@@ -18,8 +18,8 @@ The structure-of-arrays PR's acceptance tests live here:
   tick at fixed population (measure → diff → dirty, no verdicts)
   allocates a bounded handful of numpy temporaries — never a per-device
   Python object plane;
-* the vectorized snapshot path and the per-update compatibility shim
-  produce identical verdicts on the same randomized stream, each tick
+* the vectorized snapshot path and the per-update event path produce
+  identical verdicts on the same randomized stream, each tick
   also matching a fresh batch characterization (the golden contract the
   pre-refactor object store was held to).
 """
@@ -45,6 +45,13 @@ from repro.online import (
 from repro.online import idmap
 from repro.online.idmap import IdColumnMap
 from repro.online.store import attach_store_planes, shm_planes_factory
+from tests.online.store_ops import (
+    apply_one,
+    assert_keys_match_positions,
+    cell_of,
+    flag_of,
+    position_of,
+)
 
 
 @pytest.fixture(scope="class")
@@ -74,7 +81,7 @@ class TestViewContract:
     def test_snapshot_views_track_store_mutations(self):
         store = make_store()
         _, cur = store.snapshot_arrays()
-        store.apply(0, [0.25, 0.75], False)
+        apply_one(store, 0, [0.25, 0.75], False)
         assert np.allclose(cur[0], [0.25, 0.75])
 
     def test_copy_opt_in_is_private_and_writable(self):
@@ -82,7 +89,7 @@ class TestViewContract:
         prev, cur = store.snapshot_arrays(copy=True)
         assert prev.flags.writeable and cur.flags.writeable
         cur[0] = 0.5  # must not leak into the store
-        assert not np.allclose(store.position(0), [0.5, 0.5])
+        assert not np.allclose(position_of(store, 0), [0.5, 0.5])
 
     def test_current_positions_view_and_copy(self):
         store = make_store()
@@ -90,7 +97,7 @@ class TestViewContract:
         assert not view.flags.writeable
         private = store.current_positions(copy=True)
         assert private.flags.writeable
-        store.apply(1, [0.1, 0.1], False)
+        apply_one(store, 1, [0.1, 0.1], False)
         assert np.allclose(view[1], [0.1, 0.1])
         assert not np.allclose(private[1], [0.1, 0.1])
 
@@ -137,7 +144,7 @@ class TestFreeListProperties:
         # Mirror: device id -> (position tuple, flag).  Rows 0..2 hold
         # the seed devices 0..2.
         mirror = {
-            j: (tuple(store.position(j)), False) for j in range(3)
+            j: (tuple(position_of(store, j)), False) for j in range(3)
         }
         freed: list = []  # LIFO mirror of the store's free-list
         grown_rows = 3
@@ -169,11 +176,28 @@ class TestFreeListProperties:
                 pos, flag = op[2], op[3]
                 if device not in mirror:
                     with pytest.raises(UnknownDeviceError):
-                        store.apply(device, pos, flag)
+                        apply_one(store, device, pos, flag)
                     continue
-                store.apply(device, pos, flag)
+                apply_one(store, device, pos, flag)
                 mirror[device] = (tuple(np.asarray(pos, dtype=float)), flag)
             self._check(store, mirror)
+        # The rebuilt key column of the final state, on the heap and
+        # adopted from shared memory, keys every occupied row too.
+        self._check(DeviceStateStore.from_state(store.state()), mirror)
+        shm = DeviceStateStore.from_state(
+            store.state(), planes_factory=shm_planes_factory()
+        )
+        adopted = None
+        try:
+            planes = shm.planes
+            adopted = DeviceStateStore.adopt_planes(
+                attach_store_planes(planes.name, planes.capacity, 2), cell=0.06
+            )
+            self._check(adopted, mirror)
+        finally:
+            if adopted is not None:
+                adopted.release_planes(unlink=False)
+            shm.release_planes(unlink=True)
 
     def _check(self, store, mirror):
         # id <-> row bijection
@@ -181,7 +205,7 @@ class TestFreeListProperties:
         rows = {store.row_of(j) for j in mirror}
         assert len(rows) == len(mirror)
         for j in mirror:
-            assert store.id_of(store.row_of(j)) == j
+            assert store.row_ids()[store.row_of(j)] == j
         # Absent ids, the int64-max sentinel's own among them, read −1
         # in a batch and None one at a time.
         probe = [*range(12), -1, 12, 10**12, np.iinfo(np.int64).max]
@@ -196,17 +220,19 @@ class TestFreeListProperties:
         # Position / flag consistency (row reuse never resurrects the
         # departed occupant's state).
         for j, (pos, flag) in mirror.items():
-            assert np.allclose(store.position(j), pos)
-            assert store.is_flagged(j) == flag
-            assert np.allclose(store.index.position(store.row_of(j)), pos)
+            assert np.allclose(position_of(store, j), pos)
+            assert flag_of(store, j) == flag
         assert store.flagged_devices() == tuple(
             sorted(j for j, (_, flag) in mirror.items() if flag)
         )
-        assert len(store.index) == len(mirror)
+        # The cell-key column keys every occupied row at its position,
+        # through growth and row reuse.
+        assert int((np.asarray(store.row_ids()) >= 0).sum()) == len(mirror)
+        assert_keys_match_positions(store)
 
     def test_rejoined_row_starts_clean(self):
         store = make_store(n=3)
-        store.apply(1, [0.9, 0.9], True)
+        apply_one(store, 1, [0.9, 0.9], True)
         row = store.leave(1)
         # The scrub happens at leave time, before the row enters the
         # free-list — not lazily at reuse.
@@ -214,8 +240,8 @@ class TestFreeListProperties:
         assert np.allclose(cur[row], 0.0) and np.allclose(prev[row], 0.0)
         new_row = store.join(7, [0.2, 0.3], False)
         assert new_row == row
-        assert not store.is_flagged(7)
-        assert np.allclose(store.position(7), [0.2, 0.3])
+        assert not flag_of(store, 7)
+        assert np.allclose(position_of(store, 7), [0.2, 0.3])
         prev, _ = store.snapshot_arrays()
         # Both snapshot endpoints start at the join position.
         assert np.allclose(prev[row], [0.2, 0.3])
@@ -224,11 +250,12 @@ class TestFreeListProperties:
         store = make_store(n=3)
         for j in range(3, 40):
             store.join(j, [0.5, 0.5], False)
-        # After growth the index must still adopt the store's plane:
-        # a store write shows up in the index without an explicit move.
-        store.apply(5, [0.91, 0.17], False)
-        assert np.allclose(store.index.position(store.row_of(5)), [0.91, 0.17])
-        assert len(store.index) == 40
+        # After growth the index must still adopt the store's plane: a
+        # store write is keyed from the position the store wrote.
+        apply_one(store, 5, [0.91, 0.17], False)
+        assert cell_of(store, 5) == (15, 2)
+        assert store.index.key_column().shape[0] >= 40
+        assert_keys_match_positions(store)
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +355,7 @@ class TestIdColumns:
             tracemalloc.stop()
         # An id-indexed column would need terabytes.
         assert peak < 1 << 20
-        assert store.row_of(big) == row and store.id_of(row) == big
+        assert store.row_of(big) == row and store.row_ids()[row] == big
         assert store.rows_of([big, big - 1, big + 1]).tolist() == [row, -1, -1]
         assert store.leave(big) == row
         assert store.row_if_present(big) is None
@@ -424,7 +451,7 @@ class TestTickAllocation:
 
 
 # ----------------------------------------------------------------------
-# Vectorized path == per-update shim path == batch golden trace
+# Vectorized path == per-update event path == batch golden trace
 # ----------------------------------------------------------------------
 class TestPathIdentity:
     @pytest.mark.parametrize("seed", [0, 3])
@@ -434,7 +461,7 @@ class TestPathIdentity:
         base = rng.random((n, d))
         cfg = ServiceConfig(r=0.05, tau=2)
         vec = OnlineCharacterizationService(base.copy(), cfg)
-        shim = OnlineCharacterizationService(base.copy(), cfg)
+        events = OnlineCharacterizationService(base.copy(), cfg)
         positions = base.copy()
         flags = np.zeros(n, dtype=bool)
         prev_positions = positions.copy()
@@ -447,12 +474,12 @@ class TestPathIdentity:
                     positions[j] + rng.normal(0, sigma, d), 0, 1
                 )
                 flags[j] = rng.random() < 0.5
-                shim.ingest(QosUpdate(j, tuple(positions[j]), bool(flags[j])))
+                events.ingest(QosUpdate(j, tuple(positions[j]), bool(flags[j])))
             tick_vec = vec.feed_snapshot(positions, flags)
-            tick_shim = shim.end_tick()
-            assert tick_vec.verdicts.keys() == tick_shim.verdicts.keys()
+            tick_events = events.end_tick()
+            assert tick_vec.verdicts.keys() == tick_events.verdicts.keys()
             for j, a in tick_vec.verdicts.items():
-                b = tick_shim.verdicts[j]
+                b = tick_events.verdicts[j]
                 assert (a.anomaly_type, a.rule, a.witness) == (
                     b.anomaly_type,
                     b.rule,
