@@ -16,7 +16,11 @@ workflow artifact and feeds it to ``tools/bench_merge.py``.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ import pytest
 from repro.core.characterize import Characterizer
 from repro.core.neighborhood import MotionCache
 from repro.core.transition import Snapshot, Transition
+from repro.online import OnlineCharacterizationService, QosUpdate, ServiceConfig
 
 #: (n, r) grid for the timing rows; r keeps ~comparable flagged density
 #: inside the 2r ball at both scales (flagged fraction is 5% of n).
@@ -120,9 +125,92 @@ def test_large_component_takes_the_per_device_path():
     )
 
 
+# ----------------------------------------------------------------------
+# Group-size sweep: the massive-10k stream at growing event sizes
+# ----------------------------------------------------------------------
+_PERFBENCH_STREAM = Path(__file__).resolve().parents[1] / "perfbench" / "stream.py"
+SWEEP_SIZES = (10, 14, 18, 22)
+SWEEP_WARMUP = 5
+SWEEP_TICKS = 30
+
+
+def _perfbench_stream():
+    """``perfbench/stream.py`` as a module, without touching ``sys.path``
+    (its dataclasses resolve their module through ``sys.modules``)."""
+    name = "perfbench_stream"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(name, _PERFBENCH_STREAM)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def _end_tick_seconds(stream, service):
+    """Feed one stream tick as events and time ``end_tick`` alone."""
+    st = stream.next_tick()
+    service.ingest_many(
+        [
+            QosUpdate(device, position, flag)
+            for device, position, flag in zip(
+                st.changed.tolist(), st.positions.tolist(), st.flags.tolist()
+            )
+        ]
+    )
+    start = time.perf_counter()
+    service.end_tick()
+    return time.perf_counter() - start
+
+
+def test_characterize_group_sweep():
+    perfbench = _perfbench_stream()
+    for size in SWEEP_SIZES:
+        # perfbench's massive-10k stream (tau 2), event size varied.
+        spec = perfbench.StreamSpec(
+            n=10_000,
+            dim=2,
+            r=0.01,
+            drift=0.01,
+            isolated=0.001,
+            events=8,
+            event_size=size,
+        )
+        stream = perfbench.StationaryStream(spec, seed=1)
+        service = OnlineCharacterizationService(
+            stream.initial, ServiceConfig(r=spec.r, tau=2)
+        )
+        try:
+            for _ in range(SWEEP_WARMUP):
+                _end_tick_seconds(stream, service)
+            ms = [
+                1e3 * _end_tick_seconds(stream, service) for _ in range(SWEEP_TICKS)
+            ]
+        finally:
+            service.close()
+        _SUMMARY_ROWS.append(
+            {
+                "claim": "characterize_group_sweep",
+                "n": spec.n,
+                "event_size": size,
+                "warmup_ticks": SWEEP_WARMUP,
+                "ticks": SWEEP_TICKS,
+                "p50_ms": float(np.percentile(ms, 50)),
+                "p90_ms": float(np.percentile(ms, 90)),
+                "max_ms": max(ms),
+                "cpu_count": os.cpu_count(),
+            }
+        )
+
+
 def test_summary_rows_schema():
     """Rows carry what the CI artifact consumers expect: every row a
-    claim, ``n`` and its seconds."""
+    claim and ``n``; a ``characterize_many`` row its seconds, a sweep row
+    its ordered percentiles and ``cpu_count``."""
     for row in _SUMMARY_ROWS:
         assert {"claim", "n"} <= set(row)
-        assert row["bitset_seconds"] > 0.0
+        if row["claim"] == "characterize_group_sweep":
+            assert 0.0 < row["p50_ms"] <= row["p90_ms"] <= row["max_ms"]
+            assert row["cpu_count"] >= 1
+        else:
+            assert row["bitset_seconds"] > 0.0

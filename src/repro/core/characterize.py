@@ -49,11 +49,19 @@ implied: if every member of ``B & D_k(j)`` were in ``J_k(j)``, extending
 ``B | {j}`` consistent, contradicting the first filter.
 
 Every set the verdict touches is an integer bitmask over a
-:class:`~repro.core.bitset.LocalUniverse`.  The pool of a device in a
-shared 2r-connected component is read off one per-component table of
-dense motion subsets (:meth:`Characterizer._shared_pool`); components
-above the sharing bound enumerate it per device over the device's ``4r``
-ball (:meth:`Characterizer._candidate_pool_masks`).
+:class:`~repro.core.bitset.LocalUniverse`.  :meth:`Characterizer.characterize_many`
+is batch-first, and :meth:`~Characterizer.characterize` is its one-device
+call.  A first pass settles each device in input order through Theorems
+5 and 6 (and the per-motion ``2^m`` pool guard), leaving the rest pending.
+A second pass builds the pools of every pending device at once.  The pool
+of a device in a shared 2r-connected component is a filter of one
+per-component table of dense motion subsets; the missing tables of a
+batch are built together, and one ragged filter over the concatenated
+tables yields every pool (:meth:`Characterizer._shared_pools`).
+Components above the sharing bound enumerate the pool per device over
+its ``4r`` ball (:meth:`Characterizer._candidate_pool_masks`).  The
+searches then run in input order, each over a ``uint64`` array when the
+universe fits 64 bits.
 
 The search memoizes visited unions and counts every collection it
 examines, feeding the Table III cost columns.
@@ -61,7 +69,7 @@ examines, feeding the Table III cost columns.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -83,6 +91,18 @@ from repro.core.types import (
 )
 
 __all__ = ["Characterizer", "characterize_transition", "classify_sets"]
+
+
+if hasattr(np, "bitwise_count"):
+    _popcounts = np.bitwise_count
+else:  # pragma: no cover - NumPy < 2.0
+    _BYTE_COUNTS = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+    def _popcounts(masks: np.ndarray) -> np.ndarray:
+        """Per-element popcount of a ``uint64`` array."""
+        masks = np.ascontiguousarray(masks, dtype=np.uint64)
+        counts = _BYTE_COUNTS[masks.view(np.uint8)]
+        return counts.reshape(masks.shape + (8,)).sum(axis=-1, dtype=np.uint8)
 
 
 class _MaskCollectionSearch:
@@ -108,7 +128,10 @@ class _MaskCollectionSearch:
 
     Candidates arrive in canonical order and are re-ranked with stable
     sorts, so ``tested`` and the returned counterexample are
-    deterministic.
+    deterministic.  This ``int``-list search serves universes wider than
+    64 bits (the per-device ball path of a dense region);
+    :class:`_ArrayCollectionSearch` visits the same nodes over a
+    ``uint64`` array.  :func:`_collection_search` picks one by width.
     """
 
     def __init__(
@@ -120,6 +143,7 @@ class _MaskCollectionSearch:
     ) -> None:
         self._dense_of_j = list(dense_of_j)
         self._candidates = list(candidates)
+        self._pool_size = max(1, len(candidates))
         self._tau = tau
         self._budget = budget
         self._visited: Set[int] = set()
@@ -137,7 +161,7 @@ class _MaskCollectionSearch:
         # more expensive than one with a single candidate and must count
         # accordingly for the bound to mean anything.
         self.tested += 1
-        self.work += max(1, len(self._candidates))
+        self.work += self._pool_size
         if self._budget is not None and self.work > self._budget:
             raise SearchBudgetExceeded(
                 f"Theorem 7 search exceeded its budget of {self._budget} "
@@ -176,6 +200,85 @@ class _MaskCollectionSearch:
             if hit is not None:
                 return hit
         return None
+
+
+class _ArrayCollectionSearch(_MaskCollectionSearch):
+    """:class:`_MaskCollectionSearch` over a ``uint64`` candidate array.
+
+    The same DFS, node for node, for universes of at most 64 bits.  The
+    motion side stays on ``int`` masks (a device has a handful of dense
+    motions); the candidate side is array work: the usable candidates
+    are one AND against the union, coverability needs only their OR (a
+    candidate that misses a remainder adds nothing to its cover), and a
+    violating motion's helpers are the usable candidates its AND leaves
+    nonzero.  The first motion with the fewest helpers is chosen
+    (``argmin``, as the list search's strict ``<``), and a stable
+    ``argsort`` on descending popcount of the AND ranks its helpers (the
+    other usable candidates, popcount 0, sort last and are cut), so
+    ``tested``, ``work`` and the counterexample are the list search's.
+    Unions and the returned masks stay Python ``int``.
+    """
+
+    def __init__(
+        self,
+        dense_of_j: Sequence[int],
+        candidates: Sequence[int],
+        tau: int,
+        budget: Optional[int],
+    ) -> None:
+        super().__init__(dense_of_j, (), tau, budget)
+        self._pool = np.asarray(candidates, dtype=np.uint64)
+        self._pool_size = max(1, len(self._pool))
+
+    def _dfs(
+        self, chosen: Tuple[int, ...], union: int
+    ) -> Optional[Tuple[int, ...]]:
+        if union in self._visited:
+            return None
+        self._visited.add(union)
+        self._charge()
+        tau = self._tau
+        not_union = ~union
+        violating = [
+            remainder
+            for remainder in (motion & not_union for motion in self._dense_of_j)
+            if popcount(remainder) > tau
+        ]
+        if not violating:
+            return chosen  # Relations 4 and 5 both fail: counterexample.
+        pool = self._pool
+        usable = pool[(pool & np.uint64(union)) == 0] if union else pool
+        coverable = int(np.bitwise_or.reduce(usable))
+        for remainder in violating:
+            if popcount(remainder & ~coverable) > tau:
+                return None  # this motion can never be starved from here
+        remainder = violating[0]
+        if len(violating) > 1:
+            hits = (np.array(violating, dtype=np.uint64)[:, None] & usable) != 0
+            remainder = violating[int(hits.sum(axis=1).argmin())]
+        keys = _popcounts(usable & np.uint64(remainder))
+        rank = np.argsort(64 - keys, kind="stable")[: np.count_nonzero(keys)]
+        for cand in usable[rank].tolist():
+            hit = self._dfs(chosen + (cand,), union | cand)
+            if hit is not None:
+                return hit
+        return None
+
+
+def _collection_search(
+    dense_of_j: Sequence[int],
+    candidates: Sequence[int],
+    width: int,
+    tau: int,
+    budget: Optional[int],
+) -> _MaskCollectionSearch:
+    """The Theorem 7 search for masks over a ``width``-bit universe: the
+    array search up to 64 bits, the ``int``-list search above."""
+    if width <= 64:
+        return _ArrayCollectionSearch(dense_of_j, candidates, tau, budget)
+    return _MaskCollectionSearch(
+        dense_of_j, [int(cand) for cand in candidates], tau, budget
+    )
 
 
 def _count_collections(masks: Sequence[int], cap: Optional[int] = None) -> int:
@@ -293,43 +396,150 @@ def _deposit(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dense_subsets(component: MotionComponent, tau: int) -> np.ndarray:
-    """Every dense subset of a component's maximal motions, in canonical
-    order, as ``uint64`` masks over its rows.
+#: Entries one vectorized step of the pool build may hold (subset-table
+#: and far-block entries of a batch of components, or concatenated table
+#: entries of a batch of pools); a larger batch is cut into runs, which
+#: bounds its temporaries at a few tens of MB.
+_BATCH_ENTRIES = 1 << 20
+
+
+def _runs(sizes: Sequence[int], limit: int) -> Iterable[Tuple[int, int]]:
+    """Consecutive ``(start, stop)`` runs of ``sizes`` whose sums stay
+    within ``limit``; an item above ``limit`` is a run of its own."""
+    start = total = 0
+    for i, size in enumerate(sizes):
+        if total and total + size > limit:
+            yield start, i
+            start, total = i, 0
+        total += size
+    if start < len(sizes):
+        yield start, len(sizes)
+
+
+def _subset_tables(
+    components: Sequence[MotionComponent], tau: int
+) -> List[np.ndarray]:
+    """Every dense subset of each component's maximal motions, in
+    canonical order, as ``uint64`` masks over the component's rows.
 
     Rows follow device ids, so the canonical order (larger first, ties
     lexicographic on members) is descending popcount, then descending
     bit-reversed mask: among equal popcounts the lowest differing bit
-    decides, and the reversal makes it the highest one.  The reversed
-    masks are deposited alongside the masks, all motions of one size at
-    once.
+    decides, and the reversal makes it the highest one.  The motions of
+    one size are deposited at once across all the components, together
+    with their reversed masks; one ``lexsort`` by component, then
+    canonical order, brings a component's duplicates (the common subsets
+    of overlapping motions) next to each other, and they are dropped.
     """
-    width = len(component.devices)
-    by_size: Dict[int, List[List[int]]] = {}
-    for motion_mask in component.masks:
-        rows = list(iter_bits(motion_mask))
-        if len(rows) > tau:
-            by_size.setdefault(len(rows), []).append(rows)
-    if not by_size:
-        return np.empty(0, dtype=np.uint64)
-    masks: List[np.ndarray] = []
-    reversed_masks: List[np.ndarray] = []
-    counts: List[np.ndarray] = []
-    for m, motions in by_size.items():
+    groups: Dict[int, Tuple[List[List[int]], List[int], List[int]]] = {}
+    for owner, component in enumerate(components):
+        top = len(component.devices) - 1
+        for motion_mask in component.masks:
+            rows = list(iter_bits(motion_mask))
+            if len(rows) > tau:
+                motions, owners, tops = groups.setdefault(len(rows), ([], [], []))
+                motions.append(rows)
+                owners.append(owner)
+                tops.append(top)
+    if not groups:
+        return [np.empty(0, dtype=np.uint64) for _ in components]
+    parts = []
+    one = np.uint64(1)
+    for m, (motions, owners, tops) in groups.items():
         dense, count = _dense_locals(m, tau)
         rows = np.array(motions, dtype=np.uint64)
-        one = np.uint64(1)
-        both = _deposit(
-            np.concatenate([one << rows, one << (np.uint64(width - 1) - rows)])
-        )[:, dense]
-        masks.append(both[: len(motions)].ravel())
-        reversed_masks.append(both[len(motions) :].ravel())
-        counts.append(np.tile(count, len(motions)))
-    unique, first = np.unique(np.concatenate(masks), return_index=True)
-    order = np.lexsort(
-        (~np.concatenate(reversed_masks)[first], -np.concatenate(counts)[first])
+        flipped = np.array(tops, dtype=np.uint64)[:, None] - rows
+        both = _deposit(np.concatenate([one << rows, one << flipped]))[:, dense]
+        g = len(motions)
+        parts.append(
+            (
+                both[:g].ravel(),
+                both[g:].ravel(),
+                np.tile(count, g),
+                np.repeat(np.array(owners, dtype=np.int64), len(dense)),
+            )
+        )
+    masks, reversed_masks, counts, owners = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((~reversed_masks, -counts, owners))
+    masks = masks[order]
+    owners = owners[order]
+    fresh = np.ones(len(masks), dtype=bool)
+    fresh[1:] = (masks[1:] != masks[:-1]) | (owners[1:] != owners[:-1])
+    masks = masks[fresh]
+    bounds = np.searchsorted(owners[fresh], np.arange(len(components) + 1))
+    return [masks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _far_rows(
+    transition: Transition, components: Sequence[MotionComponent]
+) -> List[np.ndarray]:
+    """Per component, each member's row mask of the members farther than
+    ``2r`` from it (a ``uint64`` array indexed by row).
+
+    Far means a combined-coordinate Chebyshev distance above
+    ``2r + 1e-12`` (the tolerance of ``is_consistent_motion``), so
+    ``B | {j}`` is consistent iff ``B`` avoids ``j``'s far row — for any
+    ``B`` inside one motion.  The components' points are padded with NaN
+    (never far) into one ``(C, W)`` block per coordinate, and the
+    coordinates' ``(C, W, W)`` distance tests are OR-ed together.
+    """
+    lengths = [len(component.devices) for component in components]
+    width = max(lengths)
+    owner = np.repeat(np.arange(len(components)), lengths)
+    row = np.concatenate([np.arange(n) for n in lengths])
+    pts = transition.combined_of(
+        [x for component in components for x in component.devices]
     )
-    return unique[order]
+    block = np.full((len(components), width, pts.shape[1]), np.nan)
+    block[owner, row] = pts
+    limit = 2.0 * transition.r + CONSISTENCY_ATOL
+    far = np.zeros((len(components), width, width), dtype=bool)
+    for axis in range(pts.shape[1]):
+        coord = block[:, :, axis]
+        far |= np.abs(coord[:, :, None] - coord[:, None, :]) > limit
+    bits = np.uint64(1) << np.arange(width, dtype=np.uint64)
+    rows = np.bitwise_or.reduce(np.where(far, bits, np.uint64(0)), axis=2)
+    return [rows[c, :n] for c, n in enumerate(lengths)]
+
+
+class _Pending:
+    """A device past Theorems 5 and 6, awaiting its Theorem 7 search.
+
+    ``dense_masks`` are its maximal dense motions and ``d_mask`` its
+    ``D_k`` over ``universe``.  On a shared ``component`` (else None, the
+    per-device ball path), ``inside`` is its ``4r`` ball minus itself as
+    row bits, and ``pool`` is filled by :meth:`Characterizer._shared_pools`.
+    """
+
+    __slots__ = (
+        "device",
+        "cost",
+        "dense_masks",
+        "d_mask",
+        "universe",
+        "component",
+        "inside",
+        "pool",
+    )
+
+    def __init__(
+        self,
+        device: int,
+        cost: CostCounters,
+        dense_masks: List[int],
+        d_mask: int,
+        universe: LocalUniverse,
+        component: Optional[MotionComponent],
+        inside: int,
+    ) -> None:
+        self.device = device
+        self.cost = cost
+        self.dense_masks = dense_masks
+        self.d_mask = d_mask
+        self.universe = universe
+        self.component = component
+        self.inside = inside
+        self.pool: Optional[np.ndarray] = None
 
 
 class Characterizer:
@@ -400,7 +610,8 @@ class Characterizer:
                 "shared MotionCache is bound to a different transition"
             )
         self._cache = cache if cache is not None else MotionCache(transition)
-        self._subset_tables: Dict[MotionComponent, np.ndarray] = {}
+        # Per shared component: its dense-subset table and far rows.
+        self._pool_tables: Dict[MotionComponent, Tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def transition(self) -> Transition:
@@ -415,27 +626,49 @@ class Characterizer:
     # ------------------------------------------------------------------
     def characterize(self, device: int) -> Characterization:
         """Classify one flagged device (Algorithm 3, optionally 4)."""
-        if device not in self._transition.flagged:
-            raise UnknownDeviceError(
-                f"device {device} is not in A_k; only flagged devices are characterized"
-            )
-        cost = CostCounters()
-        family = self._cache.family(device)
-        cost.maximal_motions = len(family.motions)
-        cost.window_steps = family.window_steps
+        return self.characterize_many([device])[device]
 
-        # --- Theorem 5: no dense motion => isolated, exactly. ---
-        if not family.has_dense_motion:
-            return Characterization(
-                device=device,
-                anomaly_type=AnomalyType.ISOLATED,
-                rule=DecisionRule.THEOREM_5,
-                cost=cost,
-            )
+    def characterize_many(
+        self, devices: Sequence[int]
+    ) -> Dict[int, Characterization]:
+        """Classify a subset of ``A_k`` (shared cache across devices).
 
-        cost.dense_motions = len(family.dense)
-        return self._characterize_dense_masks(device, family, cost)
+        Two passes.  The first settles each device in input order through
+        Theorems 5 and 6 and the per-motion pool guard
+        (:meth:`_settle`), leaving the rest pending.  The second builds
+        the pools of every pending device of a shared component at once
+        (:meth:`_shared_pools`) and runs the searches in input order.
+        Without ``budget_fallback`` the first device to fail, in input
+        order, raises, as it would device by device: the first pass
+        stops at its own failure, and the pending devices before it are
+        still searched first.  After a raise in the second pass the
+        motion cache also holds the families the first pass derived for
+        the devices after the failing one.
+        """
+        settled: List[Union[Characterization, _Pending]] = []
+        failure: Optional[Union[SearchBudgetExceeded, UnknownDeviceError]] = None
+        for device in devices:
+            try:
+                settled.append(self._settle(device))
+            except (SearchBudgetExceeded, UnknownDeviceError) as exc:
+                failure = exc
+                break
+        self._shared_pools(
+            [p for p in settled if isinstance(p, _Pending) and p.component is not None]
+        )
+        verdicts: Dict[int, Characterization] = {}
+        for outcome in settled:
+            verdict = self._search(outcome) if isinstance(outcome, _Pending) else outcome
+            verdicts[verdict.device] = verdict
+        if failure is not None:
+            raise failure
+        return verdicts
 
+    def characterize_all(self) -> Dict[int, Characterization]:
+        """Classify every device of ``A_k`` (shared cache across devices)."""
+        return self.characterize_many(self._transition.flagged_sorted)
+
+    # ------------------------------------------------------------------
     def _fallback_or_raise(
         self, device: int, cost: CostCounters, error: SearchBudgetExceeded
     ) -> Characterization:
@@ -449,10 +682,30 @@ class Characterizer:
             cost=cost,
         )
 
-    def _characterize_dense_masks(
-        self, device: int, family, cost: CostCounters
-    ) -> Characterization:
-        """Theorems 6/7 on bitmasks over a local universe."""
+    def _settle(self, device: int) -> Union[Characterization, _Pending]:
+        """Theorems 5 and 6 on bitmasks over a local universe: the
+        verdict, or the device's pending Theorem 7 record."""
+        transition = self._transition
+        if device not in transition.flagged:
+            raise UnknownDeviceError(
+                f"device {device} is not in A_k; only flagged devices are characterized"
+            )
+        cost = CostCounters()
+        cache = self._cache
+        family = cache.family(device)
+        cost.maximal_motions = len(family.motions)
+        cost.window_steps = family.window_steps
+
+        # --- Theorem 5: no dense motion => isolated, exactly. ---
+        if not family.has_dense_motion:
+            return Characterization(
+                device=device,
+                anomaly_type=AnomalyType.ISOLATED,
+                rule=DecisionRule.THEOREM_5,
+                cost=cost,
+            )
+        cost.dense_motions = len(family.dense)
+
         # Seed the universe with a sorted device set holding every set
         # the verdict touches (D_k(j), neighbour families, pool motions):
         # the device's component, shared by its members, else its 4r
@@ -460,14 +713,13 @@ class Characterizer:
         # canonical sort keys read straight off the bits.  A component
         # whose dense-subset table would outgrow one vectorized motion
         # (2^_VEC_SUBSET_LIMIT subsets) takes the per-device path.
-        tau = self._transition.tau
-        cache = self._cache
+        tau = transition.tau
         component = cache.component(device)
         split = None if component is None else component.split(tau)
         before = cache.expansions
         if split is None or split.subsets > 1 << _VEC_SUBSET_LIMIT:
             component = None
-            universe = LocalUniverse(self._transition.knowledge_ball(device))
+            universe = LocalUniverse(transition.knowledge_ball(device))
             d_mask, j_mask, _ = split_masks(cache, device, universe)
             motions = family.dense
             dense_masks = [universe.mask_of(motion) for motion in motions]
@@ -504,17 +756,52 @@ class Characterizer:
                 rule=DecisionRule.ALGORITHM_3,
                 cost=cost,
             )
+        if component is None:
+            return _Pending(device, cost, dense_masks, d_mask, universe, None, 0)
 
+        rows = component.rows
+        inside = 0
+        for x in transition.knowledge_ball(device):
+            bit = rows.get(x)
+            if bit is not None:
+                inside |= 1 << bit
+        inside &= ~(1 << row)
+        # The largest cut M ∩ ball \ {j} is one of the pool's maximal
+        # motions, and the largest one: the per-motion 2^m guard.
+        cap = self._pool_cap
+        largest = max(popcount(mask & inside) for mask in component.masks)
+        if cap is not None and largest > tau and (1 << largest) > cap:
+            return self._fallback_or_raise(
+                device,
+                cost,
+                SearchBudgetExceeded(
+                    f"candidate pool for device {device} requires enumerating "
+                    f"2^{largest} subsets of one maximal motion (cap {cap})"
+                ),
+            )
+        return _Pending(device, cost, dense_masks, d_mask, universe, component, inside)
+
+    def _search(self, pending: _Pending) -> Characterization:
+        """Theorem 7 / Corollary 8 for one pending device, under the
+        ``pool_cap`` and ``collection_budget`` policy."""
+        device = pending.device
+        cap = self._pool_cap
         try:
-            if component is None:
-                candidates = self._candidate_pool_masks(device, d_mask, universe)
+            if pending.component is None:
+                pool = self._candidate_pool_masks(
+                    device, pending.d_mask, pending.universe
+                )
             else:
-                candidates = self._shared_pool(device, d_mask, component)
+                pool = pending.pool
+                if cap is not None and len(pool) > cap:
+                    raise SearchBudgetExceeded(
+                        f"candidate pool for device {device} exceeded {cap}"
+                    )
             return self._characterize_full_masks(
-                device, dense_masks, candidates, universe, cost
+                device, pending.dense_masks, pool, pending.universe, pending.cost
             )
         except SearchBudgetExceeded as exc:
-            return self._fallback_or_raise(device, cost, exc)
+            return self._fallback_or_raise(device, pending.cost, exc)
 
     def _characterize_full_masks(
         self,
@@ -527,10 +814,10 @@ class Characterizer:
         """Theorem 7 / Corollary 8 exact decision on bitmasks."""
         if self._count_all:
             cost.total_collections = _count_collections(
-                candidates, cap=self._count_cap
+                [int(cand) for cand in candidates], cap=self._count_cap
             )
-        search = _MaskCollectionSearch(
-            dense_masks, candidates, self._transition.tau, self._budget
+        search = _collection_search(
+            dense_masks, candidates, len(universe), self._transition.tau, self._budget
         )
         counterexample = search.find_counterexample()
         cost.tested_collections = search.tested
@@ -549,13 +836,12 @@ class Characterizer:
             witness=tuple(universe.devices_of(c) for c in counterexample),
         )
 
-    def _shared_pool(
-        self, device: int, d_mask: int, component: MotionComponent
-    ) -> List[int]:
-        """The Theorem 7 candidate pool of ``device`` (see the module
-        docstring), read off its shared component as masks over the
-        component's rows (its universe), in canonical order: larger
-        candidates first, ties broken lexicographically on members.
+    def _shared_pools(self, pending: Sequence[_Pending]) -> None:
+        """Fill the Theorem 7 candidate pool of every ``pending`` device,
+        all on shared components (see the module docstring), as a
+        ``uint64`` array of masks over the component's rows, in canonical
+        order: larger candidates first, ties broken lexicographically on
+        members.
 
         The maximal motions of ``ball \\ {j}`` that meet the component
         are the inclusion-maximal sets among ``M ∩ ball \\ {j}`` over the
@@ -563,55 +849,49 @@ class Characterizer:
         it lies in one component, and every consistent subset of the
         component lies in some ``M``.  Motions of other components never
         qualify — candidates must meet ``D_k(j)``, inside the component.
-        So the pool is the component's dense-subset table
-        (:func:`_dense_subsets`, built once per component) filtered by
-        three mask tests: inside ``ball \\ {j}``, meeting ``D_k(j)``,
-        and holding a member farther than ``2r`` from ``j`` (see
-        :func:`_qualifying_locals`; one distance matrix per component).
-        A filter keeps the table's canonical order.
+        So a pool is its component's dense-subset table filtered by three
+        mask tests: inside ``ball \\ {j}``, meeting ``D_k(j)``, and
+        holding a member farther than ``2r`` from ``j`` (see
+        :func:`_qualifying_locals`).  The batch's missing tables and far
+        rows are built together (:func:`_subset_tables`,
+        :func:`_far_rows`), and one ragged filter over the concatenated
+        tables of the batch keeps each table's canonical order.
         """
-        transition = self._transition
-        tau = transition.tau
-        cap = self._pool_cap
-        rows = component.rows
-        inside = 0
-        for x in transition.knowledge_ball(device):
-            row = rows.get(x)
-            if row is not None:
-                inside |= 1 << row
-        inside &= ~(1 << rows[device])
-        # The largest cut M ∩ ball \ {j} is one of the pool's maximal
-        # motions, and the largest one: the per-motion 2^m guard.
-        largest = max(popcount(mask & inside) for mask in component.masks)
-        if cap is not None and largest > tau and (1 << largest) > cap:
-            raise SearchBudgetExceeded(
-                f"candidate pool for device {device} requires enumerating "
-                f"2^{largest} subsets of one maximal motion (cap {cap})"
+        tables = self._pool_tables
+        missing = list(dict.fromkeys(p.component for p in pending if p.component not in tables))
+        tau = self._transition.tau
+        sizes = [c.split(tau).subsets + len(c.devices) ** 2 for c in missing]
+        for lo, hi in _runs(sizes, _BATCH_ENTRIES):
+            batch = missing[lo:hi]
+            built = zip(_subset_tables(batch, tau), _far_rows(self._transition, batch))
+            tables.update(zip(batch, built))
+        lengths = [len(tables[p.component][0]) for p in pending]
+        for lo, hi in _runs(lengths, _BATCH_ENTRIES):
+            batch = pending[lo:hi]
+            counts = lengths[lo:hi]
+            flat = np.concatenate([tables[p.component][0] for p in batch])
+            inside = np.array([p.inside for p in batch], dtype=np.uint64)
+            d_mask = np.array([p.d_mask for p in batch], dtype=np.uint64)
+            far = np.array(
+                [tables[p.component][1][p.component.rows[p.device]] for p in batch],
+                dtype=np.uint64,
             )
-        table = self._subset_tables.get(component)
-        if table is None:
-            table = self._subset_tables[component] = _dense_subsets(component, tau)
-        # Inside the ball is implied by the next two tests up to float
-        # tolerance (a subset of one motion that meets D_k(j) lies
-        # within 4r of j); testing it keeps the pool exactly the ball's.
-        outside = ((1 << len(rows)) - 1) & ~inside
-        far = component.far_rows(transition, device)
-        keep = (table & np.uint64(outside)) == 0
-        keep &= (table & np.uint64(d_mask)) != 0
-        keep &= (table & np.uint64(far)) != 0
-        pool = table[keep].tolist()
-        if cap is not None and len(pool) > cap:
-            raise SearchBudgetExceeded(
-                f"candidate pool for device {device} exceeded {cap}"
-            )
-        return pool
+            # Inside the ball is implied by the next two tests up to float
+            # tolerance (a subset of one motion that meets D_k(j) lies
+            # within 4r of j); testing it keeps the pool exactly the ball's.
+            keep = (flat & ~np.repeat(inside, counts)) == 0
+            keep &= (flat & np.repeat(d_mask, counts)) != 0
+            keep &= (flat & np.repeat(far, counts)) != 0
+            ends = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(counts)]
+            for p, pool in zip(batch, np.split(flat[keep], ends[:-1])):
+                p.pool = pool
 
     def _candidate_pool_masks(
         self, device: int, d_mask: int, universe: LocalUniverse
     ) -> List[int]:
         """The per-device Theorem 7 candidate pool, for devices without a
         shareable component: the same sets, in the same order, as
-        :meth:`_shared_pool` would return over the component.
+        :meth:`_shared_pools` would find over the component.
 
         ``universe`` is seeded with the sorted ``4r`` ball, so bit ``i``
         is ``ball[i]``.  Subsets of each maximal motion of the ball
@@ -620,7 +900,7 @@ class Characterizer:
         (:func:`_qualifying_locals`), an exact per-subset loop above —
         and the survivors are decoded to universe masks together with
         their bit-reversed masks, the canonical sort key (see
-        :func:`_dense_subsets`).
+        :func:`_subset_tables`).
         """
         transition = self._transition
         tau = transition.tau
@@ -684,17 +964,6 @@ class Characterizer:
             if not transition.is_consistent_motion(subset):
                 out.append(local)
         return out
-
-    # ------------------------------------------------------------------
-    def characterize_many(
-        self, devices: Sequence[int]
-    ) -> Dict[int, Characterization]:
-        """Classify a subset of ``A_k`` (shared cache across devices)."""
-        return {device: self.characterize(device) for device in devices}
-
-    def characterize_all(self) -> Dict[int, Characterization]:
-        """Classify every device of ``A_k`` (shared cache across devices)."""
-        return self.characterize_many(self._transition.flagged_sorted)
 
 
 def characterize_transition(

@@ -48,10 +48,7 @@ from functools import reduce
 from operator import and_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.bitset import LocalUniverse, iter_bits
-from repro.core.geometry import CONSISTENCY_ATOL
 from repro.core.motions import enumerate_maximal_motions, motion_family
 from repro.core.transition import Transition
 from repro.core.types import MotionFamily
@@ -93,7 +90,6 @@ class MotionComponent:
         "motions",
         "masks",
         "window_steps",
-        "_far",
         "_universe",
         "_split",
     )
@@ -108,7 +104,6 @@ class MotionComponent:
             sum(1 << rows[x] for x in motion) for motion in motions
         ]
         self.window_steps = steps
-        self._far: Optional[List[int]] = None
         self._universe: Optional[LocalUniverse] = None
         self._split: Optional[ComponentSplit] = None
 
@@ -146,25 +141,6 @@ class MotionComponent:
         if self._split is None:
             self._split = ComponentSplit(self, tau)
         return self._split
-
-    def far_rows(self, transition: Transition, device: int) -> int:
-        """Row mask of the members farther than ``2r`` from ``device``.
-
-        Far means a combined-coordinate Chebyshev distance above
-        ``2r + 1e-12`` (the tolerance of ``is_consistent_motion``), so
-        ``B | {device}`` is consistent iff ``B`` avoids this mask — for
-        any ``B`` inside one motion.  One distance matrix per component
-        serves every member.
-        """
-        if self._far is None:
-            pts = transition.combined_of(self.devices)
-            far = (
-                np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
-                > 2.0 * transition.r + CONSISTENCY_ATOL
-            )
-            packed = np.packbits(far, axis=1, bitorder="little")
-            self._far = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        return self._far[self.rows[device]]
 
 
 def _cover(masks: Iterable[int]) -> int:

@@ -26,14 +26,21 @@ shared service:
   verdict level instead, recomputing only the verdicts within ``4r``
   of a change (:mod:`repro.online.dirty`).
 
-The per-device work is one serial
-:meth:`~repro.core.characterize.Characterizer.characterize_many` call;
-parallelism lives one layer up, in the process shards of
+* **Batch verdicts.**  The verdicts are one serial
+  :meth:`~repro.core.characterize.Characterizer.characterize_many` call,
+  itself batch-first: Theorems 5 and 6 settle each device in input
+  order, then the Theorem 7 candidate pools of every remaining device
+  are built in one vectorized step (the subset tables and far rows of
+  all their components together, one ragged filter for all the pools),
+  and the searches run in input order over ``uint64`` candidate arrays.
+
+Parallelism lives one layer up, in the process shards of
 :class:`~repro.online.sharded.ShardedService`, which split along the
 same spatial locality the verdicts obey.  The engine is
-verdict-identical to the per-device seed path by construction (it runs
-the same decision code), which the engine test-suite enforces on seeded
-simulations.
+verdict-identical to the per-device seed path by construction
+(``Characterizer.characterize`` is the one-device batch, and the
+batch keeps each device's verdict, witness and cost counters), which
+the engine test-suite enforces on seeded simulations.
 """
 
 from __future__ import annotations

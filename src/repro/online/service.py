@@ -85,6 +85,13 @@ __all__ = [
 #: recomputed verdict's family).
 FAMILY_MOTION_BUCKETS = (1, 2, 4, 8, 16, 64)
 
+#: ``repro_verdict_tested_collections`` bucket bounds (collections the
+#: Theorem 7 search tested for one recomputed verdict).
+TESTED_COLLECTION_BUCKETS = (1, 2, 4, 8, 16, 64, 256, 1024, 4096)
+
+#: The rules the Theorem 7 search decides.
+_SEARCH_RULES = (DecisionRule.THEOREM_7, DecisionRule.COROLLARY_8)
+
 #: Accepted ``ServiceConfig.backpressure`` values.
 BACKPRESSURE_POLICIES = ("block", "drop-oldest", "error")
 
@@ -414,7 +421,17 @@ class MetricsSink:
     ``repro_verdict_family_motions`` histogram records the family size
     (``cost.maximal_motions``) of each recomputed verdict, observed once
     per distinct size per tick; its ``le="1"`` bucket is mostly lone
-    devices, which leave the verdict path at its cheapest exit.
+    devices, which leave the verdict path at its cheapest exit.  The
+    ``repro_verdict_tested_collections`` histogram records the
+    collections the Theorem 7 search tested (``cost.tested_collections``)
+    for each recomputed verdict it decided (rule ``theorem-7`` or
+    ``corollary-8``), observed once per distinct count per tick: the
+    search's cost, which grows steeply with motion size.  A search that
+    blew its budget under ``budget_fallback`` decides nothing and is not
+    observed: budget fallbacks already show as
+    ``repro_verdict_decisions_total{rule="algorithm-3"}`` (beside the
+    verdicts of the cheap mode, ``full_nsc=False``, which never search),
+    so :class:`~repro.core.types.CostCounters` carries no fallback field.
     """
 
     def __init__(self, registry: Optional[Registry] = None) -> None:
@@ -438,6 +455,11 @@ class MetricsSink:
             "repro_verdict_family_motions",
             "Maximal motions in the family of each recomputed verdict",
             buckets=FAMILY_MOTION_BUCKETS,
+        )
+        self._tested_collections = reg.histogram(
+            "repro_verdict_tested_collections",
+            "Collections the Theorem 7 search tested for each recomputed verdict it decided",
+            buckets=TESTED_COLLECTION_BUCKETS,
         )
         self._decisions_counter = reg.counter(
             "repro_verdict_decisions_total",
@@ -472,6 +494,15 @@ class MetricsSink:
         sizes = Counter([verdict.cost.maximal_motions for verdict in recomputed])
         for size, count in sizes.items():
             self._family_motions.observe(size, count)
+        tested = Counter(
+            [
+                verdict.cost.tested_collections
+                for verdict in recomputed
+                if verdict.rule in _SEARCH_RULES
+            ]
+        )
+        for value, count in tested.items():
+            self._tested_collections.observe(value, count)
         kinds = {
             device: verdict.anomaly_type.value
             for device, verdict in verdicts.items()

@@ -159,17 +159,19 @@ class TestSharedTheorem7Pool:
             # The per-device ball path, with families from the component.
             with mock.patch.object(MotionComponent, "split", lambda self, tau: None):
                 want = ball.characterize(j)
-            assert component in fast._subset_tables  # the shared pool ran
+            assert component in fast._pool_tables  # the shared pool ran
             assert got.rule == want.rule
             assert got.witness == want.witness
             assert got.cost.tested_collections == want.cost.tested_collections
             assert got.cost.as_dict() == want.cost.as_dict()
-            # The pool itself, in order: the shared table filter decoded
-            # against the component equals the definitional pool.
+        # The pools themselves, in order, built in one batch for every
+        # deep device: the shared table filter decoded against the
+        # component equals the definitional pool.
+        pending = [fast._settle(j) for j in deep]
+        fast._shared_pools(pending)
+        for j, record in zip(deep, pending):
+            component = record.component
             d = fast.cache.family(j).neighborhood
-            d_mask = component.universe.mask_of(d)
-            shared = [
-                component.universe.devices_of(c)
-                for c in fast._shared_pool(j, d_mask, component)
-            ]
+            assert record.d_mask == component.universe.mask_of(d)
+            shared = [component.universe.devices_of(c) for c in record.pool.tolist()]
             assert shared == self._definitional_pool(t, j, d)

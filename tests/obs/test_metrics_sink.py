@@ -335,3 +335,81 @@ class TestFamilyMotionsHistogram:
         assert hist["sum"] == 4
         assert hist["buckets"]["1.0"] == 1
         assert hist["buckets"]["4.0"] == 1
+
+
+class TestTestedCollectionsHistogram:
+    """``repro_verdict_tested_collections``: the Theorem 7 search's cost
+    for each recomputed verdict it decided."""
+
+    def test_observes_search_verdicts_once_per_distinct_count(self, monkeypatch):
+        from repro.obs.metrics import Histogram
+
+        calls = []
+        observe = Histogram.observe
+
+        def counting(self, value, count=1):
+            calls.append(self.bounds)
+            observe(self, value, count)
+
+        monkeypatch.setattr(Histogram, "observe", counting)
+        reg = Registry()
+        sink = MetricsSink(registry=reg)
+        # The chain stream's interior members reach Corollary 8.
+        ticks = TestFamilyMotionsHistogram._chain_ticks(self, sink, ticks=8)
+        searched = (DecisionRule.THEOREM_7, DecisionRule.COROLLARY_8)
+        per_tick = [
+            [
+                tick.verdicts[device].cost.tested_collections
+                for device in tick.recomputed
+                if tick.verdicts[device].rule in searched
+            ]
+            for tick in ticks
+        ]
+        tested = [value for values in per_tick for value in values]
+        assert tested and min(tested) >= 1
+        bounds = (1, 2, 4, 8, 16, 64, 256, 1024, 4096)
+        hist = reg.snapshot()["repro_verdict_tested_collections"]["samples"][0]
+        assert hist["count"] == len(tested)
+        assert hist["sum"] == sum(tested)
+        assert hist["buckets"] == {
+            str(float(b)): sum(
+                1 for v in tested if (bounds[i - 1] if i else 0) < v <= b
+            )
+            for i, b in enumerate(bounds)
+        }
+        # One registry call per distinct count per tick, not per verdict.
+        tested_calls = [b for b in calls if b == tuple(map(float, bounds))]
+        assert len(tested_calls) == sum(len(set(values)) for values in per_tick)
+        assert len(tested_calls) < len(tested)
+
+    def test_fallbacks_other_rules_and_reused_are_not_observed(self):
+        reg = Registry()
+        sink = MetricsSink(registry=reg)
+        rules = {
+            1: (AnomalyType.UNRESOLVED, DecisionRule.COROLLARY_8, 3),
+            2: (AnomalyType.MASSIVE, DecisionRule.THEOREM_7, 5),  # reused
+            3: (AnomalyType.UNRESOLVED, DecisionRule.ALGORITHM_3, 0),
+            4: (AnomalyType.MASSIVE, DecisionRule.THEOREM_6, 0),
+        }
+        verdicts = {}
+        for device, (kind, rule, tested) in rules.items():
+            verdicts[device] = Characterization(
+                device=device, anomaly_type=kind, rule=rule
+            )
+            verdicts[device].cost.tested_collections = tested
+        sink(
+            OnlineTick(
+                tick=1,
+                applied=0,
+                flagged=(1, 2, 3, 4),
+                recomputed=(1, 3, 4),
+                reused=(2,),
+                dirty_cells=0,
+                verdicts=verdicts,
+            )
+        )
+        hist = reg.snapshot()["repro_verdict_tested_collections"]["samples"][0]
+        assert hist["count"] == 1
+        assert hist["sum"] == 3
+        # A budget fallback shows as an algorithm-3 decision instead.
+        assert _rule_value(reg, "algorithm-3") == 1.0
