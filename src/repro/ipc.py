@@ -1,13 +1,12 @@
 """Inter-process primitives of the process-sharded topology.
 
 The shared-memory layer and the worker supervision helpers the process
-topology's shard children (:mod:`repro.online.procshard`) and its halo
-exchange (:mod:`repro.online.sharded`) stand on, kept as public,
-engine-independent primitives:
+topology's shard children (:mod:`repro.online.procshard`) and their
+front door (:mod:`repro.online.sharded`) stand on, kept as public,
+engine-independent primitives.  Halo bands are small (a boundary strip
+of flagged rows) and travel in the command pipes, so shared memory
+carries only what is large: store partitions and the frame board.
 
-* :class:`SnapshotRing` — the double-buffered shared-memory publication
-  ring (two alternating *cur* slots plus a *prev* fallback; one
-  ``(n, d)`` copy per steady-state publish) that carries halo bands;
 * :class:`WorkerHandle` plus :func:`shutdown_worker` — one long-lived
   worker process, its duplex pipe, and the sentinel→join→close teardown
   protocol;
@@ -23,9 +22,9 @@ engine-independent primitives:
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +34,6 @@ __all__ = [
     "ShardRoundtripError",
     "ShardTimeoutError",
     "ShmPlanes",
-    "SnapshotRing",
-    "StaleHaloError",
     "WorkerHandle",
     "reap_worker",
     "shutdown_worker",
@@ -57,22 +54,11 @@ class ShardTimeoutError(ShardRoundtripError):
     """The shard worker missed its dispatch deadline (hung or stalled)."""
 
 
-class StaleHaloError(RuntimeError):
-    """A seq-gated halo band read observed the wrong publication sequence.
-
-    Raised when a consumer's copy of a peer's halo band cannot be
-    attributed to the tick it is characterizing — either the publisher
-    has not caught up (the gate spins, then gives up) or it ran ahead
-    and overwrote the band mid-copy (checked again *after* the copy).
-    Either way the band copy is discarded, never used.
-    """
-
-
 def unlink_by_name(name: str) -> bool:
     """Best-effort attach-and-unlink of a segment only known by name.
 
-    The parent-side cleanup path for segments created inside worker
-    processes (store planes, halo rings): after a clean worker shutdown
+    The parent-side cleanup path for a store plane segment created inside
+    a worker process: after a clean worker shutdown
     the segment is already gone and this is a no-op; after a kill it is
     the only remaining owner.  Returns whether a segment was removed.
     """
@@ -120,113 +106,6 @@ def shutdown_worker(worker: WorkerHandle) -> None:
     """The one worker-shutdown protocol: sentinel, join, close pipe."""
     signal_worker_shutdown(worker)
     reap_worker(worker)
-
-
-@dataclass
-class SnapshotRing:
-    """Double-buffered shared-memory ring for snapshot publication.
-
-    Three segments: two *cur* slots written alternately plus one *prev*
-    fallback.  The protocol exploits transition chaining — tick
-    ``k+1``'s ``prev`` array is, by object identity, the exact array
-    published as tick ``k``'s ``cur``:
-
-    * **hot publish** (identity holds and the array is frozen read-only):
-      the ``prev`` side is already resident in the slot written last run,
-      so only ``cur`` is copied, into the *other* slot.  One ``(n, d)``
-      copy per steady-state tick.
-    * **cold publish** (first run, chain broken, or a mutable prev): both
-      endpoints are copied — ``prev`` into the fallback segment, ``cur``
-      into the next slot — and the chain restarts.
-
-    The alternation guarantees the previous run's ``cur`` slot survives
-    exactly one more run; readers' sequence gates are calibrated to that
-    lifetime.  ``last_cur`` is compared by ``is`` only, never
-    dereferenced — holding the reference also keeps the object from
-    being recycled at the same address.
-    """
-
-    slots: List[Optional[shared_memory.SharedMemory]] = field(
-        default_factory=lambda: [None, None]
-    )
-    prev_seg: Optional[shared_memory.SharedMemory] = None
-    capacity: int = 0
-    last_cur: Optional[np.ndarray] = None
-    last_slot: int = 0
-
-    def segment_names(self) -> Tuple[str, ...]:
-        """Names of every live segment (shipped so readers evict strays)."""
-        return tuple(
-            seg.name
-            for seg in (*self.slots, self.prev_seg)
-            if seg is not None
-        )
-
-    def reallocate(self, capacity: int) -> None:
-        """Recreate all segments at ``capacity`` bytes; breaks the chain."""
-        self.drop_segments()
-        self.slots = [
-            shared_memory.SharedMemory(create=True, size=capacity)
-            for _ in range(2)
-        ]
-        self.prev_seg = shared_memory.SharedMemory(create=True, size=capacity)
-        self.capacity = capacity
-        self.last_cur = None
-        self.last_slot = 0
-
-    def publish_pair(
-        self, prev_pos: np.ndarray, cur_pos: np.ndarray
-    ) -> Tuple[str, str]:
-        """Write one ``(prev, cur)`` snapshot pair; return segment names.
-
-        The sharded topology's halo exchange publishes boundary-ring
-        rows through it without materializing a
-        :class:`~repro.core.transition.Transition` first.  The hot path
-        (one copy per steady-state publish) triggers whenever ``prev``
-        is, by object identity, the frozen array published as the last
-        call's ``cur``.
-        """
-        needed = prev_pos.size * 8
-        if self.prev_seg is None or self.capacity < needed:
-            # Geometric growth: a regrow renames every segment and makes
-            # each reader re-attach, so a monotonically growing
-            # population must not pay that on every run.
-            self.reallocate(max(needed, 2 * self.capacity, 1))
-        count = prev_pos.size
-        hot = self.last_cur is prev_pos and not prev_pos.flags.writeable
-        if hot:
-            prev_seg = self.slots[self.last_slot]
-            cur_slot = 1 - self.last_slot
-        else:
-            prev_seg = self.prev_seg
-            np.copyto(
-                np.frombuffer(prev_seg.buf, dtype=np.float64, count=count),
-                prev_pos.ravel(),
-            )
-            cur_slot = 1 - self.last_slot
-        cur_seg = self.slots[cur_slot]
-        np.copyto(
-            np.frombuffer(cur_seg.buf, dtype=np.float64, count=count),
-            cur_pos.ravel(),
-        )
-        self.last_cur = cur_pos
-        self.last_slot = cur_slot
-        return prev_seg.name, cur_seg.name
-
-    def drop_segments(self) -> None:
-        """Close and unlink every segment (idempotent)."""
-        for seg in (*self.slots, self.prev_seg):
-            if seg is not None:
-                try:
-                    seg.close()
-                    seg.unlink()
-                except (OSError, FileNotFoundError):  # pragma: no cover
-                    pass
-        self.slots = [None, None]
-        self.prev_seg = None
-        self.capacity = 0
-        self.last_cur = None
-        self.last_slot = 0
 
 
 # Column layout element: (name, dtype, per-row shape) — () for scalars.
@@ -339,10 +218,12 @@ class ShmPlanes:
 class SegmentReader:
     """Cached attach-by-name over foreign shared-memory segments.
 
-    Cross-process readers (a shard worker copying peer halo bands)
-    attach segments lazily and keep them mapped across ticks; producers
-    regrow under *new* names, so the caller passes the currently-live
-    name set and everything else is evicted.  A close still blocked by
+    Cross-process readers (a shard child gathering its rows off the
+    front door's frame board, the front door copying a process shard's
+    store planes into a checkpoint) attach segments lazily and keep them
+    mapped across calls; producers regrow under *new* names, so the
+    caller passes the currently-live name set and everything else is
+    evicted.  A close still blocked by
     an exported buffer parks the segment on a zombie list for a later
     retry.
     """

@@ -14,9 +14,9 @@ the topology chooses:
   daemonic process** per shard, whose store partition lives in
   shared-memory columnar planes
   (:func:`repro.online.store.shm_planes_factory`); the front door ships
-  *commands* — global device ids, tick numbers, segment names — over a
-  duplex pipe, never pickled stores.  This host takes the shard
-  pipelines out of the parent's GIL.
+  *commands* — global device ids, tick numbers, halo rows, segment
+  names — over a duplex pipe, never pickled stores.  This host takes
+  the shard pipelines out of the parent's GIL.
 
 Protocol
 --------
@@ -27,10 +27,10 @@ themselves in process), ``movers`` → ``migrate``
 (parent-mediated migration: a scan-only columnar record of the shard's
 leavers, then one command per shard evicting its ``out`` ids and
 admitting its ``in`` record, in no cross-shard order), ``halo`` (close
-the dirty region, publish the boundary band, reply the region and
-segment names),
-``verdict`` (read peer bands seq-gated, run the local pipeline over the
-flagged rows plus the band, reply a result dict).  Every mutating
+the dirty region, reply it with the shard's boundary band of flagged
+rows), ``verdict`` (run the local pipeline over the flagged rows plus
+the peer rows the front door sliced out of the other shards' bands and
+shipped in the command, reply a result dict).  Every mutating
 command carries its tick and the worker rolls the deferred snapshot
 (``advance_tick``) lazily at the *first* command of the next tick —
 deferring the roll past the verdict is what makes a kill-and-respawn
@@ -64,7 +64,7 @@ copy, not an interpreter boot.  The tracker is only inherited if it is
 already running at fork time — :meth:`_ProcessShardHandle._fork`
 starts it first; otherwise every child would start its own, and a
 killed child's tracker would unlink every segment the child had merely
-attached: its peers' halo bands and the front door's frame board.
+attached: the front door's frame board.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ import os
 import time
 import traceback
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,7 +89,6 @@ from repro.ipc import (
     ShardDeadError,
     ShardTimeoutError,
     ShmPlanes,
-    StaleHaloError,
     WorkerHandle,
     reap_worker,
     shutdown_worker,
@@ -110,10 +109,6 @@ __all__ = [
     "_ProcessShardHandle",
 ]
 
-#: How long a consumer's seq gate spins for a peer's halo publication
-#: before declaring the band unattributable.
-_HALO_GATE_TIMEOUT = 10.0
-
 #: Deadline for the child's post-fork "ready" handshake.
 _READY_DEADLINE = 60.0
 
@@ -126,7 +121,6 @@ _CHILD_ERRORS = {
         DimensionMismatchError,
         QueueFullError,
         UnknownDeviceError,
-        StaleHaloError,
     )
 }
 
@@ -170,65 +164,6 @@ def _mark_recovered(worker) -> None:
             np.int64
         )
         worker.tracker.invalidate_cells(np.concatenate([cur_keys, prev_keys]))
-
-
-def _read_halo_sources(
-    reader: SegmentReader, sources: Sequence[Dict[str, Any]], dim: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copy the masked peer bands out of shared memory, seq-gated.
-
-    Each source names a peer ring's ``(prev, cur)`` payload segments
-    plus its header segment; the header's sequence slot is written
-    *after* the payload, so observing the expected sequence **before**
-    the copy proves the band is complete, and re-checking **after** the
-    copy proves the publisher did not run ahead and overwrite it
-    mid-read.  A late publisher (chaos delay, slow shard) stalls only
-    this gate — the copy below it can never be stale.
-    """
-    ids_parts: List[np.ndarray] = []
-    prev_parts: List[np.ndarray] = []
-    cur_parts: List[np.ndarray] = []
-    live: List[str] = []
-    for src in sources:
-        live.extend(src["live"])
-    reader.evict_except(live)
-    for src in sources:
-        hdr = reader.array(src["hdr"], np.int64, 2)
-        expected = int(src["seq"])
-        deadline = time.monotonic() + _HALO_GATE_TIMEOUT
-        while int(hdr[0]) != expected:
-            if time.monotonic() > deadline:
-                raise StaleHaloError(
-                    f"halo band from shard {src['shard']} stuck at seq "
-                    f"{int(hdr[0])}, expected {expected}"
-                )
-            time.sleep(0.0002)
-        rows = int(src["rows"])
-        take = np.asarray(src["take"], dtype=np.int64)
-        prev = reader.array(src["prev"], np.float64, rows * dim).reshape(
-            rows, dim
-        )
-        cur = reader.array(src["cur"], np.float64, rows * dim).reshape(
-            rows, dim
-        )
-        prev_copy = prev[take].copy()
-        cur_copy = cur[take].copy()
-        if int(hdr[0]) != expected:
-            raise StaleHaloError(
-                f"halo band from shard {src['shard']} republished "
-                f"(seq {int(hdr[0])}) while seq {expected} was being copied"
-            )
-        ids_parts.append(np.asarray(src["ids"], dtype=np.int64))
-        prev_parts.append(prev_copy)
-        cur_parts.append(cur_copy)
-    if not ids_parts:
-        empty = np.empty((0, dim), dtype=np.float64)
-        return np.empty(0, dtype=np.int64), empty, empty
-    return (
-        np.concatenate(ids_parts),
-        np.concatenate(prev_parts),
-        np.concatenate(cur_parts),
-    )
 
 
 def _gather_frame(
@@ -303,7 +238,6 @@ def handle_command(
     payload: Dict[str, Any],
     *,
     shard_map,
-    halo_reader: SegmentReader,
     board_reader: SegmentReader,
 ):
     """Execute one front-door command against a shard worker.
@@ -427,18 +361,21 @@ def handle_command(
             store.leave(int(payload["device"]))
         return None
     if op == "halo":
-        region = worker.tracker.close(store)
-        worker.publish_halo(shard_map, seq=tick)
-        return (region, worker.channel.meta(worker.shard))
+        return (worker.tracker.close(store), worker.halo_band(shard_map))
     if op == "verdict":
-        halo_ids, halo_prev, halo_cur = _read_halo_sources(
-            halo_reader, payload["sources"], store.dim
-        )
-        worker.transition_stage.stage_halo(halo_ids, halo_prev, halo_cur)
+        worker.transition_stage.stage_halo(*payload["halo"])
         ctx = TickContext(tick=tick, dirty=payload["dirty"])
         worker.run_tick(ctx)
         return _ctx_result(worker, ctx)
     raise ConfigurationError(f"unknown shard command {op!r}")
+
+
+def _decorated(msg: tuple, **flags: Any) -> tuple:
+    """``msg`` with chaos flags (``_hang``, ``_drop_reply``) added to its
+    payload.  Only the hosts' reply path honors them, and only on the
+    wire: supervision remembers and resends the undecorated command."""
+    op, tick, payload = msg
+    return (op, tick, {**payload, **flags})
 
 
 def _reply_header(worker) -> Tuple[bool, Optional[str], int, int]:
@@ -453,10 +390,6 @@ def _error_reply(exc: Exception) -> tuple:
 
 
 def _child_cleanup(worker, *, unlink: bool) -> None:
-    try:
-        worker.channel.close()
-    except Exception:  # pragma: no cover - teardown best-effort
-        pass
     try:
         if worker.store.planes is not None:
             worker.store.release_planes(unlink=unlink)
@@ -492,7 +425,6 @@ def _shard_child_main(
             planes.unlink()
         conn.send(_error_reply(exc))
         return
-    halo_reader = SegmentReader()
     board_reader = SegmentReader()
     try:
         conn.send(_reply_header(worker) + ("ready",))
@@ -523,7 +455,6 @@ def _shard_child_main(
                     tick,
                     payload,
                     shard_map=shard_map,
-                    halo_reader=halo_reader,
                     board_reader=board_reader,
                 )
                 reply = _reply_header(worker) + (result,)
@@ -539,7 +470,6 @@ def _shard_child_main(
                     _child_cleanup(worker, unlink=True)
                     return
     finally:
-        halo_reader.close()
         board_reader.close()
 
 
@@ -548,10 +478,12 @@ class _ProcessShardHandle:
 
     Tracks the out-of-band facts supervision needs: the current plane
     segment name and capacity (refreshed from every reply header, so a
-    respawned child can adopt them), the child's live halo-ring segment
-    names (unlinked by the parent after a kill — a killed child never
-    cleans up), and the last *canonical* command (resent verbatim on
-    retry; chaos decorations are never remembered).
+    respawned child can adopt them, and the parent can unlink the planes
+    at shutdown after a kill — a killed child never cleans up), and the
+    last *canonical* command (resent verbatim on retry; chaos decorations
+    are never remembered).  Every command is self-contained — a
+    ``verdict`` carries its halo rows — so a resent one needs nothing the
+    dead child held.
     """
 
     def __init__(self, shard, config, dim, shard_map, init, trace_enabled) -> None:
@@ -564,7 +496,6 @@ class _ProcessShardHandle:
         self.plane_name: Optional[str] = None
         self.plane_capacity = 0
         self.n = 0
-        self.ring_names: Tuple[str, ...] = ()
         self.respawns = 0
         self.last_msg: Optional[tuple] = None
         self.worker: Optional[WorkerHandle] = None
@@ -649,16 +580,12 @@ class _ProcessShardHandle:
             time.sleep(action.delay)
         if action.kill:
             self.terminate_child()
-        decorated = msg
-        if action.drop_reply or action.hang:
-            op, tick, payload = msg
-            payload = dict(payload)
-            if action.drop_reply:
-                payload["_drop_reply"] = True
-            if action.hang:
-                payload["_hang"] = action.hang
-            decorated = (op, tick, payload)
-        self.send(decorated, canonical=msg)
+        flags: Dict[str, Any] = {}
+        if action.drop_reply:
+            flags["_drop_reply"] = True
+        if action.hang:
+            flags["_hang"] = action.hang
+        self.send(_decorated(msg, **flags) if flags else msg, canonical=msg)
         if action.kill_after:
             self.terminate_child()
 
@@ -687,21 +614,17 @@ class _ProcessShardHandle:
         if proc.is_alive():
             proc.terminate()
 
-    def kill(self) -> Tuple[str, ...]:
-        """Terminate and reap; returns the orphaned ring segment names."""
+    def kill(self) -> None:
+        """Terminate and reap the child; its planes stay for adoption."""
         self.terminate_child()
         reap_worker(self.worker)
-        orphans = self.ring_names
-        self.ring_names = ()
-        return orphans
 
-    def respawn(self) -> Tuple[str, ...]:
+    def respawn(self) -> None:
         """Kill and relaunch a child that adopts the surviving planes."""
-        orphans = self.kill()
+        self.kill()
         self.respawns += 1
         self._fork(("adopt", self.plane_name, self.plane_capacity))
         self.await_ready()
-        return orphans
 
     def degrade(self, tracer: Tracer) -> "_InlineShardHandle":
         """Host the (killed) child's shard in-parent, serially.
@@ -729,12 +652,10 @@ class _ProcessShardHandle:
         return inline
 
     def shutdown(self) -> None:
-        """Sentinel → join → close, then unlink any leftover segments."""
+        """Sentinel → join → close, then unlink the planes if left over."""
         shutdown_worker(self.worker)
-        for name in (self.plane_name, *self.ring_names):
-            if name:
-                unlink_by_name(name)
-        self.ring_names = ()
+        if self.plane_name:
+            unlink_by_name(self.plane_name)
 
 
 class _InlineShardHandle:
@@ -745,11 +666,12 @@ class _InlineShardHandle:
     the send/recv surface of :class:`_ProcessShardHandle` (so the phase
     loops don't branch) but executes :func:`handle_command` directly on
     an in-parent ``_ShardWorker`` at ``recv`` time; a lone shard rolls
-    its snapshot right after a verdict (module doc).  Peer halo bands
-    are still read from shared memory by name, while a frame arrives as
-    the arrays themselves.
+    its snapshot right after a verdict (module doc).  A frame arrives as
+    the arrays themselves, and peer halo rows inside the ``verdict``
+    command, as on the process host; the board reader serves only a
+    degraded shard's re-queued board frame.
     Dispatch faults are never drawn here — there is no child to kill —
-    while a payload's ``_hang`` (a delayed halo publish) stalls the
+    while a payload's ``_hang`` (a delayed ``halo`` reply) stalls the
     reply the way the child loop does.
     """
 
@@ -757,10 +679,8 @@ class _InlineShardHandle:
         self.shard = worker.shard
         self.inner = worker
         self._map = shard_map
-        self._halo_reader = SegmentReader()
         self._board_reader = SegmentReader()
         self._pending: Optional[tuple] = None
-        self.ring_names: Tuple[str, ...] = ()
 
     def await_ready(self) -> None:
         """The worker is built in the constructor: nothing to wait for."""
@@ -773,7 +693,9 @@ class _InlineShardHandle:
     def nbytes(self) -> int:
         return self.inner.store.nbytes
 
-    def send(self, msg: tuple) -> None:
+    def send(self, msg: tuple, *, canonical: Optional[tuple] = None) -> None:
+        """Queue ``msg`` for :meth:`recv`; with no retry in process,
+        ``canonical`` has nothing to be remembered for."""
         self._pending = msg
 
     send_with_chaos = send
@@ -787,7 +709,6 @@ class _InlineShardHandle:
             tick,
             payload,
             shard_map=self._map,
-            halo_reader=self._halo_reader,
             board_reader=self._board_reader,
         )
         if op == "verdict" and self._map.n_shards == 1:
@@ -801,7 +722,6 @@ class _InlineShardHandle:
 
     def shutdown(self) -> None:
         self.inner.close()
-        self._halo_reader.close()
         self._board_reader.close()
 
 

@@ -374,8 +374,8 @@ class OnlineTick:
     field stays for readers that test it (perfbench's reference check
     falls back to the frames).
 
-    ``halo_bytes`` is the total payload shipped through halo rings this
-    tick (0 with one shard).
+    ``halo_bytes`` is the position payload (``prev`` and ``cur``) of the
+    halo rows shipped to consumers this tick (0 with one shard).
     """
 
     tick: int

@@ -31,12 +31,13 @@ devices just across its borders — the **halo**.  Per tick:
    over its own flagged rows, through the same
    :meth:`~repro.online.dirty.DirtyRegionTracker.finish_tick` as the
    single service;
-3. **halo exchange** — each shard publishes the ``(prev, cur)`` rows of
-   its flagged devices within ``halo_rings`` cells of its box boundary
-   through a :class:`~repro.ipc.SnapshotRing` (a double-buffered
-   shared-memory publication ring); consumers take
-   the bands whose cells lie within ``halo_rings`` *outside* their own
-   box, read seq-gated by segment name;
+3. **halo exchange** — each shard's ``halo`` reply carries its band: the
+   ids, cell keys and ``(prev, cur)`` rows of its flagged devices within
+   ``halo_rings`` cells of its box boundary.  The front door keeps, for
+   each consumer, the band rows whose cells lie within ``halo_rings``
+   *outside* the consumer's box, and ships them in that consumer's
+   ``verdict`` command — a few hundred bytes a tick, since the band is a
+   boundary strip;
 4. **local pipelines** — each shard runs a halo-aware
    transition-build stage, then the standard
    :class:`~repro.online.stages.VerdictStage`;
@@ -45,7 +46,7 @@ devices just across its borders — the **halo**.  Per tick:
    :class:`~repro.online.service.OnlineTick` for the sinks.
 
 With one shard, steps 1 and 3 have nothing to move: no device leaves
-the only box, and no band is published.
+the only box, and its band is empty.
 
 Every step is a command of one protocol
 (:func:`repro.online.procshard.handle_command`) sent through one handle
@@ -86,7 +87,6 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import nullcontext
-from multiprocessing import shared_memory
 from typing import (
     Any,
     Callable,
@@ -109,13 +109,7 @@ from repro.core.transition import Transition
 from repro.core.types import Characterization
 from repro.detection.banks import DetectorLike, as_bank
 from repro.engine import CharacterizationEngine
-from repro.ipc import (
-    SegmentReader,
-    ShardRoundtripError,
-    SnapshotRing,
-    StaleHaloError,
-    unlink_by_name,
-)
+from repro.ipc import SegmentReader, ShardRoundtripError
 from repro.obs.trace import Tracer
 from repro.online.dirty import DirtyRegion, DirtyRegionTracker
 from repro.online.idmap import IdColumnMap
@@ -124,6 +118,7 @@ from repro.online.procshard import (
     _FrameBoard,
     _InlineShardHandle,
     _ProcessShardHandle,
+    _decorated,
     _mark_recovered,
 )
 from repro.online.service import OnlineTick, QosUpdate, ServiceConfig, _FrontDoor
@@ -144,7 +139,6 @@ __all__ = [
     "OnlineCharacterizationService",
     "ShardMap",
     "ShardedService",
-    "StaleHaloError",
 ]
 
 #: Dirty unions that fold in the front door's respawn insurance after a
@@ -351,93 +345,6 @@ class ShardMap:
         )
 
 
-class _HaloChannel:
-    """One shard's halo publication over a snapshot ring, seq-gated.
-
-    The position payload rides double-buffered shared-memory segments
-    (:meth:`~repro.ipc.SnapshotRing.publish_pair`); the global ids and
-    cell keys of the published rows stay in worker memory alongside
-    (they are small, and travel to the front door inside :meth:`meta`).
-    A 16-byte header segment carries ``(seq, rows)``; the sequence slot
-    is written strictly *after* the payload, so a consumer that observes
-    the expected sequence before copying knows the band is complete, and
-    one that re-observes it after copying knows the band was not
-    overwritten mid-read
-    (:func:`~repro.online.procshard._read_halo_sources`).
-    """
-
-    def __init__(self) -> None:
-        self._ring = SnapshotRing()
-        self._hdr: Optional[shared_memory.SharedMemory] = None
-        self._shape: Tuple[int, int] = (0, 0)
-        self._names: Optional[Tuple[str, str]] = None
-        self._seq = 0
-        self.ids: np.ndarray = np.empty(0, dtype=np.int64)
-        self.keys: np.ndarray = np.empty((0, 0), dtype=np.int64)
-
-    def _header(self) -> np.ndarray:
-        if self._hdr is None:
-            self._hdr = shared_memory.SharedMemory(create=True, size=16)
-        return np.frombuffer(self._hdr.buf, dtype=np.int64, count=2)
-
-    def publish(
-        self,
-        ids: np.ndarray,
-        keys: np.ndarray,
-        prev: np.ndarray,
-        cur: np.ndarray,
-        *,
-        seq: int = 0,
-    ) -> None:
-        self.ids = ids
-        self.keys = keys
-        self._shape = (int(prev.shape[0]), int(prev.shape[1]))
-        self._seq = int(seq)
-        if prev.size == 0:
-            self._names = None
-        else:
-            self._names = self._ring.publish_pair(
-                np.ascontiguousarray(prev, dtype=np.float64),
-                np.ascontiguousarray(cur, dtype=np.float64),
-            )
-        # Sequence last: observing it proves the payload above is whole.
-        hdr = self._header()
-        hdr[1] = self._shape[0]
-        hdr[0] = self._seq
-
-    def meta(self, shard: int) -> Dict[str, Any]:
-        """Everything a cross-process consumer needs to read this band."""
-        names = self._names or (None, None)
-        hdr_name = self._hdr.name if self._hdr is not None else None
-        live = [
-            name
-            for name in (*self._ring.segment_names(), hdr_name)
-            if name
-        ]
-        return {
-            "shard": int(shard),
-            "seq": self._seq,
-            "rows": self._shape[0],
-            "hdr": hdr_name,
-            "prev": names[0],
-            "cur": names[1],
-            "ids": self.ids,
-            "keys": self.keys,
-            "live": live,
-        }
-
-    def close(self) -> None:
-        self._ring.drop_segments()
-        self._names = None
-        if self._hdr is not None:
-            try:
-                self._hdr.close()
-                self._hdr.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
-            self._hdr = None
-
-
 class HaloTransitionBuildStage:
     """``transition-build`` over one shard's flagged residents plus its halo.
 
@@ -555,7 +462,6 @@ class _ShardWorker:
         self.owns_engine = engine is None
         self.engine = engine or CharacterizationEngine()
         self.tracer = tracer
-        self.channel = _HaloChannel()
         self.index_stage = IndexUpdateStage(self)
         self.transition_stage = HaloTransitionBuildStage(self, cfg.r, cfg.tau)
         self.verdict_stage = VerdictStage(self, incremental=cfg.incremental)
@@ -601,29 +507,29 @@ class _ShardWorker:
             worker.verdict_stage.cache = dict(arg.verdicts)
         return worker
 
-    def publish_halo(self, boundary: "ShardMap", *, seq: int = 0) -> None:
-        """Publish this shard's boundary band of flagged rows.
+    def halo_band(self, boundary: "ShardMap") -> Dict[str, np.ndarray]:
+        """This shard's boundary band of flagged rows, copied out.
 
-        ``seq`` (the tick number) gates the consumers' reads.  A lone
-        shard has no consumer and publishes nothing: its channel never
-        allocates a segment.
+        The rows another shard's halo could need
+        (:meth:`ShardMap.boundary_mask`): their global ``ids``, cell
+        ``keys`` and both endpoints, ``prev`` and ``cur``.  A lone shard
+        has no consumer, and its band is empty.
         """
-        if boundary.n_shards == 1:
-            return
         store = self.store
-        rows = store.flagged_rows()
-        if rows.size:
+        rows = np.empty(0, dtype=np.int64)
+        keys = np.empty((0, store.dim), dtype=np.int64)
+        if boundary.n_shards > 1:
+            rows = store.flagged_rows()
             keys = store.index.keys_of_rows(rows)
             mask = boundary.boundary_mask(keys, self.shard)
-            rows = rows[mask]
-            keys = keys[mask]
-        else:
-            keys = np.empty((0, store.dim), dtype=np.int64)
-        ids = np.asarray(store.row_ids())[rows]
+            rows, keys = rows[mask], keys[mask]
         prev_plane, cur_plane = store.snapshot_arrays()
-        self.channel.publish(
-            ids, keys, prev_plane[rows], cur_plane[rows], seq=seq
-        )
+        return {
+            "ids": np.asarray(store.row_ids())[rows],
+            "keys": keys,
+            "prev": prev_plane[rows],
+            "cur": cur_plane[rows],
+        }
 
     def run_tick(self, ctx: TickContext) -> TickContext:
         """Build the local transition, verdict it, record the codes."""
@@ -633,7 +539,6 @@ class _ShardWorker:
         return ctx
 
     def close(self) -> None:
-        self.channel.close()
         if self.owns_engine:
             self.engine.close()
 
@@ -855,7 +760,6 @@ class ShardedService(_FrontDoor):
         self._handles: List[Any] = []
         self._board = _FrameBoard()
         self._planes_reader = SegmentReader()
-        self._orphans: List[str] = []
         # Dirty insurance against shard respawns (see _tick_shards).
         self._insure = 0
         self._prev_dirty = DirtyRegion.empty()
@@ -989,7 +893,7 @@ class ShardedService(_FrontDoor):
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release every shard (engine, halo ring, child) and the board."""
+        """Release every shard (engine, child, planes) and the board."""
         if self._closed:
             return
         self._closed = True
@@ -997,7 +901,6 @@ class ShardedService(_FrontDoor):
             handle.shutdown()
         self._board.close()
         self._planes_reader.close()
-        self._drain_orphans()
 
     # ------------------------------------------------------------------
     # Command phases and supervision
@@ -1006,6 +909,7 @@ class ShardedService(_FrontDoor):
         self,
         msgs: List[Optional[tuple]],
         *,
+        wire: Optional[List[Optional[tuple]]] = None,
         chaos: bool = False,
         span: Optional[str] = None,
     ) -> List[Any]:
@@ -1017,19 +921,21 @@ class ShardedService(_FrontDoor):
         after another.  A shard-side error is re-raised only after
         *every* outstanding reply is drained, so one failing shard never
         leaves another's reply stranded in a pipe to desynchronize the
-        next phase.  ``chaos`` routes the sends through the handles'
-        dispatch fault hook (the verdict phase).  ``span`` times the
-        sends — the collect is the shards' own work, which their stage
-        spans time.
+        next phase.  ``wire``, when given, is what goes down each pipe
+        instead: the same commands, some decorated with a chaos stall,
+        while each handle remembers the plain one in ``msgs`` for a
+        retry.  ``chaos`` routes the sends through the handles' dispatch
+        fault hook (the verdict phase).  ``span`` times the sends — the
+        collect is the shards' own work, which their stage spans time.
         """
         with self._tracer.span(span) if span else nullcontext():
-            for handle, msg in zip(self._handles, msgs):
+            for handle, msg, sent in zip(self._handles, msgs, wire or msgs):
                 if msg is None:
                     continue
                 if chaos:
                     handle.send_with_chaos(msg)
                 else:
-                    handle.send(msg)
+                    handle.send(sent, canonical=msg)
         results: List[Any] = [None] * len(msgs)
         error: Optional[BaseException] = None
         for shard, msg in enumerate(msgs):
@@ -1074,7 +980,8 @@ class ShardedService(_FrontDoor):
             except ShardRoundtripError:
                 if attempt < retries:
                     attempt += 1
-                    self._note_respawn(shard, handle.respawn())
+                    handle.respawn()
+                    self._note_respawn(shard)
                     handle.resend_last()
                     continue
                 self._fallback_inline(shard)
@@ -1089,8 +996,7 @@ class ShardedService(_FrontDoor):
             exc_cls = _CHILD_ERRORS.get(exc_name, RuntimeError)
             raise exc_cls(f"shard {shard} worker command failed:\n{tb}")
 
-    def _note_respawn(self, shard: int, orphans: Iterable[str]) -> None:
-        self._orphans.extend(orphans)
+    def _note_respawn(self, shard: int) -> None:
         self._insure = _INSURED_UNIONS
         self._counter_respawns.labels(shard=str(shard)).inc()
 
@@ -1103,20 +1009,13 @@ class ShardedService(_FrontDoor):
         loop re-executes it locally.
         """
         handle = self._handles[shard]
-        self._orphans.extend(handle.kill())
+        handle.kill()
         self._insure = _INSURED_UNIONS
         self._handles[shard] = handle.degrade(
             Tracer(self._tracer.registry, enabled=self._tracer.enabled)
         )
         self._degraded += 1
         self._gauge_degraded.set(self._degraded)
-
-    def _drain_orphans(self) -> None:
-        """Unlink segments orphaned by kills — only after the tick's
-        consumers are done reading them (end of ``end_tick``)."""
-        for name in self._orphans:
-            unlink_by_name(name)
-        self._orphans = []
 
     def shard_states(self) -> List[Tuple[Dict, Dict, Dict]]:
         """Per-shard ``(store_state, tracker_state, verdict_cache)``.
@@ -1423,17 +1322,17 @@ class ShardedService(_FrontDoor):
     def _tick_shards(
         self, tracer: Tracer
     ) -> Tuple[List[Dict[str, Any]], int, int]:
-        """The tick's halo barrier and verdicts over shm rings.
+        """The tick's halo barrier and verdicts, bands in the commands.
 
-        The ``halo`` phase makes every shard publish its boundary band
-        (seq-stamped with the tick) and reply with its dirty region and
-        ring metadata; the parent unions the regions and computes
-        per-consumer halo masks.  The ``verdict`` phase then ships
-        segment *names* — each shard gates on the publisher's sequence
-        header before copying its band, so a slow publisher delays only
-        its consumers' barrier and can never hand them a stale band —
-        and builds its local transition from its flagged rows plus the
-        band, O(flagged) (:class:`HaloTransitionBuildStage`).
+        The ``halo`` phase makes every shard reply with its dirty region
+        and its boundary band (:meth:`_ShardWorker.halo_band`); the
+        parent unions the regions and, for each consumer, keeps the band
+        rows within ``halo_rings`` cells outside the consumer's box.  The
+        ``verdict`` phase ships those rows inside each consumer's command,
+        so the command is self-contained — a respawned consumer's resent
+        one carries its band, and no shard reads another's memory — and
+        each shard builds its local transition from its flagged rows plus
+        the band, O(flagged) (:class:`HaloTransitionBuildStage`).
 
         For two unions after any respawn or degrade, parent-side
         insurance widens the union beyond the shards' reports: the
@@ -1448,63 +1347,40 @@ class ShardedService(_FrontDoor):
         n_shards = self._map.n_shards
         dim = self._dim
         with tracer.span("halo-exchange"):
-            # The halo-delay fault is consulted here, once, in the parent
-            # (a forked child's injector counts would be invisible), and
-            # shipped as a reply stall: the shard publishes its band
-            # first and sleeps before replying, so the fault delays only
-            # the barrier — the seq gate proves consumers still read a
-            # whole, current band.  A lone shard publishes no band.
+            # The halo-delay fault is drawn here, once, in the parent (a
+            # forked child's injector counts would be invisible), and
+            # decorates only the command on the wire: the shard stalls its
+            # reply, and a retry after a missed deadline replays the plain
+            # command.  A lone shard has no band to delay.
+            halo = ("halo", tick, {})
+            wire = [halo] * n_shards
             injector = get_injector()
-            halo_msgs: List[Optional[tuple]] = []
-            for shard in range(n_shards):
-                payload: Dict[str, Any] = {}
-                if injector.active and n_shards > 1:
+            if injector.active and n_shards > 1:
+                for shard in range(n_shards):
                     stall = injector.halo_publish(tick, shard)
                     if stall:
-                        payload["_hang"] = stall
-                halo_msgs.append(("halo", tick, payload))
-            replies = self._phase(halo_msgs)
-            parts: List[DirtyRegion] = []
-            metas: List[Dict[str, Any]] = []
-            for shard, (region, meta) in enumerate(replies):
-                parts.append(region)
-                metas.append(meta)
-                self._handles[shard].ring_names = tuple(meta["live"])
+                        wire[shard] = _decorated(halo, _hang=stall)
+            replies = self._phase([halo] * n_shards, wire=wire)
+            parts = [region for region, _ in replies]
             if self._insure:
                 parts += [self._prev_dirty, *self._mover_points, *self._mover_carry]
                 self._insure -= 1
 
             halo_rings = self._map.halo_rings
             halo_bytes = 0
-            sources_of: List[List[Dict[str, Any]]] = []
+            empty = (np.empty(0, dtype=np.int64), np.empty((0, dim)), np.empty((0, dim)))
+            halos: List[Tuple[np.ndarray, ...]] = []
             for consumer in range(n_shards):
-                sources: List[Dict[str, Any]] = []
-                for meta in metas:
-                    if meta["shard"] == consumer:
+                # Each consumer's (ids, prev, cur), peer by peer.
+                picks = [empty]
+                for peer, (_, band) in enumerate(replies):
+                    if peer == consumer or not band["ids"].size:
                         continue
-                    ids = meta["ids"]
-                    if ids.size == 0:
-                        continue
-                    dist = self._map.box_distance(meta["keys"], consumer)
-                    mask = (dist > 0) & (dist <= halo_rings)
-                    if not mask.any():
-                        continue
-                    take = np.nonzero(mask)[0]
+                    dist = self._map.box_distance(band["keys"], consumer)
+                    take = np.flatnonzero((dist > 0) & (dist <= halo_rings))
                     halo_bytes += int(take.size) * dim * 16
-                    sources.append(
-                        {
-                            "shard": meta["shard"],
-                            "seq": meta["seq"],
-                            "rows": meta["rows"],
-                            "hdr": meta["hdr"],
-                            "prev": meta["prev"],
-                            "cur": meta["cur"],
-                            "ids": ids[take],
-                            "take": take,
-                            "live": meta["live"],
-                        }
-                    )
-                sources_of.append(sources)
+                    picks.append(tuple(band[f][take] for f in ("ids", "prev", "cur")))
+                halos.append(tuple(np.concatenate(col) for col in zip(*picks)))
         with tracer.span("dirty-union"):
             dirty = DirtyRegion.union(parts)
             # The cells are de-duplicated once, here, and travel with the
@@ -1516,19 +1392,12 @@ class ShardedService(_FrontDoor):
 
         results = self._phase(
             [
-                (
-                    "verdict",
-                    tick,
-                    {"sources": sources_of[shard], "dirty": dirty},
-                )
+                ("verdict", tick, {"halo": halos[shard], "dirty": dirty})
                 for shard in range(n_shards)
             ],
             chaos=True,
             span="shard-send",
         )
-        # Segments orphaned by kills stay linked until every consumer is
-        # done reading the tick's bands; unlink them only now.
-        self._drain_orphans()
         return results, dirty_cells, halo_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

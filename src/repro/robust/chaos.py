@@ -20,8 +20,9 @@ shards and the input-validation layer defend against:
 * **hang** — the child sleeps before replying (exercises real
   deadline overruns; prefer ``drop`` in tests, it costs no wall-clock);
 * **delay** — the parent sleeps before sending (latency, no fault);
-* **halo delay** — a shard's halo publish stalls (the consumers'
-  seq-gated barrier must wait, never read a stale band);
+* **halo delay** — a shard's ``halo`` reply stalls (the barrier before
+  the verdicts waits; past the dispatch deadline the shard is respawned
+  and the plain command replayed, never the stall);
 * **frame faults** — a measurement frame is corrupted (NaN / inf /
   out-of-range cells) before the service validates it.
 
@@ -90,7 +91,7 @@ class FaultPlan:
     frame_nan_at: Mapping[int, Sequence[int]] = field(default_factory=dict)
     frame_inf_at: Mapping[int, Sequence[int]] = field(default_factory=dict)
     frame_oob_at: Mapping[int, Sequence[int]] = field(default_factory=dict)
-    # tick -> shard whose halo publish is delayed by ``delay_seconds``
+    # tick -> shard whose halo reply is delayed by ``delay_seconds``
     halo_delay_at: Mapping[int, int] = field(default_factory=dict)
 
 
@@ -149,11 +150,12 @@ class ChaosInjector:
         )
 
     def halo_publish(self, tick: int, shard: int) -> float:
-        """Seconds to stall ``shard``'s halo publish at ``tick`` (0 = none).
+        """Seconds to stall ``shard``'s ``halo`` reply at ``tick`` (0 = none).
 
-        Exercises the overlap window of the sharded topology: a slow
-        publisher must delay only the consumers' seq-gated barrier,
-        never hand them a stale band.
+        Exercises the sharded topology's halo barrier: a slow shard
+        delays every consumer's ``verdict`` command, and one that misses
+        the dispatch deadline is respawned and answers the replayed,
+        undecorated ``halo`` command — verdicts never change.
         """
         plan = self.plan
         if plan is None:

@@ -316,7 +316,6 @@ def run_migrate(store) -> None:
         store.tick_serial + 1,
         migrate_payload(),
         shard_map=None,
-        halo_reader=None,
         board_reader=None,
     )
 

@@ -83,6 +83,28 @@ def drive_twins(single, sharded, stream):
         assert_same_tick(single.end_tick(), sharded.end_tick())
 
 
+def run_halo_stall_past_deadline():
+    """Two process shards; shard 0 stalls its tick-2 ``halo`` reply 1.5 s
+    past a 1 s dispatch deadline.  Every tick is checked against the
+    single service; returns the (closed) sharded service."""
+    from repro.robust.chaos import FaultPlan, inject
+
+    rng = np.random.default_rng(17)
+    positions = rng.random((48, 2))
+    cfg = ServiceConfig(r=0.05, tau=2, dispatch_deadline=1.0)
+    single, sharded = make_pair(positions, cfg, shards=2, workers="process")
+    stream = random_stream(
+        rng, positions, np.zeros(48, dtype=bool), 4, flag_p=0.5, jump_p=0.1
+    )
+    try:
+        with inject(FaultPlan(halo_delay_at={2: 0}, delay_seconds=1.5)) as injector:
+            drive_twins(single, sharded, stream)
+        assert injector.injected.get("halo_delay") == 1
+    finally:
+        sharded.close()
+    return sharded
+
+
 def random_stream(rng, positions, flags, ticks, *, flag_p, jump_p):
     """Random-walk event stream mutating the caller's mirrors in place."""
     n, d = positions.shape
@@ -449,6 +471,55 @@ class TestHaloBandTolerance:
         assert verdict.anomaly_type.name == "MASSIVE"
 
 
+class TestHaloBand:
+    """A shard's ``halo`` reply: its flagged rows within reach of a peer,
+    with global ids, cell keys and both endpoints copied out."""
+
+    def _moved(self, service, positions):
+        """Move every device a little and raise every flag, one tick."""
+        moved = np.clip(positions + 0.01, 0.0, 1.0 - 1e-9)
+        service.ingest_many(
+            QosUpdate(j, tuple(pos), True) for j, pos in enumerate(moved)
+        )
+        service.end_tick()
+        return moved
+
+    def test_lone_shard_band_is_empty(self):
+        positions = np.random.default_rng(3).random((32, 2))
+        service = OnlineCharacterizationService(positions.copy(), CFG)
+        self._moved(service, positions)
+        (handle,) = service.handles
+        band = handle.inner.halo_band(service.topology)
+        assert band["ids"].shape == (0,)
+        assert band["keys"].shape == (0, 2)
+        assert band["prev"].shape == band["cur"].shape == (0, 2)
+
+    def test_band_is_flagged_boundary_rows_with_both_endpoints(self):
+        # A fine cell, so each box is far wider than its boundary band.
+        cfg = ServiceConfig(r=0.01, tau=2)
+        positions = np.random.default_rng(4).random((96, 2))
+        with ShardedService(
+            positions.copy(), cfg, topology_shards=4
+        ) as service:
+            moved = self._moved(service, positions)
+            shard_map = service.topology
+            keys = np.floor(moved / cfg.cell).astype(np.int64)
+            owner = shard_map.shard_of_keys(keys)
+            banded = 0
+            for handle in service.handles:
+                band = handle.inner.halo_band(shard_map)
+                owned = np.flatnonzero(owner == handle.shard)
+                want = owned[shard_map.boundary_mask(keys[owned], handle.shard)]
+                order = np.argsort(band["ids"])
+                ids = band["ids"][order]
+                assert ids.tolist() == want.tolist()
+                assert np.array_equal(band["keys"][order], keys[ids])
+                assert np.array_equal(band["prev"][order], positions[ids])
+                assert np.array_equal(band["cur"][order], moved[ids])
+                banded += ids.size
+            assert 0 < banded < len(positions)
+
+
 class TestShardedServiceSurface:
     def test_partition_and_sizes(self):
         rng = np.random.default_rng(1)
@@ -786,48 +857,10 @@ class TestOwnerColumnsProcess(TestOwnerColumns):
 class TestProcessTopology:
     """Contracts specific to per-shard processes over shm partitions."""
 
-    def test_halo_seq_gate_rejects_stale_band(self):
-        """A consumer must never read a band from the wrong tick: the
-        seq gate times out into :class:`StaleHaloError` instead of
-        copying whatever the ring currently holds."""
-        from repro.ipc import SegmentReader
-        from repro.online import procshard
-        from repro.online.sharded import StaleHaloError, _HaloChannel
-
-        channel = _HaloChannel()
-        try:
-            ids = np.array([3, 7], dtype=np.int64)
-            keys = np.array([[0, 0], [1, 1]], dtype=np.int64)
-            band = np.array([[0.1, 0.2], [0.3, 0.4]])
-            channel.publish(ids, keys, band, band + 0.01, seq=5)
-
-            meta = channel.meta(0)
-            assert meta["seq"] == 5
-            reader = SegmentReader()
-            source = dict(meta, take=np.array([0, 1]), seq=6)
-            old_timeout = procshard._HALO_GATE_TIMEOUT
-            procshard._HALO_GATE_TIMEOUT = 0.05
-            try:
-                with pytest.raises(StaleHaloError):
-                    procshard._read_halo_sources(reader, [source], 2)
-                # The published sequence itself gates through cleanly.
-                source["seq"] = 5
-                got_ids, got_prev, got_cur = procshard._read_halo_sources(
-                    reader, [source], 2
-                )
-                assert got_ids.tolist() == [3, 7]
-                assert np.allclose(got_prev, band)
-                assert np.allclose(got_cur, band + 0.01)
-            finally:
-                procshard._HALO_GATE_TIMEOUT = old_timeout
-                reader.close()
-        finally:
-            channel.close()
-
     @pytest.mark.parametrize("workers", TOPOLOGIES)
     def test_halo_delay_stalls_barrier_never_corrupts(self, workers):
-        """Chaos-delaying one shard's halo publish slows the tick but the
-        seq-gated barrier still hands every consumer the right band —
+        """Chaos-delaying one shard's ``halo`` reply slows the tick's
+        barrier but every consumer still gets the right band —
         verdicts stay identical to the fault-free single service.  The
         fault is drawn once, where it takes effect, on either host."""
         from repro.robust.chaos import FaultPlan, inject
@@ -846,6 +879,16 @@ class TestProcessTopology:
             assert injector.injected.get("halo_delay") == 1
         finally:
             sharded.close()
+
+    def test_halo_stall_past_deadline_respawns_once(self):
+        """The stall decorates only the ``halo`` command on the wire: the
+        missed deadline respawns shard 0 once, and the resent command —
+        the plain one — answers in time, so the shard is not degraded."""
+        from repro.online.procshard import _ProcessShardHandle
+
+        handles = run_halo_stall_past_deadline().handles
+        assert all(isinstance(h, _ProcessShardHandle) for h in handles)
+        assert [h.respawns for h in handles] == [1, 0]
 
     def test_kill_chaos_respawns_never_diverges(self):
         """Scheduled kills of shard children mid-verdict force respawns
@@ -881,9 +924,9 @@ class TestProcessTopology:
 
         Every child must share the parent's resource tracker: a child
         with a tracker of its own has it unlink, on the kill, every
-        segment the child had attached — its peers' halo bands and the
-        frame board — and the respawn (or the degraded fallback) ticks
-        into missing segments.  Runs in a fresh interpreter, because a
+        segment the child had attached — the front door's frame board —
+        and the respawn (or the degraded fallback) ticks into a missing
+        segment.  Runs in a fresh interpreter, because a
         tracker some earlier test started would hide the defect."""
         script = """
 import sys

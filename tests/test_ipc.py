@@ -1,8 +1,7 @@
-"""Shared IPC primitives: the shm layer both the engine pool and the
-process-sharded topology stand on.
+"""Shared IPC primitives: the shm layer the process-sharded topology
+stands on.
 
-Covers the promoted helpers in isolation — the double-buffered
-:class:`SnapshotRing` publish protocol (hot vs cold path), the columnar
+Covers the promoted helpers in isolation — the columnar
 :class:`ShmPlanes` create/attach offset agreement, and the cached
 :class:`SegmentReader` attach/evict discipline — so a regression here
 fails fast instead of surfacing as a flaky cross-process identity test.
@@ -11,7 +10,6 @@ fails fast instead of surfacing as a flaky cross-process identity test.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.ipc import (
     SegmentReader,
@@ -19,8 +17,6 @@ from repro.ipc import (
     ShardRoundtripError,
     ShardTimeoutError,
     ShmPlanes,
-    SnapshotRing,
-    StaleHaloError,
     unlink_by_name,
 )
 
@@ -29,71 +25,6 @@ class TestErrors:
     def test_roundtrip_hierarchy(self):
         assert issubclass(ShardDeadError, ShardRoundtripError)
         assert issubclass(ShardTimeoutError, ShardRoundtripError)
-        assert not issubclass(StaleHaloError, ShardRoundtripError)
-
-
-class TestSnapshotRing:
-    def _read(self, name, count):
-        reader = SegmentReader()
-        try:
-            return reader.array(name, np.float64, count).copy()
-        finally:
-            reader.close()
-
-    def test_cold_publish_copies_both_endpoints(self):
-        ring = SnapshotRing()
-        try:
-            prev = np.arange(6, dtype=float).reshape(3, 2)
-            cur = prev + 1.0
-            prev_name, cur_name = ring.publish_pair(prev, cur)
-            assert prev_name != cur_name
-            assert np.array_equal(self._read(prev_name, 6), prev.ravel())
-            assert np.array_equal(self._read(cur_name, 6), cur.ravel())
-        finally:
-            ring.drop_segments()
-
-    def test_hot_publish_reuses_last_cur_slot(self):
-        ring = SnapshotRing()
-        try:
-            a = np.arange(6, dtype=float).reshape(3, 2)
-            b = a + 1.0
-            b.flags.writeable = False
-            _, cur_name = ring.publish_pair(a, b)
-            # Chained publish: prev IS the frozen last cur — the slot it
-            # already lives in becomes the prev side, zero extra copies.
-            c = b + 1.0
-            prev_name, next_name = ring.publish_pair(b, c)
-            assert prev_name == cur_name
-            assert next_name != cur_name
-            assert np.array_equal(self._read(prev_name, 6), b.ravel())
-            assert np.array_equal(self._read(next_name, 6), c.ravel())
-        finally:
-            ring.drop_segments()
-
-    def test_regrow_renames_every_segment(self):
-        ring = SnapshotRing()
-        try:
-            small = np.zeros((2, 2))
-            ring.publish_pair(small, small)
-            before = set(ring.segment_names())
-            big = np.zeros((64, 2))
-            ring.publish_pair(big, big)
-            after = set(ring.segment_names())
-            assert before.isdisjoint(after)
-            for name in before:  # old names are unlinked, not leaked
-                with pytest.raises(FileNotFoundError):
-                    self._read(name, 4)
-        finally:
-            ring.drop_segments()
-
-    def test_drop_segments_idempotent(self):
-        ring = SnapshotRing()
-        ring.publish_pair(np.zeros((2, 2)), np.zeros((2, 2)))
-        names = ring.segment_names()
-        ring.drop_segments()
-        ring.drop_segments()
-        assert ring.segment_names() == ()
-        assert all(not unlink_by_name(n) for n in names)
 
 
 FIELDS = (
@@ -133,6 +64,16 @@ class TestShmPlanes:
         total = ShmPlanes.required_bytes(3, FIELDS)
         # header + pos (48B) + flag (3B -> 8B) + code (3B -> 8B)
         assert total == ShmPlanes.HEADER_SLOTS * 8 + 48 + 8 + 8
+
+
+class TestUnlinkByName:
+    def test_unlinks_a_segment_known_only_by_name(self):
+        planes = ShmPlanes.create(2, FIELDS)
+        planes.arrays = {}
+        planes.header = None
+        planes.close()
+        assert unlink_by_name(planes.name)
+        assert not unlink_by_name(planes.name)
 
 
 class TestSegmentReader:
