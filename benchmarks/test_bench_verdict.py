@@ -7,6 +7,12 @@
   motion-sharing bound (the per-device ball path).  These rows record
   timings only; verdict correctness is anchored on the omniscient
   oracle in ``tests/online/test_oracle_matrix.py``.
+* ``CharacterizationEngine.characterize_run`` is timed on a lone-heavy
+  tick with the ``fleet-100k`` perfbench mix — about 200 lone flagged
+  devices, one group of 8 moving and one returning — built as a shard
+  builds it: flagged participants numbered by rank, verdicts mapped to
+  global ids through ``key_of``.  Most of these devices settle in the
+  one-step Theorem 5 path.
 
 Every run appends rows to ``_SUMMARY_ROWS``; after the module,
 ``benchmarks/conftest.py`` writes them to the path in
@@ -28,6 +34,8 @@ import pytest
 from repro.core.characterize import Characterizer
 from repro.core.neighborhood import MotionCache
 from repro.core.transition import Snapshot, Transition
+from repro.core.types import DecisionRule
+from repro.engine import CharacterizationEngine
 from repro.online import OnlineCharacterizationService, QosUpdate, ServiceConfig
 
 #: (n, r) grid for the timing rows; r keeps ~comparable flagged density
@@ -121,6 +129,53 @@ def test_large_component_takes_the_per_device_path():
             "flagged": n,
             "characterized": len(targets),
             "bitset_seconds": seconds,
+        }
+    )
+
+
+def _lone_heavy_tick(seed=0, lone=200, group=8):
+    """One ``fleet-100k``-like tick as a shard's transition sees it: the
+    flagged devices of a 100k fleet (``lone`` isolated jumps, one group
+    of ``group`` moving together and one returning), numbered by the
+    rank of their global id, and the rank→id map."""
+    n, r = 100_000, 0.01 / np.sqrt(10)
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(n, size=lone + 2 * group, replace=False))
+    order = rng.permutation(ids.size)
+    prev = rng.uniform(0.05, 0.95, (ids.size, 2))
+    cur = rng.uniform(0.05, 0.95, (ids.size, 2))  # lone devices jump
+    for members in (order[lone : lone + group], order[lone + group :]):
+        centre = rng.uniform(0.1, 0.9, 2)
+        prev[members] = centre + rng.uniform(-r / 2, r / 2, (group, 2))
+        cur[members] = prev[members] + 5 * r  # one common shift
+    return Transition.from_views(prev, cur, range(ids.size), r, 2), ids.tolist()
+
+
+def test_lone_heavy_engine_run():
+    repeats = 30
+    best = float("inf")
+    for _ in range(repeats):
+        transition, key_of = _lone_heavy_tick()
+        engine = CharacterizationEngine()
+        start = time.perf_counter()
+        run = engine.characterize_run(transition, key_of=key_of)
+        best = min(best, time.perf_counter() - start)
+    rules = [verdict.rule for verdict in run.verdicts.values()]
+    lone = sum(transition.is_lone(j) for j in transition.flagged_sorted)
+    assert rules.count(DecisionRule.THEOREM_6) == 16
+    assert lone == rules.count(DecisionRule.THEOREM_5) >= 195
+    assert set(run.verdicts) == set(key_of)
+    _SUMMARY_ROWS.append(
+        {
+            "claim": "characterize_lone_heavy",
+            "n": 100_000,
+            "r": transition.r,
+            "flagged": len(transition.flagged),
+            "lone": lone,
+            "families_recomputed": run.families_recomputed,
+            "repeats": repeats,
+            "bitset_seconds": best,
+            "cpu_count": os.cpu_count(),
         }
     )
 

@@ -53,6 +53,8 @@ Every set the verdict touches is an integer bitmask over a
 is batch-first, and :meth:`~Characterizer.characterize` is its one-device
 call.  A first pass settles each device in input order through Theorems
 5 and 6 (and the per-motion ``2^m`` pool guard), leaving the rest pending.
+A *lone* device (``N(j) == (j,)``, read off the batch ``2r`` pass) settles
+in one Theorem 5 step, without a component walk or a motion family.
 A second pass builds the pools of every pending device at once.  The pool
 of a device in a shared 2r-connected component is a filter of one
 per-component table of dense motion subsets; the missing tables of a
@@ -61,7 +63,10 @@ tables yields every pool (:meth:`Characterizer._shared_pools`).
 Components above the sharing bound enumerate the pool per device over
 its ``4r`` ball (:meth:`Characterizer._candidate_pool_masks`).  The
 searches then run in input order, each over a ``uint64`` array when the
-universe fits 64 bits.
+universe fits 64 bits and the pool is long enough to repay NumPy's
+per-call cost, else over a list of ``int`` masks.  Every verdict is
+built once, in the caller's ids (``key_of``: a shard's global ids for
+its rank-numbered transition).
 
 The search memoizes visited unions and counts every collection it
 examines, feeding the Table III cost columns.
@@ -129,9 +134,10 @@ class _MaskCollectionSearch:
     Candidates arrive in canonical order and are re-ranked with stable
     sorts, so ``tested`` and the returned counterexample are
     deterministic.  This ``int``-list search serves universes wider than
-    64 bits (the per-device ball path of a dense region);
-    :class:`_ArrayCollectionSearch` visits the same nodes over a
-    ``uint64`` array.  :func:`_collection_search` picks one by width.
+    64 bits (the per-device ball path of a dense region) and short
+    pools; :class:`_ArrayCollectionSearch` visits the same nodes over a
+    ``uint64`` array.  :func:`_collection_search` picks one by width and
+    pool length.
     """
 
     def __init__(
@@ -265,20 +271,33 @@ class _ArrayCollectionSearch(_MaskCollectionSearch):
         return None
 
 
+#: Shortest pool the array search takes.  A node of the array search
+#: costs ~6 µs of fixed NumPy calls whatever the pool, one of the list
+#: search ~1.5 µs plus ~0.1 µs a candidate, so short pools are faster as
+#: ``int`` lists.  Set from a replay of the searches of 60 ticks of the
+#: ``fleet-100k`` and ``massive-10k`` perfbench streams, seeds 1 and 97
+#: (pools of 1 to ~500 candidates): the list search was faster in every
+#: pool-length bin below 48 candidates, the array search in every bin
+#: from 80 up, and a split anywhere in 48-80 was within 2% of the best.
+_ARRAY_SEARCH_MIN_POOL = 64
+
+
 def _collection_search(
     dense_of_j: Sequence[int],
-    candidates: Sequence[int],
+    candidates: Union[Sequence[int], np.ndarray],
     width: int,
     tau: int,
     budget: Optional[int],
 ) -> _MaskCollectionSearch:
     """The Theorem 7 search for masks over a ``width``-bit universe: the
-    array search up to 64 bits, the ``int``-list search above."""
-    if width <= 64:
+    array search for a pool of at least :data:`_ARRAY_SEARCH_MIN_POOL`
+    candidates up to 64 bits, the ``int``-list search otherwise.  Both
+    visit the same nodes."""
+    if width <= 64 and len(candidates) >= _ARRAY_SEARCH_MIN_POOL:
         return _ArrayCollectionSearch(dense_of_j, candidates, tau, budget)
-    return _MaskCollectionSearch(
-        dense_of_j, [int(cand) for cand in candidates], tau, budget
-    )
+    if isinstance(candidates, np.ndarray):
+        candidates = candidates.tolist()
+    return _MaskCollectionSearch(dense_of_j, candidates, tau, budget)
 
 
 def _count_collections(masks: Sequence[int], cap: Optional[int] = None) -> int:
@@ -427,9 +446,13 @@ def _subset_tables(
     bit-reversed mask: among equal popcounts the lowest differing bit
     decides, and the reversal makes it the highest one.  The motions of
     one size are deposited at once across all the components, together
-    with their reversed masks; one ``lexsort`` by component, then
-    canonical order, brings a component's duplicates (the common subsets
-    of overlapping motions) next to each other, and they are dropped.
+    with their reversed masks.  Two sorts order the lot by component,
+    then canonical order: an unstable one on descending reversed mask,
+    then a stable one on the small key ``owner * 65 + 65 - popcount``
+    (equal reversed masks of one component are equal masks, so the first
+    sort's ties never matter).  That brings a component's duplicates
+    (the common subsets of overlapping motions) next to each other, and
+    they are dropped.
     """
     groups: Dict[int, Tuple[List[List[int]], List[int], List[int]]] = {}
     for owner, component in enumerate(components):
@@ -460,7 +483,9 @@ def _subset_tables(
             )
         )
     masks, reversed_masks, counts, owners = (np.concatenate(p) for p in zip(*parts))
-    order = np.lexsort((~reversed_masks, -counts, owners))
+    order = np.argsort(~reversed_masks)
+    key = owners[order] * 65 + (65 - counts[order])
+    order = order[np.argsort(key, kind="stable")]
     masks = masks[order]
     owners = owners[order]
     fresh = np.ones(len(masks), dtype=bool)
@@ -540,6 +565,44 @@ class _Pending:
         self.component = component
         self.inside = inside
         self.pool: Optional[np.ndarray] = None
+
+
+class _Verdicts:
+    """Builds each verdict of one batch once, in the caller's ids.
+
+    ``key_of[j]`` is the id the caller knows transition device ``j`` by
+    (``None``: the transition's own ids).  The device and every witness
+    motion are mapped as the verdict is built; a witness motion is
+    mapped once per batch, since a group's members share it.
+    """
+
+    __slots__ = ("key_of", "_motions")
+
+    def __init__(self, key_of: Optional[Sequence[int]]) -> None:
+        self.key_of = key_of
+        self._motions: Dict[FrozenSet[int], FrozenSet[int]] = {}
+
+    def __call__(
+        self,
+        device: int,
+        anomaly_type: AnomalyType,
+        rule: DecisionRule,
+        cost: CostCounters,
+        witness: Optional[Tuple[FrozenSet[int], ...]] = None,
+    ) -> Characterization:
+        key_of = self.key_of
+        if key_of is None:
+            return Characterization(device, anomaly_type, rule, cost, witness)
+        if witness is not None:
+            motions = self._motions
+            mapped = []
+            for motion in witness:
+                keys = motions.get(motion)
+                if keys is None:
+                    keys = motions[motion] = frozenset([key_of[j] for j in motion])
+                mapped.append(keys)
+            witness = tuple(mapped)
+        return Characterization(key_of[device], anomaly_type, rule, cost, witness)
 
 
 class Characterizer:
@@ -629,14 +692,15 @@ class Characterizer:
         return self.characterize_many([device])[device]
 
     def characterize_many(
-        self, devices: Sequence[int]
+        self, devices: Sequence[int], key_of: Optional[Sequence[int]] = None
     ) -> Dict[int, Characterization]:
         """Classify a subset of ``A_k`` (shared cache across devices).
 
         Two passes.  The first settles each device in input order through
         Theorems 5 and 6 and the per-motion pool guard
-        (:meth:`_settle`), leaving the rest pending.  The second builds
-        the pools of every pending device of a shared component at once
+        (:meth:`_settle`), leaving the rest pending; a lone device
+        settles in one Theorem 5 step.  The second builds the pools of
+        every pending device of a shared component at once
         (:meth:`_shared_pools`) and runs the searches in input order.
         Without ``budget_fallback`` the first device to fail, in input
         order, raises, as it would device by device: the first pass
@@ -644,12 +708,43 @@ class Characterizer:
         still searched first.  After a raise in the second pass the
         motion cache also holds the families the first pass derived for
         the devices after the failing one.
+
+        With ``key_of``, each verdict is built in the caller's ids: its
+        device is ``key_of[j]``, its witness motions hold ``key_of``
+        images, and the result is keyed by them.  ``key_of`` must be
+        injective (a shard's rank build is strictly increasing).
         """
+        build = _Verdicts(key_of)
+        transition = self._transition
+        flagged = transition.flagged
+        is_lone = transition.is_lone
+        count_lone = self._cache.count_lone
+        steps = 2 * transition.dim
         settled: List[Union[Characterization, _Pending]] = []
         failure: Optional[Union[SearchBudgetExceeded, UnknownDeviceError]] = None
         for device in devices:
             try:
-                settled.append(self._settle(device))
+                if device not in flagged:
+                    raise UnknownDeviceError(
+                        f"device {device} is not in A_k; only flagged devices "
+                        "are characterized"
+                    )
+                if is_lone(device):
+                    # --- Theorem 5 in one step: a lone device's only
+                    # motion is {j}, not dense since tau >= 1.  Its cost is
+                    # that family's, one motion and the 2d placements a
+                    # sweep of {j} makes; the family is counted, not built.
+                    count_lone(device)
+                    settled.append(
+                        build(
+                            device,
+                            AnomalyType.ISOLATED,
+                            DecisionRule.THEOREM_5,
+                            CostCounters(maximal_motions=1, window_steps=steps),
+                        )
+                    )
+                else:
+                    settled.append(self._settle(device, build))
             except (SearchBudgetExceeded, UnknownDeviceError) as exc:
                 failure = exc
                 break
@@ -658,8 +753,9 @@ class Characterizer:
         )
         verdicts: Dict[int, Characterization] = {}
         for outcome in settled:
-            verdict = self._search(outcome) if isinstance(outcome, _Pending) else outcome
-            verdicts[verdict.device] = verdict
+            if isinstance(outcome, _Pending):
+                outcome = self._search(outcome, build)
+            verdicts[outcome.device] = outcome
         if failure is not None:
             raise failure
         return verdicts
@@ -670,40 +766,33 @@ class Characterizer:
 
     # ------------------------------------------------------------------
     def _fallback_or_raise(
-        self, device: int, cost: CostCounters, error: SearchBudgetExceeded
+        self,
+        device: int,
+        cost: CostCounters,
+        error: SearchBudgetExceeded,
+        build: _Verdicts,
     ) -> Characterization:
         """Apply the ``budget_fallback`` policy to a blown search budget."""
         if not self._budget_fallback:
             raise error
-        return Characterization(
-            device=device,
-            anomaly_type=AnomalyType.UNRESOLVED,
-            rule=DecisionRule.ALGORITHM_3,
-            cost=cost,
-        )
+        return build(device, AnomalyType.UNRESOLVED, DecisionRule.ALGORITHM_3, cost)
 
-    def _settle(self, device: int) -> Union[Characterization, _Pending]:
+    def _settle(
+        self, device: int, build: _Verdicts
+    ) -> Union[Characterization, _Pending]:
         """Theorems 5 and 6 on bitmasks over a local universe: the
-        verdict, or the device's pending Theorem 7 record."""
+        verdict, or the device's pending Theorem 7 record, for a flagged
+        device that is not lone."""
         transition = self._transition
-        if device not in transition.flagged:
-            raise UnknownDeviceError(
-                f"device {device} is not in A_k; only flagged devices are characterized"
-            )
-        cost = CostCounters()
         cache = self._cache
+        cost = CostCounters()
         family = cache.family(device)
         cost.maximal_motions = len(family.motions)
         cost.window_steps = family.window_steps
 
         # --- Theorem 5: no dense motion => isolated, exactly. ---
         if not family.has_dense_motion:
-            return Characterization(
-                device=device,
-                anomaly_type=AnomalyType.ISOLATED,
-                rule=DecisionRule.THEOREM_5,
-                cost=cost,
-            )
+            return build(device, AnomalyType.ISOLATED, DecisionRule.THEOREM_5, cost)
         cost.dense_motions = len(family.dense)
 
         # Seed the universe with a sorted device set holding every set
@@ -741,21 +830,12 @@ class Characterizer:
         # --- Theorem 6: a dense motion inside J_k(j) => massive. ---
         for motion, mask in zip(motions, dense_masks):
             if popcount(mask & j_mask) > tau:
-                return Characterization(
-                    device=device,
-                    anomaly_type=AnomalyType.MASSIVE,
-                    rule=DecisionRule.THEOREM_6,
-                    cost=cost,
-                    witness=(motion,),
+                return build(
+                    device, AnomalyType.MASSIVE, DecisionRule.THEOREM_6, cost, (motion,)
                 )
 
         if not self._full_nsc:
-            return Characterization(
-                device=device,
-                anomaly_type=AnomalyType.UNRESOLVED,
-                rule=DecisionRule.ALGORITHM_3,
-                cost=cost,
-            )
+            return build(device, AnomalyType.UNRESOLVED, DecisionRule.ALGORITHM_3, cost)
         if component is None:
             return _Pending(device, cost, dense_masks, d_mask, universe, None, 0)
 
@@ -778,10 +858,11 @@ class Characterizer:
                     f"candidate pool for device {device} requires enumerating "
                     f"2^{largest} subsets of one maximal motion (cap {cap})"
                 ),
+                build,
             )
         return _Pending(device, cost, dense_masks, d_mask, universe, component, inside)
 
-    def _search(self, pending: _Pending) -> Characterization:
+    def _search(self, pending: _Pending, build: _Verdicts) -> Characterization:
         """Theorem 7 / Corollary 8 for one pending device, under the
         ``pool_cap`` and ``collection_budget`` policy."""
         device = pending.device
@@ -798,10 +879,10 @@ class Characterizer:
                         f"candidate pool for device {device} exceeded {cap}"
                     )
             return self._characterize_full_masks(
-                device, pending.dense_masks, pool, pending.universe, pending.cost
+                device, pending.dense_masks, pool, pending.universe, pending.cost, build
             )
         except SearchBudgetExceeded as exc:
-            return self._fallback_or_raise(device, pending.cost, exc)
+            return self._fallback_or_raise(device, pending.cost, exc, build)
 
     def _characterize_full_masks(
         self,
@@ -810,6 +891,7 @@ class Characterizer:
         candidates: Sequence[int],
         universe: LocalUniverse,
         cost: CostCounters,
+        build: _Verdicts,
     ) -> Characterization:
         """Theorem 7 / Corollary 8 exact decision on bitmasks."""
         if self._count_all:
@@ -822,18 +904,13 @@ class Characterizer:
         counterexample = search.find_counterexample()
         cost.tested_collections = search.tested
         if counterexample is None:
-            return Characterization(
-                device=device,
-                anomaly_type=AnomalyType.MASSIVE,
-                rule=DecisionRule.THEOREM_7,
-                cost=cost,
-            )
-        return Characterization(
-            device=device,
-            anomaly_type=AnomalyType.UNRESOLVED,
-            rule=DecisionRule.COROLLARY_8,
-            cost=cost,
-            witness=tuple(universe.devices_of(c) for c in counterexample),
+            return build(device, AnomalyType.MASSIVE, DecisionRule.THEOREM_7, cost)
+        return build(
+            device,
+            AnomalyType.UNRESOLVED,
+            DecisionRule.COROLLARY_8,
+            cost,
+            tuple(universe.devices_of(c) for c in counterexample),
         )
 
     def _shared_pools(self, pending: Sequence[_Pending]) -> None:

@@ -294,11 +294,12 @@ def cells_ring_distance(
     return out
 
 
-def split_flat(query_of: np.ndarray, rows: list, q: int, kind=tuple) -> list:
-    """Split the flat ``(query_of, rows)`` answer into ``q`` per-query
-    sequences of type ``kind``: one ``bincount`` plus list slices, with
-    ``rows`` already converted by one ``tolist``."""
-    ends = np.cumsum(np.bincount(query_of, minlength=q)).tolist()
+def split_flat(counts: np.ndarray, rows: list, kind=tuple) -> list:
+    """Split a flat answer into per-query sequences of type ``kind``:
+    ``counts[i]`` consecutive ``rows`` for query ``i`` (the ``bincount``
+    of the query column), as list slices of ``rows``, which is already
+    converted by one ``tolist``."""
+    ends = np.cumsum(counts).tolist()
     starts = [0] + ends[:-1]
     return [kind(rows[a:b]) for a, b in zip(starts, ends)]
 
@@ -423,7 +424,7 @@ class GridIndex:
         """
         query_of, rows = self.query_batch_flat(centers, rho, atol=atol)
         q = np.asarray(centers).shape[0]
-        return split_flat(query_of, rows.tolist(), q, list)
+        return split_flat(np.bincount(query_of, minlength=q), rows.tolist(), list)
 
     def query_batch_flat(
         self, centers: np.ndarray, rho: float, *, atol: float = CONSISTENCY_ATOL

@@ -35,10 +35,14 @@ iff ``j``'s bit is in ``x``'s cover).  Components above
 :data:`_COMPONENT_LIMIT` members keep the per-device anchored
 enumeration and the per-device :func:`split_masks`, which applies the
 same cover rule over the ``4r`` ball.  A lone device (``N(j) == (j,)``)
-has no component object and no sweep at all: its family is the single
-motion ``{j}`` (:func:`~repro.core.motions.maximal_motions_containing`),
-and since ``tau >= 1`` it has no dense motion, so its verdict stops at
-Theorem 5 without reading its ``4r`` ball.
+needs none of this.  Its only motion is ``{j}``, and since ``tau >= 1``
+it has no dense motion, so the characterizer settles it by Theorem 5 in
+one step, reading lone status off the batch ``2r`` pass
+(:meth:`~repro.core.transition.Transition.is_lone`): no component walk,
+no family.  :meth:`MotionCache.count_lone` counts its family in
+``expansions`` as if it were built; a later :meth:`MotionCache.family`
+call builds it, the single motion ``{j}`` without a sweep
+(:func:`~repro.core.motions.maximal_motions_containing`).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.bitset import LocalUniverse, iter_bits
 from repro.core.motions import enumerate_maximal_motions, motion_family
@@ -214,6 +218,8 @@ class MotionCache:
         self._transition = transition
         self._families: Dict[int, MotionFamily] = {}
         self._components: Dict[int, Optional[MotionComponent]] = {}
+        # Lone devices counted by count_lone whose family is not built.
+        self._lone: Set[int] = set()
         self.expansions = 0
 
     @property
@@ -231,8 +237,20 @@ class MotionCache:
             else:
                 fam = component.family(device, self._transition.tau)
             self._families[device] = fam
-            self.expansions += 1
+            if device in self._lone:
+                self._lone.discard(device)  # counted by count_lone
+            else:
+                self.expansions += 1
         return fam
+
+    def count_lone(self, device: int) -> None:
+        """Count the family of a lone ``device`` (``N(j) == (j,)``) in
+        ``expansions`` once, as :meth:`family` would, without building
+        it: the Theorem 5 step needs none of it.  A later :meth:`family`
+        call builds it uncounted."""
+        if device not in self._families and device not in self._lone:
+            self._lone.add(device)
+            self.expansions += 1
 
     def materialize(self, devices: Iterable[int]) -> None:
         """:meth:`family` for each of ``devices`` whose family is not yet
@@ -280,10 +298,10 @@ class MotionCache:
         return self.family(device).dense
 
     def __contains__(self, device: int) -> bool:
-        return device in self._families
+        return device in self._families or device in self._lone
 
     def __len__(self) -> int:
-        return len(self._families)
+        return len(self._families) + len(self._lone)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ snapshots, and exposes the neighbourhood queries every local algorithm
 needs:
 
 * ``N(j)`` — flagged devices within ``2r`` of ``j`` at **both** times
-  (the input of Algorithm 2);
+  (the input of Algorithm 2), and whether ``j`` is *lone*
+  (``N(j) == (j,)``);
 * combined coordinates — the ``2d``-dimensional embedding in which an
   r-consistent *motion* is simply a box of side ``2r``.
 """
@@ -17,7 +18,7 @@ needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -145,6 +146,8 @@ class Transition:
         # operating neighbourhood and the 4r knowledge ball are cached, so
         # the verdict path and ablation_locality never recompute the 4r query.
         self._neighborhood_cache: Dict[Tuple[int, float], Tuple[int, ...]] = {}
+        # Lone devices (N(j) == (j,)) found by a batch 2r pass.
+        self._lone: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Simple accessors
@@ -320,11 +323,26 @@ class Transition:
             both = np.intersect1d(
                 prev_q * m + prev_rows, cur_q * m + cur_rows, assume_unique=True
             )
-            hits = split_flat(both // m, flagged[both % m].tolist(), len(missing))
+            counts = np.bincount(both // m, minlength=len(missing))
+            hits = split_flat(counts, flagged[both % m].tolist())
             cache = self._neighborhood_cache
             for j, near in zip(missing, hits):
                 cache[(j, factor)] = near
+            if factor == 2.0:
+                # A query always hits its own device: one hit is lone.
+                self._lone.update(np.asarray(missing)[counts == 1].tolist())
         return {j: self._neighborhood_cache[(j, factor)] for j in devs}
+
+    def is_lone(self, device: int) -> bool:
+        """True iff ``N(device) == (device,)``: no other flagged device
+        lies within ``2r`` of it at both times.
+
+        Read off the hit counts of a :meth:`neighborhoods_batch` pass, or
+        else off the neighbourhood memo (:meth:`neighborhood`).  A lone
+        device's only motion is ``{device}``, so with ``tau >= 1`` it has
+        no dense motion and is isolated by Theorem 5.
+        """
+        return device in self._lone or self.neighborhood(device) == (device,)
 
     def knowledge_ball(self, device: int) -> Tuple[int, ...]:
         """Return the ``4r`` knowledge radius of Section V.

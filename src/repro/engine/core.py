@@ -32,7 +32,20 @@ shared service:
   order, then the Theorem 7 candidate pools of every remaining device
   are built in one vectorized step (the subset tables and far rows of
   all their components together, one ragged filter for all the pools),
-  and the searches run in input order over ``uint64`` candidate arrays.
+  and the searches run in input order over ``uint64`` candidate arrays
+  (``int`` lists for short pools).
+* **Lone devices in one step.**  A device with no other flagged device
+  within ``2r`` at both times (``N(j) == (j,)``, read off the hit counts
+  of the batch ``2r`` pass) has no dense motion, so Theorem 5 settles it
+  at once: no component walk and no motion family, with the cost
+  counters a built family would give (one motion, ``2d`` window steps)
+  and its family counted once in ``families_recomputed``.  Most flagged
+  devices of a sparse fleet are lone.
+* **Verdicts in the caller's ids.**  ``characterize_run(..., key_of=...)``
+  builds each verdict once with ``key_of[j]`` as its device and its
+  witness motions mapped (once per call per motion), so a shard's
+  rank-numbered transition yields global-id verdicts without a second
+  object per verdict.
 
 Parallelism lives one layer up, in the process shards of
 :class:`~repro.online.sharded.ShardedService`, which split along the
@@ -61,8 +74,10 @@ __all__ = ["CharacterizationEngine", "EngineRun", "EngineStats"]
 class EngineRun:
     """What one :meth:`CharacterizationEngine.characterize_run` produced.
 
-    ``families_recomputed`` counts the motion-cache work of this call:
-    the families it expanded.
+    ``verdicts`` are keyed by the caller's ids (``key_of`` images, else
+    transition ids), in input order.  ``families_recomputed`` counts the
+    motion-cache work of this call: the families it expanded, a lone
+    device's counted though never built.
     """
 
     verdicts: Dict[int, Characterization]
@@ -156,9 +171,18 @@ class CharacterizationEngine:
 
     # ------------------------------------------------------------------
     def characterize_run(
-        self, transition: Transition, devices: Optional[Sequence[int]] = None
+        self,
+        transition: Transition,
+        devices: Optional[Sequence[int]] = None,
+        key_of: Optional[Sequence[int]] = None,
     ) -> EngineRun:
-        """Classify ``devices`` and report the run's cache work."""
+        """Classify ``devices`` and report the run's cache work.
+
+        ``key_of`` maps a transition id to the caller's id (a shard's
+        rank build to global ids, strictly increasing): the verdicts are
+        built in those ids and keyed by them.  Without it they keep the
+        transition's ids.
+        """
         devs = (
             list(transition.flagged_sorted)
             if devices is None
@@ -170,7 +194,7 @@ class CharacterizationEngine:
         expansions_before = shared.expansions
         verdicts = Characterizer(
             transition, cache=shared, **self._config.characterizer_kwargs()
-        ).characterize_many(devs)
+        ).characterize_many(devs, key_of)
         self.stats.transitions += 1
         self.stats.devices_characterized += len(verdicts)
         self.stats.cache_expansions = self._folded_expansions + shared.expansions

@@ -42,14 +42,16 @@ costs ``O(flagged)``, not ``O(devices near the dirty cells)``.
 Both topologies share the fan-out: the single service closes and fans
 out its own region in one call; a shard closes its region for the front
 door (:meth:`DirtyRegionTracker.close`), which unions every shard's, and
-then fans the *global* union out over its own flagged rows — a change
-near a shard boundary must invalidate verdicts on both sides.
+then fans out the union's boxes near its own box
+(:meth:`DirtyRegion.near`) over its own flagged rows — a change near a
+shard boundary must invalidate verdicts on both sides, and a box beyond
+``rings`` cells of the box is beyond reach of every row in it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,6 +139,29 @@ class DirtyRegion:
         if self._cells is None:
             self._cells = unique_cells(self.keys) if len(self) else _NO_KEYS
         return self._cells
+
+    def near(
+        self, distance: Callable[[np.ndarray], np.ndarray], limit: int
+    ) -> "DirtyRegion":
+        """The boxes whose cell is within ``limit`` of a target.
+
+        ``distance`` maps ``(k, d)`` cell keys to their cell distance to
+        the target (e.g. one shard's box).  The kept cells are a subset
+        of :attr:`cells`, so no second sort runs; a region kept whole is
+        returned as is.
+        """
+        if not len(self):
+            return self
+        keep = distance(self.keys) <= limit
+        if keep.all():
+            return self
+        lo = self.lo[keep]
+        region = DirtyRegion(
+            self.keys[keep], lo, lo if self.hi is self.lo else self.hi[keep]
+        )
+        cells = self.cells
+        region._cells = cells[distance(cells) <= limit]
+        return region
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Chebyshev distance from each of ``points`` to its nearest box."""
@@ -284,7 +309,8 @@ class DirtyRegionTracker:
         """Fan a dirty region out: return ``(dirty_cells, affected_rows)``.
 
         ``region`` defaults to this tracker's own, closed by the call
-        (:meth:`close`); a shard passes the front door's global union.
+        (:meth:`close`); a shard passes the front door's union, cut to the
+        boxes near its own.
         ``affected_rows`` are the *flagged* rows of ``store`` (ascending)
         whose ``prev`` or ``cur`` endpoint lies within ``4r + tol`` of a
         dirty box — the flagged devices are the only verdict targets, so

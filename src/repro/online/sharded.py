@@ -27,8 +27,9 @@ devices just across its borders — the **halo**.  Per tick:
 2. **dirty union** — every shard closes its tracker's dirty region
    (:meth:`~repro.online.dirty.DirtyRegionTracker.close`) and the front
    door unions the regions: an update near a boundary must invalidate
-   verdicts on *both* sides, so each shard fans the global union out
-   over its own flagged rows, through the same
+   verdicts on *both* sides, so each shard fans out the union's boxes
+   within ``halo_rings`` cells of its box (no farther box reaches its
+   rows) over its own flagged rows, through the same
    :meth:`~repro.online.dirty.DirtyRegionTracker.finish_tick` as the
    single service;
 3. **halo exchange** — each shard's ``halo`` reply carries its band: the
@@ -41,8 +42,8 @@ devices just across its borders — the **halo**.  Per tick:
 4. **local pipelines** — each shard runs a halo-aware
    transition-build stage, then the standard
    :class:`~repro.online.stages.VerdictStage`;
-5. **merge** — verdicts (already remapped to global ids), flagged sets,
-   stats and stage timings are merged into one ordinary
+5. **merge** — verdicts (built in global ids by each shard's engine),
+   flagged sets, stats and stage timings are merged into one ordinary
    :class:`~repro.online.service.OnlineTick` for the sinks.
 
 With one shard, steps 1 and 3 have nothing to move: no device leaves
@@ -87,6 +88,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import nullcontext
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -1327,8 +1329,11 @@ class ShardedService(_FrontDoor):
         The ``halo`` phase makes every shard reply with its dirty region
         and its boundary band (:meth:`_ShardWorker.halo_band`); the
         parent unions the regions and, for each consumer, keeps the band
-        rows within ``halo_rings`` cells outside the consumer's box.  The
-        ``verdict`` phase ships those rows inside each consumer's command,
+        rows within ``halo_rings`` cells outside the consumer's box and
+        the union's boxes within ``halo_rings`` cells of it
+        (:meth:`DirtyRegion.near`): a consumer's rows lie in its box, and
+        its fan-out reads no box farther than that.  The ``verdict``
+        phase ships both inside each consumer's command,
         so the command is self-contained — a respawned consumer's resent
         one carries its band, and no shard reads another's memory — and
         each shard builds its local transition from its flagged rows plus
@@ -1386,13 +1391,21 @@ class ShardedService(_FrontDoor):
             # The cells are de-duplicated once, here, and travel with the
             # region, so no shard repeats the sort.
             dirty_cells = len(dirty.cells)
+            # A consumer's rows lie in its box and the fan-out reads no
+            # box beyond halo_rings cells of a row, so each consumer gets
+            # the boxes within halo_rings of its box, as its halo band
+            # (a lone shard's box holds every box: it gets the union).
+            regions = [
+                dirty.near(partial(self._map.box_distance, shard=shard), halo_rings)
+                for shard in range(n_shards)
+            ]
         self._prev_dirty = dirty
         self._mover_carry = self._mover_points
         self._mover_points = []
 
         results = self._phase(
             [
-                ("verdict", tick, {"halo": halos[shard], "dirty": dirty})
+                ("verdict", tick, {"halo": halos[shard], "dirty": regions[shard]})
                 for shard in range(n_shards)
             ],
             chaos=True,

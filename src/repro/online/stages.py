@@ -22,11 +22,13 @@ stage                 reads                                 writes
 ====================  ====================================  ====================================================
 ``transition-build``  store planes, ``dirty``, halo band    ``flagged, affected, transition, key_of, verdict_targets``
 ``verdict``           ``transition, verdict_targets,``      ``recompute, reused, verdicts, families_recomputed``
-                      ``affected, key_of``
+                      ``affected, key_of``                  (``verdicts`` in global ids, built by the engine)
 ====================  ====================================  ====================================================
 
 The transition build also opens the ``dirty-region`` span of the
 fan-out from the tick's dirty region to the affected verdict targets.
+The verdict stage hands ``key_of`` to the engine, which builds each
+verdict once in global ids.
 Each stage opens its own tracer span *only when it actually works*, so
 quiet ticks skip ``transition-build`` / ``verdict``.
 """
@@ -34,7 +36,7 @@ quiet ticks skip ``transition-build`` / ``verdict``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -47,7 +49,6 @@ __all__ = [
     "IndexUpdateStage",
     "TickContext",
     "VerdictStage",
-    "remap_characterization",
 ]
 
 
@@ -61,13 +62,14 @@ class TickContext:
     global device id, the key of the verdict cache and of ``verdicts``.
     ``verdict_targets`` are the rows the shard owes a verdict (its own
     flagged devices; halo participants are characterized by their
-    owners).  ``dirty`` is the tick's global
+    owners).  ``dirty`` is the tick's
     :class:`~repro.online.dirty.DirtyRegion` (its ``cells`` are the
-    dirty cell keys).
+    dirty cell keys): the front door's union of every shard's region,
+    cut to the boxes within ``halo_rings`` cells of this shard's box.
 
     The context itself never crosses a process boundary: a shard worker
-    builds it from the ``verdict`` command's payload (tick plus the
-    global dirty-region union) and replies only the plain result dict
+    builds it from the ``verdict`` command's payload (tick plus its cut
+    of the dirty-region union) and replies only the plain result dict
     distilled by :func:`repro.online.procshard._ctx_result`, so every
     field here may hold arbitrarily large arrays without ever being
     pickled down a pipe.
@@ -84,39 +86,6 @@ class TickContext:
     reused: List[int] = field(default_factory=list)
     verdicts: Dict[int, Characterization] = field(default_factory=dict)
     families_recomputed: int = 0
-
-
-def remap_characterization(
-    verdict: Characterization,
-    key_of: Sequence[int],
-    motions: Optional[Dict[FrozenSet[int], FrozenSet[int]]] = None,
-) -> Characterization:
-    """Rewrite a verdict from transition-local ids to global ids.
-
-    A shard's transition numbers devices by local row; the verdict it
-    produces — including the witness motions, which are frozensets of
-    device ids — must leave the shard in the global id space or two
-    shards' reports could not be compared, merged or checkpointed.
-    ``motions`` memoizes remapped witness motions across the verdicts
-    of one tick, which share them (a massive group's members all carry
-    the group's motion).  The verdict is built field by field:
-    ``dataclasses.replace`` costs several times more on a tick that
-    remaps thousands of verdicts.
-    """
-    witness = verdict.witness
-    if witness is not None:
-        if motions is None:
-            motions = {}
-        remapped = []
-        for motion in witness:
-            mapped = motions.get(motion)
-            if mapped is None:
-                mapped = motions[motion] = frozenset([key_of[j] for j in motion])
-            remapped.append(mapped)
-        witness = tuple(remapped)
-    return Characterization(
-        key_of[verdict.device], verdict.anomaly_type, verdict.rule, verdict.cost, witness
-    )
 
 
 class IndexUpdateStage:
@@ -163,9 +132,10 @@ class VerdictStage:
 
     Owns the per-device verdict cache (the incremental path serves
     unaffected devices from it).  Ids seen by the engine are
-    transition-space; the cache is keyed through ``ctx.key_of`` so it
-    stays in global id space across halo churn and migrations.  Its span
-    covers the plan, the engine run and the remapped cache.
+    transition-space; the engine builds the verdicts in global ids
+    through ``ctx.key_of``, so the cache stays in global id space across
+    halo churn and migrations.  Its span covers the plan, the engine run
+    and the cache update.
     """
 
     name = "verdict"
@@ -195,19 +165,13 @@ class VerdictStage:
                 ctx.reused = [j for j in targets if j not in recompute_set]
             else:
                 ctx.recompute = list(targets)
-            fresh = {}
+            fresh: Dict[int, Characterization] = {}
             if ctx.recompute:
                 run = self._owner.engine.characterize_run(
-                    ctx.transition, devices=ctx.recompute
+                    ctx.transition, devices=ctx.recompute, key_of=key_of
                 )
                 fresh = run.verdicts
                 ctx.families_recomputed = run.families_recomputed
-            motions: Dict[FrozenSet[int], FrozenSet[int]] = {}
             ctx.verdicts = self.cache = {
-                key: (
-                    remap_characterization(fresh[j], key_of, motions)
-                    if j in fresh
-                    else cache[key]
-                )
-                for j, key in zip(targets, keys)
+                key: fresh[key] if key in fresh else cache[key] for key in keys
             }

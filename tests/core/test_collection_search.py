@@ -9,7 +9,8 @@ none), and under a budget the same node at which
 :class:`SearchBudgetExceeded` is raised.  Pools here are seeded random
 ones, canonically ordered like the real pools (larger candidates first),
 with bit 63 in play; a universe wider than 64 bits stays on the ``int``
-path.
+path, and so does a pool shorter than ``_ARRAY_SEARCH_MIN_POOL``
+candidates, where the list search is faster.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from repro.core.bitset import popcount
 from repro.core.characterize import (
+    _ARRAY_SEARCH_MIN_POOL,
     _ArrayCollectionSearch,
     _collection_search,
     _MaskCollectionSearch,
@@ -53,6 +55,23 @@ def _random_instance(seed, width=None):
         pool.add(_random_subset(rng, bits, tau + 1, tau + 2))
     candidates = sorted(pool, key=lambda c: (-popcount(c), c))
     return motions, candidates, width, tau
+
+
+def _sized_instance(seed, size):
+    """A 64-bit :func:`_random_instance` whose pool holds exactly
+    ``size`` candidates: cut to its ``size`` largest, or padded with
+    candidates that miss every motion of ``j`` (they never starve one,
+    so the outcome stays the instance's, but every node scans them)."""
+    motions, candidates, width, tau = _random_instance(seed, width=64)
+    rng = np.random.default_rng(seed + 1000)
+    members = 0
+    for motion in motions:
+        members |= motion
+    free = np.array([b for b in range(width) if not members >> b & 1])
+    pool = set(candidates[:size])
+    while len(pool) < size:
+        pool.add(_random_subset(rng, free, tau + 1, tau + 3))
+    return motions, sorted(pool, key=lambda c: (-popcount(c), c)), width, tau
 
 
 def _run(search):
@@ -104,13 +123,49 @@ def test_budgets_raise_at_the_same_node(seed):
 
 
 def test_width_picks_the_search():
-    motions, candidates, _, tau = _random_instance(3, width=64)
+    motions, candidates, _, tau = _sized_instance(3, _ARRAY_SEARCH_MIN_POOL)
     assert type(_collection_search(motions, candidates, 64, tau, None)) is (
         _ArrayCollectionSearch
     )
     assert type(_collection_search(motions, candidates, 65, tau, None)) is (
         _MaskCollectionSearch
     )
+
+
+CUT = _ARRAY_SEARCH_MIN_POOL
+
+
+@pytest.mark.parametrize("size", [1, 3, CUT // 2, CUT - 1, CUT, CUT + 1, 2 * CUT, 300])
+@pytest.mark.parametrize("seed", range(60))
+def test_pool_length_picks_the_search_and_both_sides_agree(seed, size):
+    # Pools arrive as the shared path builds them, a uint64 array; a
+    # short one runs the int-list search, a long one the array search,
+    # and either visits the list search's nodes.
+    motions, candidates, width, tau = _sized_instance(seed, size)
+    search = _collection_search(
+        motions, np.array(candidates, dtype=np.uint64), width, tau, None
+    )
+    assert type(search) is (
+        _ArrayCollectionSearch if size >= CUT else _MaskCollectionSearch
+    )
+    got = _run(search)
+    assert got == _run(_MaskCollectionSearch(motions, candidates, tau, None))
+    counterexample = got[0][1]
+    if counterexample is not None:
+        assert all(type(mask) is int for mask in counterexample)
+
+
+def test_crossover_instances_search_deep_and_find_both_outcomes():
+    outcomes = set()
+    deepest = 0
+    for seed in range(60):
+        for size in (CUT - 1, CUT):
+            motions, candidates, _, tau = _sized_instance(seed, size)
+            search = _MaskCollectionSearch(motions, candidates, tau, None)
+            outcomes.add(search.find_counterexample() is None)
+            deepest = max(deepest, search.tested)
+    assert outcomes == {True, False}
+    assert deepest >= 20
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core.characterize import Characterizer
+from repro.core.characterize import Characterizer, _Verdicts
 from repro.core.motions import enumerate_maximal_motions, motion_family
 from repro.core.neighborhood import (
     _COMPONENT_LIMIT,
@@ -167,7 +167,7 @@ class TestSharedTheorem7Pool:
         # The pools themselves, in order, built in one batch for every
         # deep device: the shared table filter decoded against the
         # component equals the definitional pool.
-        pending = [fast._settle(j) for j in deep]
+        pending = [fast._settle(j, _Verdicts(None)) for j in deep]
         fast._shared_pools(pending)
         for j, record in zip(deep, pending):
             component = record.component

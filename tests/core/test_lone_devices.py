@@ -1,17 +1,22 @@
 """The O(flagged) verdict path is exact.
 
-Three shortcuts keep a tick's verdict work proportional to the flagged
-set: a *lone* device (``N(j) == (j,)``) takes its family without the
-window sweep, the engine queries 4r knowledge balls only for devices
-with ``|N(j)| > tau``, and combined coordinates are gathered per row
-instead of joined for the whole fleet.  Each must be invisible in the
-results:
+Four shortcuts keep a tick's verdict work proportional to the flagged
+set: a *lone* device (``N(j) == (j,)``) settles in one Theorem 5 step
+(its family, if ever asked for, is built without the window sweep), the
+engine queries 4r knowledge balls only for devices with
+``|N(j)| > tau``, combined coordinates are gathered per row instead of
+joined for the whole fleet, and verdicts are built once in the caller's
+ids (``key_of``).  Each must be invisible in the results:
 
 * a lone device's family equals a direct sweep of ``[j]``, down to
   ``window_steps == 2 * dim``;
 * ``combined_of(idx)`` equals the rows of the full ``prev ++ cur`` plane;
 * the engine's verdicts, witnesses, cost counters and stats equal those
-  of a fresh per-device :class:`Characterizer`;
+  of a fresh per-device :class:`Characterizer`, also in mapped ids and on
+  a second call (which expands nothing);
+* the batch raises at its first unflagged device, in input order;
+* a one-shard service whose store reuses a freed row for a new id
+  reports witnesses in global ids;
 * the verdicts match the omniscient oracle on small cases.
 
 Coordinates are drawn on a 1/32 grid with ``r`` a multiple of 1/32, so
@@ -21,11 +26,15 @@ boundary arithmetic is exact.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.characterize import Characterizer
+from repro.core.errors import UnknownDeviceError
 from repro.core.motions import (
     _MaskWindowEnumerator,
     all_maximal_motions,
@@ -36,6 +45,7 @@ from repro.core.oracle import oracle_classify
 from repro.core.transition import Snapshot, Transition
 from repro.core.types import DecisionRule
 from repro.engine import CharacterizationEngine
+from repro.online import OnlineCharacterizationService, QosUpdate, ServiceConfig
 
 GRID = 32
 
@@ -202,6 +212,164 @@ class TestEngineEqualsPerDevicePath:
         for j in range(5, 10):
             assert got[j].rule is DecisionRule.THEOREM_6
             assert (j, 4.0) in t._neighborhood_cache
+
+
+@st.composite
+def id_maps(draw, n):
+    """A strictly increasing map of ``0..n-1`` that is not the identity
+    (it starts at 1 or above), as a shard's rank build is."""
+    steps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    base = draw(st.integers(0, 50))
+    return (base + np.cumsum(steps)).tolist()
+
+
+def _mapped(witness, key_of):
+    if witness is None:
+        return None
+    return tuple(frozenset(key_of[x] for x in motion) for motion in witness)
+
+
+def _assert_mapped_run(run, want, devices, key_of):
+    """``run`` (mapped ids) against per-device verdicts ``want``."""
+    assert list(run.verdicts) == [key_of[j] for j in devices]
+    for j in devices:
+        got = run.verdicts[key_of[j]]
+        assert got.device == key_of[j]
+        assert (got.anomaly_type, got.rule) == (want[j].anomaly_type, want[j].rule)
+        assert got.witness == _mapped(want[j].witness, key_of)
+        assert got.cost.as_dict() == want[j].cost.as_dict()
+
+
+class TestVerdictsInCallerIds:
+    @given(grid_transitions(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mapped_batch_equals_fresh_per_device_characterizer(
+        self, transition, data
+    ):
+        key_of = data.draw(id_maps(transition.n))
+        order = data.draw(st.permutations(transition.flagged_sorted))
+        devices = order[: data.draw(st.integers(1, len(order)))]
+        # The reference builds every device's family, lone ones included:
+        # the lone step must give the costs and count that path gives.
+        reference = Characterizer(_fresh(transition))
+        with mock.patch.object(Transition, "is_lone", return_value=False):
+            want = {j: reference.characterize(j) for j in devices}
+        assert reference.cache.expansions == len(reference.cache)
+        engine = CharacterizationEngine()
+        run = engine.characterize_run(transition, devices, key_of=key_of)
+        _assert_mapped_run(run, want, devices, key_of)
+        assert run.families_recomputed == reference.cache.expansions
+        assert engine.stats.cache_expansions == reference.cache.expansions
+        cache = engine._cache_for(transition)
+        assert all(j in cache for j in devices)
+        # The same batch again on the same transition: nothing to expand
+        # (so no cost counts a neighbour expansion), the same verdicts.
+        again = engine.characterize_run(transition, devices, key_of=key_of)
+        assert again.families_recomputed == 0
+        assert engine.stats.cache_expansions == reference.cache.expansions
+        for key, verdict in again.verdicts.items():
+            first = run.verdicts[key]
+            assert (verdict.device, verdict.rule, verdict.witness) == (
+                first.device,
+                first.rule,
+                first.witness,
+            )
+            assert verdict.cost.neighbor_expansions == 0
+
+    def _mixed(self):
+        """Figure 3 (Theorem 6 and Corollary 8 witnesses) plus three lone
+        devices and one unflagged device (8)."""
+        pairs = [
+            (0.30, 0.30),
+            (0.32, 0.32),
+            (0.35, 0.35),
+            (0.38, 0.38),
+            (0.42, 0.42),
+            (0.90, 0.10),
+            (0.10, 0.90),
+            (0.70, 0.70),
+            (0.60, 0.20),
+        ]
+        return Transition.from_trajectories_1d(pairs, range(8), r=0.05, tau=3)
+
+    def test_mixed_batch_carries_every_witness_kind_in_mapped_ids(self):
+        t = self._mixed()
+        key_of = [10 * j + 3 for j in range(t.n)]
+        devices = [5, 0, 6, 1, 4, 7, 2, 3]
+        reference = Characterizer(self._mixed())
+        want = {j: reference.characterize(j) for j in devices}
+        rules = {want[j].rule for j in devices}
+        assert rules == {
+            DecisionRule.THEOREM_5,
+            DecisionRule.THEOREM_6,
+            DecisionRule.COROLLARY_8,
+        }
+        engine = CharacterizationEngine()
+        run = engine.characterize_run(t, devices, key_of=key_of)
+        _assert_mapped_run(run, want, devices, key_of)
+        assert run.verdicts[3].witness == (frozenset({13, 23, 33, 43}),)
+        for j in (5, 6, 7):
+            assert t.is_lone(j)
+            cost = run.verdicts[key_of[j]].cost.as_dict()
+            assert cost["maximal_motions"] == 1
+            assert cost["window_steps"] == 2 * t.dim
+        # Lone families are counted, not built, until someone asks.
+        cache = engine._cache_for(t)
+        assert 5 in cache
+        assert cache.family(5) == motion_family(t, 5)
+        assert cache.expansions == reference.cache.expansions
+        assert engine.characterize_run(t, devices).families_recomputed == 0
+
+    @pytest.mark.parametrize("via", ["engine", "characterizer"])
+    def test_unflagged_device_mid_batch_raises_in_input_order(self, via):
+        t = self._mixed()
+        batch = [5, 1, 8, 6, 99]
+        if via == "engine":
+            with pytest.raises(UnknownDeviceError, match="device 8 "):
+                CharacterizationEngine().characterize_run(t, batch, key_of=range(9))
+            return
+        characterizer = Characterizer(t)
+        with pytest.raises(UnknownDeviceError, match="device 8 "):
+            characterizer.characterize_many(batch, key_of=list(range(9)))
+        # The devices before the failure were settled, the one after not.
+        cache = characterizer.cache
+        assert 5 in cache and 1 in cache and 6 not in cache
+
+
+class TestOneShardChurnWitnesses:
+    """A join takes the row its predecessor freed, so the one shard's
+    store rows differ from the global ids; the witnesses still carry
+    global ids."""
+
+    def test_witness_of_a_row_reusing_join_is_in_global_ids(self):
+        r = 0.05
+        rng = np.random.default_rng(5)
+        positions = rng.random((12, 2)) * 0.4 + 0.55  # far from the group
+        positions[:3] = [(0.20, 0.20), (0.21, 0.20), (0.20, 0.21)]
+        service = OnlineCharacterizationService(positions, ServiceConfig(r=r, tau=2))
+        try:
+            service.leave(3)
+            service.join(100, (0.21, 0.21))
+            service.end_tick()
+            assert service.store.row_of(100) == 3
+            group = [0, 1, 2, 100]
+            moved = {0: (0.30, 0.30), 1: (0.31, 0.30), 2: (0.30, 0.31), 100: (0.31, 0.31)}
+            loner = 7
+            service.ingest_many(
+                [QosUpdate(j, moved[j], True) for j in group]
+                + [QosUpdate(loner, (0.05, 0.95), True)]
+            )
+            tick = service.end_tick()
+        finally:
+            service.close()
+        assert set(tick.verdicts) == {0, 1, 2, 100, loner}
+        for j in group:
+            verdict = tick.verdicts[j]
+            assert verdict.device == j
+            assert verdict.rule is DecisionRule.THEOREM_6
+            assert verdict.witness == (frozenset(group),)
+        assert tick.verdicts[loner].rule is DecisionRule.THEOREM_5
+        assert tick.verdicts[loner].device == loner
 
 
 class TestOracle:

@@ -471,6 +471,76 @@ class TestHaloBandTolerance:
         assert verdict.anomaly_type.name == "MASSIVE"
 
 
+class TestDirtyRegionCut:
+    """Each shard's ``verdict`` command carries the dirty union cut to
+    the boxes within ``halo_rings`` cells of its box.
+
+    The layout of :class:`TestHaloBandTolerance`: two shards split the
+    17 cells per axis at cell 9, and ``halo_rings`` is 3.  Device 0 sits
+    in cell 8, the last of shard 0's box.  Device 1 sits in cell 11,
+    just inside shard 0's reach (key distance 3, Chebyshev distance
+    ``4r + 0.5e-12`` from device 0); device 2 in cell 12, just outside
+    (key distance 4).  Both walk along ``y`` with their flags raised, so
+    each tick dirties their cells: shard 0's cut must hold cell 11 and
+    not cell 12, and device 0's verdict is recomputed every tick, as in
+    the single service.
+    """
+
+    R = 1.0 / 32
+    EPS = 0.5e-12
+
+    def _positions(self):
+        x0 = 0.5625 - self.EPS  # cell 8; the seam is at 9/16
+        fleet = [(x0, 0.3), (x0 + 4 * self.R + self.EPS, 0.3), (0.75, 0.3)]
+        filler = [(0.1, 0.9), (0.9, 0.9), (0.1, 0.1), (0.9, 0.1)]
+        return np.array(fleet + filler)
+
+    def _tick(self, service, positions, step):
+        service.ingest(QosUpdate(0, tuple(positions[0]), True))
+        for device in (1, 2):
+            moved = positions[device] + np.array([0.0, 0.01 * step])
+            service.ingest(QosUpdate(device, tuple(moved), True))
+        return service.end_tick()
+
+    @pytest.mark.parametrize("workers", TOPOLOGIES)
+    def test_boxes_just_inside_reach_are_sent_and_just_outside_are_not(
+        self, workers
+    ):
+        cfg = ServiceConfig(r=self.R, tau=2)
+        positions = self._positions()
+        cells = np.floor(positions[:3] / cfg.cell).astype(int)[:, 0].tolist()
+        assert cells == [8, 11, 12]
+        single, sharded = make_pair(positions, cfg, shards=2, workers=workers)
+        sent = []
+        phase = sharded._phase
+
+        def spy(commands, **kwargs):
+            sent.extend(c for c in commands if c[0] == "verdict")
+            return phase(commands, **kwargs)
+
+        sharded._phase = spy
+        try:
+            assert sharded._map.halo_rings == 3
+            for step in range(1, 5):
+                want = self._tick(single, positions, step)
+                got = self._tick(sharded, positions, step)
+                assert_same_tick(want, got)
+                assert got.recomputed == want.recomputed
+                assert 0 in got.recomputed
+                assert got.dirty_cells == want.dirty_cells
+        finally:
+            sharded.close()
+        assert len(sent) == 8  # two shards, four ticks
+        for shard, (_, _, payload) in zip([0, 1] * 4, sent):
+            columns = set(payload["dirty"].keys[:, 0].tolist())
+            cell_columns = set(payload["dirty"].cells[:, 0].tolist())
+            if shard == 0:
+                assert 11 in columns and 12 not in columns
+                assert 11 in cell_columns and 12 not in cell_columns
+            else:
+                assert {11, 12} <= columns and {11, 12} <= cell_columns
+
+
 class TestHaloBand:
     """A shard's ``halo`` reply: its flagged rows within reach of a peer,
     with global ids, cell keys and both endpoints copied out."""

@@ -257,6 +257,29 @@ class TestDirtyRegion:
         want = [box_distance(p, region.lo, region.hi) for p in probes.tolist()]
         assert whole.tolist() == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(regions(), st.integers(0, 4), st.integers(0, 3))
+    def test_near_keeps_the_boxes_of_near_cells(self, case, center, limit):
+        # Distance: Chebyshev cell distance to the cell (center, ..., center).
+        region, _ = case
+
+        def distance(keys):
+            return np.abs(keys - center).max(axis=1)
+
+        near = region.near(distance, limit)
+        keep = (
+            distance(region.keys) <= limit if len(region) else np.zeros(0, bool)
+        )
+        assert np.array_equal(near.keys, region.keys[keep])
+        assert np.array_equal(near.lo, region.lo[keep])
+        assert np.array_equal(near.hi, region.hi[keep])
+        assert (near.hi is near.lo) == (region.hi is region.lo)
+        # The kept cells are the region's, without a second sort.
+        assert cell_set(near.cells) == cell_set(near.keys)
+        assert near.cells.tolist() == sorted(near.cells.tolist())
+        if keep.all():
+            assert near is region
+
     def test_empty_region_is_out_of_every_reach(self):
         region = DirtyRegion.empty()
         assert len(region) == 0 and region.cells.size == 0
